@@ -21,8 +21,8 @@ from .evaluation import Trajectory, ate_rmse, read_tum, recall_at, umeyama, writ
 from .frontend import (PHASE_FULL, KeyframePolicy, apply_correction,
                        estimated_trajectory, flow_magnitude, make_tracker,
                        process_frame, window_snapshot)
-from .gsmap import (GaussianMap, LossWeights, apply_loop_correction,
-                    spawn_from_keyframe, write_vgsm)
+from .gsmap import (GaussianMap, apply_loop_correction, spawn_from_keyframe,
+                    write_vgsm)
 from .imu import ImuNoiseModel
 from .initialization import InitConfig
 from .loopclosure import KeyframeSummary, LoopPolicy, LoopWorker
@@ -84,9 +84,6 @@ def default_config() -> dict:
         "loop.solve_iterations": 12,
         "loop.solve_every": 4,
         "map.stride": 4,
-        "map.lambda_c": 0.8,
-        "map.lambda_d": 0.2,
-        "map.lambda_iso": 10.0,
         "run.seed": 0,
         "run.frame_stride": 1,
         "run.align": "se3",
@@ -205,7 +202,6 @@ class RunPlan:
     init_cfg: InitConfig
     noise: ImuNoiseModel
     loop_policy: LoopPolicy
-    weights: LossWeights
     out_dir: Path
     frame_stride: int
     align: str
@@ -243,9 +239,6 @@ def materialize(cfg: dict) -> RunPlan:
             min_gap=cfg["loop.min_gap"],
             flow_gate=cfg["loop.flow_gate"],
             ang_gate_deg=cfg["loop.ang_gate_deg"])
-        weights = LossWeights(lambda_c=cfg["map.lambda_c"],
-                              lambda_d=cfg["map.lambda_d"],
-                              lambda_iso=cfg["map.lambda_iso"])
 
         for key in ("provider.stride", "provider.raster_scale", "map.stride",
                     "run.frame_stride", "tracker.solve_iterations",
@@ -292,7 +285,7 @@ def materialize(cfg: dict) -> RunPlan:
                                  raster_scale=cfg["provider.raster_scale"])
     return RunPlan(cfg=cfg, dataset=dataset, provider=provider, policy=policy,
                    init_cfg=init_cfg, noise=noise, loop_policy=loop_policy,
-                   weights=weights, out_dir=Path(cfg["run.out"]),
+                   out_dir=Path(cfg["run.out"]),
                    frame_stride=cfg["run.frame_stride"], align=align,
                    seed=cfg["run.seed"])
 
@@ -315,7 +308,11 @@ def _gravity_error_deg(g_est: np.ndarray, g_true: np.ndarray) -> float:
 
 
 def _init_diagnostics(tracker, dataset) -> dict | None:
-    """Window-vs-truth gravity and scale error at the moment of init."""
+    """Window-vs-truth gravity and scale error at the moment of init.
+
+    The estimator frame is the body frame of keyframe 0, so true gravity is
+    rotated into it before the angle is taken.
+    """
     kfs = tracker.graph.keyframes
     est = np.stack([kf.state.pose.translation for kf in kfs])
     gt = np.stack([dataset.frame_pose(tracker.frame_of[kf.kid]).translation
@@ -324,9 +321,10 @@ def _init_diagnostics(tracker, dataset) -> dict | None:
         S = umeyama(est, gt, with_scale=True)
     except ValueError:
         return None
+    R0 = dataset.frame_pose(tracker.frame_of[0]).rotation
+    g_true = R0.inverse().apply(dataset.gravity.vector())
     return {
-        "gravity_err_deg": _gravity_error_deg(tracker.graph.gravity.vector(),
-                                              dataset.gravity.vector()),
+        "gravity_err_deg": _gravity_error_deg(tracker.graph.gravity.vector(), g_true),
         "scale_err_pct": abs(S.scale - 1.0) * 100.0,
     }
 

@@ -43,17 +43,6 @@ def so3_exp_matrix(omega: np.ndarray) -> np.ndarray:
     return np.eye(3) + a * K + b * (K @ K)
 
 
-def so3_log_matrix(R: np.ndarray) -> np.ndarray:
-    """Rotation vector of R.
-
-    Goes through the quaternion: the arccos-of-trace route loses most of its
-    precision within a few milliradians of a pi rotation, while the
-    largest-diagonal quaternion extraction plus an atan2 angle stay accurate
-    over the whole ball.
-    """
-    return Rotation.from_matrix(R).log()
-
-
 def so3_right_jacobian(omega: np.ndarray) -> np.ndarray:
     """Right Jacobian of SO(3): Exp(w + dw) ~= Exp(w) Exp(Jr(w) dw)."""
     omega = np.asarray(omega, dtype=float)
@@ -367,35 +356,3 @@ def sim3_right_jacobian_inv(xi: np.ndarray) -> np.ndarray:
     M[:7, 7:] = np.eye(7)
     phi = expm(M)[:7, 7:]
     return np.linalg.inv(phi)
-
-
-def so3_exp(omega: np.ndarray) -> Rotation:
-    """Rotation by angle ||omega|| about omega/||omega||."""
-    omega = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(omega)):
-        raise ValueError("non-finite rotation vector")
-    return Rotation.exp(omega)
-
-
-def so3_log(r: Rotation) -> np.ndarray:
-    """Principal rotation vector, ||result|| <= pi."""
-    return r.log()
-
-
-def sim3_apply(s: SimTransform, x: np.ndarray) -> np.ndarray:
-    return s.apply(x)
-
-
-def se3_exp(xi: np.ndarray) -> Pose:
-    """SE(3) exponential, tangent ordered (rotation, translation)."""
-    xi = np.asarray(xi, dtype=float).reshape(6)
-    omega, upsilon = xi[:3], xi[3:6]
-    W = _sim3_w_matrix(omega, 0.0)
-    return Pose(Rotation.exp(omega), W @ upsilon)
-
-
-def se3_log(pose: Pose) -> np.ndarray:
-    omega = pose.rotation.log()
-    W = _sim3_w_matrix(omega, 0.0)
-    upsilon = np.linalg.solve(W, pose.translation)
-    return np.concatenate([omega, upsilon])

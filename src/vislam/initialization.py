@@ -24,7 +24,8 @@ from .residuals import (
     PoseState,
     inertial_residual,
 )
-from .solver import FrameGraph, SolveOptions, SolveReport, solve_vi_ba
+from .solver import (FrameGraph, SolveOptions, SolveReport, lm_solve, solve_dense,
+                     solve_vi_ba)
 
 
 @dataclass
@@ -133,20 +134,64 @@ def _fd_velocities(graph: FrameGraph) -> np.ndarray:
     return v
 
 
-def _inertial_only_cost(graph: FrameGraph, s: float, gravity: GravityModel,
-                        bias: BiasState, velocities: np.ndarray):
-    """Residual stack of all inertial edges on scale-adjusted states."""
-    es = float(np.exp(s))
-    states = {}
-    for k, kf in enumerate(graph.keyframes):
-        st = kf.state
-        states[kf.kid] = PoseState(Pose(st.pose.rotation, es * st.pose.translation),
-                                   velocities[k], bias, st.timestamp)
-    outs = []
-    for i, j, delta in graph.inertial_edges:
-        outs.append((i, j, inertial_residual(delta, states[i], states[j], gravity)))
-    cost = sum(float((o.residual ** 2).sum()) for _, _, o in outs)
-    return cost, outs, states
+class _InertialOnly:
+    """Stage-2 problem for lm_solve over x = [log-scale, gravity (2), shared
+    bias (6), velocities (3 per keyframe)], vision poses fixed."""
+
+    def __init__(self, graph: FrameGraph):
+        self.graph = graph
+        self.s = 0.0
+        self.gravity = graph.gravity.copy()
+        self.bias = graph.keyframes[0].state.bias.copy()
+        self.velocities = _fd_velocities(graph)
+        self.outs = None
+
+    def evaluate(self) -> float:
+        """Inertial energy of the scale-adjusted states."""
+        es = float(np.exp(self.s))
+        states = {}
+        for k, kf in enumerate(self.graph.keyframes):
+            st = kf.state
+            states[kf.kid] = PoseState(Pose(st.pose.rotation, es * st.pose.translation),
+                                       self.velocities[k], self.bias, st.timestamp)
+        self.outs = [(i, j, inertial_residual(delta, states[i], states[j], self.gravity))
+                     for i, j, delta in self.graph.inertial_edges]
+        return sum(float((o.residual ** 2).sum()) for _, _, o in self.outs)
+
+    def linearize(self) -> None:
+        es = float(np.exp(self.s))
+        dim = 9 + 3 * len(self.velocities)
+        self.H = np.zeros((dim, dim))
+        self.g = np.zeros(dim)
+        for i, j, out in self.outs:
+            ki, kj = self.graph.index_of(i), self.graph.index_of(j)
+            p_i = self.graph.kf(i).state.pose.translation
+            p_j = self.graph.kf(j).state.pose.translation
+            J = np.zeros((15, dim))
+            J[:, 0] = out.J_i[:, 3:6] @ (es * p_i) + out.J_j[:, 3:6] @ (es * p_j)
+            J[:, 1:3] = out.J_gravity @ GRAVITY_TANGENT_BASIS
+            J[:, 3:9] = out.J_i[:, 9:15] + out.J_j[:, 9:15]
+            J[:, 9 + 3 * ki: 12 + 3 * ki] = out.J_i[:, 6:9]
+            J[:, 9 + 3 * kj: 12 + 3 * kj] = out.J_j[:, 6:9]
+            self.H += J.T @ J
+            self.g += J.T @ out.residual
+
+    def step(self, lam: float) -> np.ndarray:
+        H_damped = self.H + np.diag(np.diag(self.H)) * lam + 1e-10 * np.eye(len(self.g))
+        return solve_dense(H_damped, -self.g, "inertial-only system")
+
+    def retract(self, dx: np.ndarray) -> None:
+        self.s = self.s + float(dx[0])
+        self.gravity = self.gravity.retract(GRAVITY_TANGENT_BASIS @ dx[1:3])
+        self.bias = BiasState(self.bias.gyro_bias + dx[3:6],
+                              self.bias.accel_bias + dx[6:9])
+        self.velocities = self.velocities + dx[9:].reshape(-1, 3)
+
+    def snapshot(self):
+        return self.s, self.gravity, self.bias, self.velocities, self.outs
+
+    def restore(self, snap) -> None:
+        self.s, self.gravity, self.bias, self.velocities, self.outs = snap
 
 
 def init_inertial_only(graph: FrameGraph,
@@ -155,80 +200,20 @@ def init_inertial_only(graph: FrameGraph,
 
     Gauss-Newton with Levenberg damping over x = [log-scale, gravity (2),
     shared bias (6), velocities (3 per keyframe)]. Positions enter as
-    exp(s) * p_vision; rotations and the vision geometry stay fixed.
+    exp(s) * p_vision; rotations and the vision geometry stay fixed. The
+    solve stops on relative decrease alone: step_tol is the smallest
+    positive float, which no accepted step goes below.
     """
     cfg = cfg if cfg is not None else InitConfig()
-    n = len(graph.keyframes)
-    if n < 2 or not graph.inertial_edges:
+    if len(graph.keyframes) < 2 or not graph.inertial_edges:
         raise ValueError("need at least two keyframes with inertial edges")
-    index = {kf.kid: k for k, kf in enumerate(graph.keyframes)}
-
-    s = 0.0
-    gravity = graph.gravity.copy()
-    bias = graph.keyframes[0].state.bias.copy()
-    velocities = _fd_velocities(graph)
-
-    dim = 9 + 3 * n
-    lam = cfg.damping
-    cost, outs, _ = _inertial_only_cost(graph, s, gravity, bias, velocities)
-    trajectory = [cost]
-    termination = "max_iterations"
-    iterations = 0
-
-    for _ in range(cfg.max_iterations_inertial):
-        es = float(np.exp(s))
-        H = np.zeros((dim, dim))
-        g_vec = np.zeros(dim)
-        for i, j, out in outs:
-            ki, kj = index[i], index[j]
-            p_i = graph.kf(i).state.pose.translation
-            p_j = graph.kf(j).state.pose.translation
-            J = np.zeros((15, dim))
-            J[:, 0] = out.J_i[:, 3:6] @ (es * p_i) + out.J_j[:, 3:6] @ (es * p_j)
-            J[:, 1:3] = out.J_gravity @ GRAVITY_TANGENT_BASIS
-            J[:, 3:9] = out.J_i[:, 9:15] + out.J_j[:, 9:15]
-            J[:, 9 + 3 * ki: 12 + 3 * ki] = out.J_i[:, 6:9]
-            J[:, 9 + 3 * kj: 12 + 3 * kj] = out.J_j[:, 6:9]
-            H += J.T @ J
-            g_vec += J.T @ out.residual
-
-        accepted = False
-        while lam <= 1e8:
-            H_damped = H + np.diag(np.diag(H)) * lam + 1e-10 * np.eye(dim)
-            try:
-                dx = np.linalg.solve(H_damped, -g_vec)
-            except np.linalg.LinAlgError:
-                break
-            s_new = s + float(dx[0])
-            gravity_new = gravity.retract(GRAVITY_TANGENT_BASIS @ dx[1:3])
-            bias_new = BiasState(bias.gyro_bias + dx[3:6],
-                                 bias.accel_bias + dx[6:9])
-            vel_new = velocities + dx[9:].reshape(n, 3)
-            cost_new, outs_new, _ = _inertial_only_cost(
-                graph, s_new, gravity_new, bias_new, vel_new)
-            if cost_new < cost:
-                rel = (cost - cost_new) / max(cost, 1e-30)
-                s, gravity, bias, velocities = s_new, gravity_new, bias_new, vel_new
-                cost, outs = cost_new, outs_new
-                trajectory.append(cost)
-                lam = max(lam * 0.5, 1e-12)
-                accepted = True
-                iterations += 1
-                if rel < 1e-10:
-                    termination = "converged"
-                break
-            lam *= 10.0
-        if not accepted:
-            termination = "no_decrease_at_max_damping"
-            break
-        if termination == "converged":
-            break
-
-    report = SolveReport(iterations=iterations, initial_cost=trajectory[0],
-                         final_cost=cost, cost_trajectory=trajectory,
-                         termination=termination, condition_warnings=[])
-    return InitResult(gravity=gravity, log_scale=s, velocities=velocities,
-                      bias=bias, reports={"inertial": report})
+    problem = _InertialOnly(graph)
+    report = lm_solve(problem, SolveOptions(
+        max_iterations=cfg.max_iterations_inertial, damping=cfg.damping,
+        rel_decrease_tol=1e-10, step_tol=np.finfo(float).tiny))
+    return InitResult(gravity=problem.gravity, log_scale=problem.s,
+                      velocities=problem.velocities, bias=problem.bias,
+                      reports={"inertial": report})
 
 
 def apply_initialization(graph: FrameGraph, result: InitResult) -> None:

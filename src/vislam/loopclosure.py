@@ -21,10 +21,17 @@ from .residuals import (
     Intrinsics,
     RelativePoseEdge,
     VisionEdge,
-    backproject,
     relative_pose_residual,
+    sim3_vision_residual,
 )
-from .solver import DISPARITY_FLOOR, SolveOptions, SolveReport, _solve_step
+from .solver import (
+    GraphProblem,
+    Layout,
+    NormalEquations,
+    SolveOptions,
+    lm_solve,
+    solve_dense,
+)
 
 SIM3_DOF = 7
 
@@ -198,121 +205,49 @@ class LoopCorrection:
                 raise ValueError("correction entry keyed under the wrong keyframe id")
 
 
-@dataclass
-class Sim3VisionResult:
-    residual: np.ndarray      # (N, 2) weighted
-    J_i: np.ndarray           # (N, 2, 7), tangent (rotation, translation, log-scale)
-    J_j: np.ndarray           # (N, 2, 7)
-    J_disparity: np.ndarray   # (N, 2)
-    behind_camera: int
-    valid: np.ndarray
-
-    def flat(self) -> np.ndarray:
-        return self.residual.reshape(-1)
-
-
-def _hat_rows(v: np.ndarray) -> np.ndarray:
-    H = np.zeros((v.shape[0], 3, 3))
-    H[:, 0, 1] = -v[:, 2]
-    H[:, 0, 2] = v[:, 1]
-    H[:, 1, 0] = v[:, 2]
-    H[:, 1, 2] = -v[:, 0]
-    H[:, 2, 0] = -v[:, 1]
-    H[:, 2, 1] = v[:, 0]
-    return H
-
-
-def sim3_vision_residual(edge: VisionEdge, S_i: SimTransform, S_j: SimTransform,
-                         d_i: np.ndarray, k: Intrinsics,
-                         T_cb: Pose | None = None) -> Sim3VisionResult:
-    """Reprojection residual of a vision edge under similarity keyframe states.
-
-    Same measurement model as the rigid vision residual with the action
-    s*R@x + t in place of the rigid one, so relative scale between the two
-    keyframes enters the prediction. Jacobians are over right perturbations
-    ordered (rotation, translation, log-scale). Rows are scaled by sqrt(w);
-    points behind the target camera are zero-weighted and counted.
-    """
-    d_i = np.asarray(d_i, dtype=float).reshape(-1)
-    if len(d_i) != len(edge.pixels):
-        raise ValueError("disparity length must match edge pixel list")
-    if np.any(d_i <= 0.0):
-        raise ValueError("disparities must be strictly positive")
-
-    T_bc = Pose.identity() if T_cb is None else T_cb.inverse()
-    R_bc = T_bc.rotation.matrix()
-    p_bc = T_bc.translation
-
-    R_i = S_i.rotation.matrix()
-    p_i, s_i = S_i.translation, S_i.scale
-    R_j = S_j.rotation.matrix()
-    p_j, s_j = S_j.translation, S_j.scale
-
-    X_i = backproject(k, edge.pixels, d_i)        # camera i frame
-    Y_i = X_i @ R_bc.T + p_bc                     # body i frame
-    X_w = s_i * (Y_i @ R_i.T) + p_i               # world
-    V_j = ((X_w - p_j) @ R_j) / s_j               # body j frame
-    X_c = (V_j - p_bc) @ R_bc                     # camera j frame
-
-    n = len(d_i)
-    z = X_c[:, 2]
-    valid = z > 1e-6
-    n_behind = int(np.count_nonzero(~valid))
-    z_safe = np.where(valid, z, 1.0)
-
-    pred = np.stack([k.fx * X_c[:, 0] / z_safe + k.cx,
-                     k.fy * X_c[:, 1] / z_safe + k.cy], axis=1)
-    r = edge.targets - pred
-
-    P = np.zeros((n, 2, 3))
-    P[:, 0, 0] = k.fx / z_safe
-    P[:, 0, 2] = -k.fx * X_c[:, 0] / z_safe ** 2
-    P[:, 1, 1] = k.fy / z_safe
-    P[:, 1, 2] = -k.fy * X_c[:, 1] / z_safe ** 2
-
-    B = (R_bc.T @ R_j.T) / s_j                    # dX_c/dX_w
-    BRi = B @ R_i
-
-    dXc_dthi = np.einsum("ab,nbc->nac", -s_i * BRi, _hat_rows(Y_i))
-    dXc_dpi = np.broadcast_to(s_i * BRi, (n, 3, 3))
-    dXc_dsi = s_i * (Y_i @ BRi.T)                 # (N, 3)
-    dXc_dthj = np.einsum("ab,nbc->nac", R_bc.T, _hat_rows(V_j))
-    dXc_dpj = np.broadcast_to(-R_bc.T, (n, 3, 3))
-    dXc_dsj = -(V_j @ R_bc)
-    C = s_i * (BRi @ R_bc)                        # dX_c/dX_i
-    dXc_dd = -np.einsum("ab,nb->na", C, X_i) / d_i[:, None]
-
-    J_i = np.concatenate([
-        -np.einsum("nab,nbc->nac", P, dXc_dthi),
-        -np.einsum("nab,nbc->nac", P, dXc_dpi),
-        -np.einsum("nab,nb->na", P, dXc_dsi)[:, :, None],
-    ], axis=2)
-    J_j = np.concatenate([
-        -np.einsum("nab,nbc->nac", P, dXc_dthj),
-        -np.einsum("nab,nbc->nac", P, dXc_dpj),
-        -np.einsum("nab,nb->na", P, dXc_dsj)[:, :, None],
-    ], axis=2)
-    J_d = -np.einsum("nab,nb->na", P, dXc_dd)
-
-    w = np.where(valid[:, None], edge.weights, 0.0)
-    sw = np.sqrt(w)
-
-    return Sim3VisionResult(
-        residual=sw * r,
-        J_i=sw[:, :, None] * J_i,
-        J_j=sw[:, :, None] * J_j,
-        J_disparity=sw * J_d,
-        behind_camera=n_behind,
-        valid=valid,
-    )
-
-
 def _floored_information(H: np.ndarray, lo: float = 1e-3,
                          hi: float = 1e8) -> np.ndarray:
     """Symmetric PSD projection of H with eigenvalues clamped into [lo, hi]."""
     vals, vecs = np.linalg.eigh(0.5 * (H + H.T))
     out = vecs @ (np.clip(vals, lo, hi)[:, None] * vecs.T)
     return 0.5 * (out + out.T)
+
+
+class _PairAlignment:
+    """Two-view problem for lm_solve: S_j alone, S_i and disparities fixed."""
+
+    def __init__(self, edge, d_i, S_i, S_j, k, T_cb):
+        self.edge, self.d_i, self.S_i, self.k, self.T_cb = edge, d_i, S_i, k, T_cb
+        self.S = S_j.copy()
+        self.out = None
+
+    def evaluate(self) -> float:
+        self.out = sim3_vision_residual(self.edge, self.S_i, self.S, self.d_i,
+                                        self.k, self.T_cb)
+        return float((self.out.residual ** 2).sum())
+
+    def linearize(self) -> None:
+        J = self.out.J_j.reshape(-1, SIM3_DOF)
+        self.g = J.T @ self.out.residual.reshape(-1)
+        self.H = J.T @ J
+        # floor the damping diagonal so near-null directions (the two-view
+        # scale blind spot) stiffen with lam instead of letting the solve
+        # step run off to unrepresentable states
+        diag = np.diag(self.H)
+        self.damp = np.maximum(diag, 1e-3 * max(1.0, float(np.max(diag))))
+
+    def step(self, lam: float) -> np.ndarray:
+        return solve_dense(self.H + np.diag(self.damp * lam), -self.g,
+                           "alignment system")
+
+    def retract(self, dx: np.ndarray) -> None:
+        self.S = self.S.retract(dx)
+
+    def snapshot(self):
+        return self.S, self.out
+
+    def restore(self, snap) -> None:
+        self.S, self.out = snap
 
 
 def align_loop_pair(edge: VisionEdge, d_i: np.ndarray, S_i: SimTransform,
@@ -326,177 +261,78 @@ def align_loop_pair(edge: VisionEdge, d_i: np.ndarray, S_i: SimTransform,
     the optimum, transported to the relative-residual tangent and eigenvalue
     clamped so whitening stays well posed.
     """
-    S = S_j.copy()
-
-    def cost_of(state):
-        out = sim3_vision_residual(edge, S_i, state, d_i, k, T_cb)
-        return float((out.residual ** 2).sum()), out
-
-    cost, out = cost_of(S)
-    lam = 1e-6
-    for _ in range(iterations):
-        J = out.J_j.reshape(-1, SIM3_DOF)
-        g = J.T @ out.flat()
-        H = J.T @ J
-        # floor the damping diagonal so near-null directions (the two-view
-        # scale blind spot) stiffen with lam instead of letting the solve
-        # step run off to unrepresentable states
-        damp = np.maximum(np.diag(H), 1e-3 * max(1.0, float(np.max(np.diag(H)))))
-        stepped = False
-        while lam <= 1e8:
-            Hd = H + np.diag(damp * lam)
-            try:
-                dx = np.linalg.solve(Hd, -g)
-                trial = S.retract(dx)
-                new_cost, new_out = cost_of(trial)
-            except (np.linalg.LinAlgError, ValueError):
-                lam *= 10.0
-                continue
-            if np.isfinite(new_cost) and new_cost < cost:
-                S, cost, out = trial, new_cost, new_out
-                lam = max(lam * 0.5, 1e-12)
-                stepped = True
-                break
-            lam *= 10.0
-        if not stepped or float(np.max(np.abs(dx))) < 1e-12:
-            break
-
-    J = out.J_j.reshape(-1, SIM3_DOF)
-    H = J.T @ J
+    problem = _PairAlignment(edge, d_i, S_i, S_j, k, T_cb)
+    lm_solve(problem, SolveOptions(max_iterations=iterations, damping=1e-6,
+                                   step_tol=1e-12))
+    problem.linearize()
+    S = problem.S
     A_inv = np.linalg.inv(S.adjoint())
-    info = _floored_information(A_inv.T @ H @ A_inv)
+    info = _floored_information(A_inv.T @ problem.H @ A_inv)
     return RelativePoseEdge(edge.i, edge.j, S * S_i.inverse(), info)
+
+
+class _PoseGraphProblem(GraphProblem):
+    """Loop plus chain energy over a pose graph's Sim(3) states.
+
+    Only keyframes that source a loop vision edge carry disparity variables.
+    The earliest keyframe is the gauge: its state is never retracted.
+    """
+
+    def __init__(self, graph: PoseGraph, opts: SolveOptions):
+        sources = {loop.vision.i for loop in graph.loops if loop.vision is not None}
+        layout = Layout(graph.index_of, SIM3_DOF,
+                        np.arange(len(graph.nodes)) == 0,
+                        [len(n.disparities) if n.kid in sources else 0
+                         for n in graph.nodes])
+        super().__init__(graph.nodes, layout, opts)
+        self.graph = graph
+
+    def evaluate(self) -> float:
+        """Sum of whitened squared residuals over loop and chain edges."""
+        g = self.graph
+        self.outs = []
+        e = 0.0
+        for loop in g.loops:
+            S_i, S_j = g.node(loop.i).state, g.node(loop.j).state
+            if loop.vision is not None:
+                out = sim3_vision_residual(loop.vision, S_i, S_j,
+                                           g.node(loop.i).disparities,
+                                           g.intrinsics, g.T_cb)
+                e += float((out.residual ** 2).sum())
+            else:
+                out = relative_pose_residual(loop.relative, S_i, S_j)
+                e += float(out.residual @ out.residual)
+            self.outs.append(out)
+        for edge in g.chain:
+            out = relative_pose_residual(edge, g.node(edge.i).state,
+                                         g.node(edge.j).state)
+            e += float(out.residual @ out.residual)
+            self.outs.append(out)
+        return e
+
+    def linearize(self) -> None:
+        lay = self.layout
+        system = NormalEquations(lay)
+        pairs = [(loop.i, loop.j, loop.vision) for loop in self.graph.loops] \
+            + [(edge.i, edge.j, None) for edge in self.graph.chain]
+        for (i, j, vision), out in zip(pairs, self.outs):
+            ci, cj = lay.cols(i, SIM3_DOF), lay.cols(j, SIM3_DOF)
+            if vision is None:
+                system.add_rows([(ci, out.J_i), (cj, out.J_j)], out.residual)
+            else:
+                system.add_pixels(ci, cj, lay.disp_cols(i), out.J_i, out.J_j,
+                                  out.J_disparity, out.residual)
+        self.system = system
+
+    def retract(self, dx: np.ndarray) -> None:
+        for n, node in enumerate(self.nodes[1:], start=1):
+            node.state = node.state.retract(dx[n * SIM3_DOF:(n + 1) * SIM3_DOF])
+        self.retract_disparities(dx[self.layout.n_pose_vars:])
 
 
 def total_pg_energy(graph: PoseGraph) -> float:
     """Sum of whitened squared residuals over chain and loop edges."""
-    e = 0.0
-    for loop in graph.loops:
-        S_i = graph.node(loop.i).state
-        S_j = graph.node(loop.j).state
-        if loop.vision is not None:
-            out = sim3_vision_residual(loop.vision, S_i, S_j,
-                                       graph.node(loop.i).disparities,
-                                       graph.intrinsics, graph.T_cb)
-            e += float((out.residual ** 2).sum())
-        else:
-            out = relative_pose_residual(loop.relative, S_i, S_j)
-            e += float(out.residual @ out.residual)
-    for edge in graph.chain:
-        out = relative_pose_residual(edge, graph.node(edge.i).state,
-                                     graph.node(edge.j).state)
-        e += float(out.residual @ out.residual)
-    return e
-
-
-class _PgLayout:
-    """Tangent-space bookkeeping for one pose-graph linearization.
-
-    Exposes the same surface the shared step solver expects: opts, n_disp,
-    n_pose_vars and free_mask(). Only keyframes that source a loop vision
-    edge carry disparity variables.
-    """
-
-    def __init__(self, graph: PoseGraph, opts: SolveOptions):
-        self.graph = graph
-        self.opts = opts
-        self.n_nodes = len(graph.nodes)
-        self.free = np.ones(self.n_nodes, dtype=bool)
-        self.free[0] = False                        # earliest keyframe is gauge
-        self.n_pose_vars = self.n_nodes * SIM3_DOF
-        sources = {loop.vision.i for loop in graph.loops if loop.vision is not None}
-        counts = [len(n.disparities) if n.kid in sources else 0 for n in graph.nodes]
-        self.d_offsets = np.concatenate([[0], np.cumsum(counts)]).astype(int)
-        self.n_disp = int(self.d_offsets[-1])
-
-    def state_cols(self, kid: int) -> np.ndarray:
-        base = self.graph.index_of(kid) * SIM3_DOF
-        return np.arange(base, base + SIM3_DOF)
-
-    def disp_cols(self, kid: int) -> np.ndarray:
-        n = self.graph.index_of(kid)
-        return np.arange(self.d_offsets[n], self.d_offsets[n + 1])
-
-    def free_mask(self) -> np.ndarray:
-        mask = np.repeat(self.free, SIM3_DOF)
-        return mask
-
-
-def _linearize_pg(graph: PoseGraph, layout: _PgLayout):
-    npv, ndp = layout.n_pose_vars, layout.n_disp
-    H_pp = np.zeros((npv, npv))
-    H_pd = np.zeros((npv, ndp))
-    H_dd = np.zeros(ndp)
-    g_p = np.zeros(npv)
-    g_d = np.zeros(ndp)
-
-    def add_rel(edge_i, edge_j, out):
-        ci = layout.state_cols(edge_i)
-        cj = layout.state_cols(edge_j)
-        Ji, Jj, r = out.J_i, out.J_j, out.residual
-        H_pp[np.ix_(ci, ci)] += Ji.T @ Ji
-        H_pp[np.ix_(cj, cj)] += Jj.T @ Jj
-        Hij = Ji.T @ Jj
-        H_pp[np.ix_(ci, cj)] += Hij
-        H_pp[np.ix_(cj, ci)] += Hij.T
-        g_p[ci] += Ji.T @ r
-        g_p[cj] += Jj.T @ r
-
-    for loop in graph.loops:
-        S_i = graph.node(loop.i).state
-        S_j = graph.node(loop.j).state
-        if loop.vision is None:
-            add_rel(loop.i, loop.j, relative_pose_residual(loop.relative, S_i, S_j))
-            continue
-        out = sim3_vision_residual(loop.vision, S_i, S_j,
-                                   graph.node(loop.i).disparities,
-                                   graph.intrinsics, graph.T_cb)
-        ci = layout.state_cols(loop.i)
-        cj = layout.state_cols(loop.j)
-        cd = layout.disp_cols(loop.i)
-        Ji, Jj, Jd, r = out.J_i, out.J_j, out.J_disparity, out.residual
-
-        H_pp[np.ix_(ci, ci)] += np.einsum("nka,nkb->ab", Ji, Ji)
-        H_pp[np.ix_(cj, cj)] += np.einsum("nka,nkb->ab", Jj, Jj)
-        Hij = np.einsum("nka,nkb->ab", Ji, Jj)
-        H_pp[np.ix_(ci, cj)] += Hij
-        H_pp[np.ix_(cj, ci)] += Hij.T
-        H_pd[np.ix_(ci, cd)] += np.einsum("nka,nk->na", Ji, Jd).T
-        H_pd[np.ix_(cj, cd)] += np.einsum("nka,nk->na", Jj, Jd).T
-        H_dd[cd] += np.einsum("nk,nk->n", Jd, Jd)
-        g_p[ci] += np.einsum("nka,nk->a", Ji, r)
-        g_p[cj] += np.einsum("nka,nk->a", Jj, r)
-        g_d[cd] += np.einsum("nk,nk->n", Jd, r)
-
-    for edge in graph.chain:
-        add_rel(edge.i, edge.j, relative_pose_residual(
-            edge, graph.node(edge.i).state, graph.node(edge.j).state))
-
-    return H_pp, H_pd, H_dd, g_p, g_d
-
-
-def _pg_snapshot(graph: PoseGraph):
-    return ([n.state.copy() for n in graph.nodes],
-            [None if n.disparities is None else n.disparities.copy()
-             for n in graph.nodes])
-
-
-def _pg_restore(graph: PoseGraph, snap):
-    states, disps = snap
-    for node, s, d in zip(graph.nodes, states, disps):
-        node.state = s
-        node.disparities = d
-
-
-def _pg_apply(graph: PoseGraph, layout: _PgLayout, dx_full, dx_d):
-    for n, node in enumerate(graph.nodes):
-        if layout.free[n]:
-            node.state = node.state.retract(
-                dx_full[n * SIM3_DOF:(n + 1) * SIM3_DOF])
-        cd = layout.disp_cols(node.kid)
-        if len(cd):
-            node.disparities = np.maximum(node.disparities + dx_d[cd],
-                                          DISPARITY_FLOOR)
+    return _PoseGraphProblem(graph, SolveOptions()).evaluate()
 
 
 def solve_pgba(graph: PoseGraph, opts: SolveOptions | None = None):
@@ -514,63 +350,8 @@ def solve_pgba(graph: PoseGraph, opts: SolveOptions | None = None):
         raise ValueError("pose graph chain is disconnected")
     if opts is None:
         opts = SolveOptions()
-    layout = _PgLayout(graph, opts)
     before = {n.kid: n.state.copy() for n in graph.nodes}
-
-    cost = total_pg_energy(graph)
-    if not np.isfinite(cost):
-        raise RuntimeError("pose-graph energy is not finite")
-    trajectory = [cost]
-    lam = opts.damping
-    termination = "max_iterations"
-    iterations = 0
-    warnings = []
-
-    for it in range(opts.max_iterations):
-        H_pp, H_pd, H_dd, g_p, g_d = _linearize_pg(graph, layout)
-        accepted = False
-        while True:
-            try:
-                dx_full, dx_d = _solve_step(layout, H_pp, H_pd, H_dd,
-                                            g_p, g_d, lam, opts.use_schur)
-            except RuntimeError as exc:
-                warnings.append(str(exc))
-                lam *= opts.damping_up
-                if lam > opts.max_damping:
-                    report = SolveReport(iterations, trajectory[0], cost,
-                                         trajectory, f"singular: {exc}", warnings)
-                    return report, _correction(graph, before)
-                continue
-            snap = _pg_snapshot(graph)
-            _pg_apply(graph, layout, dx_full, dx_d)
-            new_cost = total_pg_energy(graph)
-            if np.isfinite(new_cost) and new_cost < cost:
-                cost = new_cost
-                trajectory.append(cost)
-                lam = max(lam * opts.damping_down, 1e-12)
-                accepted = True
-                iterations = it + 1
-                step_inf = max(np.max(np.abs(dx_full), initial=0.0),
-                               np.max(np.abs(dx_d), initial=0.0))
-                if step_inf < opts.step_tol:
-                    termination = "converged"
-                break
-            _pg_restore(graph, snap)
-            lam *= opts.damping_up
-            if lam > opts.max_damping:
-                termination = "no_decrease_at_max_damping"
-                break
-        if not accepted:
-            break
-        if termination == "converged":
-            break
-        prev = trajectory[-2]
-        if prev > 0 and (prev - cost) / prev < opts.rel_decrease_tol:
-            termination = "converged"
-            break
-
-    report = SolveReport(iterations, trajectory[0], cost, trajectory,
-                         termination, warnings)
+    report = lm_solve(_PoseGraphProblem(graph, opts), opts)
     return report, _correction(graph, before)
 
 

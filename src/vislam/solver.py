@@ -9,22 +9,25 @@ complement, then recovered by back-substitution.
 
 A reference dense path solves the full (un-eliminated) normal equations and
 must produce the same step; it exists for verification and small problems.
+
+lm_solve is the package's one Levenberg-Marquardt loop: the pose-graph,
+two-view alignment and inertial-only initialization solves are problems for
+it as well, and the pose graph reuses Layout and NormalEquations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import Pose
-from .imu import PreintegratedDelta
 from .residuals import (
     GRAVITY_TANGENT_BASIS,
     GravityModel,
     Intrinsics,
     PoseState,
-    VisionEdge,
     inertial_residual,
     vision_residual,
 )
@@ -115,261 +118,42 @@ class SolveReport:
     condition_warnings: list = field(default_factory=list)
 
 
-def total_energy(graph: FrameGraph) -> float:
-    """Sum of whitened squared residuals over every edge of the graph."""
-    e = 0.0
-    for edge in graph.vision_edges:
-        kf_i, kf_j = graph.kf(edge.i), graph.kf(edge.j)
-        out = vision_residual(edge, kf_i.state.pose, kf_j.state.pose,
-                              _edge_disparities(graph, edge), graph.intrinsics,
-                              T_cb=graph.T_cb)
-        e += float((out.residual ** 2).sum())
-    for i, j, delta in graph.inertial_edges:
-        out = inertial_residual(delta, graph.kf(i).state, graph.kf(j).state,
-                                graph.gravity)
-        e += float((out.residual ** 2).sum())
-    return e
+def lm_solve(problem, opts: SolveOptions) -> SolveReport:
+    """Levenberg-Marquardt over a problem that scores, solves and moves itself.
 
+    The problem provides:
 
-def _edge_disparities(graph: FrameGraph, edge: VisionEdge) -> np.ndarray:
-    """Disparities of the edge's source pixels (edges share the source list)."""
-    return graph.kf(edge.i).disparities
+    * evaluate() -> float: the cost at the current state, keeping what
+      linearize() needs, so an accepted point is never scored twice;
+    * linearize(): the normal equations from the last evaluation, which is
+      always the current (accepted) state's;
+    * step(lam) -> dx: its own damped solve, raising RuntimeError when the
+      system is singular;
+    * retract(dx), snapshot() and restore(snap): move, save and reinstate
+      the state together with its evaluation.
 
-
-class _Layout:
-    """Tangent-space bookkeeping for one linearization."""
-
-    def __init__(self, graph: FrameGraph, opts: SolveOptions):
-        self.graph = graph
-        self.opts = opts
-        self.n_kf = len(graph.keyframes)
-        frozen = set(opts.frozen_keyframes)
-        self.frozen = np.array([kf.kid in frozen for kf in graph.keyframes])
-        self.state_dof = STATE_DOF if opts.optimize_velocity_bias else POSE_DOF
-        self.n_state = self.n_kf * self.state_dof
-        self.n_grav = 2 if opts.optimize_gravity else 0
-        self.n_pose_vars = self.n_state + self.n_grav
-        self.d_offsets = np.concatenate(
-            [[0], np.cumsum([len(kf.disparities) for kf in graph.keyframes])])
-        self.n_disp = int(self.d_offsets[-1])
-
-    def state_cols(self, kid: int, rows: slice) -> np.ndarray:
-        """Columns in the reduced system for a keyframe's tangent sub-block."""
-        base = self.graph.index_of(kid) * self.state_dof
-        return np.arange(base + rows.start, base + rows.stop)
-
-    def disp_cols(self, kid: int) -> np.ndarray:
-        n = self.graph.index_of(kid)
-        return np.arange(self.d_offsets[n], self.d_offsets[n + 1])
-
-    def free_mask(self) -> np.ndarray:
-        mask = np.ones(self.n_pose_vars, dtype=bool)
-        for n, kf in enumerate(self.graph.keyframes):
-            if self.frozen[n]:
-                mask[n * self.state_dof:(n + 1) * self.state_dof] = False
-        return mask
-
-
-def _linearize(graph: FrameGraph, layout: _Layout):
-    """Assemble H, g over [states | gravity | disparities] in normal form.
-
-    Returns (H_pp, H_pd dense blocks per keyframe, H_dd diagonal, g_p, g_d).
-    H_pd is stored as a full (n_pose_vars, n_disp) matrix; problems here are
-    desk-scale so the clarity is worth the memory.
+    A step is accepted only if it strictly lowers the cost. A rejected trial,
+    or one whose state or residuals cannot be formed (ValueError), restores
+    the saved state and retries the same linearization with more damping.
+    Termination follows opts: an accepted step below step_tol or a relative
+    decrease below rel_decrease_tol converges; damping past max_damping ends
+    the solve as no_decrease_at_max_damping, or as singular when the damped
+    system itself could not be solved.
     """
-    npv, ndp = layout.n_pose_vars, layout.n_disp
-    H_pp = np.zeros((npv, npv))
-    H_pd = np.zeros((npv, ndp))
-    H_dd = np.zeros(ndp)
-    g_p = np.zeros(npv)
-    g_d = np.zeros(ndp)
-    sdof = layout.state_dof
-
-    for edge in graph.vision_edges:
-        kf_i, kf_j = graph.kf(edge.i), graph.kf(edge.j)
-        out = vision_residual(edge, kf_i.state.pose, kf_j.state.pose,
-                              kf_i.disparities, graph.intrinsics, T_cb=graph.T_cb)
-        ci = layout.state_cols(edge.i, slice(0, POSE_DOF))
-        cj = layout.state_cols(edge.j, slice(0, POSE_DOF))
-        cd = layout.disp_cols(edge.i)
-
-        Ji = out.J_pose_i            # (N, 2, 6)
-        Jj = out.J_pose_j
-        Jd = out.J_disparity         # (N, 2)
-        r = out.residual             # (N, 2)
-
-        Hii = np.einsum("nka,nkb->ab", Ji, Ji)
-        Hjj = np.einsum("nka,nkb->ab", Jj, Jj)
-        Hij = np.einsum("nka,nkb->ab", Ji, Jj)
-        H_pp[np.ix_(ci, ci)] += Hii
-        H_pp[np.ix_(cj, cj)] += Hjj
-        H_pp[np.ix_(ci, cj)] += Hij
-        H_pp[np.ix_(cj, ci)] += Hij.T
-
-        # per-pixel disparity coupling
-        Hid = np.einsum("nka,nk->na", Ji, Jd)   # (N, 6)
-        Hjd = np.einsum("nka,nk->na", Jj, Jd)
-        H_pd[np.ix_(ci, cd)] += Hid.T
-        H_pd[np.ix_(cj, cd)] += Hjd.T
-        H_dd[cd] += np.einsum("nk,nk->n", Jd, Jd)
-
-        # gradient uses J^T r with the residual defined as (target - prediction),
-        # so the Gauss-Newton step solves H dx = -g with g = J^T r
-        g_p[ci] += np.einsum("nka,nk->a", Ji, r)
-        g_p[cj] += np.einsum("nka,nk->a", Jj, r)
-        g_d[cd] += np.einsum("nk,nk->n", Jd, r)
-
-    grav_cols = np.arange(layout.n_state, layout.n_state + layout.n_grav)
-    for i, j, delta in graph.inertial_edges:
-        out = inertial_residual(delta, graph.kf(i).state, graph.kf(j).state,
-                                graph.gravity)
-        Ji = out.J_i[:, :sdof]
-        Jj = out.J_j[:, :sdof]
-        ci = layout.state_cols(i, slice(0, sdof))
-        cj = layout.state_cols(j, slice(0, sdof))
-        r = out.residual
-
-        H_pp[np.ix_(ci, ci)] += Ji.T @ Ji
-        H_pp[np.ix_(cj, cj)] += Jj.T @ Jj
-        Hij = Ji.T @ Jj
-        H_pp[np.ix_(ci, cj)] += Hij
-        H_pp[np.ix_(cj, ci)] += Hij.T
-        g_p[ci] += Ji.T @ r
-        g_p[cj] += Jj.T @ r
-
-        if layout.n_grav:
-            Jg = out.J_gravity @ GRAVITY_TANGENT_BASIS
-            H_pp[np.ix_(grav_cols, grav_cols)] += Jg.T @ Jg
-            Hg_i = Ji.T @ Jg
-            Hg_j = Jj.T @ Jg
-            H_pp[np.ix_(ci, grav_cols)] += Hg_i
-            H_pp[np.ix_(grav_cols, ci)] += Hg_i.T
-            H_pp[np.ix_(cj, grav_cols)] += Hg_j
-            H_pp[np.ix_(grav_cols, cj)] += Hg_j.T
-            g_p[grav_cols] += Jg.T @ r
-
-    return H_pp, H_pd, H_dd, g_p, g_d
-
-
-def _apply_freeze(layout, H_pp, H_pd, g_p):
-    free = layout.free_mask()
-    Hf = H_pp[np.ix_(free, free)]
-    return Hf, H_pd[free], g_p[free], free
-
-
-def _damp(diag_vec: np.ndarray, lam: float, ridge: float) -> np.ndarray:
-    """Levenberg scaling of a diagonal, with an absolute floor for flat blocks."""
-    return diag_vec * (1.0 + lam) + ridge
-
-
-def _solve_step(layout, H_pp, H_pd, H_dd, g_p, g_d, lam, use_schur):
-    """One damped step, solved either via the Schur path or fully dense.
-
-    Both paths apply identical damping (multiplicative on the diagonal plus a
-    tiny absolute ridge) so their accepted steps coincide.
-    """
-    opts = layout.opts
-    Hf, Hfd, gf, free = _apply_freeze(layout, H_pp, H_pd, g_p)
-    nf = Hf.shape[0]
-    nd = layout.n_disp
-
-    Hf_d = Hf.copy()
-    idx = np.arange(nf)
-    Hf_d[idx, idx] = _damp(np.diag(Hf), lam, opts.ridge)
-    Hdd_d = _damp(H_dd, lam, opts.ridge)
-
-    if use_schur and nd:
-        inv_dd = 1.0 / Hdd_d
-        # reduced pose system: Hf - Hfd D^-1 Hfd^T
-        Hred = Hf_d - (Hfd * inv_dd) @ Hfd.T
-        gred = gf - Hfd @ (inv_dd * g_d)
-        try:
-            dx_f = np.linalg.solve(Hred, -gred)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError("singular reduced pose system") from exc
-        dx_d = inv_dd * (-g_d - Hfd.T @ dx_f)
-    else:
-        n = nf + nd
-        H = np.zeros((n, n))
-        H[:nf, :nf] = Hf_d
-        if nd:
-            H[:nf, nf:] = Hfd
-            H[nf:, :nf] = Hfd.T
-            H[nf + np.arange(nd), nf + np.arange(nd)] = Hdd_d
-        g = np.concatenate([gf, g_d])
-        try:
-            dx = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError("singular full system") from exc
-        dx_f, dx_d = dx[:nf], dx[nf:]
-
-    dx_full = np.zeros(layout.n_pose_vars)
-    dx_full[free] = dx_f
-    return dx_full, dx_d
-
-
-def _snapshot(graph: FrameGraph):
-    states = [kf.state.copy() for kf in graph.keyframes]
-    disps = [kf.disparities.copy() for kf in graph.keyframes]
-    grav = graph.gravity.copy()
-    return states, disps, grav
-
-
-def _restore(graph: FrameGraph, snap):
-    states, disps, grav = snap
-    for kf, s, d in zip(graph.keyframes, states, disps):
-        kf.state = s
-        kf.disparities = d
-    graph.gravity = grav
-
-
-def _apply_step(graph: FrameGraph, layout: _Layout, dx_full, dx_d):
-    sdof = layout.state_dof
-    for n, kf in enumerate(graph.keyframes):
-        seg = dx_full[n * sdof:(n + 1) * sdof]
-        if sdof == STATE_DOF:
-            kf.state = kf.state.retract(seg)
-        else:
-            kf.state = PoseState(kf.state.pose.retract(seg[0:3], seg[3:6]),
-                                 kf.state.velocity, kf.state.bias,
-                                 kf.state.timestamp)
-        cd = layout.disp_cols(kf.kid)
-        if len(cd):
-            kf.disparities = np.maximum(kf.disparities + dx_d[cd], DISPARITY_FLOOR)
-    if layout.n_grav:
-        dg = dx_full[layout.n_state:layout.n_state + 2]
-        graph.gravity = graph.gravity.retract(GRAVITY_TANGENT_BASIS @ dg)
-
-
-def solve_vi_ba(graph: FrameGraph, opts: SolveOptions | None = None) -> SolveReport:
-    """Minimize the joint vision + inertial energy over the graph in place.
-
-    Levenberg-style damping: a step is accepted only if it strictly decreases
-    the total energy; rejected steps raise the damping and retry the same
-    linearization. Disparities are Schur-eliminated per pixel unless the
-    dense reference path is requested.
-    """
-    if opts is None:
-        opts = SolveOptions()
-    layout = _Layout(graph, opts)
-
-    cost = total_energy(graph)
+    cost = problem.evaluate()
+    if not math.isfinite(cost):
+        raise RuntimeError("initial energy is not finite")
     trajectory = [cost]
-    if opts.max_iterations == 0:
-        return SolveReport(0, cost, cost, trajectory, "max_iterations")
-
     lam = opts.damping
     termination = "max_iterations"
     iterations = 0
     warnings = []
 
     for it in range(opts.max_iterations):
-        H_pp, H_pd, H_dd, g_p, g_d = _linearize(graph, layout)
-        accepted = False
+        problem.linearize()
         while True:
             try:
-                dx_full, dx_d = _solve_step(layout, H_pp, H_pd, H_dd,
-                                            g_p, g_d, lam, opts.use_schur)
+                dx = problem.step(lam)
             except RuntimeError as exc:
                 warnings.append(str(exc))
                 lam *= opts.damping_up
@@ -377,35 +161,280 @@ def solve_vi_ba(graph: FrameGraph, opts: SolveOptions | None = None) -> SolveRep
                     return SolveReport(iterations, trajectory[0], cost, trajectory,
                                        f"singular: {exc}", warnings)
                 continue
-            snap = _snapshot(graph)
-            _apply_step(graph, layout, dx_full, dx_d)
-            new_cost = total_energy(graph)
+            snap = problem.snapshot()
+            try:
+                problem.retract(dx)
+                new_cost = problem.evaluate()
+            except ValueError as exc:
+                warnings.append(str(exc))
+                new_cost = math.inf
             if new_cost < cost:
                 cost = new_cost
                 trajectory.append(cost)
                 lam = max(lam * opts.damping_down, 1e-12)
-                accepted = True
                 iterations = it + 1
-                step_inf = max(np.max(np.abs(dx_full), initial=0.0),
-                               np.max(np.abs(dx_d), initial=0.0))
-                if step_inf < opts.step_tol:
+                if np.max(np.abs(dx), initial=0.0) < opts.step_tol:
                     termination = "converged"
                 break
-            _restore(graph, snap)
+            problem.restore(snap)
             lam *= opts.damping_up
             if lam > opts.max_damping:
                 termination = "no_decrease_at_max_damping"
                 break
-        if not accepted:
-            break
-        if termination == "converged":
+        if termination != "max_iterations":
             break
         prev = trajectory[-2]
         if prev > 0 and (prev - cost) / prev < opts.rel_decrease_tol:
             termination = "converged"
             break
-    else:
-        termination = "max_iterations"
 
     return SolveReport(iterations, trajectory[0], cost, trajectory,
                        termination, warnings)
+
+
+def solve_dense(H: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """np.linalg.solve that reports a singular system the way lm_solve expects."""
+    try:
+        return np.linalg.solve(H, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"singular {what}") from exc
+
+
+class Layout:
+    """Column bookkeeping for one solve: a tangent block per node, extra
+    columns after them, then one disparity per tracked pixel."""
+
+    def __init__(self, index_of, dof: int, frozen, disp_counts, n_extra: int = 0):
+        self.index_of = index_of
+        self.dof = dof
+        self.n_state = len(frozen) * dof
+        self.n_pose_vars = self.n_state + n_extra
+        self.free = np.concatenate([np.repeat(~np.asarray(frozen, dtype=bool), dof),
+                                    np.ones(n_extra, dtype=bool)])
+        self.d_offsets = np.concatenate([[0], np.cumsum(disp_counts)]).astype(int)
+        self.n_disp = int(self.d_offsets[-1])
+
+    def cols(self, kid: int, width: int) -> np.ndarray:
+        """Columns of the first `width` tangent entries of a node."""
+        base = self.index_of(kid) * self.dof
+        return np.arange(base, base + width)
+
+    def disp_cols(self, kid: int) -> np.ndarray:
+        n = self.index_of(kid)
+        return np.arange(self.d_offsets[n], self.d_offsets[n + 1])
+
+
+class NormalEquations:
+    """H, g over [node tangents | extra | disparities] in normal form.
+
+    The disparity block H_dd is diagonal. H_pd is stored as a full
+    (n_pose_vars, n_disp) matrix; problems here are desk-scale so the
+    clarity is worth the memory. Gradients are J^T r with the residual
+    defined as (target - prediction), so a Gauss-Newton step solves
+    H dx = -g.
+    """
+
+    def __init__(self, layout: Layout):
+        npv, ndp = layout.n_pose_vars, layout.n_disp
+        self.layout = layout
+        self.H_pp = np.zeros((npv, npv))
+        self.H_pd = np.zeros((npv, ndp))
+        self.H_dd = np.zeros(ndp)
+        self.g_p = np.zeros(npv)
+        self.g_d = np.zeros(ndp)
+
+    def add_rows(self, blocks, r: np.ndarray) -> None:
+        """Dense residual rows r with Jacobian column blocks [(cols, J), ...]."""
+        H, g = self.H_pp, self.g_p
+        for c, J in blocks:
+            H[np.ix_(c, c)] += J.T @ J
+        for a, (ca, Ja) in enumerate(blocks):
+            for cb, Jb in blocks[a + 1:]:
+                Hab = Ja.T @ Jb
+                H[np.ix_(ca, cb)] += Hab
+                H[np.ix_(cb, ca)] += Hab.T
+        for c, J in blocks:
+            g[c] += J.T @ r
+
+    def add_pixels(self, ci, cj, cd, Ji, Jj, Jd, r) -> None:
+        """Vision rows (N, 2) with pose blocks (N, 2, k) and one disparity each."""
+        H = self.H_pp
+        H[np.ix_(ci, ci)] += np.einsum("nka,nkb->ab", Ji, Ji)
+        H[np.ix_(cj, cj)] += np.einsum("nka,nkb->ab", Jj, Jj)
+        Hij = np.einsum("nka,nkb->ab", Ji, Jj)
+        H[np.ix_(ci, cj)] += Hij
+        H[np.ix_(cj, ci)] += Hij.T
+
+        # per-pixel disparity coupling
+        self.H_pd[np.ix_(ci, cd)] += np.einsum("nka,nk->na", Ji, Jd).T
+        self.H_pd[np.ix_(cj, cd)] += np.einsum("nka,nk->na", Jj, Jd).T
+        self.H_dd[cd] += np.einsum("nk,nk->n", Jd, Jd)
+
+        self.g_p[ci] += np.einsum("nka,nk->a", Ji, r)
+        self.g_p[cj] += np.einsum("nka,nk->a", Jj, r)
+        self.g_d[cd] += np.einsum("nk,nk->n", Jd, r)
+
+    def solve(self, lam: float, opts: SolveOptions) -> np.ndarray:
+        """One damped step [pose vars | disparities], zero on frozen columns.
+
+        Solved via the per-pixel Schur complement or fully dense. Both paths
+        apply identical damping (multiplicative on the diagonal plus a tiny
+        absolute ridge for flat blocks) so their accepted steps coincide.
+        """
+        free = self.layout.free
+        Hf = self.H_pp[np.ix_(free, free)]
+        Hfd, gf, g_d = self.H_pd[free], self.g_p[free], self.g_d
+        nf, nd = Hf.shape[0], self.layout.n_disp
+
+        Hf_d = Hf.copy()
+        idx = np.arange(nf)
+        Hf_d[idx, idx] = np.diag(Hf) * (1.0 + lam) + opts.ridge
+        Hdd_d = self.H_dd * (1.0 + lam) + opts.ridge
+
+        if opts.use_schur and nd:
+            inv_dd = 1.0 / Hdd_d
+            # reduced pose system: Hf - Hfd D^-1 Hfd^T
+            Hred = Hf_d - (Hfd * inv_dd) @ Hfd.T
+            gred = gf - Hfd @ (inv_dd * g_d)
+            dx_f = solve_dense(Hred, -gred, "reduced pose system")
+            dx_d = inv_dd * (-g_d - Hfd.T @ dx_f)
+        else:
+            n = nf + nd
+            H = np.zeros((n, n))
+            H[:nf, :nf] = Hf_d
+            if nd:
+                H[:nf, nf:] = Hfd
+                H[nf:, :nf] = Hfd.T
+                H[nf + np.arange(nd), nf + np.arange(nd)] = Hdd_d
+            dx = solve_dense(H, -np.concatenate([gf, g_d]), "full system")
+            dx_f, dx_d = dx[:nf], dx[nf:]
+
+        dx_full = np.zeros(self.layout.n_pose_vars)
+        dx_full[free] = dx_f
+        return np.concatenate([dx_full, dx_d])
+
+
+class GraphProblem:
+    """LM problem state shared by the window and the pose-graph solves.
+
+    Nodes carry `state` (with copy()) and `disparities` (or None); evaluate()
+    stores the residual results in self.outs and linearize() scatters them
+    into self.system.
+    """
+
+    def __init__(self, nodes: list, layout: Layout, opts: SolveOptions):
+        self.nodes = nodes
+        self.layout = layout
+        self.opts = opts
+        self.outs = None
+        self.system = None
+
+    def step(self, lam: float) -> np.ndarray:
+        return self.system.solve(lam, self.opts)
+
+    def snapshot(self):
+        return ([n.state.copy() for n in self.nodes],
+                [None if n.disparities is None else n.disparities.copy()
+                 for n in self.nodes],
+                self.outs)
+
+    def restore(self, snap) -> None:
+        states, disps, self.outs = snap
+        for node, s, d in zip(self.nodes, states, disps):
+            node.state = s
+            node.disparities = d
+
+    def retract_disparities(self, dx_d: np.ndarray) -> None:
+        for node in self.nodes:
+            cd = self.layout.disp_cols(node.kid)
+            if len(cd):
+                node.disparities = np.maximum(node.disparities + dx_d[cd],
+                                              DISPARITY_FLOOR)
+
+
+class _WindowProblem(GraphProblem):
+    """Joint vision + inertial energy of a frame graph.
+
+    Every keyframe, frozen ones included, is retracted by its (zero, when
+    frozen) step segment.
+    """
+
+    def __init__(self, graph: FrameGraph, opts: SolveOptions):
+        frozen = set(opts.frozen_keyframes)
+        layout = Layout(graph.index_of,
+                        STATE_DOF if opts.optimize_velocity_bias else POSE_DOF,
+                        [kf.kid in frozen for kf in graph.keyframes],
+                        [len(kf.disparities) for kf in graph.keyframes],
+                        2 if opts.optimize_gravity else 0)
+        super().__init__(graph.keyframes, layout, opts)
+        self.graph = graph
+
+    def evaluate(self) -> float:
+        """Sum of whitened squared residuals over every edge of the graph."""
+        g = self.graph
+        vision = [vision_residual(e, g.kf(e.i).state.pose, g.kf(e.j).state.pose,
+                                  g.kf(e.i).disparities, g.intrinsics, T_cb=g.T_cb)
+                  for e in g.vision_edges]
+        inertial = [inertial_residual(delta, g.kf(i).state, g.kf(j).state, g.gravity)
+                    for i, j, delta in g.inertial_edges]
+        self.outs = (vision, inertial)
+        e = 0.0
+        for out in vision + inertial:
+            e += float((out.residual ** 2).sum())
+        return e
+
+    def linearize(self) -> None:
+        lay, g = self.layout, self.graph
+        system = NormalEquations(lay)
+        vision, inertial = self.outs
+        for edge, out in zip(g.vision_edges, vision):
+            system.add_pixels(lay.cols(edge.i, POSE_DOF), lay.cols(edge.j, POSE_DOF),
+                              lay.disp_cols(edge.i), out.J_pose_i, out.J_pose_j,
+                              out.J_disparity, out.residual)
+        sdof = lay.dof
+        grav_cols = np.arange(lay.n_state, lay.n_pose_vars)
+        for (i, j, _), out in zip(g.inertial_edges, inertial):
+            blocks = [(lay.cols(i, sdof), out.J_i[:, :sdof]),
+                      (lay.cols(j, sdof), out.J_j[:, :sdof])]
+            if len(grav_cols):
+                blocks.append((grav_cols, out.J_gravity @ GRAVITY_TANGENT_BASIS))
+            system.add_rows(blocks, out.residual)
+        self.system = system
+
+    def retract(self, dx: np.ndarray) -> None:
+        lay = self.layout
+        for n, kf in enumerate(self.nodes):
+            seg = dx[n * lay.dof:(n + 1) * lay.dof]
+            if lay.dof == STATE_DOF:
+                kf.state = kf.state.retract(seg)
+            else:
+                kf.state = PoseState(kf.state.pose.retract(seg[0:3], seg[3:6]),
+                                     kf.state.velocity, kf.state.bias,
+                                     kf.state.timestamp)
+        self.retract_disparities(dx[lay.n_pose_vars:])
+        dg = dx[lay.n_state:lay.n_pose_vars]
+        if len(dg):
+            self.graph.gravity = self.graph.gravity.retract(GRAVITY_TANGENT_BASIS @ dg)
+
+    def snapshot(self):
+        return super().snapshot(), self.graph.gravity.copy()
+
+    def restore(self, snap) -> None:
+        base, self.graph.gravity = snap
+        super().restore(base)
+
+
+def total_energy(graph: FrameGraph) -> float:
+    """Sum of whitened squared residuals over every edge of the graph."""
+    return _WindowProblem(graph, SolveOptions()).evaluate()
+
+
+def solve_vi_ba(graph: FrameGraph, opts: SolveOptions | None = None) -> SolveReport:
+    """Minimize the joint vision + inertial energy over the graph in place.
+
+    Disparities are Schur-eliminated per pixel unless the dense reference
+    path is requested.
+    """
+    if opts is None:
+        opts = SolveOptions()
+    return lm_solve(_WindowProblem(graph, opts), opts)

@@ -1,0 +1,82 @@
+"""End-to-end runs through the command-line entry point."""
+
+import json
+
+import numpy as np
+import pytest
+
+from vislam.cli import EXIT_CONFIG, EXIT_OK, main
+from vislam.evaluation import read_tum
+from vislam.gsmap import read_vgsm
+
+# A 6 s figure8 with a small window and early initialization and loops, so
+# every stage of the pipeline runs in a few seconds. Existing keys only.
+SHORT_RUN = """\
+dataset.duration = 6.0
+tracker.window_size = 5
+tracker.covis_radius = 1
+init.n_vis_init = 3
+init.n_iner_init = 5
+loop.min_gap = 3
+loop.solve_every = 2
+"""
+
+# Measured 23.09 cm on seed 3; the bound leaves a 30% margin.
+ATE_BOUND_CM = 30.0
+GRAVITY_BOUND_DEG = 2.0
+OUTPUTS = ("metrics.json", "map.vgsm", "trajectory_est.txt", "trajectory_gt.txt")
+
+
+def _run(tmp_path, name, config_text, seed=3):
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(config_text)
+    out = tmp_path / name
+    code = main(["run", "--preset", "figure8", "--config", str(cfg),
+                 "--seed", str(seed), "--out", str(out)])
+    return code, out
+
+
+@pytest.fixture(scope="module")
+def short_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cli")
+    code, out = _run(tmp, "first", SHORT_RUN)
+    return tmp, code, out
+
+
+def test_short_run_exits_ok_and_writes_parseable_outputs(short_run):
+    _, code, out = short_run
+    assert code == EXIT_OK
+    metrics = json.loads((out / "metrics.json").read_text())
+    est = read_tum(out / "trajectory_est.txt")
+    gt = read_tum(out / "trajectory_gt.txt")
+    assert len(est.poses) == len(gt.poses) == metrics["keyframes"]
+    assert np.array_equal(est.timestamps, gt.timestamps)
+
+    gmap = read_vgsm(out / "map.vgsm")
+    assert len(gmap) > 0
+    gmap.check_index()
+    # every keyframe, archived or still in the window at shutdown, is mapped
+    assert sorted(gmap.anchor_ranges) == list(range(metrics["keyframes"]))
+    assert metrics["loops_closed"] > 0
+
+
+def test_short_run_accuracy(short_run):
+    _, _, out = short_run
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["ate_rmse_cm"] < ATE_BOUND_CM
+    assert metrics["init"]["gravity_err_deg"] < GRAVITY_BOUND_DEG
+
+
+def test_same_seed_gives_byte_identical_outputs(short_run):
+    tmp, _, first = short_run
+    code, second = _run(tmp, "second", SHORT_RUN)
+    assert code == EXIT_OK
+    for name in OUTPUTS:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_deleted_config_key_is_a_config_error(tmp_path, capsys):
+    code, out = _run(tmp_path, "bad", SHORT_RUN + "map.lambda_c = 0.8\n")
+    assert code == EXIT_CONFIG
+    assert "map.lambda_c" in capsys.readouterr().err
+    assert not out.exists()

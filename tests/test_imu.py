@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from vislam.geometry import Rotation, so3_exp
+from vislam.geometry import Rotation
 from vislam.imu import (
     BiasState,
     ImuNoiseModel,
@@ -153,7 +153,7 @@ def test_correct_for_bias_gyro_construction():
     d = preintegrate(_stream(omega_fn, accel_fn, 0.0, 0.5, 200.0), BiasState(), ImuNoiseModel())
     dbg = np.array([2e-3, -1e-3, 5e-4])
     dR, _, _ = correct_for_bias(d, BiasState(gyro_bias=dbg))
-    expected = d.delta_R * so3_exp(d.J_rot @ dbg)
+    expected = d.delta_R * Rotation.exp(d.J_rot @ dbg)
     assert np.allclose(dR.matrix(), expected.matrix(), atol=1e-12)
 
 

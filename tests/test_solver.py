@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vislam.residuals import GravityModel
-from vislam.solver import FrameGraph, SolveOptions, solve_vi_ba, total_energy
+from vislam.solver import FrameGraph, SolveOptions, lm_solve, solve_vi_ba, total_energy
 from windows import ate_rmse, build_window, perturb_graph
 
 
@@ -173,3 +173,112 @@ def test_gravity_gauge_optimization_reduces_energy():
     solve_vi_ba(graph, SolveOptions(max_iterations=10, optimize_gravity=True))
     e1 = total_energy(graph)
     assert e1 < e0 * 1e-3
+
+
+class _Rosenbrock:
+    """Toy lm_solve problem: residuals (1 - x0, 10 (x1 - x0^2)).
+
+    Records every point it is evaluated at.
+    """
+
+    def __init__(self, x=(-1.2, 1.0)):
+        self.x = np.array(x, dtype=float)
+        self.evaluated = []
+        self.trials = 0
+
+    def evaluate(self):
+        self.evaluated.append(self.x.copy())
+        x0, x1 = self.x
+        self.r = np.array([1.0 - x0, 10.0 * (x1 - x0 * x0)])
+        self.J = np.array([[-1.0, 0.0], [-20.0 * x0, 10.0]])
+        return float(self.r @ self.r)
+
+    def linearize(self):
+        self.H = self.J.T @ self.J
+        self.g = self.J.T @ self.r
+
+    def step(self, lam):
+        self.trials += 1
+        return np.linalg.solve(self.H + lam * np.diag(np.diag(self.H)), -self.g)
+
+    def retract(self, dx):
+        self.x = self.x + dx
+
+    def snapshot(self):
+        return self.x, self.r, self.J
+
+    def restore(self, snap):
+        self.x, self.r, self.J = snap
+
+
+def _assert_each_point_scored_once(problem):
+    points = [p.tobytes() for p in problem.evaluated]
+    assert len(points) == len(set(points))
+    assert len(points) == 1 + problem.trials
+
+
+def test_lm_solve_converges_and_scores_each_point_once():
+    problem = _Rosenbrock()
+    report = lm_solve(problem, SolveOptions(max_iterations=200, damping=1e-3))
+    assert report.termination == "converged"
+    assert np.allclose(problem.x, [1.0, 1.0], atol=1e-6)
+    assert report.final_cost == report.cost_trajectory[-1] < report.initial_cost
+    _assert_each_point_scored_once(problem)
+
+
+def test_lm_solve_stops_at_max_iterations():
+    problem = _Rosenbrock()
+    report = lm_solve(problem, SolveOptions(max_iterations=2, damping=1e-3))
+    assert report.termination == "max_iterations"
+    assert report.iterations == 2
+    assert len(report.cost_trajectory) == 3
+    _assert_each_point_scored_once(problem)
+
+
+def test_lm_solve_rejects_uphill_steps_until_max_damping():
+    class Uphill(_Rosenbrock):
+        def step(self, lam):
+            return -super().step(lam)
+
+    problem = Uphill()
+    start = problem.x.copy()
+    report = lm_solve(problem, SolveOptions(max_iterations=5))
+    assert report.termination == "no_decrease_at_max_damping"
+    assert report.iterations == 0
+    assert report.final_cost == report.initial_cost
+    assert np.array_equal(problem.x, start)
+    _assert_each_point_scored_once(problem)
+
+
+def test_lm_solve_reports_a_singular_system():
+    class Singular(_Rosenbrock):
+        def step(self, lam):
+            raise RuntimeError("singular toy system")
+
+    problem = Singular()
+    report = lm_solve(problem, SolveOptions(max_iterations=5))
+    assert report.termination == "singular: singular toy system"
+    assert report.iterations == 0
+    assert report.condition_warnings
+    assert len(problem.evaluated) == 1
+
+
+def test_lm_solve_rejects_a_trial_that_cannot_be_formed():
+    class Fragile(_Rosenbrock):
+        def retract(self, dx):
+            super().retract(dx)
+            if self.trials == 1:
+                raise ValueError("unrepresentable state")
+
+    problem = Fragile()
+    report = lm_solve(problem, SolveOptions(max_iterations=200, damping=1e-3))
+    assert report.termination == "converged"
+    assert np.allclose(problem.x, [1.0, 1.0], atol=1e-6)
+    assert report.condition_warnings == ["unrepresentable state"]
+    assert len(problem.evaluated) == problem.trials
+
+
+def test_lm_solve_refuses_a_non_finite_start():
+    problem = _Rosenbrock(x=(np.nan, 1.0))
+    with pytest.raises(RuntimeError, match="finite"):
+        lm_solve(problem, SolveOptions())
