@@ -422,13 +422,11 @@ def execute(plan: RunPlan) -> RunArtifacts:
         if init_diag is None and tracker.phase == PHASE_FULL:
             init_diag = _init_diagnostics(tracker, ds)
 
-        while archive_cursor < len(tracker.archive):
-            row = tracker.archive[archive_cursor]
-            worker.ingest_eviction(row.kid, row.pose,
-                                   tracker.exported_edges[archive_cursor])
+        for row in tracker.archive[archive_cursor:]:
+            worker.ingest_eviction(row.kid, row.pose, row.chain_edge)
             _spawn_keyframe_gaussians(gmap, provider, row.frame_index,
                                       row.pose, row.kid, map_stride)
-            archive_cursor += 1
+        archive_cursor = len(tracker.archive)
 
         if keyframed:
             kf = tracker.graph.keyframes[-1]
@@ -447,7 +445,9 @@ def execute(plan: RunPlan) -> RunArtifacts:
         if worker.pending and admitted_since_solve >= cfg["loop.solve_every"]:
             run_pose_graph_solve()
 
-        if keyframed:
+        # before initialization the inertial terms are scored against an
+        # unestimated gravity, so only initialized windows are traced
+        if keyframed and tracker.phase == PHASE_FULL:
             tracking_trace.append(total_energy(tracker.graph))
 
     # shutdown: drain, then flush the live window into the map

@@ -14,12 +14,12 @@ every edge row aligns with the source keyframe's disparity list.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .evaluation import Trajectory
-from .geometry import Pose, Rotation, SimTransform
+from .geometry import Pose, SimTransform
 from .imu import (
     BiasState,
     ImuNoiseModel,
@@ -30,7 +30,6 @@ from .imu import (
 from .initialization import InitConfig, init_vision, run_full_initialization
 from .residuals import (
     GravityModel,
-    Intrinsics,
     PoseState,
     RelativePoseEdge,
     VisionEdge,
@@ -129,11 +128,13 @@ class FramePayload:
 
 @dataclass
 class ArchivedKeyframe:
-    """Pose snapshot exported when a keyframe leaves the local window."""
+    """Pose snapshot exported when a keyframe leaves the local window, with
+    the chain edge to the keyframe that followed it."""
     kid: int
     frame_index: int
     timestamp: float
     pose: Pose
+    chain_edge: RelativePoseEdge
 
 
 def _capped_inverse(block: np.ndarray, lo: float = 1e-3,
@@ -166,11 +167,7 @@ def eviction_edge(kid_i: int, kid_j: int, state_i: PoseState,
 
 @dataclass
 class TrackerState:
-    """Everything the tracking loop mutates.
-
-    The provider is attached at construction and never serialized; resuming
-    from a dict needs the same provider handed back in.
-    """
+    """Everything the tracking loop mutates."""
 
     provider: object
     policy: KeyframePolicy
@@ -183,8 +180,6 @@ class TrackerState:
     next_kid: int = 0
     frame_of: dict = field(default_factory=dict)      # kid -> provider frame
     archive: list = field(default_factory=list)       # ArchivedKeyframe
-    exported_edges: list = field(default_factory=list)  # RelativePoseEdge
-    pinned: set = field(default_factory=set)          # kids immune to eviction
     degraded: list = field(default_factory=list)      # inertial-only kids
     init_reports: dict = field(default_factory=dict)
     solve_iterations: int = 4
@@ -206,106 +201,17 @@ class TrackerState:
                     f"{MAX_IMU_GAP_PERIODS:g} sample periods")
         self.imu_buffer.append(sample)
 
-    def to_dict(self) -> dict:
-        g = self.graph
-        return {
-            "policy": asdict(self.policy),
-            "init_cfg": asdict(self.init_cfg),
-            "noise": asdict(self.noise),
-            "phase": self.phase,
-            "last_keyframe_time": self.last_keyframe_time,
-            "imu_buffer": [[s.timestamp, *s.gyro.tolist(), *s.accel.tolist()]
-                           for s in self.imu_buffer],
-            "next_kid": self.next_kid,
-            "frame_of": {str(k): v for k, v in self.frame_of.items()},
-            "archive": [{"kid": a.kid, "frame_index": a.frame_index,
-                         "timestamp": a.timestamp, "pose": _pose_dict(a.pose)}
-                        for a in self.archive],
-            "exported_edges": [_rel_edge_dict(e) for e in self.exported_edges],
-            "pinned": sorted(self.pinned),
-            "degraded": list(self.degraded),
-            "init_reports": self.init_reports,
-            "solve_iterations": self.solve_iterations,
-            "imu_period": self.imu_period,
-            "graph": {
-                "gravity": {"q": g.gravity.R_wg.q.tolist(),
-                            "magnitude": g.gravity.magnitude},
-                "intrinsics": asdict(g.intrinsics),
-                "T_cb": None if g.T_cb is None else _pose_dict(g.T_cb),
-                "keyframes": [{
-                    "kid": kf.kid,
-                    "state": _state_dict(kf.state),
-                    "pixels": kf.pixels.tolist(),
-                    "disparities": kf.disparities.tolist(),
-                } for kf in g.keyframes],
-                "vision_edges": [{
-                    "i": e.i, "j": e.j,
-                    "pixels": e.pixels.tolist(),
-                    "targets": e.targets.tolist(),
-                    "weights": e.weights.tolist(),
-                } for e in g.vision_edges],
-                "inertial_edges": [[i, j, _delta_dict(d)]
-                                   for i, j, d in g.inertial_edges],
-            },
-        }
-
-    @staticmethod
-    def from_dict(data: dict, provider) -> "TrackerState":
-        gd = data["graph"]
-        gravity = GravityModel(_rotation_exact(gd["gravity"]["q"]),
-                               gd["gravity"]["magnitude"])
-        graph = FrameGraph(
-            keyframes=[Keyframe(k["kid"], _state_from(k["state"]),
-                                np.array(k["pixels"]),
-                                np.array(k["disparities"]))
-                       for k in gd["keyframes"]],
-            vision_edges=[VisionEdge(e["i"], e["j"], np.array(e["pixels"]),
-                                     np.array(e["targets"]),
-                                     np.array(e["weights"]))
-                          for e in gd["vision_edges"]],
-            inertial_edges=[(i, j, _delta_from(d))
-                            for i, j, d in gd["inertial_edges"]],
-            gravity=gravity,
-            intrinsics=Intrinsics(**gd["intrinsics"]),
-            T_cb=None if gd["T_cb"] is None else _pose_from(gd["T_cb"]),
-        )
-        tracker = TrackerState(
-            provider=provider,
-            policy=KeyframePolicy(**data["policy"]),
-            init_cfg=InitConfig(**data["init_cfg"]),
-            noise=ImuNoiseModel(**data["noise"]),
-            graph=graph,
-            phase=data["phase"],
-            last_keyframe_time=data["last_keyframe_time"],
-            imu_buffer=[ImuSample(row[0], row[1:4], row[4:7])
-                        for row in data["imu_buffer"]],
-            next_kid=data["next_kid"],
-            frame_of={int(k): v for k, v in data["frame_of"].items()},
-            archive=[ArchivedKeyframe(a["kid"], a["frame_index"],
-                                      a["timestamp"], _pose_from(a["pose"]))
-                     for a in data["archive"]],
-            exported_edges=[_rel_edge_from(e) for e in data["exported_edges"]],
-            pinned=set(data["pinned"]),
-            degraded=list(data["degraded"]),
-            init_reports=data["init_reports"],
-            solve_iterations=data["solve_iterations"],
-            imu_period=data["imu_period"],
-        )
-        return tracker
-
 
 def make_tracker(provider, policy: KeyframePolicy | None = None,
                  init_cfg: InitConfig | None = None,
                  noise: ImuNoiseModel | None = None,
-                 imu_period: float = 0.005,
-                 gravity: GravityModel | None = None) -> TrackerState:
+                 imu_period: float = 0.005) -> TrackerState:
     """Fresh tracker with an empty window in the provider's camera model."""
     policy = policy if policy is not None else KeyframePolicy()
     init_cfg = init_cfg if init_cfg is not None else InitConfig()
     noise = noise if noise is not None else ImuNoiseModel()
-    if gravity is None:
-        gravity = GravityModel(magnitude=noise.gravity_magnitude)
-    graph = FrameGraph([], [], [], gravity, provider.intrinsics())
+    graph = FrameGraph([], [], [], GravityModel(magnitude=noise.gravity_magnitude),
+                       provider.intrinsics())
     return TrackerState(provider, policy, init_cfg, noise, graph,
                         imu_period=imu_period)
 
@@ -442,36 +348,31 @@ def _tracking_solve(tracker: TrackerState) -> SolveReport | None:
         opts = SolveOptions(max_iterations=tracker.solve_iterations,
                             frozen_keyframes=frozen)
         return solve_vi_ba(graph, opts)
-    shadow = FrameGraph(graph.keyframes, graph.vision_edges, [],
-                        graph.gravity, graph.intrinsics, graph.T_cb)
     opts = SolveOptions(max_iterations=tracker.solve_iterations,
                         frozen_keyframes=frozen,
                         optimize_velocity_bias=False)
-    return solve_vi_ba(shadow, opts)
+    return solve_vi_ba(graph.vision_only(), opts)
 
 
 def _evict(tracker: TrackerState) -> None:
-    """Shrink the window to size, exporting each evicted keyframe.
+    """Shrink the window to size, archiving each evicted keyframe.
 
-    The oldest keyframe leaves first; pinned keyframes (pending loop edge
-    endpoints) block eviction entirely until released, since removing a
-    mid-chain keyframe would break the consecutive inertial cover.
+    The oldest keyframe leaves first, since removing a mid-chain keyframe
+    would break the consecutive inertial cover.
     """
     graph = tracker.graph
     keyframes = list(graph.keyframes)
     vision_edges = list(graph.vision_edges)
     inertial_edges = list(graph.inertial_edges)
     changed = False
-    while len(keyframes) > tracker.policy.window_size \
-            and keyframes[0].kid not in tracker.pinned:
+    while len(keyframes) > tracker.policy.window_size:
         old, succ = keyframes[0], keyframes[1]
         delta = next(d for i, j, d in inertial_edges
                      if i == old.kid and j == succ.kid)
-        tracker.exported_edges.append(
-            eviction_edge(old.kid, succ.kid, old.state, succ.state, delta))
-        tracker.archive.append(
-            ArchivedKeyframe(old.kid, tracker.frame_of[old.kid],
-                             old.state.timestamp, old.state.pose.copy()))
+        tracker.archive.append(ArchivedKeyframe(
+            old.kid, tracker.frame_of[old.kid], old.state.timestamp,
+            old.state.pose.copy(),
+            eviction_edge(old.kid, succ.kid, old.state, succ.state, delta)))
         keyframes.pop(0)
         vision_edges = [e for e in vision_edges
                         if e.i != old.kid and e.j != old.kid]
@@ -556,84 +457,3 @@ def _report_dict(report: SolveReport) -> dict:
         "final_cost": report.final_cost,
         "termination": report.termination,
     }
-
-
-def _pose_dict(p: Pose) -> dict:
-    return {"q": p.rotation.q.tolist(), "t": p.translation.tolist()}
-
-
-def _rotation_exact(q) -> Rotation:
-    """Restore a serialized unit quaternion bit-exactly.
-
-    The constructor renormalizes, which can move the last ulp; resuming
-    from a checkpoint must restore exactly the value that was saved.
-    """
-    r = Rotation.identity()
-    r.q = np.asarray(q, dtype=float).reshape(4)
-    return r
-
-
-def _pose_from(d: dict) -> Pose:
-    return Pose(_rotation_exact(d["q"]), np.array(d["t"]))
-
-
-def _state_dict(s: PoseState) -> dict:
-    return {
-        "pose": _pose_dict(s.pose),
-        "velocity": s.velocity.tolist(),
-        "gyro_bias": s.bias.gyro_bias.tolist(),
-        "accel_bias": s.bias.accel_bias.tolist(),
-        "timestamp": s.timestamp,
-    }
-
-
-def _state_from(d: dict) -> PoseState:
-    return PoseState(_pose_from(d["pose"]), np.array(d["velocity"]),
-                     BiasState(np.array(d["gyro_bias"]),
-                               np.array(d["accel_bias"])),
-                     d["timestamp"])
-
-
-def _delta_dict(d: PreintegratedDelta) -> dict:
-    return {
-        "dt_total": d.dt_total,
-        "q": d.delta_R.q.tolist(),
-        "delta_p": d.delta_p.tolist(),
-        "delta_v": d.delta_v.tolist(),
-        "J_rot": d.J_rot.tolist(),
-        "J_pos": d.J_pos.tolist(),
-        "J_vel": d.J_vel.tolist(),
-        "covariance": d.covariance.tolist(),
-        "gyro_bias": d.bias_lin_point.gyro_bias.tolist(),
-        "accel_bias": d.bias_lin_point.accel_bias.tolist(),
-    }
-
-
-def _delta_from(d: dict) -> PreintegratedDelta:
-    return PreintegratedDelta(
-        dt_total=d["dt_total"],
-        delta_R=_rotation_exact(d["q"]),
-        delta_p=np.array(d["delta_p"]),
-        delta_v=np.array(d["delta_v"]),
-        J_rot=np.array(d["J_rot"]),
-        J_pos=np.array(d["J_pos"]),
-        J_vel=np.array(d["J_vel"]),
-        covariance=np.array(d["covariance"]),
-        bias_lin_point=BiasState(np.array(d["gyro_bias"]),
-                                 np.array(d["accel_bias"])),
-    )
-
-
-def _rel_edge_dict(e: RelativePoseEdge) -> dict:
-    return {
-        "i": e.i, "j": e.j,
-        "q": e.measurement.rotation.q.tolist(),
-        "t": e.measurement.translation.tolist(),
-        "s": e.measurement.scale,
-        "information": e.information.tolist(),
-    }
-
-
-def _rel_edge_from(d: dict) -> RelativePoseEdge:
-    meas = SimTransform(_rotation_exact(d["q"]), np.array(d["t"]), d["s"])
-    return RelativePoseEdge(d["i"], d["j"], meas, np.array(d["information"]))

@@ -24,8 +24,8 @@ from .residuals import (
     PoseState,
     inertial_residual,
 )
-from .solver import (FrameGraph, SolveOptions, SolveReport, lm_solve, solve_dense,
-                     solve_vi_ba)
+from .solver import (RIDGE, FrameGraph, SolveOptions, SolveReport, lm_solve,
+                     solve_dense, solve_vi_ba)
 
 
 @dataclass
@@ -71,17 +71,11 @@ def init_vision(graph: FrameGraph, cfg: InitConfig | None = None) -> SolveReport
     cfg = cfg if cfg is not None else InitConfig()
     if not graph.keyframes:
         raise ValueError("cannot initialize an empty window")
-    vis_graph = FrameGraph(keyframes=graph.keyframes,
-                           vision_edges=graph.vision_edges,
-                           inertial_edges=[],
-                           gravity=graph.gravity,
-                           intrinsics=graph.intrinsics,
-                           T_cb=graph.T_cb)
     opts = SolveOptions(max_iterations=cfg.max_iterations_vision,
                         damping=cfg.damping,
                         frozen_keyframes=(graph.keyframes[0].kid,),
                         optimize_velocity_bias=False)
-    return solve_vi_ba(vis_graph, opts)
+    return solve_vi_ba(graph.vision_only(), opts)
 
 
 def align_gravity(states: list, deltas: list,
@@ -177,7 +171,7 @@ class _InertialOnly:
             self.g += J.T @ out.residual
 
     def step(self, lam: float) -> np.ndarray:
-        H_damped = self.H + np.diag(np.diag(self.H)) * lam + 1e-10 * np.eye(len(self.g))
+        H_damped = self.H + np.diag(np.diag(self.H)) * lam + RIDGE * np.eye(len(self.g))
         return solve_dense(H_damped, -self.g, "inertial-only system")
 
     def retract(self, dx: np.ndarray) -> None:

@@ -36,6 +36,13 @@ DISPARITY_FLOOR = 1e-4
 STATE_DOF = 15
 POSE_DOF = 6
 
+# Levenberg-Marquardt damping schedule, and the absolute ridge every damped
+# system adds to its diagonal so flat blocks stay solvable.
+DAMPING_UP = 10.0
+DAMPING_DOWN = 0.5
+MAX_DAMPING = 1e8
+RIDGE = 1e-10
+
 
 @dataclass
 class Keyframe:
@@ -78,6 +85,11 @@ class FrameGraph:
     def kf(self, kid: int) -> Keyframe:
         return self.keyframes[self._index[kid]]
 
+    def vision_only(self) -> FrameGraph:
+        """The same keyframes and vision edges with the inertial terms left out."""
+        return FrameGraph(self.keyframes, self.vision_edges, [], self.gravity,
+                          self.intrinsics, self.T_cb)
+
     def index_of(self, kid: int) -> int:
         return self._index[kid]
 
@@ -86,26 +98,19 @@ class FrameGraph:
 class SolveOptions:
     max_iterations: int = 10
     damping: float = 1e-4
-    damping_up: float = 10.0
-    damping_down: float = 0.5
     rel_decrease_tol: float = 1e-8
     step_tol: float = 1e-10
-    max_damping: float = 1e8
     frozen_keyframes: tuple = (0,)     # keyframe ids with fixed pose+velocity+bias
     optimize_gravity: bool = False
     optimize_velocity_bias: bool = True
     use_schur: bool = True
-    ridge: float = 1e-10
 
     def __post_init__(self):
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-        for name in ("damping", "damping_up", "rel_decrease_tol", "step_tol",
-                     "max_damping", "ridge"):
+        for name in ("damping", "rel_decrease_tol", "step_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if not (0 < self.damping_down < 1):
-            raise ValueError("damping_down must be in (0, 1)")
 
 
 @dataclass
@@ -136,7 +141,7 @@ def lm_solve(problem, opts: SolveOptions) -> SolveReport:
     or one whose state or residuals cannot be formed (ValueError), restores
     the saved state and retries the same linearization with more damping.
     Termination follows opts: an accepted step below step_tol or a relative
-    decrease below rel_decrease_tol converges; damping past max_damping ends
+    decrease below rel_decrease_tol converges; damping past MAX_DAMPING ends
     the solve as no_decrease_at_max_damping, or as singular when the damped
     system itself could not be solved.
     """
@@ -156,8 +161,8 @@ def lm_solve(problem, opts: SolveOptions) -> SolveReport:
                 dx = problem.step(lam)
             except RuntimeError as exc:
                 warnings.append(str(exc))
-                lam *= opts.damping_up
-                if lam > opts.max_damping:
+                lam *= DAMPING_UP
+                if lam > MAX_DAMPING:
                     return SolveReport(iterations, trajectory[0], cost, trajectory,
                                        f"singular: {exc}", warnings)
                 continue
@@ -171,14 +176,14 @@ def lm_solve(problem, opts: SolveOptions) -> SolveReport:
             if new_cost < cost:
                 cost = new_cost
                 trajectory.append(cost)
-                lam = max(lam * opts.damping_down, 1e-12)
+                lam = max(lam * DAMPING_DOWN, 1e-12)
                 iterations = it + 1
                 if np.max(np.abs(dx), initial=0.0) < opts.step_tol:
                     termination = "converged"
                 break
             problem.restore(snap)
-            lam *= opts.damping_up
-            if lam > opts.max_damping:
+            lam *= DAMPING_UP
+            if lam > MAX_DAMPING:
                 termination = "no_decrease_at_max_damping"
                 break
         if termination != "max_iterations":
@@ -288,8 +293,8 @@ class NormalEquations:
 
         Hf_d = Hf.copy()
         idx = np.arange(nf)
-        Hf_d[idx, idx] = np.diag(Hf) * (1.0 + lam) + opts.ridge
-        Hdd_d = self.H_dd * (1.0 + lam) + opts.ridge
+        Hf_d[idx, idx] = np.diag(Hf) * (1.0 + lam) + RIDGE
+        Hdd_d = self.H_dd * (1.0 + lam) + RIDGE
 
         if opts.use_schur and nd:
             inv_dd = 1.0 / Hdd_d

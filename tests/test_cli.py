@@ -1,11 +1,12 @@
 """End-to-end runs through the command-line entry point."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from vislam.cli import EXIT_CONFIG, EXIT_OK, main
+from vislam.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main, parse_config_text
 from vislam.evaluation import read_tum
 from vislam.gsmap import read_vgsm
 
@@ -67,6 +68,17 @@ def test_short_run_accuracy(short_run):
     assert metrics["init"]["gravity_err_deg"] < GRAVITY_BOUND_DEG
 
 
+def test_tracking_energy_is_traced_only_once_initialized(short_run):
+    _, _, out = short_run
+    metrics = json.loads((out / "metrics.json").read_text())
+    tracking = metrics["energy"]["tracking"]
+    n_iner_init = int(parse_config_text(SHORT_RUN)["init.n_iner_init"])
+    # the keyframe that completes initialization is the first one traced
+    assert len(tracking) == metrics["keyframes"] - (n_iner_init - 1)
+    # before initialization the window scored 7.6e7-1.2e8 on this run
+    assert all(math.isfinite(e) and e < 1e6 for e in tracking)
+
+
 def test_same_seed_gives_byte_identical_outputs(short_run):
     tmp, _, first = short_run
     code, second = _run(tmp, "second", SHORT_RUN)
@@ -79,4 +91,17 @@ def test_deleted_config_key_is_a_config_error(tmp_path, capsys):
     code, out = _run(tmp_path, "bad", SHORT_RUN + "map.lambda_c = 0.8\n")
     assert code == EXIT_CONFIG
     assert "map.lambda_c" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, ValueError])
+def test_error_inside_the_pipeline_is_a_divergence(tmp_path, capsys,
+                                                   monkeypatch, error):
+    def diverge(*args, **kwargs):
+        raise error("window state is not finite")
+
+    monkeypatch.setattr("vislam.cli.process_frame", diverge)
+    code, out = _run(tmp_path, "diverged", SHORT_RUN)
+    assert code == EXIT_DIVERGED
+    assert '"error": "divergence"' in capsys.readouterr().err
     assert not out.exists()

@@ -1,19 +1,15 @@
 """Tracking loop tests: keyframe gating, propagation, window upkeep."""
 
-import json
-
 import numpy as np
 import pytest
 
 from vislam.evaluation import Trajectory, align_umeyama, ate_rmse
 from vislam.frontend import (
-    ArchivedKeyframe,
     FramePayload,
     KeyframePolicy,
     PHASE_FULL,
     PHASE_INERTIAL,
     PHASE_VISION,
-    TrackerState,
     add_keyframe,
     estimated_trajectory,
     eviction_edge,
@@ -255,9 +251,10 @@ class TestPipeline:
         tracker = pipeline.tracker
         assert len(tracker.graph.keyframes) == SMALL_POLICY.window_size
         assert len(tracker.archive) >= 3
-        assert len(tracker.exported_edges) == len(tracker.archive)
         kids = [a.kid for a in tracker.archive]
         assert kids == list(range(len(kids)))
+        assert [(a.chain_edge.i, a.chain_edge.j) for a in tracker.archive] \
+            == [(k, k + 1) for k in kids]
 
     def test_inertial_edges_cover_consecutive_pairs_only(self, pipeline):
         graph = pipeline.tracker.graph
@@ -314,32 +311,10 @@ class TestPipeline:
         assert np.all(np.diff(traj.timestamps) > 0)
 
     def test_exported_chain_is_sequential(self, pipeline):
-        edges = pipeline.tracker.exported_edges
-        for e in edges:
+        for row in pipeline.tracker.archive:
+            e = row.chain_edge
             assert e.j == e.i + 1
             assert e.measurement.scale == pytest.approx(1.0)
-
-
-class TestPinning:
-    def test_pinned_keyframe_blocks_eviction(self, clean_dataset):
-        driver = _Driver(clean_dataset, policy=SMALL_POLICY,
-                         init_cfg=SMALL_INIT)
-        driver.run(60)
-        tracker = driver.tracker
-        assert tracker.phase == PHASE_FULL
-        size = len(tracker.graph.keyframes)
-        assert size == SMALL_POLICY.window_size
-        oldest = tracker.graph.keyframes[0].kid
-        tracker.pinned.add(oldest)
-        archived_before = len(tracker.archive)
-        driver.run(15)
-        assert tracker.graph.keyframes[0].kid == oldest
-        assert len(tracker.graph.keyframes) > SMALL_POLICY.window_size
-        assert len(tracker.archive) == archived_before
-        tracker.pinned.discard(oldest)
-        driver.run(10)
-        assert len(tracker.graph.keyframes) == SMALL_POLICY.window_size
-        assert len(tracker.archive) > archived_before
 
 
 class _FlakyProvider:
@@ -385,33 +360,6 @@ class TestDegraded:
         assert covered == {(a, b) for a, b in zip(ids, ids[1:])}
         # later keyframes keep wiring normally
         assert tracker.graph.keyframes[-1].kid not in tracker.degraded
-
-
-class TestSerialization:
-    def test_round_trip_is_lossless_and_resumable(self, clean_dataset):
-        ds = clean_dataset
-        driver = _Driver(ds, policy=SMALL_POLICY, init_cfg=SMALL_INIT)
-        driver.run(45)
-        tracker = driver.tracker
-        assert tracker.imu_buffer, "fixture should carry buffered samples"
-
-        blob = json.dumps(tracker.to_dict())
-        restored = TrackerState.from_dict(json.loads(blob), driver.provider)
-        assert restored.to_dict() == tracker.to_dict()
-
-        for f in range(driver.cursor, driver.cursor + 20):
-            t = ds.frame_time(f)
-            imu = ds.imu_between(ds.frame_time(f - 1), t)
-            a = process_frame(tracker, f, t, imu)
-            b = process_frame(restored, f, t, list(imu))
-            assert a == b
-        assert len(tracker.graph.keyframes) == len(restored.graph.keyframes)
-        for ka, kb in zip(tracker.graph.keyframes, restored.graph.keyframes):
-            assert np.array_equal(ka.state.pose.rotation.q,
-                                  kb.state.pose.rotation.q)
-            assert np.array_equal(ka.state.pose.translation,
-                                  kb.state.pose.translation)
-            assert np.array_equal(ka.disparities, kb.disparities)
 
 
 class TestBootstrap:

@@ -20,10 +20,7 @@ from windows import build_window, perturb_graph
 
 
 def _vision_energy(graph):
-    vis = FrameGraph(keyframes=graph.keyframes, vision_edges=graph.vision_edges,
-                     inertial_edges=[], gravity=graph.gravity,
-                     intrinsics=graph.intrinsics, T_cb=graph.T_cb)
-    return total_energy(vis)
+    return total_energy(graph.vision_only())
 
 
 def _rescale_graph(graph, k):

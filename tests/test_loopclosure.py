@@ -680,9 +680,11 @@ def tiny_tracker():
     tracker = TrackerState(provider=None, policy=None, init_cfg=InitConfig(),
                            noise=ImuNoiseModel(), graph=graph,
                            phase=PHASE_FULL)
+    archived = PoseState(Pose(Rotation.identity(), np.array([9.0, 0.0, 0.0])),
+                         np.zeros(3), BiasState(), timestamp=0.5)
     tracker.archive.append(ArchivedKeyframe(
-        kid=100, frame_index=0, timestamp=0.5,
-        pose=Pose(Rotation.identity(), np.array([9.0, 0.0, 0.0]))))
+        kid=100, frame_index=0, timestamp=0.5, pose=archived.pose.copy(),
+        chain_edge=eviction_edge(100, 0, archived, kfs[0].state, delta)))
     return tracker
 
 
