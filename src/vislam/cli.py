@@ -1,11 +1,11 @@
-"""Batch entry point: run synthetic or recorded sequences, evaluate trajectories.
+"""Batch entry point: run synthetic sequences, evaluate trajectories.
 
 The `run` command drives the full pipeline (tracking frontend, staged
-initialization, loop closure, Gaussian map) over a synthetic dataset or a
-recorded copy of one, then writes trajectories, the map export, and a
-metrics report. The `evaluate` command scores a trajectory file against a
-ground-truth file. Everything is configured through a flat dotted-key
-config so experiment records stay diff-able.
+initialization, loop closure, Gaussian map) over a synthetic dataset, then
+writes trajectories, the map export, and a metrics report. The `evaluate`
+command scores a trajectory file against a ground-truth file. Everything is
+configured through a flat dotted-key config so experiment records stay
+diff-able.
 """
 
 import argparse
@@ -44,8 +44,6 @@ class ConfigError(ValueError):
 def default_config() -> dict:
     """Every tunable of the pipeline with its default, flat dotted keys."""
     return {
-        "dataset.mode": "synthetic",
-        "dataset.dir": "",
         "dataset.family": "figure8",
         "dataset.amplitude": 1.5,
         "dataset.period": 30.0,
@@ -88,7 +86,6 @@ def default_config() -> dict:
         "run.frame_stride": 1,
         "run.align": "se3",
         "run.out": "out",
-        "run.save_dataset": False,
     }
 
 
@@ -251,31 +248,19 @@ def materialize(cfg: dict) -> RunPlan:
             raise ConfigError(f"config key 'run.align' must be se3, sim3, "
                               f"or none, got {align!r}")
 
-        mode = cfg["dataset.mode"]
-        if mode == "synthetic":
-            model = TrajectoryModel(family=cfg["dataset.family"],
-                                    amplitude=cfg["dataset.amplitude"],
-                                    period=cfg["dataset.period"],
-                                    duration=cfg["dataset.duration"],
-                                    yaw_policy=cfg["dataset.yaw_policy"])
-            scene = SceneModel(half_extent=cfg["dataset.scene_half_extent"])
-            imu_noise = noise if cfg["dataset.imu_noise"] else None
-            dataset = make_dataset(model, scene=scene, imu_noise=imu_noise,
-                                   sigma_px=cfg["dataset.sigma_px"],
-                                   outlier_rate=cfg["dataset.outlier_rate"],
-                                   seed=cfg["run.seed"],
-                                   frame_rate=cfg["dataset.frame_rate"],
-                                   imu_rate=cfg["dataset.imu_rate"])
-        elif mode == "recorded":
-            src = cfg["dataset.dir"]
-            if not src:
-                raise ConfigError("recorded mode needs 'dataset.dir'")
-            if not (Path(src) / "meta.json").exists():
-                raise ConfigError(f"no dataset found at {src!r}")
-            dataset = SyntheticDataset.load(src)
-        else:
-            raise ConfigError(f"config key 'dataset.mode' must be synthetic "
-                              f"or recorded, got {mode!r}")
+        model = TrajectoryModel(family=cfg["dataset.family"],
+                                amplitude=cfg["dataset.amplitude"],
+                                period=cfg["dataset.period"],
+                                duration=cfg["dataset.duration"],
+                                yaw_policy=cfg["dataset.yaw_policy"])
+        scene = SceneModel(half_extent=cfg["dataset.scene_half_extent"])
+        imu_noise = noise if cfg["dataset.imu_noise"] else None
+        dataset = make_dataset(model, scene=scene, imu_noise=imu_noise,
+                               sigma_px=cfg["dataset.sigma_px"],
+                               outlier_rate=cfg["dataset.outlier_rate"],
+                               seed=cfg["run.seed"],
+                               frame_rate=cfg["dataset.frame_rate"],
+                               imu_rate=cfg["dataset.imu_rate"])
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
@@ -477,8 +462,7 @@ def execute(plan: RunPlan) -> RunArtifacts:
                         tracker=tracker, worker=worker)
 
 
-def write_outputs(out_dir: Path, art: RunArtifacts,
-                  save_dataset_from=None) -> None:
+def write_outputs(out_dir: Path, art: RunArtifacts) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_tum(out_dir / "trajectory_est.txt", art.est,
               comment="estimated keyframe trajectory")
@@ -488,8 +472,6 @@ def write_outputs(out_dir: Path, art: RunArtifacts,
     with open(out_dir / "metrics.json", "w") as f:
         json.dump(art.metrics, f, indent=2, sort_keys=True)
         f.write("\n")
-    if save_dataset_from is not None:
-        save_dataset_from.save(out_dir / "dataset")
 
 
 def _print_metrics(metrics: dict) -> None:
@@ -560,15 +542,17 @@ def _cmd_run(args) -> int:
     except (RuntimeError, ValueError) as exc:
         _error_json("divergence", str(exc))
         return EXIT_DIVERGED
-    write_outputs(plan.out_dir, art,
-                  plan.dataset if cfg["run.save_dataset"] else None)
+    write_outputs(plan.out_dir, art)
     _print_metrics(art.metrics)
     return EXIT_OK
 
 
 def _cmd_evaluate(args) -> int:
-    est = read_tum(args.est)
-    gt = read_tum(args.gt)
+    try:
+        est = read_tum(args.est)
+        gt = read_tum(args.gt)
+    except OSError as exc:
+        raise ConfigError(f"cannot read trajectory file: {exc}") from None
     metrics = _metric_block(est, gt, args.align)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

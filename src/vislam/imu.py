@@ -198,26 +198,3 @@ def compose_deltas(a: PreintegratedDelta, b: PreintegratedDelta) -> Preintegrate
         covariance=np.zeros((15, 15)),
         bias_lin_point=a.bias_lin_point.copy(),
     )
-
-
-def write_imu_csv(path, samples: list) -> None:
-    """CSV lines `timestamp_s,gx,gy,gz,ax,ay,az`, floats via repr round trip."""
-    with open(path, "w") as f:
-        f.write("# timestamp_s,gx,gy,gz,ax,ay,az\n")
-        for s in samples:
-            vals = [s.timestamp, *s.gyro, *s.accel]
-            f.write(",".join(repr(float(v)) for v in vals) + "\n")
-
-
-def read_imu_csv(path) -> list:
-    samples = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            vals = [float(x) for x in line.split(",")]
-            if len(vals) != 7:
-                raise ValueError(f"malformed IMU CSV line: {line!r}")
-            samples.append(ImuSample(vals[0], np.array(vals[1:4]), np.array(vals[4:7])))
-    return samples

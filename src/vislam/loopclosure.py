@@ -26,6 +26,7 @@ from .residuals import (
 )
 from .solver import (
     GraphProblem,
+    KeyframeIndex,
     Layout,
     NormalEquations,
     SolveOptions,
@@ -132,7 +133,7 @@ class PoseGraphNode:
 
 
 @dataclass
-class PoseGraph:
+class PoseGraph(KeyframeIndex):
     """Sim(3) keyframe states, the sequential chain, and the loop edge set."""
 
     nodes: list
@@ -144,17 +145,10 @@ class PoseGraph:
 
     def __post_init__(self):
         self.nodes = sorted(self.nodes, key=lambda n: n.kid)
-        kids = [n.kid for n in self.nodes]
-        if len(set(kids)) != len(kids):
-            raise ValueError("duplicate pose graph node ids")
-        self._index = {kid: n for n, kid in enumerate(kids)}
-        consecutive = {(kids[n], kids[n + 1]) for n in range(len(kids) - 1)}
-        covered = {(e.i, e.j) for e in self.chain}
-        if self.chain and covered != consecutive:
-            raise ValueError("chain must cover exactly the consecutive keyframe pairs")
+        self._index_keyframes([n.kid for n in self.nodes],
+                              {(e.i, e.j) for e in self.chain},
+                              [(loop.i, loop.j) for loop in self.loops])
         for loop in self.loops:
-            if loop.i not in self._index or loop.j not in self._index:
-                raise ValueError(f"loop edge ({loop.i},{loop.j}) references unknown keyframe")
             if loop.j - loop.i < self.min_loop_gap:
                 raise ValueError(f"loop edge ({loop.i},{loop.j}) violates the keyframe gap gate")
             if loop.vision is not None:
@@ -168,9 +162,6 @@ class PoseGraph:
 
     def node(self, kid: int) -> PoseGraphNode:
         return self.nodes[self._index[kid]]
-
-    def index_of(self, kid: int) -> int:
-        return self._index[kid]
 
 
 @dataclass
@@ -444,7 +435,7 @@ class LoopWorker:
         self.pending = True
 
     def ingest_eviction(self, kid: int, pose: Pose,
-                        chain_edge: RelativePoseEdge | None) -> None:
+                        chain_edge: RelativePoseEdge) -> None:
         """Record a keyframe leaving the window with its exported chain edge.
 
         The tracker's pose is correction-current (corrections fold scale into
@@ -452,8 +443,7 @@ class LoopWorker:
         """
         self.states[kid] = SimTransform.from_pose(pose)
         self.poses[kid] = pose
-        if chain_edge is not None:
-            self.chain.append(chain_edge)
+        self.chain.append(chain_edge)
 
     def solve(self, window_nodes, window_chain,
               opts: SolveOptions | None = None):

@@ -60,8 +60,31 @@ class Keyframe:
             raise ValueError("disparities must be positive")
 
 
+class KeyframeIndex:
+    """Keyframe id to position for a graph whose chain edges join consecutive ids.
+
+    The window graph chains its keyframes with inertial edges, the pose graph
+    with relative-pose edges; an empty chain (a vision-only window) is allowed.
+    """
+
+    def _index_keyframes(self, kids: list, chain_pairs: set,
+                         edge_pairs: list) -> None:
+        self._index = {kid: n for n, kid in enumerate(kids)}
+        if len(self._index) != len(kids):
+            raise ValueError("duplicate keyframe ids")
+        for i, j in edge_pairs:
+            if i not in self._index or j not in self._index:
+                raise ValueError(f"edge ({i},{j}) references unknown keyframe")
+        if chain_pairs and chain_pairs != set(zip(kids, kids[1:])):
+            raise ValueError("chain edges must cover exactly the consecutive "
+                             "keyframe pairs")
+
+    def index_of(self, kid: int) -> int:
+        return self._index[kid]
+
+
 @dataclass
-class FrameGraph:
+class FrameGraph(KeyframeIndex):
     keyframes: list            # ordered Keyframe list
     vision_edges: list         # VisionEdge, endpoints are keyframe ids
     inertial_edges: list       # (i, j, PreintegratedDelta) for consecutive pairs
@@ -70,17 +93,9 @@ class FrameGraph:
     T_cb: Pose | None = None
 
     def __post_init__(self):
-        ids = [kf.kid for kf in self.keyframes]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate keyframe ids")
-        self._index = {kid: n for n, kid in enumerate(ids)}
-        for e in self.vision_edges:
-            if e.i not in self._index or e.j not in self._index:
-                raise ValueError(f"vision edge ({e.i},{e.j}) references unknown keyframe")
-        consecutive = {(ids[n], ids[n + 1]) for n in range(len(ids) - 1)}
-        covered = {(i, j) for i, j, _ in self.inertial_edges}
-        if self.inertial_edges and covered != consecutive:
-            raise ValueError("inertial edges must cover exactly the consecutive pairs")
+        self._index_keyframes([kf.kid for kf in self.keyframes],
+                              {(i, j) for i, j, _ in self.inertial_edges},
+                              [(e.i, e.j) for e in self.vision_edges])
 
     def kf(self, kid: int) -> Keyframe:
         return self.keyframes[self._index[kid]]
@@ -89,9 +104,6 @@ class FrameGraph:
         """The same keyframes and vision edges with the inertial terms left out."""
         return FrameGraph(self.keyframes, self.vision_edges, [], self.gravity,
                           self.intrinsics, self.T_cb)
-
-    def index_of(self, kid: int) -> int:
-        return self._index[kid]
 
 
 @dataclass

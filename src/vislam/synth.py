@@ -12,15 +12,13 @@ points with optional Gaussian pixel noise and uniformly redrawn outliers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .evaluation import Trajectory, write_tum
 from .geometry import Pose, Rotation
-from .imu import BiasState, ImuNoiseModel, ImuSample, read_imu_csv, write_imu_csv
+from .imu import BiasState, ImuNoiseModel, ImuSample
 from .residuals import GravityModel, Intrinsics, PoseState, VisionEdge
 
 TRAJECTORY_FAMILIES = ("circle", "figure8", "spline")
@@ -55,11 +53,6 @@ class TrajectoryModel:
             raise ValueError("amplitude must be non-negative")
         if self.yaw_policy == "tangent" and self.amplitude == 0.0:
             raise ValueError("tangent heading is undefined for a static trajectory")
-
-    def to_dict(self) -> dict:
-        return {"family": self.family, "amplitude": self.amplitude,
-                "period": self.period, "duration": self.duration,
-                "yaw_policy": self.yaw_policy}
 
 
 def builtin_models() -> dict:
@@ -324,9 +317,6 @@ class SceneModel:
         phase = points @ self._freqs.T + self._phases[None, :]
         return 0.5 + 0.45 * np.sin(phase)
 
-    def to_dict(self) -> dict:
-        return {"half_extent": self.half_extent, "color_seed": self.color_seed}
-
 
 def default_intrinsics() -> Intrinsics:
     return Intrinsics(fx=300.0, fy=300.0, cx=319.5, cy=239.5, width=640, height=480)
@@ -403,82 +393,6 @@ class SyntheticDataset:
                 depth.reshape(h, w).astype(np.float32),
             )
         return self._raster_cache[key]
-
-    def groundtruth_trajectory(self) -> Trajectory:
-        return Trajectory(self.traj.frame_times.copy(),
-                          [p.copy() for p in self.traj.frame_poses])
-
-    def save(self, out_dir) -> None:
-        """meta.json (model, scene, noise, rates), imu.csv, groundtruth.txt."""
-        from pathlib import Path
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        meta = {
-            "format_version": 1,
-            "model": self.model.to_dict(),
-            "scene": self.scene.to_dict(),
-            "intrinsics": {"fx": self.intrinsics.fx, "fy": self.intrinsics.fy,
-                           "cx": self.intrinsics.cx, "cy": self.intrinsics.cy,
-                           "width": self.intrinsics.width,
-                           "height": self.intrinsics.height},
-            "gravity": {"quaternion_wxyz": [float(v) for v in self.gravity.R_wg.q],
-                        "magnitude": self.gravity.magnitude},
-            "bias": {"gyro": [float(v) for v in self.bias.gyro_bias],
-                     "accel": [float(v) for v in self.bias.accel_bias]},
-            "imu_noise": None if self.imu_noise is None else {
-                "gyro_noise_density": self.imu_noise.gyro_noise_density,
-                "accel_noise_density": self.imu_noise.accel_noise_density,
-                "gyro_bias_random_walk": self.imu_noise.gyro_bias_random_walk,
-                "accel_bias_random_walk": self.imu_noise.accel_bias_random_walk,
-                "gravity_magnitude": self.imu_noise.gravity_magnitude,
-            },
-            "sigma_px": self.sigma_px,
-            "outlier_rate": self.outlier_rate,
-            "seed": self.seed,
-            "frame_rate": self.frame_rate,
-            "imu_rate": self.imu_rate,
-        }
-        with open(out / "meta.json", "w") as f:
-            json.dump(meta, f, indent=2)
-        write_imu_csv(out / "imu.csv", self.imu)
-        write_tum(out / "groundtruth.txt", self.groundtruth_trajectory(),
-                  comment="ground truth, one line per frame")
-
-    @staticmethod
-    def load(in_dir) -> "SyntheticDataset":
-        """Rebuild a dataset from its saved directory.
-
-        The trajectory and scene regenerate deterministically from meta.json;
-        the IMU stream is read back verbatim so a recorded run replays the
-        same noise realization that was saved.
-        """
-        from pathlib import Path
-        src = Path(in_dir)
-        with open(src / "meta.json") as f:
-            meta = json.load(f)
-        if meta.get("format_version") != 1:
-            raise ValueError("unsupported dataset format version")
-        model = TrajectoryModel(**meta["model"])
-        scene = SceneModel(**meta["scene"])
-        k = meta["intrinsics"]
-        intrinsics = Intrinsics(k["fx"], k["fy"], k["cx"], k["cy"],
-                                k["width"], k["height"])
-        gravity = GravityModel(Rotation(np.array(meta["gravity"]["quaternion_wxyz"])),
-                               meta["gravity"]["magnitude"])
-        bias = BiasState(np.array(meta["bias"]["gyro"]),
-                         np.array(meta["bias"]["accel"]))
-        imu_noise = None
-        if meta["imu_noise"] is not None:
-            imu_noise = ImuNoiseModel(**meta["imu_noise"])
-        ds = make_dataset(model, scene=scene, intrinsics=intrinsics,
-                          gravity=gravity, bias=bias, imu_noise=imu_noise,
-                          sigma_px=meta["sigma_px"],
-                          outlier_rate=meta["outlier_rate"], seed=meta["seed"],
-                          frame_rate=meta["frame_rate"], imu_rate=meta["imu_rate"])
-        ds.imu = read_imu_csv(src / "imu.csv")
-        if len(ds.imu) != len(ds.traj.imu_times):
-            raise ValueError("IMU stream length does not match the trajectory grid")
-        return ds
 
 
 def make_dataset(model: TrajectoryModel, scene: SceneModel | None = None,

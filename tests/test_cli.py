@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from vislam.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main, parse_config_text
+from vislam.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, build_config,
+                        default_config, execute, main, materialize,
+                        merge_config, parse_config_text)
 from vislam.evaluation import read_tum
 from vislam.gsmap import read_vgsm
 
@@ -87,10 +89,65 @@ def test_same_seed_gives_byte_identical_outputs(short_run):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
-def test_deleted_config_key_is_a_config_error(tmp_path, capsys):
-    code, out = _run(tmp_path, "bad", SHORT_RUN + "map.lambda_c = 0.8\n")
+def _evaluate(run_out, out, align):
+    return main(["evaluate", str(run_out / "trajectory_est.txt"),
+                 str(run_out / "trajectory_gt.txt"), "--align", align,
+                 "--out", str(out)])
+
+
+def test_evaluate_scores_the_run_outputs_as_the_run_did(short_run):
+    tmp, _, out = short_run
+    run_metrics = json.loads((out / "metrics.json").read_text())
+    scored = {}
+    for align in ("se3", "sim3"):
+        assert _evaluate(out, tmp / f"eval_{align}", align) == EXIT_OK
+        scored[align] = json.loads(
+            (tmp / f"eval_{align}" / "metrics.json").read_text())
+    assert scored["se3"]["ate_rmse_cm"] == run_metrics["ate_rmse_cm"]
+    assert scored["se3"]["recall"] == run_metrics["recall"]
+    # a free scale can only lower the aligned error
+    assert scored["sim3"]["ate_rmse_cm"] <= scored["se3"]["ate_rmse_cm"]
+
+
+def test_evaluate_missing_input_is_a_config_error(tmp_path, capsys):
+    code = main(["evaluate", str(tmp_path / "missing.txt"),
+                 str(tmp_path / "gt.txt"), "--out", str(tmp_path / "ev")])
     assert code == EXIT_CONFIG
-    assert "map.lambda_c" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert '"error": "config"' in err and "missing.txt" in err
+    assert not (tmp_path / "ev").exists()
+
+
+class _ReadRecorder(dict):
+    """A config that remembers which keys the pipeline looked up."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_every_config_key_is_read():
+    cfg = merge_config(build_config("figure8"), parse_config_text(SHORT_RUN))
+    cfg["run.seed"] = 3
+    cfg = _ReadRecorder(cfg)
+    execute(materialize(cfg))
+    assert sorted(set(default_config()) - cfg.read) == []
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param("map.lambda_c", "0.8", id="map.lambda_c"),
+    pytest.param("dataset.mode", "recorded", id="dataset.mode"),
+    pytest.param("dataset.dir", "out/dataset", id="dataset.dir"),
+    pytest.param("run.save_dataset", "true", id="run.save_dataset"),
+])
+def test_deleted_config_key_is_a_config_error(tmp_path, capsys, key, value):
+    code, out = _run(tmp_path, "bad", SHORT_RUN + f"{key} = {value}\n")
+    assert code == EXIT_CONFIG
+    assert key in capsys.readouterr().err
     assert not out.exists()
 
 

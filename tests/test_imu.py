@@ -11,8 +11,6 @@ from vislam.imu import (
     compose_deltas,
     correct_for_bias,
     preintegrate,
-    read_imu_csv,
-    write_imu_csv,
 )
 
 from oracles import integrate_imu_fine, random_periodic_signal
@@ -186,16 +184,3 @@ def test_bias_correction_second_order():
 def test_noise_model_rejects_non_positive_density():
     with pytest.raises(ValueError):
         ImuNoiseModel(gyro_noise_density=0.0)
-
-
-def test_imu_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(8)
-    samples = [ImuSample(0.005 * k, rng.normal(size=3), rng.normal(size=3)) for k in range(50)]
-    path = tmp_path / "imu.csv"
-    write_imu_csv(path, samples)
-    back = read_imu_csv(path)
-    assert len(back) == len(samples)
-    for a, b in zip(samples, back):
-        assert a.timestamp == b.timestamp
-        assert np.array_equal(a.gyro, b.gyro)
-        assert np.array_equal(a.accel, b.accel)

@@ -240,26 +240,6 @@ class TestDataset:
         assert np.max(np.abs(dir_scaled - dir_full)) < 1e-12
         assert abs(float(depth[v, u]) - float(ds.depth_at(0, full_px)[0])) < 1e-5
 
-    def test_save_load_round_trip(self, tmp_path):
-        model = builtin_models()["circle"]
-        ds = make_dataset(model, imu_noise=ImuNoiseModel(), seed=9,
-                          sigma_px=0.7, outlier_rate=0.05)
-        ds.save(tmp_path / "run")
-        back = SyntheticDataset.load(tmp_path / "run")
-        assert back.model == model
-        assert back.seed == 9 and back.sigma_px == 0.7
-        assert len(back.imu) == len(ds.imu)
-        for a, b in zip(ds.imu, back.imu):
-            assert a.timestamp == b.timestamp
-            assert np.array_equal(a.gyro, b.gyro)
-            assert np.array_equal(a.accel, b.accel)
-        for pa, pb in zip(ds.traj.frame_poses, back.traj.frame_poses):
-            assert np.array_equal(pa.translation, pb.translation)
-            assert np.array_equal(pa.rotation.q, pb.rotation.q)
-        ea = synthesize_correspondences(ds, 0, 5)
-        eb = synthesize_correspondences(back, 0, 5)
-        assert np.array_equal(ea.targets, eb.targets)
-
 
 def _two_opposed_cameras_dataset():
     """Hand-built dataset with two cameras facing away from each other."""
