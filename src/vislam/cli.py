@@ -19,14 +19,14 @@ import numpy as np
 
 from .evaluation import Trajectory, ate_rmse, read_tum, recall_at, umeyama, write_tum
 from .frontend import (PHASE_FULL, KeyframePolicy, apply_correction,
-                       estimated_trajectory, flow_magnitude, make_tracker,
-                       process_frame, window_snapshot)
+                       estimated_trajectory, make_tracker, process_frame,
+                       window_snapshot)
 from .gsmap import (GaussianMap, apply_loop_correction, spawn_from_keyframe,
                     write_vgsm)
 from .imu import ImuNoiseModel
 from .initialization import InitConfig
 from .loopclosure import KeyframeSummary, LoopPolicy, LoopWorker
-from .solver import SolveOptions, total_energy
+from .solver import total_energy
 from .synth import (SceneModel, SyntheticDataset, SyntheticProvider,
                     TrajectoryModel, make_dataset)
 
@@ -235,12 +235,13 @@ def materialize(cfg: dict) -> RunPlan:
         loop_policy = LoopPolicy(
             min_gap=cfg["loop.min_gap"],
             flow_gate=cfg["loop.flow_gate"],
-            ang_gate_deg=cfg["loop.ang_gate_deg"])
+            ang_gate_deg=cfg["loop.ang_gate_deg"],
+            align_iterations=cfg["loop.align_iterations"],
+            solve_iterations=cfg["loop.solve_iterations"],
+            solve_every=cfg["loop.solve_every"])
 
         for key in ("provider.stride", "provider.raster_scale", "map.stride",
-                    "run.frame_stride", "tracker.solve_iterations",
-                    "loop.align_iterations", "loop.solve_iterations",
-                    "loop.solve_every"):
+                    "run.frame_stride", "tracker.solve_iterations"):
             if cfg[key] < 1:
                 raise ConfigError(f"config key {key!r} must be >= 1")
         align = cfg["run.align"]
@@ -314,23 +315,6 @@ def _init_diagnostics(tracker, dataset) -> dict | None:
     }
 
 
-def _loop_flows(provider, tracker, worker, new_kid: int, new_frame: int,
-                loop_policy: LoopPolicy) -> dict:
-    """Coarse-pixel flow toward every gap-eligible older keyframe."""
-    flows = {}
-    for s in worker.summaries:
-        if new_kid - s.kid < loop_policy.min_gap:
-            continue
-        try:
-            edge = provider.edge(s.frame_index, new_frame)
-        except ValueError:
-            continue
-        f = flow_magnitude(edge, tracker.policy.flow_scale)
-        if math.isfinite(f):
-            flows[s.kid] = f
-    return flows
-
-
 def _spawn_keyframe_gaussians(gmap: GaussianMap, provider, frame_index: int,
                               pose, anchor: int, stride: int) -> int:
     color, depth = provider.keyframe_image(frame_index)
@@ -359,10 +343,11 @@ def execute(plan: RunPlan) -> RunArtifacts:
 
     The workers run synchronously in a fixed order per frame: tracking,
     eviction export plus Gaussian spawning, loop summary ingestion, then at
-    most one pose-graph solve whose correction is folded into the tracker
-    and the map before the next frame. Shutdown drains any pending
-    correction before the remaining window keyframes are flushed into the
-    map, so every output reflects the last solve.
+    most one pose-graph solve, when the loop worker says one is due, whose
+    correction is folded into the tracker and the map before the next frame.
+    Shutdown drains any pending correction before the remaining window
+    keyframes are flushed into the map, so every output reflects the last
+    solve.
     """
     ds = plan.dataset
     provider = plan.provider
@@ -371,10 +356,8 @@ def execute(plan: RunPlan) -> RunArtifacts:
                            imu_period=1.0 / ds.imu_rate)
     tracker.solve_iterations = cfg["tracker.solve_iterations"]
     worker = LoopWorker(provider.intrinsics(), provider.edge,
-                        plan.loop_policy,
-                        align_iterations=cfg["loop.align_iterations"])
+                        plan.loop_policy, plan.policy.flow_scale)
     gmap = GaussianMap()
-    solve_opts = SolveOptions(max_iterations=cfg["loop.solve_iterations"])
     map_stride = cfg["map.stride"]
 
     tracking_trace = []
@@ -382,16 +365,9 @@ def execute(plan: RunPlan) -> RunArtifacts:
     init_diag = None
     archive_cursor = 0
     prev_time = None
-    admitted_since_solve = 0
 
     def run_pose_graph_solve():
-        nonlocal admitted_since_solve
-        nodes, chain = window_snapshot(tracker)
-        solved = worker.solve(nodes, chain, solve_opts)
-        admitted_since_solve = 0
-        if solved is None:
-            return
-        report, correction = solved
+        report, correction = worker.solve(*window_snapshot(tracker))
         apply_correction(tracker, correction)
         apply_loop_correction(gmap, correction)
         pgba_trace.append({"initial": report.initial_cost,
@@ -415,19 +391,14 @@ def execute(plan: RunPlan) -> RunArtifacts:
 
         if keyframed:
             kf = tracker.graph.keyframes[-1]
-            flows = _loop_flows(provider, tracker, worker, kf.kid, f,
-                                plan.loop_policy)
-            admitted = worker.ingest_summary(KeyframeSummary(
+            worker.ingest_summary(KeyframeSummary(
                 kid=kf.kid, frame_index=f, pose=kf.state.pose.copy(),
-                flows=flows, pixels=kf.pixels,
-                disparities=kf.disparities.copy(),
+                pixels=kf.pixels, disparities=kf.disparities.copy(),
                 timestamp=kf.state.timestamp))
-            if admitted is not None:
-                admitted_since_solve += 1
 
         # solve in batches so the pose graph is not re-optimized for every
         # single admitted loop while the trajectory barely moved
-        if worker.pending and admitted_since_solve >= cfg["loop.solve_every"]:
+        if worker.due():
             run_pose_graph_solve()
 
         # before initialization the inertial terms are scored against an

@@ -66,6 +66,8 @@ def read_tum(path) -> Trajectory:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric field") from exc
             t, tx, ty, tz, qx, qy, qz, qw = vals
+            if not np.all(np.isfinite(vals[:4])):
+                raise ValueError(f"{path}:{lineno}: non-finite timestamp or translation")
             norm = np.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
             if not np.isfinite(norm) or abs(norm - 1.0) > 1e-3:
                 raise ValueError(f"{path}:{lineno}: quaternion not unit")

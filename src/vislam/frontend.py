@@ -343,14 +343,9 @@ def _tracking_solve(tracker: TrackerState) -> SolveReport | None:
     graph = tracker.graph
     if len(graph.keyframes) < 2 or not graph.vision_edges:
         return None
-    frozen = (graph.keyframes[0].kid,)
+    opts = SolveOptions(max_iterations=tracker.solve_iterations)
     if tracker.phase == PHASE_FULL:
-        opts = SolveOptions(max_iterations=tracker.solve_iterations,
-                            frozen_keyframes=frozen)
         return solve_vi_ba(graph, opts)
-    opts = SolveOptions(max_iterations=tracker.solve_iterations,
-                        frozen_keyframes=frozen,
-                        optimize_velocity_bias=False)
     return solve_vi_ba(graph.vision_only(), opts)
 
 
@@ -411,14 +406,6 @@ def window_snapshot(tracker: TrackerState):
     return nodes, chain
 
 
-def _entry_unchanged(entry) -> bool:
-    return (entry.scale_change == 1.0
-            and np.array_equal(entry.old_pose.rotation.q,
-                               entry.new_pose.rotation.q)
-            and np.array_equal(entry.old_pose.translation,
-                               entry.new_pose.translation))
-
-
 def apply_correction(tracker: TrackerState, correction) -> int:
     """Fold a pose-graph correction into the window and the archive.
 
@@ -432,7 +419,7 @@ def apply_correction(tracker: TrackerState, correction) -> int:
     applied = 0
     for kf in tracker.graph.keyframes:
         entry = correction.entries.get(kf.kid)
-        if entry is None or _entry_unchanged(entry):
+        if entry is None or not entry.moved():
             continue
         delta = entry.delta()
         state = kf.state
@@ -443,7 +430,7 @@ def apply_correction(tracker: TrackerState, correction) -> int:
         applied += 1
     for row in tracker.archive:
         entry = correction.entries.get(row.kid)
-        if entry is None or _entry_unchanged(entry):
+        if entry is None or not entry.moved():
             continue
         row.pose = (entry.delta() * SimTransform.from_pose(row.pose)).pose()
         applied += 1

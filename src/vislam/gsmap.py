@@ -10,6 +10,7 @@ are never refined by gradient descent here.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -149,10 +150,9 @@ def apply_loop_correction(gmap: GaussianMap, correction) -> GaussianMap:
         ds = float(entry.scale_change)
         if ds <= 0.0:
             raise ValueError("loop correction scale change must be positive")
-        old, new = entry.old_pose, entry.new_pose
-        if ds == 1.0 and np.array_equal(old.rotation.q, new.rotation.q) \
-                and np.array_equal(old.translation, new.translation):
+        if not entry.moved():
             continue
+        old, new = entry.old_pose, entry.new_pose
         R_minus = old.rotation.matrix()
         R_plus = new.rotation.matrix()
         rot_delta = new.rotation * old.rotation.inverse()
@@ -324,9 +324,12 @@ def read_vgsm(path) -> GaussianMap:
         version, count = struct.unpack("<IQ", f.read(12))
         if version != _VERSION:
             raise ValueError(f"unsupported map file version {version}")
-        buf = f.read(count * _RECORD.itemsize)
-    if len(buf) != count * _RECORD.itemsize:
-        raise ValueError("truncated Gaussian map file")
+        size = count * _RECORD.itemsize
+        # check against the file before reading, so a corrupt count cannot
+        # ask for more memory than the file holds
+        if os.fstat(f.fileno()).st_size - f.tell() < size:
+            raise ValueError("truncated Gaussian map file")
+        buf = f.read(size)
     records = np.frombuffer(buf, dtype=_RECORD)
     gmap = GaussianMap()
     gmap.insert([Gaussian(mean=r["mean"].astype(float),

@@ -72,9 +72,7 @@ def init_vision(graph: FrameGraph, cfg: InitConfig | None = None) -> SolveReport
     if not graph.keyframes:
         raise ValueError("cannot initialize an empty window")
     opts = SolveOptions(max_iterations=cfg.max_iterations_vision,
-                        damping=cfg.damping,
-                        frozen_keyframes=(graph.keyframes[0].kid,),
-                        optimize_velocity_bias=False)
+                        damping=cfg.damping)
     return solve_vi_ba(graph.vision_only(), opts)
 
 
@@ -233,9 +231,7 @@ def init_joint(graph: FrameGraph, cfg: InitConfig | None = None) -> SolveReport:
     if not graph.keyframes:
         raise ValueError("cannot initialize an empty window")
     opts = SolveOptions(max_iterations=cfg.max_iterations_joint,
-                        damping=cfg.damping,
-                        frozen_keyframes=(graph.keyframes[0].kid,),
-                        optimize_gravity=True)
+                        damping=cfg.damping, optimize_gravity=True)
     return solve_vi_ba(graph, opts)
 
 

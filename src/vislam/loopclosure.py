@@ -1,10 +1,10 @@
 """Loop detection and similarity pose-graph refinement.
 
-Loop candidates are keyframe pairs gated on keyframe-count gap, provider flow,
-and relative orientation. The pose graph keeps one Sim(3) state per keyframe,
-the sequential relative-pose chain exported by the tracking frontend, and loop
-edges that carry dense pixel correspondences plus a derived relative-pose
-constraint. solve_pgba refines all states (and loop-source disparities) by
+Loop candidates are keyframe pairs gated on keyframe-count gap, relative
+orientation and provider flow. The pose graph keeps one Sim(3) state per
+keyframe, the sequential relative-pose chain exported by the tracking
+frontend, and loop edges that carry dense pixel correspondences plus a derived
+relative-pose constraint. solve_pgba refines all states (and loop-source disparities) by
 damped Gauss-Newton with the earliest keyframe frozen as gauge, then reports
 per-keyframe pose and scale changes for trajectory and map updates.
 """
@@ -12,10 +12,11 @@ per-keyframe pose and scale changes for trajectory and map updates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .frontend import flow_magnitude
 from .geometry import Pose, Rotation, SimTransform
 from .residuals import (
     Intrinsics,
@@ -39,48 +40,55 @@ SIM3_DOF = 7
 
 @dataclass
 class LoopPolicy:
-    """Gates a (new keyframe, old keyframe) pair must pass to become a loop."""
+    """Every loop-closure setting: the candidate gates and the solve cadence.
+
+    A (new keyframe, old keyframe) pair becomes a candidate when it passes
+    the three gates. Each admitted pair is aligned for align_iterations, and
+    the pose graph is solved for solve_iterations once solve_every admitted
+    loops are waiting.
+    """
 
     min_gap: int = 55            # keyframes apart, at least
     flow_gate: float = 22.0      # coarse pixels, strictly below
     ang_gate_deg: float = 120.0  # relative orientation angle, strictly below
+    align_iterations: int = 15   # two-view alignment, per admitted loop
+    solve_iterations: int = 12   # pose-graph solve
+    solve_every: int = 4         # admitted loops per pose-graph solve
 
     def __post_init__(self):
-        if self.min_gap <= 0:
-            raise ValueError("min_gap must be positive")
         if self.flow_gate <= 0 or self.ang_gate_deg <= 0:
             raise ValueError("flow and orientation gates must be positive")
+        for name in ("min_gap", "align_iterations", "solve_iterations",
+                     "solve_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
 class KeyframeSummary:
     """Per-keyframe message from the tracker to the loop worker.
 
-    flows maps earlier keyframe ids to the provider's mean flow magnitude in
-    coarse pixels. The pixel/disparity snapshot lets the keyframe source loop
-    vision edges after it has left the tracking window.
+    The pixel/disparity snapshot lets the keyframe source loop vision edges
+    after it has left the tracking window.
     """
 
     kid: int
     frame_index: int
     pose: Pose
-    flows: dict = field(default_factory=dict)
     pixels: np.ndarray | None = None
     disparities: np.ndarray | None = None
     timestamp: float = 0.0
 
-    @property
-    def rotation(self) -> Rotation:
-        return self.pose.rotation
 
-
-def detect_loops(new_kf: KeyframeSummary, history,
+def detect_loops(new_kf: KeyframeSummary, history, flow,
                  policy: LoopPolicy | None = None) -> list:
     """Candidate loop pairs (old kid, new kid), ordered by ascending flow.
 
-    A pair qualifies only when the keyframes are at least min_gap apart, the
-    flow between them falls below flow_gate, and the relative orientation
-    angle is below ang_gate_deg. A missing flow entry counts as infinite.
+    The gates run cheapest first: the keyframes are at least min_gap apart,
+    their relative orientation angle is below ang_gate_deg, and flow(old),
+    the provider's mean flow magnitude between old and new_kf in coarse
+    pixels (infinite when there is none), is below flow_gate. flow is asked
+    only for pairs that pass the first two gates.
     """
     if policy is None:
         policy = LoopPolicy()
@@ -88,13 +96,13 @@ def detect_loops(new_kf: KeyframeSummary, history,
     for old in history:
         if new_kf.kid - old.kid < policy.min_gap:
             continue
-        flow = new_kf.flows.get(old.kid, math.inf)
-        if not flow < policy.flow_gate:
-            continue
-        rel = old.rotation.inverse() * new_kf.rotation
+        rel = old.pose.rotation.inverse() * new_kf.pose.rotation
         if not math.degrees(np.linalg.norm(rel.log())) < policy.ang_gate_deg:
             continue
-        passing.append((flow, old.kid))
+        f = flow(old)
+        if not f < policy.flow_gate:
+            continue
+        passing.append((f, old.kid))
     passing.sort()
     return [(i, new_kf.kid) for _, i in passing]
 
@@ -140,7 +148,6 @@ class PoseGraph(KeyframeIndex):
     chain: list                      # RelativePoseEdge over consecutive kids
     loops: list                      # LoopEdge
     intrinsics: Intrinsics | None = None
-    T_cb: Pose | None = None
     min_loop_gap: int = 55
 
     def __post_init__(self):
@@ -178,6 +185,14 @@ class CorrectionEntry:
         if not self.scale_change > 0.0:
             raise ValueError("scale change must be positive")
 
+    def moved(self) -> bool:
+        """False when pose and scale came out of the solve bit-identical."""
+        return not (self.scale_change == 1.0
+                    and np.array_equal(self.old_pose.rotation.q,
+                                       self.new_pose.rotation.q)
+                    and np.array_equal(self.old_pose.translation,
+                                       self.new_pose.translation))
+
     def delta(self) -> SimTransform:
         """World-frame warp that maps the old pose onto the new one."""
         new = SimTransform(Rotation(self.new_pose.rotation.q.copy()),
@@ -207,14 +222,14 @@ def _floored_information(H: np.ndarray, lo: float = 1e-3,
 class _PairAlignment:
     """Two-view problem for lm_solve: S_j alone, S_i and disparities fixed."""
 
-    def __init__(self, edge, d_i, S_i, S_j, k, T_cb):
-        self.edge, self.d_i, self.S_i, self.k, self.T_cb = edge, d_i, S_i, k, T_cb
+    def __init__(self, edge, d_i, S_i, S_j, k):
+        self.edge, self.d_i, self.S_i, self.k = edge, d_i, S_i, k
         self.S = S_j.copy()
         self.out = None
 
     def evaluate(self) -> float:
         self.out = sim3_vision_residual(self.edge, self.S_i, self.S, self.d_i,
-                                        self.k, self.T_cb)
+                                        self.k)
         return float((self.out.residual ** 2).sum())
 
     def linearize(self) -> None:
@@ -242,7 +257,7 @@ class _PairAlignment:
 
 
 def align_loop_pair(edge: VisionEdge, d_i: np.ndarray, S_i: SimTransform,
-                    S_j: SimTransform, k: Intrinsics, T_cb: Pose | None = None,
+                    S_j: SimTransform, k: Intrinsics,
                     iterations: int = 15) -> RelativePoseEdge:
     """Two-view similarity alignment of a loop pair from its correspondences.
 
@@ -252,7 +267,7 @@ def align_loop_pair(edge: VisionEdge, d_i: np.ndarray, S_i: SimTransform,
     the optimum, transported to the relative-residual tangent and eigenvalue
     clamped so whitening stays well posed.
     """
-    problem = _PairAlignment(edge, d_i, S_i, S_j, k, T_cb)
+    problem = _PairAlignment(edge, d_i, S_i, S_j, k)
     lm_solve(problem, SolveOptions(max_iterations=iterations, damping=1e-6,
                                    step_tol=1e-12))
     problem.linearize()
@@ -288,7 +303,7 @@ class _PoseGraphProblem(GraphProblem):
             if loop.vision is not None:
                 out = sim3_vision_residual(loop.vision, S_i, S_j,
                                            g.node(loop.i).disparities,
-                                           g.intrinsics, g.T_cb)
+                                           g.intrinsics)
                 e += float((out.residual ** 2).sum())
             else:
                 out = relative_pose_residual(loop.relative, S_i, S_j)
@@ -362,55 +377,61 @@ def _correction(graph: PoseGraph, before: dict) -> LoopCorrection:
 
 
 class LoopWorker:
-    """Owns the persistent pose graph side of loop closure.
+    """Owns loop closure: candidacy, alignment, solve cadence, pose graph.
 
-    The tracker sends a keyframe summary at every insertion and a relative
-    chain edge at every eviction; the worker detects loops against its
-    history, aligns admitted pairs, and on request solves the pose graph over
-    the archived chain plus the provisional window, returning the correction
-    message for the tracker and map. One loop (the lowest-flow candidate) is
-    admitted per keyframe.
+    The tracker sends a keyframe summary at every insertion and a chain edge
+    at every eviction. Each new keyframe is gated against the stored
+    summaries by detect_loops, with a pair's flow taken from edge_source (a
+    provider error reads as infinite), and the lowest-flow candidate is
+    aligned and admitted. due() turns true once policy.solve_every loops
+    wait; solve() then returns the correction for the tracker and map.
     """
 
     def __init__(self, intrinsics: Intrinsics, edge_source,
-                 policy: LoopPolicy | None = None, T_cb: Pose | None = None,
-                 align_iterations: int = 15):
+                 policy: LoopPolicy | None = None, flow_scale: float = 8.0):
         self.intrinsics = intrinsics
         self.edge_source = edge_source            # (frame_i, frame_j) -> VisionEdge
         self.policy = policy or LoopPolicy()
-        self.T_cb = T_cb
-        self.align_iterations = align_iterations
-        self.summaries = []
+        self.flow_scale = flow_scale
+        self.summaries = {}         # kid -> KeyframeSummary, solved disparities
         self.poses = {}             # kid -> Pose, newest estimate seen
         self.states = {}            # kid -> SimTransform, archived nodes only
-        self.snapshots = {}         # kid -> (pixels, disparities)
-        self.frame_of = {}
-        self.timestamps = {}
         self.chain = []             # exported sequential edges, archived prefix
         self.loops = []
-        self.pending = False        # a loop was admitted since the last solve
+        self.waiting = 0            # loops admitted since the last solve
 
     @property
     def loops_closed(self) -> int:
         return len(self.loops)
 
+    @property
+    def pending(self) -> bool:
+        return self.waiting > 0
+
+    def due(self) -> bool:
+        """Enough loops wait that the pose graph should be solved now."""
+        return self.waiting >= self.policy.solve_every
+
     def _state_of(self, kid: int) -> SimTransform:
         s = self.states.get(kid)
         return s if s is not None else SimTransform.from_pose(self.poses[kid])
 
+    def _flow(self, old: KeyframeSummary, new: KeyframeSummary) -> float:
+        try:
+            edge = self.edge_source(old.frame_index, new.frame_index)
+        except ValueError:
+            return math.inf
+        return flow_magnitude(edge, self.flow_scale)
+
     def ingest_summary(self, summary: KeyframeSummary):
         """Register a new keyframe; returns the admitted loop pair, if any."""
-        if summary.kid in self.poses:
+        if summary.kid in self.summaries:
             raise ValueError(f"keyframe {summary.kid} was already summarized")
-        candidates = detect_loops(summary, self.summaries, self.policy)
-        self.summaries.append(summary)
+        candidates = detect_loops(summary, self.summaries.values(),
+                                  lambda old: self._flow(old, summary),
+                                  self.policy)
+        self.summaries[summary.kid] = summary
         self.poses[summary.kid] = summary.pose
-        self.frame_of[summary.kid] = summary.frame_index
-        self.timestamps[summary.kid] = summary.timestamp
-        if summary.pixels is not None and summary.disparities is not None:
-            self.snapshots[summary.kid] = (
-                np.asarray(summary.pixels, dtype=float),
-                np.asarray(summary.disparities, dtype=float))
         if not candidates:
             return None
         pair = candidates[0]
@@ -419,20 +440,16 @@ class LoopWorker:
 
     def _admit(self, pair):
         i, j = pair
-        if any(l.i == i and l.j == j for l in self.loops):
-            return
-        if i not in self.snapshots:
+        src = self.summaries[i]
+        if src.pixels is None or src.disparities is None:
             raise ValueError(f"keyframe {i} has no pixel snapshot to anchor a loop")
-        pixels_i, disp_i = self.snapshots[i]
-        raw = self.edge_source(self.frame_of[i], self.frame_of[j])
+        raw = self.edge_source(src.frame_index, self.summaries[j].frame_index)
         vision = VisionEdge(i, j, raw.pixels, raw.targets, raw.weights)
-        if len(vision.pixels) != len(disp_i):
-            raise ValueError("loop edge rows must align with the source pixel snapshot")
-        relative = align_loop_pair(vision, disp_i, self._state_of(i),
+        relative = align_loop_pair(vision, src.disparities, self._state_of(i),
                                    self._state_of(j), self.intrinsics,
-                                   self.T_cb, iterations=self.align_iterations)
+                                   iterations=self.policy.align_iterations)
         self.loops.append(LoopEdge(i, j, relative, vision))
-        self.pending = True
+        self.waiting += 1
 
     def ingest_eviction(self, kid: int, pose: Pose,
                         chain_edge: RelativePoseEdge) -> None:
@@ -445,43 +462,38 @@ class LoopWorker:
         self.poses[kid] = pose
         self.chain.append(chain_edge)
 
-    def solve(self, window_nodes, window_chain,
-              opts: SolveOptions | None = None):
+    def _node(self, kid: int, state: SimTransform,
+              timestamp: float) -> PoseGraphNode:
+        s = self.summaries[kid]
+        return PoseGraphNode(kid, state.copy(), s.pixels, s.disparities,
+                             timestamp)
+
+    def solve(self, window_nodes, window_chain):
         """Solve the pose graph with the live window appended provisionally.
 
         window_nodes is a list of (kid, SimTransform, timestamp) triples and
         window_chain the relative edges over its consecutive pairs, both
         rebuilt fresh from the tracker's current estimates. Archived node
-        states persist across calls and are updated by the solve; provisional
-        nodes are discarded afterwards. Returns (report, correction) or None
-        when the graph has no loops yet.
+        states persist across calls and are updated by the solve, as are the
+        summaries' disparities; provisional nodes are discarded afterwards.
+        Returns (report, correction) or None when the graph has no loops yet.
         """
         if not self.loops:
             return None
-        window_kids = {kid for kid, _, _ in window_nodes}
-        nodes = []
-        for kid, state in self.states.items():
-            if kid in window_kids:
-                continue
-            pixels, disp = self.snapshots.get(kid, (None, None))
-            nodes.append(PoseGraphNode(kid, state.copy(), pixels,
-                                       None if disp is None else disp.copy(),
-                                       self.timestamps.get(kid, 0.0)))
-        for kid, state, stamp in window_nodes:
-            pixels, disp = self.snapshots.get(kid, (None, None))
-            nodes.append(PoseGraphNode(kid, state.copy(), pixels,
-                                       None if disp is None else disp.copy(),
-                                       stamp))
+        nodes = [self._node(kid, state, self.summaries[kid].timestamp)
+                 for kid, state in self.states.items()]
+        nodes += [self._node(kid, state, stamp)
+                  for kid, state, stamp in window_nodes]
         graph = PoseGraph(nodes, self.chain + list(window_chain),
-                          list(self.loops), self.intrinsics, self.T_cb,
+                          list(self.loops), self.intrinsics,
                           self.policy.min_gap)
-        report, correction = solve_pgba(graph, opts)
+        report, correction = solve_pgba(graph, SolveOptions(
+            max_iterations=self.policy.solve_iterations))
         for node in graph.nodes:
             self.poses[node.kid] = node.state.pose()
             if node.kid in self.states:
                 self.states[node.kid] = node.state
-            if node.kid in self.snapshots and node.disparities is not None:
-                self.snapshots[node.kid] = (self.snapshots[node.kid][0],
-                                            node.disparities)
-        self.pending = False
+            if node.disparities is not None:
+                self.summaries[node.kid].disparities = node.disparities
+        self.waiting = 0
         return report, correction

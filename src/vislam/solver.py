@@ -112,9 +112,7 @@ class SolveOptions:
     damping: float = 1e-4
     rel_decrease_tol: float = 1e-8
     step_tol: float = 1e-10
-    frozen_keyframes: tuple = (0,)     # keyframe ids with fixed pose+velocity+bias
     optimize_gravity: bool = False
-    optimize_velocity_bias: bool = True
     use_schur: bool = True
 
     def __post_init__(self):
@@ -372,15 +370,16 @@ class GraphProblem:
 class _WindowProblem(GraphProblem):
     """Joint vision + inertial energy of a frame graph.
 
-    Every keyframe, frozen ones included, is retracted by its (zero, when
-    frozen) step segment.
+    The earliest keyframe is the gauge: its pose, velocity and bias are held
+    fixed. A graph without inertial edges solves poses only; otherwise each
+    keyframe solves its velocity and bias as well. Every keyframe, the gauge
+    included, is retracted by its (zero, for the gauge) step segment.
     """
 
     def __init__(self, graph: FrameGraph, opts: SolveOptions):
-        frozen = set(opts.frozen_keyframes)
         layout = Layout(graph.index_of,
-                        STATE_DOF if opts.optimize_velocity_bias else POSE_DOF,
-                        [kf.kid in frozen for kf in graph.keyframes],
+                        STATE_DOF if graph.inertial_edges else POSE_DOF,
+                        np.arange(len(graph.keyframes)) == 0,
                         [len(kf.disparities) for kf in graph.keyframes],
                         2 if opts.optimize_gravity else 0)
         super().__init__(graph.keyframes, layout, opts)

@@ -365,7 +365,11 @@ class SyntheticDataset:
         return self.traj.frame_poses[i]
 
     def imu_between(self, t0: float, t1: float) -> list:
-        return [s for s in self.imu if t0 - 1e-9 <= s.timestamp <= t1 + 1e-9]
+        """IMU samples stamped in [t0, t1], both ends widened by 1e-9 s."""
+        times = self.traj.imu_times
+        lo = int(np.searchsorted(times, t0 - 1e-9, side="left"))
+        hi = int(np.searchsorted(times, t1 + 1e-9, side="right"))
+        return self.imu[lo:hi]
 
     def depth_at(self, i: int, pixels: np.ndarray) -> np.ndarray:
         """Camera depth of the scene surface behind each pixel of frame i."""

@@ -81,6 +81,16 @@ def test_tracking_energy_is_traced_only_once_initialized(short_run):
     assert all(math.isfinite(e) and e < 1e6 for e in tracking)
 
 
+def test_one_pose_graph_solve_per_solve_every_loops(short_run):
+    _, _, out = short_run
+    metrics = json.loads((out / "metrics.json").read_text())
+    solve_every = int(parse_config_text(SHORT_RUN)["loop.solve_every"])
+    # a solve every solve_every admitted loops, plus one at shutdown for
+    # any remainder
+    assert len(metrics["energy"]["pgba"]) \
+        == math.ceil(metrics["loops_closed"] / solve_every)
+
+
 def test_same_seed_gives_byte_identical_outputs(short_run):
     tmp, _, first = short_run
     code, second = _run(tmp, "second", SHORT_RUN)
@@ -115,6 +125,17 @@ def test_evaluate_missing_input_is_a_config_error(tmp_path, capsys):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert '"error": "config"' in err and "missing.txt" in err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_evaluate_non_finite_input_is_a_config_error(tmp_path, capsys):
+    est = tmp_path / "est.txt"
+    est.write_text("0.0 1 2 3 0 0 0 1\n0.1 nan 2 3 0 0 0 1\n")
+    code = main(["evaluate", str(est), str(est), "--out",
+                 str(tmp_path / "ev")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert '"error": "config"' in err and "est.txt:2" in err
     assert not (tmp_path / "ev").exists()
 
 

@@ -248,6 +248,15 @@ class TestTumFormat:
         with pytest.raises(ValueError, match=":2:"):
             read_tum(path)
 
+    @pytest.mark.parametrize("bad", ["nan 1 2 3 0 0 0 1",
+                                     "0.1 1 inf 3 0 0 0 1"],
+                             ids=["nan_timestamp", "inf_translation"])
+    def test_non_finite_field_reports_line_number(self, tmp_path, bad):
+        path = tmp_path / "traj.txt"
+        path.write_text(f"0.0 1 2 3 0 0 0 1\n{bad}\n")
+        with pytest.raises(ValueError, match=":2: non-finite"):
+            read_tum(path)
+
     def test_wrong_field_count_rejected(self, tmp_path):
         path = tmp_path / "traj.txt"
         path.write_text("0.0 1 2 3\n")

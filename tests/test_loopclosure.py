@@ -5,12 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vislam.frontend import (
-    apply_correction,
-    eviction_edge,
-    flow_magnitude,
-    window_snapshot,
-)
+from vislam.frontend import apply_correction, eviction_edge, window_snapshot
 from vislam.geometry import Pose, Rotation, SimTransform
 from vislam.imu import BiasState, ImuNoiseModel, ImuSample, preintegrate
 from vislam.initialization import InitConfig
@@ -45,10 +40,16 @@ MODEL = TrajectoryModel(family="figure8", amplitude=1.5, period=12.0,
 CHAIN_INFO = np.diag([4e4] * 3 + [1e4] * 3 + [100.0])
 
 
-def summary(kid, yaw=0.0, flows=None, **kw):
+def summary(kid, yaw=0.0, **kw):
     pose = Pose(Rotation.exp(np.array([0.0, 0.0, yaw])), np.zeros(3))
-    return KeyframeSummary(kid=kid, frame_index=kid, pose=pose,
-                           flows=flows or {}, **kw)
+    kw.setdefault("frame_index", kid)
+    return KeyframeSummary(kid=kid, pose=pose, **kw)
+
+
+def flows(table):
+    """detect_loops' flow argument from an {old kid: flow} table; a kid
+    missing from the table has no flow."""
+    return lambda old: table.get(old.kid, math.inf)
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +68,8 @@ class TestLoopPolicy:
         {"min_gap": 0}, {"min_gap": -3},
         {"flow_gate": 0.0}, {"flow_gate": -1.0},
         {"ang_gate_deg": 0.0}, {"ang_gate_deg": -10.0},
+        {"align_iterations": 0}, {"solve_iterations": 0},
+        {"solve_every": 0}, {"solve_every": -2},
     ])
     def test_rejects_nonpositive_gates(self, kw):
         with pytest.raises(ValueError):
@@ -75,41 +78,45 @@ class TestLoopPolicy:
 
 class TestDetectLoops:
     def test_small_gap_excluded_regardless_of_flow(self):
-        new = summary(10, flows={0: 0.001})
-        assert detect_loops(new, [summary(0)]) == []
+        new = summary(10)
+        assert detect_loops(new, [summary(0)], flows({0: 0.001})) == []
 
     def test_large_flow_excluded(self):
-        new = summary(100, flows={0: 30.0})
-        assert detect_loops(new, [summary(0)]) == []
+        new = summary(100)
+        assert detect_loops(new, [summary(0)], flows({0: 30.0})) == []
 
     def test_gap_100_flow_10_ang_60_accepted(self):
-        new = summary(100, yaw=math.radians(60.0), flows={0: 10.0})
-        assert detect_loops(new, [summary(0)]) == [(0, 100)]
+        new = summary(100, yaw=math.radians(60.0))
+        assert detect_loops(new, [summary(0)], flows({0: 10.0})) == [(0, 100)]
 
     def test_gap_boundary_is_inclusive(self):
-        new = summary(55, flows={0: 1.0, 1: 1.0})
-        assert detect_loops(new, [summary(0), summary(1)]) == [(0, 55)]
+        new = summary(55)
+        assert detect_loops(new, [summary(0), summary(1)],
+                            flows({0: 1.0, 1: 1.0})) == [(0, 55)]
 
     def test_flow_gate_is_strict(self):
-        new = summary(100, flows={0: 22.0, 1: 21.999})
-        assert detect_loops(new, [summary(0), summary(1)]) == [(1, 100)]
+        new = summary(100)
+        assert detect_loops(new, [summary(0), summary(1)],
+                            flows({0: 22.0, 1: 21.999})) == [(1, 100)]
 
     def test_orientation_gate_brackets(self):
         # the exact 120.0 boundary is not representable through the
         # quaternion round trip, so bracket it tightly from both sides
         hist = [summary(0, yaw=math.radians(120.05)),
                 summary(1, yaw=math.radians(119.95))]
-        new = summary(100, flows={0: 1.0, 1: 1.0})
-        assert detect_loops(new, hist) == [(1, 100)]
+        new = summary(100)
+        assert detect_loops(new, hist, flows({0: 1.0, 1: 1.0})) == [(1, 100)]
 
     def test_missing_flow_counts_as_infinite(self):
-        new = summary(100, flows={})
-        assert detect_loops(new, [summary(0)]) == []
+        new = summary(100)
+        assert detect_loops(new, [summary(0)], flows({})) == []
 
     def test_candidates_ordered_by_ascending_flow(self):
         hist = [summary(k) for k in range(4)]
-        new = summary(100, flows={0: 9.0, 1: 2.0, 2: 5.0, 3: 2.0})
-        assert detect_loops(new, hist) == [(1, 100), (3, 100), (2, 100), (0, 100)]
+        new = summary(100)
+        table = {0: 9.0, 1: 2.0, 2: 5.0, 3: 2.0}
+        assert detect_loops(new, hist, flows(table)) \
+            == [(1, 100), (3, 100), (2, 100), (0, 100)]
 
     @pytest.mark.parametrize("mutate", ["gap", "flow", "ang"])
     def test_each_gate_individually_necessary(self, mutate):
@@ -122,10 +129,25 @@ class TestDetectLoops:
             flow = 25.0
         else:
             yaw = math.radians(150.0)
-        new = summary(100, yaw=yaw, flows={old_kid: flow})
-        assert detect_loops(new, [summary(old_kid)]) == []
-        good = summary(100, yaw=math.radians(30.0), flows={0: 5.0})
-        assert detect_loops(good, [summary(0)]) == [(0, 100)]
+        new = summary(100, yaw=yaw)
+        assert detect_loops(new, [summary(old_kid)],
+                            flows({old_kid: flow})) == []
+        good = summary(100, yaw=math.radians(30.0))
+        assert detect_loops(good, [summary(0)], flows({0: 5.0})) == [(0, 100)]
+
+    def test_flow_asked_only_past_gap_and_orientation_gates(self):
+        # kid 50 fails the gap gate, kid 1 the orientation gate; only
+        # kids 0 and 2 may cost a provider flow
+        hist = [summary(0), summary(1, yaw=math.radians(150.0)), summary(2),
+                summary(50)]
+        asked = []
+
+        def flow(old):
+            asked.append(old.kid)
+            return {0: 3.0, 2: 30.0}[old.kid]
+
+        assert detect_loops(summary(100), hist, flow) == [(0, 100)]
+        assert asked == [0, 2]
 
 
 def unit_rel(i, j, meas=None, info=None):
@@ -556,20 +578,13 @@ def worker_run():
         drifted.append(D * gt[f])
     chain = chain_from(drifted)
 
-    policy = LoopPolicy()
-    worker = LoopWorker(prov.intrinsics(), prov.edge, policy)
+    worker = LoopWorker(prov.intrinsics(), prov.edge,
+                        LoopPolicy(solve_iterations=20))
     window = 12
     admitted = []
     for f in range(n):
-        flows = {}
-        for old in range(0, f - policy.min_gap + 1):
-            try:
-                flows[old] = flow_magnitude(prov.edge(old, f))
-            except ValueError:
-                pass                       # no covisible pixels, skip
         pair = worker.ingest_summary(KeyframeSummary(
-            kid=f, frame_index=f, pose=drifted[f].pose(), flows=flows,
-            pixels=grid, disparities=1.0 / prov.depth_hint(f, grid),
+            kid=f, frame_index=f, pose=drifted[f].pose(), pixels=grid, disparities=1.0 / prov.depth_hint(f, grid),
             timestamp=ds.frame_time(f)))
         if pair is not None:
             admitted.append(pair)
@@ -579,8 +594,7 @@ def worker_run():
     window_kids = range(n - window, n)
     report, corr = worker.solve(
         [(kid, drifted[kid].copy(), ds.frame_time(kid)) for kid in window_kids],
-        [chain[i] for i in range(n - window, n - 1)],
-        SolveOptions(max_iterations=20))
+        [chain[i] for i in range(n - window, n - 1)])
     return {
         "n": n, "gt": gt, "drifted": drifted, "worker": worker,
         "admitted": admitted, "report": report, "correction": corr,
@@ -649,7 +663,7 @@ class TestLoopWorker:
         worker = LoopWorker(k, prov.edge)
         worker.ingest_summary(summary(0))       # no pixel snapshot
         with pytest.raises(ValueError, match="snapshot"):
-            worker.ingest_summary(summary(55, flows={0: 1.0}))
+            worker.ingest_summary(summary(55, frame_index=2))
 
 
 def make_static_delta(duration=0.1):

@@ -240,6 +240,27 @@ class TestDataset:
         assert np.max(np.abs(dir_scaled - dir_full)) < 1e-12
         assert abs(float(depth[v, u]) - float(ds.depth_at(0, full_px)[0])) < 1e-5
 
+    def test_imu_between_matches_a_full_scan(self):
+        model = TrajectoryModel("figure8", amplitude=1.5, period=30.0,
+                                duration=2.0)
+        ds = make_dataset(model, seed=4)
+        rng = np.random.default_rng(4)
+        times = ds.traj.imu_times
+        frames = [ds.frame_time(f) for f in range(ds.n_frames())]
+        intervals = list(zip(frames, frames[1:]))
+        intervals += [tuple(np.sort(rng.uniform(-0.1, 2.1, 2)))
+                      for _ in range(50)]
+        # ends a hair inside and outside the inclusive 1e-9 s margin
+        for k in rng.choice(len(times), 20, replace=False):
+            for eps in (-2e-9, -1e-9, 0.0, 1e-9, 2e-9):
+                intervals += [(times[k] + eps, times[k] + 0.05),
+                              (times[k] - 0.05, times[k] + eps)]
+        intervals.append((1.0, 0.5))                   # reversed
+        for t0, t1 in intervals:
+            scan = [s for s in ds.imu
+                    if t0 - 1e-9 <= s.timestamp <= t1 + 1e-9]
+            assert ds.imu_between(t0, t1) == scan, (t0, t1)
+
 
 def _two_opposed_cameras_dataset():
     """Hand-built dataset with two cameras facing away from each other."""
