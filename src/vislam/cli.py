@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -188,11 +188,18 @@ def build_config(preset: str | None = None, config_path=None,
     return cfg
 
 
+def _out_dir(path) -> Path:
+    """An output directory path, rejected when a non-directory holds it."""
+    out = Path(path)
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"output path {str(out)!r} is not a directory")
+    return out
+
+
 @dataclass
 class RunPlan:
     """A validated configuration turned into live pipeline objects."""
 
-    cfg: dict
     dataset: SyntheticDataset
     provider: SyntheticProvider
     policy: KeyframePolicy
@@ -202,7 +209,7 @@ class RunPlan:
     out_dir: Path
     frame_stride: int
     align: str
-    seed: int
+    map_stride: int
 
 
 def materialize(cfg: dict) -> RunPlan:
@@ -224,7 +231,8 @@ def materialize(cfg: dict) -> RunPlan:
             cov_trace_threshold=cfg["tracker.cov_trace_threshold"],
             window_size=cfg["tracker.window_size"],
             covis_radius=cfg["tracker.covis_radius"],
-            flow_scale=cfg["tracker.flow_scale"])
+            flow_scale=cfg["tracker.flow_scale"],
+            solve_iterations=cfg["tracker.solve_iterations"])
         init_cfg = InitConfig(
             n_vis_init=cfg["init.n_vis_init"],
             n_iner_init=cfg["init.n_iner_init"],
@@ -241,13 +249,14 @@ def materialize(cfg: dict) -> RunPlan:
             solve_every=cfg["loop.solve_every"])
 
         for key in ("provider.stride", "provider.raster_scale", "map.stride",
-                    "run.frame_stride", "tracker.solve_iterations"):
+                    "run.frame_stride"):
             if cfg[key] < 1:
                 raise ConfigError(f"config key {key!r} must be >= 1")
         align = cfg["run.align"]
         if align not in ("se3", "sim3", "none"):
             raise ConfigError(f"config key 'run.align' must be se3, sim3, "
                               f"or none, got {align!r}")
+        out_dir = _out_dir(cfg["run.out"])
 
         model = TrajectoryModel(family=cfg["dataset.family"],
                                 amplitude=cfg["dataset.amplitude"],
@@ -269,11 +278,10 @@ def materialize(cfg: dict) -> RunPlan:
 
     provider = SyntheticProvider(dataset, stride=cfg["provider.stride"],
                                  raster_scale=cfg["provider.raster_scale"])
-    return RunPlan(cfg=cfg, dataset=dataset, provider=provider, policy=policy,
+    return RunPlan(dataset=dataset, provider=provider, policy=policy,
                    init_cfg=init_cfg, noise=noise, loop_policy=loop_policy,
-                   out_dir=Path(cfg["run.out"]),
-                   frame_stride=cfg["run.frame_stride"], align=align,
-                   seed=cfg["run.seed"])
+                   out_dir=out_dir, frame_stride=cfg["run.frame_stride"],
+                   align=align, map_stride=cfg["map.stride"])
 
 
 @dataclass
@@ -285,7 +293,6 @@ class RunArtifacts:
     gt: Trajectory
     gmap: GaussianMap
     tracker: object
-    worker: LoopWorker
 
 
 def _gravity_error_deg(g_est: np.ndarray, g_true: np.ndarray) -> float:
@@ -351,14 +358,11 @@ def execute(plan: RunPlan) -> RunArtifacts:
     """
     ds = plan.dataset
     provider = plan.provider
-    cfg = plan.cfg
     tracker = make_tracker(provider, plan.policy, plan.init_cfg, plan.noise,
                            imu_period=1.0 / ds.imu_rate)
-    tracker.solve_iterations = cfg["tracker.solve_iterations"]
     worker = LoopWorker(provider.intrinsics(), provider.edge,
                         plan.loop_policy, plan.policy.flow_scale)
     gmap = GaussianMap()
-    map_stride = cfg["map.stride"]
 
     tracking_trace = []
     pgba_trace = []
@@ -386,15 +390,14 @@ def execute(plan: RunPlan) -> RunArtifacts:
         for row in tracker.archive[archive_cursor:]:
             worker.ingest_eviction(row.kid, row.pose, row.chain_edge)
             _spawn_keyframe_gaussians(gmap, provider, row.frame_index,
-                                      row.pose, row.kid, map_stride)
+                                      row.pose, row.kid, plan.map_stride)
         archive_cursor = len(tracker.archive)
 
         if keyframed:
             kf = tracker.graph.keyframes[-1]
             worker.ingest_summary(KeyframeSummary(
                 kid=kf.kid, frame_index=f, pose=kf.state.pose.copy(),
-                pixels=kf.pixels, disparities=kf.disparities.copy(),
-                timestamp=kf.state.timestamp))
+                pixels=kf.pixels, disparities=kf.disparities.copy()))
 
         # solve in batches so the pose graph is not re-optimized for every
         # single admitted loop while the trajectory barely moved
@@ -411,7 +414,7 @@ def execute(plan: RunPlan) -> RunArtifacts:
         run_pose_graph_solve()
     for kf in tracker.graph.keyframes:
         _spawn_keyframe_gaussians(gmap, provider, tracker.frame_of[kf.kid],
-                                  kf.state.pose, kf.kid, map_stride)
+                                  kf.state.pose, kf.kid, plan.map_stride)
 
     est = estimated_trajectory(tracker)
     gt_poses = []
@@ -430,7 +433,7 @@ def execute(plan: RunPlan) -> RunArtifacts:
     metrics["init"] = init_diag
     metrics["energy"] = {"tracking": tracking_trace, "pgba": pgba_trace}
     return RunArtifacts(metrics=metrics, est=est, gt=gt, gmap=gmap,
-                        tracker=tracker, worker=worker)
+                        tracker=tracker)
 
 
 def write_outputs(out_dir: Path, art: RunArtifacts) -> None:
@@ -519,13 +522,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    out = _out_dir(args.out)
     try:
         est = read_tum(args.est)
         gt = read_tum(args.gt)
     except OSError as exc:
         raise ConfigError(f"cannot read trajectory file: {exc}") from None
     metrics = _metric_block(est, gt, args.align)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "metrics.json", "w") as f:
         json.dump(metrics, f, indent=2, sort_keys=True)
@@ -541,7 +544,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_evaluate(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
+        # an OSError here is an output path that cannot be written
         _error_json("config", str(exc))
         return EXIT_CONFIG
 

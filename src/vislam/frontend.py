@@ -58,6 +58,7 @@ class KeyframePolicy:
     window_size: int = 12
     covis_radius: int = 3                # nearest neighbors wired per insertion
     flow_scale: float = 8.0
+    solve_iterations: int = 4            # window solve per insertion
 
     def __post_init__(self):
         for name in ("flow_threshold", "max_interval",
@@ -66,8 +67,9 @@ class KeyframePolicy:
                 raise ValueError(f"{name} must be positive")
         if self.window_size < 2:
             raise ValueError("window_size must be at least 2")
-        if self.covis_radius < 1:
-            raise ValueError("covis_radius must be at least 1")
+        for name in ("covis_radius", "solve_iterations"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 def keyframe_decision(mean_flow: float, dt_since_last: float,
@@ -120,13 +122,6 @@ def propagate_keyframe_state(prev: PoseState, delta: PreintegratedDelta,
 
 
 @dataclass
-class FramePayload:
-    """One camera frame offered to the tracker."""
-    frame_index: int
-    timestamp: float
-
-
-@dataclass
 class ArchivedKeyframe:
     """Pose snapshot exported when a keyframe leaves the local window, with
     the chain edge to the keyframe that followed it."""
@@ -175,14 +170,12 @@ class TrackerState:
     noise: ImuNoiseModel
     graph: FrameGraph
     phase: str = PHASE_VISION
-    last_keyframe_time: float | None = None
     imu_buffer: list = field(default_factory=list)
     next_kid: int = 0
     frame_of: dict = field(default_factory=dict)      # kid -> provider frame
     archive: list = field(default_factory=list)       # ArchivedKeyframe
     degraded: list = field(default_factory=list)      # inertial-only kids
     init_reports: dict = field(default_factory=dict)
-    solve_iterations: int = 4
     imu_period: float = 0.005
 
     def __post_init__(self):
@@ -220,31 +213,33 @@ def process_frame(tracker: TrackerState, frame_index: int, timestamp: float,
                   imu_samples=()) -> bool:
     """Feed one camera frame plus its IMU slice; True if it keyframed.
 
-    Boundary IMU samples already buffered are skipped silently so callers
-    can pass inclusive per-frame slices.
+    A sample within 1e-12 s of the newest buffered one is the boundary
+    sample of the previous slice sent again and is skipped, so callers can
+    pass inclusive per-frame slices; an older sample raises ValueError.
     """
     for s in imu_samples:
-        if tracker.imu_buffer \
-                and s.timestamp <= tracker.imu_buffer[-1].timestamp + 1e-12:
+        if tracker.imu_buffer and abs(
+                s.timestamp - tracker.imu_buffer[-1].timestamp) <= 1e-12:
             continue
         tracker.buffer_imu(s)
     if not tracker.graph.keyframes:
-        add_keyframe(tracker, FramePayload(frame_index, timestamp))
+        add_keyframe(tracker, frame_index, timestamp)
         return True
-    last_kid = tracker.graph.keyframes[-1].kid
+    last = tracker.graph.keyframes[-1]
     try:
-        probe = tracker.provider.edge(tracker.frame_of[last_kid], frame_index)
+        probe = tracker.provider.edge(tracker.frame_of[last.kid], frame_index)
         flow = flow_magnitude(probe, tracker.policy.flow_scale)
     except ValueError:
         flow = float("inf")
-    if keyframe_decision(flow, timestamp - tracker.last_keyframe_time,
+    if keyframe_decision(flow, timestamp - last.state.timestamp,
                          tracker.policy):
-        add_keyframe(tracker, FramePayload(frame_index, timestamp))
+        add_keyframe(tracker, frame_index, timestamp)
         return True
     return False
 
 
-def add_keyframe(tracker: TrackerState, frame: FramePayload) -> TrackerState:
+def add_keyframe(tracker: TrackerState, frame_index: int,
+                 timestamp: float) -> TrackerState:
     """Insert one keyframe and run the window solve; mutates the tracker.
 
     Preintegrates the buffered IMU into an edge to the previous keyframe,
@@ -260,7 +255,7 @@ def add_keyframe(tracker: TrackerState, frame: FramePayload) -> TrackerState:
     kid = tracker.next_kid
 
     pixels = provider.grid_pixels()
-    depth = np.asarray(provider.depth_hint(frame.frame_index, pixels),
+    depth = np.asarray(provider.depth_hint(frame_index, pixels),
                        dtype=float).reshape(-1)
     good = np.isfinite(depth) & (depth > 1e-3)
     disparities = np.where(good, 1.0 / np.where(good, depth, 1.0), 1.0)
@@ -270,7 +265,7 @@ def add_keyframe(tracker: TrackerState, frame: FramePayload) -> TrackerState:
         last = graph.keyframes[-1]
         chunk = [s for s in tracker.imu_buffer
                  if last.state.timestamp - 1e-9 <= s.timestamp
-                 <= frame.timestamp + 1e-9]
+                 <= timestamp + 1e-9]
         if len(chunk) < 2:
             raise ValueError("IMU buffer does not cover the keyframe interval")
         delta = preintegrate(chunk, last.state.bias, tracker.noise)
@@ -278,14 +273,14 @@ def add_keyframe(tracker: TrackerState, frame: FramePayload) -> TrackerState:
             prop = propagate_keyframe_state(last.state, delta, graph.gravity,
                                             tracker.policy)
             state = PoseState(prop.pose, prop.velocity, prop.bias,
-                              frame.timestamp)
+                              timestamp)
         else:
             state = PoseState(last.state.pose.copy(),
                               last.state.velocity.copy(),
-                              last.state.bias.copy(), frame.timestamp)
+                              last.state.bias.copy(), timestamp)
     else:
         state = PoseState(Pose.identity(), np.zeros(3), BiasState(),
-                          frame.timestamp)
+                          timestamp)
 
     new_kf = Keyframe(kid, state, pixels, disparities)
 
@@ -294,8 +289,8 @@ def add_keyframe(tracker: TrackerState, frame: FramePayload) -> TrackerState:
     for neighbor in graph.keyframes[-tracker.policy.covis_radius:]:
         n_frame = tracker.frame_of[neighbor.kid]
         try:
-            e_out = provider.edge(frame.frame_index, n_frame)
-            e_in = provider.edge(n_frame, frame.frame_index)
+            e_out = provider.edge(frame_index, n_frame)
+            e_in = provider.edge(n_frame, frame_index)
         except ValueError:
             continue
         vision_edges.append(VisionEdge(kid, neighbor.kid, e_out.pixels,
@@ -312,12 +307,11 @@ def add_keyframe(tracker: TrackerState, frame: FramePayload) -> TrackerState:
 
     tracker.graph = FrameGraph(graph.keyframes + [new_kf], vision_edges,
                                inertial_edges, graph.gravity,
-                               graph.intrinsics, graph.T_cb)
-    tracker.frame_of[kid] = frame.frame_index
+                               graph.intrinsics)
+    tracker.frame_of[kid] = frame_index
     tracker.next_kid = kid + 1
-    tracker.last_keyframe_time = frame.timestamp
     tracker.imu_buffer = [s for s in tracker.imu_buffer
-                          if s.timestamp >= frame.timestamp - 1e-9]
+                          if s.timestamp >= timestamp - 1e-9]
 
     n = len(tracker.graph.keyframes)
     if tracker.phase == PHASE_VISION and n >= tracker.init_cfg.n_vis_init:
@@ -343,7 +337,7 @@ def _tracking_solve(tracker: TrackerState) -> SolveReport | None:
     graph = tracker.graph
     if len(graph.keyframes) < 2 or not graph.vision_edges:
         return None
-    opts = SolveOptions(max_iterations=tracker.solve_iterations)
+    opts = SolveOptions(max_iterations=tracker.policy.solve_iterations)
     if tracker.phase == PHASE_FULL:
         return solve_vi_ba(graph, opts)
     return solve_vi_ba(graph.vision_only(), opts)
@@ -375,7 +369,7 @@ def _evict(tracker: TrackerState) -> None:
         changed = True
     if changed:
         tracker.graph = FrameGraph(keyframes, vision_edges, inertial_edges,
-                                   graph.gravity, graph.intrinsics, graph.T_cb)
+                                   graph.gravity, graph.intrinsics)
 
 
 def estimated_trajectory(tracker: TrackerState) -> Trajectory:
@@ -393,13 +387,13 @@ def estimated_trajectory(tracker: TrackerState) -> Trajectory:
 def window_snapshot(tracker: TrackerState):
     """Provisional pose-graph view of the live window.
 
-    Returns (nodes, chain): nodes as (kid, SimTransform, timestamp) triples at
-    unit scale, chain as relative edges over the window's consecutive inertial
+    Returns (nodes, chain): nodes as (kid, SimTransform) pairs at unit
+    scale, chain as relative edges over the window's consecutive inertial
     pairs, both built fresh from the current estimates.
     """
     keyframes = tracker.graph.keyframes
-    nodes = [(kf.kid, SimTransform.from_pose(kf.state.pose),
-              kf.state.timestamp) for kf in keyframes]
+    nodes = [(kf.kid, SimTransform.from_pose(kf.state.pose))
+             for kf in keyframes]
     by_kid = {kf.kid: kf for kf in keyframes}
     chain = [eviction_edge(i, j, by_kid[i].state, by_kid[j].state, delta)
              for i, j, delta in tracker.graph.inertial_edges]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -238,36 +238,23 @@ def render(gmap: GaussianMap, pose: Pose, k: Intrinsics,
 
 
 @dataclass
-class LossWeights:
-    lambda_c: float = 0.8
-    lambda_d: float = 0.2
-    lambda_iso: float = 10.0
-
-    def __post_init__(self):
-        if self.lambda_c < 0.0 or self.lambda_d < 0.0 or self.lambda_iso < 0.0:
-            raise ValueError("loss weights must be non-negative")
-
-
-@dataclass
 class MappingLosses:
     color: float
     depth: float
     iso: float
-    total: float
 
 
 def mapping_losses(rendered: RenderOutput, ref_color: np.ndarray,
-                   ref_depth: np.ndarray, gaussians,
-                   weights: LossWeights | None = None) -> MappingLosses:
+                   ref_depth: np.ndarray, gaussians) -> MappingLosses:
     """Color, depth and isotropy losses of a rendered view.
 
     Color: mean absolute error over every pixel and channel. Depth: mean
     absolute error over pixels with valid (positive, finite) reference depth
     and nonzero rendered alpha; zero when no pixel qualifies. Isotropy: per
     Gaussian the L1 deviation of its three scales from their mean, averaged
-    over the given Gaussians. Total is the weighted sum.
+    over the given Gaussians. The three terms are reported apart; a caller
+    that needs one weighted objective brings its own weights.
     """
-    weights = weights if weights is not None else LossWeights()
     ref_color = np.asarray(ref_color, dtype=float)
     ref_depth = np.asarray(ref_depth, dtype=float)
     if rendered.color.shape != ref_color.shape:
@@ -287,9 +274,7 @@ def mapping_losses(rendered: RenderOutput, ref_color: np.ndarray,
         l_iso = float(np.mean(dev.sum(axis=1)))
     else:
         l_iso = 0.0
-    total = weights.lambda_c * l_c + weights.lambda_d * l_d \
-        + weights.lambda_iso * l_iso
-    return MappingLosses(l_c, l_d, l_iso, total)
+    return MappingLosses(l_c, l_d, l_iso)
 
 
 _MAGIC = b"VGSM"
@@ -317,6 +302,7 @@ def write_vgsm(path, gmap: GaussianMap) -> None:
 
 
 def read_vgsm(path) -> GaussianMap:
+    """Load a map; a foreign, truncated or corrupt file raises ValueError."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != _MAGIC:
@@ -331,6 +317,11 @@ def read_vgsm(path) -> GaussianMap:
             raise ValueError("truncated Gaussian map file")
         buf = f.read(size)
     records = np.frombuffer(buf, dtype=_RECORD)
+    for name in ("mean", "scales", "q", "color", "opacity"):
+        if not np.all(np.isfinite(records[name])):
+            raise ValueError(f"corrupt Gaussian map record: non-finite {name}")
+    if np.any(np.all(records["q"] == 0.0, axis=1)):
+        raise ValueError("corrupt Gaussian map record: zero-norm quaternion")
     gmap = GaussianMap()
     gmap.insert([Gaussian(mean=r["mean"].astype(float),
                           scales=r["scales"].astype(float),

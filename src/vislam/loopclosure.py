@@ -77,7 +77,6 @@ class KeyframeSummary:
     pose: Pose
     pixels: np.ndarray | None = None
     disparities: np.ndarray | None = None
-    timestamp: float = 0.0
 
 
 def detect_loops(new_kf: KeyframeSummary, history, flow,
@@ -137,7 +136,6 @@ class PoseGraphNode:
     state: SimTransform
     pixels: np.ndarray | None = None
     disparities: np.ndarray | None = None
-    timestamp: float = 0.0
 
 
 @dataclass
@@ -203,7 +201,6 @@ class CorrectionEntry:
 @dataclass
 class LoopCorrection:
     entries: dict                    # kid -> CorrectionEntry
-    timestamp: float = 0.0
 
     def __post_init__(self):
         for kid, e in self.entries.items():
@@ -363,7 +360,6 @@ def solve_pgba(graph: PoseGraph, opts: SolveOptions | None = None):
 
 def _correction(graph: PoseGraph, before: dict) -> LoopCorrection:
     entries = {}
-    stamp = 0.0
     for node in graph.nodes:
         old = before[node.kid]
         entries[node.kid] = CorrectionEntry(
@@ -372,8 +368,7 @@ def _correction(graph: PoseGraph, before: dict) -> LoopCorrection:
             new_pose=node.state.pose(),
             scale_change=node.state.scale / old.scale,
         )
-        stamp = max(stamp, node.timestamp)
-    return LoopCorrection(entries, stamp)
+    return LoopCorrection(entries)
 
 
 class LoopWorker:
@@ -462,28 +457,21 @@ class LoopWorker:
         self.poses[kid] = pose
         self.chain.append(chain_edge)
 
-    def _node(self, kid: int, state: SimTransform,
-              timestamp: float) -> PoseGraphNode:
-        s = self.summaries[kid]
-        return PoseGraphNode(kid, state.copy(), s.pixels, s.disparities,
-                             timestamp)
-
     def solve(self, window_nodes, window_chain):
         """Solve the pose graph with the live window appended provisionally.
 
-        window_nodes is a list of (kid, SimTransform, timestamp) triples and
-        window_chain the relative edges over its consecutive pairs, both
-        rebuilt fresh from the tracker's current estimates. Archived node
-        states persist across calls and are updated by the solve, as are the
-        summaries' disparities; provisional nodes are discarded afterwards.
-        Returns (report, correction) or None when the graph has no loops yet.
+        window_nodes is a list of (kid, SimTransform) pairs and window_chain
+        the relative edges over its consecutive pairs, both rebuilt fresh
+        from the tracker's current estimates. Archived node states persist
+        across calls and are updated by the solve, as are the summaries'
+        disparities; provisional nodes are discarded afterwards. Returns
+        (report, correction) or None when the graph has no loops yet.
         """
         if not self.loops:
             return None
-        nodes = [self._node(kid, state, self.summaries[kid].timestamp)
-                 for kid, state in self.states.items()]
-        nodes += [self._node(kid, state, stamp)
-                  for kid, state, stamp in window_nodes]
+        nodes = [PoseGraphNode(kid, state.copy(), self.summaries[kid].pixels,
+                               self.summaries[kid].disparities)
+                 for kid, state in (*self.states.items(), *window_nodes)]
         graph = PoseGraph(nodes, self.chain + list(window_chain),
                           list(self.loops), self.intrinsics,
                           self.policy.min_gap)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose
 from .residuals import (
     GRAVITY_TANGENT_BASIS,
     GravityModel,
@@ -90,7 +89,6 @@ class FrameGraph(KeyframeIndex):
     inertial_edges: list       # (i, j, PreintegratedDelta) for consecutive pairs
     gravity: GravityModel
     intrinsics: Intrinsics
-    T_cb: Pose | None = None
 
     def __post_init__(self):
         self._index_keyframes([kf.kid for kf in self.keyframes],
@@ -103,7 +101,7 @@ class FrameGraph(KeyframeIndex):
     def vision_only(self) -> FrameGraph:
         """The same keyframes and vision edges with the inertial terms left out."""
         return FrameGraph(self.keyframes, self.vision_edges, [], self.gravity,
-                          self.intrinsics, self.T_cb)
+                          self.intrinsics)
 
 
 @dataclass
@@ -389,7 +387,7 @@ class _WindowProblem(GraphProblem):
         """Sum of whitened squared residuals over every edge of the graph."""
         g = self.graph
         vision = [vision_residual(e, g.kf(e.i).state.pose, g.kf(e.j).state.pose,
-                                  g.kf(e.i).disparities, g.intrinsics, T_cb=g.T_cb)
+                                  g.kf(e.i).disparities, g.intrinsics)
                   for e in g.vision_edges]
         inertial = [inertial_residual(delta, g.kf(i).state, g.kf(j).state, g.gravity)
                     for i, j, delta in g.inertial_edges]

@@ -19,7 +19,7 @@ from scipy.interpolate import CubicSpline
 
 from .geometry import Pose, Rotation
 from .imu import BiasState, ImuNoiseModel, ImuSample
-from .residuals import GravityModel, Intrinsics, PoseState, VisionEdge
+from .residuals import GravityModel, Intrinsics, VisionEdge
 
 TRAJECTORY_FAMILIES = ("circle", "figure8", "spline")
 YAW_POLICIES = ("tangent", "fixed")
@@ -225,20 +225,19 @@ def generate_trajectory(model: TrajectoryModel, frame_rate: float,
 def synthesize_imu(traj: TrajectorySamples, gravity: GravityModel,
                    bias: BiasState | None = None,
                    noise: ImuNoiseModel | None = None,
-                   seed: int = 0, bias_walk: bool = False) -> list:
+                   seed: int = 0) -> list:
     """IMU stream for a sampled trajectory.
 
     Gyro is the body angular rate plus bias; accel is the specific force
-    R^T (a_world - g) plus bias. With a noise model, white noise scaled by
-    density * sqrt(rate) is added, and optionally a bias random walk. Without
-    one the stream is exact. Deterministic for a given seed.
+    R^T (a_world - g) plus bias. The bias is constant over the stream. With
+    a noise model, white noise scaled by density * sqrt(rate) is added;
+    without one the stream is exact. Deterministic for a given seed.
     """
     if bias is None:
         bias = BiasState()
     g_vec = gravity.vector()
     n = len(traj.imu_times)
     rate = (n - 1) / (traj.imu_times[-1] - traj.imu_times[0]) if n > 1 else 1.0
-    dt = 1.0 / rate
 
     gyro = traj.imu_body_rates + bias.gyro_bias
     accel = np.einsum("nji,nj->ni", traj.imu_rotation_matrices,
@@ -249,13 +248,6 @@ def synthesize_imu(traj: TrajectorySamples, gravity: GravityModel,
         rng = np.random.default_rng(seed)
         gyro = gyro + noise.gyro_noise_density * np.sqrt(rate) * rng.standard_normal((n, 3))
         accel = accel + noise.accel_noise_density * np.sqrt(rate) * rng.standard_normal((n, 3))
-        if bias_walk:
-            g_steps = noise.gyro_bias_random_walk * np.sqrt(dt) * rng.standard_normal((n, 3))
-            a_steps = noise.accel_bias_random_walk * np.sqrt(dt) * rng.standard_normal((n, 3))
-            g_steps[0] = 0.0
-            a_steps[0] = 0.0
-            gyro = gyro + np.cumsum(g_steps, axis=0)
-            accel = accel + np.cumsum(a_steps, axis=0)
 
     return [ImuSample(float(t), gyro[i], accel[i])
             for i, t in enumerate(traj.imu_times)]
@@ -351,9 +343,7 @@ class SyntheticDataset:
     frame_rate: float
     imu_rate: float
     traj: TrajectorySamples
-    states: list
     imu: list
-    _raster_cache: dict = field(default_factory=dict, repr=False)
 
     def n_frames(self) -> int:
         return len(self.traj.frame_times)
@@ -380,23 +370,17 @@ class SyntheticDataset:
 
     def raster(self, i: int, scale: int = 5):
         """Rendered (color, depth) images of frame i at 1/scale resolution."""
-        key = (i, scale)
-        if key not in self._raster_cache:
-            k = self.intrinsics
-            w, h = k.width // scale, k.height // scale
-            ks = k.scaled(w, h)
-            pixels = _pixel_grid(w, h, 1)
-            pose = self.frame_pose(i)
-            dirs_cam = _camera_dirs(ks, pixels)
-            dirs_world = dirs_cam @ pose.rotation.matrix().T
-            depth = self.scene.raycast(pose.translation, dirs_world)
-            hits = pose.translation[None, :] + depth[:, None] * dirs_world
-            color = self.scene.color_at(hits)
-            self._raster_cache[key] = (
-                color.reshape(h, w, 3).astype(np.float32),
-                depth.reshape(h, w).astype(np.float32),
-            )
-        return self._raster_cache[key]
+        k = self.intrinsics
+        w, h = k.width // scale, k.height // scale
+        pixels = _pixel_grid(w, h, 1)
+        pose = self.frame_pose(i)
+        dirs_cam = _camera_dirs(k.scaled(w, h), pixels)
+        dirs_world = dirs_cam @ pose.rotation.matrix().T
+        depth = self.scene.raycast(pose.translation, dirs_world)
+        hits = pose.translation[None, :] + depth[:, None] * dirs_world
+        color = self.scene.color_at(hits)
+        return (color.reshape(h, w, 3).astype(np.float32),
+                depth.reshape(h, w).astype(np.float32))
 
 
 def make_dataset(model: TrajectoryModel, scene: SceneModel | None = None,
@@ -407,7 +391,11 @@ def make_dataset(model: TrajectoryModel, scene: SceneModel | None = None,
                  sigma_px: float = 0.5, outlier_rate: float = 0.0,
                  seed: int = 0, frame_rate: float = 25.0,
                  imu_rate: float = 200.0) -> SyntheticDataset:
-    """Build a dataset: trajectory samples, ground-truth states, IMU stream."""
+    """Build a dataset: trajectory samples and the IMU stream.
+
+    Ground truth is read from the samples: frame_pose(i) and
+    traj.frame_velocities[i]; the IMU bias is the constant `bias`.
+    """
     scene = scene if scene is not None else SceneModel()
     intrinsics = intrinsics if intrinsics is not None else default_intrinsics()
     gravity = gravity if gravity is not None else GravityModel()
@@ -420,15 +408,10 @@ def make_dataset(model: TrajectoryModel, scene: SceneModel | None = None,
     if extent > scene.half_extent - 0.5:
         raise ValueError("trajectory leaves the scene box (or comes closer "
                          "than 0.5 m to a wall)")
-    states = [PoseState(pose=traj.frame_poses[i].copy(),
-                        velocity=traj.frame_velocities[i].copy(),
-                        bias=bias.copy(),
-                        timestamp=float(traj.frame_times[i]))
-              for i in range(len(traj.frame_times))]
     imu = synthesize_imu(traj, gravity, bias=bias, noise=imu_noise, seed=seed)
     return SyntheticDataset(model, scene, intrinsics, gravity, bias, imu_noise,
                             sigma_px, outlier_rate, seed, frame_rate, imu_rate,
-                            traj, states, imu)
+                            traj, imu)
 
 
 def synthesize_correspondences(dataset: SyntheticDataset, kf_i: int, kf_j: int,

@@ -139,6 +139,46 @@ def test_evaluate_non_finite_input_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "ev").exists()
 
 
+def test_run_out_path_that_is_a_file_is_rejected_before_the_run(
+        tmp_path, capsys, monkeypatch):
+    def never(plan):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr("vislam.cli.execute", never)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    code, out = _run(tmp_path, "taken", SHORT_RUN)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert '"error": "config"' in err and str(taken) in err
+    assert taken.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "taken.cfg"]
+
+
+@pytest.mark.parametrize("below", [
+    pytest.param(False, id="file"),
+    pytest.param(True, id="below_file"),
+])
+def test_evaluate_out_path_blocked_by_a_file_is_a_config_error(
+        short_run, tmp_path, capsys, below):
+    _, _, run_out = short_run
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = taken / "ev" if below else taken
+    assert _evaluate(run_out, out, "se3") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert '"error": "config"' in err and str(taken) in err
+    assert taken.read_text() == "keep\n"
+
+
+def test_zero_window_solve_iterations_is_a_config_error(tmp_path, capsys):
+    code, out = _run(tmp_path, "bad",
+                     SHORT_RUN + "tracker.solve_iterations = 0\n")
+    assert code == EXIT_CONFIG
+    assert "solve_iterations" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class _ReadRecorder(dict):
     """A config that remembers which keys the pipeline looked up."""
 

@@ -5,7 +5,6 @@ import pytest
 
 from vislam.evaluation import Trajectory, align_umeyama, ate_rmse
 from vislam.frontend import (
-    FramePayload,
     KeyframePolicy,
     PHASE_FULL,
     PHASE_INERTIAL,
@@ -102,6 +101,8 @@ class TestKeyframeDecision:
             KeyframePolicy(window_size=1)
         with pytest.raises(ValueError):
             KeyframePolicy(covis_radius=0)
+        with pytest.raises(ValueError):
+            KeyframePolicy(solve_iterations=0)
 
 
 class TestFlowMagnitude:
@@ -175,14 +176,16 @@ class TestPropagation:
         t0, t5 = ds.frame_time(0), ds.frame_time(5)
         chunk = ds.imu_between(t0, t5)
         delta = preintegrate(chunk, BiasState(), ImuNoiseModel())
-        out = propagate_keyframe_state(ds.states[0], delta, ds.gravity,
+        start = PoseState(ds.frame_pose(0), ds.traj.frame_velocities[0])
+        out = propagate_keyframe_state(start, delta, ds.gravity,
                                        KeyframePolicy())
-        truth = ds.states[5]
+        truth = ds.frame_pose(5)
         assert np.linalg.norm(out.pose.translation
-                              - truth.pose.translation) < 1e-5
+                              - truth.translation) < 1e-5
         assert np.linalg.norm((out.pose.rotation.inverse()
-                               * truth.pose.rotation).log()) < 1e-5
-        assert np.linalg.norm(out.velocity - truth.velocity) < 1e-4
+                               * truth.rotation).log()) < 1e-5
+        assert np.linalg.norm(out.velocity
+                              - ds.traj.frame_velocities[5]) < 1e-4
 
 
 class TestImuBuffer:
@@ -204,6 +207,14 @@ class TestImuBuffer:
         tracker = driver.tracker
         stamps = [s.timestamp for s in tracker.imu_buffer]
         assert all(b > a for a, b in zip(stamps, stamps[1:]))
+
+    def test_process_frame_rejects_an_older_sample(self, clean_dataset):
+        driver = _Driver(clean_dataset)
+        tracker = driver.run(3)
+        stale = ImuSample(tracker.imu_buffer[-1].timestamp - 0.0025,
+                          np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError, match="order"):
+            process_frame(tracker, 3, clean_dataset.frame_time(3), [stale])
 
 
 class TestEvictionEdge:
@@ -377,6 +388,6 @@ class TestBootstrap:
         ds = clean_dataset
         provider = SyntheticProvider(ds, stride=20)
         tracker = make_tracker(provider, imu_period=1.0 / ds.imu_rate)
-        add_keyframe(tracker, FramePayload(0, ds.frame_time(0)))
+        add_keyframe(tracker, 0, ds.frame_time(0))
         with pytest.raises(ValueError, match="cover"):
-            add_keyframe(tracker, FramePayload(5, ds.frame_time(5)))
+            add_keyframe(tracker, 5, ds.frame_time(5))

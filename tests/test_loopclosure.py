@@ -428,8 +428,7 @@ def translation_rmse(states, reference):
 class TestSolvePgba:
     def exact_graph(self):
         states = [int_state([k, 2.0 * k % 7, -(k % 3)]) for k in range(61)]
-        nodes = [PoseGraphNode(k, s.copy(), timestamp=float(k))
-                 for k, s in enumerate(states)]
+        nodes = [PoseGraphNode(k, s.copy()) for k, s in enumerate(states)]
         loop = LoopEdge(0, 60, RelativePoseEdge(
             0, 60, states[60] * states[0].inverse(), np.eye(7) * 1e6))
         return PoseGraph(nodes, chain_from(states), [loop])
@@ -450,7 +449,6 @@ class TestSolvePgba:
             assert np.array_equal(e.old_pose.translation,
                                   e.new_pose.translation)
             assert np.array_equal(e.old_pose.rotation.q, e.new_pose.rotation.q)
-        assert corr.timestamp == 60.0
 
     def test_requires_a_loop_edge(self):
         states = [int_state([k, 0, 0]) for k in range(5)]
@@ -479,8 +477,7 @@ class TestSolvePgba:
 
     def test_scale_drift_closed_by_exact_loop(self):
         gt, drift = drifting_circle()
-        nodes = [PoseGraphNode(k, drift[k].copy(), timestamp=float(k))
-                 for k in range(61)]
+        nodes = [PoseGraphNode(k, drift[k].copy()) for k in range(61)]
         loop = LoopEdge(0, 60, RelativePoseEdge(
             0, 60, gt[60] * gt[0].inverse(), np.eye(7) * 1e6))
         g = PoseGraph(nodes, chain_from(drift), [loop])
@@ -546,8 +543,8 @@ class TestSolvePgba:
         rel = align_loop_pair(vis, d0, drifted[0], drifted[5], k)
         nodes = [PoseGraphNode(n, drifted[n].copy(),
                                pixels=grid if n == 0 else None,
-                               disparities=d0.copy() if n == 0 else None,
-                               timestamp=float(n)) for n in range(6)]
+                               disparities=d0.copy() if n == 0 else None)
+                 for n in range(6)]
         g = PoseGraph(nodes, chain_from(drifted), [LoopEdge(0, 5, rel, vis)],
                       intrinsics=k, min_loop_gap=5)
         err_before = np.linalg.norm(drifted[5].translation - gt[5].translation)
@@ -584,8 +581,8 @@ def worker_run():
     admitted = []
     for f in range(n):
         pair = worker.ingest_summary(KeyframeSummary(
-            kid=f, frame_index=f, pose=drifted[f].pose(), pixels=grid, disparities=1.0 / prov.depth_hint(f, grid),
-            timestamp=ds.frame_time(f)))
+            kid=f, frame_index=f, pose=drifted[f].pose(), pixels=grid,
+            disparities=1.0 / prov.depth_hint(f, grid)))
         if pair is not None:
             admitted.append(pair)
         if f >= window:
@@ -593,7 +590,7 @@ def worker_run():
                                    chain[f - window])
     window_kids = range(n - window, n)
     report, corr = worker.solve(
-        [(kid, drifted[kid].copy(), ds.frame_time(kid)) for kid in window_kids],
+        [(kid, drifted[kid].copy()) for kid in window_kids],
         [chain[i] for i in range(n - window, n - 1)])
     return {
         "n": n, "gt": gt, "drifted": drifted, "worker": worker,
@@ -706,10 +703,9 @@ class TestTrackerSeam:
     def test_window_snapshot_shape(self):
         tracker = tiny_tracker()
         nodes, chain = window_snapshot(tracker)
-        assert [kid for kid, _, _ in nodes] == [0, 1, 2]
+        assert [kid for kid, _ in nodes] == [0, 1, 2]
         assert all(isinstance(s, SimTransform) and s.scale == 1.0
-                   for _, s, _ in nodes)
-        assert [t for _, _, t in nodes] == [1.0, 2.0, 3.0]
+                   for _, s in nodes)
         assert [(e.i, e.j) for e in chain] == [(0, 1), (1, 2)]
         kf = tracker.graph.keyframes
         expect = SimTransform.from_pose(kf[1].state.pose) \
@@ -745,7 +741,7 @@ class TestTrackerSeam:
             0: CorrectionEntry(0, untouched.copy(), untouched.copy(), 1.0),
             1: entry_for(1, old_pose),
             100: entry_for(100, arch_old),
-        }, timestamp=3.0)
+        })
         n = apply_correction(tracker, corr)
         assert n == 2
         # keyframe 0: unchanged entry leaves the object untouched
@@ -771,11 +767,10 @@ class TestTrackerSeam:
         tracker.archive.clear()
         nodes, chain = window_snapshot(tracker)
         big_nodes = []
-        states = [s for _, s, _ in nodes]
+        states = [s for _, s in nodes]
         loop_meas = states[2] * states[0].inverse()
         pert = loop_meas.retract(np.array([0.01, 0, 0, 0.05, 0, 0, 0.0]))
-        big_nodes = [PoseGraphNode(kid, s, timestamp=t)
-                     for (kid, s, t) in nodes]
+        big_nodes = [PoseGraphNode(kid, s) for kid, s in nodes]
         g = PoseGraph(big_nodes, chain,
                       [LoopEdge(0, 2, RelativePoseEdge(0, 2, pert,
                                                        np.eye(7) * 1e4))],

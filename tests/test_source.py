@@ -1,0 +1,45 @@
+"""Static checks over the package source."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import vislam
+
+MODULES = sorted(Path(vislam.__file__).parent.glob("*.py"))
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    """Names bound by a module-level import that the module never reads."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # a quoted annotation reads the names inside its string
+    for n in ast.walk(tree):
+        notes = []
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            notes.append(n.returns)
+        elif isinstance(n, ast.arg):
+            notes.append(n.annotation)
+        elif isinstance(n, ast.AnnAssign):
+            notes.append(n.annotation)
+        for note in notes:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                read |= {m.id for m in ast.walk(ast.parse(note.value,
+                                                          mode="eval"))
+                         if isinstance(m, ast.Name)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_level_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _unused_imports(tree) == []
