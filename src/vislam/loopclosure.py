@@ -225,8 +225,8 @@ class _PairAlignment:
         self.out = None
 
     def evaluate(self) -> float:
-        self.out = sim3_vision_residual(self.edge, self.S_i, self.S, self.d_i,
-                                        self.k)
+        self.out = sim3_vision_residual([self.edge], [self.S_i], [self.S],
+                                        [self.d_i], self.k)
         return float((self.out.residual ** 2).sum())
 
     def linearize(self) -> None:
@@ -289,43 +289,38 @@ class _PoseGraphProblem(GraphProblem):
                          for n in graph.nodes])
         super().__init__(graph.nodes, layout, opts)
         self.graph = graph
+        self.groups = layout.pixel_groups([loop.vision for loop in graph.loops
+                                           if loop.vision is not None], SIM3_DOF)
+        self.relative = [loop.relative for loop in graph.loops
+                         if loop.vision is None] + graph.chain
 
     def evaluate(self) -> float:
         """Sum of whitened squared residuals over loop and chain edges."""
         g = self.graph
-        self.outs = []
-        e = 0.0
-        for loop in g.loops:
-            S_i, S_j = g.node(loop.i).state, g.node(loop.j).state
-            if loop.vision is not None:
-                out = sim3_vision_residual(loop.vision, S_i, S_j,
-                                           g.node(loop.i).disparities,
-                                           g.intrinsics)
-                e += float((out.residual ** 2).sum())
-            else:
-                out = relative_pose_residual(loop.relative, S_i, S_j)
-                e += float(out.residual @ out.residual)
-            self.outs.append(out)
-        for edge in g.chain:
-            out = relative_pose_residual(edge, g.node(edge.i).state,
-                                         g.node(edge.j).state)
-            e += float(out.residual @ out.residual)
-            self.outs.append(out)
-        return e
+        vision = [sim3_vision_residual(edges, [g.node(e.i).state for e in edges],
+                                       [g.node(e.j).state for e in edges],
+                                       [g.node(e.i).disparities for e in edges],
+                                       g.intrinsics)
+                  for edges, *_ in self.groups]
+        relative = [relative_pose_residual(edge, g.node(edge.i).state,
+                                           g.node(edge.j).state)
+                    for edge in self.relative]
+        self.outs = (vision, relative)
+        e = sum(float((out.residual ** 2).sum()) for out in vision)
+        return sum((float(out.residual @ out.residual) for out in relative), e)
 
     def linearize(self) -> None:
         lay = self.layout
+        self.system = None
         system = NormalEquations(lay)
-        pairs = [(loop.i, loop.j, loop.vision) for loop in self.graph.loops] \
-            + [(edge.i, edge.j, None) for edge in self.graph.chain]
-        for (i, j, vision), out in zip(pairs, self.outs):
-            ci, cj = lay.cols(i, SIM3_DOF), lay.cols(j, SIM3_DOF)
-            if vision is None:
-                system.add_rows([(ci, out.J_i), (cj, out.J_j)], out.residual)
-            else:
-                system.add_pixels(ci, cj, lay.disp_cols(i), out.J_i, out.J_j,
-                                  out.J_disparity, out.residual)
-        self.system = system
+        vision, relative = self.outs
+        for (_, ci, cj, cd), out in zip(self.groups, vision):
+            system.add_pixels(ci, cj, cd, out.J_i, out.J_j, out.J_disparity,
+                              out.residual)
+        for edge, out in zip(self.relative, relative):
+            system.add_rows([(lay.cols(edge.i, SIM3_DOF), out.J_i),
+                             (lay.cols(edge.j, SIM3_DOF), out.J_j)], out.residual)
+        self.system, self.outs = system, None
 
     def retract(self, dx: np.ndarray) -> None:
         for n, node in enumerate(self.nodes[1:], start=1):
@@ -411,34 +406,36 @@ class LoopWorker:
         s = self.states.get(kid)
         return s if s is not None else SimTransform.from_pose(self.poses[kid])
 
-    def _flow(self, old: KeyframeSummary, new: KeyframeSummary) -> float:
+    def _flow(self, old: KeyframeSummary, new: KeyframeSummary,
+              edges: dict) -> float:
         try:
-            edge = self.edge_source(old.frame_index, new.frame_index)
+            edges[old.kid] = self.edge_source(old.frame_index, new.frame_index)
         except ValueError:
             return math.inf
-        return flow_magnitude(edge, self.flow_scale)
+        return flow_magnitude(edges[old.kid], self.flow_scale)
 
     def ingest_summary(self, summary: KeyframeSummary):
-        """Register a new keyframe; returns the admitted loop pair, if any."""
+        """Register a new keyframe; returns the admitted loop pair, if any,
+        admitted with the edge that its flow was measured on."""
         if summary.kid in self.summaries:
             raise ValueError(f"keyframe {summary.kid} was already summarized")
+        edges = {}                  # old kid -> edge_source(old, summary)
         candidates = detect_loops(summary, self.summaries.values(),
-                                  lambda old: self._flow(old, summary),
+                                  lambda old: self._flow(old, summary, edges),
                                   self.policy)
         self.summaries[summary.kid] = summary
         self.poses[summary.kid] = summary.pose
         if not candidates:
             return None
         pair = candidates[0]
-        self._admit(pair)
+        self._admit(pair, edges[pair[0]])
         return pair
 
-    def _admit(self, pair):
+    def _admit(self, pair, raw):
         i, j = pair
         src = self.summaries[i]
         if src.pixels is None or src.disparities is None:
             raise ValueError(f"keyframe {i} has no pixel snapshot to anchor a loop")
-        raw = self.edge_source(src.frame_index, self.summaries[j].frame_index)
         vision = VisionEdge(i, j, raw.pixels, raw.targets, raw.weights)
         relative = align_loop_pair(vision, src.disparities, self._state_of(i),
                                    self._state_of(j), self.intrinsics,

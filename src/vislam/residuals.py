@@ -1,9 +1,10 @@
 """Weighted residuals and analytic Jacobians for the three energy families.
 
 Vision: dense reprojection of strided pixels against refined correspondences,
-weighted per pixel. Inertial: preintegrated motion discrepancy plus a bias
-random-walk block, whitened by the preintegration covariance. Relative pose:
-Sim(3) log of a measured relative transform against two states.
+weighted per pixel, for a stack of edges of one pixel count in one pass.
+Inertial: preintegrated motion discrepancy plus a bias random-walk block,
+whitened by the preintegration covariance. Relative pose: Sim(3) log of a
+measured relative transform against two states.
 
 States are world-from-body poses; the vision residual converts to the camera
 frame through a constant extrinsic, the inertial residual is purely body-frame.
@@ -79,12 +80,12 @@ class Intrinsics:
 
 
 def backproject(k: Intrinsics, pixels: np.ndarray, disparity: np.ndarray) -> np.ndarray:
-    """Camera-frame points from pixels and inverse depth."""
+    """Camera-frame points from (..., 2) pixels and (...) inverse depths."""
     pixels = np.atleast_2d(pixels)
     z = 1.0 / np.asarray(disparity, dtype=float)
-    x = (pixels[:, 0] - k.cx) / k.fx * z
-    y = (pixels[:, 1] - k.cy) / k.fy * z
-    return np.stack([x, y, z], axis=1)
+    x = (pixels[..., 0] - k.cx) / k.fx * z
+    y = (pixels[..., 1] - k.cy) / k.fy * z
+    return np.stack([x, y, z], axis=-1)
 
 
 def project(k: Intrinsics, points: np.ndarray) -> np.ndarray:
@@ -158,143 +159,159 @@ class RelativePoseEdge:
 
 @dataclass
 class VisionResidualResult:
-    residual: np.ndarray      # (N, 2) weighted
-    J_pose_i: np.ndarray      # (N, 2, 6) weighted, tangent (rotation, translation)
-    J_pose_j: np.ndarray      # (N, 2, 6)
-    J_disparity: np.ndarray   # (N, 2) column block per pixel
-    behind_camera: int        # pixels flagged and zero-weighted
-    valid: np.ndarray         # (N,) bool
+    residual: np.ndarray       # (E, n, 2) weighted
+    J_pose_i: np.ndarray       # (E, n, 2, 6) weighted, tangent (rotation, translation)
+    J_pose_j: np.ndarray       # (E, n, 2, 6)
+    J_disparity: np.ndarray    # (E, n, 2) column block per pixel
+    behind_camera: np.ndarray  # (E,) pixels flagged and zero-weighted
+    valid: np.ndarray          # (E, n) bool
 
 
 @dataclass
 class Sim3VisionResult:
-    residual: np.ndarray      # (N, 2) weighted
-    J_i: np.ndarray           # (N, 2, 7), tangent (rotation, translation, log-scale)
-    J_j: np.ndarray           # (N, 2, 7)
-    J_disparity: np.ndarray   # (N, 2)
-    behind_camera: int
+    residual: np.ndarray      # (E, n, 2) weighted
+    J_i: np.ndarray           # (E, n, 2, 7), tangent (rotation, translation, log-scale)
+    J_j: np.ndarray           # (E, n, 2, 7)
+    J_disparity: np.ndarray   # (E, n, 2)
+    behind_camera: np.ndarray
     valid: np.ndarray
 
 
-def _hat_rows(v: np.ndarray) -> np.ndarray:
-    H = np.zeros((v.shape[0], 3, 3))
-    H[:, 0, 1] = -v[:, 2]
-    H[:, 0, 2] = v[:, 1]
-    H[:, 1, 0] = v[:, 2]
-    H[:, 1, 2] = -v[:, 0]
-    H[:, 2, 0] = -v[:, 1]
-    H[:, 2, 1] = v[:, 0]
-    return H
-
-
 class _Reprojection:
-    """One vision edge through backprojection, the similarity action
-    s*R@x + t of both keyframes, and the pinhole projection.
+    """E vision edges of n pixels each through backprojection, the similarity
+    action s*R@x + t of both keyframes, and the pinhole projection.
 
-    Holds what the rigid and the similarity residual share: the weighted
-    residual, the disparity column, and the point derivatives with respect
-    to either keyframe's rotation. The translation (and scale) columns
-    depend on each state's retraction, so the callers supply those.
+    Inputs are stacked per edge: (E, n, 2) pixels, targets and weights,
+    (E, n) disparities, (E, 3, 3) rotations, (E, 3) translations and (E,)
+    scales. Per-pixel arrays keep the pixel axis last ((E, 3, n) points,
+    (E, 2, k, n) Jacobian rows), so each product runs along the pixels; the
+    results are (E, n, 2, ...) views. Rotation and disparity columns are
+    shared; translation (and scale) columns follow Pose.retract (world
+    frame) or, with similarity, SimTransform.retract (body frame).
     """
 
-    def __init__(self, edge: VisionEdge, d_i: np.ndarray, k: Intrinsics,
-                 T_cb: Pose | None, R_i, p_i, s_i, R_j, p_j, s_j):
-        d_i = np.asarray(d_i, dtype=float).reshape(-1)
-        if len(d_i) != len(edge.pixels):
-            raise ValueError("disparity length must match edge pixel list")
-        if np.any(d_i <= 0.0):
-            raise ValueError("disparities must be strictly positive")
+    def __init__(self, pixels, targets, weights, d_i, k: Intrinsics,
+                 T_cb: Pose | None, R_i, p_i, s_i, R_j, p_j, s_j, similarity: bool):
+        if not np.all(np.isfinite(d_i) & (d_i > 0.0)):
+            raise ValueError("disparities must be finite and strictly positive")
 
         T_bc = Pose.identity() if T_cb is None else T_cb.inverse()
         R_bc = T_bc.rotation.matrix()
-        p_bc = T_bc.translation
+        p_bc = T_bc.translation[:, None]
+        s_i3, s_j3 = s_i[:, None, None], s_j[:, None, None]
 
-        X_i = backproject(k, edge.pixels, d_i)        # camera i frame
-        Y_i = X_i @ R_bc.T + p_bc                     # body i frame
-        X_w = s_i * (Y_i @ R_i.T) + p_i               # world
-        V_j = ((X_w - p_j) @ R_j) / s_j               # body j frame
-        X_c = (V_j - p_bc) @ R_bc                     # camera j frame
+        X_i = np.moveaxis(backproject(k, pixels, d_i), -1, 1)           # camera i
+        Y_i = R_bc @ X_i + p_bc                                         # body i
+        X_w = s_i3 * (R_i @ Y_i) + p_i[:, :, None]                      # world
+        V_j = (R_j.transpose(0, 2, 1) @ (X_w - p_j[:, :, None])) / s_j3  # body j
+        X_c = R_bc.T @ (V_j - p_bc)                                     # camera j
 
-        z = X_c[:, 2]
-        self.valid = z > 1e-6
-        self.behind_camera = int(np.count_nonzero(~self.valid))
-        z_safe = np.where(self.valid, z, 1.0)
+        x, y, z = X_c[:, 0], X_c[:, 1], X_c[:, 2]
+        valid = z > 1e-6
+        z_safe = np.where(valid, z, 1.0)
+        sw = np.sqrt(np.where(valid[:, None], np.moveaxis(weights, -1, 1), 0.0))
+        pred = np.stack([k.fx * x / z_safe + k.cx, k.fy * y / z_safe + k.cy], axis=1)
+        residual = sw * (np.moveaxis(targets, -1, 1) - pred)
 
-        pred = np.stack([k.fx * X_c[:, 0] / z_safe + k.cx,
-                         k.fy * X_c[:, 1] / z_safe + k.cy], axis=1)
-        self.sw = np.sqrt(np.where(self.valid[:, None], edge.weights, 0.0))
-        self.residual = self.sw * (edge.targets - pred)
+        # projection rows over X_c: u is (fx/z, 0, -fx x/z^2), v (0, fy/z, -fy y/z^2)
+        self._P = [a[:, None] for a in (k.fx / z_safe, -k.fx * x / z_safe ** 2,
+                                        k.fy / z_safe, -k.fy * y / z_safe ** 2)]
+        self._sw = -sw[:, :, None]
+        del pixels, targets, weights, X_w, X_c, x, y, z
 
-        # projection Jacobian rows, (N, 2, 3)
-        self.P = np.zeros((len(d_i), 2, 3))
-        self.P[:, 0, 0] = k.fx / z_safe
-        self.P[:, 0, 2] = -k.fx * X_c[:, 0] / z_safe ** 2
-        self.P[:, 1, 1] = k.fy / z_safe
-        self.P[:, 1, 2] = -k.fy * X_c[:, 1] / z_safe ** 2
+        # each row g times hat(y) is g x y; rows over the body-j point first
+        J_i = np.empty((len(d_i), 2, 7 if similarity else 6, d_i.shape[1]))
+        J_j = np.empty_like(J_i)
+        B = (R_bc.T @ R_j.transpose(0, 2, 1)) / s_j3                    # dX_c/dX_w
+        G = self._rows(np.broadcast_to(R_bc.T, B.shape)[..., None])
+        J_j[:, :, :3] = np.cross(G, V_j[:, None], axis=2)
+        if similarity:
+            J_j[:, :, 3:6] = -G
+            J_j[:, :, 6] = -(G * V_j[:, None]).sum(axis=2)
+        else:
+            J_i[:, :, 3:6] = self._rows(B[..., None])
+            J_j[:, :, 3:6] = -J_i[:, :, 3:6]
 
-        self.B = (R_bc.T @ R_j.T) / s_j               # dX_c/dX_w
-        self.BRi = self.B @ R_i
-        self.Y_i, self.V_j, self.R_bc = Y_i, V_j, R_bc
-        self.dX_dthi = np.einsum("ab,nbc->nac", -s_i * self.BRi, _hat_rows(Y_i))
-        self.dX_dthj = np.einsum("ab,nbc->nac", R_bc.T, _hat_rows(V_j))
-        dX_dd = -np.einsum("ab,nb->na", s_i * (self.BRi @ R_bc), X_i) / d_i[:, None]
-        self.J_disparity = self.sw * -np.einsum("nab,nb->na", self.P, dX_dd)
+        s_i4 = s_i3[..., None]
+        BR_i = B @ R_i
+        G = self._rows(BR_i[..., None])
+        np.multiply(-s_i4, np.cross(G, Y_i[:, None], axis=2), out=J_i[:, :, :3])
+        # dX_c/dd summed as (x + z) + y, numpy.einsum's order: far points cancel
+        # here, and a vision-only window's scale gauge amplifies any rounding
+        M = (s_i3 * (BR_i @ R_bc))[..., None]
+        dX = -((M[:, :, 0] * X_i[:, None, 0] + M[:, :, 2] * X_i[:, None, 2])
+               + M[:, :, 1] * X_i[:, None, 1]) / d_i[:, None]
+        J_d = self._rows(dX[:, :, None])[:, :, 0]
+        if similarity:
+            J_i[:, :, 3:6] = s_i4 * G
+            J_i[:, :, 6] = s_i3 * (G * Y_i[:, None]).sum(axis=2)
 
-    def jacobian(self, *blocks) -> np.ndarray:
-        """Weighted residual columns for (N, 3, 3) or (N, 3) point derivatives."""
-        cols = [-np.einsum("nab,nbc->nac", self.P, b) if b.ndim == 3
-                else -np.einsum("nab,nb->na", self.P, b)[:, :, None]
-                for b in blocks]
-        return self.sw[:, :, None] * np.concatenate(cols, axis=2)
+        self.residual = np.moveaxis(residual, 1, -1)                    # (E, n, 2)
+        self.J_i = np.moveaxis(J_i, -1, 1)                              # (E, n, 2, k)
+        self.J_j = np.moveaxis(J_j, -1, 1)
+        self.J_disparity = np.moveaxis(J_d, 1, -1)
+        self.valid = valid
+        self.behind_camera = np.count_nonzero(~valid, axis=1)
+
+    def _rows(self, V: np.ndarray) -> np.ndarray:
+        """Weighted residual rows -sqrt(w) P V of derivatives V (E, 3, k, 1 or
+        n) of X_c, as (E, 2, k, n)."""
+        p00, p02, p11, p12 = self._P
+        rows = np.stack([p00 * V[:, 0] + p02 * V[:, 2], p11 * V[:, 1] + p12 * V[:, 2]],
+                        axis=1)
+        rows *= self._sw
+        return rows
 
 
-def vision_residual(edge: VisionEdge, T_i: Pose, T_j: Pose, d_i: np.ndarray,
-                    k: Intrinsics, T_cb: Pose | None = None) -> VisionResidualResult:
-    """Weighted reprojection residual u* - proj(T_ij backproj(u_i, d_i)).
+def _reproject(edges, states_i, states_j, d_i, k: Intrinsics, T_cb: Pose | None,
+               similarity: bool) -> _Reprojection:
+    """Stack E edges of one pixel count with their states and run the kernel."""
+    if not len(edges) == len(states_i) == len(states_j) == len(d_i):
+        raise ValueError("one state pair and one disparity array per edge")
+    d = [np.asarray(x, dtype=float).reshape(-1) for x in d_i]
+    if any(len(x) != len(e.pixels) for e, x in zip(edges, d)):
+        raise ValueError("disparity length must match edge pixel list")
 
-    Rows are scaled by sqrt(w) per pixel component. Points landing behind the
-    target camera are zero-weighted and counted, not raised. Translation
-    tangents are world-frame, as in Pose.retract.
+    def pose_arrays(states):
+        return (np.stack([s.rotation.matrix() for s in states]),
+                np.stack([s.translation for s in states]),
+                np.array([s.scale if similarity else 1.0 for s in states]))
+
+    return _Reprojection(np.stack([e.pixels for e in edges]),
+                         np.stack([e.targets for e in edges]),
+                         np.stack([e.weights for e in edges]), np.stack(d), k, T_cb,
+                         *pose_arrays(states_i), *pose_arrays(states_j), similarity)
+
+
+def vision_residual(edges, T_i, T_j, d_i, k: Intrinsics,
+                    T_cb: Pose | None = None) -> VisionResidualResult:
+    """Weighted reprojection residuals u* - proj(T_ij backproj(u_i, d_i)).
+
+    edges is a sequence of E VisionEdges of one pixel count; T_i, T_j and
+    d_i give each edge its two poses and its source disparities. Rows are
+    scaled by sqrt(w) per pixel component. Points landing behind the target
+    camera are zero-weighted and counted, not raised. Translation tangents
+    are world-frame, as in Pose.retract.
     """
-    c = _Reprojection(edge, d_i, k, T_cb, T_i.rotation.matrix(), T_i.translation,
-                      1.0, T_j.rotation.matrix(), T_j.translation, 1.0)
-    n = len(c.residual)
-    return VisionResidualResult(
-        residual=c.residual,
-        J_pose_i=c.jacobian(c.dX_dthi, np.broadcast_to(c.B, (n, 3, 3))),
-        J_pose_j=c.jacobian(c.dX_dthj, np.broadcast_to(-c.B, (n, 3, 3))),
-        J_disparity=c.J_disparity,
-        behind_camera=c.behind_camera,
-        valid=c.valid,
-    )
+    c = _reproject(edges, T_i, T_j, d_i, k, T_cb, similarity=False)
+    return VisionResidualResult(c.residual, c.J_i, c.J_j, c.J_disparity,
+                                c.behind_camera, c.valid)
 
 
-def sim3_vision_residual(edge: VisionEdge, S_i: SimTransform, S_j: SimTransform,
-                         d_i: np.ndarray, k: Intrinsics,
+def sim3_vision_residual(edges, S_i, S_j, d_i, k: Intrinsics,
                          T_cb: Pose | None = None) -> Sim3VisionResult:
-    """Reprojection residual of a vision edge under similarity keyframe states.
+    """Reprojection residuals of vision edges under similarity keyframe states.
 
-    Same measurement model as the rigid vision residual with the action
+    Same measurement model and stacking as vision_residual with the action
     s*R@x + t in place of the rigid one, so relative scale between the two
     keyframes enters the prediction. Jacobians are over right perturbations
     ordered (rotation, translation, log-scale), so translation tangents are
     body-frame, as in SimTransform.retract. Rows are scaled by sqrt(w);
     points behind the target camera are zero-weighted and counted.
     """
-    s_i = S_i.scale
-    c = _Reprojection(edge, d_i, k, T_cb, S_i.rotation.matrix(), S_i.translation,
-                      s_i, S_j.rotation.matrix(), S_j.translation, S_j.scale)
-    n = len(c.residual)
-    return Sim3VisionResult(
-        residual=c.residual,
-        J_i=c.jacobian(c.dX_dthi, np.broadcast_to(s_i * c.BRi, (n, 3, 3)),
-                       s_i * (c.Y_i @ c.BRi.T)),
-        J_j=c.jacobian(c.dX_dthj, np.broadcast_to(-c.R_bc.T, (n, 3, 3)),
-                       -(c.V_j @ c.R_bc)),
-        J_disparity=c.J_disparity,
-        behind_camera=c.behind_camera,
-        valid=c.valid,
-    )
+    c = _reproject(edges, S_i, S_j, d_i, k, T_cb, similarity=True)
+    return Sim3VisionResult(c.residual, c.J_i, c.J_j, c.J_disparity,
+                            c.behind_camera, c.valid)
 
 
 @dataclass

@@ -12,7 +12,9 @@ must produce the same step; it exists for verification and small problems.
 
 lm_solve is the package's one Levenberg-Marquardt loop: the pose-graph,
 two-view alignment and inertial-only initialization solves are problems for
-it as well, and the pose graph reuses Layout and NormalEquations.
+it as well, and the pose graph reuses Layout and NormalEquations. Both graphs
+group their vision edges by pixel count (Layout.pixel_groups): each group is
+one call of the reprojection kernel and one NormalEquations.add_pixels.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ class Keyframe:
         self.disparities = np.asarray(self.disparities, dtype=float).reshape(-1)
         if len(self.pixels) != len(self.disparities):
             raise ValueError("one disparity per tracked pixel")
-        if len(self.disparities) and self.disparities.min() <= 0.0:
-            raise ValueError("disparities must be positive")
+        if not np.all(np.isfinite(self.disparities) & (self.disparities > 0.0)):
+            raise ValueError("disparities must be finite and positive")
 
 
 class KeyframeIndex:
@@ -236,6 +238,17 @@ class Layout:
         n = self.index_of(kid)
         return np.arange(self.d_offsets[n], self.d_offsets[n + 1])
 
+    def pixel_groups(self, edges, width: int) -> list:
+        """(edges, ci, cj, cd) per pixel count, in order of appearance: both
+        ends' pose columns and the source's disparity columns, stacked."""
+        by_count = {}
+        for e in edges:
+            by_count.setdefault(len(e.pixels), []).append(e)
+        return [(group, np.stack([self.cols(e.i, width) for e in group]),
+                 np.stack([self.cols(e.j, width) for e in group]),
+                 np.stack([self.disp_cols(e.i) for e in group]))
+                for group in by_count.values()]
+
 
 class NormalEquations:
     """H, g over [node tangents | extra | disparities] in normal form.
@@ -270,22 +283,34 @@ class NormalEquations:
             g[c] += J.T @ r
 
     def add_pixels(self, ci, cj, cd, Ji, Jj, Jd, r) -> None:
-        """Vision rows (N, 2) with pose blocks (N, 2, k) and one disparity each."""
-        H = self.H_pp
-        H[np.ix_(ci, ci)] += np.einsum("nka,nkb->ab", Ji, Ji)
-        H[np.ix_(cj, cj)] += np.einsum("nka,nkb->ab", Jj, Jj)
-        Hij = np.einsum("nka,nkb->ab", Ji, Jj)
-        H[np.ix_(ci, cj)] += Hij
-        H[np.ix_(cj, ci)] += Hij.T
+        """Vision rows of E edges of n pixels each, scattered at once.
 
-        # per-pixel disparity coupling
-        self.H_pd[np.ix_(ci, cd)] += np.einsum("nka,nk->na", Ji, Jd).T
-        self.H_pd[np.ix_(cj, cd)] += np.einsum("nka,nk->na", Jj, Jd).T
-        self.H_dd[cd] += np.einsum("nk,nk->n", Jd, Jd)
+        Ji, Jj (E, n, 2, k) are pose blocks on each edge's columns ci, cj
+        (E, k); Jd (E, n, 2) is each pixel's column on its own disparity, cd
+        (E, n); r (E, n, 2) the residuals. Sums run along the pixel axis,
+        the contiguous one in what the kernel returns. Shared columns add up.
+        """
+        Ji, Jj = np.moveaxis(Ji, 1, -1), np.moveaxis(Jj, 1, -1)     # (E, 2, k, n)
+        Jd, r = np.moveaxis(Jd, 1, -1), np.moveaxis(r, 1, -1)       # (E, 2, n)
 
-        self.g_p[ci] += np.einsum("nka,nk->a", Ji, r)
-        self.g_p[cj] += np.einsum("nka,nk->a", Jj, r)
-        self.g_d[cd] += np.einsum("nk,nk->n", Jd, r)
+        def gram(a, b):
+            return (a @ b.swapaxes(2, 3)).sum(axis=1)
+
+        Hij = gram(Ji, Jj)
+        c = np.concatenate([ci, cj], axis=1)
+        np.add.at(self.H_pp, (c[:, :, None], c[:, None, :]),
+                  np.block([[gram(Ji, Ji), Hij], [Hij.swapaxes(1, 2), gram(Jj, Jj)]]))
+
+        npv, n_disp = self.layout.n_pose_vars, self.layout.n_disp
+        for cols, J in ((ci, Ji), (cj, Jj)):
+            self.g_p += np.bincount(cols.ravel(), (J @ r[..., None]).sum(axis=1).ravel(),
+                                    minlength=npv)
+            # per-pixel disparity coupling; no (pose, disparity) column pair
+            # repeats within an edge, but edges from one source share columns
+            np.add.at(self.H_pd, (cols[:, :, None], cd[:, None, :]),
+                      J[:, 0] * Jd[:, 0, None] + J[:, 1] * Jd[:, 1, None])
+        self.H_dd += np.bincount(cd.ravel(), (Jd * Jd).sum(axis=1).ravel(), minlength=n_disp)
+        self.g_d += np.bincount(cd.ravel(), (Jd * r).sum(axis=1).ravel(), minlength=n_disp)
 
     def solve(self, lam: float, opts: SolveOptions) -> np.ndarray:
         """One damped step [pose vars | disparities], zero on frozen columns.
@@ -332,7 +357,8 @@ class GraphProblem:
 
     Nodes carry `state` (with copy()) and `disparities` (or None); evaluate()
     stores the residual results in self.outs and linearize() scatters them
-    into self.system.
+    into a new self.system, dropping the old system first and the results
+    after, so neither is held beside its successor.
     """
 
     def __init__(self, nodes: list, layout: Layout, opts: SolveOptions):
@@ -382,13 +408,15 @@ class _WindowProblem(GraphProblem):
                         2 if opts.optimize_gravity else 0)
         super().__init__(graph.keyframes, layout, opts)
         self.graph = graph
+        self.groups = layout.pixel_groups(graph.vision_edges, POSE_DOF)
 
     def evaluate(self) -> float:
         """Sum of whitened squared residuals over every edge of the graph."""
         g = self.graph
-        vision = [vision_residual(e, g.kf(e.i).state.pose, g.kf(e.j).state.pose,
-                                  g.kf(e.i).disparities, g.intrinsics)
-                  for e in g.vision_edges]
+        vision = [vision_residual(edges, [g.kf(e.i).state.pose for e in edges],
+                                  [g.kf(e.j).state.pose for e in edges],
+                                  [g.kf(e.i).disparities for e in edges], g.intrinsics)
+                  for edges, *_ in self.groups]
         inertial = [inertial_residual(delta, g.kf(i).state, g.kf(j).state, g.gravity)
                     for i, j, delta in g.inertial_edges]
         self.outs = (vision, inertial)
@@ -399,11 +427,11 @@ class _WindowProblem(GraphProblem):
 
     def linearize(self) -> None:
         lay, g = self.layout, self.graph
+        self.system = None
         system = NormalEquations(lay)
         vision, inertial = self.outs
-        for edge, out in zip(g.vision_edges, vision):
-            system.add_pixels(lay.cols(edge.i, POSE_DOF), lay.cols(edge.j, POSE_DOF),
-                              lay.disp_cols(edge.i), out.J_pose_i, out.J_pose_j,
+        for (_, ci, cj, cd), out in zip(self.groups, vision):
+            system.add_pixels(ci, cj, cd, out.J_pose_i, out.J_pose_j,
                               out.J_disparity, out.residual)
         sdof = lay.dof
         grav_cols = np.arange(lay.n_state, lay.n_pose_vars)
@@ -413,7 +441,7 @@ class _WindowProblem(GraphProblem):
             if len(grav_cols):
                 blocks.append((grav_cols, out.J_gravity @ GRAVITY_TANGENT_BASIS))
             system.add_rows(blocks, out.residual)
-        self.system = system
+        self.system, self.outs = system, None
 
     def retract(self, dx: np.ndarray) -> None:
         lay = self.layout

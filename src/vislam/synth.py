@@ -331,11 +331,9 @@ def _camera_dirs(k: Intrinsics, pixels: np.ndarray) -> np.ndarray:
 class SyntheticDataset:
     """Ground-truth trajectory, IMU stream, scene, and noise settings."""
 
-    model: TrajectoryModel
     scene: SceneModel
     intrinsics: Intrinsics
     gravity: GravityModel
-    bias: BiasState
     imu_noise: ImuNoiseModel | None
     sigma_px: float
     outlier_rate: float
@@ -409,9 +407,8 @@ def make_dataset(model: TrajectoryModel, scene: SceneModel | None = None,
         raise ValueError("trajectory leaves the scene box (or comes closer "
                          "than 0.5 m to a wall)")
     imu = synthesize_imu(traj, gravity, bias=bias, noise=imu_noise, seed=seed)
-    return SyntheticDataset(model, scene, intrinsics, gravity, bias, imu_noise,
-                            sigma_px, outlier_rate, seed, frame_rate, imu_rate,
-                            traj, imu)
+    return SyntheticDataset(scene, intrinsics, gravity, imu_noise, sigma_px,
+                            outlier_rate, seed, frame_rate, imu_rate, traj, imu)
 
 
 def synthesize_correspondences(dataset: SyntheticDataset, kf_i: int, kf_j: int,

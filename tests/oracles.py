@@ -9,6 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from vislam.geometry import Pose, SimTransform
+from vislam.residuals import (
+    Intrinsics,
+    Sim3VisionResult,
+    VisionEdge,
+    VisionResidualResult,
+    backproject,
+)
+
 
 def _quat_from_rotvec(w: np.ndarray) -> np.ndarray:
     """Batch rotation-vector to quaternion (w, x, y, z)."""
@@ -136,3 +145,147 @@ def umeyama_alignment_ref(src: np.ndarray, dst: np.ndarray, with_scale: bool):
         s = 1.0
     t = mu_d - s * R @ mu_s
     return s, R, t
+
+
+# Per-edge reprojection and pixel scatter: the library evaluates and
+# scatters a stack of edges at once, these do one edge with einsums.
+
+def _hat_rows(v: np.ndarray) -> np.ndarray:
+    H = np.zeros((v.shape[0], 3, 3))
+    H[:, 0, 1] = -v[:, 2]
+    H[:, 0, 2] = v[:, 1]
+    H[:, 1, 0] = v[:, 2]
+    H[:, 1, 2] = -v[:, 0]
+    H[:, 2, 0] = -v[:, 1]
+    H[:, 2, 1] = v[:, 0]
+    return H
+
+
+class _Reprojection:
+    """One vision edge through backprojection, the similarity action
+    s*R@x + t of both keyframes, and the pinhole projection.
+
+    Holds what the rigid and the similarity residual share: the weighted
+    residual, the disparity column, and the point derivatives with respect
+    to either keyframe's rotation. The translation (and scale) columns
+    depend on each state's retraction, so the callers supply those.
+    """
+
+    def __init__(self, edge: VisionEdge, d_i: np.ndarray, k: Intrinsics,
+                 T_cb: Pose | None, R_i, p_i, s_i, R_j, p_j, s_j):
+        d_i = np.asarray(d_i, dtype=float).reshape(-1)
+        if len(d_i) != len(edge.pixels):
+            raise ValueError("disparity length must match edge pixel list")
+        if np.any(d_i <= 0.0):
+            raise ValueError("disparities must be strictly positive")
+
+        T_bc = Pose.identity() if T_cb is None else T_cb.inverse()
+        R_bc = T_bc.rotation.matrix()
+        p_bc = T_bc.translation
+
+        X_i = backproject(k, edge.pixels, d_i)        # camera i frame
+        Y_i = X_i @ R_bc.T + p_bc                     # body i frame
+        X_w = s_i * (Y_i @ R_i.T) + p_i               # world
+        V_j = ((X_w - p_j) @ R_j) / s_j               # body j frame
+        X_c = (V_j - p_bc) @ R_bc                     # camera j frame
+
+        z = X_c[:, 2]
+        self.valid = z > 1e-6
+        self.behind_camera = int(np.count_nonzero(~self.valid))
+        z_safe = np.where(self.valid, z, 1.0)
+
+        pred = np.stack([k.fx * X_c[:, 0] / z_safe + k.cx,
+                         k.fy * X_c[:, 1] / z_safe + k.cy], axis=1)
+        self.sw = np.sqrt(np.where(self.valid[:, None], edge.weights, 0.0))
+        self.residual = self.sw * (edge.targets - pred)
+
+        # projection Jacobian rows, (N, 2, 3)
+        self.P = np.zeros((len(d_i), 2, 3))
+        self.P[:, 0, 0] = k.fx / z_safe
+        self.P[:, 0, 2] = -k.fx * X_c[:, 0] / z_safe ** 2
+        self.P[:, 1, 1] = k.fy / z_safe
+        self.P[:, 1, 2] = -k.fy * X_c[:, 1] / z_safe ** 2
+
+        self.B = (R_bc.T @ R_j.T) / s_j               # dX_c/dX_w
+        self.BRi = self.B @ R_i
+        self.Y_i, self.V_j, self.R_bc = Y_i, V_j, R_bc
+        self.dX_dthi = np.einsum("ab,nbc->nac", -s_i * self.BRi, _hat_rows(Y_i))
+        self.dX_dthj = np.einsum("ab,nbc->nac", R_bc.T, _hat_rows(V_j))
+        dX_dd = -np.einsum("ab,nb->na", s_i * (self.BRi @ R_bc), X_i) / d_i[:, None]
+        self.J_disparity = self.sw * -np.einsum("nab,nb->na", self.P, dX_dd)
+
+    def jacobian(self, *blocks) -> np.ndarray:
+        """Weighted residual columns for (N, 3, 3) or (N, 3) point derivatives."""
+        cols = [-np.einsum("nab,nbc->nac", self.P, b) if b.ndim == 3
+                else -np.einsum("nab,nb->na", self.P, b)[:, :, None]
+                for b in blocks]
+        return self.sw[:, :, None] * np.concatenate(cols, axis=2)
+
+
+def vision_residual(edge: VisionEdge, T_i: Pose, T_j: Pose, d_i: np.ndarray,
+                    k: Intrinsics, T_cb: Pose | None = None) -> VisionResidualResult:
+    """Weighted reprojection residual u* - proj(T_ij backproj(u_i, d_i)).
+
+    Rows are scaled by sqrt(w) per pixel component. Points landing behind the
+    target camera are zero-weighted and counted, not raised. Translation
+    tangents are world-frame, as in Pose.retract.
+    """
+    c = _Reprojection(edge, d_i, k, T_cb, T_i.rotation.matrix(), T_i.translation,
+                      1.0, T_j.rotation.matrix(), T_j.translation, 1.0)
+    n = len(c.residual)
+    return VisionResidualResult(
+        residual=c.residual,
+        J_pose_i=c.jacobian(c.dX_dthi, np.broadcast_to(c.B, (n, 3, 3))),
+        J_pose_j=c.jacobian(c.dX_dthj, np.broadcast_to(-c.B, (n, 3, 3))),
+        J_disparity=c.J_disparity,
+        behind_camera=c.behind_camera,
+        valid=c.valid,
+    )
+
+
+def sim3_vision_residual(edge: VisionEdge, S_i: SimTransform, S_j: SimTransform,
+                         d_i: np.ndarray, k: Intrinsics,
+                         T_cb: Pose | None = None) -> Sim3VisionResult:
+    """Reprojection residual of a vision edge under similarity keyframe states.
+
+    Same measurement model as the rigid vision residual with the action
+    s*R@x + t in place of the rigid one, so relative scale between the two
+    keyframes enters the prediction. Jacobians are over right perturbations
+    ordered (rotation, translation, log-scale), so translation tangents are
+    body-frame, as in SimTransform.retract. Rows are scaled by sqrt(w);
+    points behind the target camera are zero-weighted and counted.
+    """
+    s_i = S_i.scale
+    c = _Reprojection(edge, d_i, k, T_cb, S_i.rotation.matrix(), S_i.translation,
+                      s_i, S_j.rotation.matrix(), S_j.translation, S_j.scale)
+    n = len(c.residual)
+    return Sim3VisionResult(
+        residual=c.residual,
+        J_i=c.jacobian(c.dX_dthi, np.broadcast_to(s_i * c.BRi, (n, 3, 3)),
+                       s_i * (c.Y_i @ c.BRi.T)),
+        J_j=c.jacobian(c.dX_dthj, np.broadcast_to(-c.R_bc.T, (n, 3, 3)),
+                       -(c.V_j @ c.R_bc)),
+        J_disparity=c.J_disparity,
+        behind_camera=c.behind_camera,
+        valid=c.valid,
+    )
+
+
+def add_pixels(system, ci, cj, cd, Ji, Jj, Jd, r) -> None:
+    """Vision rows (N, 2) of one edge with pose blocks (N, 2, k) and one
+    disparity each, scattered into a vislam.solver.NormalEquations."""
+    H = system.H_pp
+    H[np.ix_(ci, ci)] += np.einsum("nka,nkb->ab", Ji, Ji)
+    H[np.ix_(cj, cj)] += np.einsum("nka,nkb->ab", Jj, Jj)
+    Hij = np.einsum("nka,nkb->ab", Ji, Jj)
+    H[np.ix_(ci, cj)] += Hij
+    H[np.ix_(cj, ci)] += Hij.T
+
+    # per-pixel disparity coupling
+    system.H_pd[np.ix_(ci, cd)] += np.einsum("nka,nk->na", Ji, Jd).T
+    system.H_pd[np.ix_(cj, cd)] += np.einsum("nka,nk->na", Jj, Jd).T
+    system.H_dd[cd] += np.einsum("nk,nk->n", Jd, Jd)
+
+    system.g_p[ci] += np.einsum("nka,nk->a", Ji, r)
+    system.g_p[cj] += np.einsum("nka,nk->a", Jj, r)
+    system.g_d[cd] += np.einsum("nk,nk->n", Jd, r)

@@ -260,10 +260,10 @@ class TestSim3VisionResidual:
         edge = prov.edge(0, 4)
         vis = VisionEdge(0, 1, edge.pixels, edge.targets, edge.weights)
         d = 1.0 / prov.depth_hint(0, grid)
-        out = sim3_vision_residual(vis, SimTransform.from_pose(ds.frame_pose(0)),
-                                   SimTransform.from_pose(ds.frame_pose(4)), d, k)
-        assert out.behind_camera == 0
-        assert np.max(np.abs(out.residual)) < 1e-9
+        out = sim3_vision_residual([vis], [SimTransform.from_pose(ds.frame_pose(0))],
+                                   [SimTransform.from_pose(ds.frame_pose(4))], [d], k)
+        assert out.behind_camera[0] == 0
+        assert np.max(np.abs(out.residual[0])) < 1e-9
 
     def test_global_gauge_invariance(self):
         rng = np.random.default_rng(7)
@@ -272,10 +272,10 @@ class TestSim3VisionResidual:
         S_i, S_j = rand_state(rng, 1.2), rand_state(rng, 0.8)
         G = SimTransform(Rotation.exp(np.array([0.3, -0.2, 0.9])),
                          np.array([2.0, -1.0, 0.5]), 1.7)
-        r0 = sim3_vision_residual(edge, S_i, S_j, d, PINHOLE,
-                                  OFFSET_EXTRINSIC).residual
-        r1 = sim3_vision_residual(edge, G * S_i, G * S_j, d, PINHOLE,
-                                  OFFSET_EXTRINSIC).residual
+        r0 = sim3_vision_residual([edge], [S_i], [S_j], [d], PINHOLE,
+                                  OFFSET_EXTRINSIC).residual[0]
+        r1 = sim3_vision_residual([edge], [G * S_i], [G * S_j], [d], PINHOLE,
+                                  OFFSET_EXTRINSIC).residual[0]
         assert np.max(np.abs(r0 - r1)) < 1e-9
 
     @pytest.mark.parametrize("tcb", [None, OFFSET_EXTRINSIC],
@@ -285,23 +285,23 @@ class TestSim3VisionResidual:
         edge = make_edge(rng)
         d = rng.uniform(0.2, 0.9, 6)
         S_i, S_j = rand_state(rng, 1.1), rand_state(rng, 0.93)
-        out = sim3_vision_residual(edge, S_i, S_j, d, PINHOLE, tcb)
-        assert out.valid.all()
+        out = sim3_vision_residual([edge], [S_i], [S_j], [d], PINHOLE, tcb)
+        assert out.valid[0].all()
         h = 1e-6
-        for which, J in (("i", out.J_i), ("j", out.J_j)):
+        for which, J in (("i", out.J_i[0]), ("j", out.J_j[0])):
             for c in range(7):
                 e = np.zeros(7)
                 e[c] = h
                 if which == "i":
-                    rp = sim3_vision_residual(edge, S_i.retract(e), S_j, d,
-                                              PINHOLE, tcb).residual
-                    rm = sim3_vision_residual(edge, S_i.retract(-e), S_j, d,
-                                              PINHOLE, tcb).residual
+                    rp = sim3_vision_residual([edge], [S_i.retract(e)], [S_j], [d],
+                                              PINHOLE, tcb).residual[0]
+                    rm = sim3_vision_residual([edge], [S_i.retract(-e)], [S_j], [d],
+                                              PINHOLE, tcb).residual[0]
                 else:
-                    rp = sim3_vision_residual(edge, S_i, S_j.retract(e), d,
-                                              PINHOLE, tcb).residual
-                    rm = sim3_vision_residual(edge, S_i, S_j.retract(-e), d,
-                                              PINHOLE, tcb).residual
+                    rp = sim3_vision_residual([edge], [S_i], [S_j.retract(e)], [d],
+                                              PINHOLE, tcb).residual[0]
+                    rm = sim3_vision_residual([edge], [S_i], [S_j.retract(-e)], [d],
+                                              PINHOLE, tcb).residual[0]
                 fd = (rp - rm) / (2 * h)
                 err = np.max(np.abs(fd - J[:, :, c])) / max(1.0, np.max(np.abs(fd)))
                 assert err < 1e-4, f"J_{which} column {c}"
@@ -311,18 +311,18 @@ class TestSim3VisionResidual:
         edge = make_edge(rng)
         d = rng.uniform(0.2, 0.9, 6)
         S_i, S_j = rand_state(rng, 1.1), rand_state(rng, 0.93)
-        out = sim3_vision_residual(edge, S_i, S_j, d, PINHOLE, OFFSET_EXTRINSIC)
+        out = sim3_vision_residual([edge], [S_i], [S_j], [d], PINHOLE, OFFSET_EXTRINSIC)
         h = 1e-6
         for m in range(6):
             dp, dm = d.copy(), d.copy()
             dp[m] += h
             dm[m] -= h
-            rp = sim3_vision_residual(edge, S_i, S_j, dp, PINHOLE,
-                                      OFFSET_EXTRINSIC).residual[m]
-            rm = sim3_vision_residual(edge, S_i, S_j, dm, PINHOLE,
-                                      OFFSET_EXTRINSIC).residual[m]
+            rp = sim3_vision_residual([edge], [S_i], [S_j], [dp], PINHOLE,
+                                      OFFSET_EXTRINSIC).residual[0][m]
+            rm = sim3_vision_residual([edge], [S_i], [S_j], [dm], PINHOLE,
+                                      OFFSET_EXTRINSIC).residual[0][m]
             fd = (rp - rm) / (2 * h)
-            assert np.max(np.abs(fd - out.J_disparity[m])) < 1e-4
+            assert np.max(np.abs(fd - out.J_disparity[0][m])) < 1e-4
 
     def test_scale_of_target_state_is_blind_with_identity_extrinsic(self):
         # with a camera at the body origin, scaling the target state
@@ -331,9 +331,9 @@ class TestSim3VisionResidual:
         rng = np.random.default_rng(9)
         edge = make_edge(rng)
         d = rng.uniform(0.2, 0.9, 6)
-        out = sim3_vision_residual(edge, rand_state(rng), rand_state(rng), d,
+        out = sim3_vision_residual([edge], [rand_state(rng)], [rand_state(rng)], [d],
                                    PINHOLE, None)
-        assert np.max(np.abs(out.J_j[:, :, 6])) < 1e-10
+        assert np.max(np.abs(out.J_j[0][:, :, 6])) < 1e-10
 
     def test_points_behind_target_camera_are_masked(self):
         rng = np.random.default_rng(4)
@@ -342,24 +342,24 @@ class TestSim3VisionResidual:
         S_i = SimTransform.identity()
         S_j = SimTransform(Rotation.exp(np.array([0.0, math.pi, 0.0])),
                            np.zeros(3), 1.0)
-        out = sim3_vision_residual(edge, S_i, S_j, d, PINHOLE)
-        assert out.behind_camera == 6
-        assert not out.valid.any()
-        assert np.all(out.residual == 0.0)
-        assert np.all(out.J_i == 0.0) and np.all(out.J_j == 0.0)
+        out = sim3_vision_residual([edge], [S_i], [S_j], [d], PINHOLE)
+        assert out.behind_camera[0] == 6
+        assert not out.valid[0].any()
+        assert np.all(out.residual[0] == 0.0)
+        assert np.all(out.J_i[0] == 0.0) and np.all(out.J_j[0] == 0.0)
 
     def test_rejects_bad_disparities(self):
         rng = np.random.default_rng(4)
         edge = make_edge(rng)
         with pytest.raises(ValueError, match="length"):
-            sim3_vision_residual(edge, SimTransform.identity(),
-                                 SimTransform.identity(),
-                                 np.ones(5), PINHOLE)
+            sim3_vision_residual([edge], [SimTransform.identity()],
+                                 [SimTransform.identity()],
+                                 [np.ones(5)], PINHOLE)
         d = np.ones(6)
         d[3] = 0.0
         with pytest.raises(ValueError, match="positive"):
-            sim3_vision_residual(edge, SimTransform.identity(),
-                                 SimTransform.identity(), d, PINHOLE)
+            sim3_vision_residual([edge], [SimTransform.identity()],
+                                 [SimTransform.identity()], [d], PINHOLE)
 
 
 class TestAlignLoopPair:
@@ -654,6 +654,24 @@ class TestLoopWorker:
         worker = LoopWorker(k, prov.edge)
         assert worker.solve([], []) is None
         assert worker.pending is False
+
+    def test_each_pair_is_synthesized_once_per_summary(self, synth):
+        ds, prov, grid, k = synth
+        calls = []
+
+        def counting_edge(fi, fj):
+            calls.append((fi, fj))
+            return prov.edge(fi, fj)
+
+        worker = LoopWorker(k, counting_edge)
+        for kid, frame in ((0, 0), (1, 1), (2, 2)):
+            worker.ingest_summary(KeyframeSummary(
+                kid, frame, ds.frame_pose(frame), grid,
+                1.0 / prov.depth_hint(frame, grid)))
+        pair = worker.ingest_summary(KeyframeSummary(60, 3, ds.frame_pose(3), grid,
+                                                     1.0 / prov.depth_hint(3, grid)))
+        assert pair is not None and worker.loops_closed == 1
+        assert sorted(calls) == [(0, 3), (1, 3), (2, 3)]
 
     def test_admission_needs_source_snapshot(self, synth):
         _, prov, _, k = synth

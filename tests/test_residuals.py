@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from vislam.geometry import Pose, Rotation, SimTransform, so3_exp_matrix
 from vislam.imu import BiasState, ImuNoiseModel, ImuSample, PreintegratedDelta, preintegrate
 from vislam.residuals import (
@@ -17,6 +18,7 @@ from vislam.residuals import (
     inertial_residual,
     project,
     relative_pose_residual,
+    sim3_vision_residual,
     vision_residual,
 )
 
@@ -81,9 +83,9 @@ def test_vision_exact_reprojection_is_zero():
     rng = np.random.default_rng(0)
     k, T_i, T_j, pixels, d_i, targets = _vision_setup(rng)
     edge = VisionEdge(0, 1, pixels, targets, np.full((len(pixels), 2), 2.0))
-    out = vision_residual(edge, T_i, T_j, d_i, k)
-    assert out.behind_camera == 0
-    assert np.abs(out.residual).max() < 1e-9
+    out = vision_residual([edge], [T_i], [T_j], [d_i], k)
+    assert out.behind_camera[0] == 0
+    assert np.abs(out.residual[0]).max() < 1e-9
 
 
 def test_vision_zero_weights_zero_residual():
@@ -91,8 +93,8 @@ def test_vision_zero_weights_zero_residual():
     k, T_i, T_j, pixels, d_i, _ = _vision_setup(rng)
     garbage = rng.uniform(-500, 500, (len(pixels), 2))
     edge = VisionEdge(0, 1, pixels, garbage, np.zeros((len(pixels), 2)))
-    out = vision_residual(edge, T_i, T_j, d_i, k)
-    assert np.all(out.residual == 0.0)
+    out = vision_residual([edge], [T_i], [T_j], [d_i], k)
+    assert np.all(out.residual[0] == 0.0)
 
 
 def test_vision_nonpositive_disparity_rejected():
@@ -102,7 +104,7 @@ def test_vision_nonpositive_disparity_rejected():
     bad = d_i.copy()
     bad[0] = 0.0
     with pytest.raises(ValueError):
-        vision_residual(edge, T_i, T_j, bad, k)
+        vision_residual([edge], [T_i], [T_j], [bad], k)
 
 
 def test_vision_behind_camera_flagged_and_zeroed():
@@ -114,10 +116,10 @@ def test_vision_behind_camera_flagged_and_zeroed():
     pixels = np.array([[320.0, 240.0], [100.0, 120.0]])
     d_i = np.array([1.0, 0.9])
     edge = VisionEdge(0, 1, pixels, pixels, np.ones((2, 2)))
-    out = vision_residual(edge, T_i, T_j, d_i, k)
-    assert out.behind_camera == 2
-    assert np.all(out.residual == 0.0)
-    assert np.all(out.J_pose_i == 0.0)
+    out = vision_residual([edge], [T_i], [T_j], [d_i], k)
+    assert out.behind_camera[0] == 2
+    assert np.all(out.residual[0] == 0.0)
+    assert np.all(out.J_pose_i[0] == 0.0)
 
 
 @pytest.mark.parametrize("with_extrinsic", [False, True])
@@ -131,31 +133,33 @@ def test_vision_jacobians_match_finite_differences(with_extrinsic):
     weights = rng.uniform(0.2, 2.0, (len(pixels), 2))
     edge = VisionEdge(0, 1, pixels, targets, weights)
 
-    out = vision_residual(edge, T_i, T_j, d_i, k, T_cb=t_cb)
+    out = vision_residual([edge], [T_i], [T_j], [d_i], k, T_cb=t_cb)
 
     def f_i(d):
-        r = vision_residual(edge, T_i.retract(d[:3], d[3:]), T_j, d_i, k, T_cb=t_cb)
-        return r.residual.reshape(-1)
+        r = vision_residual([edge], [T_i.retract(d[:3], d[3:])], [T_j], [d_i], k,
+                            T_cb=t_cb)
+        return r.residual[0].reshape(-1)
 
     def f_j(d):
-        r = vision_residual(edge, T_i, T_j.retract(d[:3], d[3:]), d_i, k, T_cb=t_cb)
-        return r.residual.reshape(-1)
+        r = vision_residual([edge], [T_i], [T_j.retract(d[:3], d[3:])], [d_i], k,
+                            T_cb=t_cb)
+        return r.residual[0].reshape(-1)
 
     J_i_fd = _fd_columns(f_i, lambda d: d, 6)
     J_j_fd = _fd_columns(f_j, lambda d: d, 6)
-    assert _rel_err(out.J_pose_i.reshape(-1, 6), J_i_fd) < FD_RTOL
-    assert _rel_err(out.J_pose_j.reshape(-1, 6), J_j_fd) < FD_RTOL
+    assert _rel_err(out.J_pose_i[0].reshape(-1, 6), J_i_fd) < FD_RTOL
+    assert _rel_err(out.J_pose_j[0].reshape(-1, 6), J_j_fd) < FD_RTOL
 
     # per-pixel disparity columns
     for p in range(len(pixels)):
         def f_d(eps, p=p):
             dd = d_i.copy()
             dd[p] += eps[0]
-            r = vision_residual(edge, T_i, T_j, dd, k, T_cb=t_cb)
-            return r.residual[p]
+            r = vision_residual([edge], [T_i], [T_j], [dd], k, T_cb=t_cb)
+            return r.residual[0][p]
 
         col_fd = _fd_columns(f_d, lambda e: e, 1)[:, 0]
-        assert _rel_err(out.J_disparity[p], col_fd) < FD_RTOL
+        assert _rel_err(out.J_disparity[0][p], col_fd) < FD_RTOL
 
 
 def test_vision_invariant_under_common_rigid_transform():
@@ -165,13 +169,91 @@ def test_vision_invariant_under_common_rigid_transform():
     weights = rng.uniform(0.5, 1.5, (len(pixels), 2))
     edge = VisionEdge(0, 1, pixels, targets, weights)
 
-    base = vision_residual(edge, T_i, T_j, d_i, k).residual
+    base = vision_residual([edge], [T_i], [T_j], [d_i], k).residual[0]
 
     G = _rand_pose(rng, 1.5, 4.0)
     # moving both cameras and the scene together leaves every reprojection
     # unchanged, so the regenerated correspondences coincide with the old ones
-    moved = vision_residual(edge, G * T_i, G * T_j, d_i, k).residual
+    moved = vision_residual([edge], [G * T_i], [G * T_j], [d_i], k).residual[0]
     assert np.abs(moved - base).max() < 1e-9
+
+
+ORACLE_RTOL = 1e-12
+OFFSET_EXTRINSIC = Pose(Rotation.exp(np.array([0.01, -0.7, 0.02])),
+                        np.array([0.05, -0.02, 0.01]))
+
+
+def _edge_stack(rng, t_cb, n_edges=4, n=10):
+    """Edges of one pixel count with noisy targets and some zero weights;
+    the last edge's target camera sits 4 m ahead, behind part of its points."""
+    k = _default_intrinsics()
+    edges, T_i, T_j, d_i = [], [], [], []
+    for e in range(n_edges):
+        _, Ti, Tj, pixels, d, targets = _vision_setup(rng, n=n, t_cb=t_cb)
+        if e == n_edges - 1:
+            Tj = Ti.compose(Pose(Rotation.identity(), np.array([0.0, 0.0, 4.0])))
+        weights = rng.uniform(0.2, 2.0, (n, 2))
+        weights[e] = 0.0
+        weights[e + 1, 1] = 0.0
+        targets = targets + rng.standard_normal(targets.shape) * 2.0
+        edges.append(VisionEdge(0, 1, pixels, targets, weights))
+        T_i.append(Ti)
+        T_j.append(Tj)
+        d_i.append(d)
+    return k, edges, T_i, T_j, d_i
+
+
+def _assert_close(got, want):
+    assert np.abs(got - want).max() <= ORACLE_RTOL * np.abs(want).max()
+
+
+@pytest.mark.parametrize("t_cb", [None, OFFSET_EXTRINSIC],
+                         ids=["identity_extrinsic", "offset_extrinsic"])
+def test_batched_vision_residual_matches_per_edge_oracle(t_cb):
+    rng = np.random.default_rng(30)
+    k, edges, T_i, T_j, d_i = _edge_stack(rng, t_cb)
+    out = vision_residual(edges, T_i, T_j, d_i, k, T_cb=t_cb)
+    assert out.behind_camera[-1] > 0 and out.valid[-1].any()
+    for e, edge in enumerate(edges):
+        want = oracles.vision_residual(edge, T_i[e], T_j[e], d_i[e], k, T_cb=t_cb)
+        for name in ("residual", "J_pose_i", "J_pose_j", "J_disparity"):
+            _assert_close(getattr(out, name)[e], getattr(want, name))
+        assert out.behind_camera[e] == want.behind_camera
+        assert np.array_equal(out.valid[e], want.valid)
+
+
+@pytest.mark.parametrize("t_cb", [None, OFFSET_EXTRINSIC],
+                         ids=["identity_extrinsic", "offset_extrinsic"])
+def test_batched_sim3_vision_residual_matches_per_edge_oracle(t_cb):
+    rng = np.random.default_rng(31)
+    k, edges, T_i, T_j, d_i = _edge_stack(rng, t_cb)
+    S_i = [SimTransform(T.rotation, T.translation, float(np.exp(rng.uniform(-0.3, 0.3))))
+           for T in T_i]
+    S_j = [SimTransform(T.rotation, T.translation, float(np.exp(rng.uniform(-0.3, 0.3))))
+           for T in T_j]
+    out = sim3_vision_residual(edges, S_i, S_j, d_i, k, T_cb=t_cb)
+    assert out.behind_camera[-1] > 0 and out.valid[-1].any()
+    for e, edge in enumerate(edges):
+        want = oracles.sim3_vision_residual(edge, S_i[e], S_j[e], d_i[e], k, T_cb=t_cb)
+        for name in ("residual", "J_i", "J_j", "J_disparity"):
+            _assert_close(getattr(out, name)[e], getattr(want, name))
+        assert out.behind_camera[e] == want.behind_camera
+        assert np.array_equal(out.valid[e], want.valid)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kernel", [vision_residual, sim3_vision_residual],
+                         ids=["rigid", "sim3"])
+def test_vision_non_finite_disparity_rejected(kernel, bad):
+    rng = np.random.default_rng(2)
+    k, T_i, T_j, pixels, d_i, targets = _vision_setup(rng)
+    edge = VisionEdge(0, 1, pixels, targets, np.ones((len(pixels), 2)))
+    states = (T_i, T_j) if kernel is vision_residual \
+        else (SimTransform.from_pose(T_i), SimTransform.from_pose(T_j))
+    d = d_i.copy()
+    d[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        kernel([edge], [states[0]], [states[1]], [d], k)
 
 
 def _stream(omega_fn, accel_fn, t0, t1, rate, bias=None, rng=None, noise=0.0):
@@ -378,10 +460,10 @@ def test_whitened_norms_equal_mahalanobis_energy():
     targets = targets + rng.standard_normal(targets.shape)
     w = rng.uniform(0.1, 3.0, (len(pixels), 2))
     edge = VisionEdge(0, 1, pixels, targets, w)
-    out = vision_residual(edge, T_i, T_j, d_i, k)
+    out = vision_residual([edge], [T_i], [T_j], [d_i], k)
     raw = targets - project(k, _camera_j_points(k, T_i, T_j, pixels, d_i))
     manual = float((w * raw * raw).sum())
-    assert abs(float((out.residual ** 2).sum()) - manual) < 1e-10 * max(manual, 1.0)
+    assert abs(float((out.residual[0] ** 2).sum()) - manual) < 1e-10 * max(manual, 1.0)
 
     # inertial family: full preintegration covariance
     bias = BiasState(rng.standard_normal(3) * 0.01, rng.standard_normal(3) * 0.01)

@@ -5,8 +5,18 @@ import copy
 import numpy as np
 import pytest
 
-from vislam.residuals import GravityModel
-from vislam.solver import FrameGraph, SolveOptions, lm_solve, solve_vi_ba, total_energy
+import oracles
+from vislam import solver
+from vislam.residuals import GravityModel, VisionEdge
+from vislam.solver import (
+    POSE_DOF,
+    FrameGraph,
+    Keyframe,
+    SolveOptions,
+    lm_solve,
+    solve_vi_ba,
+    total_energy,
+)
 from windows import ate_rmse, build_window, perturb_graph
 
 
@@ -29,9 +39,9 @@ def test_total_energy_matches_manual_dense_sum():
 
     manual = 0.0
     for e in graph.vision_edges:
-        out = vision_residual(e, graph.kf(e.i).state.pose, graph.kf(e.j).state.pose,
-                              graph.kf(e.i).disparities, graph.intrinsics)
-        manual += float((out.residual ** 2).sum())
+        out = vision_residual([e], [graph.kf(e.i).state.pose], [graph.kf(e.j).state.pose],
+                              [graph.kf(e.i).disparities], graph.intrinsics)
+        manual += float((out.residual[0] ** 2).sum())
     for i, j, delta in graph.inertial_edges:
         out = inertial_residual(delta, graph.kf(i).state, graph.kf(j).state,
                                 graph.gravity)
@@ -173,6 +183,78 @@ def test_gravity_gauge_optimization_reduces_energy():
     solve_vi_ba(graph, SolveOptions(max_iterations=10, optimize_gravity=True))
     e1 = total_energy(graph)
     assert e1 < e0 * 1e-3
+
+
+def _two_pixel_counts(graph, drop=3):
+    """The graph with every second keyframe, and the edges it sources,
+    tracking `drop` fewer pixels."""
+    short = {kf.kid for n, kf in enumerate(graph.keyframes) if n % 2}
+    keyframes = [Keyframe(kf.kid, kf.state, kf.pixels[:-drop], kf.disparities[:-drop])
+                 if kf.kid in short else kf for kf in graph.keyframes]
+    edges = [VisionEdge(e.i, e.j, e.pixels[:-drop], e.targets[:-drop], e.weights[:-drop])
+             if e.i in short else e for e in graph.vision_edges]
+    return FrameGraph(keyframes, edges, graph.inertial_edges, graph.gravity,
+                      graph.intrinsics)
+
+
+def test_two_pixel_count_window_matches_per_edge_scatter():
+    rng = np.random.default_rng(33)
+    graph, _ = build_window(rng, n_kf=5, n_px=12)
+    graph = _two_pixel_counts(graph)
+    perturb_graph(graph, rng, skip_frozen=())
+    opts = SolveOptions(optimize_gravity=True)
+    problem = solver._WindowProblem(graph, opts)
+    assert sorted(len(edges[0].pixels) for edges, *_ in problem.groups) == [9, 12]
+    energy = problem.evaluate()
+    problem.linearize()
+
+    # the inertial rows alone over the same layout, plus the per-edge
+    # oracle's vision rows
+    ref = solver._WindowProblem(FrameGraph(graph.keyframes, [], graph.inertial_edges,
+                                           graph.gravity, graph.intrinsics), opts)
+    want_energy = ref.evaluate()
+    ref.linearize()
+    lay = problem.layout
+    for e in graph.vision_edges:
+        out = oracles.vision_residual(e, graph.kf(e.i).state.pose,
+                                      graph.kf(e.j).state.pose,
+                                      graph.kf(e.i).disparities, graph.intrinsics)
+        want_energy += float((out.residual ** 2).sum())
+        oracles.add_pixels(ref.system, lay.cols(e.i, POSE_DOF), lay.cols(e.j, POSE_DOF),
+                           lay.disp_cols(e.i), out.J_pose_i, out.J_pose_j,
+                           out.J_disparity, out.residual)
+    assert abs(energy - want_energy) <= 1e-12 * want_energy
+    for name in ("H_pp", "H_pd", "H_dd", "g_p", "g_d"):
+        got, want = getattr(problem.system, name), getattr(ref.system, name)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+def test_one_pixel_count_window_is_one_kernel_call(monkeypatch):
+    # the benchmark times the window's vision layer at this very name
+    rng = np.random.default_rng(35)
+    graph, _ = build_window(rng, n_kf=4, n_px=10)
+    calls = []
+    kernel = solver.vision_residual
+
+    def counted(edges, *args, **kwargs):
+        calls.append(len(edges))
+        return kernel(edges, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "vision_residual", counted)
+    total_energy(graph)
+    assert calls == [len(graph.vision_edges)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_keyframe_rejects_non_finite_or_non_positive_disparity(bad):
+    rng = np.random.default_rng(34)
+    graph, _ = build_window(rng, n_kf=2, n_px=6)
+    kf = graph.keyframes[1]
+    d = kf.disparities.copy()
+    d[2] = bad
+    with pytest.raises(ValueError, match="finite and positive"):
+        Keyframe(kf.kid, kf.state, kf.pixels, d)
 
 
 class _Rosenbrock:

@@ -281,9 +281,8 @@ def _two_opposed_cameras_dataset():
         imu_body_rates=np.zeros((2, 3)),
         imu_world_accels=np.zeros((2, 3)),
     )
-    return SyntheticDataset(model, scene, default_intrinsics(), GravityModel(),
-                            BiasState(), None, 0.0, 0.0, 0, 25.0, 25.0,
-                            traj, [])
+    return SyntheticDataset(scene, default_intrinsics(), GravityModel(),
+                            None, 0.0, 0.0, 0, 25.0, 25.0, traj, [])
 
 
 class TestCorrespondences:
@@ -292,10 +291,10 @@ class TestCorrespondences:
         edge = synthesize_correspondences(ds, 10, 14, sigma_px=0.0,
                                           outlier_rate=0.0, stride=16)
         d_i = 1.0 / ds.depth_at(10, edge.pixels)
-        res = vision_residual(edge, ds.frame_pose(10), ds.frame_pose(14),
-                              d_i, ds.intrinsics)
-        assert res.behind_camera == 0
-        assert np.max(np.abs(res.residual)) < 1e-9
+        res = vision_residual([edge], [ds.frame_pose(10)], [ds.frame_pose(14)],
+                              [d_i], ds.intrinsics)
+        assert res.behind_camera[0] == 0
+        assert np.max(np.abs(res.residual[0])) < 1e-9
 
     def test_unit_sigma_rms_is_one(self):
         ds = make_dataset(builtin_models()["figure8"], sigma_px=1.0)
