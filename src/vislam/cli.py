@@ -323,13 +323,11 @@ def _init_diagnostics(tracker, dataset) -> dict | None:
 
 
 def _spawn_keyframe_gaussians(gmap: GaussianMap, provider, frame_index: int,
-                              pose, anchor: int, stride: int) -> int:
+                              pose, anchor: int, stride: int) -> None:
     color, depth = provider.keyframe_image(frame_index)
     h, w = depth.shape
     ks = provider.intrinsics().scaled(w, h)
-    gaussians, _ = spawn_from_keyframe(color, depth, pose, ks, stride, anchor)
-    gmap.insert(gaussians)
-    return len(gaussians)
+    gmap.insert(spawn_from_keyframe(color, depth, pose, ks, stride, anchor)[0])
 
 
 def _metric_block(est: Trajectory, gt: Trajectory, mode: str) -> dict:

@@ -1,11 +1,11 @@
-"""Anchored 3D-Gaussian scene map.
+"""Anchored 3D-Gaussian scene map, stored as columns.
 
 Gaussians are spawned by unprojecting keyframe depth, each anchored to the
-keyframe that created it. When loop closure moves keyframes, the per-keyframe
-pose and scale changes are pushed to the anchored Gaussians as a batch warp,
-so the map stays consistent without rebuilding. A small forward splatting
-renderer and the color/depth/isotropy losses support evaluation; Gaussians
-are never refined by gradient descent here.
+keyframe that created it, and kept as one `Gaussians` batch (a column per
+field of the map file's record) with an index of store ranges per anchor.
+Loop closure warps each anchor's ranges by one batched similarity. A small
+forward splatting renderer and the color/depth/isotropy losses support
+evaluation; Gaussians are never refined by gradient descent here.
 """
 
 from __future__ import annotations
@@ -22,6 +22,17 @@ from .residuals import Intrinsics
 DEPTH_SENTINEL = -1.0    # rendered depth where nothing was hit
 _MIN_Z = 1e-2            # camera-space near plane for splatting
 
+_MAGIC = b"VGSM"
+_VERSION = 1
+_RECORD = np.dtype([
+    ("mean", "<f4", 3),
+    ("scales", "<f4", 3),
+    ("q", "<f4", 4),          # w, x, y, z
+    ("color", "<f4", 3),
+    ("opacity", "<f4"),
+    ("anchor", "<u4"),
+])
+
 
 @dataclass
 class Gaussian:
@@ -35,61 +46,110 @@ class Gaussian:
     anchor: int                   # keyframe id this Gaussian came from
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float).reshape(3)
-        self.scales = np.asarray(self.scales, dtype=float).reshape(3)
-        self.color = np.asarray(self.color, dtype=float).reshape(3)
+        # a batch of one converts and checks the fields
+        one = Gaussians(self.mean, self.scales, self.orientation.q, self.color,
+                        self.opacity, self.anchor)
+        self.mean, self.scales, self.color = one.mean[0], one.scales[0], one.color[0]
         self.opacity = float(self.opacity)
-        if np.any(self.scales <= 0.0):
-            raise ValueError("Gaussian scales must be strictly positive")
-        if not 0.0 <= self.opacity <= 1.0:
-            raise ValueError("opacity must lie in [0, 1]")
-        if np.any(self.color < 0.0) or np.any(self.color > 1.0):
-            raise ValueError("color channels must lie in [0, 1]")
 
     def covariance(self) -> np.ndarray:
         R = self.orientation.matrix()
         return R @ np.diag(self.scales ** 2) @ R.T
 
 
+class Gaussians:
+    """Gaussians as columns: mean (N, 3), scales (N, 3), unit q (N, 4, w first
+    and >= 0), color (N, 3), opacity (N,) and anchor (N,). Indexing and
+    iteration make `Gaussian` rows that view the columns, one at a time."""
+
+    def __init__(self, mean=(), scales=(), q=(), color=(), opacity=(), anchor=()):
+        self.mean = np.asarray(mean, dtype=float).reshape(-1, 3)
+        n = len(self.mean)
+        self.scales = np.asarray(scales, dtype=float).reshape(n, 3)
+        self.q = np.asarray(q, dtype=float).reshape(n, 4)
+        self.color = np.asarray(color, dtype=float).reshape(n, 3)
+        self.opacity = np.asarray(opacity, dtype=float).reshape(n)
+        self.anchor = np.asarray(anchor, dtype=np.int64).reshape(n)
+        if np.any(self.scales <= 0.0):
+            raise ValueError("Gaussian scales must be strictly positive")
+        if not np.all((self.opacity >= 0.0) & (self.opacity <= 1.0)):
+            raise ValueError("opacity must lie in [0, 1]")
+        if np.any(self.color < 0.0) or np.any(self.color > 1.0):
+            raise ValueError("color channels must lie in [0, 1]")
+
+    def columns(self) -> tuple:
+        return self.mean, self.scales, self.q, self.color, self.opacity, self.anchor
+
+    def __len__(self) -> int:
+        return len(self.mean)
+
+    def __getitem__(self, i: int) -> Gaussian:
+        i = range(len(self))[i]           # IndexError past either end
+        return next(iter(Gaussians(*(c[i:i + 1] for c in self.columns()))))
+
+    def __iter__(self):
+        # the batch is checked, so a row skips the Gaussian checks
+        for mean, scales, q, color, opacity, anchor in zip(
+                self.mean, self.scales, self.q, self.color,
+                self.opacity.tolist(), self.anchor.tolist()):
+            row = object.__new__(Gaussian)
+            row.__dict__.update(mean=mean, scales=scales, orientation=_rotation(q),
+                                color=color, opacity=opacity, anchor=anchor)
+            yield row
+
+
+def _rotation(q: np.ndarray) -> Rotation:
+    """A Rotation of q as given (unit, w >= 0); q (4, N) gives matrix() (3, 3, N)."""
+    rotation = object.__new__(Rotation)
+    rotation.q = q
+    return rotation
+
+
+def _canonical(q: np.ndarray) -> np.ndarray:
+    """Rows of q scaled to unit norm with w >= 0, as Rotation stores them."""
+    w, x, y, z = q.T
+    norm = np.sqrt(w * w + x * x + y * y + z * z)
+    return q / np.where(w < 0.0, -norm, norm)[:, None]
+
+
 class GaussianMap:
-    """Flat Gaussian store plus an anchor index over contiguous id ranges."""
+    """One Gaussian batch plus an anchor index over contiguous store ranges."""
 
     def __init__(self):
-        self.gaussians = []
+        self.gaussians = Gaussians()
         self.anchor_ranges = {}       # anchor id -> list of (start, stop)
 
     def __len__(self) -> int:
         return len(self.gaussians)
 
-    def insert(self, gaussians) -> None:
-        """Append a batch, extending each anchor's range list."""
-        for g in gaussians:
-            start = len(self.gaussians)
-            self.gaussians.append(g)
-            runs = self.anchor_ranges.setdefault(g.anchor, [])
-            if runs and runs[-1][1] == start:
-                runs[-1] = (runs[-1][0], start + 1)
-            else:
-                runs.append((start, start + 1))
+    def insert(self, batch: Gaussians) -> None:
+        """Append a batch; each run of one anchor in it extends that anchor's ranges."""
+        offset = len(self.gaussians)
+        self.gaussians = Gaussians(*map(np.concatenate, zip(
+            self.gaussians.columns(), batch.columns())))
+        a = batch.anchor
+        starts = np.flatnonzero(np.diff(a, prepend=a[:1] - 1)).tolist()
+        for lo, hi in zip(starts, starts[1:] + [len(a)]):
+            runs = self.anchor_ranges.setdefault(int(a[lo]), [])
+            lo, hi = lo + offset, hi + offset
+            if runs and runs[-1][1] == lo:
+                lo = runs.pop()[0]
+            runs.append((lo, hi))
 
-    def by_anchor(self, anchor: int) -> list:
-        return [self.gaussians[i]
-                for start, stop in self.anchor_ranges.get(anchor, [])
-                for i in range(start, stop)]
+    def by_anchor(self, anchor: int) -> Gaussians:
+        return Gaussians(*(c[self.gaussians.anchor == anchor] for c in self.gaussians.columns()))
 
     def check_index(self) -> None:
         """Assert the anchor index covers every Gaussian exactly once."""
-        seen = np.zeros(len(self.gaussians), dtype=int)
+        column = self.gaussians.anchor
+        seen = np.zeros(len(column), dtype=int)
         for anchor, runs in self.anchor_ranges.items():
             for start, stop in runs:
-                for i in range(start, stop):
-                    if self.gaussians[i].anchor != anchor:
-                        raise AssertionError(
-                            f"index claims anchor {anchor} for Gaussian {i}")
+                if np.any(column[start:stop] != anchor):
+                    raise AssertionError(f"index claims anchor {anchor} for {start}:{stop}")
                 seen[start:stop] += 1
-        if len(self.gaussians) and not np.all(seen == 1):
-            raise AssertionError("anchor index does not cover the store "
-                                 "exactly once")
+        if not np.all(seen == 1):
+            raise AssertionError("anchor index does not cover the store exactly once")
 
 
 def spawn_from_keyframe(color: np.ndarray, depth: np.ndarray, pose: Pose,
@@ -99,8 +159,8 @@ def spawn_from_keyframe(color: np.ndarray, depth: np.ndarray, pose: Pose,
     One Gaussian per strided pixel with valid (finite, positive) depth:
     mean at the unprojected point, isotropic scale equal to the world size
     of a stride-wide pixel footprint at that depth, pixel color, opacity
-    0.5. Returns (gaussians, skipped) where skipped counts the strided
-    pixels dropped for invalid depth.
+    0.5. Returns (batch, skipped) where skipped counts the strided pixels
+    dropped for invalid depth.
     """
     if stride < 1:
         raise ValueError("stride must be at least 1")
@@ -123,13 +183,9 @@ def spawn_from_keyframe(color: np.ndarray, depth: np.ndarray, pose: Pose,
     pts = np.stack([x, y, z], axis=1)
     means = pts @ pose.rotation.matrix().T + pose.translation
     sizes = z * stride / k.fx
-    cols = np.clip(color[vs, us], 0.0, 1.0)
-
-    gaussians = [Gaussian(mean=means[i], scales=np.full(3, sizes[i]),
-                          orientation=Rotation.identity(), color=cols[i],
-                          opacity=0.5, anchor=anchor)
-                 for i in range(len(z))]
-    return gaussians, skipped
+    return Gaussians(means, np.repeat(sizes[:, None], 3, axis=1),
+                     np.tile(Rotation.identity().q, (len(z), 1)), np.clip(color[vs, us], 0.0, 1.0),
+                     np.full(len(z), 0.5), np.full(len(z), anchor)), skipped
 
 
 def apply_loop_correction(gmap: GaussianMap, correction) -> GaussianMap:
@@ -138,33 +194,32 @@ def apply_loop_correction(gmap: GaussianMap, correction) -> GaussianMap:
     Per entry with old pose (R-, t-), new pose (R+, t+) and scale change ds:
     means go through mu+ = R+(ds * R-^T (mu- - t-)) + t+, covariances become
     R+ (ds^2 R-^T Sigma R-) R+^T, which keeps the stored factored form by
-    rotating the orientation with R+ R-^T and multiplying scales by ds.
-    Color and opacity are untouched. Anchors without an entry, and entries
-    whose pose and scale did not move, are skipped so those Gaussians stay
-    bit-identical.
+    rotating the orientation with R+ R-^T and multiplying scales by ds, one
+    anchor run at a time. Color and opacity are untouched. Anchors without
+    an entry, and entries whose pose and scale did not move, are skipped so
+    those Gaussians stay bit-identical. A bad entry raises before any warp.
     """
+    if any(e.scale_change <= 0.0 for e in correction.entries.values()):
+        raise ValueError("loop correction scale change must be positive")
+    g = gmap.gaussians
     for anchor, runs in gmap.anchor_ranges.items():
         entry = correction.entries.get(anchor)
-        if entry is None:
+        if entry is None or not entry.moved():
             continue
         ds = float(entry.scale_change)
-        if ds <= 0.0:
-            raise ValueError("loop correction scale change must be positive")
-        if not entry.moved():
-            continue
         old, new = entry.old_pose, entry.new_pose
         R_minus = old.rotation.matrix()
         R_plus = new.rotation.matrix()
-        rot_delta = new.rotation * old.rotation.inverse()
+        # the product delta * q of quaternion rows is q @ L^T, with L the
+        # left-multiplication matrix of delta = (w, x, y, z)
+        w, x, y, z = (new.rotation * old.rotation.inverse()).q
+        L_T = np.array([[w, x, y, z], [-x, w, z, -y], [-y, -z, w, x], [-z, y, -x, w]])
         for start, stop in runs:
-            batch = gmap.gaussians[start:stop]
-            means = np.array([g.mean for g in batch])
-            local = ds * ((means - old.translation) @ R_minus)
-            warped = local @ R_plus.T + new.translation
-            for g, mu in zip(batch, warped):
-                g.mean = mu
-                g.scales = g.scales * ds
-                g.orientation = rot_delta * g.orientation
+            run = slice(start, stop)
+            local = ds * ((g.mean[run] - old.translation) @ R_minus)
+            g.mean[run] = local @ R_plus.T + new.translation
+            g.scales[run] *= ds
+            g.q[run] = _canonical(g.q[run] @ L_T)
     return gmap
 
 
@@ -193,40 +248,38 @@ def render(gmap: GaussianMap, pose: Pose, k: Intrinsics,
     depth_acc = np.zeros((h, w))
     transmit = np.ones((h, w))
 
-    if len(gmap):
+    g = gmap.gaussians
+    if len(g):
         T_cw = pose.inverse()
         R_cw = T_cw.rotation.matrix()
-        means = np.array([g.mean for g in gmap.gaussians])
-        cam = means @ R_cw.T + T_cw.translation
+        cam = g.mean @ R_cw.T + T_cw.translation
         order = np.lexsort((np.arange(len(cam)), cam[:, 2]))
-        for idx in order:
-            g = gmap.gaussians[idx]
-            p = cam[idx]
-            z = p[2]
-            if z <= _MIN_Z:
-                continue
-            u = k.fx * p[0] / z + k.cx
-            v = k.fy * p[1] / z + k.cy
-            J = np.array([[k.fx / z, 0.0, -k.fx * p[0] / z ** 2],
-                          [0.0, k.fy / z, -k.fy * p[1] / z ** 2]])
-            cov_cam = R_cw @ g.covariance() @ R_cw.T
-            cov2 = J @ cov_cam @ J.T + 1e-9 * np.eye(2)
-            radius = 3.0 * np.sqrt(np.linalg.eigvalsh(cov2).max()) + 1.0
-            u0 = max(int(np.floor(u - radius)), 0)
-            u1 = min(int(np.ceil(u + radius)) + 1, w)
-            v0 = max(int(np.floor(v - radius)), 0)
-            v1 = min(int(np.ceil(v + radius)) + 1, h)
+        order = order[cam[order, 2] > _MIN_Z]
+        x, y, z = cam[order].T
+        u = k.fx * x / z + k.cx
+        v = k.fy * y / z + k.cy
+        J = np.zeros((len(order), 2, 3))
+        J[:, 0, 0], J[:, 0, 2] = k.fx / z, -k.fx * x / z ** 2
+        J[:, 1, 1], J[:, 1, 2] = k.fy / z, -k.fy * y / z ** 2
+        R = np.moveaxis(_rotation(g.q[order].T).matrix(), -1, 0)
+        cov = R @ (g.scales[order, :, None] ** 2 * np.eye(3)) @ R.mT
+        cov2 = J @ (R_cw @ cov @ R_cw.T) @ J.mT + 1e-9 * np.eye(2)
+        r = 3.0 * np.sqrt(np.linalg.eigvalsh(cov2).max(axis=1)) + 1.0      # box radius
+        boxes = np.clip(np.stack([np.floor(u - r), np.ceil(u + r) + 1, np.floor(v - r),
+                                  np.ceil(v + r) + 1], axis=1), 0, [w, w, h, h]).astype(int)
+        for (u0, u1, v0, v1), ui, vi, zi, P, opacity, rgb in zip(
+                boxes.tolist(), u.tolist(), v.tolist(), z.tolist(),
+                np.linalg.inv(cov2), g.opacity[order].tolist(), g.color[order]):
             if u0 >= u1 or v0 >= v1:
                 continue
             uu, vv = np.meshgrid(np.arange(u0, u1), np.arange(v0, v1))
-            d = np.stack([uu - u, vv - v], axis=-1)
-            P = np.linalg.inv(cov2)
+            d = np.stack([uu - ui, vv - vi], axis=-1)
             q = np.einsum("...a,ab,...b->...", d, P, d)
-            a = g.opacity * np.exp(-0.5 * q)
+            a = opacity * np.exp(-0.5 * q)
             tile = transmit[v0:v1, u0:u1]
             contrib = tile * a
-            color_acc[v0:v1, u0:u1] += contrib[..., None] * g.color
-            depth_acc[v0:v1, u0:u1] += contrib * z
+            color_acc[v0:v1, u0:u1] += contrib[..., None] * rgb
+            depth_acc[v0:v1, u0:u1] += contrib * zi
             transmit[v0:v1, u0:u1] = tile * (1.0 - a)
 
     alpha = 1.0 - transmit
@@ -245,7 +298,7 @@ class MappingLosses:
 
 
 def mapping_losses(rendered: RenderOutput, ref_color: np.ndarray,
-                   ref_depth: np.ndarray, gaussians) -> MappingLosses:
+                   ref_depth: np.ndarray, gaussians: Gaussians) -> MappingLosses:
     """Color, depth and isotropy losses of a rendered view.
 
     Color: mean absolute error over every pixel and channel. Depth: mean
@@ -266,35 +319,19 @@ def mapping_losses(rendered: RenderOutput, ref_color: np.ndarray,
     mask = np.isfinite(ref_depth) & (ref_depth > 0.0) & (rendered.alpha > 0.0)
     l_d = float(np.mean(np.abs(rendered.depth[mask] - ref_depth[mask]))) \
         if np.any(mask) else 0.0
-    if len(gaussians):
-        scales = np.array([g.scales for g in gaussians])
-        # |s - mean(s)| written as |3s - sum(s)|/3 so perfectly isotropic
-        # Gaussians come out exactly zero
-        dev = np.abs(3.0 * scales - scales.sum(axis=1, keepdims=True)) / 3.0
-        l_iso = float(np.mean(dev.sum(axis=1)))
-    else:
-        l_iso = 0.0
+    # |s - mean(s)| written as |3s - sum(s)|/3 so perfectly isotropic
+    # Gaussians come out exactly zero
+    s = gaussians.scales
+    dev = np.abs(3.0 * s - s.sum(axis=1, keepdims=True)) / 3.0
+    l_iso = float(np.mean(dev.sum(axis=1))) if len(s) else 0.0
     return MappingLosses(l_c, l_d, l_iso)
-
-
-_MAGIC = b"VGSM"
-_VERSION = 1
-_RECORD = np.dtype([
-    ("mean", "<f4", 3),
-    ("scales", "<f4", 3),
-    ("q", "<f4", 4),          # w, x, y, z
-    ("color", "<f4", 3),
-    ("opacity", "<f4"),
-    ("anchor", "<u4"),
-])
 
 
 def write_vgsm(path, gmap: GaussianMap) -> None:
     """Write the map as a little-endian binary record stream."""
     records = np.zeros(len(gmap), dtype=_RECORD)
-    for i, g in enumerate(gmap.gaussians):
-        records[i] = (g.mean, g.scales, g.orientation.q, g.color,
-                      g.opacity, g.anchor)
+    for name, column in zip(_RECORD.names, gmap.gaussians.columns()):
+        records[name] = column
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<IQ", _VERSION, len(gmap)))
@@ -322,12 +359,10 @@ def read_vgsm(path) -> GaussianMap:
             raise ValueError(f"corrupt Gaussian map record: non-finite {name}")
     if np.any(np.all(records["q"] == 0.0, axis=1)):
         raise ValueError("corrupt Gaussian map record: zero-norm quaternion")
+    if np.any(records["scales"] <= 0.0):
+        raise ValueError("corrupt Gaussian map record: non-positive scales")
     gmap = GaussianMap()
-    gmap.insert([Gaussian(mean=r["mean"].astype(float),
-                          scales=r["scales"].astype(float),
-                          orientation=Rotation(r["q"].astype(float)),
-                          color=np.clip(r["color"].astype(float), 0.0, 1.0),
-                          opacity=min(max(float(r["opacity"]), 0.0), 1.0),
-                          anchor=int(r["anchor"]))
-                 for r in records])
+    q, color = _canonical(records["q"].astype(float)), np.clip(records["color"], 0.0, 1.0)
+    gmap.insert(Gaussians(records["mean"], records["scales"], q, color,
+                          np.clip(records["opacity"], 0.0, 1.0), records["anchor"]))
     return gmap

@@ -284,7 +284,6 @@ class _PoseGraphProblem(GraphProblem):
     def __init__(self, graph: PoseGraph, opts: SolveOptions):
         sources = {loop.vision.i for loop in graph.loops if loop.vision is not None}
         layout = Layout(graph.index_of, SIM3_DOF,
-                        np.arange(len(graph.nodes)) == 0,
                         [len(n.disparities) if n.kid in sources else 0
                          for n in graph.nodes])
         super().__init__(graph.nodes, layout, opts)

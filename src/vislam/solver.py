@@ -217,15 +217,16 @@ def solve_dense(H: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
 
 class Layout:
     """Column bookkeeping for one solve: a tangent block per node, extra
-    columns after them, then one disparity per tracked pixel."""
+    columns after them, then one disparity per tracked pixel. The first node
+    is the gauge: its block is frozen, so the free pose variables are the
+    slice after it and select views, not copies."""
 
-    def __init__(self, index_of, dof: int, frozen, disp_counts, n_extra: int = 0):
+    def __init__(self, index_of, dof: int, disp_counts, n_extra: int = 0):
         self.index_of = index_of
         self.dof = dof
-        self.n_state = len(frozen) * dof
+        self.n_state = len(disp_counts) * dof
         self.n_pose_vars = self.n_state + n_extra
-        self.free = np.concatenate([np.repeat(~np.asarray(frozen, dtype=bool), dof),
-                                    np.ones(n_extra, dtype=bool)])
+        self.free = slice(dof, None)
         self.d_offsets = np.concatenate([[0], np.cumsum(disp_counts)]).astype(int)
         self.n_disp = int(self.d_offsets[-1])
 
@@ -320,7 +321,7 @@ class NormalEquations:
         absolute ridge for flat blocks) so their accepted steps coincide.
         """
         free = self.layout.free
-        Hf = self.H_pp[np.ix_(free, free)]
+        Hf = self.H_pp[free, free]
         Hfd, gf, g_d = self.H_pd[free], self.g_p[free], self.g_d
         nf, nd = Hf.shape[0], self.layout.n_disp
 
@@ -347,9 +348,7 @@ class NormalEquations:
             dx = solve_dense(H, -np.concatenate([gf, g_d]), "full system")
             dx_f, dx_d = dx[:nf], dx[nf:]
 
-        dx_full = np.zeros(self.layout.n_pose_vars)
-        dx_full[free] = dx_f
-        return np.concatenate([dx_full, dx_d])
+        return np.concatenate([np.zeros(self.layout.dof), dx_f, dx_d])
 
 
 class GraphProblem:
@@ -403,7 +402,6 @@ class _WindowProblem(GraphProblem):
     def __init__(self, graph: FrameGraph, opts: SolveOptions):
         layout = Layout(graph.index_of,
                         STATE_DOF if graph.inertial_edges else POSE_DOF,
-                        np.arange(len(graph.keyframes)) == 0,
                         [len(kf.disparities) for kf in graph.keyframes],
                         2 if opts.optimize_gravity else 0)
         super().__init__(graph.keyframes, layout, opts)

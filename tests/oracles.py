@@ -7,9 +7,13 @@ agreement is a genuine dual-route check.
 
 from __future__ import annotations
 
+import os
+import struct
+
 import numpy as np
 
-from vislam.geometry import Pose, SimTransform
+from vislam.geometry import Pose, Rotation, SimTransform
+from vislam.gsmap import _RECORD, DEPTH_SENTINEL, Gaussian, Gaussians, RenderOutput
 from vislam.residuals import (
     Intrinsics,
     Sim3VisionResult,
@@ -289,3 +293,167 @@ def add_pixels(system, ci, cj, cd, Ji, Jj, Jd, r) -> None:
     system.g_p[ci] += np.einsum("nka,nk->a", Ji, r)
     system.g_p[cj] += np.einsum("nka,nk->a", Jj, r)
     system.g_d[cd] += np.einsum("nk,nk->n", Jd, r)
+
+
+# ---------------------------------------------------------------- Gaussian map
+# The per-object map: a list of Gaussian rows with an anchor index, and the
+# spawn, warp, render and read that worked on it one Gaussian at a time. The
+# columnar gsmap is checked against these.
+
+
+def batch(rows) -> Gaussians:
+    """Gaussian rows as one batch."""
+    rows = list(rows)
+    return Gaussians(mean=[g.mean for g in rows], scales=[g.scales for g in rows],
+                     q=[g.orientation.q for g in rows], color=[g.color for g in rows],
+                     opacity=[g.opacity for g in rows], anchor=[g.anchor for g in rows])
+
+
+class ObjectMap:
+    """Flat list of Gaussian objects plus an anchor index over contiguous id ranges."""
+
+    def __init__(self, rows=()):
+        self.gaussians = []
+        self.anchor_ranges = {}
+        self.insert(rows)
+
+    def __len__(self) -> int:
+        return len(self.gaussians)
+
+    def insert(self, rows) -> None:
+        for g in rows:
+            start = len(self.gaussians)
+            self.gaussians.append(g)
+            runs = self.anchor_ranges.setdefault(g.anchor, [])
+            if runs and runs[-1][1] == start:
+                runs[-1] = (runs[-1][0], start + 1)
+            else:
+                runs.append((start, start + 1))
+
+
+def object_map(gaussians) -> ObjectMap:
+    """An ObjectMap holding copies of a batch's rows, in store order."""
+    return ObjectMap(Gaussian(mean=g.mean.copy(), scales=g.scales.copy(),
+                              orientation=Rotation(g.orientation.q.copy()),
+                              color=g.color.copy(), opacity=g.opacity, anchor=g.anchor)
+                     for g in gaussians)
+
+
+def spawn_from_keyframe(color, depth, pose, k, stride, anchor):
+    """One Gaussian object per strided pixel with valid depth; (rows, skipped)."""
+    color = np.asarray(color, dtype=float)
+    depth = np.asarray(depth, dtype=float)
+    h, w = depth.shape
+    vs, us = np.meshgrid(np.arange(0, h, stride), np.arange(0, w, stride), indexing="ij")
+    us, vs = us.ravel(), vs.ravel()
+    z = depth[vs, us]
+    good = np.isfinite(z) & (z > 0.0)
+    skipped = int(np.count_nonzero(~good))
+    us, vs, z = us[good], vs[good], z[good]
+    x = (us - k.cx) / k.fx * z
+    y = (vs - k.cy) / k.fy * z
+    pts = np.stack([x, y, z], axis=1)
+    means = pts @ pose.rotation.matrix().T + pose.translation
+    sizes = z * stride / k.fx
+    cols = np.clip(color[vs, us], 0.0, 1.0)
+    rows = [Gaussian(mean=means[i], scales=np.full(3, sizes[i]),
+                     orientation=Rotation.identity(), color=cols[i],
+                     opacity=0.5, anchor=anchor)
+            for i in range(len(z))]
+    return rows, skipped
+
+
+def apply_loop_correction(gmap: ObjectMap, correction) -> ObjectMap:
+    """Warp each anchored object by its keyframe's pose and scale change."""
+    for anchor, runs in gmap.anchor_ranges.items():
+        entry = correction.entries.get(anchor)
+        if entry is None:
+            continue
+        ds = float(entry.scale_change)
+        if ds <= 0.0:
+            raise ValueError("loop correction scale change must be positive")
+        if not entry.moved():
+            continue
+        old, new = entry.old_pose, entry.new_pose
+        R_minus = old.rotation.matrix()
+        R_plus = new.rotation.matrix()
+        rot_delta = new.rotation * old.rotation.inverse()
+        for start, stop in runs:
+            rows = gmap.gaussians[start:stop]
+            means = np.array([g.mean for g in rows])
+            local = ds * ((means - old.translation) @ R_minus)
+            warped = local @ R_plus.T + new.translation
+            for g, mu in zip(rows, warped):
+                g.mean = mu
+                g.scales = g.scales * ds
+                g.orientation = rot_delta * g.orientation
+    return gmap
+
+
+def render(gmap: ObjectMap, pose, k, background=None, min_z=1e-2) -> RenderOutput:
+    """Splat one object at a time, front to back."""
+    h, w = k.height, k.width
+    bg = np.zeros(3) if background is None else np.asarray(background, dtype=float).reshape(3)
+    color_acc = np.zeros((h, w, 3))
+    depth_acc = np.zeros((h, w))
+    transmit = np.ones((h, w))
+    if len(gmap):
+        T_cw = pose.inverse()
+        R_cw = T_cw.rotation.matrix()
+        means = np.array([g.mean for g in gmap.gaussians])
+        cam = means @ R_cw.T + T_cw.translation
+        order = np.lexsort((np.arange(len(cam)), cam[:, 2]))
+        for idx in order:
+            g = gmap.gaussians[idx]
+            p = cam[idx]
+            z = p[2]
+            if z <= min_z:
+                continue
+            u = k.fx * p[0] / z + k.cx
+            v = k.fy * p[1] / z + k.cy
+            J = np.array([[k.fx / z, 0.0, -k.fx * p[0] / z ** 2],
+                          [0.0, k.fy / z, -k.fy * p[1] / z ** 2]])
+            cov_cam = R_cw @ g.covariance() @ R_cw.T
+            cov2 = J @ cov_cam @ J.T + 1e-9 * np.eye(2)
+            radius = 3.0 * np.sqrt(np.linalg.eigvalsh(cov2).max()) + 1.0
+            u0 = max(int(np.floor(u - radius)), 0)
+            u1 = min(int(np.ceil(u + radius)) + 1, w)
+            v0 = max(int(np.floor(v - radius)), 0)
+            v1 = min(int(np.ceil(v + radius)) + 1, h)
+            if u0 >= u1 or v0 >= v1:
+                continue
+            uu, vv = np.meshgrid(np.arange(u0, u1), np.arange(v0, v1))
+            d = np.stack([uu - u, vv - v], axis=-1)
+            P = np.linalg.inv(cov2)
+            q = np.einsum("...a,ab,...b->...", d, P, d)
+            a = g.opacity * np.exp(-0.5 * q)
+            tile = transmit[v0:v1, u0:u1]
+            contrib = tile * a
+            color_acc[v0:v1, u0:u1] += contrib[..., None] * g.color
+            depth_acc[v0:v1, u0:u1] += contrib * z
+            transmit[v0:v1, u0:u1] = tile * (1.0 - a)
+    alpha = 1.0 - transmit
+    color = color_acc + transmit[..., None] * bg
+    covered = alpha > 0.0
+    depth = np.full((h, w), DEPTH_SENTINEL)
+    depth[covered] = depth_acc[covered] / alpha[covered]
+    return RenderOutput(color=color, depth=depth, alpha=alpha)
+
+
+def read_vgsm(path) -> ObjectMap:
+    """Load a map file record by record into Gaussian objects."""
+    with open(path, "rb") as f:
+        if f.read(4) != b"VGSM":
+            raise ValueError("not a Gaussian map file")
+        version, count = struct.unpack("<IQ", f.read(12))
+        size = count * _RECORD.itemsize
+        if os.fstat(f.fileno()).st_size - f.tell() < size:
+            raise ValueError("truncated Gaussian map file")
+        records = np.frombuffer(f.read(size), dtype=_RECORD)
+    return ObjectMap(Gaussian(mean=r["mean"].astype(float),
+                              scales=r["scales"].astype(float),
+                              orientation=Rotation(r["q"].astype(float)),
+                              color=np.clip(r["color"].astype(float), 0.0, 1.0),
+                              opacity=min(max(float(r["opacity"]), 0.0), 1.0),
+                              anchor=int(r["anchor"]))
+                     for r in records)

@@ -2,6 +2,8 @@
 
 import copy
 import struct
+import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +14,7 @@ from vislam.gsmap import (
     DEPTH_SENTINEL,
     Gaussian,
     GaussianMap,
+    Gaussians,
     MappingLosses,
     RenderOutput,
     apply_loop_correction,
@@ -23,6 +26,9 @@ from vislam.gsmap import (
 )
 from vislam.loopclosure import CorrectionEntry, LoopCorrection
 from vislam.residuals import Intrinsics
+
+import oracles
+from oracles import batch
 
 MAP_K = Intrinsics(fx=64.0, fy=64.0, cx=32.0, cy=24.0, width=64, height=48)
 
@@ -62,23 +68,62 @@ class TestGaussian:
         assert np.allclose(vals, [0.01, 0.04, 0.09])
 
 
+class TestGaussians:
+    @pytest.mark.parametrize("field, value, match", [
+        ("scales", [0.1, 0.0, 0.1], "scales"),
+        ("opacity", 1.1, "opacity"),
+        ("opacity", np.nan, "opacity"),
+        ("color", [0.5, -0.2, 0.0], "color"),
+    ])
+    def test_batch_applies_the_row_rules(self, field, value, match):
+        rows = [make_gaussian(anchor=1) for _ in range(3)]
+        cols = dict(zip(("mean", "scales", "q", "color", "opacity", "anchor"),
+                        (c.copy() for c in batch(rows).columns())))
+        cols[field][1] = value
+        with pytest.raises(ValueError, match=match):
+            Gaussians(**cols)
+
+    def test_rows_view_the_columns(self):
+        rows = [make_gaussian(np.random.default_rng(i), anchor=i)
+                for i in range(3)]
+        b = batch(rows)
+        assert len(b) == 3
+        for i, (row, want) in enumerate(zip(b, rows)):
+            assert np.array_equal(row.mean, want.mean)
+            assert np.array_equal(row.scales, want.scales)
+            assert np.array_equal(row.orientation.q, want.orientation.q)
+            assert np.array_equal(row.color, want.color)
+            assert row.opacity == want.opacity
+            assert row.anchor == want.anchor == b[i].anchor
+            assert np.array_equal(row.covariance(), want.covariance())
+            assert np.shares_memory(row.mean, b.mean)
+            assert np.shares_memory(b[i].scales, b.scales)
+
+    def test_iteration_keeps_no_row(self):
+        b = batch([make_gaussian(anchor=0) for _ in range(3)])
+        rows = iter(b)
+        first = weakref.ref(next(rows))
+        next(rows)
+        assert first() is None
+
+
 class TestGaussianMap:
     def test_insert_builds_contiguous_anchor_ranges(self):
         m = GaussianMap()
-        m.insert([make_gaussian(anchor=1) for _ in range(3)])
-        m.insert([make_gaussian(anchor=2) for _ in range(2)])
-        m.insert([make_gaussian(anchor=1) for _ in range(1)])
+        m.insert(batch([make_gaussian(anchor=1) for _ in range(3)]))
+        m.insert(batch([make_gaussian(anchor=2) for _ in range(2)]))
+        m.insert(batch([make_gaussian(anchor=1) for _ in range(1)]))
         assert len(m) == 6
         assert m.anchor_ranges[1] == [(0, 3), (5, 6)]
         assert m.anchor_ranges[2] == [(3, 5)]
         m.check_index()
         assert len(m.by_anchor(1)) == 4
         assert len(m.by_anchor(2)) == 2
-        assert m.by_anchor(99) == []
+        assert len(m.by_anchor(99)) == 0
 
     def test_index_corruption_detected(self):
         m = GaussianMap()
-        m.insert([make_gaussian(anchor=1) for _ in range(2)])
+        m.insert(batch([make_gaussian(anchor=1) for _ in range(2)]))
         m.anchor_ranges[1] = [(0, 1)]           # drops Gaussian 1
         with pytest.raises(AssertionError):
             m.check_index()
@@ -113,7 +158,7 @@ class TestSpawn:
         gaussians, skipped = spawn_from_keyframe(color, depth,
                                                  Pose.identity(), MAP_K,
                                                  stride=8, anchor=0)
-        assert gaussians == []
+        assert len(gaussians) == 0
         assert skipped == 48
 
     def test_world_frame_unprojection(self):
@@ -160,8 +205,8 @@ def random_pose(rng):
 def two_anchor_map(rng=None):
     rng = rng or np.random.default_rng(42)
     m = GaussianMap()
-    m.insert([make_gaussian(rng, anchor=5) for _ in range(4)])
-    m.insert([make_gaussian(rng, anchor=9) for _ in range(3)])
+    m.insert(batch([make_gaussian(rng, anchor=5) for _ in range(4)]))
+    m.insert(batch([make_gaussian(rng, anchor=9) for _ in range(3)]))
     return m
 
 
@@ -169,11 +214,10 @@ class TestLoopCorrectionUpdate:
     def test_identity_correction_leaves_map_bitwise_untouched(self):
         m = two_anchor_map()
         pose = random_pose(np.random.default_rng(1))
-        means = [g.mean for g in m.gaussians]
+        means = m.gaussians.mean.copy()
         corr = LoopCorrection({5: entry(5, pose.copy(), pose.copy(), 1.0)})
         apply_loop_correction(m, corr)
-        for g, mu in zip(m.gaussians, means):
-            assert g.mean is mu            # skip path never touches objects
+        assert m.gaussians.mean.tobytes() == means.tobytes()
 
     def test_pure_translation_moves_means_only(self):
         m = two_anchor_map()
@@ -222,18 +266,30 @@ class TestLoopCorrectionUpdate:
     def test_color_opacity_and_other_anchors_untouched(self):
         m = two_anchor_map()
         rng = np.random.default_rng(6)
-        colors = [g.color for g in m.gaussians]
+        colors = m.gaussians.color.copy()
         opac = [g.opacity for g in m.gaussians]
         other = [(g.mean.copy(), g.scales.copy()) for g in m.by_anchor(9)]
         corr = LoopCorrection({5: entry(5, random_pose(rng),
                                         random_pose(rng), 1.4)})
         apply_loop_correction(m, corr)
-        for g, c, o in zip(m.gaussians, colors, opac):
-            assert g.color is c
+        assert m.gaussians.color.tobytes() == colors.tobytes()
+        for g, o in zip(m.gaussians, opac):
             assert g.opacity == o
         for g, (mu, sc) in zip(m.by_anchor(9), other):
             assert np.array_equal(g.mean, mu)
             assert np.array_equal(g.scales, sc)
+
+    def test_bad_entry_leaves_the_map_bit_identical(self):
+        m = two_anchor_map()
+        before = [c.copy() for c in m.gaussians.columns()]
+        rng = np.random.default_rng(7)
+        good = entry(5, random_pose(rng), random_pose(rng), 1.2)
+        bad = SimpleNamespace(scale_change=-1.0, old_pose=random_pose(rng),
+                              new_pose=random_pose(rng))
+        with pytest.raises(ValueError, match="positive"):
+            apply_loop_correction(m, SimpleNamespace(entries={5: good, 9: bad}))
+        for col, old in zip(m.gaussians.columns(), before):
+            assert col.tobytes() == old.tobytes()
 
     def test_scale_change_must_be_positive(self):
         m = two_anchor_map()
@@ -264,7 +320,7 @@ class TestRender:
 
     def test_single_opaque_gaussian_on_axis(self):
         m = GaussianMap()
-        m.insert([on_axis(2.0, [0.9, 0.3, 0.1])])
+        m.insert(batch([on_axis(2.0, [0.9, 0.3, 0.1])]))
         out = render(m, Pose.identity(), MAP_K)
         r, c = CENTER
         assert np.allclose(out.color[r, c], [0.9, 0.3, 0.1], atol=1e-6)
@@ -273,8 +329,8 @@ class TestRender:
 
     def test_front_to_back_order(self):
         m = GaussianMap()
-        m.insert([on_axis(2.0, [0.0, 0.0, 1.0]),     # blue behind
-                  on_axis(1.0, [1.0, 0.0, 0.0])])    # red in front
+        m.insert(batch([on_axis(2.0, [0.0, 0.0, 1.0]),     # blue behind
+                        on_axis(1.0, [1.0, 0.0, 0.0])]))   # red in front
         out = render(m, Pose.identity(), MAP_K)
         r, c = CENTER
         assert np.allclose(out.color[r, c], [1.0, 0.0, 0.0], atol=1e-6)
@@ -282,7 +338,7 @@ class TestRender:
 
     def test_half_opacity_blends_with_background(self):
         m = GaussianMap()
-        m.insert([on_axis(2.0, [1.0, 0.0, 0.0], opacity=0.5)])
+        m.insert(batch([on_axis(2.0, [1.0, 0.0, 0.0], opacity=0.5)]))
         out = render(m, Pose.identity(), MAP_K,
                      background=np.array([0.0, 0.0, 1.0]))
         r, c = CENTER
@@ -299,9 +355,9 @@ class TestRender:
                                                   rng.uniform(1.0, 3.0)]))
                      for _ in range(12)]
         m1, m2 = GaussianMap(), GaussianMap()
-        m1.insert(gaussians)
+        m1.insert(batch(gaussians))
         perm = list(rng.permutation(len(gaussians)))
-        m2.insert([gaussians[i] for i in perm])
+        m2.insert(batch([gaussians[i] for i in perm]))
         out1 = render(m1, Pose.identity(), MAP_K)
         out2 = render(m2, Pose.identity(), MAP_K)
         assert np.array_equal(out1.color, out2.color)
@@ -311,9 +367,9 @@ class TestRender:
     def test_render_is_deterministic(self):
         m = GaussianMap()
         rng = np.random.default_rng(9)
-        m.insert([make_gaussian(rng, anchor=0,
-                                mean=np.array([0.1, -0.1, 2.0]))
-                  for _ in range(5)])
+        m.insert(batch([make_gaussian(rng, anchor=0,
+                                      mean=np.array([0.1, -0.1, 2.0]))
+                        for _ in range(5)]))
         a = render(m, Pose.identity(), MAP_K)
         b = render(m, Pose.identity(), MAP_K)
         assert np.array_equal(a.color, b.color)
@@ -322,11 +378,11 @@ class TestRender:
     def test_alpha_stays_in_unit_interval(self):
         rng = np.random.default_rng(10)
         m = GaussianMap()
-        m.insert([make_gaussian(rng, anchor=0,
-                                mean=np.array([rng.uniform(-1, 1),
-                                               rng.uniform(-0.7, 0.7),
-                                               rng.uniform(0.5, 4.0)]))
-                  for _ in range(20)])
+        m.insert(batch([make_gaussian(rng, anchor=0,
+                                      mean=np.array([rng.uniform(-1, 1),
+                                                     rng.uniform(-0.7, 0.7),
+                                                     rng.uniform(0.5, 4.0)]))
+                        for _ in range(20)]))
         out = render(m, Pose.identity(), MAP_K)
         assert out.alpha.min() >= 0.0
         assert out.alpha.max() <= 1.0
@@ -336,7 +392,7 @@ class TestRender:
 
     def test_gaussians_behind_camera_ignored(self):
         m = GaussianMap()
-        m.insert([on_axis(-1.0, [1.0, 0.0, 0.0])])
+        m.insert(batch([on_axis(-1.0, [1.0, 0.0, 0.0])]))
         out = render(m, Pose.identity(), MAP_K)
         assert np.all(out.alpha == 0.0)
 
@@ -344,7 +400,7 @@ class TestRender:
         # camera shifted back 1 m along its own axis sees the point 1 m
         # deeper
         m = GaussianMap()
-        m.insert([on_axis(2.0, [0.2, 0.9, 0.4])])
+        m.insert(batch([on_axis(2.0, [0.2, 0.9, 0.4])]))
         cam = Pose(Rotation.identity(), np.array([0.0, 0.0, -1.0]))
         out = render(m, cam, MAP_K)
         r, c = CENTER
@@ -360,26 +416,28 @@ class TestMappingLosses:
 
     def test_perfect_render_has_zero_losses(self):
         out = self.flat_render(0.4, 2.0, 1.0)
-        losses = mapping_losses(out, out.color.copy(), out.depth.copy(), [])
+        losses = mapping_losses(out, out.color.copy(), out.depth.copy(), Gaussians())
         assert losses.color == 0.0
         assert losses.depth == 0.0
         assert losses.iso == 0.0
 
     def test_constant_color_offset(self):
         out = self.flat_render(0.3, 2.0, 1.0)
-        losses = mapping_losses(out, out.color - 0.1, out.depth.copy(), [])
+        losses = mapping_losses(out, out.color - 0.1, out.depth.copy(), Gaussians())
         assert losses.color == pytest.approx(0.1, abs=1e-12)
 
     def test_isotropic_gaussians_have_zero_iso_loss(self):
         gs = [make_gaussian(scales=np.full(3, s)) for s in (0.1, 0.5, 2.0)]
         out = self.flat_render(0.3, 2.0, 1.0)
-        losses = mapping_losses(out, out.color.copy(), out.depth.copy(), gs)
+        losses = mapping_losses(out, out.color.copy(), out.depth.copy(),
+                                batch(gs))
         assert losses.iso == 0.0
 
     def test_anisotropy_measured_as_l1_spread(self):
         g = make_gaussian(scales=np.array([1.0, 2.0, 3.0]))
         out = self.flat_render(0.3, 2.0, 1.0)
-        losses = mapping_losses(out, out.color.copy(), out.depth.copy(), [g])
+        losses = mapping_losses(out, out.color.copy(), out.depth.copy(),
+                                batch([g]))
         assert losses.iso == pytest.approx(2.0, abs=1e-12)
 
     def test_depth_loss_masked_to_valid_and_covered(self):
@@ -388,29 +446,29 @@ class TestMappingLosses:
         ref_depth[0, :] = 0.0                    # invalid reference rows
         out.alpha[1, :] = 0.0                    # uncovered render rows
         out.depth[1, :] = 99.0                   # would poison an unmasked mean
-        losses = mapping_losses(out, out.color.copy(), ref_depth, [])
+        losses = mapping_losses(out, out.color.copy(), ref_depth, Gaussians())
         assert losses.depth == pytest.approx(1.0, abs=1e-12)
 
     def test_depth_loss_zero_when_nothing_qualifies(self):
         out = self.flat_render(0.3, 2.0, 0.0)
         ref_depth = np.zeros_like(out.depth)
-        losses = mapping_losses(out, out.color.copy(), ref_depth, [])
+        losses = mapping_losses(out, out.color.copy(), ref_depth, Gaussians())
         assert losses.depth == 0.0
 
     def test_shape_mismatch_rejected(self):
         out = self.flat_render(0.3, 2.0, 1.0)
         with pytest.raises(ValueError, match="color"):
-            mapping_losses(out, np.zeros((3, 6, 3)), out.depth.copy(), [])
+            mapping_losses(out, np.zeros((3, 6, 3)), out.depth.copy(), Gaussians())
         with pytest.raises(ValueError, match="depth"):
-            mapping_losses(out, out.color.copy(), np.zeros((3, 6)), [])
+            mapping_losses(out, out.color.copy(), np.zeros((3, 6)), Gaussians())
 
 
 class TestExport:
     def build_map(self):
         rng = np.random.default_rng(12)
         m = GaussianMap()
-        m.insert([make_gaussian(rng, anchor=3) for _ in range(2)])
-        m.insert([make_gaussian(rng, anchor=11)])
+        m.insert(batch([make_gaussian(rng, anchor=3) for _ in range(2)]))
+        m.insert(batch([make_gaussian(rng, anchor=11)]))
         return m
 
     def test_header_and_record_layout(self, tmp_path):
@@ -477,6 +535,8 @@ class TestExport:
     @pytest.mark.parametrize("offset, values", [
         pytest.param(0, [np.nan], id="nan_mean"),
         pytest.param(12, [np.nan], id="nan_scale"),
+        pytest.param(16, [0.0], id="zero_scale"),
+        pytest.param(12, [-1.0], id="negative_scale"),
         pytest.param(24, [0.0] * 4, id="zero_quaternion"),
         pytest.param(40, [np.inf], id="inf_color"),
     ])
@@ -494,3 +554,110 @@ class TestExport:
         path = tmp_path / "empty.vgsm"
         write_vgsm(path, GaussianMap())
         assert len(read_vgsm(path)) == 0
+
+
+def keyframe_rasters(rng, k=MAP_K):
+    """A depth image with invalid holes, and a color image with values
+    just outside [0, 1] that spawning clips."""
+    depth = rng.uniform(0.5, 4.0, (k.height, k.width))
+    depth[rng.random(depth.shape) < 0.1] = 0.0
+    depth[rng.random(depth.shape) < 0.05] = np.nan
+    color = rng.uniform(-0.05, 1.05, (k.height, k.width, 3))
+    return color, depth
+
+
+def spawned_map(seed=20, keyframes=4, stride=4):
+    rng = np.random.default_rng(seed)
+    m = GaussianMap()
+    poses = []
+    for kid in range(keyframes):
+        pose = random_pose(rng)
+        color, depth = keyframe_rasters(rng)
+        m.insert(spawn_from_keyframe(color, depth, pose, MAP_K, stride, kid)[0])
+        poses.append(pose)
+    return m, poses
+
+
+def assert_same_rows(columns: Gaussians, rows, q_atol=0.0):
+    assert len(columns) == len(rows)
+    want = batch(rows)
+    for name in ("mean", "scales", "color", "opacity", "anchor"):
+        assert getattr(columns, name).tobytes() == getattr(want, name).tobytes(), name
+    assert np.max(np.abs(columns.q - want.q), initial=0.0) <= q_atol
+
+
+class TestAgainstObjectOracle:
+    """The columnar map against the per-object implementations it replaced."""
+
+    def test_spawn_is_bit_identical(self):
+        rng = np.random.default_rng(21)
+        pose = random_pose(rng)
+        color, depth = keyframe_rasters(rng)
+        got, skipped = spawn_from_keyframe(color, depth, pose, MAP_K, 2, 6)
+        want, want_skipped = oracles.spawn_from_keyframe(color, depth, pose,
+                                                         MAP_K, 2, 6)
+        assert skipped == want_skipped > 0
+        assert len(got) > 500
+        assert_same_rows(got, want)
+
+    def test_warp_matches_per_object_warp(self):
+        m, poses = spawned_map()
+        ref = oracles.object_map(m.gaussians)
+        rng = np.random.default_rng(22)
+        corr = LoopCorrection({
+            0: entry(0, poses[0], random_pose(rng), 1.3),
+            1: entry(1, poses[1], poses[1].copy(), 1.0),     # did not move
+            3: entry(3, poses[3], random_pose(rng), 0.7),    # anchor 2 has none
+        })
+        apply_loop_correction(m, corr)
+        oracles.apply_loop_correction(ref, corr)
+        assert_same_rows(m.gaussians, ref.gaussians, q_atol=1e-15)
+
+    def test_read_back_matches_per_object_read(self, tmp_path):
+        m, poses = spawned_map()
+        rng = np.random.default_rng(23)
+        apply_loop_correction(m, LoopCorrection(
+            {kid: entry(kid, p, random_pose(rng), 1.1) for kid, p in enumerate(poses)}))
+        path = tmp_path / "map.vgsm"
+        write_vgsm(path, m)
+        back = read_vgsm(path)
+        assert_same_rows(back.gaussians, oracles.read_vgsm(path).gaussians)
+        assert back.anchor_ranges == m.anchor_ranges
+
+    def test_render_matches_per_object_render(self):
+        rng = np.random.default_rng(24)
+        rows = [make_gaussian(rng, anchor=i % 3,
+                              mean=np.array([rng.uniform(-1, 1),
+                                             rng.uniform(-0.7, 0.7),
+                                             rng.uniform(0.5, 4.0)]))
+                for i in range(20)]
+        rows.append(on_axis(-1.0, [1.0, 0.0, 0.0]))          # behind the camera
+        m = GaussianMap()
+        m.insert(batch(rows))
+        cam = Pose(Rotation.exp(np.array([0.05, -0.1, 0.02])),
+                   np.array([0.1, 0.0, -0.3]))
+        bg = np.array([0.2, 0.3, 0.4])
+        got = render(m, cam, MAP_K, background=bg)
+        want = oracles.render(oracles.object_map(m.gaussians), cam, MAP_K,
+                              background=bg)
+        assert np.any(want.alpha > 0.5)
+        for name in ("color", "depth", "alpha"):
+            assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-12
+
+
+def test_insert_holds_the_columns_and_no_more():
+    """A spawned batch costs the map its column bytes, not an object per
+    Gaussian."""
+    color = np.full((100, 200, 3), 0.5)
+    depth = np.full((100, 200), 2.0)
+    m = GaussianMap()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        m.insert(spawn_from_keyframe(color, depth, Pose.identity(), MAP_K, 1, 0)[0])
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(m) == 20_000
+    column_bytes = sum(c.nbytes for c in m.gaussians.columns())
+    assert grown < 2 * column_bytes
