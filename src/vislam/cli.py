@@ -374,7 +374,8 @@ def execute(plan: RunPlan) -> RunArtifacts:
         apply_loop_correction(gmap, correction)
         pgba_trace.append({"initial": report.initial_cost,
                            "final": report.final_cost,
-                           "iterations": report.iterations})
+                           "iterations": report.iterations,
+                           "termination": report.termination})
 
     for f in range(0, ds.n_frames(), plan.frame_stride):
         t = ds.frame_time(f)

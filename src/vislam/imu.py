@@ -165,36 +165,3 @@ def preintegrate(samples: list, bias_hat: BiasState, noise: ImuNoiseModel) -> Pr
         covariance=cov,
         bias_lin_point=bias_hat.copy(),
     )
-
-
-def correct_for_bias(delta: PreintegratedDelta, new_bias: BiasState):
-    """First-order corrected (delta_R', delta_p', delta_v') at a new bias."""
-    db = new_bias.vector() - delta.bias_lin_point.vector()
-    dbg = db[:3]
-    dR = delta.delta_R * Rotation.exp(delta.J_rot @ dbg)
-    dp = delta.delta_p + delta.J_pos @ db
-    dv = delta.delta_v + delta.J_vel @ db
-    return dR, dp, dv
-
-
-def compose_deltas(a: PreintegratedDelta, b: PreintegratedDelta) -> PreintegratedDelta:
-    """Analytic concatenation of two consecutive deltas (shared boundary sample).
-
-    Jacobians and covariance are not composed here; only the deltas, which is
-    what the concatenation identity constrains.
-    """
-    Ra = a.delta_R.matrix()
-    dR = a.delta_R * b.delta_R
-    dv = a.delta_v + Ra @ b.delta_v
-    dp = a.delta_p + a.delta_v * b.dt_total + Ra @ b.delta_p
-    return PreintegratedDelta(
-        dt_total=a.dt_total + b.dt_total,
-        delta_R=dR,
-        delta_p=dp,
-        delta_v=dv,
-        J_rot=np.zeros((3, 3)),
-        J_pos=np.zeros((3, 6)),
-        J_vel=np.zeros((3, 6)),
-        covariance=np.zeros((15, 15)),
-        bias_lin_point=a.bias_lin_point.copy(),
-    )

@@ -281,12 +281,12 @@ class _PoseGraphProblem(GraphProblem):
     The earliest keyframe is the gauge: its state is never retracted.
     """
 
-    def __init__(self, graph: PoseGraph, opts: SolveOptions):
+    def __init__(self, graph: PoseGraph):
         sources = {loop.vision.i for loop in graph.loops if loop.vision is not None}
         layout = Layout(graph.index_of, SIM3_DOF,
                         [len(n.disparities) if n.kid in sources else 0
                          for n in graph.nodes])
-        super().__init__(graph.nodes, layout, opts)
+        super().__init__(graph.nodes, layout)
         self.graph = graph
         self.groups = layout.pixel_groups([loop.vision for loop in graph.loops
                                            if loop.vision is not None], SIM3_DOF)
@@ -313,8 +313,8 @@ class _PoseGraphProblem(GraphProblem):
         self.system = None
         system = NormalEquations(lay)
         vision, relative = self.outs
-        for (_, ci, cj, cd), out in zip(self.groups, vision):
-            system.add_pixels(ci, cj, cd, out.J_i, out.J_j, out.J_disparity,
+        for group, out in zip(self.groups, vision):
+            system.add_pixels(group, out.J_i, out.J_j, out.J_disparity,
                               out.residual)
         for edge, out in zip(self.relative, relative):
             system.add_rows([(lay.cols(edge.i, SIM3_DOF), out.J_i),
@@ -325,11 +325,6 @@ class _PoseGraphProblem(GraphProblem):
         for n, node in enumerate(self.nodes[1:], start=1):
             node.state = node.state.retract(dx[n * SIM3_DOF:(n + 1) * SIM3_DOF])
         self.retract_disparities(dx[self.layout.n_pose_vars:])
-
-
-def total_pg_energy(graph: PoseGraph) -> float:
-    """Sum of whitened squared residuals over chain and loop edges."""
-    return _PoseGraphProblem(graph, SolveOptions()).evaluate()
 
 
 def solve_pgba(graph: PoseGraph, opts: SolveOptions | None = None):
@@ -348,7 +343,7 @@ def solve_pgba(graph: PoseGraph, opts: SolveOptions | None = None):
     if opts is None:
         opts = SolveOptions()
     before = {n.kid: n.state.copy() for n in graph.nodes}
-    report = lm_solve(_PoseGraphProblem(graph, opts), opts)
+    report = lm_solve(_PoseGraphProblem(graph), opts)
     return report, _correction(graph, before)
 
 

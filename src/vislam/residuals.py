@@ -148,6 +148,8 @@ class RelativePoseEdge:
     j: int
     measurement: SimTransform
     information: np.ndarray   # 7x7 information weight
+    # W with W^T W = information; relative_pose_residual whitens with it
+    whitening: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.information = np.asarray(self.information, dtype=float).reshape(7, 7)
@@ -155,6 +157,14 @@ class RelativePoseEdge:
             raise ValueError("information must be symmetric")
         if np.linalg.eigvalsh(self.information).min() < -1e-9:
             raise ValueError("information must be PSD")
+        try:
+            L = cholesky(self.information, lower=True)
+        except np.linalg.LinAlgError:
+            # PSD but rank-deficient information: fall back to the
+            # square root from its eigendecomposition
+            vals, vecs = np.linalg.eigh(self.information)
+            L = vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0)))
+        self.whitening = L.T
 
 
 @dataclass
@@ -421,11 +431,5 @@ def relative_pose_residual(edge: RelativePoseEdge, S_i: SimTransform,
     adj_j = S_j.adjoint()
     J_i = Jr_inv @ adj_j
     J_j = -J_i
-    try:
-        L = cholesky(edge.information, lower=True)
-    except np.linalg.LinAlgError:
-        # PSD but rank-deficient information: fall back to a symmetric sqrt
-        vals, vecs = np.linalg.eigh(edge.information)
-        L = vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0)))
-    W = L.T
+    W = edge.whitening
     return RelativeResidualResult(residual=W @ r, J_i=W @ J_i, J_j=W @ J_j)

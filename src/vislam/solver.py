@@ -5,10 +5,10 @@ velocity, gyro bias, accel bias), optionally a 2-dof gravity direction, and
 one disparity per tracked pixel of each source keyframe. Disparities only
 couple through their own keyframe's vision edges, so their normal-equation
 block is diagonal and is folded into the pose system by a per-pixel Schur
-complement, then recovered by back-substitution.
-
-A reference dense path solves the full (un-eliminated) normal equations and
-must produce the same step; it exists for verification and small problems.
+complement, then recovered by back-substitution. The pose-disparity coupling
+is kept as one block per source keyframe over the pose columns of the edges
+it sources, so the step never forms a (pose variables x disparities) matrix
+(Triggs et al., "Bundle Adjustment - A Modern Synthesis", 2000).
 
 lm_solve is the package's one Levenberg-Marquardt loop: the pose-graph,
 two-view alignment and inertial-only initialization solves are problems for
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,7 +114,6 @@ class SolveOptions:
     rel_decrease_tol: float = 1e-8
     step_tol: float = 1e-10
     optimize_gravity: bool = False
-    use_schur: bool = True
 
     def __post_init__(self):
         if self.max_iterations < 0:
@@ -235,28 +235,57 @@ class Layout:
         base = self.index_of(kid) * self.dof
         return np.arange(base, base + width)
 
-    def disp_cols(self, kid: int) -> np.ndarray:
+    def disp_slice(self, kid: int) -> slice:
         n = self.index_of(kid)
-        return np.arange(self.d_offsets[n], self.d_offsets[n + 1])
+        return slice(self.d_offsets[n], self.d_offsets[n + 1])
+
+    def disp_cols(self, kid: int) -> np.ndarray:
+        d = self.disp_slice(kid)
+        return np.arange(d.start, d.stop)
 
     def pixel_groups(self, edges, width: int) -> list:
-        """(edges, ci, cj, cd) per pixel count, in order of appearance: both
-        ends' pose columns and the source's disparity columns, stacked."""
+        """One PixelGroup per pixel count, in order of appearance."""
         by_count = {}
         for e in edges:
             by_count.setdefault(len(e.pixels), []).append(e)
-        return [(group, np.stack([self.cols(e.i, width) for e in group]),
-                 np.stack([self.cols(e.j, width) for e in group]),
-                 np.stack([self.disp_cols(e.i) for e in group]))
-                for group in by_count.values()]
+        groups = []
+        for group in by_count.values():
+            c = np.stack([np.concatenate([self.cols(e.i, width), self.cols(e.j, width)])
+                          for e in group])
+            rows = {}
+            for r, e in enumerate(group):
+                rows.setdefault(e.i, []).append(r)
+            groups.append(PixelGroup(
+                group, c, np.stack([self.disp_cols(e.i) for e in group]),
+                [(np.array(r), c[r].ravel(), self.disp_slice(kid))
+                 for kid, r in rows.items()]))
+        return groups
+
+
+class PixelGroup(NamedTuple):
+    """E vision edges of n pixels each, stacked for one kernel call.
+
+    c (E, 2k) holds each edge's pose columns, source end then target end,
+    and cd (E, n) its source's disparity columns. An edge covers all of its
+    source's disparities in one order, so the coupling of one source is one
+    block: sources holds, per source keyframe, its rows in the group, their
+    pose columns c[rows] flattened, and its disparity slice.
+    """
+
+    edges: list
+    c: np.ndarray
+    cd: np.ndarray
+    sources: list
 
 
 class NormalEquations:
     """H, g over [node tangents | extra | disparities] in normal form.
 
-    The disparity block H_dd is diagonal. H_pd is stored as a full
-    (n_pose_vars, n_disp) matrix; problems here are desk-scale so the
-    clarity is worth the memory. Gradients are J^T r with the residual
+    The disparity block H_dd is diagonal. The pose-disparity block H_pd is
+    never formed: coupling holds one (c, d, M) per source keyframe, where M
+    stacks the per-pixel J^T J_d of every edge that the source sources, on
+    those edges' pose columns c (a column repeats when two edges share it)
+    and the source's disparity slice d. Gradients are J^T r with the residual
     defined as (target - prediction), so a Gauss-Newton step solves
     H dx = -g.
     """
@@ -265,7 +294,7 @@ class NormalEquations:
         npv, ndp = layout.n_pose_vars, layout.n_disp
         self.layout = layout
         self.H_pp = np.zeros((npv, npv))
-        self.H_pd = np.zeros((npv, ndp))
+        self.coupling = []
         self.H_dd = np.zeros(ndp)
         self.g_p = np.zeros(npv)
         self.g_d = np.zeros(ndp)
@@ -283,14 +312,16 @@ class NormalEquations:
         for c, J in blocks:
             g[c] += J.T @ r
 
-    def add_pixels(self, ci, cj, cd, Ji, Jj, Jd, r) -> None:
-        """Vision rows of E edges of n pixels each, scattered at once.
+    def add_pixels(self, group: PixelGroup, Ji, Jj, Jd, r) -> None:
+        """Vision rows of a group's E edges of n pixels each, scattered at once.
 
-        Ji, Jj (E, n, 2, k) are pose blocks on each edge's columns ci, cj
-        (E, k); Jd (E, n, 2) is each pixel's column on its own disparity, cd
-        (E, n); r (E, n, 2) the residuals. Sums run along the pixel axis,
-        the contiguous one in what the kernel returns. Shared columns add up.
+        Ji, Jj (E, n, 2, k) are pose blocks on the source and target
+        columns of group.c; Jd (E, n, 2) is each pixel's column on its own
+        disparity, group.cd; r (E, n, 2) the residuals. Sums run along the
+        pixel axis, the contiguous one in what the kernel returns. Shared
+        columns add up.
         """
+        c, cd = group.c, group.cd
         Ji, Jj = np.moveaxis(Ji, 1, -1), np.moveaxis(Jj, 1, -1)     # (E, 2, k, n)
         Jd, r = np.moveaxis(Jd, 1, -1), np.moveaxis(r, 1, -1)       # (E, 2, n)
 
@@ -298,57 +329,50 @@ class NormalEquations:
             return (a @ b.swapaxes(2, 3)).sum(axis=1)
 
         Hij = gram(Ji, Jj)
-        c = np.concatenate([ci, cj], axis=1)
         np.add.at(self.H_pp, (c[:, :, None], c[:, None, :]),
                   np.block([[gram(Ji, Ji), Hij], [Hij.swapaxes(1, 2), gram(Jj, Jj)]]))
 
         npv, n_disp = self.layout.n_pose_vars, self.layout.n_disp
-        for cols, J in ((ci, Ji), (cj, Jj)):
-            self.g_p += np.bincount(cols.ravel(), (J @ r[..., None]).sum(axis=1).ravel(),
+        E, _, k, n = Ji.shape
+        W = np.empty((E, 2 * k, n))                 # per-pixel coupling on c
+        for end, J in ((slice(None, k), Ji), (slice(k, None), Jj)):
+            self.g_p += np.bincount(c[:, end].ravel(), (J @ r[..., None]).sum(axis=1).ravel(),
                                     minlength=npv)
-            # per-pixel disparity coupling; no (pose, disparity) column pair
-            # repeats within an edge, but edges from one source share columns
-            np.add.at(self.H_pd, (cols[:, :, None], cd[:, None, :]),
-                      J[:, 0] * Jd[:, 0, None] + J[:, 1] * Jd[:, 1, None])
+            np.multiply(J[:, 0], Jd[:, 0, None], out=W[:, end])
+            W[:, end] += J[:, 1] * Jd[:, 1, None]
+        for rows, cs, d in group.sources:
+            self.coupling.append((cs, d, W[rows].reshape(len(cs), n)))
         self.H_dd += np.bincount(cd.ravel(), (Jd * Jd).sum(axis=1).ravel(), minlength=n_disp)
         self.g_d += np.bincount(cd.ravel(), (Jd * r).sum(axis=1).ravel(), minlength=n_disp)
 
-    def solve(self, lam: float, opts: SolveOptions) -> np.ndarray:
+    def solve(self, lam: float) -> np.ndarray:
         """One damped step [pose vars | disparities], zero on frozen columns.
 
-        Solved via the per-pixel Schur complement or fully dense. Both paths
-        apply identical damping (multiplicative on the diagonal plus a tiny
-        absolute ridge for flat blocks) so their accepted steps coincide.
+        The damping is multiplicative on the diagonal plus a tiny absolute
+        ridge for flat blocks. Disparities are eliminated source by source:
+        the reduced pose system is H - sum_s M_s D_s^-1 M_s^T, which keeps
+        the cross terms of two edges from one source, and each source's
+        disparities are recovered from its own block.
         """
-        free = self.layout.free
-        Hf = self.H_pp[free, free]
-        Hfd, gf, g_d = self.H_pd[free], self.g_p[free], self.g_d
-        nf, nd = Hf.shape[0], self.layout.n_disp
+        lay = self.layout
+        npv = lay.n_pose_vars
+        inv_dd = 1.0 / (self.H_dd * (1.0 + lam) + RIDGE)
+        H = self.H_pp.copy()
+        idx = np.arange(npv)
+        H[idx, idx] = np.diag(self.H_pp) * (1.0 + lam) + RIDGE
+        g = self.g_p.copy()
+        w = inv_dd * self.g_d
+        for c, d, M in self.coupling:
+            np.subtract.at(H, (c[:, None], c[None, :]), (M * inv_dd[d]) @ M.T)
+            g -= np.bincount(c, M @ w[d], minlength=npv)
 
-        Hf_d = Hf.copy()
-        idx = np.arange(nf)
-        Hf_d[idx, idx] = np.diag(Hf) * (1.0 + lam) + RIDGE
-        Hdd_d = self.H_dd * (1.0 + lam) + RIDGE
-
-        if opts.use_schur and nd:
-            inv_dd = 1.0 / Hdd_d
-            # reduced pose system: Hf - Hfd D^-1 Hfd^T
-            Hred = Hf_d - (Hfd * inv_dd) @ Hfd.T
-            gred = gf - Hfd @ (inv_dd * g_d)
-            dx_f = solve_dense(Hred, -gred, "reduced pose system")
-            dx_d = inv_dd * (-g_d - Hfd.T @ dx_f)
-        else:
-            n = nf + nd
-            H = np.zeros((n, n))
-            H[:nf, :nf] = Hf_d
-            if nd:
-                H[:nf, nf:] = Hfd
-                H[nf:, :nf] = Hfd.T
-                H[nf + np.arange(nd), nf + np.arange(nd)] = Hdd_d
-            dx = solve_dense(H, -np.concatenate([gf, g_d]), "full system")
-            dx_f, dx_d = dx[:nf], dx[nf:]
-
-        return np.concatenate([np.zeros(self.layout.dof), dx_f, dx_d])
+        free = lay.free
+        dx = np.zeros(npv)
+        dx[free] = solve_dense(H[free, free], -g[free], "reduced pose system")
+        b = -self.g_d
+        for c, d, M in self.coupling:
+            b[d] -= M.T @ dx[c]
+        return np.concatenate([dx, inv_dd * b])
 
 
 class GraphProblem:
@@ -360,15 +384,14 @@ class GraphProblem:
     after, so neither is held beside its successor.
     """
 
-    def __init__(self, nodes: list, layout: Layout, opts: SolveOptions):
+    def __init__(self, nodes: list, layout: Layout):
         self.nodes = nodes
         self.layout = layout
-        self.opts = opts
         self.outs = None
         self.system = None
 
     def step(self, lam: float) -> np.ndarray:
-        return self.system.solve(lam, self.opts)
+        return self.system.solve(lam)
 
     def snapshot(self):
         return ([n.state.copy() for n in self.nodes],
@@ -404,7 +427,7 @@ class _WindowProblem(GraphProblem):
                         STATE_DOF if graph.inertial_edges else POSE_DOF,
                         [len(kf.disparities) for kf in graph.keyframes],
                         2 if opts.optimize_gravity else 0)
-        super().__init__(graph.keyframes, layout, opts)
+        super().__init__(graph.keyframes, layout)
         self.graph = graph
         self.groups = layout.pixel_groups(graph.vision_edges, POSE_DOF)
 
@@ -428,8 +451,8 @@ class _WindowProblem(GraphProblem):
         self.system = None
         system = NormalEquations(lay)
         vision, inertial = self.outs
-        for (_, ci, cj, cd), out in zip(self.groups, vision):
-            system.add_pixels(ci, cj, cd, out.J_pose_i, out.J_pose_j,
+        for group, out in zip(self.groups, vision):
+            system.add_pixels(group, out.J_pose_i, out.J_pose_j,
                               out.J_disparity, out.residual)
         sdof = lay.dof
         grav_cols = np.arange(lay.n_state, lay.n_pose_vars)
@@ -472,8 +495,7 @@ def total_energy(graph: FrameGraph) -> float:
 def solve_vi_ba(graph: FrameGraph, opts: SolveOptions | None = None) -> SolveReport:
     """Minimize the joint vision + inertial energy over the graph in place.
 
-    Disparities are Schur-eliminated per pixel unless the dense reference
-    path is requested.
+    Disparities are Schur-eliminated per pixel.
     """
     if opts is None:
         opts = SolveOptions()

@@ -12,8 +12,11 @@ import struct
 
 import numpy as np
 
+from vislam import solver
 from vislam.geometry import Pose, Rotation, SimTransform
 from vislam.gsmap import _RECORD, DEPTH_SENTINEL, Gaussian, Gaussians, RenderOutput
+from vislam.imu import BiasState, PreintegratedDelta
+from vislam.loopclosure import _PoseGraphProblem
 from vislam.residuals import (
     Intrinsics,
     Sim3VisionResult,
@@ -275,9 +278,11 @@ def sim3_vision_residual(edge: VisionEdge, S_i: SimTransform, S_j: SimTransform,
     )
 
 
-def add_pixels(system, ci, cj, cd, Ji, Jj, Jd, r) -> None:
+def add_pixels(system, H_pd, ci, cj, cd, Ji, Jj, Jd, r) -> None:
     """Vision rows (N, 2) of one edge with pose blocks (N, 2, k) and one
-    disparity each, scattered into a vislam.solver.NormalEquations."""
+    disparity each, scattered into a vislam.solver.NormalEquations and, for
+    the pose-disparity coupling, into the dense (pose vars, disparities)
+    matrix H_pd."""
     H = system.H_pp
     H[np.ix_(ci, ci)] += np.einsum("nka,nkb->ab", Ji, Ji)
     H[np.ix_(cj, cj)] += np.einsum("nka,nkb->ab", Jj, Jj)
@@ -286,13 +291,95 @@ def add_pixels(system, ci, cj, cd, Ji, Jj, Jd, r) -> None:
     H[np.ix_(cj, ci)] += Hij.T
 
     # per-pixel disparity coupling
-    system.H_pd[np.ix_(ci, cd)] += np.einsum("nka,nk->na", Ji, Jd).T
-    system.H_pd[np.ix_(cj, cd)] += np.einsum("nka,nk->na", Jj, Jd).T
+    H_pd[np.ix_(ci, cd)] += np.einsum("nka,nk->na", Ji, Jd).T
+    H_pd[np.ix_(cj, cd)] += np.einsum("nka,nk->na", Jj, Jd).T
     system.H_dd[cd] += np.einsum("nk,nk->n", Jd, Jd)
 
     system.g_p[ci] += np.einsum("nka,nk->a", Ji, r)
     system.g_p[cj] += np.einsum("nka,nk->a", Jj, r)
     system.g_d[cd] += np.einsum("nk,nk->n", Jd, r)
+
+
+def dense_coupling(system) -> np.ndarray:
+    """The (pose vars, disparities) matrix that a NormalEquations' per-source
+    coupling blocks stand for."""
+    lay = system.layout
+    H_pd = np.zeros((lay.n_pose_vars, lay.n_disp))
+    for c, d, M in system.coupling:
+        np.add.at(H_pd, (c[:, None], np.arange(d.start, d.stop)[None, :]), M)
+    return H_pd
+
+
+def dense_step(system, lam: float) -> np.ndarray:
+    """The damped step of a NormalEquations without eliminating anything:
+    the full [free pose vars | disparities] system, with the same damping as
+    the Schur step, solved densely."""
+    lay = system.layout
+    free = lay.free
+    Hf = system.H_pp[free, free]
+    Hfd = dense_coupling(system)[free]
+    nf, nd = Hf.shape[0], lay.n_disp
+    H = np.zeros((nf + nd, nf + nd))
+    H[:nf, :nf] = Hf
+    H[np.arange(nf), np.arange(nf)] = np.diag(Hf) * (1.0 + lam) + solver.RIDGE
+    H[:nf, nf:] = Hfd
+    H[nf:, :nf] = Hfd.T
+    H[nf + np.arange(nd), nf + np.arange(nd)] = system.H_dd * (1.0 + lam) + solver.RIDGE
+    dx = solver.solve_dense(H, -np.concatenate([system.g_p[free], system.g_d]),
+                            "full system")
+    return np.concatenate([np.zeros(lay.dof), dx])
+
+
+class _DenseWindowProblem(solver._WindowProblem):
+    def step(self, lam: float) -> np.ndarray:
+        return dense_step(self.system, lam)
+
+
+def solve_vi_ba_dense(graph, opts):
+    """vislam.solver.solve_vi_ba with every step taken by dense_step."""
+    return solver.lm_solve(_DenseWindowProblem(graph, opts), opts)
+
+
+def total_pg_energy(graph) -> float:
+    """Sum of whitened squared residuals over a pose graph's chain and loop
+    edges."""
+    return _PoseGraphProblem(graph).evaluate()
+
+
+# ---------------------------------------------------------------- IMU deltas
+
+
+def correct_for_bias(delta: PreintegratedDelta, new_bias: BiasState):
+    """First-order corrected (delta_R', delta_p', delta_v') at a new bias."""
+    db = new_bias.vector() - delta.bias_lin_point.vector()
+    dbg = db[:3]
+    dR = delta.delta_R * Rotation.exp(delta.J_rot @ dbg)
+    dp = delta.delta_p + delta.J_pos @ db
+    dv = delta.delta_v + delta.J_vel @ db
+    return dR, dp, dv
+
+
+def compose_deltas(a: PreintegratedDelta, b: PreintegratedDelta) -> PreintegratedDelta:
+    """Analytic concatenation of two consecutive deltas (shared boundary sample).
+
+    Jacobians and covariance are not composed here; only the deltas, which is
+    what the concatenation identity constrains.
+    """
+    Ra = a.delta_R.matrix()
+    dR = a.delta_R * b.delta_R
+    dv = a.delta_v + Ra @ b.delta_v
+    dp = a.delta_p + a.delta_v * b.dt_total + Ra @ b.delta_p
+    return PreintegratedDelta(
+        dt_total=a.dt_total + b.dt_total,
+        delta_R=dR,
+        delta_p=dp,
+        delta_v=dv,
+        J_rot=np.zeros((3, 3)),
+        J_pos=np.zeros((3, 6)),
+        J_vel=np.zeros((3, 6)),
+        covariance=np.zeros((15, 15)),
+        bias_lin_point=a.bias_lin_point.copy(),
+    )
 
 
 # ---------------------------------------------------------------- Gaussian map

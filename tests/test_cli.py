@@ -27,6 +27,8 @@ loop.solve_every = 2
 # Measured 23.09 cm on seed 3; the bound leaves a 30% margin.
 ATE_BOUND_CM = 30.0
 GRAVITY_BOUND_DEG = 2.0
+# lm_solve's terminations, besides "singular: <reason>"
+TERMINATIONS = ("converged", "max_iterations", "no_decrease_at_max_damping")
 OUTPUTS = ("metrics.json", "map.vgsm", "trajectory_est.txt", "trajectory_gt.txt")
 
 
@@ -89,6 +91,10 @@ def test_one_pose_graph_solve_per_solve_every_loops(short_run):
     # any remainder
     assert len(metrics["energy"]["pgba"]) \
         == math.ceil(metrics["loops_closed"] / solve_every)
+    # each solve records how lm_solve ended it
+    for solve in metrics["energy"]["pgba"]:
+        assert solve["termination"] in TERMINATIONS \
+            or solve["termination"].startswith("singular: ")
 
 
 def test_same_seed_gives_byte_identical_outputs(short_run):

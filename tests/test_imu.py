@@ -8,12 +8,15 @@ from vislam.imu import (
     BiasState,
     ImuNoiseModel,
     ImuSample,
-    compose_deltas,
-    correct_for_bias,
     preintegrate,
 )
 
-from oracles import integrate_imu_fine, random_periodic_signal
+from oracles import (
+    compose_deltas,
+    correct_for_bias,
+    integrate_imu_fine,
+    random_periodic_signal,
+)
 
 
 def _stream(omega_fn, accel_fn, t0, t1, rate):

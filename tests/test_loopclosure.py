@@ -1,6 +1,7 @@
 """Loop gating, Sim(3) reprojection, two-view alignment, pose-graph solve."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,11 +19,11 @@ from vislam.loopclosure import (
     LoopWorker,
     PoseGraph,
     PoseGraphNode,
+    _PoseGraphProblem,
     align_loop_pair,
     detect_loops,
     sim3_vision_residual,
     solve_pgba,
-    total_pg_energy,
 )
 from vislam.residuals import (
     GravityModel,
@@ -33,6 +34,9 @@ from vislam.residuals import (
 )
 from vislam.solver import FrameGraph, Keyframe, SolveOptions
 from vislam.synth import SyntheticProvider, TrajectoryModel, make_dataset
+
+import oracles
+from oracles import total_pg_energy
 
 MODEL = TrajectoryModel(family="figure8", amplitude=1.5, period=12.0,
                         duration=12.0, yaw_policy="tangent")
@@ -555,6 +559,65 @@ class TestSolvePgba:
         assert err_after < err_before / 4.0
         assert not np.array_equal(g.nodes[0].disparities, d0)
         assert np.all(g.nodes[0].disparities > 0.0)
+
+
+def vision_loop_graph(rng, n_nodes, sources, min_loop_gap):
+    """A pose graph with a chain over n_nodes Sim(3) states near a line and
+    one loop vision edge per (i, j) of each source's pixel count:
+    sources maps source kid -> (pixel count, [loop ends j])."""
+    states = [SimTransform(Rotation.exp(rng.normal(0, 0.02, 3)),
+                           np.array([0.05 * k, 0.0, 0.0]) + rng.normal(0, 0.01, 3),
+                           1.0 + rng.normal(0, 0.01))
+              for k in range(n_nodes)]
+    nodes = [PoseGraphNode(k, s) for k, s in enumerate(states)]
+    loops = []
+    for i, (n, ends) in sources.items():
+        nodes[i].pixels = np.stack([rng.uniform(100, 540, n),
+                                    rng.uniform(80, 400, n)], axis=1)
+        nodes[i].disparities = rng.uniform(0.2, 0.5, n)
+        for j in ends:
+            vis = VisionEdge(i, j, nodes[i].pixels,
+                             nodes[i].pixels + rng.normal(0, 2.0, (n, 2)),
+                             np.full((n, 2), 1.3))
+            loops.append(LoopEdge(i, j, unit_rel(i, j), vis))
+    return PoseGraph(nodes, chain_from(states), loops, intrinsics=PINHOLE,
+                     min_loop_gap=min_loop_gap)
+
+
+def test_pose_graph_schur_step_matches_dense_step():
+    # node 1 sources two loops, so its Schur block holds the cross terms of
+    # two edges; node 2 sources one loop of another pixel count
+    rng = np.random.default_rng(41)
+    g = vision_loop_graph(rng, 9, {1: (12, [5, 8]), 2: (9, [7])}, min_loop_gap=3)
+    problem = _PoseGraphProblem(g)
+    assert sorted((len(group.edges), len(group.edges[0].pixels))
+                  for group in problem.groups) == [(1, 9), (2, 12)]
+    problem.evaluate()
+    problem.linearize()
+    for lam in (1e-4, 1.0):
+        got = problem.step(lam)
+        want = oracles.dense_step(problem.system, lam)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_pose_graph_step_allocates_no_pose_by_disparity_matrix():
+    # 120 Sim(3) nodes and 10,000 loop-source disparities: a dense
+    # (pose vars, disparities) coupling alone would take 840 x 10,000 x 8 B
+    rng = np.random.default_rng(42)
+    g = vision_loop_graph(rng, 120, {i: (500, [i + 100]) for i in range(20)},
+                          min_loop_gap=55)
+    problem = _PoseGraphProblem(g)
+    assert problem.layout.n_pose_vars == 840 and problem.layout.n_disp == 10_000
+    problem.evaluate()
+    tracemalloc.start()
+    try:
+        problem.linearize()
+        dx = problem.step(1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(dx))
+    assert peak < 16e6
 
 
 @pytest.fixture(scope="module")

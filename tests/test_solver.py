@@ -121,8 +121,8 @@ def test_schur_step_matches_dense_step(n_kf, n_px):
 
     g_schur = _clone(graph)
     g_dense = _clone(graph)
-    solve_vi_ba(g_schur, SolveOptions(max_iterations=3, use_schur=True))
-    solve_vi_ba(g_dense, SolveOptions(max_iterations=3, use_schur=False))
+    solve_vi_ba(g_schur, SolveOptions(max_iterations=3))
+    oracles.solve_vi_ba_dense(g_dense, SolveOptions(max_iterations=3))
 
     for a, b in zip(g_schur.keyframes, g_dense.keyframes):
         assert np.abs(a.state.pose.translation - b.state.pose.translation).max() <= 1e-8
@@ -215,18 +215,21 @@ def test_two_pixel_count_window_matches_per_edge_scatter():
     want_energy = ref.evaluate()
     ref.linearize()
     lay = problem.layout
+    H_pd = np.zeros((lay.n_pose_vars, lay.n_disp))
     for e in graph.vision_edges:
         out = oracles.vision_residual(e, graph.kf(e.i).state.pose,
                                       graph.kf(e.j).state.pose,
                                       graph.kf(e.i).disparities, graph.intrinsics)
         want_energy += float((out.residual ** 2).sum())
-        oracles.add_pixels(ref.system, lay.cols(e.i, POSE_DOF), lay.cols(e.j, POSE_DOF),
+        oracles.add_pixels(ref.system, H_pd, lay.cols(e.i, POSE_DOF), lay.cols(e.j, POSE_DOF),
                            lay.disp_cols(e.i), out.J_pose_i, out.J_pose_j,
                            out.J_disparity, out.residual)
     assert abs(energy - want_energy) <= 1e-12 * want_energy
-    for name in ("H_pp", "H_pd", "H_dd", "g_p", "g_d"):
+    for name in ("H_pp", "H_dd", "g_p", "g_d"):
         got, want = getattr(problem.system, name), getattr(ref.system, name)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+    got = oracles.dense_coupling(problem.system)
+    assert np.abs(got - H_pd).max() <= 1e-12 * np.abs(H_pd).max(), "H_pd"
 
 
 def test_one_pixel_count_window_is_one_kernel_call(monkeypatch):
