@@ -20,53 +20,104 @@ from scipy.linalg import expm
 _SMALL_ANGLE = 1e-8
 
 
+# hat() fills these entries of the row-major 3x3 from these components,
+# with these signs
+_HAT_SLOTS = [1, 2, 3, 5, 6, 7]
+_HAT_SOURCE = [2, 1, 2, 0, 1, 0]
+_HAT_SIGN = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis; on one vector this rounds as
+    np.linalg.norm does."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
 def hat(v: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix such that hat(v) @ w == cross(v, w)."""
+    """Skew-symmetric matrices such that hat(v) @ w == cross(v, w), over (..., 3)."""
     v = np.asarray(v, dtype=float)
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
+    K = np.zeros(v.shape[:-1] + (9,))
+    K[..., _HAT_SLOTS] = v[..., _HAT_SOURCE] * _HAT_SIGN
+    return K.reshape(v.shape[:-1] + (3, 3))
+
+
+def _so3_terms(omega: np.ndarray):
+    """Angle, small-angle mask, hat and its square of (..., 3) rotation
+    vectors, the angle broadcast as (..., 1, 1) and set to 1 under the mask
+    so the closed forms stay finite where the Taylor forms are taken."""
+    omega = np.asarray(omega, dtype=float)
+    theta = _norm(omega)[..., None, None]
+    small = theta < _SMALL_ANGLE
+    K = hat(omega)
+    return np.where(small, 1.0, theta), small, K, K @ K
 
 
 def so3_exp_matrix(omega: np.ndarray) -> np.ndarray:
-    """Rodrigues formula with a Taylor fallback below the small-angle cutoff."""
-    omega = np.asarray(omega, dtype=float)
-    theta = np.linalg.norm(omega)
-    K = hat(omega)
-    if theta < _SMALL_ANGLE:
-        # second-order Taylor keeps exp(log(R)) round trips at machine precision
-        return np.eye(3) + K + 0.5 * (K @ K)
+    """Rodrigues formula over (..., 3) rotation vectors, with a Taylor
+    fallback below the small-angle cutoff."""
+    theta, small, K, KK = _so3_terms(omega)
+    # second-order Taylor keeps exp(log(R)) round trips at machine precision
+    taylor = np.eye(3) + K + 0.5 * KK
     a = np.sin(theta) / theta
     b = (1.0 - np.cos(theta)) / (theta * theta)
-    return np.eye(3) + a * K + b * (K @ K)
+    return np.where(small, taylor, np.eye(3) + a * K + b * KK)
 
 
 def so3_right_jacobian(omega: np.ndarray) -> np.ndarray:
-    """Right Jacobian of SO(3): Exp(w + dw) ~= Exp(w) Exp(Jr(w) dw)."""
-    omega = np.asarray(omega, dtype=float)
-    theta = np.linalg.norm(omega)
-    K = hat(omega)
-    if theta < _SMALL_ANGLE:
-        return np.eye(3) - 0.5 * K + (K @ K) / 6.0
+    """Right Jacobian of SO(3) over (..., 3): Exp(w + dw) ~= Exp(w) Exp(Jr(w) dw)."""
+    theta, small, K, KK = _so3_terms(omega)
+    taylor = np.eye(3) - 0.5 * K + KK / 6.0
     t2 = theta * theta
     a = (1.0 - np.cos(theta)) / t2
     b = (theta - np.sin(theta)) / (t2 * theta)
-    return np.eye(3) - a * K + b * (K @ K)
+    return np.where(small, taylor, np.eye(3) - a * K + b * KK)
 
 
 def so3_right_jacobian_inv(omega: np.ndarray) -> np.ndarray:
-    """Inverse right Jacobian of SO(3)."""
-    omega = np.asarray(omega, dtype=float)
-    theta = np.linalg.norm(omega)
-    K = hat(omega)
-    if theta < _SMALL_ANGLE:
-        return np.eye(3) + 0.5 * K + (K @ K) / 12.0
-    half = 0.5 * theta
-    cot = 1.0 / np.tan(half)
+    """Inverse right Jacobian of SO(3) over (..., 3)."""
+    theta, small, K, KK = _so3_terms(omega)
+    taylor = np.eye(3) + 0.5 * K + KK / 12.0
+    cot = 1.0 / np.tan(0.5 * theta)
     b = (1.0 / (theta * theta)) * (1.0 - theta * cot / 2.0)
-    return np.eye(3) + 0.5 * K + b * (K @ K)
+    return np.where(small, taylor, np.eye(3) + 0.5 * K + b * KK)
+
+
+def so3_log_matrix(R: np.ndarray) -> np.ndarray:
+    """Rotation vectors of (E, 3, 3) rotation matrices.
+
+    The stacked form of Rotation.from_matrix(R).log(), with its branches:
+    the trace > 0 quaternion, else the one pivoted on the largest diagonal
+    entry; then the canonical unit quaternion and its log.
+    """
+    R = np.asarray(R, dtype=float)
+    q = np.empty((len(R), 4))
+    pos = np.trace(R, axis1=1, axis2=2) > 0.0
+    Rp = R[pos]
+    s = np.sqrt(np.trace(Rp, axis1=1, axis2=2) + 1.0) * 2.0
+    q[pos] = np.stack([0.25 * s, (Rp[:, 2, 1] - Rp[:, 1, 2]) / s,
+                       (Rp[:, 0, 2] - Rp[:, 2, 0]) / s,
+                       (Rp[:, 1, 0] - Rp[:, 0, 1]) / s], axis=1)
+    pivot = np.argmax(np.diagonal(R, axis1=1, axis2=2), axis=1)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        lo, hi = sorted((j, k))
+        sel = ~pos & (pivot == i)
+        Ri = R[sel]
+        s = np.sqrt(1.0 + Ri[:, i, i] - Ri[:, lo, lo] - Ri[:, hi, hi]) * 2.0
+        qi = np.empty((len(Ri), 4))
+        qi[:, 0] = (Ri[:, k, j] - Ri[:, j, k]) / s
+        qi[:, 1 + i] = 0.25 * s
+        qi[:, 1 + j] = (Ri[:, i, j] + Ri[:, j, i]) / s
+        qi[:, 1 + k] = (Ri[:, i, k] + Ri[:, k, i]) / s
+        q[sel] = qi
+    q = q / _norm(q)[:, None]
+    q = np.where(q[:, :1] < 0.0, -q, q)
+    w, v = q[:, 0], q[:, 1:]
+    n = _norm(v)
+    small = n < _SMALL_ANGLE
+    # first-order in the vector part below the cutoff, as Rotation.log
+    scale = np.where(small, 2.0 / w, 2.0 * np.arctan2(n, w) / np.where(small, 1.0, n))
+    return scale[:, None] * v
 
 
 def _quat_multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:

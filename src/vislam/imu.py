@@ -1,16 +1,25 @@
 """IMU preintegration between keyframe timestamps.
 
 Forster-style preintegrated deltas with bias Jacobians and a discrete-time
-linearized covariance. Each sample interval holds the average of its endpoint
-measurements constant (midpoint scheme); position and velocity accumulate with
-the rotation taken at the interval midpoint.
+linearized covariance (Forster et al., "On-Manifold Preintegration for
+Real-Time Visual-Inertial Odometry", T-RO 2017). Each sample interval holds
+the average of its endpoint measurements constant (midpoint scheme); position
+and velocity accumulate with the rotation taken at the interval midpoint.
+
+preintegrate works on the whole stream as arrays: every interval's Exp and
+right Jacobian, at the full and the half step, come from one stacked
+Rodrigues call, and the velocity and position terms are prefix sums. Only the
+rotation prefix product, the gyro-bias Jacobian of the rotation and the 9x9
+covariance are sequential recursions, and only they run per interval.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag, cholesky, solve_triangular
 
 from .geometry import Rotation, hat, so3_exp_matrix, so3_right_jacobian
 
@@ -24,6 +33,10 @@ class ImuSample:
     def __post_init__(self):
         self.gyro = np.asarray(self.gyro, dtype=float).reshape(3)
         self.accel = np.asarray(self.accel, dtype=float).reshape(3)
+        # per element in Python: a stream is built from thousands of samples
+        if not all(map(math.isfinite, [self.timestamp, *self.gyro.tolist(),
+                                       *self.accel.tolist()])):
+            raise ValueError("IMU sample must be finite")
 
 
 @dataclass
@@ -72,6 +85,25 @@ class PreintegratedDelta:
     J_vel: np.ndarray      # d(delta_v)/d(bias), 3x6
     covariance: np.ndarray  # 15x15, blocks (rot, pos, vel, bias walk)
     bias_lin_point: BiasState
+    # block-diagonal W = diag(L9^-1, Lb^-1) from the Cholesky factors of the
+    # (rot, pos, vel) and bias-walk blocks; inertial_residual whitens with it
+    whitening: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.covariance = np.asarray(self.covariance, dtype=float).reshape(15, 15)
+        try:
+            L9 = cholesky(self.covariance[:9, :9], lower=True)
+            Lb = cholesky(self.covariance[9:, 9:], lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("non-PSD preintegration covariance") from exc
+        self.whitening = block_diag(solve_triangular(L9, np.eye(9), lower=True),
+                                    solve_triangular(Lb, np.eye(6), lower=True))
+
+
+def _running_sums(steps: np.ndarray) -> np.ndarray:
+    """Sums of steps[:k] for k = 0..n, accumulated from +0.0 in order, as a
+    loop adding each step to zeros would (so a -0.0 step sums to +0.0)."""
+    return np.cumsum(np.concatenate([np.zeros((1,) + steps.shape[1:]), steps]), axis=0)
 
 
 def preintegrate(samples: list, bias_hat: BiasState, noise: ImuNoiseModel) -> PreintegratedDelta:
@@ -91,62 +123,65 @@ def preintegrate(samples: list, bias_hat: BiasState, noise: ImuNoiseModel) -> Pr
     gyro = np.stack([s.gyro for s in samples]) - bias_hat.gyro_bias
     accel = np.stack([s.accel for s in samples]) - bias_hat.accel_bias
 
-    dR = np.eye(3)
-    dv = np.zeros(3)
-    dp = np.zeros(3)
-    J_r = np.zeros((3, 3))
-    J_v = np.zeros((3, 6))
-    J_p = np.zeros((3, 6))
+    # per interval k, stacked: dt (n, 1, 1) against matrices, dt1 (n, 1)
+    # against vectors
+    n = len(samples) - 1
+    dt = np.diff(ts)[:, None, None]
+    dt1 = dt[:, 0]
+    w = 0.5 * (gyro[:-1] + gyro[1:])
+    a = 0.5 * (accel[:-1] + accel[1:])
+    rotvecs = np.concatenate([w * dt1, w * (0.5 * dt1)])
+    E_full, E_half = np.split(so3_exp_matrix(rotvecs), 2)
+    Jr_full, Jr_half = np.split(so3_right_jacobian(rotvecs), 2)
+
+    # dR[k] and J_r[k] hold the values before interval k
+    dR = np.empty((n + 1, 3, 3))
+    J_r = np.empty((n + 1, 3, 3))
+    dR[0] = np.eye(3)
+    J_r[0] = 0.0
+    for k in range(n):
+        dR[k + 1] = dR[k] @ E_full[k]
+        J_r[k + 1] = E_full[k].T @ J_r[k] - dt[k] * Jr_full[k]
+
+    R_mid = dR[:-1] @ E_half
+    E_half_T = E_half.transpose(0, 2, 1)
+    RA = R_mid @ hat(a)
+    a_i = (R_mid @ a[..., None])[..., 0]
+    # bias Jacobian of the midpoint rotation tangent
+    J_mid = E_half_T @ J_r[:-1] - 0.5 * dt * Jr_half
+    RA_Jmid = RA @ J_mid
+
+    # error-state propagation, state ordered (theta, p, v)
+    RAE = RA @ E_half_T
+    A = np.tile(np.eye(9), (n, 1, 1))
+    A[:, 0:3, 0:3] = E_full.transpose(0, 2, 1)
+    A[:, 3:6, 0:3] = -0.5 * dt * dt * RAE
+    A[:, 3:6, 6:9] = dt * np.eye(3)
+    A[:, 6:9, 0:3] = -dt * RAE
+
+    RAJ = RA @ Jr_half
+    B = np.zeros((n, 9, 6))
+    B[:, 0:3, 0:3] = -dt * Jr_full
+    B[:, 3:6, 0:3] = 0.25 * dt ** 3 * RAJ
+    B[:, 3:6, 3:6] = -0.5 * dt * dt * R_mid
+    B[:, 6:9, 0:3] = 0.5 * dt * dt * RAJ
+    B[:, 6:9, 3:6] = -dt * R_mid
+    # B Q_d B^T with Q_d = diag(sg2/dt (x3), sa2/dt (x3))
+    q_d = np.repeat([noise.gyro_noise_density ** 2, noise.accel_noise_density ** 2], 3) / dt1
+    BQB = (B * q_d[:, None, :]) @ B.transpose(0, 2, 1)
+
     cov9 = np.zeros((9, 9))
-
-    sg2 = noise.gyro_noise_density ** 2
-    sa2 = noise.accel_noise_density ** 2
-
-    for k in range(len(samples) - 1):
-        dt = ts[k + 1] - ts[k]
-        w = 0.5 * (gyro[k] + gyro[k + 1])
-        a = 0.5 * (accel[k] + accel[k + 1])
-
-        E_full = so3_exp_matrix(w * dt)
-        E_half = so3_exp_matrix(w * (0.5 * dt))
-        Jr_full = so3_right_jacobian(w * dt)
-        Jr_half = so3_right_jacobian(w * (0.5 * dt))
-        R_mid = dR @ E_half
-        a_i = R_mid @ a
-        Ahat = hat(a)
-
-        # bias Jacobian of the midpoint rotation tangent
-        J_mid = E_half.T @ J_r - 0.5 * dt * Jr_half
-        RA_Jmid = R_mid @ Ahat @ J_mid
-
-        # error-state propagation, state ordered (theta, p, v)
-        A = np.eye(9)
-        A[0:3, 0:3] = E_full.T
-        A[3:6, 0:3] = -0.5 * dt * dt * (R_mid @ Ahat @ E_half.T)
-        A[3:6, 6:9] = dt * np.eye(3)
-        A[6:9, 0:3] = -dt * (R_mid @ Ahat @ E_half.T)
-
-        B = np.zeros((9, 6))
-        B[0:3, 0:3] = -dt * Jr_full
-        B[3:6, 0:3] = 0.25 * dt ** 3 * (R_mid @ Ahat @ Jr_half)
-        B[3:6, 3:6] = -0.5 * dt * dt * R_mid
-        B[6:9, 0:3] = 0.5 * dt * dt * (R_mid @ Ahat @ Jr_half)
-        B[6:9, 3:6] = -dt * R_mid
-
-        Qd = np.diag([sg2 / dt] * 3 + [sa2 / dt] * 3)
-        cov9 = A @ cov9 @ A.T + B @ Qd @ B.T
+    for k in range(n):
+        cov9 = A[k] @ cov9 @ A[k].T + BQB[k]
         cov9 = 0.5 * (cov9 + cov9.T)
 
-        # bias Jacobians (position before velocity: uses the pre-update J_v)
-        J_p[:, 0:3] += dt * J_v[:, 0:3] - 0.5 * dt * dt * RA_Jmid
-        J_p[:, 3:6] += dt * J_v[:, 3:6] - 0.5 * dt * dt * R_mid
-        J_v[:, 0:3] += -dt * RA_Jmid
-        J_v[:, 3:6] += -dt * R_mid
-        J_r = E_full.T @ J_r - dt * Jr_full
-
-        dp = dp + dv * dt + 0.5 * dt * dt * a_i
-        dv = dv + dt * a_i
-        dR = dR @ E_full
+    # bias Jacobians, velocity and position as running sums, laid out as dR;
+    # position reads velocity and its Jacobian before their update
+    d_bias = np.concatenate([RA_Jmid, R_mid], axis=2)
+    J_vel = _running_sums(-dt * d_bias)
+    J_pos = _running_sums(dt * J_vel[:-1] - 0.5 * dt * dt * d_bias)
+    dv = _running_sums(dt1 * a_i)
+    dp = _running_sums(dv[:-1] * dt1 + 0.5 * dt1 * dt1 * a_i)
 
     dt_total = float(ts[-1] - ts[0])
     cov = np.zeros((15, 15))
@@ -154,14 +189,15 @@ def preintegrate(samples: list, bias_hat: BiasState, noise: ImuNoiseModel) -> Pr
     cov[9:12, 9:12] = noise.gyro_bias_random_walk ** 2 * dt_total * np.eye(3)
     cov[12:15, 12:15] = noise.accel_bias_random_walk ** 2 * dt_total * np.eye(3)
 
+    # copies, so the delta does not keep every interval's rows alive
     return PreintegratedDelta(
         dt_total=dt_total,
-        delta_R=Rotation.from_matrix(dR),
-        delta_p=dp,
-        delta_v=dv,
-        J_rot=J_r,
-        J_pos=J_p,
-        J_vel=J_v,
+        delta_R=Rotation.from_matrix(dR[-1]),
+        delta_p=dp[-1].copy(),
+        delta_v=dv[-1].copy(),
+        J_rot=J_r[-1].copy(),
+        J_pos=J_pos[-1].copy(),
+        J_vel=J_vel[-1].copy(),
         covariance=cov,
         bias_lin_point=bias_hat.copy(),
     )

@@ -136,37 +136,39 @@ class _InertialOnly:
         self.gravity = graph.gravity.copy()
         self.bias = graph.keyframes[0].state.bias.copy()
         self.velocities = _fd_velocities(graph)
-        self.outs = None
+        self.out = None
 
     def evaluate(self) -> float:
         """Inertial energy of the scale-adjusted states."""
         es = float(np.exp(self.s))
-        states = {}
-        for k, kf in enumerate(self.graph.keyframes):
-            st = kf.state
-            states[kf.kid] = PoseState(Pose(st.pose.rotation, es * st.pose.translation),
-                                       self.velocities[k], self.bias, st.timestamp)
-        self.outs = [(i, j, inertial_residual(delta, states[i], states[j], self.gravity))
-                     for i, j, delta in self.graph.inertial_edges]
-        return sum(float((o.residual ** 2).sum()) for _, _, o in self.outs)
+        g = self.graph
+        states = [PoseState(Pose(kf.state.pose.rotation, es * kf.state.pose.translation),
+                            self.velocities[k], self.bias, kf.state.timestamp)
+                  for k, kf in enumerate(g.keyframes)]
+        self.out = inertial_residual([d for _, _, d in g.inertial_edges],
+                                     [states[g.index_of(i)] for i, _, _ in g.inertial_edges],
+                                     [states[g.index_of(j)] for _, j, _ in g.inertial_edges],
+                                     self.gravity)
+        return float((self.out.residual ** 2).sum())
 
     def linearize(self) -> None:
         es = float(np.exp(self.s))
         dim = 9 + 3 * len(self.velocities)
         self.H = np.zeros((dim, dim))
         self.g = np.zeros(dim)
-        for i, j, out in self.outs:
+        out = self.out
+        for e, (i, j, _) in enumerate(self.graph.inertial_edges):
             ki, kj = self.graph.index_of(i), self.graph.index_of(j)
             p_i = self.graph.kf(i).state.pose.translation
             p_j = self.graph.kf(j).state.pose.translation
             J = np.zeros((15, dim))
-            J[:, 0] = out.J_i[:, 3:6] @ (es * p_i) + out.J_j[:, 3:6] @ (es * p_j)
-            J[:, 1:3] = out.J_gravity @ GRAVITY_TANGENT_BASIS
-            J[:, 3:9] = out.J_i[:, 9:15] + out.J_j[:, 9:15]
-            J[:, 9 + 3 * ki: 12 + 3 * ki] = out.J_i[:, 6:9]
-            J[:, 9 + 3 * kj: 12 + 3 * kj] = out.J_j[:, 6:9]
+            J[:, 0] = out.J_i[e, :, 3:6] @ (es * p_i) + out.J_j[e, :, 3:6] @ (es * p_j)
+            J[:, 1:3] = out.J_gravity[e] @ GRAVITY_TANGENT_BASIS
+            J[:, 3:9] = out.J_i[e, :, 9:15] + out.J_j[e, :, 9:15]
+            J[:, 9 + 3 * ki: 12 + 3 * ki] = out.J_i[e, :, 6:9]
+            J[:, 9 + 3 * kj: 12 + 3 * kj] = out.J_j[e, :, 6:9]
             self.H += J.T @ J
-            self.g += J.T @ out.residual
+            self.g += J.T @ out.residual[e]
 
     def step(self, lam: float) -> np.ndarray:
         H_damped = self.H + np.diag(np.diag(self.H)) * lam + RIDGE * np.eye(len(self.g))
@@ -180,10 +182,10 @@ class _InertialOnly:
         self.velocities = self.velocities + dx[9:].reshape(-1, 3)
 
     def snapshot(self):
-        return self.s, self.gravity, self.bias, self.velocities, self.outs
+        return self.s, self.gravity, self.bias, self.velocities, self.out
 
     def restore(self, snap) -> None:
-        self.s, self.gravity, self.bias, self.velocities, self.outs = snap
+        self.s, self.gravity, self.bias, self.velocities, self.out = snap
 
 
 def init_inertial_only(graph: FrameGraph,

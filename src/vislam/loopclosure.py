@@ -292,6 +292,9 @@ class _PoseGraphProblem(GraphProblem):
                                            if loop.vision is not None], SIM3_DOF)
         self.relative = [loop.relative for loop in graph.loops
                          if loop.vision is None] + graph.chain
+        self.relative_cols = np.array([np.concatenate([layout.cols(e.i, SIM3_DOF),
+                                                       layout.cols(e.j, SIM3_DOF)])
+                                       for e in self.relative])
 
     def evaluate(self) -> float:
         """Sum of whitened squared residuals over loop and chain edges."""
@@ -309,16 +312,16 @@ class _PoseGraphProblem(GraphProblem):
         return sum((float(out.residual @ out.residual) for out in relative), e)
 
     def linearize(self) -> None:
-        lay = self.layout
         self.system = None
-        system = NormalEquations(lay)
+        system = NormalEquations(self.layout)
         vision, relative = self.outs
         for group, out in zip(self.groups, vision):
             system.add_pixels(group, out.J_i, out.J_j, out.J_disparity,
                               out.residual)
-        for edge, out in zip(self.relative, relative):
-            system.add_rows([(lay.cols(edge.i, SIM3_DOF), out.J_i),
-                             (lay.cols(edge.j, SIM3_DOF), out.J_j)], out.residual)
+        if relative:
+            system.add_rows(self.relative_cols,
+                            np.stack([np.hstack([out.J_i, out.J_j]) for out in relative]),
+                            np.stack([out.residual for out in relative]))
         self.system, self.outs = system, None
 
     def retract(self, dx: np.ndarray) -> None:

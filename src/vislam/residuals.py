@@ -3,8 +3,9 @@
 Vision: dense reprojection of strided pixels against refined correspondences,
 weighted per pixel, for a stack of edges of one pixel count in one pass.
 Inertial: preintegrated motion discrepancy plus a bias random-walk block,
-whitened by the preintegration covariance. Relative pose: Sim(3) log of a
-measured relative transform against two states.
+for a stack of preintegrated deltas in one pass, whitened by the factor each
+delta computed from its covariance when it was built. Relative pose: Sim(3)
+log of a measured relative transform against two states.
 
 States are world-from-body poses; the vision residual converts to the camera
 frame through a constant extrinsic, the inertial residual is purely body-frame.
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cholesky
 
 from .geometry import (
     Pose,
@@ -26,10 +27,11 @@ from .geometry import (
     hat,
     sim3_right_jacobian_inv,
     so3_exp_matrix,
+    so3_log_matrix,
     so3_right_jacobian,
     so3_right_jacobian_inv,
 )
-from .imu import BiasState, PreintegratedDelta
+from .imu import BiasState
 
 
 @dataclass
@@ -326,93 +328,98 @@ def sim3_vision_residual(edges, S_i, S_j, d_i, k: Intrinsics,
 
 @dataclass
 class InertialResidualResult:
-    residual: np.ndarray   # (15,) whitened: rot, pos, vel, bias walk
-    J_i: np.ndarray        # (15, 15) w.r.t. state i tangent
-    J_j: np.ndarray        # (15, 15)
-    J_gravity: np.ndarray  # (15, 3) w.r.t. right perturbation of R_wg
+    residual: np.ndarray   # (E, 15) whitened: rot, pos, vel, bias walk
+    J_i: np.ndarray        # (E, 15, 15) w.r.t. state i tangent
+    J_j: np.ndarray        # (E, 15, 15)
+    J_gravity: np.ndarray  # (E, 15, 3) w.r.t. right perturbation of R_wg
 
 
-def inertial_residual(delta: PreintegratedDelta, s_i: PoseState, s_j: PoseState,
+def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (M @ v[..., None])[..., 0]
+
+
+def inertial_residual(deltas, states_i, states_j,
                       gravity: GravityModel) -> InertialResidualResult:
-    """Whitened preintegration residual with first-order bias correction.
+    """Whitened preintegration residuals with first-order bias correction.
 
-    Rows 0:9 are (rot, pos, vel) whitened by the Cholesky factor of the delta
-    covariance; rows 9:15 are b_j - b_i whitened by the random-walk block.
+    deltas is a sequence of E PreintegratedDeltas; states_i and states_j give
+    each its two PoseStates. Rows 0:9 are (rot, pos, vel) and rows 9:15 are
+    b_j - b_i, each block whitened by the delta's own factor (W^T W is the
+    inverse of that block of its covariance).
     """
-    dt = s_j.timestamp - s_i.timestamp
-    if abs(dt - delta.dt_total) > 1e-6:
+    if not len(deltas) == len(states_i) == len(states_j):
+        raise ValueError("one state pair per delta")
+    dt = np.array([s_j.timestamp - s_i.timestamp for s_i, s_j in zip(states_i, states_j)])
+    span = np.array([d.dt_total for d in deltas])
+    for e in np.flatnonzero(np.abs(dt - span) > 1e-6)[:1]:
         raise ValueError(
-            f"delta spans {delta.dt_total:.6f}s but states are {dt:.6f}s apart")
+            f"delta spans {span[e]:.6f}s but states are {dt[e]:.6f}s apart")
 
-    R_i = s_i.pose.rotation.matrix()
-    R_j = s_j.pose.rotation.matrix()
-    p_i, p_j = s_i.pose.translation, s_j.pose.translation
-    v_i, v_j = s_i.velocity, s_j.velocity
+    def stack(items, get):
+        return np.stack([get(x) for x in items])
+
+    R_i = stack(states_i, lambda s: s.pose.rotation.matrix())
+    R_j = stack(states_j, lambda s: s.pose.rotation.matrix())
+    R_i_T = R_i.transpose(0, 2, 1)
+    p_i = stack(states_i, lambda s: s.pose.translation)
+    p_j = stack(states_j, lambda s: s.pose.translation)
+    v_i = stack(states_i, lambda s: s.velocity)
+    v_j = stack(states_j, lambda s: s.velocity)
+    b_i = stack(states_i, lambda s: s.bias.vector())
+    b_j = stack(states_j, lambda s: s.bias.vector())
+    J_rot = stack(deltas, lambda d: d.J_rot)
+    J_pos = stack(deltas, lambda d: d.J_pos)
+    J_vel = stack(deltas, lambda d: d.J_vel)
     g = gravity.vector()
-    db = s_i.bias.vector() - delta.bias_lin_point.vector()
-    dbg = db[:3]
+    db = b_i - stack(deltas, lambda d: d.bias_lin_point.vector())
+    dt3, dt = dt[:, None, None], dt[:, None]
 
-    corr_rot_tangent = delta.J_rot @ dbg
-    C = delta.delta_R.matrix() @ so3_exp_matrix(corr_rot_tangent)
-    r_rot = Rotation.from_matrix(C.T @ R_i.T @ R_j).log()
+    corr_rot_tangent = _matvec(J_rot, db[:, :3])
+    C = stack(deltas, lambda d: d.delta_R.matrix()) @ so3_exp_matrix(corr_rot_tangent)
+    r_rot = so3_log_matrix(C.transpose(0, 2, 1) @ R_i_T @ R_j)
     s_pos = p_j - p_i - v_i * dt - 0.5 * dt * dt * g
-    r_pos = R_i.T @ s_pos - (delta.delta_p + delta.J_pos @ db)
+    r_pos = _matvec(R_i_T, s_pos) - (stack(deltas, lambda d: d.delta_p) + _matvec(J_pos, db))
     s_vel = v_j - v_i - dt * g
-    r_vel = R_i.T @ s_vel - (delta.delta_v + delta.J_vel @ db)
-    r_bias = s_j.bias.vector() - s_i.bias.vector()
+    r_vel = _matvec(R_i_T, s_vel) - (stack(deltas, lambda d: d.delta_v) + _matvec(J_vel, db))
+    r_bias = b_j - b_i
 
     Jr_inv = so3_right_jacobian_inv(r_rot)
     Jl_inv = so3_right_jacobian_inv(-r_rot)
 
-    J_i = np.zeros((15, 15))
-    J_j = np.zeros((15, 15))
-    J_g = np.zeros((15, 3))
+    E = len(deltas)
+    J_i = np.zeros((E, 15, 15))
+    J_j = np.zeros((E, 15, 15))
+    J_g = np.zeros((E, 15, 3))
+    G = gravity.R_wg.matrix() @ hat(gravity.g_inertial())
 
     # rotation rows
-    J_i[0:3, 0:3] = -Jr_inv @ (R_j.T @ R_i)
-    J_j[0:3, 0:3] = Jr_inv
-    J_i[0:3, 9:12] = -Jl_inv @ so3_right_jacobian(corr_rot_tangent) @ delta.J_rot
+    J_i[:, 0:3, 0:3] = -Jr_inv @ (R_j.transpose(0, 2, 1) @ R_i)
+    J_j[:, 0:3, 0:3] = Jr_inv
+    J_i[:, 0:3, 9:12] = -Jl_inv @ so3_right_jacobian(corr_rot_tangent) @ J_rot
 
     # position rows
-    J_i[3:6, 0:3] = hat(R_i.T @ s_pos)
-    J_i[3:6, 3:6] = -R_i.T
-    J_j[3:6, 3:6] = R_i.T
-    J_i[3:6, 6:9] = -dt * R_i.T
-    J_i[3:6, 9:15] = -delta.J_pos
-    J_g[3:6, :] = 0.5 * dt * dt * R_i.T @ gravity.R_wg.matrix() @ hat(gravity.g_inertial())
+    J_i[:, 3:6, 0:3] = hat(_matvec(R_i_T, s_pos))
+    J_i[:, 3:6, 3:6] = -R_i_T
+    J_j[:, 3:6, 3:6] = R_i_T
+    J_i[:, 3:6, 6:9] = -dt3 * R_i_T
+    J_i[:, 3:6, 9:15] = -J_pos
+    J_g[:, 3:6, :] = 0.5 * dt3 * dt3 * R_i_T @ G
 
     # velocity rows
-    J_i[6:9, 0:3] = hat(R_i.T @ s_vel)
-    J_i[6:9, 6:9] = -R_i.T
-    J_j[6:9, 6:9] = R_i.T
-    J_i[6:9, 9:15] = -delta.J_vel
-    J_g[6:9, :] = dt * R_i.T @ gravity.R_wg.matrix() @ hat(gravity.g_inertial())
+    J_i[:, 6:9, 0:3] = hat(_matvec(R_i_T, s_vel))
+    J_i[:, 6:9, 6:9] = -R_i_T
+    J_j[:, 6:9, 6:9] = R_i_T
+    J_i[:, 6:9, 9:15] = -J_vel
+    J_g[:, 6:9, :] = dt3 * R_i_T @ G
 
     # bias walk rows
-    J_i[9:15, 9:15] = -np.eye(6)
-    J_j[9:15, 9:15] = np.eye(6)
+    J_i[:, 9:15, 9:15] = -np.eye(6)
+    J_j[:, 9:15, 9:15] = np.eye(6)
 
-    r = np.concatenate([r_rot, r_pos, r_vel, r_bias])
-    cov9 = delta.covariance[:9, :9]
-    covb = delta.covariance[9:15, 9:15]
-    try:
-        L9 = cholesky(cov9, lower=True)
-        Lb = cholesky(covb, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("non-PSD preintegration covariance") from exc
-
-    def whiten(rows):
-        out = np.empty_like(rows)
-        out[:9] = solve_triangular(L9, rows[:9], lower=True)
-        out[9:] = solve_triangular(Lb, rows[9:], lower=True)
-        return out
-
-    return InertialResidualResult(
-        residual=whiten(r.reshape(15, 1)).reshape(15),
-        J_i=whiten(J_i),
-        J_j=whiten(J_j),
-        J_gravity=whiten(J_g),
-    )
+    W = stack(deltas, lambda d: d.whitening)
+    r = np.concatenate([r_rot, r_pos, r_vel, r_bias], axis=1)
+    return InertialResidualResult(residual=_matvec(W, r), J_i=W @ J_i, J_j=W @ J_j,
+                                  J_gravity=W @ J_g)
 
 
 @dataclass

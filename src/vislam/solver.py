@@ -14,7 +14,10 @@ lm_solve is the package's one Levenberg-Marquardt loop: the pose-graph,
 two-view alignment and inertial-only initialization solves are problems for
 it as well, and the pose graph reuses Layout and NormalEquations. Both graphs
 group their vision edges by pixel count (Layout.pixel_groups): each group is
-one call of the reprojection kernel and one NormalEquations.add_pixels.
+one call of the reprojection kernel and one NormalEquations.add_pixels. The
+window scores all its inertial edges in one kernel call, and each graph
+scatters its dense (inertial, gravity or relative-pose) rows in one
+NormalEquations.add_rows.
 """
 
 from __future__ import annotations
@@ -299,18 +302,13 @@ class NormalEquations:
         self.g_p = np.zeros(npv)
         self.g_d = np.zeros(ndp)
 
-    def add_rows(self, blocks, r: np.ndarray) -> None:
-        """Dense residual rows r with Jacobian column blocks [(cols, J), ...]."""
-        H, g = self.H_pp, self.g_p
-        for c, J in blocks:
-            H[np.ix_(c, c)] += J.T @ J
-        for a, (ca, Ja) in enumerate(blocks):
-            for cb, Jb in blocks[a + 1:]:
-                Hab = Ja.T @ Jb
-                H[np.ix_(ca, cb)] += Hab
-                H[np.ix_(cb, ca)] += Hab.T
-        for c, J in blocks:
-            g[c] += J.T @ r
+    def add_rows(self, c: np.ndarray, J: np.ndarray, r: np.ndarray) -> None:
+        """Dense residual rows of E edges scattered at once: r (E, m) holds
+        each edge's residuals and J (E, m, k) their Jacobian on the columns
+        c (E, k). Shared columns add up."""
+        J_T = J.transpose(0, 2, 1)
+        np.add.at(self.H_pp, (c[:, :, None], c[:, None, :]), J_T @ J)
+        np.add.at(self.g_p, c, (J_T @ r[..., None])[..., 0])
 
     def add_pixels(self, group: PixelGroup, Ji, Jj, Jd, r) -> None:
         """Vision rows of a group's E edges of n pixels each, scattered at once.
@@ -430,6 +428,11 @@ class _WindowProblem(GraphProblem):
         super().__init__(graph.keyframes, layout)
         self.graph = graph
         self.groups = layout.pixel_groups(graph.vision_edges, POSE_DOF)
+        # each inertial edge's state columns at both ends, then gravity's
+        grav_cols = np.arange(layout.n_state, layout.n_pose_vars)
+        self.chain_cols = np.array([np.concatenate([layout.cols(i, layout.dof),
+                                                    layout.cols(j, layout.dof), grav_cols])
+                                    for i, j, _ in graph.inertial_edges])
 
     def evaluate(self) -> float:
         """Sum of whitened squared residuals over every edge of the graph."""
@@ -438,30 +441,31 @@ class _WindowProblem(GraphProblem):
                                   [g.kf(e.j).state.pose for e in edges],
                                   [g.kf(e.i).disparities for e in edges], g.intrinsics)
                   for edges, *_ in self.groups]
-        inertial = [inertial_residual(delta, g.kf(i).state, g.kf(j).state, g.gravity)
-                    for i, j, delta in g.inertial_edges]
+        inertial = None
+        if g.inertial_edges:
+            inertial = inertial_residual([d for _, _, d in g.inertial_edges],
+                                         [g.kf(i).state for i, _, _ in g.inertial_edges],
+                                         [g.kf(j).state for _, j, _ in g.inertial_edges],
+                                         g.gravity)
         self.outs = (vision, inertial)
         e = 0.0
-        for out in vision + inertial:
+        for out in vision if inertial is None else vision + [inertial]:
             e += float((out.residual ** 2).sum())
         return e
 
     def linearize(self) -> None:
-        lay, g = self.layout, self.graph
         self.system = None
-        system = NormalEquations(lay)
+        system = NormalEquations(self.layout)
         vision, inertial = self.outs
         for group, out in zip(self.groups, vision):
             system.add_pixels(group, out.J_pose_i, out.J_pose_j,
                               out.J_disparity, out.residual)
-        sdof = lay.dof
-        grav_cols = np.arange(lay.n_state, lay.n_pose_vars)
-        for (i, j, _), out in zip(g.inertial_edges, inertial):
-            blocks = [(lay.cols(i, sdof), out.J_i[:, :sdof]),
-                      (lay.cols(j, sdof), out.J_j[:, :sdof])]
-            if len(grav_cols):
-                blocks.append((grav_cols, out.J_gravity @ GRAVITY_TANGENT_BASIS))
-            system.add_rows(blocks, out.residual)
+        if inertial is not None:
+            lay = self.layout
+            J = [inertial.J_i[:, :, :lay.dof], inertial.J_j[:, :, :lay.dof]]
+            if lay.n_pose_vars > lay.n_state:
+                J.append(inertial.J_gravity @ GRAVITY_TANGENT_BASIS)
+            system.add_rows(self.chain_cols, np.concatenate(J, axis=2), inertial.residual)
         self.system, self.outs = system, None
 
     def retract(self, dx: np.ndarray) -> None:

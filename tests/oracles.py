@@ -12,13 +12,26 @@ import struct
 
 import numpy as np
 
+from scipy.linalg import cholesky, solve_triangular
+
 from vislam import solver
-from vislam.geometry import Pose, Rotation, SimTransform
+from vislam.geometry import (
+    Pose,
+    Rotation,
+    SimTransform,
+    hat,
+    so3_exp_matrix,
+    so3_right_jacobian,
+    so3_right_jacobian_inv,
+)
 from vislam.gsmap import _RECORD, DEPTH_SENTINEL, Gaussian, Gaussians, RenderOutput
-from vislam.imu import BiasState, PreintegratedDelta
+from vislam.imu import BiasState, ImuNoiseModel, PreintegratedDelta
 from vislam.loopclosure import _PoseGraphProblem
 from vislam.residuals import (
+    GravityModel,
+    InertialResidualResult,
     Intrinsics,
+    PoseState,
     Sim3VisionResult,
     VisionEdge,
     VisionResidualResult,
@@ -300,6 +313,22 @@ def add_pixels(system, H_pd, ci, cj, cd, Ji, Jj, Jd, r) -> None:
     system.g_d[cd] += np.einsum("nk,nk->n", Jd, r)
 
 
+def add_rows(system, blocks, r) -> None:
+    """Dense residual rows r (m,) of one edge with Jacobian column blocks
+    [(cols, J (m, k)), ...], scattered block by block into a
+    vislam.solver.NormalEquations."""
+    H, g = system.H_pp, system.g_p
+    for c, J in blocks:
+        H[np.ix_(c, c)] += J.T @ J
+    for a, (ca, Ja) in enumerate(blocks):
+        for cb, Jb in blocks[a + 1:]:
+            Hab = Ja.T @ Jb
+            H[np.ix_(ca, cb)] += Hab
+            H[np.ix_(cb, ca)] += Hab.T
+    for c, J in blocks:
+        g[c] += J.T @ r
+
+
 def dense_coupling(system) -> np.ndarray:
     """The (pose vars, disparities) matrix that a NormalEquations' per-source
     coupling blocks stand for."""
@@ -349,6 +378,171 @@ def total_pg_energy(graph) -> float:
 # ---------------------------------------------------------------- IMU deltas
 
 
+def preintegrate(samples: list, bias_hat: BiasState, noise: ImuNoiseModel) -> PreintegratedDelta:
+    """vislam.imu.preintegrate one sample interval at a time: every step
+    updates the rotation, velocity, position, bias Jacobians and covariance
+    in turn."""
+    if len(samples) < 2:
+        raise ValueError("need at least 2 samples to preintegrate")
+    ts = np.array([s.timestamp for s in samples], dtype=float)
+    if np.any(np.diff(ts) <= 0.0):
+        raise ValueError("sample timestamps must be strictly increasing")
+
+    gyro = np.stack([s.gyro for s in samples]) - bias_hat.gyro_bias
+    accel = np.stack([s.accel for s in samples]) - bias_hat.accel_bias
+
+    dR = np.eye(3)
+    dv = np.zeros(3)
+    dp = np.zeros(3)
+    J_r = np.zeros((3, 3))
+    J_v = np.zeros((3, 6))
+    J_p = np.zeros((3, 6))
+    cov9 = np.zeros((9, 9))
+
+    sg2 = noise.gyro_noise_density ** 2
+    sa2 = noise.accel_noise_density ** 2
+
+    for k in range(len(samples) - 1):
+        dt = ts[k + 1] - ts[k]
+        w = 0.5 * (gyro[k] + gyro[k + 1])
+        a = 0.5 * (accel[k] + accel[k + 1])
+
+        E_full = so3_exp_matrix(w * dt)
+        E_half = so3_exp_matrix(w * (0.5 * dt))
+        Jr_full = so3_right_jacobian(w * dt)
+        Jr_half = so3_right_jacobian(w * (0.5 * dt))
+        R_mid = dR @ E_half
+        a_i = R_mid @ a
+        Ahat = hat(a)
+
+        # bias Jacobian of the midpoint rotation tangent
+        J_mid = E_half.T @ J_r - 0.5 * dt * Jr_half
+        RA_Jmid = R_mid @ Ahat @ J_mid
+
+        # error-state propagation, state ordered (theta, p, v)
+        A = np.eye(9)
+        A[0:3, 0:3] = E_full.T
+        A[3:6, 0:3] = -0.5 * dt * dt * (R_mid @ Ahat @ E_half.T)
+        A[3:6, 6:9] = dt * np.eye(3)
+        A[6:9, 0:3] = -dt * (R_mid @ Ahat @ E_half.T)
+
+        B = np.zeros((9, 6))
+        B[0:3, 0:3] = -dt * Jr_full
+        B[3:6, 0:3] = 0.25 * dt ** 3 * (R_mid @ Ahat @ Jr_half)
+        B[3:6, 3:6] = -0.5 * dt * dt * R_mid
+        B[6:9, 0:3] = 0.5 * dt * dt * (R_mid @ Ahat @ Jr_half)
+        B[6:9, 3:6] = -dt * R_mid
+
+        Qd = np.diag([sg2 / dt] * 3 + [sa2 / dt] * 3)
+        cov9 = A @ cov9 @ A.T + B @ Qd @ B.T
+        cov9 = 0.5 * (cov9 + cov9.T)
+
+        # bias Jacobians (position before velocity: uses the pre-update J_v)
+        J_p[:, 0:3] += dt * J_v[:, 0:3] - 0.5 * dt * dt * RA_Jmid
+        J_p[:, 3:6] += dt * J_v[:, 3:6] - 0.5 * dt * dt * R_mid
+        J_v[:, 0:3] += -dt * RA_Jmid
+        J_v[:, 3:6] += -dt * R_mid
+        J_r = E_full.T @ J_r - dt * Jr_full
+
+        dp = dp + dv * dt + 0.5 * dt * dt * a_i
+        dv = dv + dt * a_i
+        dR = dR @ E_full
+
+    dt_total = float(ts[-1] - ts[0])
+    cov = np.zeros((15, 15))
+    cov[:9, :9] = cov9
+    cov[9:12, 9:12] = noise.gyro_bias_random_walk ** 2 * dt_total * np.eye(3)
+    cov[12:15, 12:15] = noise.accel_bias_random_walk ** 2 * dt_total * np.eye(3)
+
+    return PreintegratedDelta(
+        dt_total=dt_total,
+        delta_R=Rotation.from_matrix(dR),
+        delta_p=dp,
+        delta_v=dv,
+        J_rot=J_r,
+        J_pos=J_p,
+        J_vel=J_v,
+        covariance=cov,
+        bias_lin_point=bias_hat.copy(),
+    )
+
+
+def inertial_residual(delta: PreintegratedDelta, s_i: PoseState, s_j: PoseState,
+                      gravity: GravityModel) -> InertialResidualResult:
+    """vislam.residuals.inertial_residual for one edge, through Rotation
+    objects, whitened by Cholesky factors of the delta's covariance taken
+    here: (15,) residual, (15, 15) J_i and J_j, (15, 3) J_gravity."""
+    dt = s_j.timestamp - s_i.timestamp
+    if abs(dt - delta.dt_total) > 1e-6:
+        raise ValueError(
+            f"delta spans {delta.dt_total:.6f}s but states are {dt:.6f}s apart")
+
+    R_i = s_i.pose.rotation.matrix()
+    R_j = s_j.pose.rotation.matrix()
+    p_i, p_j = s_i.pose.translation, s_j.pose.translation
+    v_i, v_j = s_i.velocity, s_j.velocity
+    g = gravity.vector()
+    db = s_i.bias.vector() - delta.bias_lin_point.vector()
+    dbg = db[:3]
+
+    corr_rot_tangent = delta.J_rot @ dbg
+    C = delta.delta_R.matrix() @ so3_exp_matrix(corr_rot_tangent)
+    r_rot = Rotation.from_matrix(C.T @ R_i.T @ R_j).log()
+    s_pos = p_j - p_i - v_i * dt - 0.5 * dt * dt * g
+    r_pos = R_i.T @ s_pos - (delta.delta_p + delta.J_pos @ db)
+    s_vel = v_j - v_i - dt * g
+    r_vel = R_i.T @ s_vel - (delta.delta_v + delta.J_vel @ db)
+    r_bias = s_j.bias.vector() - s_i.bias.vector()
+
+    Jr_inv = so3_right_jacobian_inv(r_rot)
+    Jl_inv = so3_right_jacobian_inv(-r_rot)
+
+    J_i = np.zeros((15, 15))
+    J_j = np.zeros((15, 15))
+    J_g = np.zeros((15, 3))
+
+    # rotation rows
+    J_i[0:3, 0:3] = -Jr_inv @ (R_j.T @ R_i)
+    J_j[0:3, 0:3] = Jr_inv
+    J_i[0:3, 9:12] = -Jl_inv @ so3_right_jacobian(corr_rot_tangent) @ delta.J_rot
+
+    # position rows
+    J_i[3:6, 0:3] = hat(R_i.T @ s_pos)
+    J_i[3:6, 3:6] = -R_i.T
+    J_j[3:6, 3:6] = R_i.T
+    J_i[3:6, 6:9] = -dt * R_i.T
+    J_i[3:6, 9:15] = -delta.J_pos
+    J_g[3:6, :] = 0.5 * dt * dt * R_i.T @ gravity.R_wg.matrix() @ hat(gravity.g_inertial())
+
+    # velocity rows
+    J_i[6:9, 0:3] = hat(R_i.T @ s_vel)
+    J_i[6:9, 6:9] = -R_i.T
+    J_j[6:9, 6:9] = R_i.T
+    J_i[6:9, 9:15] = -delta.J_vel
+    J_g[6:9, :] = dt * R_i.T @ gravity.R_wg.matrix() @ hat(gravity.g_inertial())
+
+    # bias walk rows
+    J_i[9:15, 9:15] = -np.eye(6)
+    J_j[9:15, 9:15] = np.eye(6)
+
+    r = np.concatenate([r_rot, r_pos, r_vel, r_bias])
+    L9 = cholesky(delta.covariance[:9, :9], lower=True)
+    Lb = cholesky(delta.covariance[9:15, 9:15], lower=True)
+
+    def whiten(rows):
+        out = np.empty_like(rows)
+        out[:9] = solve_triangular(L9, rows[:9], lower=True)
+        out[9:] = solve_triangular(Lb, rows[9:], lower=True)
+        return out
+
+    return InertialResidualResult(
+        residual=whiten(r.reshape(15, 1)).reshape(15),
+        J_i=whiten(J_i),
+        J_j=whiten(J_j),
+        J_gravity=whiten(J_g),
+    )
+
+
 def correct_for_bias(delta: PreintegratedDelta, new_bias: BiasState):
     """First-order corrected (delta_R', delta_p', delta_v') at a new bias."""
     db = new_bias.vector() - delta.bias_lin_point.vector()
@@ -363,7 +557,8 @@ def compose_deltas(a: PreintegratedDelta, b: PreintegratedDelta) -> Preintegrate
     """Analytic concatenation of two consecutive deltas (shared boundary sample).
 
     Jacobians and covariance are not composed here; only the deltas, which is
-    what the concatenation identity constrains.
+    what the concatenation identity constrains. The covariance is the
+    identity, a placeholder any delta can be built with.
     """
     Ra = a.delta_R.matrix()
     dR = a.delta_R * b.delta_R
@@ -377,7 +572,7 @@ def compose_deltas(a: PreintegratedDelta, b: PreintegratedDelta) -> Preintegrate
         J_rot=np.zeros((3, 3)),
         J_pos=np.zeros((3, 6)),
         J_vel=np.zeros((3, 6)),
-        covariance=np.zeros((15, 15)),
+        covariance=np.eye(15),
         bias_lin_point=a.bias_lin_point.copy(),
     )
 

@@ -1,5 +1,7 @@
 """Tracking loop tests: keyframe gating, propagation, window upkeep."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -129,7 +131,7 @@ def _stationary_delta(duration=0.4, rate=200.0, gravity=None,
     samples = [ImuSample(t, np.zeros(3), -g) for t in ts]
     delta = preintegrate(samples, BiasState(), ImuNoiseModel())
     if sigma_cov is not None:
-        delta.covariance = np.eye(15) * (sigma_cov / 15.0)
+        delta = dataclasses.replace(delta, covariance=np.eye(15) * (sigma_cov / 15.0))
     return delta
 
 

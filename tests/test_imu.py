@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from vislam.imu import (
     preintegrate,
 )
 
+import oracles
 from oracles import (
     compose_deltas,
     correct_for_bias,
@@ -187,3 +190,77 @@ def test_bias_correction_second_order():
 def test_noise_model_rejects_non_positive_density():
     with pytest.raises(ValueError):
         ImuNoiseModel(gyro_noise_density=0.0)
+
+
+def _random_stream(rng, n, gyro_scale):
+    """n samples at jittered ~200 Hz spacing with random gyro and gravity-like accel."""
+    ts = np.cumsum(rng.uniform(0.003, 0.007, n))
+    gyro = rng.standard_normal((n, 3)) * gyro_scale
+    accel = rng.standard_normal((n, 3)) + np.array([0.0, 0.0, 9.81])
+    return [ImuSample(t, w, a) for t, w, a in zip(ts, gyro, accel)]
+
+
+ORACLE_CASES = ["random", "zero_gyro", "bias_offset", "three_samples"]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_preintegrate_matches_per_sample_oracle(case):
+    # the rotation prefix product and the bias Jacobians keep the per-sample
+    # arithmetic exactly; position is a prefix sum, so it may round differently
+    rng = np.random.default_rng(50 + ORACLE_CASES.index(case))
+    noise = ImuNoiseModel()
+    for _ in range(5):
+        n = 3 if case == "three_samples" else int(rng.integers(20, 150))
+        stream = _random_stream(rng, n, 0.0 if case == "zero_gyro" else 0.6)
+        bias = (BiasState(rng.standard_normal(3) * 0.02, rng.standard_normal(3) * 0.1)
+                if case == "bias_offset" else BiasState())
+        got = preintegrate(stream, bias, noise)
+        want = oracles.preintegrate(stream, bias, noise)
+        assert got.delta_R.q.tobytes() == want.delta_R.q.tobytes()
+        for name in ("J_rot", "J_pos", "J_vel"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        for name in ("delta_p", "delta_v", "covariance", "whitening"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+        assert got.dt_total == want.dt_total
+
+
+@pytest.mark.parametrize("field,value", [("timestamp", np.nan), ("gyro", [0.0, np.inf, 0.0]),
+                                         ("accel", [np.nan, 0.0, 9.81])])
+def test_imu_sample_rejects_non_finite(field, value):
+    kw = {"timestamp": 0.1, "gyro": np.zeros(3), "accel": np.array([0.0, 0.0, 9.81])}
+    kw[field] = value
+    with pytest.raises(ValueError, match="finite"):
+        ImuSample(**kw)
+
+
+def _whitening_inverts(delta):
+    """W^T W against the inverse of each diagonal block of the covariance."""
+    W = delta.whitening
+    for blk in (slice(0, 9), slice(9, 15)):
+        want = np.linalg.inv(delta.covariance[blk, blk])
+        got = W[blk, blk].T @ W[blk, blk]
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+    assert not W[:9, 9:].any() and not W[9:, :9].any()
+
+
+def test_whitening_is_computed_at_construction_and_by_replace():
+    rng = np.random.default_rng(60)
+    d = preintegrate(_random_stream(rng, 80, 0.5), BiasState(), ImuNoiseModel())
+    _whitening_inverts(d)
+    cov = np.diag(rng.uniform(0.5, 2.0, 15))
+    e = dataclasses.replace(d, covariance=cov)
+    _whitening_inverts(e)
+    assert not np.array_equal(e.whitening, d.whitening)
+    np.testing.assert_allclose(e.whitening, np.diag(1.0 / np.sqrt(np.diag(cov))),
+                               rtol=1e-15)
+
+
+@pytest.mark.parametrize("block", [slice(0, 9), slice(9, 15)], ids=["motion", "bias_walk"])
+def test_non_psd_covariance_rejected_at_construction(block):
+    rng = np.random.default_rng(61)
+    d = preintegrate(_random_stream(rng, 40, 0.5), BiasState(), ImuNoiseModel())
+    cov = d.covariance.copy()
+    cov[block, block] -= 2.0 * np.trace(cov[block, block]) * np.eye(block.stop - block.start)
+    with pytest.raises(ValueError, match="non-PSD preintegration covariance"):
+        dataclasses.replace(d, covariance=cov)

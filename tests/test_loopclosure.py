@@ -31,6 +31,7 @@ from vislam.residuals import (
     PoseState,
     RelativePoseEdge,
     VisionEdge,
+    relative_pose_residual,
 )
 from vislam.solver import FrameGraph, Keyframe, SolveOptions
 from vislam.synth import SyntheticProvider, TrajectoryModel, make_dataset
@@ -598,6 +599,29 @@ def test_pose_graph_schur_step_matches_dense_step():
         got = problem.step(lam)
         want = oracles.dense_step(problem.system, lam)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_pose_graph_rows_match_per_edge_scatter():
+    # the chain's stacked relative-pose rows against a block-by-block scatter
+    rng = np.random.default_rng(43)
+    g = vision_loop_graph(rng, 9, {1: (12, [5, 8])}, min_loop_gap=3)
+    for node in g.nodes[1:]:
+        node.state = node.state.retract(rng.normal(0, 0.02, 7))
+    problem = _PoseGraphProblem(g)
+    problem.evaluate()
+    problem.linearize()
+    lay = problem.layout
+    want = _PoseGraphProblem(PoseGraph(g.nodes, g.chain[:0], g.loops, intrinsics=PINHOLE,
+                                       min_loop_gap=3))
+    want.evaluate()
+    want.linearize()
+    for edge in g.chain:
+        out = relative_pose_residual(edge, g.node(edge.i).state, g.node(edge.j).state)
+        oracles.add_rows(want.system, [(lay.cols(edge.i, 7), out.J_i),
+                                       (lay.cols(edge.j, 7), out.J_j)], out.residual)
+    for name in ("H_pp", "g_p"):
+        got, ref = getattr(problem.system, name), getattr(want.system, name)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
 
 def test_pose_graph_step_allocates_no_pose_by_disparity_matrix():

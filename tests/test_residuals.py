@@ -10,6 +10,7 @@ from vislam.geometry import Pose, Rotation, SimTransform, so3_exp_matrix
 from vislam.imu import BiasState, ImuNoiseModel, ImuSample, PreintegratedDelta, preintegrate
 from vislam.residuals import (
     GravityModel,
+    InertialResidualResult,
     Intrinsics,
     PoseState,
     RelativePoseEdge,
@@ -256,6 +257,13 @@ def test_vision_non_finite_disparity_rejected(kernel, bad):
         kernel([edge], [states[0]], [states[1]], [d], k)
 
 
+def _inertial(delta, s_i, s_j, gravity):
+    """The batched inertial kernel on a stack of one edge, unstacked."""
+    out = inertial_residual([delta], [s_i], [s_j], gravity)
+    return InertialResidualResult(out.residual[0], out.J_i[0], out.J_j[0],
+                                  out.J_gravity[0])
+
+
 def _stream(omega_fn, accel_fn, t0, t1, rate, bias=None, rng=None, noise=0.0):
     n = int(round((t1 - t0) * rate)) + 1
     ts = t0 + np.arange(n) / rate
@@ -315,7 +323,7 @@ def test_inertial_zero_on_forward_simulated_states():
     s_i = PoseState(_rand_pose(rng), rng.standard_normal(3) * 0.5, bias, timestamp=0.0)
     s_j = _forward_simulate(samples, bias, s_i, gravity)
 
-    out = inertial_residual(delta, s_i, s_j, gravity)
+    out = _inertial(delta, s_i, s_j, gravity)
     assert np.abs(out.residual).max() < 1e-8
 
 
@@ -325,7 +333,7 @@ def test_inertial_equal_biases_zero_bias_block():
     bias = BiasState(rng.standard_normal(3) * 0.01, rng.standard_normal(3) * 0.01)
     s_i = PoseState(_rand_pose(rng), rng.standard_normal(3), bias, timestamp=0.0)
     s_j = PoseState(_rand_pose(rng), rng.standard_normal(3), bias.copy(), timestamp=0.3)
-    out = inertial_residual(delta, s_i, s_j, GravityModel())
+    out = _inertial(delta, s_i, s_j, GravityModel())
     assert np.abs(out.residual[9:15]).max() == 0.0
 
 
@@ -335,7 +343,7 @@ def test_inertial_timestamp_mismatch_rejected():
     s_i = PoseState(Pose.identity(), timestamp=0.0)
     s_j = PoseState(Pose.identity(), timestamp=0.5)
     with pytest.raises(ValueError):
-        inertial_residual(delta, s_i, s_j, GravityModel())
+        _inertial(delta, s_i, s_j, GravityModel())
 
 
 def test_inertial_position_block_reduction():
@@ -359,7 +367,7 @@ def test_inertial_position_block_reduction():
     s_i = PoseState(Pose(Rotation.identity(), p_i), v_i, BiasState(), timestamp=0.0)
     s_j = PoseState(Pose(Rotation.identity(), p_j), rng.standard_normal(3),
                     BiasState(), timestamp=dt)
-    out = inertial_residual(delta, s_i, s_j, GravityModel(magnitude=1e-30))
+    out = _inertial(delta, s_i, s_j, GravityModel(magnitude=1e-30))
     expected = p_j - p_i - v_i * dt - delta.delta_p
     np.testing.assert_allclose(out.residual[3:6], expected, atol=1e-12)
 
@@ -376,21 +384,82 @@ def test_inertial_jacobians_match_finite_differences():
         s_j = PoseState(_rand_pose(rng), rng.standard_normal(3), b_j, timestamp=0.3)
         gravity = GravityModel(Rotation.exp(rng.standard_normal(3) * 0.2))
 
-        out = inertial_residual(delta, s_i, s_j, gravity)
+        out = _inertial(delta, s_i, s_j, gravity)
 
         J_i_fd = _fd_columns(
-            lambda d: inertial_residual(delta, s_i.retract(d), s_j, gravity).residual,
+            lambda d: _inertial(delta, s_i.retract(d), s_j, gravity).residual,
             lambda d: d, 15)
         J_j_fd = _fd_columns(
-            lambda d: inertial_residual(delta, s_i, s_j.retract(d), gravity).residual,
+            lambda d: _inertial(delta, s_i, s_j.retract(d), gravity).residual,
             lambda d: d, 15)
         J_g_fd = _fd_columns(
-            lambda d: inertial_residual(delta, s_i, s_j, gravity.retract(d)).residual,
+            lambda d: _inertial(delta, s_i, s_j, gravity.retract(d)).residual,
             lambda d: d, 3)
 
         assert _rel_err(out.J_i, J_i_fd) < FD_RTOL
         assert _rel_err(out.J_j, J_j_fd) < FD_RTOL
         assert _rel_err(out.J_gravity, J_g_fd) < FD_RTOL
+
+
+def _batched_inertial_case(rng, case):
+    """E deltas with state pairs for one batched-kernel call: bias offsets
+    from each delta's linearization point, one edge integrated from zero
+    gyro, and, for "wide", rotation residuals of 2.4 rad about axes near
+    +x, -y, +z and -x (the trace <= 0 branches of the matrix-to-quaternion
+    map, each pivot, and a quaternion that needs its sign flipped)."""
+    deltas, states_i, states_j = [], [], []
+    for e in range(6):
+        bias_hat = BiasState(rng.standard_normal(3) * 0.02, rng.standard_normal(3) * 0.04)
+        if e == 0:
+            samples = _stream(lambda t: np.zeros(3), lambda t: np.array([0.2, -0.1, 9.8]),
+                              0.0, 0.3, 200.0, bias=bias_hat)
+            delta = preintegrate(samples, bias_hat, ImuNoiseModel())
+        else:
+            delta, _ = _random_delta(rng, dt=0.3, bias=bias_hat)
+        b_i = BiasState(bias_hat.gyro_bias + rng.standard_normal(3) * 0.01,
+                        bias_hat.accel_bias + rng.standard_normal(3) * 0.02)
+        s_i = PoseState(_rand_pose(rng), rng.standard_normal(3), b_i, timestamp=1.0 + e)
+        if case == "wide" and e < 4:
+            # R_j = R_i C Exp(2.4 rad about the axis), C the bias-corrected delta
+            dbg = b_i.gyro_bias - bias_hat.gyro_bias
+            C = delta.delta_R * Rotation.exp(delta.J_rot @ dbg)
+            axis = (1, -1, 1, -1)[e] * np.eye(3)[e % 3] + rng.normal(0, 0.2, 3)
+            rot = s_i.pose.rotation * C * Rotation.exp(2.4 * axis / np.linalg.norm(axis))
+        else:
+            rot = _rand_rotation(rng, 0.4)
+        s_j = PoseState(Pose(rot, rng.standard_normal(3)), rng.standard_normal(3),
+                        BiasState(rng.standard_normal(3) * 0.02, rng.standard_normal(3) * 0.02),
+                        timestamp=1.3 + e)
+        deltas.append(delta)
+        states_i.append(s_i)
+        states_j.append(s_j)
+    return deltas, states_i, states_j
+
+
+@pytest.mark.parametrize("case", ["narrow", "wide"])
+def test_batched_inertial_matches_per_edge_oracle(case):
+    rng = np.random.default_rng(16 if case == "narrow" else 17)
+    deltas, states_i, states_j = _batched_inertial_case(rng, case)
+    gravity = GravityModel(Rotation.exp(rng.standard_normal(3) * 0.2))
+    got = inertial_residual(deltas, states_i, states_j, gravity)
+    assert got.residual.shape == (6, 15) and got.J_gravity.shape == (6, 15, 3)
+    for e, (delta, s_i, s_j) in enumerate(zip(deltas, states_i, states_j)):
+        want = oracles.inertial_residual(delta, s_i, s_j, gravity)
+        if case == "wide" and e < 4:
+            r_rot = np.linalg.solve(delta.whitening[:3, :3], want.residual[:3])
+            assert np.linalg.norm(r_rot) > 2.0 * np.pi / 3.0
+        for name in ("residual", "J_i", "J_j", "J_gravity"):
+            a, b = getattr(got, name)[e], getattr(want, name)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), (e, name)
+
+
+def test_batched_inertial_names_the_mismatched_edge():
+    rng = np.random.default_rng(18)
+    deltas, states_i, states_j = _batched_inertial_case(rng, "narrow")
+    s = states_j[4]
+    states_j[4] = PoseState(s.pose, s.velocity, s.bias, timestamp=s.timestamp + 0.2)
+    with pytest.raises(ValueError, match="delta spans 0.300000s but states are 0.500000s apart"):
+        inertial_residual(deltas, states_i, states_j, GravityModel())
 
 
 def test_relative_consistent_states_zero():
@@ -473,7 +542,7 @@ def test_whitened_norms_equal_mahalanobis_energy():
                     BiasState(rng.standard_normal(3) * 0.01, rng.standard_normal(3) * 0.01),
                     timestamp=0.3)
     gravity = GravityModel()
-    out_i = inertial_residual(delta, s_i, s_j, gravity)
+    out_i = _inertial(delta, s_i, s_j, gravity)
     raw15 = _raw_inertial_residual(delta, s_i, s_j, gravity)
     manual = float(raw15 @ np.linalg.solve(delta.covariance, raw15))
     got = float((out_i.residual ** 2).sum())

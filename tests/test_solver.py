@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from vislam import solver
-from vislam.residuals import GravityModel, VisionEdge
+from vislam.residuals import GRAVITY_TANGENT_BASIS, GravityModel, VisionEdge
 from vislam.solver import (
     POSE_DOF,
     FrameGraph,
@@ -43,9 +43,9 @@ def test_total_energy_matches_manual_dense_sum():
                               [graph.kf(e.i).disparities], graph.intrinsics)
         manual += float((out.residual[0] ** 2).sum())
     for i, j, delta in graph.inertial_edges:
-        out = inertial_residual(delta, graph.kf(i).state, graph.kf(j).state,
+        out = inertial_residual([delta], [graph.kf(i).state], [graph.kf(j).state],
                                 graph.gravity)
-        manual += float((out.residual ** 2).sum())
+        manual += float((out.residual[0] ** 2).sum())
     got = total_energy(graph)
     assert abs(got - manual) <= 1e-10 * max(manual, 1.0)
 
@@ -107,9 +107,9 @@ def test_zero_weight_vision_drives_inertial_to_zero():
 
     e_iner = 0.0
     for i, j, delta in graph.inertial_edges:
-        out = inertial_residual(delta, graph.kf(i).state, graph.kf(j).state,
+        out = inertial_residual([delta], [graph.kf(i).state], [graph.kf(j).state],
                                 graph.gravity)
-        e_iner += float((out.residual ** 2).sum())
+        e_iner += float((out.residual[0] ** 2).sum())
     assert e_iner <= 1e-10
 
 
@@ -246,6 +246,51 @@ def test_one_pixel_count_window_is_one_kernel_call(monkeypatch):
     monkeypatch.setattr(solver, "vision_residual", counted)
     total_energy(graph)
     assert calls == [len(graph.vision_edges)]
+
+
+def test_one_window_is_one_inertial_call(monkeypatch):
+    # the benchmark times the window's inertial layer at this very name
+    rng = np.random.default_rng(36)
+    graph, _ = build_window(rng, n_kf=5, n_px=8)
+    calls = []
+    kernel = solver.inertial_residual
+
+    def counted(deltas, *args, **kwargs):
+        calls.append(len(deltas))
+        return kernel(deltas, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "inertial_residual", counted)
+    total_energy(graph)
+    assert calls == [len(graph.inertial_edges)]
+
+
+def test_inertial_rows_match_per_edge_scatter():
+    # the window's stacked inertial and gravity rows against the per-edge
+    # kernel and block-by-block scatter
+    rng = np.random.default_rng(37)
+    graph, _ = build_window(rng, n_kf=5, n_px=6, vision_weight=0.0)
+    perturb_graph(graph, rng, skip_frozen=())
+    graph = FrameGraph(graph.keyframes, [], graph.inertial_edges, graph.gravity,
+                       graph.intrinsics)
+    problem = solver._WindowProblem(graph, SolveOptions(optimize_gravity=True))
+    energy = problem.evaluate()
+    problem.linearize()
+
+    lay = problem.layout
+    want = solver.NormalEquations(lay)
+    want_energy = 0.0
+    grav_cols = np.arange(lay.n_state, lay.n_pose_vars)
+    for i, j, delta in graph.inertial_edges:
+        out = oracles.inertial_residual(delta, graph.kf(i).state, graph.kf(j).state,
+                                        graph.gravity)
+        want_energy += float(out.residual @ out.residual)
+        oracles.add_rows(want, [(lay.cols(i, lay.dof), out.J_i), (lay.cols(j, lay.dof), out.J_j),
+                                (grav_cols, out.J_gravity @ GRAVITY_TANGENT_BASIS)],
+                         out.residual)
+    assert abs(energy - want_energy) <= 1e-12 * want_energy
+    for name in ("H_pp", "g_p"):
+        got, ref = getattr(problem.system, name), getattr(want, name)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0],
