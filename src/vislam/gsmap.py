@@ -5,7 +5,11 @@ keyframe that created it, and kept as one `Gaussians` batch (a column per
 field of the map file's record) with an index of store ranges per anchor.
 Loop closure warps each anchor's ranges by one batched similarity. A small
 forward splatting renderer and the color/depth/isotropy losses support
-evaluation; Gaussians are never refined by gradient descent here.
+evaluation; Gaussians are never refined by gradient descent here. The
+renderer culls as the 3DGS rasterizer does (Kerbl et al., SIGGRAPH 2023):
+a near plane at each splat's own largest scale, and a guard band around
+the image for its centre. It composites tile by tile, a chunk of splats at
+a time, so its working memory does not grow with splats times pixels.
 """
 
 from __future__ import annotations
@@ -21,6 +25,13 @@ from .residuals import Intrinsics
 
 DEPTH_SENTINEL = -1.0    # rendered depth where nothing was hit
 _MIN_Z = 1e-2            # camera-space near plane for splatting
+# A splat must also lie past this many of its own largest scale (three would
+# cull a 0.5 m splat 1 m away), and its centre must project within the image
+# widened by _GUARD of its size per side: 1.3 half fields of view, as in 3DGS.
+_NEAR_SCALES = 1.0
+_GUARD = 0.15
+_TILE = 8                # side of a compositing tile, pixels
+_CHUNK = 512             # Gaussians composited at once within a tile
 
 _MAGIC = b"VGSM"
 _VERSION = 1
@@ -70,6 +81,10 @@ class Gaussians:
         self.color = np.asarray(color, dtype=float).reshape(n, 3)
         self.opacity = np.asarray(opacity, dtype=float).reshape(n)
         self.anchor = np.asarray(anchor, dtype=np.int64).reshape(n)
+        self.check()
+
+    def check(self) -> None:
+        """Raise ValueError unless every row keeps the Gaussian rules."""
         if np.any(self.scales <= 0.0):
             raise ValueError("Gaussian scales must be strictly positive")
         if not np.all((self.opacity >= 0.0) & (self.opacity <= 1.0)):
@@ -123,10 +138,16 @@ class GaussianMap:
         return len(self.gaussians)
 
     def insert(self, batch: Gaussians) -> None:
-        """Append a batch; each run of one anchor in it extends that anchor's ranges."""
+        """Append a batch; each run of one anchor in it extends that anchor's ranges.
+
+        Only the batch is checked: the stored rows passed when they came in.
+        """
+        batch.check()
         offset = len(self.gaussians)
-        self.gaussians = Gaussians(*map(np.concatenate, zip(
-            self.gaussians.columns(), batch.columns())))
+        store = object.__new__(Gaussians)
+        (store.mean, store.scales, store.q, store.color, store.opacity,
+         store.anchor) = map(np.concatenate, zip(self.gaussians.columns(), batch.columns()))
+        self.gaussians = store
         a = batch.anchor
         starts = np.flatnonzero(np.diff(a, prepend=a[:1] - 1)).tolist()
         for lo, hi in zip(starts, starts[1:] + [len(a)]):
@@ -234,12 +255,17 @@ def render(gmap: GaussianMap, pose: Pose, k: Intrinsics,
            background: np.ndarray | None = None) -> RenderOutput:
     """Forward-splat the map into a camera at the given world pose.
 
-    Gaussians are projected with the first-order perspective approximation,
-    composited front to back in camera depth order (ties broken by store
-    id), and alpha-blended: color picks up the background through the
-    remaining transmittance, depth is the alpha-weighted mean of Gaussian
-    camera depths. Pixels nothing touched keep the background color, a
-    sentinel depth of -1, and alpha 0.
+    A Gaussian is culled unless its camera depth is past both `_MIN_Z` and
+    its own largest scale, and its centre projects inside the image widened
+    by `_GUARD` of the image size on each side; the rest are projected with
+    the first-order perspective approximation and splatted over a box of
+    three standard deviations plus a pixel. Compositing runs per
+    `_TILE`-square tile over the boxes that overlap it, front to back in
+    camera depth order (ties broken by store id), `_CHUNK` Gaussians at a
+    time with the transmittance carried from chunk to chunk. Color picks
+    up the background through the remaining transmittance, depth is the
+    alpha-weighted mean of Gaussian camera depths. Pixels nothing touched
+    keep the background color, a sentinel depth of -1, and alpha 0.
     """
     h, w = k.height, k.width
     bg = np.zeros(3) if background is None else \
@@ -253,11 +279,16 @@ def render(gmap: GaussianMap, pose: Pose, k: Intrinsics,
         T_cw = pose.inverse()
         R_cw = T_cw.rotation.matrix()
         cam = g.mean @ R_cw.T + T_cw.translation
-        order = np.lexsort((np.arange(len(cam)), cam[:, 2]))
-        order = order[cam[order, 2] > _MIN_Z]
+        order = np.flatnonzero(cam[:, 2] > np.maximum(_MIN_Z, _NEAR_SCALES * g.scales.max(axis=1)))
         x, y, z = cam[order].T
         u = k.fx * x / z + k.cx
         v = k.fy * y / z + k.cy
+        # pixel centres sit at integers, so the image's edges are -0.5 and w - 0.5
+        gu, gv = _GUARD * w, _GUARD * h
+        kept = np.flatnonzero((u >= -0.5 - gu) & (u <= w - 0.5 + gu)
+                              & (v >= -0.5 - gv) & (v <= h - 0.5 + gv))
+        kept = kept[np.argsort(z[kept], kind="stable")]    # store order among equal depths
+        order, x, y, z, u, v = order[kept], x[kept], y[kept], z[kept], u[kept], v[kept]
         J = np.zeros((len(order), 2, 3))
         J[:, 0, 0], J[:, 0, 2] = k.fx / z, -k.fx * x / z ** 2
         J[:, 1, 1], J[:, 1, 2] = k.fy / z, -k.fy * y / z ** 2
@@ -267,20 +298,36 @@ def render(gmap: GaussianMap, pose: Pose, k: Intrinsics,
         r = 3.0 * np.sqrt(np.linalg.eigvalsh(cov2).max(axis=1)) + 1.0      # box radius
         boxes = np.clip(np.stack([np.floor(u - r), np.ceil(u + r) + 1, np.floor(v - r),
                                   np.ceil(v + r) + 1], axis=1), 0, [w, w, h, h]).astype(int)
-        for (u0, u1, v0, v1), ui, vi, zi, P, opacity, rgb in zip(
-                boxes.tolist(), u.tolist(), v.tolist(), z.tolist(),
-                np.linalg.inv(cov2), g.opacity[order].tolist(), g.color[order]):
-            if u0 >= u1 or v0 >= v1:
-                continue
-            uu, vv = np.meshgrid(np.arange(u0, u1), np.arange(v0, v1))
-            d = np.stack([uu - ui, vv - vi], axis=-1)
-            q = np.einsum("...a,ab,...b->...", d, P, d)
-            a = opacity * np.exp(-0.5 * q)
-            tile = transmit[v0:v1, u0:u1]
-            contrib = tile * a
-            color_acc[v0:v1, u0:u1] += contrib[..., None] * rgb
-            depth_acc[v0:v1, u0:u1] += contrib * zi
-            transmit[v0:v1, u0:u1] = tile * (1.0 - a)
+
+        # the exponent -q/2 is e_uu du^2 + e_uv du dv + e_vv dv^2 at an offset (du, dv)
+        P = np.linalg.inv(cov2)
+        e_uu, e_uv, e_vv = -0.5 * P[:, 0, 0], -0.5 * (P[:, 0, 1] + P[:, 1, 0]), -0.5 * P[:, 1, 1]
+        opacity, rgb = g.opacity[order], g.color[order]
+        u0, u1, v0, v1 = boxes.T
+        for y0 in range(0, h, _TILE):
+            y1 = min(y0 + _TILE, h)
+            vs = np.arange(y0, y1)[:, None]
+            rows = np.flatnonzero((v0 < y1) & (v1 > y0))
+            for x0 in range(0, w, _TILE):
+                x1 = min(x0 + _TILE, w)
+                us = np.arange(x0, x1)[:, None]
+                hits = rows[(u0[rows] < x1) & (u1[rows] > x0)]    # still in depth order
+                T = np.ones(((y1 - y0) * (x1 - x0), 1))
+                for start in range(0, len(hits), _CHUNK):
+                    i = hits[start:start + _CHUNK]
+                    du, dv = us - u[i], vs - v[i]                  # (tile w, n), (tile h, n)
+                    # -inf outside the box makes alpha exactly 0 there
+                    eu = np.where((us >= u0[i]) & (us < u1[i]), e_uu[i] * du * du, -np.inf)
+                    ev = np.where((vs >= v0[i]) & (vs < v1[i]), e_vv[i] * dv * dv, -np.inf)
+                    e = dv[:, None] * (e_uv[i] * du) + eu + ev[:, None]     # (tile h, tile w, n)
+                    a = opacity[i] * np.exp(e.reshape(len(T), len(i)))
+                    # each row: the tile's transmittance carried in, then times (1 - a) per Gaussian
+                    before = np.cumprod(np.concatenate([T, 1.0 - a], axis=1), axis=1)
+                    contrib = before[:, :-1] * a
+                    color_acc[y0:y1, x0:x1] += (contrib @ rgb[i]).reshape(y1 - y0, x1 - x0, 3)
+                    depth_acc[y0:y1, x0:x1] += (contrib @ z[i]).reshape(y1 - y0, x1 - x0)
+                    T = before[:, -1:]
+                transmit[y0:y1, x0:x1] = T.reshape(y1 - y0, x1 - x0)
 
     alpha = 1.0 - transmit
     color = color_acc + transmit[..., None] * bg

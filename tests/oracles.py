@@ -672,8 +672,10 @@ def apply_loop_correction(gmap: ObjectMap, correction) -> ObjectMap:
     return gmap
 
 
-def render(gmap: ObjectMap, pose, k, background=None, min_z=1e-2) -> RenderOutput:
-    """Splat one object at a time, front to back."""
+def render(gmap: ObjectMap, pose, k, background=None, min_z=1e-2, guard=0.15) -> RenderOutput:
+    """Splat one object at a time, front to back, skipping an object at or
+    before min_z or its own largest scale, or whose centre projects more
+    than `guard` of the image size outside the image's edges."""
     h, w = k.height, k.width
     bg = np.zeros(3) if background is None else np.asarray(background, dtype=float).reshape(3)
     color_acc = np.zeros((h, w, 3))
@@ -689,10 +691,13 @@ def render(gmap: ObjectMap, pose, k, background=None, min_z=1e-2) -> RenderOutpu
             g = gmap.gaussians[idx]
             p = cam[idx]
             z = p[2]
-            if z <= min_z:
+            if z <= min_z or z <= max(g.scales):
                 continue
             u = k.fx * p[0] / z + k.cx
             v = k.fy * p[1] / z + k.cy
+            if not (-0.5 - guard * w <= u <= w - 0.5 + guard * w
+                    and -0.5 - guard * h <= v <= h - 0.5 + guard * h):
+                continue
             J = np.array([[k.fx / z, 0.0, -k.fx * p[0] / z ** 2],
                           [0.0, k.fy / z, -k.fy * p[1] / z ** 2]])
             cov_cam = R_cw @ g.covariance() @ R_cw.T

@@ -9,8 +9,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from vislam.cli import build_config, materialize
 from vislam.geometry import Pose, Rotation
 from vislam.gsmap import (
+    _CHUNK,
+    _GUARD,
+    _MIN_Z,
+    _TILE,
     DEPTH_SENTINEL,
     Gaussian,
     GaussianMap,
@@ -120,6 +125,45 @@ class TestGaussianMap:
         assert len(m.by_anchor(1)) == 4
         assert len(m.by_anchor(2)) == 2
         assert len(m.by_anchor(99)) == 0
+
+    def test_insert_checks_only_the_batch(self, monkeypatch):
+        m = GaussianMap()
+        m.insert(batch([make_gaussian(anchor=1) for _ in range(3)]))
+        checked = []
+        check = Gaussians.check
+        monkeypatch.setattr(Gaussians, "check", lambda g: checked.append(g) or check(g))
+        new = batch([make_gaussian(anchor=2) for _ in range(2)])
+        checked.clear()
+        m.insert(new)
+        assert len(checked) == 1 and checked[0] is new
+
+    def test_inserts_concatenate_the_batches_bytewise(self):
+        rng = np.random.default_rng(31)
+        batches = [batch([make_gaussian(rng, anchor=a) for _ in range(n)])
+                   for a, n in ((1, 3), (2, 0), (2, 1), (1, 4))]
+        m = GaussianMap()
+        for b in batches:
+            m.insert(b)
+        want = Gaussians(*map(np.concatenate, zip(*(b.columns() for b in batches))))
+        for got_column, want_column in zip(m.gaussians.columns(), want.columns()):
+            assert got_column.dtype == want_column.dtype
+            assert got_column.shape == want_column.shape
+            assert got_column.tobytes() == want_column.tobytes()
+        assert m.anchor_ranges == {1: [(0, 3), (4, 8)], 2: [(3, 4)]}
+
+    @pytest.mark.parametrize("field, value", [
+        ("scales", -1.0), ("opacity", 1.5), ("color", -0.1)])
+    def test_bad_batch_raises_and_leaves_the_map_unchanged(self, field, value):
+        m = GaussianMap()
+        m.insert(batch([make_gaussian(anchor=1) for _ in range(3)]))
+        columns = [c.copy() for c in m.gaussians.columns()]
+        ranges = copy.deepcopy(m.anchor_ranges)
+        bad = batch([make_gaussian(anchor=2) for _ in range(2)])
+        getattr(bad, field)[1] = value            # broken after the batch was built
+        with pytest.raises(ValueError):
+            m.insert(bad)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(m.gaussians.columns(), columns))
+        assert m.anchor_ranges == ranges
 
     def test_index_corruption_detected(self):
         m = GaussianMap()
@@ -310,6 +354,11 @@ def on_axis(z, color, opacity=1.0, scale=0.5, anchor=0):
 CENTER = (24, 32)     # row, col of the optical axis in MAP_K
 
 
+def seen_at(u, v, z):
+    """The point at depth z that MAP_K at the identity pose sees at pixel (u, v)."""
+    return np.array([(u - MAP_K.cx) / MAP_K.fx * z, (v - MAP_K.cy) / MAP_K.fy * z, z])
+
+
 class TestRender:
     def test_empty_map(self):
         out = render(GaussianMap(), Pose.identity(), MAP_K,
@@ -405,6 +454,70 @@ class TestRender:
         out = render(m, cam, MAP_K)
         r, c = CENTER
         assert abs(out.depth[r, c] - 3.0) < 1e-6
+
+    @pytest.mark.parametrize("z, culled", [(1.5 * _MIN_Z, True), (0.029, True), (0.031, False)])
+    def test_splat_within_its_own_largest_scale_is_culled(self, z, culled):
+        # past the near plane but within its largest scale (0.03) of the
+        # camera, such a splat would cover the whole image
+        near = Gaussian(mean=np.array([0.0, 0.0, z]), scales=np.array([0.005, 0.03, 0.01]),
+                        orientation=Rotation.identity(), color=np.array([1.0, 0.0, 0.0]),
+                        opacity=0.9, anchor=0)
+        far = on_axis(2.0, [0.0, 0.0, 1.0], opacity=0.5)
+        alone, both = GaussianMap(), GaussianMap()
+        alone.insert(batch([far]))
+        both.insert(batch([near, far]))
+        want, got = render(alone, Pose.identity(), MAP_K), render(both, Pose.identity(), MAP_K)
+        untouched = all(np.array_equal(getattr(got, name), getattr(want, name))
+                        for name in ("color", "depth", "alpha"))
+        assert untouched == culled
+
+    @pytest.mark.parametrize("side", ["left", "right", "top", "bottom"])
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_guard_band_keeps_a_tail_just_inside(self, side, inside):
+        # a centre just inside the band still reaches the image with its tail
+        w, h = MAP_K.width, MAP_K.height
+        step = 0.01 if inside else -0.01
+        u, v = MAP_K.cx, MAP_K.cy
+        if side == "left":
+            u = -0.5 - _GUARD * w + step
+        elif side == "right":
+            u = w - 0.5 + _GUARD * w - step
+        elif side == "top":
+            v = -0.5 - _GUARD * h + step
+        else:
+            v = h - 0.5 + _GUARD * h - step
+        g = Gaussian(mean=seen_at(u, v, 2.0), scales=np.full(3, 0.2),
+                     orientation=Rotation.identity(), color=np.array([0.2, 0.9, 0.4]),
+                     opacity=1.0, anchor=0)
+        m = GaussianMap()
+        m.insert(batch([g]))
+        out = render(m, Pose.identity(), MAP_K)
+        if inside:
+            assert out.alpha.max() > 0.1
+        else:
+            assert np.all(out.alpha == 0.0)
+
+
+def test_held_out_view_of_a_short_figure8_has_its_depth():
+    """Four keyframes of a 4 s figure8 sequence, rendered at a frame between
+    two of them. With no near-plane cull a splat just past `_MIN_Z` covered
+    the image at about 0.01 m depth, for a depth L1 of 4.2 m."""
+    cfg = build_config("figure8", None, {"dataset.duration": 4.0, "run.seed": 1})
+    plan = materialize(cfg)
+    ds, provider = plan.dataset, plan.provider
+    frames = np.linspace(0, ds.n_frames() - 1, 4).astype(int)
+    m = GaussianMap()
+    for kid, frame in enumerate(frames):
+        color, depth = provider.keyframe_image(frame)
+        k = provider.intrinsics().scaled(depth.shape[1], depth.shape[0])
+        m.insert(spawn_from_keyframe(color, depth, ds.frame_pose(frame), k,
+                                     cfg["map.stride"], kid)[0])
+    held_out = (frames[1] + frames[2]) // 2
+    color, depth = provider.keyframe_image(held_out)
+    out = render(m, ds.frame_pose(held_out), k)
+    losses = mapping_losses(out, color, depth, m.gaussians)
+    assert np.mean(out.alpha > 0.5) > 0.5
+    assert losses.depth < 1.0
 
 
 class TestMappingLosses:
@@ -643,6 +756,88 @@ class TestAgainstObjectOracle:
         assert np.any(want.alpha > 0.5)
         for name in ("color", "depth", "alpha"):
             assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-12
+
+    def render_both(self, rows, bg):
+        """Render with the map and with the per-object oracle; they agree to
+        1e-12 on every output. Returns the oracle's render."""
+        m = GaussianMap()
+        m.insert(batch(rows))
+        got = render(m, Pose.identity(), MAP_K, background=bg)
+        want = oracles.render(oracles.object_map(m.gaussians), Pose.identity(), MAP_K,
+                              background=bg)
+        for name in ("color", "depth", "alpha"):
+            assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-12, name
+        return want
+
+    def test_transmittance_carries_across_chunks(self):
+        # more faint splats over the centre tile than one chunk holds, so
+        # the last chunk still adds to what the first ones left
+        rng = np.random.default_rng(25)
+        rows = [on_axis(z, rng.uniform(0, 1, 3), opacity=0.004, scale=0.1)
+                for z in rng.uniform(1.0, 3.0, _CHUNK + 100)]
+        want = self.render_both(rows, bg=np.array([0.3, 0.1, 0.6]))
+        r, c = CENTER
+        assert 0.5 < want.alpha[r, c] < 0.99
+
+    def test_boxes_straddling_tiles_and_empty_tiles(self):
+        # small splats centred on tile corners, all in the left half: each
+        # box spans four tiles, and the right half's tiles stay empty
+        rng = np.random.default_rng(26)
+        corners = [(_TILE * a - 0.5, _TILE * b - 0.5) for a in (1, 2, 3) for b in (1, 2, 3, 4, 5)]
+        rows = [Gaussian(mean=seen_at(u, v, 2.0), scales=rng.uniform(0.02, 0.05, 3),
+                         orientation=Rotation.exp(rng.normal(0, 0.5, 3)),
+                         color=rng.uniform(0, 1, 3), opacity=0.8, anchor=0)
+                for u, v in corners]
+        bg = np.array([0.5, 0.25, 0.75])
+        want = self.render_both(rows, bg)
+        for u, v in corners:
+            c, r = int(u + 0.5), int(v + 0.5)
+            assert want.alpha[r - 1, c - 1] > 0.0 and want.alpha[r, c] > 0.0
+        assert np.all(want.alpha[:, 32:] == 0.0)
+        assert np.all(want.color[:, 32:] == bg)
+
+    def test_equal_depths_composite_in_store_order(self):
+        red = on_axis(2.0, [1.0, 0.0, 0.0], opacity=0.9, scale=0.1)
+        blue = on_axis(2.0, [0.0, 0.0, 1.0], opacity=0.9, scale=0.1)
+        shifted = Gaussian(mean=np.array([0.02, 0.0, 2.0]), scales=np.full(3, 0.1),
+                           orientation=Rotation.identity(), color=np.array([0.0, 1.0, 0.0]),
+                           opacity=0.9, anchor=0)
+        bg = np.array([0.1, 0.1, 0.1])
+        r, c = CENTER
+        red_first = self.render_both([red, shifted, blue], bg)
+        blue_first = self.render_both([blue, shifted, red], bg)
+        assert red_first.color[r, c, 0] > 0.8 > red_first.color[r, c, 2]
+        assert blue_first.color[r, c, 2] > 0.8 > blue_first.color[r, c, 0]
+        # two interleaved groups of ties, enough that an unstable sort
+        # would reorder them
+        rng = np.random.default_rng(27)
+        ties = [make_gaussian(rng, mean=np.array([*rng.uniform(-0.3, 0.3, 2), 2.0 + i % 2]),
+                              scales=np.full(3, 0.1)) for i in range(80)]
+        self.render_both(ties, bg)
+
+
+def test_render_working_memory_is_bounded():
+    """Rendering 12,000 Gaussians in view, several thousand over each tile,
+    peaks under 16 MB of traced allocations. The per-Gaussian compositing
+    loop peaked at 7.9 MB on this map and the chunked tiles at 7.2 MB;
+    unchunked tiles took 19.5 MB, and one (Gaussians x pixels) float array
+    alone would be 295 MB."""
+    rng = np.random.default_rng(30)
+    n = 12_000
+    z = rng.uniform(1.0, 4.0, n)
+    mean = np.stack([rng.uniform(-0.5, 0.5, n) * z, rng.uniform(-0.375, 0.375, n) * z, z],
+                    axis=1)
+    m = GaussianMap()
+    m.insert(Gaussians(mean, rng.uniform(0.05, 0.15, (n, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)),
+                       rng.uniform(0, 1, (n, 3)), rng.uniform(0.1, 0.6, n), np.zeros(n)))
+    tracemalloc.start()
+    try:
+        out = render(m, Pose.identity(), MAP_K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(out.alpha > 0.9)
+    assert peak < 16e6
 
 
 def test_insert_holds_the_columns_and_no_more():
