@@ -6,13 +6,17 @@ writes trajectories, the map export, and a metrics report. The `evaluate`
 command scores a trajectory file against a ground-truth file. Everything is
 configured through a flat dotted-key config so experiment records stay
 diff-able.
+
+The policy dataclasses define their own keys: every field of ImuNoiseModel,
+KeyframePolicy, InitConfig and LoopPolicy is the key `<prefix>.<field>` of
+POLICIES, with the field's default. A field added there is a key here.
 """
 
 import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +45,14 @@ class ConfigError(ValueError):
     """Anything wrong with flags, config keys, or input files."""
 
 
+# Config key prefix -> the policy dataclass whose fields are its keys.
+POLICIES = {"noise": ImuNoiseModel, "tracker": KeyframePolicy,
+            "init": InitConfig, "loop": LoopPolicy}
+
+
 def default_config() -> dict:
     """Every tunable of the pipeline with its default, flat dotted keys."""
-    return {
+    cfg = {
         "dataset.family": "figure8",
         "dataset.amplitude": 1.5,
         "dataset.period": 30.0,
@@ -55,48 +64,25 @@ def default_config() -> dict:
         "dataset.outlier_rate": 0.0,
         "dataset.imu_noise": True,
         "dataset.scene_half_extent": 5.0,
-        "noise.gyro_noise_density": 1.7e-4,
-        "noise.accel_noise_density": 2e-3,
-        "noise.gyro_bias_random_walk": 1e-5,
-        "noise.accel_bias_random_walk": 1e-4,
-        "noise.gravity_magnitude": 9.81,
         "provider.stride": 32,
         "provider.raster_scale": 5,
-        "tracker.flow_threshold": 7.0,
-        "tracker.max_interval": 3.0,
-        "tracker.cov_trace_threshold": 1e-4,
-        "tracker.window_size": 12,
-        "tracker.covis_radius": 3,
-        "tracker.flow_scale": 8.0,
-        "tracker.solve_iterations": 4,
-        "init.n_vis_init": 10,
-        "init.n_iner_init": 20,
-        "init.max_iterations_vision": 30,
-        "init.max_iterations_inertial": 60,
-        "init.max_iterations_joint": 15,
-        "init.damping": 1e-4,
-        "loop.min_gap": 55,
-        "loop.flow_gate": 22.0,
-        "loop.ang_gate_deg": 120.0,
-        "loop.align_iterations": 15,
-        "loop.solve_iterations": 12,
-        "loop.solve_every": 4,
         "map.stride": 4,
         "run.seed": 0,
         "run.frame_stride": 1,
         "run.align": "se3",
         "run.out": "out",
     }
+    for prefix, cls in POLICIES.items():
+        cfg.update({f"{prefix}.{f.name}": f.default for f in fields(cls)})
+    # the one departure from a policy default: the pipeline keyframes at 7
+    # coarse pixels of flow, not at KeyframePolicy's 2.4
+    cfg["tracker.flow_threshold"] = 7.0
+    return cfg
 
 
 # Canonical fixtures. Values not listed fall back to the defaults above.
 PRESETS = {
-    "figure8": {
-        "dataset.family": "figure8",
-        "dataset.amplitude": 1.5,
-        "dataset.period": 30.0,
-        "dataset.duration": 60.0,
-    },
+    "figure8": {},
     "circle": {
         "dataset.family": "circle",
         "dataset.amplitude": 2.0,
@@ -219,34 +205,9 @@ def materialize(cfg: dict) -> RunPlan:
     rejected config leaves no partial outputs behind.
     """
     try:
-        noise = ImuNoiseModel(
-            gyro_noise_density=cfg["noise.gyro_noise_density"],
-            accel_noise_density=cfg["noise.accel_noise_density"],
-            gyro_bias_random_walk=cfg["noise.gyro_bias_random_walk"],
-            accel_bias_random_walk=cfg["noise.accel_bias_random_walk"],
-            gravity_magnitude=cfg["noise.gravity_magnitude"])
-        policy = KeyframePolicy(
-            flow_threshold=cfg["tracker.flow_threshold"],
-            max_interval=cfg["tracker.max_interval"],
-            cov_trace_threshold=cfg["tracker.cov_trace_threshold"],
-            window_size=cfg["tracker.window_size"],
-            covis_radius=cfg["tracker.covis_radius"],
-            flow_scale=cfg["tracker.flow_scale"],
-            solve_iterations=cfg["tracker.solve_iterations"])
-        init_cfg = InitConfig(
-            n_vis_init=cfg["init.n_vis_init"],
-            n_iner_init=cfg["init.n_iner_init"],
-            max_iterations_vision=cfg["init.max_iterations_vision"],
-            max_iterations_inertial=cfg["init.max_iterations_inertial"],
-            max_iterations_joint=cfg["init.max_iterations_joint"],
-            damping=cfg["init.damping"])
-        loop_policy = LoopPolicy(
-            min_gap=cfg["loop.min_gap"],
-            flow_gate=cfg["loop.flow_gate"],
-            ang_gate_deg=cfg["loop.ang_gate_deg"],
-            align_iterations=cfg["loop.align_iterations"],
-            solve_iterations=cfg["loop.solve_iterations"],
-            solve_every=cfg["loop.solve_every"])
+        noise, policy, init_cfg, loop_policy = (
+            cls(**{f.name: cfg[f"{prefix}.{f.name}"] for f in fields(cls)})
+            for prefix, cls in POLICIES.items())
 
         for key in ("provider.stride", "provider.raster_scale", "map.stride",
                     "run.frame_stride"):
@@ -314,7 +275,10 @@ def _init_diagnostics(tracker, dataset) -> dict | None:
         S = umeyama(est, gt, with_scale=True)
     except ValueError:
         return None
-    R0 = dataset.frame_pose(tracker.frame_of[0]).rotation
+    # the oldest keyframe is evicted first, so an archived kid 0 is row 0
+    frame0 = tracker.archive[0].frame_index if tracker.archive \
+        else tracker.frame_of[0]
+    R0 = dataset.frame_pose(frame0).rotation
     g_true = R0.inverse().apply(dataset.gravity.vector())
     return {
         "gravity_err_deg": _gravity_error_deg(tracker.graph.gravity.vector(), g_true),
@@ -496,16 +460,10 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
-    flag_overrides = {}
-    if args.seed is not None:
-        flag_overrides["run.seed"] = args.seed
-    if args.frame_stride is not None:
-        flag_overrides["run.frame_stride"] = args.frame_stride
-    if args.out is not None:
-        flag_overrides["run.out"] = args.out
-    if args.align is not None:
-        flag_overrides["run.align"] = args.align
-    cfg = build_config(args.preset, args.config, flag_overrides)
+    flags = {"run.seed": args.seed, "run.frame_stride": args.frame_stride,
+             "run.out": args.out, "run.align": args.align}
+    cfg = build_config(args.preset, args.config,
+                       {k: v for k, v in flags.items() if v is not None})
     if args.dump_defaults:
         print(dump_config(cfg))
         return EXIT_OK

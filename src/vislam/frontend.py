@@ -48,8 +48,10 @@ MAX_IMU_GAP_PERIODS = 5.0
 class KeyframePolicy:
     """Keyframe gating thresholds and window bookkeeping.
 
-    flow_threshold and the loop gates elsewhere are coarse-grid pixels: raw
-    image-space flow is divided by flow_scale before any comparison.
+    Each field is the config key tracker.<field> with this default, except
+    that `vislam run` gates at flow_threshold 7.0. flow_threshold and the
+    loop gates are coarse-grid pixels: raw image-space flow is divided by
+    flow_scale before any comparison.
     """
 
     flow_threshold: float = 2.4          # coarse-grid pixels
@@ -85,7 +87,7 @@ def keyframe_decision(mean_flow: float, dt_since_last: float,
         or dt_since_last >= policy.max_interval
 
 
-def flow_magnitude(edge: VisionEdge, flow_scale: float = 8.0) -> float:
+def flow_magnitude(edge: VisionEdge, flow_scale: float) -> float:
     """Mean correspondence displacement in coarse-grid pixels.
 
     Zero-weight rows are placeholders for pixels without a valid match and
@@ -172,7 +174,7 @@ class TrackerState:
     phase: str = PHASE_VISION
     imu_buffer: list = field(default_factory=list)
     next_kid: int = 0
-    frame_of: dict = field(default_factory=dict)      # kid -> provider frame
+    frame_of: dict = field(default_factory=dict)      # live kid -> provider frame
     archive: list = field(default_factory=list)       # ArchivedKeyframe
     degraded: list = field(default_factory=list)      # inertial-only kids
     init_reports: dict = field(default_factory=dict)
@@ -347,7 +349,8 @@ def _evict(tracker: TrackerState) -> None:
     """Shrink the window to size, archiving each evicted keyframe.
 
     The oldest keyframe leaves first, since removing a mid-chain keyframe
-    would break the consecutive inertial cover.
+    would break the consecutive inertial cover. Its provider frame moves
+    from frame_of into its archive row, so frame_of holds the live window.
     """
     graph = tracker.graph
     keyframes = list(graph.keyframes)
@@ -359,7 +362,7 @@ def _evict(tracker: TrackerState) -> None:
         delta = next(d for i, j, d in inertial_edges
                      if i == old.kid and j == succ.kid)
         tracker.archive.append(ArchivedKeyframe(
-            old.kid, tracker.frame_of[old.kid], old.state.timestamp,
+            old.kid, tracker.frame_of.pop(old.kid), old.state.timestamp,
             old.state.pose.copy(),
             eviction_edge(old.kid, succ.kid, old.state, succ.state, delta)))
         keyframes.pop(0)

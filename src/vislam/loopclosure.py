@@ -42,10 +42,10 @@ SIM3_DOF = 7
 class LoopPolicy:
     """Every loop-closure setting: the candidate gates and the solve cadence.
 
-    A (new keyframe, old keyframe) pair becomes a candidate when it passes
-    the three gates. Each admitted pair is aligned for align_iterations, and
-    the pose graph is solved for solve_iterations once solve_every admitted
-    loops are waiting.
+    Each field is the config key loop.<field> with this default. A (new
+    keyframe, old keyframe) pair becomes a candidate when it passes the three
+    gates. Each admitted pair is aligned for align_iterations, and the pose
+    graph is solved for solve_iterations once solve_every admitted loops wait.
     """
 
     min_gap: int = 55            # keyframes apart, at least
@@ -374,12 +374,12 @@ class LoopWorker:
     wait; solve() then returns the correction for the tracker and map.
     """
 
-    def __init__(self, intrinsics: Intrinsics, edge_source,
-                 policy: LoopPolicy | None = None, flow_scale: float = 8.0):
+    def __init__(self, intrinsics: Intrinsics, edge_source, policy: LoopPolicy,
+                 flow_scale: float):
         self.intrinsics = intrinsics
         self.edge_source = edge_source            # (frame_i, frame_j) -> VisionEdge
-        self.policy = policy or LoopPolicy()
-        self.flow_scale = flow_scale
+        self.policy = policy
+        self.flow_scale = flow_scale              # KeyframePolicy.flow_scale
         self.summaries = {}         # kid -> KeyframeSummary, solved disparities
         self.poses = {}             # kid -> Pose, newest estimate seen
         self.states = {}            # kid -> SimTransform, archived nodes only

@@ -171,22 +171,15 @@ class RelativePoseEdge:
 
 @dataclass
 class VisionResidualResult:
+    """vision_residual's and sim3_vision_residual's output: k = 6 pose
+    tangents (rotation, translation), or 7 with log-scale last."""
+
     residual: np.ndarray       # (E, n, 2) weighted
-    J_pose_i: np.ndarray       # (E, n, 2, 6) weighted, tangent (rotation, translation)
-    J_pose_j: np.ndarray       # (E, n, 2, 6)
+    J_i: np.ndarray            # (E, n, 2, k) weighted
+    J_j: np.ndarray            # (E, n, 2, k)
     J_disparity: np.ndarray    # (E, n, 2) column block per pixel
     behind_camera: np.ndarray  # (E,) pixels flagged and zero-weighted
     valid: np.ndarray          # (E, n) bool
-
-
-@dataclass
-class Sim3VisionResult:
-    residual: np.ndarray      # (E, n, 2) weighted
-    J_i: np.ndarray           # (E, n, 2, 7), tangent (rotation, translation, log-scale)
-    J_j: np.ndarray           # (E, n, 2, 7)
-    J_disparity: np.ndarray   # (E, n, 2)
-    behind_camera: np.ndarray
-    valid: np.ndarray
 
 
 class _Reprojection:
@@ -311,7 +304,7 @@ def vision_residual(edges, T_i, T_j, d_i, k: Intrinsics,
 
 
 def sim3_vision_residual(edges, S_i, S_j, d_i, k: Intrinsics,
-                         T_cb: Pose | None = None) -> Sim3VisionResult:
+                         T_cb: Pose | None = None) -> VisionResidualResult:
     """Reprojection residuals of vision edges under similarity keyframe states.
 
     Same measurement model and stacking as vision_residual with the action
@@ -322,8 +315,8 @@ def sim3_vision_residual(edges, S_i, S_j, d_i, k: Intrinsics,
     points behind the target camera are zero-weighted and counted.
     """
     c = _reproject(edges, S_i, S_j, d_i, k, T_cb, similarity=True)
-    return Sim3VisionResult(c.residual, c.J_i, c.J_j, c.J_disparity,
-                            c.behind_camera, c.valid)
+    return VisionResidualResult(c.residual, c.J_i, c.J_j, c.J_disparity,
+                                c.behind_camera, c.valid)
 
 
 @dataclass

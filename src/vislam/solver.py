@@ -133,7 +133,6 @@ class SolveReport:
     final_cost: float
     cost_trajectory: list
     termination: str
-    condition_warnings: list = field(default_factory=list)
 
 
 def lm_solve(problem, opts: SolveOptions) -> SolveReport:
@@ -165,7 +164,6 @@ def lm_solve(problem, opts: SolveOptions) -> SolveReport:
     lam = opts.damping
     termination = "max_iterations"
     iterations = 0
-    warnings = []
 
     for it in range(opts.max_iterations):
         problem.linearize()
@@ -173,18 +171,16 @@ def lm_solve(problem, opts: SolveOptions) -> SolveReport:
             try:
                 dx = problem.step(lam)
             except RuntimeError as exc:
-                warnings.append(str(exc))
                 lam *= DAMPING_UP
                 if lam > MAX_DAMPING:
                     return SolveReport(iterations, trajectory[0], cost, trajectory,
-                                       f"singular: {exc}", warnings)
+                                       f"singular: {exc}")
                 continue
             snap = problem.snapshot()
             try:
                 problem.retract(dx)
                 new_cost = problem.evaluate()
-            except ValueError as exc:
-                warnings.append(str(exc))
+            except ValueError:
                 new_cost = math.inf
             if new_cost < cost:
                 cost = new_cost
@@ -206,8 +202,7 @@ def lm_solve(problem, opts: SolveOptions) -> SolveReport:
             termination = "converged"
             break
 
-    return SolveReport(iterations, trajectory[0], cost, trajectory,
-                       termination, warnings)
+    return SolveReport(iterations, trajectory[0], cost, trajectory, termination)
 
 
 def solve_dense(H: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -458,7 +453,7 @@ class _WindowProblem(GraphProblem):
         system = NormalEquations(self.layout)
         vision, inertial = self.outs
         for group, out in zip(self.groups, vision):
-            system.add_pixels(group, out.J_pose_i, out.J_pose_j,
+            system.add_pixels(group, out.J_i, out.J_j,
                               out.J_disparity, out.residual)
         if inertial is not None:
             lay = self.layout

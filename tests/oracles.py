@@ -32,7 +32,6 @@ from vislam.residuals import (
     InertialResidualResult,
     Intrinsics,
     PoseState,
-    Sim3VisionResult,
     VisionEdge,
     VisionResidualResult,
     backproject,
@@ -255,8 +254,8 @@ def vision_residual(edge: VisionEdge, T_i: Pose, T_j: Pose, d_i: np.ndarray,
     n = len(c.residual)
     return VisionResidualResult(
         residual=c.residual,
-        J_pose_i=c.jacobian(c.dX_dthi, np.broadcast_to(c.B, (n, 3, 3))),
-        J_pose_j=c.jacobian(c.dX_dthj, np.broadcast_to(-c.B, (n, 3, 3))),
+        J_i=c.jacobian(c.dX_dthi, np.broadcast_to(c.B, (n, 3, 3))),
+        J_j=c.jacobian(c.dX_dthj, np.broadcast_to(-c.B, (n, 3, 3))),
         J_disparity=c.J_disparity,
         behind_camera=c.behind_camera,
         valid=c.valid,
@@ -265,7 +264,7 @@ def vision_residual(edge: VisionEdge, T_i: Pose, T_j: Pose, d_i: np.ndarray,
 
 def sim3_vision_residual(edge: VisionEdge, S_i: SimTransform, S_j: SimTransform,
                          d_i: np.ndarray, k: Intrinsics,
-                         T_cb: Pose | None = None) -> Sim3VisionResult:
+                         T_cb: Pose | None = None) -> VisionResidualResult:
     """Reprojection residual of a vision edge under similarity keyframe states.
 
     Same measurement model as the rigid vision residual with the action
@@ -279,7 +278,7 @@ def sim3_vision_residual(edge: VisionEdge, S_i: SimTransform, S_j: SimTransform,
     c = _Reprojection(edge, d_i, k, T_cb, S_i.rotation.matrix(), S_i.translation,
                       s_i, S_j.rotation.matrix(), S_j.translation, S_j.scale)
     n = len(c.residual)
-    return Sim3VisionResult(
+    return VisionResidualResult(
         residual=c.residual,
         J_i=c.jacobian(c.dX_dthi, np.broadcast_to(s_i * c.BRi, (n, 3, 3)),
                        s_i * (c.Y_i @ c.BRi.T)),

@@ -185,6 +185,77 @@ def test_zero_window_solve_iterations_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+# The whole config surface: every key and default, as `vislam run
+# --dump-defaults` prints it with no preset. Changing a line here changes
+# what every config file and preset means.
+DUMPED_DEFAULTS = """\
+dataset.amplitude = 1.5
+dataset.duration = 60.0
+dataset.family = figure8
+dataset.frame_rate = 25.0
+dataset.imu_noise = true
+dataset.imu_rate = 200.0
+dataset.outlier_rate = 0.0
+dataset.period = 30.0
+dataset.scene_half_extent = 5.0
+dataset.sigma_px = 0.5
+dataset.yaw_policy = tangent
+init.damping = 0.0001
+init.max_iterations_inertial = 60
+init.max_iterations_joint = 15
+init.max_iterations_vision = 30
+init.n_iner_init = 20
+init.n_vis_init = 10
+loop.align_iterations = 15
+loop.ang_gate_deg = 120.0
+loop.flow_gate = 22.0
+loop.min_gap = 55
+loop.solve_every = 4
+loop.solve_iterations = 12
+map.stride = 4
+noise.accel_bias_random_walk = 0.0001
+noise.accel_noise_density = 0.002
+noise.gravity_magnitude = 9.81
+noise.gyro_bias_random_walk = 1e-05
+noise.gyro_noise_density = 0.00017
+provider.raster_scale = 5
+provider.stride = 32
+run.align = se3
+run.frame_stride = 1
+run.out = out
+run.seed = 0
+tracker.cov_trace_threshold = 0.0001
+tracker.covis_radius = 3
+tracker.flow_scale = 8.0
+tracker.flow_threshold = 7.0
+tracker.max_interval = 3.0
+tracker.solve_iterations = 4
+tracker.window_size = 12
+"""
+
+# The values in that dump that each preset changes, as printed.
+PRESET_DUMP_CHANGES = {
+    "figure8": {},
+    "circle": {"dataset.amplitude": "2.0", "dataset.duration": "40.0",
+               "dataset.family": "circle", "dataset.period": "20.0"},
+    "static": {"dataset.amplitude": "0.0", "dataset.duration": "8.0",
+               "dataset.family": "circle", "dataset.yaw_policy": "fixed",
+               "run.align": "none"},
+}
+
+
+@pytest.mark.parametrize("preset", [None, *PRESET_DUMP_CHANGES])
+def test_dump_defaults_prints_the_config_surface(capsys, preset):
+    changes = PRESET_DUMP_CHANGES.get(preset, {})
+    want = "".join(f"{key} = {changes.get(key, value)}\n" for key, value in
+                   (line.split(" = ") for line in DUMPED_DEFAULTS.splitlines()))
+    argv = ["run", "--dump-defaults"]
+    if preset is not None:
+        argv += ["--preset", preset]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == want
+
+
 class _ReadRecorder(dict):
     """A config that remembers which keys the pipeline looked up."""
 

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from vislam.cli import _init_diagnostics
 from vislam.evaluation import Trajectory, align_umeyama, ate_rmse
 from vislam.frontend import (
     KeyframePolicy,
@@ -120,7 +121,7 @@ class TestFlowMagnitude:
         edge = VisionEdge(0, 1, pixels=np.array([[10.0, 10.0]]),
                           targets=np.array([[10.0, 10.0]]),
                           weights=np.zeros((1, 2)))
-        assert flow_magnitude(edge) == float("inf")
+        assert flow_magnitude(edge, flow_scale=8.0) == float("inf")
 
 
 def _stationary_delta(duration=0.4, rate=200.0, gravity=None,
@@ -327,6 +328,22 @@ class TestPipeline:
             e = row.chain_edge
             assert e.j == e.i + 1
             assert e.measurement.scale == pytest.approx(1.0)
+
+    def test_frame_of_holds_only_the_live_window(self, pipeline):
+        tracker = pipeline.tracker
+        assert tracker.archive
+        assert sorted(tracker.frame_of) \
+            == [kf.kid for kf in tracker.graph.keyframes]
+        # every keyframe's frame is kept once, archive rows then the window
+        frames = [row.frame_index for row in tracker.archive] \
+            + [tracker.frame_of[kf.kid] for kf in tracker.graph.keyframes]
+        assert len(frames) == tracker.next_kid
+        assert np.all(np.diff(frames) > 0)
+
+    def test_init_diagnostics_read_an_archived_first_keyframe(self, pipeline):
+        assert 0 not in pipeline.tracker.frame_of
+        diag = _init_diagnostics(pipeline.tracker, pipeline.ds)
+        assert diag["gravity_err_deg"] < 1.0
 
 
 class _FlakyProvider:

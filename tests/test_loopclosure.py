@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vislam.frontend import apply_correction, eviction_edge, window_snapshot
+from vislam.frontend import (KeyframePolicy, apply_correction, eviction_edge,
+                             window_snapshot)
 from vislam.geometry import Pose, Rotation, SimTransform
 from vislam.imu import BiasState, ImuNoiseModel, ImuSample, preintegrate
 from vislam.initialization import InitConfig
@@ -43,6 +44,7 @@ MODEL = TrajectoryModel(family="figure8", amplitude=1.5, period=12.0,
                         duration=12.0, yaw_policy="tangent")
 
 CHAIN_INFO = np.diag([4e4] * 3 + [1e4] * 3 + [100.0])
+FLOW_SCALE = KeyframePolicy().flow_scale
 
 
 def summary(kid, yaw=0.0, **kw):
@@ -663,7 +665,7 @@ def worker_run():
     chain = chain_from(drifted)
 
     worker = LoopWorker(prov.intrinsics(), prov.edge,
-                        LoopPolicy(solve_iterations=20))
+                        LoopPolicy(solve_iterations=20), FLOW_SCALE)
     window = 12
     admitted = []
     for f in range(n):
@@ -738,7 +740,7 @@ class TestLoopWorker:
 
     def test_solve_without_loops_returns_none(self, synth):
         _, prov, _, k = synth
-        worker = LoopWorker(k, prov.edge)
+        worker = LoopWorker(k, prov.edge, LoopPolicy(), FLOW_SCALE)
         assert worker.solve([], []) is None
         assert worker.pending is False
 
@@ -750,7 +752,7 @@ class TestLoopWorker:
             calls.append((fi, fj))
             return prov.edge(fi, fj)
 
-        worker = LoopWorker(k, counting_edge)
+        worker = LoopWorker(k, counting_edge, LoopPolicy(), FLOW_SCALE)
         for kid, frame in ((0, 0), (1, 1), (2, 2)):
             worker.ingest_summary(KeyframeSummary(
                 kid, frame, ds.frame_pose(frame), grid,
@@ -762,7 +764,7 @@ class TestLoopWorker:
 
     def test_admission_needs_source_snapshot(self, synth):
         _, prov, _, k = synth
-        worker = LoopWorker(k, prov.edge)
+        worker = LoopWorker(k, prov.edge, LoopPolicy(), FLOW_SCALE)
         worker.ingest_summary(summary(0))       # no pixel snapshot
         with pytest.raises(ValueError, match="snapshot"):
             worker.ingest_summary(summary(55, frame_index=2))

@@ -120,7 +120,7 @@ def test_vision_behind_camera_flagged_and_zeroed():
     out = vision_residual([edge], [T_i], [T_j], [d_i], k)
     assert out.behind_camera[0] == 2
     assert np.all(out.residual[0] == 0.0)
-    assert np.all(out.J_pose_i[0] == 0.0)
+    assert np.all(out.J_i[0] == 0.0)
 
 
 @pytest.mark.parametrize("with_extrinsic", [False, True])
@@ -148,8 +148,8 @@ def test_vision_jacobians_match_finite_differences(with_extrinsic):
 
     J_i_fd = _fd_columns(f_i, lambda d: d, 6)
     J_j_fd = _fd_columns(f_j, lambda d: d, 6)
-    assert _rel_err(out.J_pose_i[0].reshape(-1, 6), J_i_fd) < FD_RTOL
-    assert _rel_err(out.J_pose_j[0].reshape(-1, 6), J_j_fd) < FD_RTOL
+    assert _rel_err(out.J_i[0].reshape(-1, 6), J_i_fd) < FD_RTOL
+    assert _rel_err(out.J_j[0].reshape(-1, 6), J_j_fd) < FD_RTOL
 
     # per-pixel disparity columns
     for p in range(len(pixels)):
@@ -217,7 +217,7 @@ def test_batched_vision_residual_matches_per_edge_oracle(t_cb):
     assert out.behind_camera[-1] > 0 and out.valid[-1].any()
     for e, edge in enumerate(edges):
         want = oracles.vision_residual(edge, T_i[e], T_j[e], d_i[e], k, T_cb=t_cb)
-        for name in ("residual", "J_pose_i", "J_pose_j", "J_disparity"):
+        for name in ("residual", "J_i", "J_j", "J_disparity"):
             _assert_close(getattr(out, name)[e], getattr(want, name))
         assert out.behind_camera[e] == want.behind_camera
         assert np.array_equal(out.valid[e], want.valid)
