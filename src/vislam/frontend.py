@@ -33,6 +33,7 @@ from .residuals import (
     PoseState,
     RelativePoseEdge,
     VisionEdge,
+    map_eigenvalues,
 )
 from .solver import FrameGraph, Keyframe, SolveOptions, SolveReport, solve_vi_ba
 
@@ -134,15 +135,6 @@ class ArchivedKeyframe:
     chain_edge: RelativePoseEdge
 
 
-def _capped_inverse(block: np.ndarray, lo: float = 1e-3,
-                    hi: float = 1e8) -> np.ndarray:
-    """Inverse of a PSD block with eigenvalues clamped into [lo, hi]."""
-    vals, vecs = np.linalg.eigh(0.5 * (block + block.T))
-    inv_vals = np.clip(1.0 / np.maximum(vals, 1e-12), lo, hi)
-    out = vecs @ (inv_vals[:, None] * vecs.T)
-    return 0.5 * (out + out.T)
-
-
 def eviction_edge(kid_i: int, kid_j: int, state_i: PoseState,
                   state_j: PoseState, delta: PreintegratedDelta,
                   scale_weight: float = 100.0) -> RelativePoseEdge:
@@ -156,8 +148,10 @@ def eviction_edge(kid_i: int, kid_j: int, state_i: PoseState,
     S_i = SimTransform.from_pose(state_i.pose)
     S_j = SimTransform.from_pose(state_j.pose)
     info = np.zeros((7, 7))
-    info[0:3, 0:3] = _capped_inverse(delta.covariance[0:3, 0:3])
-    info[3:6, 3:6] = _capped_inverse(delta.covariance[3:6, 3:6])
+    for b in (slice(0, 3), slice(3, 6)):
+        info[b, b] = map_eigenvalues(
+            delta.covariance[b, b],
+            lambda vals: np.clip(1.0 / np.maximum(vals, 1e-12), 1e-3, 1e8))
     info[6, 6] = scale_weight
     return RelativePoseEdge(kid_i, kid_j, S_j * S_i.inverse(), info)
 
@@ -284,9 +278,7 @@ def add_keyframe(tracker: TrackerState, frame_index: int,
         state = PoseState(Pose.identity(), np.zeros(3), BiasState(),
                           timestamp)
 
-    new_kf = Keyframe(kid, state, pixels, disparities)
-
-    vision_edges = list(graph.vision_edges)
+    vision_edges = []
     wired = 0
     for neighbor in graph.keyframes[-tracker.policy.covis_radius:]:
         n_frame = tracker.frame_of[neighbor.kid]
@@ -303,25 +295,23 @@ def add_keyframe(tracker: TrackerState, frame_index: int,
     if graph.keyframes and wired == 0:
         tracker.degraded.append(kid)
 
-    inertial_edges = list(graph.inertial_edges)
     if delta is not None:
-        inertial_edges.append((graph.keyframes[-1].kid, kid, delta))
-
-    tracker.graph = FrameGraph(graph.keyframes + [new_kf], vision_edges,
-                               inertial_edges, graph.gravity,
-                               graph.intrinsics)
+        graph.inertial_edges.append((graph.keyframes[-1].kid, kid, delta))
+    graph.keyframes.append(Keyframe(kid, state, pixels, disparities))
+    graph.vision_edges.extend(vision_edges)
+    graph.reindex()
     tracker.frame_of[kid] = frame_index
     tracker.next_kid = kid + 1
     tracker.imu_buffer = [s for s in tracker.imu_buffer
                           if s.timestamp >= timestamp - 1e-9]
 
-    n = len(tracker.graph.keyframes)
+    n = len(graph.keyframes)
     if tracker.phase == PHASE_VISION and n >= tracker.init_cfg.n_vis_init:
-        report = init_vision(tracker.graph, tracker.init_cfg)
+        report = init_vision(graph, tracker.init_cfg)
         tracker.init_reports["vision"] = _report_dict(report)
         tracker.phase = PHASE_INERTIAL
     elif tracker.phase == PHASE_INERTIAL and n >= tracker.init_cfg.n_iner_init:
-        result = run_full_initialization(tracker.graph, tracker.init_cfg)
+        result = run_full_initialization(graph, tracker.init_cfg)
         tracker.init_reports.update(
             {k: _report_dict(r) for k, r in result.reports.items()})
         tracker.init_reports["log_scale"] = float(result.log_scale)
@@ -353,26 +343,19 @@ def _evict(tracker: TrackerState) -> None:
     from frame_of into its archive row, so frame_of holds the live window.
     """
     graph = tracker.graph
-    keyframes = list(graph.keyframes)
-    vision_edges = list(graph.vision_edges)
-    inertial_edges = list(graph.inertial_edges)
-    changed = False
-    while len(keyframes) > tracker.policy.window_size:
-        old, succ = keyframes[0], keyframes[1]
-        delta = next(d for i, j, d in inertial_edges
-                     if i == old.kid and j == succ.kid)
+    evicted = set()
+    while len(graph.keyframes) > tracker.policy.window_size:
+        old, succ = graph.keyframes.pop(0), graph.keyframes[0]
+        _, _, delta = graph.inertial_edges.pop(0)
         tracker.archive.append(ArchivedKeyframe(
             old.kid, tracker.frame_of.pop(old.kid), old.state.timestamp,
             old.state.pose.copy(),
             eviction_edge(old.kid, succ.kid, old.state, succ.state, delta)))
-        keyframes.pop(0)
-        vision_edges = [e for e in vision_edges
-                        if e.i != old.kid and e.j != old.kid]
-        inertial_edges = [t for t in inertial_edges if t[0] != old.kid]
-        changed = True
-    if changed:
-        tracker.graph = FrameGraph(keyframes, vision_edges, inertial_edges,
-                                   graph.gravity, graph.intrinsics)
+        evicted.add(old.kid)
+    if evicted:
+        graph.vision_edges = [e for e in graph.vision_edges
+                              if e.i not in evicted and e.j not in evicted]
+        graph.reindex()
 
 
 def estimated_trajectory(tracker: TrackerState) -> Trajectory:
@@ -394,12 +377,11 @@ def window_snapshot(tracker: TrackerState):
     scale, chain as relative edges over the window's consecutive inertial
     pairs, both built fresh from the current estimates.
     """
-    keyframes = tracker.graph.keyframes
+    graph = tracker.graph
     nodes = [(kf.kid, SimTransform.from_pose(kf.state.pose))
-             for kf in keyframes]
-    by_kid = {kf.kid: kf for kf in keyframes}
-    chain = [eviction_edge(i, j, by_kid[i].state, by_kid[j].state, delta)
-             for i, j, delta in tracker.graph.inertial_edges]
+             for kf in graph.keyframes]
+    chain = [eviction_edge(i, j, graph.kf(i).state, graph.kf(j).state, delta)
+             for i, j, delta in graph.inertial_edges]
     return nodes, chain
 
 

@@ -82,13 +82,10 @@ def so3_right_jacobian_inv(omega: np.ndarray) -> np.ndarray:
     return np.where(small, taylor, np.eye(3) + 0.5 * K + b * KK)
 
 
-def so3_log_matrix(R: np.ndarray) -> np.ndarray:
-    """Rotation vectors of (E, 3, 3) rotation matrices.
-
-    The stacked form of Rotation.from_matrix(R).log(), with its branches:
-    the trace > 0 quaternion, else the one pivoted on the largest diagonal
-    entry; then the canonical unit quaternion and its log.
-    """
+def quat_from_matrix(R: np.ndarray) -> np.ndarray:
+    """Quaternions (w, x, y, z) of (E, 3, 3) rotation matrices, not yet
+    normalized or sign-fixed: the trace > 0 form, else the one pivoted on
+    the largest diagonal entry."""
     R = np.asarray(R, dtype=float)
     q = np.empty((len(R), 4))
     pos = np.trace(R, axis1=1, axis2=2) > 0.0
@@ -110,6 +107,16 @@ def so3_log_matrix(R: np.ndarray) -> np.ndarray:
         qi[:, 1 + j] = (Ri[:, i, j] + Ri[:, j, i]) / s
         qi[:, 1 + k] = (Ri[:, i, k] + Ri[:, k, i]) / s
         q[sel] = qi
+    return q
+
+
+def so3_log_matrix(R: np.ndarray) -> np.ndarray:
+    """Rotation vectors of (E, 3, 3) rotation matrices.
+
+    The stacked form of Rotation.from_matrix(R).log(): the canonical unit
+    quaternion of quat_from_matrix, then its log.
+    """
+    q = quat_from_matrix(R)
     q = q / _norm(q)[:, None]
     q = np.where(q[:, :1] < 0.0, -q, q)
     w, v = q[:, 0], q[:, 1:]
@@ -120,31 +127,15 @@ def so3_log_matrix(R: np.ndarray) -> np.ndarray:
     return scale[:, None] * v
 
 
-def _quat_multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    w1, x1, y1, z1 = q1
-    w2, x2, y2, z2 = q2
-    return np.array([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ])
-
-
-def _quat_canonical(q: np.ndarray) -> np.ndarray:
-    q = q / np.linalg.norm(q)
-    if q[0] < 0.0:
-        q = -q
-    return q
-
-
 class Rotation:
     """Unit quaternion rotation, canonicalized to w >= 0."""
 
     __slots__ = ("q",)
 
     def __init__(self, q: np.ndarray):
-        self.q = _quat_canonical(np.asarray(q, dtype=float))
+        q = np.asarray(q, dtype=float)
+        q = q / np.linalg.norm(q)
+        self.q = -q if q[0] < 0.0 else q
 
     @staticmethod
     def identity() -> "Rotation":
@@ -164,29 +155,7 @@ class Rotation:
 
     @staticmethod
     def from_matrix(R: np.ndarray) -> "Rotation":
-        R = np.asarray(R, dtype=float)
-        t = np.trace(R)
-        if t > 0.0:
-            s = np.sqrt(t + 1.0) * 2.0
-            q = np.array([0.25 * s,
-                          (R[2, 1] - R[1, 2]) / s,
-                          (R[0, 2] - R[2, 0]) / s,
-                          (R[1, 0] - R[0, 1]) / s])
-        else:
-            i = int(np.argmax(np.diag(R)))
-            if i == 0:
-                s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-                q = np.array([(R[2, 1] - R[1, 2]) / s, 0.25 * s,
-                              (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s])
-            elif i == 1:
-                s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-                q = np.array([(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s,
-                              0.25 * s, (R[1, 2] + R[2, 1]) / s])
-            else:
-                s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-                q = np.array([(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s,
-                              (R[1, 2] + R[2, 1]) / s, 0.25 * s])
-        return Rotation(q)
+        return Rotation(quat_from_matrix(np.asarray(R, dtype=float)[None])[0])
 
     def matrix(self) -> np.ndarray:
         w, x, y, z = self.q
@@ -214,7 +183,14 @@ class Rotation:
         return np.asarray(v, dtype=float) @ self.matrix().T
 
     def __mul__(self, other: "Rotation") -> "Rotation":
-        return Rotation(_quat_multiply(self.q, other.q))
+        w1, x1, y1, z1 = self.q
+        w2, x2, y2, z2 = other.q
+        return Rotation(np.array([
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        ]))
 
     def angle_to(self, other: "Rotation") -> float:
         """Geodesic angle in radians between two rotations."""
@@ -263,10 +239,7 @@ class Pose:
         return Pose(self.rotation * Rotation.exp(dtheta), self.translation + dp)
 
     def copy(self) -> "Pose":
-        return Pose(Rotation(self.q_copy()), self.translation.copy())
-
-    def q_copy(self) -> np.ndarray:
-        return self.rotation.q.copy()
+        return Pose(Rotation(self.rotation.q.copy()), self.translation.copy())
 
 
 def _sim3_w_matrix(omega: np.ndarray, sigma: float) -> np.ndarray:

@@ -17,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frontend import flow_magnitude
-from .geometry import Pose, Rotation, SimTransform
+from .geometry import Pose, SimTransform
 from .residuals import (
     Intrinsics,
     RelativePoseEdge,
     VisionEdge,
+    map_eigenvalues,
     relative_pose_residual,
     sim3_vision_residual,
 )
@@ -151,7 +152,7 @@ class PoseGraph(KeyframeIndex):
     def __post_init__(self):
         self.nodes = sorted(self.nodes, key=lambda n: n.kid)
         self._index_keyframes([n.kid for n in self.nodes],
-                              {(e.i, e.j) for e in self.chain},
+                              [(e.i, e.j) for e in self.chain],
                               [(loop.i, loop.j) for loop in self.loops])
         for loop in self.loops:
             if loop.j - loop.i < self.min_loop_gap:
@@ -193,9 +194,8 @@ class CorrectionEntry:
 
     def delta(self) -> SimTransform:
         """World-frame warp that maps the old pose onto the new one."""
-        new = SimTransform(Rotation(self.new_pose.rotation.q.copy()),
-                           self.new_pose.translation.copy(), self.scale_change)
-        return new * SimTransform.from_pose(self.old_pose).inverse()
+        return SimTransform.from_pose(self.new_pose, self.scale_change) \
+            * SimTransform.from_pose(self.old_pose).inverse()
 
 
 @dataclass
@@ -206,14 +206,6 @@ class LoopCorrection:
         for kid, e in self.entries.items():
             if e.kid != kid:
                 raise ValueError("correction entry keyed under the wrong keyframe id")
-
-
-def _floored_information(H: np.ndarray, lo: float = 1e-3,
-                         hi: float = 1e8) -> np.ndarray:
-    """Symmetric PSD projection of H with eigenvalues clamped into [lo, hi]."""
-    vals, vecs = np.linalg.eigh(0.5 * (H + H.T))
-    out = vecs @ (np.clip(vals, lo, hi)[:, None] * vecs.T)
-    return 0.5 * (out + out.T)
 
 
 class _PairAlignment:
@@ -270,7 +262,8 @@ def align_loop_pair(edge: VisionEdge, d_i: np.ndarray, S_i: SimTransform,
     problem.linearize()
     S = problem.S
     A_inv = np.linalg.inv(S.adjoint())
-    info = _floored_information(A_inv.T @ problem.H @ A_inv)
+    info = map_eigenvalues(A_inv.T @ problem.H @ A_inv,
+                           lambda vals: np.clip(vals, 1e-3, 1e8))
     return RelativePoseEdge(edge.i, edge.j, S * S_i.inverse(), info)
 
 

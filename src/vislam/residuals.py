@@ -169,6 +169,14 @@ class RelativePoseEdge:
         self.whitening = L.T
 
 
+def map_eigenvalues(M: np.ndarray, fn) -> np.ndarray:
+    """The symmetric part of M rebuilt with fn applied to its eigenvalues;
+    RelativePoseEdge information blocks clamp them with it."""
+    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
+    out = vecs @ (fn(vals)[:, None] * vecs.T)
+    return 0.5 * (out + out.T)
+
+
 @dataclass
 class VisionResidualResult:
     """vision_residual's and sim3_vision_residual's output: k = 6 pose

@@ -72,7 +72,7 @@ class KeyframeIndex:
     with relative-pose edges; an empty chain (a vision-only window) is allowed.
     """
 
-    def _index_keyframes(self, kids: list, chain_pairs: set,
+    def _index_keyframes(self, kids: list, chain_pairs: list,
                          edge_pairs: list) -> None:
         self._index = {kid: n for n, kid in enumerate(kids)}
         if len(self._index) != len(kids):
@@ -80,9 +80,9 @@ class KeyframeIndex:
         for i, j in edge_pairs:
             if i not in self._index or j not in self._index:
                 raise ValueError(f"edge ({i},{j}) references unknown keyframe")
-        if chain_pairs and chain_pairs != set(zip(kids, kids[1:])):
+        if chain_pairs and sorted(chain_pairs) != sorted(zip(kids, kids[1:])):
             raise ValueError("chain edges must cover exactly the consecutive "
-                             "keyframe pairs")
+                             "keyframe pairs, each once")
 
     def index_of(self, kid: int) -> int:
         return self._index[kid]
@@ -90,6 +90,9 @@ class KeyframeIndex:
 
 @dataclass
 class FrameGraph(KeyframeIndex):
+    """The tracking window. The tracker edits its lists in place as
+    keyframes come and go, and must call reindex() after every edit."""
+
     keyframes: list            # ordered Keyframe list
     vision_edges: list         # VisionEdge, endpoints are keyframe ids
     inertial_edges: list       # (i, j, PreintegratedDelta) for consecutive pairs
@@ -97,8 +100,12 @@ class FrameGraph(KeyframeIndex):
     intrinsics: Intrinsics
 
     def __post_init__(self):
+        self.reindex()
+
+    def reindex(self) -> None:
+        """Rebuild the keyframe index and recheck every edge against it."""
         self._index_keyframes([kf.kid for kf in self.keyframes],
-                              {(i, j) for i, j, _ in self.inertial_edges},
+                              [(i, j) for i, j, _ in self.inertial_edges],
                               [(e.i, e.j) for e in self.vision_edges])
 
     def kf(self, kid: int) -> Keyframe:

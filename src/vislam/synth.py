@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .geometry import Pose, Rotation
+from .geometry import Pose, Rotation, quat_from_matrix
 from .imu import BiasState, ImuNoiseModel, ImuSample
 from .residuals import GravityModel, Intrinsics, VisionEdge
 
@@ -147,9 +147,6 @@ class _Kinematics:
         x_axis = np.cross(y_axis, forward)
         return np.stack([x_axis, y_axis, forward], axis=2)
 
-    def rotation(self, t: float) -> Rotation:
-        return Rotation.from_matrix(self.rotation_matrices(t)[0])
-
     def body_rates(self, t) -> np.ndarray:
         """Angular velocity in the body frame by central differencing."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -212,8 +209,8 @@ def generate_trajectory(model: TrajectoryModel, frame_rate: float,
 
     frame_pos = kin.position(frame_times)
     frame_vel = kin.velocity(frame_times)
-    frame_R = kin.rotation_matrices(frame_times)
-    frame_poses = [Pose(Rotation.from_matrix(frame_R[i]), frame_pos[i])
+    frame_q = quat_from_matrix(kin.rotation_matrices(frame_times))
+    frame_poses = [Pose(Rotation(frame_q[i]), frame_pos[i])
                    for i in range(n_frames)]
     imu_R = kin.rotation_matrices(imu_times)
     imu_rates = kin.body_rates(imu_times)

@@ -1,5 +1,6 @@
 """End-to-end runs through the command-line entry point."""
 
+import hashlib
 import json
 import math
 
@@ -30,6 +31,18 @@ GRAVITY_BOUND_DEG = 2.0
 # lm_solve's terminations, besides "singular: <reason>"
 TERMINATIONS = ("converged", "max_iterations", "no_decrease_at_max_damping")
 OUTPUTS = ("metrics.json", "map.vgsm", "trajectory_est.txt", "trajectory_gt.txt")
+# SHA-256 of each short-run output. A refactor must leave them alone; a
+# change that moves a number updates them and says why in CHANGES.md.
+SHORT_RUN_SHA256 = {
+    "metrics.json":
+        "15313c60b146780121c21ba09ed476d620a218b2f6dfe42f07de85d85a649cf0",
+    "map.vgsm":
+        "207ab5b2c9b6155fff55f73072e97c7880f188a1787f1d23dc83c8418fcaa87d",
+    "trajectory_est.txt":
+        "fc3e60bfa32e643e151072db15fc5feea648be941d253ed15633a60abbabafd3",
+    "trajectory_gt.txt":
+        "e41e3136c4b37913b5b8da5c8ff781409d434431a2d43f8400e1a9a7f262d0fe",
+}
 
 
 def _run(tmp_path, name, config_text, seed=3):
@@ -95,6 +108,14 @@ def test_one_pose_graph_solve_per_solve_every_loops(short_run):
     for solve in metrics["energy"]["pgba"]:
         assert solve["termination"] in TERMINATIONS \
             or solve["termination"].startswith("singular: ")
+
+
+def test_short_run_outputs_match_pinned_digests(short_run):
+    _, _, out = short_run
+    assert sorted(SHORT_RUN_SHA256) == sorted(OUTPUTS)
+    for name, digest in SHORT_RUN_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
+            == digest, name
 
 
 def test_same_seed_gives_byte_identical_outputs(short_run):

@@ -10,6 +10,7 @@ from vislam.geometry import (
     Rotation,
     SimTransform,
     hat,
+    quat_from_matrix,
     sim3_ad,
     sim3_right_jacobian_inv,
     so3_right_jacobian,
@@ -78,6 +79,34 @@ def test_quaternion_canonical_and_unit():
         r = r * Rotation.exp(_random_omega(rng, 0.5))
         assert r.q[0] >= 0.0
         assert abs(np.linalg.norm(r.q) - 1.0) < 1e-12
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("omega, pivot, flips", [
+    ([0.3, -0.1, 0.2], None, False),
+    (2.5 * _unit([1.0, 0.2, 0.1]), 0, False),
+    (2.5 * _unit([0.2, 1.0, -0.1]), 1, False),
+    (2.5 * _unit([0.1, -0.2, 1.0]), 2, False),
+    ((np.pi - 1e-9) * _unit([0.3, 0.5, 0.8]), 2, False),
+    (2.5 * _unit([-1.0, 0.2, 0.1]), 0, True),
+], ids=["trace", "pivot_x", "pivot_y", "pivot_z", "near_pi", "sign_flip"])
+def test_quat_from_matrix_matches_exp(omega, pivot, flips):
+    # Rotation.exp builds q from the half-angle directly, not from a matrix
+    r = Rotation.exp(omega)
+    R = r.matrix()
+    # the case takes the branch it is named for
+    assert (np.trace(R) > 0.0) == (pivot is None)
+    if pivot is not None:
+        assert np.argmax(np.diag(R)) == pivot
+    q = quat_from_matrix(R[None])[0]
+    assert (q[0] < 0.0) == flips
+    q = q / np.linalg.norm(q)
+    q = -q if q[0] < 0.0 else q
+    assert np.max(np.abs(q - r.q)) < 1e-12
 
 
 def test_right_jacobian_at_zero():

@@ -204,6 +204,12 @@ class TestPoseGraphValidation:
         with pytest.raises(ValueError, match="consecutive"):
             PoseGraph(nodes, chain, [])
 
+    def test_repeated_chain_edge_rejected(self):
+        nodes = self.make_nodes(3)
+        chain = chain_from([n.state for n in nodes])
+        with pytest.raises(ValueError, match="each once"):
+            PoseGraph(nodes, chain + chain[:1], [])
+
     def test_loop_endpoints_must_exist(self):
         nodes = self.make_nodes(2)
         loop = LoopEdge(0, 99, unit_rel(0, 99))

@@ -172,6 +172,16 @@ def test_inertial_edges_must_cover_consecutive_pairs():
                    graph.gravity, graph.intrinsics)
 
 
+def test_repeated_inertial_edge_rejected():
+    # scored twice if it were let through
+    rng = np.random.default_rng(29)
+    graph, _ = build_window(rng, n_kf=3, n_px=6)
+    repeated = graph.inertial_edges + graph.inertial_edges[:1]
+    with pytest.raises(ValueError, match="each once"):
+        FrameGraph(graph.keyframes, graph.vision_edges, repeated,
+                   graph.gravity, graph.intrinsics)
+
+
 def test_gravity_gauge_optimization_reduces_energy():
     rng = np.random.default_rng(30)
     from vislam.geometry import Rotation
