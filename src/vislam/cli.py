@@ -359,7 +359,7 @@ def execute(plan: RunPlan) -> RunArtifacts:
         if keyframed:
             kf = tracker.graph.keyframes[-1]
             worker.ingest_summary(KeyframeSummary(
-                kid=kf.kid, frame_index=f, pose=kf.state.pose.copy(),
+                kid=kf.kid, frame_index=f, pose=kf.state.pose,
                 pixels=kf.pixels, disparities=kf.disparities.copy()))
 
         # solve in batches so the pose graph is not re-optimized for every
@@ -382,9 +382,9 @@ def execute(plan: RunPlan) -> RunArtifacts:
     est = estimated_trajectory(tracker)
     gt_poses = []
     for row in tracker.archive:
-        gt_poses.append(ds.frame_pose(row.frame_index).copy())
+        gt_poses.append(ds.frame_pose(row.frame_index))
     for kf in tracker.graph.keyframes:
-        gt_poses.append(ds.frame_pose(tracker.frame_of[kf.kid]).copy())
+        gt_poses.append(ds.frame_pose(tracker.frame_of[kf.kid]))
     gt = Trajectory(est.timestamps.copy(), gt_poses)
 
     if not all(np.all(np.isfinite(p.translation)) for p in est.poses):

@@ -14,7 +14,7 @@ every edge row aligns with the source keyframe's disparity list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,7 +66,7 @@ class KeyframePolicy:
     def __post_init__(self):
         for name in ("flow_threshold", "max_interval",
                      "cov_trace_threshold", "flow_scale"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.window_size < 2:
             raise ValueError("window_size must be at least 2")
@@ -115,13 +115,12 @@ def propagate_keyframe_state(prev: PoseState, delta: PreintegratedDelta,
     g = gravity.vector()
     R_i = prev.pose.rotation
     velocity = prev.velocity + g * dt + R_i.apply(delta.delta_v)
+    pose = prev.pose
     if float(np.trace(delta.covariance)) <= policy.cov_trace_threshold:
         pose = Pose(R_i * delta.delta_R,
                     prev.pose.translation + prev.velocity * dt
                     + 0.5 * dt * dt * g + R_i.apply(delta.delta_p))
-    else:
-        pose = prev.pose.copy()
-    return PoseState(pose, velocity, prev.bias.copy(), prev.timestamp + dt)
+    return PoseState(pose, velocity, prev.bias, prev.timestamp + dt)
 
 
 @dataclass
@@ -265,15 +264,11 @@ def add_keyframe(tracker: TrackerState, frame_index: int,
         if len(chunk) < 2:
             raise ValueError("IMU buffer does not cover the keyframe interval")
         delta = preintegrate(chunk, last.state.bias, tracker.noise)
+        state = last.state
         if tracker.phase == PHASE_FULL:
-            prop = propagate_keyframe_state(last.state, delta, graph.gravity,
-                                            tracker.policy)
-            state = PoseState(prop.pose, prop.velocity, prop.bias,
-                              timestamp)
-        else:
-            state = PoseState(last.state.pose.copy(),
-                              last.state.velocity.copy(),
-                              last.state.bias.copy(), timestamp)
+            state = propagate_keyframe_state(state, delta, graph.gravity,
+                                             tracker.policy)
+        state = replace(state, timestamp=timestamp)
     else:
         state = PoseState(Pose.identity(), np.zeros(3), BiasState(),
                           timestamp)
@@ -349,7 +344,7 @@ def _evict(tracker: TrackerState) -> None:
         _, _, delta = graph.inertial_edges.pop(0)
         tracker.archive.append(ArchivedKeyframe(
             old.kid, tracker.frame_of.pop(old.kid), old.state.timestamp,
-            old.state.pose.copy(),
+            old.state.pose,
             eviction_edge(old.kid, succ.kid, old.state, succ.state, delta)))
         evicted.add(old.kid)
     if evicted:
@@ -388,30 +383,29 @@ def window_snapshot(tracker: TrackerState):
 def apply_correction(tracker: TrackerState, correction) -> int:
     """Fold a pose-graph correction into the window and the archive.
 
-    Window keyframes are rewarped by their entry's similarity delta: pose
-    composed, world velocity rotated and scaled, and the scale change folded
-    into the disparities so the window stays metric at unit scale. Archived
-    poses are rewarped in place. Entries whose pose and scale did not move
-    are skipped so untouched keyframes stay bit-identical. Returns the
-    number of keyframes updated.
+    Every moved keyframe, live or archived, takes its entry's solved pose
+    as is. A window keyframe's world velocity also turns by the entry's
+    rotation change and scales by its scale change, and its disparities
+    are divided by the scale change so the window stays metric at unit
+    scale. Entries whose pose and scale did not move are skipped so
+    untouched keyframes stay bit-identical. Returns the number of keyframes
+    updated.
     """
     applied = 0
     for kf in tracker.graph.keyframes:
         entry = correction.entries.get(kf.kid)
         if entry is None or not entry.moved():
             continue
-        delta = entry.delta()
-        state = kf.state
-        warped = delta * SimTransform.from_pose(state.pose)
-        state.pose = warped.pose()
-        state.velocity = delta.scale * delta.rotation.apply(state.velocity)
-        kf.disparities = kf.disparities / warped.scale
+        turn = entry.new_pose.rotation * entry.old_pose.rotation.inverse()
+        velocity = entry.scale_change * turn.apply(kf.state.velocity)
+        kf.state = replace(kf.state, pose=entry.new_pose, velocity=velocity)
+        kf.disparities = kf.disparities / entry.scale_change
         applied += 1
     for row in tracker.archive:
         entry = correction.entries.get(row.kid)
         if entry is None or not entry.moved():
             continue
-        row.pose = (entry.delta() * SimTransform.from_pose(row.pose)).pose()
+        row.pose = entry.new_pose
         applied += 1
     return applied
 

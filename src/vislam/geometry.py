@@ -7,7 +7,10 @@ Conventions used across the package:
 * pose tangents are (rotation, translation), retraction R <- R Exp(dtheta),
   p <- p + dp,
 * Sim(3) tangents are ordered (rotation, translation, log-scale) and retract
-  on the right: S <- S * Exp(xi).
+  on the right: S <- S * Exp(xi),
+* rotations, poses and similarities (and the states built from them) are
+  immutable values whose arrays are read-only: they are shared, never
+  copied, and updated by building a new value.
 """
 
 from __future__ import annotations
@@ -31,6 +34,17 @@ def _norm(v: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis; on one vector this rounds as
     np.linalg.norm does."""
     return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
+def readonly(a, shape: tuple) -> np.ndarray:
+    """A read-only float array of the given shape that owns its data, as the
+    immutable values keep their arrays: such an array is shared, any other
+    input copied."""
+    if not (isinstance(a, np.ndarray) and a.shape == shape and a.dtype == float
+            and a.flags.owndata and not a.flags.writeable):
+        a = np.array(np.reshape(a, shape), dtype=float)
+        a.flags.writeable = False
+    return a
 
 
 def hat(v: np.ndarray) -> np.ndarray:
@@ -128,7 +142,7 @@ def so3_log_matrix(R: np.ndarray) -> np.ndarray:
 
 
 class Rotation:
-    """Unit quaternion rotation, canonicalized to w >= 0."""
+    """Unit quaternion rotation, canonicalized to w >= 0; q is read-only."""
 
     __slots__ = ("q",)
 
@@ -136,6 +150,7 @@ class Rotation:
         q = np.asarray(q, dtype=float)
         q = q / np.linalg.norm(q)
         self.q = -q if q[0] < 0.0 else q
+        self.q.flags.writeable = False
 
     @staticmethod
     def identity() -> "Rotation":
@@ -200,7 +215,7 @@ class Rotation:
         return f"Rotation(q={self.q})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Pose:
     """Rigid transform x_out = R @ x + t."""
 
@@ -208,7 +223,7 @@ class Pose:
     translation: np.ndarray
 
     def __post_init__(self):
-        self.translation = np.asarray(self.translation, dtype=float).reshape(3)
+        object.__setattr__(self, "translation", readonly(self.translation, (3,)))
 
     @staticmethod
     def identity() -> "Pose":
@@ -239,7 +254,8 @@ class Pose:
         return Pose(self.rotation * Rotation.exp(dtheta), self.translation + dp)
 
     def copy(self) -> "Pose":
-        return Pose(Rotation(self.rotation.q.copy()), self.translation.copy())
+        """The pose itself: an immutable value needs no copy."""
+        return self
 
 
 def _sim3_w_matrix(omega: np.ndarray, sigma: float) -> np.ndarray:
@@ -276,7 +292,7 @@ def _sim3_w_matrix(omega: np.ndarray, sigma: float) -> np.ndarray:
     return C * np.eye(3) + A * K + B * K2
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimTransform:
     """Similarity transform x_out = scale * R @ x + t, scale > 0."""
 
@@ -285,8 +301,8 @@ class SimTransform:
     scale: float = 1.0
 
     def __post_init__(self):
-        self.translation = np.asarray(self.translation, dtype=float).reshape(3)
-        self.scale = float(self.scale)
+        object.__setattr__(self, "translation", readonly(self.translation, (3,)))
+        object.__setattr__(self, "scale", float(self.scale))
         if not self.scale > 0.0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
@@ -296,11 +312,11 @@ class SimTransform:
 
     @staticmethod
     def from_pose(pose: Pose, scale: float = 1.0) -> "SimTransform":
-        return SimTransform(Rotation(pose.rotation.q.copy()), pose.translation.copy(), scale)
+        return SimTransform(pose.rotation, pose.translation, scale)
 
     def pose(self) -> Pose:
         """Rigid part (scale dropped)."""
-        return Pose(Rotation(self.rotation.q.copy()), self.translation.copy())
+        return Pose(self.rotation, self.translation)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.scale * self.rotation.apply(x) + self.translation
@@ -349,9 +365,6 @@ class SimTransform:
         A[3:6, 6] = -t
         A[6, 6] = 1.0
         return A
-
-    def copy(self) -> "SimTransform":
-        return SimTransform(Rotation(self.rotation.q.copy()), self.translation.copy(), self.scale)
 
 
 def sim3_ad(xi: np.ndarray) -> np.ndarray:

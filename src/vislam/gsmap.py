@@ -388,10 +388,12 @@ def write_vgsm(path, gmap: GaussianMap) -> None:
 def read_vgsm(path) -> GaussianMap:
     """Load a map; a foreign, truncated or corrupt file raises ValueError."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _MAGIC:
+        header = f.read(16)
+        if header[:4] != _MAGIC:
             raise ValueError("not a Gaussian map file")
-        version, count = struct.unpack("<IQ", f.read(12))
+        if len(header) < 16:
+            raise ValueError("truncated Gaussian map file")
+        version, count = struct.unpack("<IQ", header[4:])
         if version != _VERSION:
             raise ValueError(f"unsupported map file version {version}")
         size = count * _RECORD.itemsize

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import block_diag, cholesky, solve_triangular
 
-from .geometry import Rotation, hat, so3_exp_matrix, so3_right_jacobian
+from .geometry import Rotation, hat, readonly, so3_exp_matrix, so3_right_jacobian
 
 
 @dataclass
@@ -39,22 +39,19 @@ class ImuSample:
             raise ValueError("IMU sample must be finite")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BiasState:
     gyro_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
     accel_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        self.gyro_bias = np.asarray(self.gyro_bias, dtype=float).reshape(3)
-        self.accel_bias = np.asarray(self.accel_bias, dtype=float).reshape(3)
+        object.__setattr__(self, "gyro_bias", readonly(self.gyro_bias, (3,)))
+        object.__setattr__(self, "accel_bias", readonly(self.accel_bias, (3,)))
         if not (np.all(np.isfinite(self.gyro_bias)) and np.all(np.isfinite(self.accel_bias))):
             raise ValueError("bias must be finite")
 
     def vector(self) -> np.ndarray:
         return np.concatenate([self.gyro_bias, self.accel_bias])
-
-    def copy(self) -> "BiasState":
-        return BiasState(self.gyro_bias.copy(), self.accel_bias.copy())
 
 
 @dataclass
@@ -69,7 +66,8 @@ class ImuNoiseModel:
 
     def __post_init__(self):
         for name in ("gyro_noise_density", "accel_noise_density",
-                     "gyro_bias_random_walk", "accel_bias_random_walk"):
+                     "gyro_bias_random_walk", "accel_bias_random_walk",
+                     "gravity_magnitude"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
 
@@ -199,5 +197,5 @@ def preintegrate(samples: list, bias_hat: BiasState, noise: ImuNoiseModel) -> Pr
         J_pos=J_pos[-1].copy(),
         J_vel=J_vel[-1].copy(),
         covariance=cov,
-        bias_lin_point=bias_hat.copy(),
+        bias_lin_point=bias_hat,
     )

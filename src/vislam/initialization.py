@@ -12,7 +12,7 @@ visual-inertial solve with the gravity direction left free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,6 +46,8 @@ class InitConfig:
                      "max_iterations_joint"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if not self.damping > 0.0:
+            raise ValueError("damping must be positive")
 
 
 @dataclass
@@ -133,8 +135,8 @@ class _InertialOnly:
     def __init__(self, graph: FrameGraph):
         self.graph = graph
         self.s = 0.0
-        self.gravity = graph.gravity.copy()
-        self.bias = graph.keyframes[0].state.bias.copy()
+        self.gravity = graph.gravity
+        self.bias = graph.keyframes[0].state.bias
         self.velocities = _fd_velocities(graph)
         self.out = None
 
@@ -220,11 +222,10 @@ def apply_initialization(graph: FrameGraph, result: InitResult) -> None:
     es = result.scale()
     for k, kf in enumerate(graph.keyframes):
         st = kf.state
-        kf.state = PoseState(Pose(st.pose.rotation, es * st.pose.translation),
-                             result.velocities[k].copy(), result.bias.copy(),
-                             st.timestamp)
+        kf.state = replace(st, pose=Pose(st.pose.rotation, es * st.pose.translation),
+                           velocity=result.velocities[k], bias=result.bias)
         kf.disparities = kf.disparities / es
-    graph.gravity = result.gravity.copy()
+    graph.gravity = result.gravity
 
 
 def init_joint(graph: FrameGraph, cfg: InitConfig | None = None) -> SolveReport:
@@ -244,8 +245,7 @@ def run_full_initialization(graph: FrameGraph,
     vision_report = init_vision(graph, cfg)
 
     fd_vel = _fd_velocities(graph)
-    seed_states = [PoseState(kf.state.pose, fd_vel[k], kf.state.bias,
-                             kf.state.timestamp)
+    seed_states = [replace(kf.state, velocity=fd_vel[k])
                    for k, kf in enumerate(graph.keyframes)]
     deltas = [delta for _, _, delta in graph.inertial_edges]
     graph.gravity = align_gravity(seed_states, deltas,
@@ -255,9 +255,9 @@ def run_full_initialization(graph: FrameGraph,
     apply_initialization(graph, result)
     joint_report = init_joint(graph, cfg)
 
-    result.gravity = graph.gravity.copy()
+    result.gravity = graph.gravity
     result.velocities = np.stack([kf.state.velocity for kf in graph.keyframes])
-    result.bias = graph.keyframes[-1].state.bias.copy()
+    result.bias = graph.keyframes[-1].state.bias
     result.reports["vision"] = vision_report
     result.reports["joint"] = joint_report
     return result

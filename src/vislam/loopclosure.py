@@ -57,7 +57,7 @@ class LoopPolicy:
     solve_every: int = 4         # admitted loops per pose-graph solve
 
     def __post_init__(self):
-        if self.flow_gate <= 0 or self.ang_gate_deg <= 0:
+        if not (self.flow_gate > 0 and self.ang_gate_deg > 0):
             raise ValueError("flow and orientation gates must be positive")
         for name in ("min_gap", "align_iterations", "solve_iterations",
                      "solve_every"):
@@ -192,11 +192,6 @@ class CorrectionEntry:
                     and np.array_equal(self.old_pose.translation,
                                        self.new_pose.translation))
 
-    def delta(self) -> SimTransform:
-        """World-frame warp that maps the old pose onto the new one."""
-        return SimTransform.from_pose(self.new_pose, self.scale_change) \
-            * SimTransform.from_pose(self.old_pose).inverse()
-
 
 @dataclass
 class LoopCorrection:
@@ -213,7 +208,7 @@ class _PairAlignment:
 
     def __init__(self, edge, d_i, S_i, S_j, k):
         self.edge, self.d_i, self.S_i, self.k = edge, d_i, S_i, k
-        self.S = S_j.copy()
+        self.S = S_j
         self.out = None
 
     def evaluate(self) -> float:
@@ -338,7 +333,7 @@ def solve_pgba(graph: PoseGraph, opts: SolveOptions | None = None):
         raise ValueError("pose graph chain is disconnected")
     if opts is None:
         opts = SolveOptions()
-    before = {n.kid: n.state.copy() for n in graph.nodes}
+    before = {n.kid: n.state for n in graph.nodes}
     report = lm_solve(_PoseGraphProblem(graph), opts)
     return report, _correction(graph, before)
 
@@ -456,7 +451,7 @@ class LoopWorker:
         """
         if not self.loops:
             return None
-        nodes = [PoseGraphNode(kid, state.copy(), self.summaries[kid].pixels,
+        nodes = [PoseGraphNode(kid, state, self.summaries[kid].pixels,
                                self.summaries[kid].disparities)
                  for kid, state in (*self.states.items(), *window_nodes)]
         graph = PoseGraph(nodes, self.chain + list(window_chain),

@@ -15,7 +15,7 @@ ordered (rotation, translation, velocity, gyro bias, accel bias).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cholesky
@@ -25,6 +25,7 @@ from .geometry import (
     Rotation,
     SimTransform,
     hat,
+    readonly,
     sim3_right_jacobian_inv,
     so3_exp_matrix,
     so3_log_matrix,
@@ -34,7 +35,7 @@ from .geometry import (
 from .imu import BiasState
 
 
-@dataclass
+@dataclass(frozen=True)
 class PoseState:
     pose: Pose
     velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -42,20 +43,14 @@ class PoseState:
     timestamp: float = 0.0
 
     def __post_init__(self):
-        self.velocity = np.asarray(self.velocity, dtype=float).reshape(3)
+        object.__setattr__(self, "velocity", readonly(self.velocity, (3,)))
 
     def retract(self, dx: np.ndarray) -> "PoseState":
         """15-dof update ordered (rotation, translation, velocity, bias)."""
         dx = np.asarray(dx, dtype=float).reshape(15)
-        return PoseState(
-            pose=self.pose.retract(dx[0:3], dx[3:6]),
-            velocity=self.velocity + dx[6:9],
-            bias=BiasState(self.bias.gyro_bias + dx[9:12], self.bias.accel_bias + dx[12:15]),
-            timestamp=self.timestamp,
-        )
-
-    def copy(self) -> "PoseState":
-        return PoseState(self.pose.copy(), self.velocity.copy(), self.bias.copy(), self.timestamp)
+        bias = BiasState(self.bias.gyro_bias + dx[9:12], self.bias.accel_bias + dx[12:15])
+        return replace(self, pose=self.pose.retract(dx[0:3], dx[3:6]),
+                       velocity=self.velocity + dx[6:9], bias=bias)
 
 
 @dataclass
@@ -116,7 +111,7 @@ class VisionEdge:
             raise ValueError("weights must be non-negative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GravityModel:
     R_wg: Rotation = field(default_factory=Rotation.identity)
     magnitude: float = 9.81
@@ -135,9 +130,6 @@ class GravityModel:
     def retract(self, dphi: np.ndarray) -> "GravityModel":
         """Right-perturbation of R_wg by a rotation vector."""
         return GravityModel(self.R_wg * Rotation.exp(dphi), self.magnitude)
-
-    def copy(self) -> "GravityModel":
-        return GravityModel(Rotation(self.R_wg.q.copy()), self.magnitude)
 
 
 # 2-dof gravity tangent basis, orthogonal to g_I (yaw about gravity excluded)

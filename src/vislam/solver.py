@@ -23,7 +23,7 @@ NormalEquations.add_rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -378,7 +378,9 @@ class NormalEquations:
 class GraphProblem:
     """LM problem state shared by the window and the pose-graph solves.
 
-    Nodes carry `state` (with copy()) and `disparities` (or None); evaluate()
+    Nodes carry an immutable `state` and `disparities` (or None), which a
+    retraction replaces and never writes into, so snapshot() keeps them by
+    reference and restore() puts back exactly what was saved. evaluate()
     stores the residual results in self.outs and linearize() scatters them
     into a new self.system, dropping the old system first and the results
     after, so neither is held beside its successor.
@@ -394,10 +396,7 @@ class GraphProblem:
         return self.system.solve(lam)
 
     def snapshot(self):
-        return ([n.state.copy() for n in self.nodes],
-                [None if n.disparities is None else n.disparities.copy()
-                 for n in self.nodes],
-                self.outs)
+        return [n.state for n in self.nodes], [n.disparities for n in self.nodes], self.outs
 
     def restore(self, snap) -> None:
         states, disps, self.outs = snap
@@ -477,16 +476,14 @@ class _WindowProblem(GraphProblem):
             if lay.dof == STATE_DOF:
                 kf.state = kf.state.retract(seg)
             else:
-                kf.state = PoseState(kf.state.pose.retract(seg[0:3], seg[3:6]),
-                                     kf.state.velocity, kf.state.bias,
-                                     kf.state.timestamp)
+                kf.state = replace(kf.state, pose=kf.state.pose.retract(seg[0:3], seg[3:6]))
         self.retract_disparities(dx[lay.n_pose_vars:])
         dg = dx[lay.n_state:lay.n_pose_vars]
         if len(dg):
             self.graph.gravity = self.graph.gravity.retract(GRAVITY_TANGENT_BASIS @ dg)
 
     def snapshot(self):
-        return super().snapshot(), self.graph.gravity.copy()
+        return super().snapshot(), self.graph.gravity
 
     def restore(self, snap) -> None:
         base, self.graph.gravity = snap

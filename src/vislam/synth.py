@@ -395,7 +395,7 @@ def make_dataset(model: TrajectoryModel, scene: SceneModel | None = None,
     intrinsics = intrinsics if intrinsics is not None else default_intrinsics()
     gravity = gravity if gravity is not None else GravityModel()
     bias = bias if bias is not None else BiasState()
-    if sigma_px < 0.0 or not 0.0 <= outlier_rate < 1.0:
+    if not (sigma_px >= 0.0 and 0.0 <= outlier_rate < 1.0):
         raise ValueError("invalid correspondence noise settings")
 
     traj = generate_trajectory(model, frame_rate, imu_rate)

@@ -462,7 +462,7 @@ def preintegrate(samples: list, bias_hat: BiasState, noise: ImuNoiseModel) -> Pr
         J_pos=J_p,
         J_vel=J_v,
         covariance=cov,
-        bias_lin_point=bias_hat.copy(),
+        bias_lin_point=bias_hat,
     )
 
 
@@ -572,7 +572,7 @@ def compose_deltas(a: PreintegratedDelta, b: PreintegratedDelta) -> Preintegrate
         J_pos=np.zeros((3, 6)),
         J_vel=np.zeros((3, 6)),
         covariance=np.eye(15),
-        bias_lin_point=a.bias_lin_point.copy(),
+        bias_lin_point=a.bias_lin_point,
     )
 
 

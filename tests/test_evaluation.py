@@ -170,7 +170,7 @@ class TestAteRmse:
     def test_no_association_is_an_error(self):
         rng = np.random.default_rng(11)
         gt = _random_trajectory(rng)
-        est = Trajectory(gt.timestamps + 100.0, [p.copy() for p in gt.poses])
+        est = Trajectory(gt.timestamps + 100.0, list(gt.poses))
         with pytest.raises(ValueError):
             ate_rmse(est, gt, "se3")
 
@@ -193,7 +193,7 @@ class TestRecall:
         poses = [Pose(Rotation.identity(), np.array([float(i), (i % 3) * 0.5, (i % 2) * 0.3]))
                  for i in range(n)]
         gt = Trajectory(times, poses)
-        est = Trajectory(times[:5], [p.copy() for p in poses[:5]])
+        est = Trajectory(times[:5], poses[:5])
         assert abs(recall_at(est, gt, 1.0, "se3") - 50.0) < 1e-12
 
     def test_monotone_in_threshold(self):

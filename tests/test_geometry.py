@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,8 @@ from vislam.geometry import (
     so3_right_jacobian,
     so3_right_jacobian_inv,
 )
+from vislam.imu import BiasState
+from vislam.residuals import GravityModel, PoseState
 
 
 def _random_omega(rng, max_angle=np.pi - 1e-3):
@@ -165,6 +169,38 @@ def test_pose_compose_inverse():
         assert np.allclose((a * b).apply(x), a.apply(b.apply(x)), atol=1e-10)
         ident = (a * a.inverse()).matrix()
         assert np.allclose(ident, np.eye(4), atol=1e-10)
+
+
+# type -> (build from a caller's 3-vector, fields, array fields)
+IMMUTABLE = {
+    "Rotation": (lambda a: Rotation.exp(a), (), ("q",)),
+    "Pose": (lambda a: Pose(Rotation.exp(a), a),
+             ("rotation", "translation"), ("translation",)),
+    "SimTransform": (lambda a: SimTransform(Rotation.exp(a), a, 2.0),
+                     ("rotation", "translation", "scale"), ("translation",)),
+    "PoseState": (lambda a: PoseState(Pose(Rotation.exp(a), a), a),
+                  ("pose", "velocity", "bias", "timestamp"), ("velocity",)),
+    "BiasState": (lambda a: BiasState(a, a), ("gyro_bias", "accel_bias"),
+                  ("gyro_bias", "accel_bias")),
+    "GravityModel": (lambda a: GravityModel(Rotation.exp(a)),
+                     ("R_wg", "magnitude"), ()),
+}
+
+
+@pytest.mark.parametrize("make, names, arrays", IMMUTABLE.values(),
+                         ids=list(IMMUTABLE))
+def test_values_are_immutable(make, names, arrays):
+    a = np.array([0.1, -0.2, 0.3])
+    value = make(a)
+    for name in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+    for name in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(value, name)[0] = 7.0
+    # the value owns its arrays: the caller's stays writable and apart
+    a[:] = 7.0
+    assert not any(np.any(getattr(value, name) == 7.0) for name in arrays)
 
 
 def test_sim3_apply_identity():

@@ -259,7 +259,7 @@ class TestLoopCorrectionUpdate:
         m = two_anchor_map()
         pose = random_pose(np.random.default_rng(1))
         means = m.gaussians.mean.copy()
-        corr = LoopCorrection({5: entry(5, pose.copy(), pose.copy(), 1.0)})
+        corr = LoopCorrection({5: entry(5, pose, pose, 1.0)})
         apply_loop_correction(m, corr)
         assert m.gaussians.mean.tobytes() == means.tobytes()
 
@@ -636,10 +636,12 @@ class TestExport:
         path = tmp_path / "map.vgsm"
         write_vgsm(path, m)
         blob = path.read_bytes()
-        # a cut record stream, and bare headers whose record count the
-        # file cannot hold: 2**40 records would not fit in memory, and the
-        # byte count of 2**62 overflows a read size
-        for data in (blob[:-20], b"VGSM" + struct.pack("<IQ", 1, 2 ** 40),
+        # a cut record stream, headers cut after the magic, inside the
+        # version and inside the count, and bare headers whose record count
+        # the file cannot hold: 2**40 records would not fit in memory, and
+        # the byte count of 2**62 overflows a read size
+        for data in (blob[:-20], blob[:4], blob[:8], blob[:15],
+                     b"VGSM" + struct.pack("<IQ", 1, 2 ** 40),
                      b"VGSM" + struct.pack("<IQ", 1, 2 ** 62)):
             path.write_bytes(data)
             with pytest.raises(ValueError, match="truncated"):
@@ -719,7 +721,7 @@ class TestAgainstObjectOracle:
         rng = np.random.default_rng(22)
         corr = LoopCorrection({
             0: entry(0, poses[0], random_pose(rng), 1.3),
-            1: entry(1, poses[1], poses[1].copy(), 1.0),     # did not move
+            1: entry(1, poses[1], poses[1], 1.0),            # did not move
             3: entry(3, poses[3], random_pose(rng), 0.7),    # anchor 2 has none
         })
         apply_loop_correction(m, corr)

@@ -28,7 +28,7 @@ def _rescale_graph(graph, k):
     for kf in graph.keyframes:
         st = kf.state
         kf.state = PoseState(Pose(st.pose.rotation, k * st.pose.translation),
-                             k * st.velocity, st.bias.copy(), st.timestamp)
+                             k * st.velocity, st.bias, st.timestamp)
         kf.disparities = kf.disparities / k
 
 
@@ -127,7 +127,7 @@ class TestAlignGravity:
             st = kf.state
             kf.state = PoseState(Pose(yaw * st.pose.rotation,
                                       yaw.apply(st.pose.translation)),
-                                 yaw.apply(st.velocity), st.bias.copy(),
+                                 yaw.apply(st.velocity), st.bias,
                                  st.timestamp)
         rotated = total_energy(graph)
         assert abs(rotated - base) <= 1e-10 * max(base, 1.0)

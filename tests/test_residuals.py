@@ -311,7 +311,7 @@ def _forward_simulate(samples, bias, state_i, gravity):
         p = p + v * dt + 0.5 * dt * dt * a_w
         v = v + dt * a_w
         R = R @ so3_exp_matrix(w * dt)
-    return PoseState(Pose(Rotation.from_matrix(R), p), v, bias.copy(),
+    return PoseState(Pose(Rotation.from_matrix(R), p), v, bias,
                      state_i.timestamp + (samples[-1].timestamp - samples[0].timestamp))
 
 
@@ -332,7 +332,7 @@ def test_inertial_equal_biases_zero_bias_block():
     delta, _ = _random_delta(rng)
     bias = BiasState(rng.standard_normal(3) * 0.01, rng.standard_normal(3) * 0.01)
     s_i = PoseState(_rand_pose(rng), rng.standard_normal(3), bias, timestamp=0.0)
-    s_j = PoseState(_rand_pose(rng), rng.standard_normal(3), bias.copy(), timestamp=0.3)
+    s_j = PoseState(_rand_pose(rng), rng.standard_normal(3), bias, timestamp=0.3)
     out = _inertial(delta, s_i, s_j, GravityModel())
     assert np.abs(out.residual[9:15]).max() == 0.0
 

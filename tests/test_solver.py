@@ -1,12 +1,14 @@
 """Solver contracts: energy accounting, step equivalence, recovery, gauge."""
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
 from vislam import solver
+from vislam.geometry import Pose, Rotation
 from vislam.residuals import GRAVITY_TANGENT_BASIS, GravityModel, VisionEdge
 from vislam.solver import (
     POSE_DOF,
@@ -148,6 +150,44 @@ def test_frozen_blocks_bit_identical():
     assert after.bias.vector().tobytes() == b0
 
 
+def _state_bytes(graph):
+    """Every solved array of the window, as bytes."""
+    out = [graph.gravity.R_wg.q.tobytes()]
+    for kf in graph.keyframes:
+        st = kf.state
+        out += [st.pose.rotation.q.tobytes(), st.pose.translation.tobytes(),
+                st.velocity.tobytes(), st.bias.gyro_bias.tobytes(),
+                st.bias.accel_bias.tobytes(), kf.disparities.tobytes()]
+    return out
+
+
+def test_rejected_trial_restores_bit_for_bit():
+    rng = np.random.default_rng(32)
+    graph, _ = build_window(rng, n_kf=5, n_px=8)
+    perturb_graph(graph, rng)
+
+    def renormalized_by_a_copy():
+        # a rotation whose q changes when Rotation(q.copy()) divides it by
+        # its norm again (about 2% of random rotations)
+        while True:
+            r = Rotation.exp(rng.normal(size=3))
+            if not np.array_equal(Rotation(r.q.copy()).q, r.q):
+                return r
+
+    for kf in graph.keyframes:
+        kf.state = replace(kf.state, pose=Pose(renormalized_by_a_copy(),
+                                               kf.state.pose.translation))
+    graph.gravity = GravityModel(renormalized_by_a_copy(), graph.gravity.magnitude)
+    problem = solver._WindowProblem(graph, SolveOptions(optimize_gravity=True))
+    saved = _state_bytes(graph)
+    snap = problem.snapshot()
+    n_vars = problem.layout.n_pose_vars + problem.layout.n_disp
+    problem.retract(1e-3 * rng.normal(size=n_vars))
+    assert _state_bytes(graph) != saved
+    problem.restore(snap)
+    assert _state_bytes(graph) == saved
+
+
 def test_solver_is_deterministic():
     rng = np.random.default_rng(28)
     graph, _ = build_window(rng, n_kf=4, n_px=10)
@@ -184,8 +224,6 @@ def test_repeated_inertial_edge_rejected():
 
 def test_gravity_gauge_optimization_reduces_energy():
     rng = np.random.default_rng(30)
-    from vislam.geometry import Rotation
-
     graph, _ = build_window(rng, n_kf=5, n_px=15)
     # tilt the assumed gravity a little and let the solver take it back
     graph.gravity = GravityModel(graph.gravity.R_wg * Rotation.exp(np.array([0.01, -0.02, 0.0])))

@@ -104,8 +104,7 @@ def build_window(rng, n_kf=8, n_px=30, kf_dt=0.25, rate_hz=200.0,
     R = R_fn(0.0)
     p = p_fn(0.0)
     v = v_fn(0.0)
-    states = [PoseState(Pose(Rotation.from_matrix(R), p.copy()), v.copy(),
-                        bias.copy(), 0.0)]
+    states = [PoseState(Pose(Rotation.from_matrix(R), p), v, bias, 0.0)]
     for n in range(n_samples - 1):
         dt = ts[n + 1] - ts[n]
         w = 0.5 * (samples[n].gyro + samples[n + 1].gyro) - bias.gyro_bias
@@ -116,8 +115,8 @@ def build_window(rng, n_kf=8, n_px=30, kf_dt=0.25, rate_hz=200.0,
         v = v + dt * a_w
         R = R @ so3_exp_matrix(w * dt)
         if (n + 1) % steps == 0:
-            states.append(PoseState(Pose(Rotation.from_matrix(R), p.copy()),
-                                    v.copy(), bias.copy(), ts[n + 1]))
+            states.append(PoseState(Pose(Rotation.from_matrix(R), p),
+                                    v, bias, ts[n + 1]))
 
     keyframes = []
     world_points = []
@@ -136,8 +135,7 @@ def build_window(rng, n_kf=8, n_px=30, kf_dt=0.25, rate_hz=200.0,
         d = 1.0 / cand_depth[ok][:n_px]
         if len(pixels) < n_px:
             raise RuntimeError("trajectory too aggressive for the scene depth range")
-        est_state = PoseState(s.pose.copy(), s.velocity.copy(),
-                              bias_hat.copy(), s.timestamp)
+        est_state = PoseState(s.pose, s.velocity, bias_hat, s.timestamp)
         keyframes.append(Keyframe(kid, est_state, pixels, d))
         world_points.append(s.pose.apply(backproject(k, pixels, d)))
 
@@ -157,8 +155,7 @@ def build_window(rng, n_kf=8, n_px=30, kf_dt=0.25, rate_hz=200.0,
         inertial_edges.append((i, i + 1, preintegrate(chunk, bias_hat, noise)))
 
     graph = FrameGraph(keyframes, vision_edges, inertial_edges, gravity, k)
-    truth = [s.copy() for s in states]
-    return graph, truth
+    return graph, states
 
 
 def perturb_graph(graph, rng, rot_deg=2.0, trans_m=0.05, vel=0.02,
@@ -174,7 +171,7 @@ def perturb_graph(graph, rng, rot_deg=2.0, trans_m=0.05, vel=0.02,
         dp *= trans_m / np.linalg.norm(dp)
         kf.state = PoseState(kf.state.pose.retract(dtheta, dp),
                              kf.state.velocity + rng.standard_normal(3) * vel,
-                             kf.state.bias.copy(), kf.state.timestamp)
+                             kf.state.bias, kf.state.timestamp)
 
 
 def ate_rmse(states, truth):
