@@ -24,8 +24,8 @@ from .residuals import (
     PoseState,
     inertial_residual,
 )
-from .solver import (RIDGE, FrameGraph, SolveOptions, SolveReport, lm_solve,
-                     solve_dense, solve_vi_ba)
+from .solver import (FrameGraph, GraphProblem, Layout, SolveOptions, SolveReport,
+                     lm_solve, solve_vi_ba)
 
 
 @dataclass
@@ -128,17 +128,25 @@ def _fd_velocities(graph: FrameGraph) -> np.ndarray:
     return v
 
 
-class _InertialOnly:
-    """Stage-2 problem for lm_solve over x = [log-scale, gravity (2), shared
-    bias (6), velocities (3 per keyframe)], vision poses fixed."""
+class _InertialOnly(GraphProblem):
+    """Stage-2 problem for lm_solve, vision poses fixed. It has no node and
+    so no gauge; its columns are [log-scale, gravity (2), shared bias (6),
+    velocities (3 per keyframe)], and each inertial edge is one row block on
+    15 of them."""
 
     def __init__(self, graph: FrameGraph):
+        super().__init__([], Layout(None, 0, [], 9 + 3 * len(graph.keyframes)))
         self.graph = graph
         self.s = 0.0
         self.gravity = graph.gravity
         self.bias = graph.keyframes[0].state.bias
-        self.velocities = _fd_velocities(graph)
-        self.out = None
+        self.velocities = np.stack([kf.state.velocity for kf in graph.keyframes])
+        self.ends = np.array([(graph.index_of(i), graph.index_of(j))
+                              for i, j, _ in graph.inertial_edges])
+        vel_cols = 9 + 3 * np.repeat(self.ends, 3, axis=1) + np.tile(np.arange(3), 2)
+        self.row_cols = np.hstack([np.tile(np.arange(9), (len(self.ends), 1)), vel_cols])
+        positions = np.stack([kf.state.pose.translation for kf in graph.keyframes])
+        self.p_i, self.p_j = positions[self.ends[:, 0]], positions[self.ends[:, 1]]
 
     def evaluate(self) -> float:
         """Inertial energy of the scale-adjusted states."""
@@ -147,34 +155,20 @@ class _InertialOnly:
         states = [PoseState(Pose(kf.state.pose.rotation, es * kf.state.pose.translation),
                             self.velocities[k], self.bias, kf.state.timestamp)
                   for k, kf in enumerate(g.keyframes)]
-        self.out = inertial_residual([d for _, _, d in g.inertial_edges],
-                                     [states[g.index_of(i)] for i, _, _ in g.inertial_edges],
-                                     [states[g.index_of(j)] for _, j, _ in g.inertial_edges],
-                                     self.gravity)
-        return float((self.out.residual ** 2).sum())
+        out = inertial_residual([d for _, _, d in g.inertial_edges],
+                                [states[k] for k in self.ends[:, 0]],
+                                [states[k] for k in self.ends[:, 1]], self.gravity)
+        self.outs = ([], out)
+        return float((out.residual ** 2).sum())
 
-    def linearize(self) -> None:
+    def dense_rows(self, out):
         es = float(np.exp(self.s))
-        dim = 9 + 3 * len(self.velocities)
-        self.H = np.zeros((dim, dim))
-        self.g = np.zeros(dim)
-        out = self.out
-        for e, (i, j, _) in enumerate(self.graph.inertial_edges):
-            ki, kj = self.graph.index_of(i), self.graph.index_of(j)
-            p_i = self.graph.kf(i).state.pose.translation
-            p_j = self.graph.kf(j).state.pose.translation
-            J = np.zeros((15, dim))
-            J[:, 0] = out.J_i[e, :, 3:6] @ (es * p_i) + out.J_j[e, :, 3:6] @ (es * p_j)
-            J[:, 1:3] = out.J_gravity[e] @ GRAVITY_TANGENT_BASIS
-            J[:, 3:9] = out.J_i[e, :, 9:15] + out.J_j[e, :, 9:15]
-            J[:, 9 + 3 * ki: 12 + 3 * ki] = out.J_i[e, :, 6:9]
-            J[:, 9 + 3 * kj: 12 + 3 * kj] = out.J_j[e, :, 6:9]
-            self.H += J.T @ J
-            self.g += J.T @ out.residual[e]
-
-    def step(self, lam: float) -> np.ndarray:
-        H_damped = self.H + np.diag(np.diag(self.H)) * lam + RIDGE * np.eye(len(self.g))
-        return solve_dense(H_damped, -self.g, "inertial-only system")
+        J_s = (out.J_i[:, :, 3:6] @ (es * self.p_i)[:, :, None]
+               + out.J_j[:, :, 3:6] @ (es * self.p_j)[:, :, None])
+        return (np.concatenate([J_s, out.J_gravity @ GRAVITY_TANGENT_BASIS,
+                                out.J_i[:, :, 9:15] + out.J_j[:, :, 9:15],
+                                out.J_i[:, :, 6:9], out.J_j[:, :, 6:9]], axis=2),
+                out.residual)
 
     def retract(self, dx: np.ndarray) -> None:
         self.s = self.s + float(dx[0])
@@ -184,21 +178,21 @@ class _InertialOnly:
         self.velocities = self.velocities + dx[9:].reshape(-1, 3)
 
     def snapshot(self):
-        return self.s, self.gravity, self.bias, self.velocities, self.out
+        return self.s, self.gravity, self.bias, self.velocities, self.outs
 
     def restore(self, snap) -> None:
-        self.s, self.gravity, self.bias, self.velocities, self.out = snap
+        self.s, self.gravity, self.bias, self.velocities, self.outs = snap
 
 
 def init_inertial_only(graph: FrameGraph,
                        cfg: InitConfig | None = None) -> InitResult:
     """Stage 2: metric unknowns with the vision poses frozen.
 
-    Gauss-Newton with Levenberg damping over x = [log-scale, gravity (2),
-    shared bias (6), velocities (3 per keyframe)]. Positions enter as
-    exp(s) * p_vision; rotations and the vision geometry stay fixed. The
-    solve stops on relative decrease alone: step_tol is the smallest
-    positive float, which no accepted step goes below.
+    Gauss-Newton with Levenberg damping from log-scale 0 and the window's
+    gravity, first bias and velocities (_InertialOnly gives the columns).
+    Positions enter as exp(s) * p_vision; rotations and the vision geometry
+    stay fixed. The solve stops on relative decrease alone: step_tol is the
+    smallest positive float, which no accepted step goes below.
     """
     cfg = cfg if cfg is not None else InitConfig()
     if len(graph.keyframes) < 2 or not graph.inertial_edges:
@@ -244,11 +238,11 @@ def run_full_initialization(graph: FrameGraph,
     cfg = cfg if cfg is not None else InitConfig()
     vision_report = init_vision(graph, cfg)
 
-    fd_vel = _fd_velocities(graph)
-    seed_states = [replace(kf.state, velocity=fd_vel[k])
-                   for k, kf in enumerate(graph.keyframes)]
+    # differenced velocities seed both the gravity direction and stage 2
+    for kf, v in zip(graph.keyframes, _fd_velocities(graph)):
+        kf.state = replace(kf.state, velocity=v)
     deltas = [delta for _, _, delta in graph.inertial_edges]
-    graph.gravity = align_gravity(seed_states, deltas,
+    graph.gravity = align_gravity([kf.state for kf in graph.keyframes], deltas,
                                   magnitude=graph.gravity.magnitude)
 
     result = init_inertial_only(graph, cfg)

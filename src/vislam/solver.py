@@ -10,14 +10,14 @@ is kept as one block per source keyframe over the pose columns of the edges
 it sources, so the step never forms a (pose variables x disparities) matrix
 (Triggs et al., "Bundle Adjustment - A Modern Synthesis", 2000).
 
-lm_solve is the package's one Levenberg-Marquardt loop: the pose-graph,
-two-view alignment and inertial-only initialization solves are problems for
-it as well, and the pose graph reuses Layout and NormalEquations. Both graphs
-group their vision edges by pixel count (Layout.pixel_groups): each group is
-one call of the reprojection kernel and one NormalEquations.add_pixels. The
-window scores all its inertial edges in one kernel call, and each graph
-scatters its dense (inertial, gravity or relative-pose) rows in one
-NormalEquations.add_rows.
+lm_solve is the package's one Levenberg-Marquardt loop. The window, the pose
+graph and the initializer's inertial-only stage are GraphProblems for it:
+each lays out its columns with a Layout and linearizes into NormalEquations,
+its vision edges one pixel-count group (Layout.pixel_groups) per kernel call
+and add_pixels, its dense (inertial, gravity or relative-pose) rows in one
+add_rows, and steps by NormalEquations.solve. The two-view loop alignment
+solves its own small system, because it floors its damping on near-null
+directions and NormalEquations.solve damps in proportion to the diagonal.
 """
 
 from __future__ import annotations
@@ -224,7 +224,8 @@ class Layout:
     """Column bookkeeping for one solve: a tangent block per node, extra
     columns after them, then one disparity per tracked pixel. The first node
     is the gauge: its block is frozen, so the free pose variables are the
-    slice after it and select views, not copies."""
+    slice after it and select views, not copies. With no node there is no
+    gauge, and every column is free."""
 
     def __init__(self, index_of, dof: int, disp_counts, n_extra: int = 0):
         self.index_of = index_of
@@ -368,7 +369,7 @@ class NormalEquations:
 
         free = lay.free
         dx = np.zeros(npv)
-        dx[free] = solve_dense(H[free, free], -g[free], "reduced pose system")
+        dx[free] = solve_dense(H[free, free], -g[free], "normal system")
         b = -self.g_d
         for c, d, M in self.coupling:
             b[d] -= M.T @ dx[c]
@@ -376,21 +377,37 @@ class NormalEquations:
 
 
 class GraphProblem:
-    """LM problem state shared by the window and the pose-graph solves.
+    """LM problem state of the window, pose-graph and inertial-only solves.
 
     Nodes carry an immutable `state` and `disparities` (or None), which a
     retraction replaces and never writes into, so snapshot() keeps them by
     reference and restore() puts back exactly what was saved. evaluate()
-    stores the residual results in self.outs and linearize() scatters them
-    into a new self.system, dropping the old system first and the results
-    after, so neither is held beside its successor.
+    stores (vision results per pixel group, dense-row result) in self.outs;
+    linearize() scatters them into a new self.system, dropping the old
+    system first and the results after, so neither is held beside its
+    successor. A subclass's dense_rows(result) builds the Jacobian and
+    residuals of its rows on the columns self.row_cols (E, k), at linearize
+    time only, so a rejected trial never pays for them. A problem without
+    nodes or vision groups (the inertial-only stage) keeps its unknowns in
+    its own fields and overrides snapshot() and restore().
     """
 
     def __init__(self, nodes: list, layout: Layout):
         self.nodes = nodes
         self.layout = layout
+        self.groups = []
         self.outs = None
         self.system = None
+
+    def linearize(self) -> None:
+        self.system = None
+        system = NormalEquations(self.layout)
+        vision, dense = self.outs
+        for group, out in zip(self.groups, vision):
+            system.add_pixels(group, out.J_i, out.J_j, out.J_disparity, out.residual)
+        if len(self.row_cols):
+            system.add_rows(self.row_cols, *self.dense_rows(dense))
+        self.system, self.outs = system, None
 
     def step(self, lam: float) -> np.ndarray:
         return self.system.solve(lam)
@@ -431,9 +448,9 @@ class _WindowProblem(GraphProblem):
         self.groups = layout.pixel_groups(graph.vision_edges, POSE_DOF)
         # each inertial edge's state columns at both ends, then gravity's
         grav_cols = np.arange(layout.n_state, layout.n_pose_vars)
-        self.chain_cols = np.array([np.concatenate([layout.cols(i, layout.dof),
-                                                    layout.cols(j, layout.dof), grav_cols])
-                                    for i, j, _ in graph.inertial_edges])
+        self.row_cols = np.array([np.concatenate([layout.cols(i, layout.dof),
+                                                  layout.cols(j, layout.dof), grav_cols])
+                                  for i, j, _ in graph.inertial_edges])
 
     def evaluate(self) -> float:
         """Sum of whitened squared residuals over every edge of the graph."""
@@ -454,20 +471,12 @@ class _WindowProblem(GraphProblem):
             e += float((out.residual ** 2).sum())
         return e
 
-    def linearize(self) -> None:
-        self.system = None
-        system = NormalEquations(self.layout)
-        vision, inertial = self.outs
-        for group, out in zip(self.groups, vision):
-            system.add_pixels(group, out.J_i, out.J_j,
-                              out.J_disparity, out.residual)
-        if inertial is not None:
-            lay = self.layout
-            J = [inertial.J_i[:, :, :lay.dof], inertial.J_j[:, :, :lay.dof]]
-            if lay.n_pose_vars > lay.n_state:
-                J.append(inertial.J_gravity @ GRAVITY_TANGENT_BASIS)
-            system.add_rows(self.chain_cols, np.concatenate(J, axis=2), inertial.residual)
-        self.system, self.outs = system, None
+    def dense_rows(self, inertial):
+        lay = self.layout
+        J = [inertial.J_i[:, :, :lay.dof], inertial.J_j[:, :, :lay.dof]]
+        if lay.n_pose_vars > lay.n_state:
+            J.append(inertial.J_gravity @ GRAVITY_TANGENT_BASIS)
+        return np.concatenate(J, axis=2), inertial.residual
 
     def retract(self, dx: np.ndarray) -> None:
         lay = self.layout

@@ -28,6 +28,7 @@ from vislam.gsmap import _RECORD, DEPTH_SENTINEL, Gaussian, Gaussians, RenderOut
 from vislam.imu import BiasState, ImuNoiseModel, PreintegratedDelta
 from vislam.loopclosure import _PoseGraphProblem
 from vislam.residuals import (
+    GRAVITY_TANGENT_BASIS,
     GravityModel,
     InertialResidualResult,
     Intrinsics,
@@ -372,6 +373,35 @@ def total_pg_energy(graph) -> float:
     """Sum of whitened squared residuals over a pose graph's chain and loop
     edges."""
     return _PoseGraphProblem(graph).evaluate()
+
+
+def inertial_only_system(problem):
+    """H, g of an evaluated vislam.initialization._InertialOnly, assembled
+    edge by edge: a dense (15, 9 + 3N) Jacobian per inertial edge over
+    [log-scale, gravity (2), bias (6), velocities (3 per keyframe)], then
+    H += J^T J and g += J^T r."""
+    graph, out = problem.graph, problem.outs[1]
+    es = float(np.exp(problem.s))
+    dim = 9 + 3 * len(graph.keyframes)
+    H, g = np.zeros((dim, dim)), np.zeros(dim)
+    for e, (i, j, _) in enumerate(graph.inertial_edges):
+        ki, kj = graph.index_of(i), graph.index_of(j)
+        p_i = graph.kf(i).state.pose.translation
+        p_j = graph.kf(j).state.pose.translation
+        J = np.zeros((15, dim))
+        J[:, 0] = out.J_i[e, :, 3:6] @ (es * p_i) + out.J_j[e, :, 3:6] @ (es * p_j)
+        J[:, 1:3] = out.J_gravity[e] @ GRAVITY_TANGENT_BASIS
+        J[:, 3:9] = out.J_i[e, :, 9:15] + out.J_j[e, :, 9:15]
+        J[:, 9 + 3 * ki:12 + 3 * ki] = out.J_i[e, :, 6:9]
+        J[:, 9 + 3 * kj:12 + 3 * kj] = out.J_j[e, :, 6:9]
+        H += J.T @ J
+        g += J.T @ out.residual[e]
+    return H, g
+
+
+def inertial_only_step(H, g, lam: float) -> np.ndarray:
+    """The damped step on H + diag(H) lam + RIDGE I, every column free."""
+    return np.linalg.solve(H + np.diag(np.diag(H)) * lam + solver.RIDGE * np.eye(len(g)), -g)
 
 
 # ---------------------------------------------------------------- IMU deltas

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from vislam.geometry import Pose, Rotation
 from vislam.imu import BiasState, ImuNoiseModel, ImuSample, PreintegratedDelta, preintegrate
 from vislam.initialization import (
     InitConfig,
+    _fd_velocities,
+    _InertialOnly,
     align_gravity,
     apply_initialization,
     init_inertial_only,
@@ -16,6 +20,7 @@ from vislam.initialization import (
 from vislam.residuals import GravityModel, PoseState
 from vislam.solver import FrameGraph, total_energy
 
+import oracles
 from windows import build_window, perturb_graph
 
 
@@ -30,6 +35,14 @@ def _rescale_graph(graph, k):
         kf.state = PoseState(Pose(st.pose.rotation, k * st.pose.translation),
                              k * st.velocity, st.bias, st.timestamp)
         kf.disparities = kf.disparities / k
+
+
+def _init_inertial_from_fd(graph):
+    """Stage 2 from the central-difference velocities that
+    run_full_initialization writes into the window before it."""
+    for kf, v in zip(graph.keyframes, _fd_velocities(graph)):
+        kf.state = replace(kf.state, velocity=v)
+    return init_inertial_only(graph)
 
 
 class TestInitConfig:
@@ -149,21 +162,21 @@ class TestInertialOnly:
         rng = np.random.default_rng(6)
         graph, _ = build_window(rng, n_kf=8)
         _rescale_graph(graph, 0.5)
-        result = init_inertial_only(graph)
+        result = _init_inertial_from_fd(graph)
         assert abs(result.scale() - 2.0) < 0.02
 
     def test_recovers_injected_gyro_bias(self):
         rng = np.random.default_rng(7)
         true_bias = BiasState([0.01, -0.02, 0.005], [0.03, -0.01, 0.02])
         graph, _ = build_window(rng, n_kf=8, bias=true_bias, bias_hat=BiasState())
-        result = init_inertial_only(graph)
+        result = _init_inertial_from_fd(graph)
         err = np.linalg.norm(result.bias.gyro_bias - true_bias.gyro_bias)
         assert err < 0.05 * np.linalg.norm(true_bias.gyro_bias)
 
     def test_metric_input_gives_zero_log_scale(self):
         rng = np.random.default_rng(8)
         graph, _ = build_window(rng, n_kf=8)
-        result = init_inertial_only(graph)
+        result = _init_inertial_from_fd(graph)
         assert abs(result.log_scale) < 1e-4
 
     def test_scale_equivariance(self):
@@ -173,9 +186,27 @@ class TestInertialOnly:
         graph_b, _ = build_window(rng, n_kf=6)
         k = 1.7
         _rescale_graph(graph_b, k)
-        s_a = init_inertial_only(graph_a).log_scale
-        s_b = init_inertial_only(graph_b).log_scale
+        s_a = _init_inertial_from_fd(graph_a).log_scale
+        s_b = _init_inertial_from_fd(graph_b).log_scale
         assert abs((s_b - s_a) - (-np.log(k))) < 1e-6
+
+    @pytest.mark.parametrize("lam", [1e-4, 1.0, 1e4])
+    def test_assembly_and_step_match_per_edge_oracle(self, lam):
+        rng = np.random.default_rng(14)
+        graph, _ = build_window(
+            rng, n_kf=5, bias=BiasState([0.01, -0.02, 0.005], [0.03, -0.01, 0.02]),
+            bias_hat=BiasState([0.004, 0.01, -0.003], [-0.02, 0.015, 0.01]))
+        problem = _InertialOnly(graph)
+        problem.retract(rng.normal(0.0, 0.05, 9 + 3 * len(graph.keyframes)))
+        assert problem.s != 0.0 and np.all(np.abs(problem.velocities) > 0)
+        problem.evaluate()
+        H, g = oracles.inertial_only_system(problem)
+        problem.linearize()
+        system = problem.system
+        assert np.abs(system.H_pp - H).max() <= 1e-12 * np.abs(H).max()
+        assert np.abs(system.g_p - g).max() <= 1e-12 * np.abs(g).max()
+        want = oracles.inertial_only_step(H, g, lam)
+        assert np.abs(problem.step(lam) - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_too_few_keyframes_rejected(self):
         rng = np.random.default_rng(10)
@@ -192,7 +223,7 @@ class TestJointAndPipeline:
         rng = np.random.default_rng(11)
         graph, _ = build_window(rng, n_kf=8)
         _rescale_graph(graph, 0.6)
-        result = init_inertial_only(graph)
+        result = _init_inertial_from_fd(graph)
         apply_initialization(graph, result)
         stage2_energy = total_energy(graph)
         init_joint(graph)

@@ -43,3 +43,29 @@ def _unused_imports(tree: ast.Module) -> list:
 def test_no_unused_module_level_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def _names(tree: ast.Module) -> set:
+    """Every name a module binds, reads or imports, and every attribute."""
+    names = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name)
+    return names
+
+
+# A damped solve outside NormalEquations is its own normal-equation path:
+# only the two-view loop alignment, with its floored damping, keeps one.
+PRIVATE_SOLVE = {"solve_dense": {"solver.py", "loopclosure.py"},
+                 "RIDGE": {"solver.py"}}
+
+
+@pytest.mark.parametrize("name", sorted(PRIVATE_SOLVE))
+def test_damped_solve_named_only_where_allowed(name):
+    users = {p.name for p in MODULES
+             if name in _names(ast.parse(p.read_text(), filename=str(p)))}
+    assert users <= PRIVATE_SOLVE[name]
