@@ -27,12 +27,12 @@ from .residuals import (
     sim3_vision_residual,
 )
 from .solver import (
+    POSE_DOF,
     GraphProblem,
     KeyframeIndex,
     Layout,
     SolveOptions,
     lm_solve,
-    solve_dense,
 )
 
 SIM3_DOF = 7
@@ -202,47 +202,43 @@ class LoopCorrection:
                 raise ValueError("correction entry keyed under the wrong keyframe id")
 
 
-class _PairAlignment:
-    """Two-view problem for lm_solve: S_j alone, S_i and disparities fixed.
+class _PairAlignment(GraphProblem):
+    """Two-view problem with no node: S_j's rotation and translation are its
+    six free columns, S_i and the source disparities stay fixed.
 
-    It solves its own system, not NormalEquations, to floor its damping: the
-    scale of S_j cannot be observed from j's own projections, so the damping
-    diagonal is floored at 1e-3 of its largest entry and that near-null
-    direction stiffens with lam. On the bench `loop` config (seed 1), damping
-    in proportion to the diagonal alone let one of the 11 alignments drift to
-    log-scale -2.2; floored, all stay within 5e-4 of 0. No pipeline solve
-    reads the alignment's measurement: every loop also has a vision edge.
+    S_j's log-scale is not a column. A camera at the body origin cannot see
+    it, so its Jacobian column is zero and only damping would hold it: damped
+    in proportion to the diagonal, one of the 11 alignments on the bench
+    `loop` config (seed 1) drifted to log-scale -2.2. So the gauge freedom is
+    taken out of the parameters (Triggs et al., 2000) and S_j's scale comes
+    back unchanged. No pipeline solve reads the alignment's measurement:
+    every loop also has a vision edge.
     """
 
     def __init__(self, edge, d_i, S_i, S_j, k):
+        super().__init__([], Layout(None, 0, [], POSE_DOF))
         self.edge, self.d_i, self.S_i, self.k = edge, d_i, S_i, k
         self.S = S_j
-        self.out = None
+        self.row_cols = np.arange(POSE_DOF)[None]
 
     def evaluate(self) -> float:
-        self.out = sim3_vision_residual([self.edge], [self.S_i], [self.S],
-                                        [self.d_i], self.k)
-        return float((self.out.residual ** 2).sum())
+        out = sim3_vision_residual([self.edge], [self.S_i], [self.S],
+                                   [self.d_i], self.k)
+        self.outs = ([], out)
+        return float((out.residual ** 2).sum())
 
-    def linearize(self) -> None:
-        J = self.out.J_j.reshape(-1, SIM3_DOF)
-        self.g = J.T @ self.out.residual.reshape(-1)
-        self.H = J.T @ J
-        diag = np.diag(self.H)
-        self.damp = np.maximum(diag, 1e-3 * max(1.0, float(np.max(diag))))
-
-    def step(self, lam: float) -> np.ndarray:
-        return solve_dense(self.H + np.diag(self.damp * lam), -self.g,
-                           "alignment system")
+    def dense_rows(self, out):
+        return (out.J_j[..., :POSE_DOF].reshape(1, -1, POSE_DOF),
+                out.residual.reshape(1, -1))
 
     def retract(self, dx: np.ndarray) -> None:
-        self.S = self.S.retract(dx)
+        self.S = self.S.retract(np.append(dx, 0.0))
 
     def snapshot(self):
-        return self.S, self.out
+        return self.S, self.outs
 
     def restore(self, snap) -> None:
-        self.S, self.out = snap
+        self.S, self.outs = snap
 
 
 def align_loop_pair(edge: VisionEdge, d_i: np.ndarray, S_i: SimTransform,
@@ -250,19 +246,23 @@ def align_loop_pair(edge: VisionEdge, d_i: np.ndarray, S_i: SimTransform,
                     iterations: int = LoopPolicy.align_iterations) -> RelativePoseEdge:
     """Two-view similarity alignment of a loop pair from its correspondences.
 
-    Holds S_i and the source disparities fixed, refines S_j by damped
-    Gauss-Newton on the reprojection residual, and returns the relative-pose
-    measurement S_j S_i^-1 with information from the Gauss-Newton Hessian at
-    the optimum, transported to the relative-residual tangent and eigenvalue
-    clamped so whitening stays well posed.
+    Holds S_i, the source disparities and S_j's scale fixed, refines the rest
+    of S_j by damped Gauss-Newton on the reprojection residual, and returns
+    the relative-pose measurement S_j S_i^-1 with information from the
+    Gauss-Newton Hessian at the optimum, transported to the relative-residual
+    tangent and eigenvalue clamped so whitening stays well posed (the blind
+    scale row is zero, so it sits at the clamp's floor).
     """
     problem = _PairAlignment(edge, d_i, S_i, S_j, k)
     lm_solve(problem, SolveOptions(max_iterations=iterations, damping=1e-6,
                                    step_tol=1e-12))
+    problem.evaluate()
     problem.linearize()
+    H = np.zeros((SIM3_DOF, SIM3_DOF))
+    H[:POSE_DOF, :POSE_DOF] = problem.system.H_pp
     S = problem.S
     A_inv = np.linalg.inv(S.adjoint())
-    info = map_eigenvalues(A_inv.T @ problem.H @ A_inv,
+    info = map_eigenvalues(A_inv.T @ H @ A_inv,
                            lambda vals: np.clip(vals, 1e-3, 1e8))
     return RelativePoseEdge(edge.i, edge.j, S * S_i.inverse(), info)
 
@@ -365,7 +365,6 @@ class LoopWorker:
         self.policy = policy
         self.flow_scale = flow_scale              # KeyframePolicy.flow_scale
         self.summaries = {}         # kid -> KeyframeSummary, solved disparities
-        self.poses = {}             # kid -> Pose, newest estimate seen
         self.states = {}            # kid -> SimTransform, archived nodes only
         self.chain = []             # exported sequential edges, archived prefix
         self.loops = []
@@ -385,7 +384,7 @@ class LoopWorker:
 
     def _state_of(self, kid: int) -> SimTransform:
         s = self.states.get(kid)
-        return s if s is not None else SimTransform.from_pose(self.poses[kid])
+        return s if s is not None else SimTransform.from_pose(self.summaries[kid].pose)
 
     def _flow(self, old: KeyframeSummary, new: KeyframeSummary,
               edges: dict) -> float:
@@ -405,7 +404,6 @@ class LoopWorker:
                                   lambda old: self._flow(old, summary, edges),
                                   self.policy)
         self.summaries[summary.kid] = summary
-        self.poses[summary.kid] = summary.pose
         if not candidates:
             return None
         pair = candidates[0]
@@ -432,7 +430,6 @@ class LoopWorker:
         its depths), so the archived node enters at unit scale.
         """
         self.states[kid] = SimTransform.from_pose(pose)
-        self.poses[kid] = pose
         self.chain.append(chain_edge)
 
     def solve(self, window_nodes, window_chain):
@@ -456,7 +453,6 @@ class LoopWorker:
         report, correction = solve_pgba(graph, SolveOptions(
             max_iterations=self.policy.solve_iterations))
         for node in graph.nodes:
-            self.poses[node.kid] = node.state.pose()
             if node.kid in self.states:
                 self.states[node.kid] = node.state
             if node.disparities is not None:

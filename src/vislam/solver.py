@@ -10,14 +10,11 @@ is kept as one block per source keyframe over the pose columns of the edges
 it sources, so the step never forms a (pose variables x disparities) matrix
 (Triggs et al., "Bundle Adjustment - A Modern Synthesis", 2000).
 
-lm_solve is the package's one Levenberg-Marquardt loop. The window, the pose
-graph and the initializer's inertial-only stage are GraphProblems for it:
-each lays out its columns with a Layout and linearizes into NormalEquations,
-its vision edges one pixel-count group (Layout.pixel_groups) per kernel call
-and add_pixels, its dense (inertial, gravity or relative-pose) rows in one
-add_rows, and steps by NormalEquations.solve. The two-view loop alignment
-solves its own small system, because it floors its damping on near-null
-directions and NormalEquations.solve damps in proportion to the diagonal.
+lm_solve is the package's one Levenberg-Marquardt loop, and every solve is a
+GraphProblem for it: each lays out its columns with a Layout and linearizes
+into NormalEquations, its vision edges one pixel-count group
+(Layout.pixel_groups) per kernel call and add_pixels, its dense rows in one
+add_rows, and steps by NormalEquations.solve.
 """
 
 from __future__ import annotations
@@ -151,8 +148,8 @@ def lm_solve(problem, opts: SolveOptions) -> SolveReport:
       linearize() needs, so an accepted point is never scored twice;
     * linearize(): the normal equations from the last evaluation, which is
       always the current (accepted) state's;
-    * step(lam) -> dx: its own damped solve, raising RuntimeError when the
-      system is singular;
+    * step(lam) -> dx: the damped solve, raising RuntimeError when the
+      system is singular. A GraphProblem steps by NormalEquations.solve;
     * retract(dx), snapshot() and restore(snap): move, save and reinstate
       the state together with its evaluation.
 
@@ -377,7 +374,8 @@ class NormalEquations:
 
 
 class GraphProblem:
-    """LM problem state of the window, pose-graph and inertial-only solves.
+    """LM problem state of the window, pose-graph, inertial-only and loop
+    alignment solves.
 
     Nodes carry an immutable `state` and `disparities` (or None), which a
     retraction replaces and never writes into, so snapshot() keeps them by
@@ -388,8 +386,9 @@ class GraphProblem:
     successor. A subclass's dense_rows(result) builds the Jacobian and
     residuals of its rows on the columns self.row_cols (E, k), at linearize
     time only, so a rejected trial never pays for them. A problem without
-    nodes or vision groups (the inertial-only stage) keeps its unknowns in
-    its own fields and overrides snapshot() and restore().
+    nodes or vision groups (the inertial-only stage, the loop alignment)
+    keeps its unknowns in its own fields and overrides snapshot() and
+    restore().
     """
 
     def __init__(self, nodes: list, layout: Layout):

@@ -45,12 +45,12 @@ class TrajectoryModel:
             raise ValueError(f"unknown trajectory family {self.family!r}")
         if self.yaw_policy not in YAW_POLICIES:
             raise ValueError(f"unknown yaw policy {self.yaw_policy!r}")
-        if not self.period > 0.0:
-            raise ValueError("period must be positive")
-        if not self.duration > 0.0:
-            raise ValueError("duration must be positive")
-        if self.amplitude < 0.0:
-            raise ValueError("amplitude must be non-negative")
+        if not 0.0 < self.period < np.inf:
+            raise ValueError("period must be positive and finite")
+        if not 0.0 < self.duration < np.inf:
+            raise ValueError("duration must be positive and finite")
+        if not 0.0 <= self.amplitude < np.inf:
+            raise ValueError("amplitude must be non-negative and finite")
         if self.yaw_policy == "tangent" and self.amplitude == 0.0:
             raise ValueError("tangent heading is undefined for a static trajectory")
 
@@ -193,13 +193,13 @@ def generate_trajectory(model: TrajectoryModel, frame_rate: float,
     The IMU rate must be an integer multiple of the frame rate so every frame
     timestamp coincides exactly with an IMU sample.
     """
-    if not frame_rate > 0.0:
-        raise ValueError("frame rate must be positive")
-    if imu_rate < frame_rate:
-        raise ValueError("IMU rate must be at least the frame rate")
+    if not 0.0 < frame_rate < np.inf:
+        raise ValueError("frame_rate must be positive and finite")
+    if not frame_rate <= imu_rate < np.inf:
+        raise ValueError("imu_rate must be finite and at least the frame rate")
     ratio = imu_rate / frame_rate
     if abs(ratio - round(ratio)) > 1e-9:
-        raise ValueError("IMU rate must be an integer multiple of the frame rate")
+        raise ValueError("imu_rate must be an integer multiple of frame_rate")
 
     kin = _Kinematics(model)
     n_frames = int(np.floor(model.duration * frame_rate + 1e-9)) + 1
@@ -284,22 +284,11 @@ class SceneModel:
         if not self.contains(origin):
             raise ValueError("ray origin outside the scene box")
         dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
-        L = self.half_extent
-        s_best = np.full(len(dirs), np.inf)
-        for axis in range(3):
-            d = dirs[:, axis]
-            for sign in (-1.0, 1.0):
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    s = (sign * L - origin[axis]) / d
-                ok = np.isfinite(s) & (s > 1e-9)
-                if not np.any(ok):
-                    continue
-                s_safe = np.where(ok, s, 0.0)
-                hit = origin[None, :] + s_safe[:, None] * dirs
-                other = [a for a in range(3) if a != axis]
-                ok &= np.all(np.abs(hit[:, other]) <= L + 1e-9, axis=1)
-                s_best = np.where(ok & (s_safe < s_best), s_safe, s_best)
-        return s_best
+        # a ray from inside leaves through the nearest of the three walls it
+        # heads toward; a zero component never reaches its walls (+inf)
+        with np.errstate(divide="ignore"):
+            s = (np.copysign(self.half_extent, dirs) - origin) / dirs
+        return s.min(axis=1)
 
     def color_at(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float).reshape(-1, 3)

@@ -167,6 +167,29 @@ def umeyama_alignment_ref(src: np.ndarray, dst: np.ndarray, with_scale: bool):
     return s, R, t
 
 
+def raycast(scene, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """SceneModel.raycast by trying all six walls, each hit checked against
+    the other faces."""
+    origin = np.asarray(origin, dtype=float).reshape(3)
+    dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
+    L = scene.half_extent
+    s_best = np.full(len(dirs), np.inf)
+    for axis in range(3):
+        d = dirs[:, axis]
+        for sign in (-1.0, 1.0):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = (sign * L - origin[axis]) / d
+            ok = np.isfinite(s) & (s > 1e-9)
+            if not np.any(ok):
+                continue
+            s_safe = np.where(ok, s, 0.0)
+            hit = origin[None, :] + s_safe[:, None] * dirs
+            other = [a for a in range(3) if a != axis]
+            ok &= np.all(np.abs(hit[:, other]) <= L + 1e-9, axis=1)
+            s_best = np.where(ok & (s_safe < s_best), s_safe, s_best)
+    return s_best
+
+
 # Per-edge reprojection and pixel scatter: the library evaluates and
 # scatters a stack of edges at once, these do one edge with einsums.
 

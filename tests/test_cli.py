@@ -232,6 +232,24 @@ def test_out_of_range_float_is_a_config_error(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+# Non-finite dataset values: an infinite duration or IMU rate used to end in
+# an OverflowError traceback, and a NaN amplitude or IMU rate was stopped only
+# later, by an error that did not name the key.
+@pytest.mark.parametrize("key, value", [
+    ("dataset.duration", "inf"),
+    ("dataset.imu_rate", "inf"),
+    ("dataset.amplitude", "nan"),
+    ("dataset.imu_rate", "nan"),
+], ids=lambda v: v)
+def test_non_finite_dataset_value_is_a_config_error(tmp_path, capsys, key,
+                                                    value):
+    code, out = _run(tmp_path, "bad", SHORT_RUN + f"{key} = {value}\n")
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert '"error": "config"' in err and key.split(".")[1] in err
+    assert not out.exists()
+
+
 # The whole config surface: every key and default, as `vislam run
 # --dump-defaults` prints it with no preset. Changing a line here changes
 # what every config file and preset means.

@@ -387,8 +387,11 @@ class TestAlignLoopPair:
         rng = np.random.default_rng(11)
         pert = np.concatenate([rng.normal(0, 0.02, 3),
                                rng.normal(0, 0.05, 3), [0.03]])
-        rel = align_loop_pair(vis, d, S_i, S_j_gt.retract(pert), k)
+        S_j = S_j_gt.retract(pert)
+        rel = align_loop_pair(vis, d, S_i, S_j, k)
         assert (rel.i, rel.j) == (0, 6)
+        # the blind scale is not a column, so S_j's scale comes back as is
+        assert rel.measurement.scale == S_j.scale * (1.0 / S_i.scale)
         S_rec = rel.measurement * S_i
         rot_err = np.linalg.norm(
             (S_rec.rotation.inverse() * S_j_gt.rotation).log())
@@ -694,11 +697,11 @@ class TestLoopWorker:
 
     def test_revisit_drift_removed(self, worker_run):
         n, gt = worker_run["n"], worker_run["gt"]
-        drifted, worker = worker_run["drifted"], worker_run["worker"]
+        drifted, entries = worker_run["drifted"], worker_run["correction"].entries
         err0 = np.array([np.linalg.norm(drifted[f].translation
                                         - gt[f].translation)
                          for f in range(n)])
-        err1 = np.array([np.linalg.norm(worker.poses[f].translation
+        err1 = np.array([np.linalg.norm(entries[f].new_pose.translation
                                         - gt[f].translation)
                          for f in range(n)])
         revisit = slice(113, n)

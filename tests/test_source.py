@@ -59,8 +59,8 @@ def _names(tree: ast.Module) -> set:
 
 
 # A damped solve outside NormalEquations is its own normal-equation path:
-# only the two-view loop alignment, with its floored damping, keeps one.
-PRIVATE_SOLVE = {"solve_dense": {"solver.py", "loopclosure.py"},
+# every solve assembles and steps through the one in solver.py.
+PRIVATE_SOLVE = {"solve_dense": {"solver.py"},
                  "RIDGE": {"solver.py"}}
 
 
@@ -69,3 +69,15 @@ def test_damped_solve_named_only_where_allowed(name):
     users = {p.name for p in MODULES
              if name in _names(ast.parse(p.read_text(), filename=str(p)))}
     assert users <= PRIVATE_SOLVE[name]
+
+
+# A problem outside solver.py builds its rows and lets GraphProblem
+# linearize them into NormalEquations and step by its solve.
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "solver.py"],
+                         ids=lambda p: p.name)
+def test_only_solver_linearizes_or_steps(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = {(c.name, f.name) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for f in c.body if isinstance(f, ast.FunctionDef)
+               and f.name in ("linearize", "step")}
+    assert defined == set()

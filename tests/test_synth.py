@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from vislam.geometry import Pose, Rotation
 from vislam.imu import BiasState, ImuNoiseModel, preintegrate
 from vislam.residuals import GravityModel, vision_residual
@@ -201,6 +202,20 @@ class TestSceneModel:
         rng = np.random.default_rng(0)
         c = scene.color_at(rng.uniform(-5, 5, size=(500, 3)))
         assert np.all(c >= 0.0) and np.all(c <= 1.0)
+
+    def test_matches_six_wall_oracle_bit_for_bit(self):
+        scene = SceneModel(half_extent=4.0)
+        rng = np.random.default_rng(5)
+        dirs = rng.normal(size=(400, 3))
+        # signed zero components: rays parallel to one or two walls
+        dirs[rng.random(dirs.shape) < 0.2] = 0.0
+        dirs[rng.random(dirs.shape) < 0.1] = -0.0
+        assert np.any(np.signbit(dirs) & (dirs == 0.0))
+        dirs = dirs[np.any(dirs != 0.0, axis=1)]
+        for origin in rng.uniform(-3.9, 3.9, size=(20, 3)):
+            s = scene.raycast(origin, dirs)
+            assert np.all(np.isfinite(s) & (s > 0.0))
+            assert np.array_equal(s, oracles.raycast(scene, origin, dirs))
 
     def test_batch_matches_single_rays(self):
         scene = SceneModel(half_extent=4.0)
