@@ -232,13 +232,13 @@ def materialize(cfg: dict) -> RunPlan:
                                seed=cfg["run.seed"],
                                frame_rate=cfg["dataset.frame_rate"],
                                imu_rate=cfg["dataset.imu_rate"])
+        provider = SyntheticProvider(dataset, stride=cfg["provider.stride"],
+                                     raster_scale=cfg["provider.raster_scale"])
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
 
-    provider = SyntheticProvider(dataset, stride=cfg["provider.stride"],
-                                 raster_scale=cfg["provider.raster_scale"])
     return RunPlan(dataset=dataset, provider=provider, policy=policy,
                    init_cfg=init_cfg, noise=noise, loop_policy=loop_policy,
                    out_dir=out_dir, frame_stride=cfg["run.frame_stride"],

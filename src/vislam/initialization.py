@@ -132,11 +132,13 @@ class _InertialOnly(GraphProblem):
     """Stage-2 problem for lm_solve, vision poses fixed. It has no node and
     so no gauge; its columns are [log-scale, gravity (2), shared bias (6),
     velocities (3 per keyframe)], and each inertial edge is one row block on
-    15 of them."""
+    15 of them. Its unknowns are the values s, gravity, bias and velocities;
+    the window is never written, and init_inertial_only returns them."""
 
     def __init__(self, graph: FrameGraph):
         super().__init__([], Layout(None, 0, [], 9 + 3 * len(graph.keyframes)))
         self.graph = graph
+        self.vision_states = [kf.state for kf in graph.keyframes]
         self.s = 0.0
         self.gravity = graph.gravity
         self.bias = graph.keyframes[0].state.bias
@@ -151,11 +153,10 @@ class _InertialOnly(GraphProblem):
     def evaluate(self) -> float:
         """Inertial energy of the scale-adjusted states."""
         es = float(np.exp(self.s))
-        g = self.graph
-        states = [PoseState(Pose(kf.state.pose.rotation, es * kf.state.pose.translation),
-                            self.velocities[k], self.bias, kf.state.timestamp)
-                  for k, kf in enumerate(g.keyframes)]
-        out = inertial_residual([d for _, _, d in g.inertial_edges],
+        states = [PoseState(Pose(st.pose.rotation, es * st.pose.translation),
+                            v, self.bias, st.timestamp)
+                  for st, v in zip(self.vision_states, self.velocities)]
+        out = inertial_residual([d for _, _, d in self.graph.inertial_edges],
                                 [states[k] for k in self.ends[:, 0]],
                                 [states[k] for k in self.ends[:, 1]], self.gravity)
         self.outs = ([], out)
@@ -176,12 +177,6 @@ class _InertialOnly(GraphProblem):
         self.bias = BiasState(self.bias.gyro_bias + dx[3:6],
                               self.bias.accel_bias + dx[6:9])
         self.velocities = self.velocities + dx[9:].reshape(-1, 3)
-
-    def snapshot(self):
-        return self.s, self.gravity, self.bias, self.velocities, self.outs
-
-    def restore(self, snap) -> None:
-        self.s, self.gravity, self.bias, self.velocities, self.outs = snap
 
 
 def init_inertial_only(graph: FrameGraph,

@@ -33,6 +33,7 @@ from .solver import (
     Layout,
     SolveOptions,
     lm_solve,
+    retract_disparities,
 )
 
 SIM3_DOF = 7
@@ -211,8 +212,9 @@ class _PairAlignment(GraphProblem):
     in proportion to the diagonal, one of the 11 alignments on the bench
     `loop` config (seed 1) drifted to log-scale -2.2. So the gauge freedom is
     taken out of the parameters (Triggs et al., 2000) and S_j's scale comes
-    back unchanged. No pipeline solve reads the alignment's measurement:
-    every loop also has a vision edge.
+    back unchanged. Its one unknown is the value S, which align_loop_pair
+    reads after the solve. No pipeline solve reads the alignment's
+    measurement: every loop also has a vision edge.
     """
 
     def __init__(self, edge, d_i, S_i, S_j, k):
@@ -233,12 +235,6 @@ class _PairAlignment(GraphProblem):
 
     def retract(self, dx: np.ndarray) -> None:
         self.S = self.S.retract(np.append(dx, 0.0))
-
-    def snapshot(self):
-        return self.S, self.outs
-
-    def restore(self, snap) -> None:
-        self.S, self.outs = snap
 
 
 def align_loop_pair(edge: VisionEdge, d_i: np.ndarray, S_i: SimTransform,
@@ -291,14 +287,13 @@ class _PoseGraphProblem(GraphProblem):
 
     def evaluate(self) -> float:
         """Sum of whitened squared residuals over loop and chain edges."""
-        g = self.graph
-        vision = [sim3_vision_residual(edges, [g.node(e.i).state for e in edges],
-                                       [g.node(e.j).state for e in edges],
-                                       [g.node(e.i).disparities for e in edges],
-                                       g.intrinsics)
+        at, st = self.layout.index_of, self.states
+        vision = [sim3_vision_residual(edges, [st[at(e.i)] for e in edges],
+                                       [st[at(e.j)] for e in edges],
+                                       [self.disparities[at(e.i)] for e in edges],
+                                       self.graph.intrinsics)
                   for edges, *_ in self.groups]
-        relative = [relative_pose_residual(edge, g.node(edge.i).state,
-                                           g.node(edge.j).state)
+        relative = [relative_pose_residual(edge, st[at(edge.i)], st[at(edge.j)])
                     for edge in self.relative]
         self.outs = (vision, relative)
         e = sum(float((out.residual ** 2).sum()) for out in vision)
@@ -309,9 +304,10 @@ class _PoseGraphProblem(GraphProblem):
                 np.stack([out.residual for out in relative]))
 
     def retract(self, dx: np.ndarray) -> None:
-        for n, node in enumerate(self.nodes[1:], start=1):
-            node.state = node.state.retract(dx[n * SIM3_DOF:(n + 1) * SIM3_DOF])
-        self.retract_disparities(dx[self.layout.n_pose_vars:])
+        segs = dx[:self.layout.n_state].reshape(-1, SIM3_DOF)
+        self.states = self.states[:1] + [s.retract(seg) for s, seg in
+                                         zip(self.states[1:], segs[1:])]
+        self.disparities = retract_disparities(self.disparities, self.layout, dx)
 
 
 def solve_pgba(graph: PoseGraph, opts: SolveOptions | None = None):
@@ -329,22 +325,13 @@ def solve_pgba(graph: PoseGraph, opts: SolveOptions | None = None):
         raise ValueError("pose graph chain is disconnected")
     if opts is None:
         opts = SolveOptions()
-    before = {n.kid: n.state for n in graph.nodes}
-    report = lm_solve(_PoseGraphProblem(graph), opts)
-    return report, _correction(graph, before)
-
-
-def _correction(graph: PoseGraph, before: dict) -> LoopCorrection:
-    entries = {}
-    for node in graph.nodes:
-        old = before[node.kid]
-        entries[node.kid] = CorrectionEntry(
-            kid=node.kid,
-            old_pose=old.pose(),
-            new_pose=node.state.pose(),
-            scale_change=node.state.scale / old.scale,
-        )
-    return LoopCorrection(entries)
+    problem = _PoseGraphProblem(graph)
+    report = lm_solve(problem, opts)
+    correction = LoopCorrection({
+        n.kid: CorrectionEntry(n.kid, n.state.pose(), s.pose(), s.scale / n.state.scale)
+        for n, s in zip(graph.nodes, problem.states)})
+    problem.commit()
+    return report, correction
 
 
 class LoopWorker:

@@ -14,7 +14,8 @@ lm_solve is the package's one Levenberg-Marquardt loop, and every solve is a
 GraphProblem for it: each lays out its columns with a Layout and linearizes
 into NormalEquations, its vision edges one pixel-count group
 (Layout.pixel_groups) per kernel call and add_pixels, its dense rows in one
-add_rows, and steps by NormalEquations.solve.
+add_rows, and steps by NormalEquations.solve. A trial moves only values
+held by the problem; commit() after lm_solve writes the nodes once.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def lm_solve(problem, opts: SolveOptions) -> SolveReport:
     * step(lam) -> dx: the damped solve, raising RuntimeError when the
       system is singular. A GraphProblem steps by NormalEquations.solve;
     * retract(dx), snapshot() and restore(snap): move, save and reinstate
-      the state together with its evaluation.
+      the problem's own values and their evaluation, never the graph's.
 
     A step is accepted only if it strictly lowers the cost. A rejected trial,
     or one whose state or residuals cannot be formed (ValueError), restores
@@ -377,23 +378,24 @@ class GraphProblem:
     """LM problem state of the window, pose-graph, inertial-only and loop
     alignment solves.
 
-    Nodes carry an immutable `state` and `disparities` (or None), which a
-    retraction replaces and never writes into, so snapshot() keeps them by
-    reference and restore() puts back exactly what was saved. evaluate()
-    stores (vision results per pixel group, dense-row result) in self.outs;
-    linearize() scatters them into a new self.system, dropping the old
-    system first and the results after, so neither is held beside its
-    successor. A subclass's dense_rows(result) builds the Jacobian and
-    residuals of its rows on the columns self.row_cols (E, k), at linearize
-    time only, so a rejected trial never pays for them. A problem without
-    nodes or vision groups (the inertial-only stage, the loop alignment)
-    keeps its unknowns in its own fields and overrides snapshot() and
-    restore().
+    Every unknown is an immutable value on the problem (for a problem over
+    nodes, `states` and `disparities` in node order), so a trial never
+    writes the graph: retract() binds new values, snapshot() copies the
+    attributes but the system, restore() rebinds them, and commit() writes
+    the nodes once, after lm_solve. evaluate() stores (vision results per
+    pixel group, dense-row result) in self.outs; linearize() scatters them
+    into a new self.system, dropping the old system first and the results
+    after, so neither is held beside its successor. A subclass's
+    dense_rows(result) builds its rows' Jacobian and residuals on the
+    columns self.row_cols (E, k), at linearize time only, so a rejected
+    trial never pays for them.
     """
 
     def __init__(self, nodes: list, layout: Layout):
         self.nodes = nodes
         self.layout = layout
+        self.states = [n.state for n in nodes]
+        self.disparities = [n.disparities for n in nodes]
         self.groups = []
         self.outs = None
         self.system = None
@@ -411,21 +413,26 @@ class GraphProblem:
     def step(self, lam: float) -> np.ndarray:
         return self.system.solve(lam)
 
-    def snapshot(self):
-        return [n.state for n in self.nodes], [n.disparities for n in self.nodes], self.outs
+    def snapshot(self) -> dict:
+        """The attributes, shallowly, but the system: no trial changes it,
+        and a kept snapshot would hold it beside its successor."""
+        return {k: v for k, v in vars(self).items() if k != "system"}
 
-    def restore(self, snap) -> None:
-        states, disps, self.outs = snap
-        for node, s, d in zip(self.nodes, states, disps):
+    def restore(self, snap: dict) -> None:
+        vars(self).update(snap)
+
+    def commit(self) -> None:
+        """Write the problem's values into its nodes."""
+        for node, s, d in zip(self.nodes, self.states, self.disparities):
             node.state = s
             node.disparities = d
 
-    def retract_disparities(self, dx_d: np.ndarray) -> None:
-        for node in self.nodes:
-            cd = self.layout.disp_cols(node.kid)
-            if len(cd):
-                node.disparities = np.maximum(node.disparities + dx_d[cd],
-                                              DISPARITY_FLOOR)
+
+def retract_disparities(disparities: list, layout: Layout, dx: np.ndarray) -> list:
+    """Each node's disparities moved by its columns of dx and floored."""
+    ends = layout.n_pose_vars + layout.d_offsets
+    return [d if a == b else np.maximum(d + dx[a:b], DISPARITY_FLOOR)
+            for d, a, b in zip(disparities, ends, ends[1:])]
 
 
 class _WindowProblem(GraphProblem):
@@ -444,6 +451,7 @@ class _WindowProblem(GraphProblem):
                         2 if opts.optimize_gravity else 0)
         super().__init__(graph.keyframes, layout)
         self.graph = graph
+        self.gravity = graph.gravity
         self.groups = layout.pixel_groups(graph.vision_edges, POSE_DOF)
         # each inertial edge's state columns at both ends, then gravity's
         grav_cols = np.arange(layout.n_state, layout.n_pose_vars)
@@ -453,17 +461,18 @@ class _WindowProblem(GraphProblem):
 
     def evaluate(self) -> float:
         """Sum of whitened squared residuals over every edge of the graph."""
-        g = self.graph
-        vision = [vision_residual(edges, [g.kf(e.i).state.pose for e in edges],
-                                  [g.kf(e.j).state.pose for e in edges],
-                                  [g.kf(e.i).disparities for e in edges], g.intrinsics)
+        g, at = self.graph, self.layout.index_of
+        st, disp = self.states, self.disparities
+        vision = [vision_residual(edges, [st[at(e.i)].pose for e in edges],
+                                  [st[at(e.j)].pose for e in edges],
+                                  [disp[at(e.i)] for e in edges], g.intrinsics)
                   for edges, *_ in self.groups]
         inertial = None
         if g.inertial_edges:
             inertial = inertial_residual([d for _, _, d in g.inertial_edges],
-                                         [g.kf(i).state for i, _, _ in g.inertial_edges],
-                                         [g.kf(j).state for _, j, _ in g.inertial_edges],
-                                         g.gravity)
+                                         [st[at(i)] for i, _, _ in g.inertial_edges],
+                                         [st[at(j)] for _, j, _ in g.inertial_edges],
+                                         self.gravity)
         self.outs = (vision, inertial)
         e = 0.0
         for out in vision if inertial is None else vision + [inertial]:
@@ -479,23 +488,20 @@ class _WindowProblem(GraphProblem):
 
     def retract(self, dx: np.ndarray) -> None:
         lay = self.layout
-        for n, kf in enumerate(self.nodes):
-            seg = dx[n * lay.dof:(n + 1) * lay.dof]
-            if lay.dof == STATE_DOF:
-                kf.state = kf.state.retract(seg)
-            else:
-                kf.state = replace(kf.state, pose=kf.state.pose.retract(seg[0:3], seg[3:6]))
-        self.retract_disparities(dx[lay.n_pose_vars:])
+        segs = dx[:lay.n_state].reshape(-1, lay.dof)
+        if lay.dof == STATE_DOF:
+            self.states = [s.retract(seg) for s, seg in zip(self.states, segs)]
+        else:
+            self.states = [replace(s, pose=s.pose.retract(seg[0:3], seg[3:6]))
+                           for s, seg in zip(self.states, segs)]
+        self.disparities = retract_disparities(self.disparities, lay, dx)
         dg = dx[lay.n_state:lay.n_pose_vars]
         if len(dg):
-            self.graph.gravity = self.graph.gravity.retract(GRAVITY_TANGENT_BASIS @ dg)
+            self.gravity = self.gravity.retract(GRAVITY_TANGENT_BASIS @ dg)
 
-    def snapshot(self):
-        return super().snapshot(), self.graph.gravity
-
-    def restore(self, snap) -> None:
-        base, self.graph.gravity = snap
-        super().restore(base)
+    def commit(self) -> None:
+        super().commit()
+        self.graph.gravity = self.gravity
 
 
 def total_energy(graph: FrameGraph) -> float:
@@ -510,4 +516,7 @@ def solve_vi_ba(graph: FrameGraph, opts: SolveOptions | None = None) -> SolveRep
     """
     if opts is None:
         opts = SolveOptions()
-    return lm_solve(_WindowProblem(graph, opts), opts)
+    problem = _WindowProblem(graph, opts)
+    report = lm_solve(problem, opts)
+    problem.commit()
+    return report

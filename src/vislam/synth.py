@@ -265,8 +265,8 @@ class SceneModel:
     _phases: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.half_extent > 0.0:
-            raise ValueError("half extent must be positive")
+        if not 0.0 < self.half_extent < np.inf:
+            raise ValueError("scene_half_extent must be positive and finite")
         rng = np.random.default_rng(self.color_seed)
         self._freqs = rng.uniform(0.6, 2.2, size=(3, 3))
         self._phases = rng.uniform(0.0, 2.0 * np.pi, size=3)
@@ -384,8 +384,8 @@ def make_dataset(model: TrajectoryModel, scene: SceneModel | None = None,
     intrinsics = intrinsics if intrinsics is not None else default_intrinsics()
     gravity = gravity if gravity is not None else GravityModel()
     bias = bias if bias is not None else BiasState()
-    if not (sigma_px >= 0.0 and 0.0 <= outlier_rate < 1.0):
-        raise ValueError("invalid correspondence noise settings")
+    if not (0.0 <= sigma_px < np.inf and 0.0 <= outlier_rate < 1.0):
+        raise ValueError("sigma_px must be non-negative and finite, outlier_rate in [0, 1)")
 
     traj = generate_trajectory(model, frame_rate, imu_rate)
     extent = np.max(np.abs(np.stack([p.translation for p in traj.frame_poses])))
@@ -482,6 +482,11 @@ class SyntheticProvider:
 
     def __init__(self, dataset: SyntheticDataset, stride: int = 8,
                  raster_scale: int = 5):
+        side = min(dataset.intrinsics.width, dataset.intrinsics.height)
+        if not 1 <= stride < 2 * side:
+            raise ValueError("stride must leave at least one grid pixel in the image")
+        if not 1 <= raster_scale <= side:
+            raise ValueError("raster_scale must leave a non-empty keyframe raster")
         self.dataset = dataset
         self.stride = stride
         self.raster_scale = raster_scale

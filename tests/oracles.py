@@ -389,7 +389,10 @@ class _DenseWindowProblem(solver._WindowProblem):
 
 def solve_vi_ba_dense(graph, opts):
     """vislam.solver.solve_vi_ba with every step taken by dense_step."""
-    return solver.lm_solve(_DenseWindowProblem(graph, opts), opts)
+    problem = _DenseWindowProblem(graph, opts)
+    report = solver.lm_solve(problem, opts)
+    problem.commit()
+    return report
 
 
 def total_pg_energy(graph) -> float:

@@ -234,12 +234,20 @@ def test_out_of_range_float_is_a_config_error(tmp_path, capsys, key, value):
 
 # Non-finite dataset values: an infinite duration or IMU rate used to end in
 # an OverflowError traceback, and a NaN amplitude or IMU rate was stopped only
-# later, by an error that did not name the key.
+# later, by an error that did not name the key. An infinite scene made every
+# depth infinite and ran as a valid run with no vision and an empty map; an
+# infinite pixel noise was reported as a divergence. A provider stride of 960
+# left no grid pixel (another valid-looking run with no vision), and a raster
+# scale of 481 a keyframe raster 0 pixels high (a divergence).
 @pytest.mark.parametrize("key, value", [
     ("dataset.duration", "inf"),
     ("dataset.imu_rate", "inf"),
     ("dataset.amplitude", "nan"),
     ("dataset.imu_rate", "nan"),
+    ("dataset.scene_half_extent", "inf"),
+    ("dataset.sigma_px", "inf"),
+    ("provider.stride", "960"),
+    ("provider.raster_scale", "481"),
 ], ids=lambda v: v)
 def test_non_finite_dataset_value_is_a_config_error(tmp_path, capsys, key,
                                                     value):

@@ -1,6 +1,7 @@
 """Solver contracts: energy accounting, step equivalence, recovery, gauge."""
 
 import copy
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -150,15 +151,23 @@ def test_frozen_blocks_bit_identical():
     assert after.bias.vector().tobytes() == b0
 
 
-def _state_bytes(graph):
-    """Every solved array of the window, as bytes."""
-    out = [graph.gravity.R_wg.q.tobytes()]
-    for kf in graph.keyframes:
-        st = kf.state
+def _value_bytes(gravity, states, disparities):
+    """Every solved array of a window, as bytes."""
+    out = [gravity.R_wg.q.tobytes()]
+    for st, d in zip(states, disparities):
         out += [st.pose.rotation.q.tobytes(), st.pose.translation.tobytes(),
                 st.velocity.tobytes(), st.bias.gyro_bias.tobytes(),
-                st.bias.accel_bias.tobytes(), kf.disparities.tobytes()]
+                st.bias.accel_bias.tobytes(), d.tobytes()]
     return out
+
+
+def _state_bytes(graph):
+    return _value_bytes(graph.gravity, [kf.state for kf in graph.keyframes],
+                        [kf.disparities for kf in graph.keyframes])
+
+
+def _problem_bytes(problem):
+    return _value_bytes(problem.gravity, problem.states, problem.disparities)
 
 
 def test_rejected_trial_restores_bit_for_bit():
@@ -179,13 +188,31 @@ def test_rejected_trial_restores_bit_for_bit():
                                                kf.state.pose.translation))
     graph.gravity = GravityModel(renormalized_by_a_copy(), graph.gravity.magnitude)
     problem = solver._WindowProblem(graph, SolveOptions(optimize_gravity=True))
-    saved = _state_bytes(graph)
+    in_graph = _state_bytes(graph)
+    saved = _problem_bytes(problem)
+    assert saved == in_graph
     snap = problem.snapshot()
     n_vars = problem.layout.n_pose_vars + problem.layout.n_disp
     problem.retract(1e-3 * rng.normal(size=n_vars))
-    assert _state_bytes(graph) != saved
+    assert _problem_bytes(problem) != saved
+    assert _state_bytes(graph) == in_graph      # a trial never writes the graph
     problem.restore(snap)
-    assert _state_bytes(graph) == saved
+    assert _problem_bytes(problem) == saved
+
+    # the nodes are written once, with the problem's values
+    problem.retract(1e-3 * rng.normal(size=n_vars))
+    assert _state_bytes(graph) == in_graph
+    problem.commit()
+    assert _state_bytes(graph) == _problem_bytes(problem) != in_graph
+
+    # a kept snapshot does not hold the old system beside the next one
+    problem.evaluate()
+    problem.linearize()
+    snap = problem.snapshot()
+    old_system = weakref.ref(problem.system)
+    problem.evaluate()
+    problem.linearize()
+    assert old_system() is None
 
 
 def test_solver_is_deterministic():

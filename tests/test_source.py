@@ -81,3 +81,16 @@ def test_only_solver_linearizes_or_steps(path):
                for f in c.body if isinstance(f, ast.FunctionDef)
                and f.name in ("linearize", "step")}
     assert defined == set()
+
+
+# A trial saves and restores through one snapshot: every problem keeps its
+# unknowns as values on its own attributes, which GraphProblem copies.
+def test_only_graph_problem_snapshots_or_restores():
+    defined = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined |= {(path.name, c.name) for c in ast.walk(tree)
+                    if isinstance(c, ast.ClassDef)
+                    for f in c.body if isinstance(f, ast.FunctionDef)
+                    and f.name in ("snapshot", "restore")}
+    assert defined == {("solver.py", "GraphProblem")}
