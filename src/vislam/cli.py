@@ -316,7 +316,8 @@ def execute(plan: RunPlan) -> RunArtifacts:
     correction is folded into the tracker and the map before the next frame.
     Shutdown drains any pending correction before the remaining window
     keyframes are flushed into the map, so every output reflects the last
-    solve.
+    solve. A run with no vision, every keyframe after the first degraded,
+    raises RuntimeError.
     """
     ds = plan.dataset
     provider = plan.provider
@@ -360,7 +361,7 @@ def execute(plan: RunPlan) -> RunArtifacts:
             kf = tracker.graph.keyframes[-1]
             worker.ingest_summary(KeyframeSummary(
                 kid=kf.kid, frame_index=f, pose=kf.state.pose,
-                pixels=kf.pixels, disparities=kf.disparities.copy()))
+                disparities=kf.disparities.copy()))
 
         # solve in batches so the pose graph is not re-optimized for every
         # single admitted loop while the trajectory barely moved
@@ -371,6 +372,9 @@ def execute(plan: RunPlan) -> RunArtifacts:
         # unestimated gravity, so only initialized windows are traced
         if keyframed and tracker.phase == PHASE_FULL:
             tracking_trace.append(total_energy(tracker.graph))
+
+    if tracker.next_kid > 1 and len(tracker.degraded) == tracker.next_kid - 1:
+        raise RuntimeError("no vision: every keyframe after the first is degraded")
 
     # shutdown: drain, then flush the live window into the map
     if worker.pending:

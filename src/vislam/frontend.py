@@ -64,10 +64,11 @@ class KeyframePolicy:
     solve_iterations: int = 4            # window solve per insertion
 
     def __post_init__(self):
-        for name in ("flow_threshold", "max_interval",
-                     "cov_trace_threshold", "flow_scale"):
+        for name in ("flow_threshold", "max_interval", "cov_trace_threshold"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
+        if not 0.0 < self.flow_scale < np.inf:
+            raise ValueError("flow_scale must be positive and finite")
         if self.window_size < 2:
             raise ValueError("window_size must be at least 2")
         for name in ("covis_radius", "solve_iterations"):
@@ -242,15 +243,15 @@ def add_keyframe(tracker: TrackerState, frame_index: int,
     pose before that), wires correspondence edges to the nearest window
     neighbors in both directions, fires the staged initializer at the
     configured keyframe counts, then solves and evicts down to the window
-    size. A correspondence provider failure degrades the keyframe to
-    inertial-only instead of raising.
+    size. A neighbour pair is wired only when both of its edges have a
+    live row (weight > 0); a correspondence provider failure or an all-dead
+    edge degrades the keyframe to inertial-only instead of raising.
     """
     graph = tracker.graph
     provider = tracker.provider
     kid = tracker.next_kid
 
-    pixels = provider.grid_pixels()
-    depth = np.asarray(provider.depth_hint(frame_index, pixels),
+    depth = np.asarray(provider.depth_hint(frame_index, provider.grid_pixels()),
                        dtype=float).reshape(-1)
     good = np.isfinite(depth) & (depth > 1e-3)
     disparities = np.where(good, 1.0 / np.where(good, depth, 1.0), 1.0)
@@ -282,6 +283,8 @@ def add_keyframe(tracker: TrackerState, frame_index: int,
             e_in = provider.edge(n_frame, frame_index)
         except ValueError:
             continue
+        if not (np.any(e_out.weights > 0.0) and np.any(e_in.weights > 0.0)):
+            continue
         vision_edges.append(VisionEdge(kid, neighbor.kid, e_out.pixels,
                                        e_out.targets, e_out.weights))
         vision_edges.append(VisionEdge(neighbor.kid, kid, e_in.pixels,
@@ -292,7 +295,7 @@ def add_keyframe(tracker: TrackerState, frame_index: int,
 
     if delta is not None:
         graph.inertial_edges.append((graph.keyframes[-1].kid, kid, delta))
-    graph.keyframes.append(Keyframe(kid, state, pixels, disparities))
+    graph.keyframes.append(Keyframe(kid, state, disparities))
     graph.vision_edges.extend(vision_edges)
     graph.reindex()
     tracker.frame_of[kid] = frame_index

@@ -84,13 +84,23 @@ class Gaussians:
         self.check()
 
     def check(self) -> None:
-        """Raise ValueError unless every row keeps the Gaussian rules."""
-        if np.any(self.scales <= 0.0):
-            raise ValueError("Gaussian scales must be strictly positive")
-        if not np.all((self.opacity >= 0.0) & (self.opacity <= 1.0)):
+        """Raise ValueError unless every row keeps the rules, read_vgsm's too.
+        Each is a negated comparison, so NaN fails it; a range reads min, max."""
+        if not len(self):
+            return
+        if not np.isfinite(self.mean).all():
+            raise ValueError("Gaussian mean must be finite")
+        q_l1 = np.abs(self.q) @ np.ones(4)
+        if not 0.0 < q_l1.min() <= q_l1.max() < np.inf:
+            raise ValueError("Gaussian q must be finite and non-zero")
+        if not 0.0 < self.scales.min() <= self.scales.max() < np.inf:
+            raise ValueError("Gaussian scales must be positive and finite")
+        if not 0.0 <= self.opacity.min() <= self.opacity.max() <= 1.0:
             raise ValueError("opacity must lie in [0, 1]")
-        if np.any(self.color < 0.0) or np.any(self.color > 1.0):
+        if not 0.0 <= self.color.min() <= self.color.max() <= 1.0:
             raise ValueError("color channels must lie in [0, 1]")
+        if not 0 <= self.anchor.min() <= self.anchor.max() < 2 ** 32:
+            raise ValueError("anchor must lie in [0, 2**32)")
 
     def columns(self) -> tuple:
         return self.mean, self.scales, self.q, self.color, self.opacity, self.anchor

@@ -68,8 +68,8 @@ class ImuNoiseModel:
         for name in ("gyro_noise_density", "accel_noise_density",
                      "gyro_bias_random_walk", "accel_bias_random_walk",
                      "gravity_magnitude"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass

@@ -46,8 +46,8 @@ class InitConfig:
                      "max_iterations_joint"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if not self.damping > 0.0:
-            raise ValueError("damping must be positive")
+        if not 0.0 < self.damping < np.inf:
+            raise ValueError("damping must be positive and finite")
 
 
 @dataclass

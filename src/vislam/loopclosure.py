@@ -29,6 +29,7 @@ from .residuals import (
 from .solver import (
     POSE_DOF,
     GraphProblem,
+    Keyframe,
     KeyframeIndex,
     Layout,
     SolveOptions,
@@ -69,15 +70,15 @@ class LoopPolicy:
 class KeyframeSummary:
     """Per-keyframe message from the tracker to the loop worker.
 
-    The pixel/disparity snapshot lets the keyframe source loop vision edges
+    Its snapshot is its disparities, one per grid pixel: with them the
+    keyframe can source loop vision edges, which bring their own pixels,
     after it has left the tracking window.
     """
 
     kid: int
     frame_index: int
     pose: Pose
-    pixels: np.ndarray | None = None
-    disparities: np.ndarray | None = None
+    disparities: np.ndarray
 
 
 def detect_loops(new_kf: KeyframeSummary, history, flow,
@@ -132,18 +133,10 @@ class LoopEdge:
 
 
 @dataclass
-class PoseGraphNode:
-    kid: int
-    state: SimTransform
-    pixels: np.ndarray | None = None
-    disparities: np.ndarray | None = None
-
-
-@dataclass
 class PoseGraph(KeyframeIndex):
     """Sim(3) keyframe states, the sequential chain, and the loop edge set."""
 
-    nodes: list
+    nodes: list                      # Keyframe with a SimTransform state
     chain: list                      # RelativePoseEdge over consecutive kids
     loops: list                      # LoopEdge
     intrinsics: Intrinsics | None = None
@@ -160,13 +153,11 @@ class PoseGraph(KeyframeIndex):
             if loop.vision is not None:
                 if self.intrinsics is None:
                     raise ValueError("vision loop edges need intrinsics")
-                src = self.node(loop.i)
-                if src.pixels is None or src.disparities is None:
-                    raise ValueError(f"keyframe {loop.i} has no pixel snapshot for its loop edge")
-                if len(src.disparities) != len(loop.vision.pixels):
-                    raise ValueError("loop vision rows must align with the source pixel snapshot")
+                if len(self.node(loop.i).disparities) != len(loop.vision.pixels):
+                    raise ValueError("loop vision rows must align with the source "
+                                     "disparity snapshot")
 
-    def node(self, kid: int) -> PoseGraphNode:
+    def node(self, kid: int) -> Keyframe:
         return self.nodes[self._index[kid]]
 
 
@@ -207,14 +198,15 @@ class _PairAlignment(GraphProblem):
     """Two-view problem with no node: S_j's rotation and translation are its
     six free columns, S_i and the source disparities stay fixed.
 
-    S_j's log-scale is not a column. A camera at the body origin cannot see
-    it, so its Jacobian column is zero and only damping would hold it: damped
-    in proportion to the diagonal, one of the 11 alignments on the bench
-    `loop` config (seed 1) drifted to log-scale -2.2. So the gauge freedom is
-    taken out of the parameters (Triggs et al., 2000) and S_j's scale comes
-    back unchanged. Its one unknown is the value S, which align_loop_pair
-    reads after the solve. No pipeline solve reads the alignment's
-    measurement: every loop also has a vision edge.
+    S_j's log-scale is not a column. The kernel's camera is the body, so
+    scaling S_j scales the camera-j point about the camera centre, which a
+    pinhole projection cannot see: the column is zero and only damping would
+    hold it. Damped in proportion to the diagonal, one of the 11 alignments
+    on the bench `loop` config (seed 1) drifted to log-scale -2.2. So the
+    gauge freedom is taken out of the parameters (Triggs et al., 2000) and
+    S_j's scale comes back unchanged. Its one unknown is the value S, which
+    align_loop_pair reads after the solve. No pipeline solve reads the
+    alignment's measurement: every loop also has a vision edge.
     """
 
     def __init__(self, edge, d_i, S_i, S_j, k):
@@ -399,12 +391,9 @@ class LoopWorker:
 
     def _admit(self, pair, raw):
         i, j = pair
-        src = self.summaries[i]
-        if src.pixels is None or src.disparities is None:
-            raise ValueError(f"keyframe {i} has no pixel snapshot to anchor a loop")
         vision = VisionEdge(i, j, raw.pixels, raw.targets, raw.weights)
-        relative = align_loop_pair(vision, src.disparities, self._state_of(i),
-                                   self._state_of(j), self.intrinsics,
+        relative = align_loop_pair(vision, self.summaries[i].disparities,
+                                   self._state_of(i), self._state_of(j), self.intrinsics,
                                    iterations=self.policy.align_iterations)
         self.loops.append(LoopEdge(i, j, relative, vision))
         self.waiting += 1
@@ -431,8 +420,7 @@ class LoopWorker:
         """
         if not self.loops:
             return None
-        nodes = [PoseGraphNode(kid, state, self.summaries[kid].pixels,
-                               self.summaries[kid].disparities)
+        nodes = [Keyframe(kid, state, self.summaries[kid].disparities)
                  for kid, state in (*self.states.items(), *window_nodes)]
         graph = PoseGraph(nodes, self.chain + list(window_chain),
                           list(self.loops), self.intrinsics,
@@ -442,7 +430,6 @@ class LoopWorker:
         for node in graph.nodes:
             if node.kid in self.states:
                 self.states[node.kid] = node.state
-            if node.disparities is not None:
-                self.summaries[node.kid].disparities = node.disparities
+            self.summaries[node.kid].disparities = node.disparities
         self.waiting = 0
         return report, correction

@@ -7,8 +7,8 @@ for a stack of preintegrated deltas in one pass, whitened by the factor each
 delta computed from its covariance when it was built. Relative pose: Sim(3)
 log of a measured relative transform against two states.
 
-States are world-from-body poses; the vision residual converts to the camera
-frame through a constant extrinsic, the inertial residual is purely body-frame.
+States are world-from-body poses and the camera frame is the body frame; the
+inertial residual is purely body-frame.
 Pose tangents are (rotation, translation); per-keyframe state tangents are
 ordered (rotation, translation, velocity, gyro bias, accel bias).
 """
@@ -183,8 +183,8 @@ class VisionResidualResult:
 
 
 class _Reprojection:
-    """E vision edges of n pixels each through backprojection, the similarity
-    action s*R@x + t of both keyframes, and the pinhole projection.
+    """E vision edges of n pixels each through backprojection in camera i, the
+    similarity action s*R@x + t of both bodies, and projection in camera j.
 
     Inputs are stacked per edge: (E, n, 2) pixels, targets and weights,
     (E, n) disparities, (E, 3, 3) rotations, (E, 3) translations and (E,)
@@ -196,20 +196,15 @@ class _Reprojection:
     """
 
     def __init__(self, pixels, targets, weights, d_i, k: Intrinsics,
-                 T_cb: Pose | None, R_i, p_i, s_i, R_j, p_j, s_j, similarity: bool):
+                 R_i, p_i, s_i, R_j, p_j, s_j, similarity: bool):
         if not np.all(np.isfinite(d_i) & (d_i > 0.0)):
             raise ValueError("disparities must be finite and strictly positive")
 
-        T_bc = Pose.identity() if T_cb is None else T_cb.inverse()
-        R_bc = T_bc.rotation.matrix()
-        p_bc = T_bc.translation[:, None]
         s_i3, s_j3 = s_i[:, None, None], s_j[:, None, None]
-
         X_i = np.moveaxis(backproject(k, pixels, d_i), -1, 1)           # camera i
-        Y_i = R_bc @ X_i + p_bc                                         # body i
-        X_w = s_i3 * (R_i @ Y_i) + p_i[:, :, None]                      # world
-        V_j = (R_j.transpose(0, 2, 1) @ (X_w - p_j[:, :, None])) / s_j3  # body j
-        X_c = R_bc.T @ (V_j - p_bc)                                     # camera j
+        X_w = s_i3 * (R_i @ X_i) + p_i[:, :, None]                      # world
+        R_j_T = R_j.transpose(0, 2, 1)
+        X_c = (R_j_T @ (X_w - p_j[:, :, None])) / s_j3                  # camera j
 
         x, y, z = X_c[:, 0], X_c[:, 1], X_c[:, 2]
         valid = z > 1e-6
@@ -222,17 +217,17 @@ class _Reprojection:
         self._P = [a[:, None] for a in (k.fx / z_safe, -k.fx * x / z_safe ** 2,
                                         k.fy / z_safe, -k.fy * y / z_safe ** 2)]
         self._sw = -sw[:, :, None]
-        del pixels, targets, weights, X_w, X_c, x, y, z
+        del pixels, targets, weights, X_w, x, y, z
 
-        # each row g times hat(y) is g x y; rows over the body-j point first
+        # each row g times hat(y) is g x y; rows over the camera-j point first
         J_i = np.empty((len(d_i), 2, 7 if similarity else 6, d_i.shape[1]))
         J_j = np.empty_like(J_i)
-        B = (R_bc.T @ R_j.transpose(0, 2, 1)) / s_j3                    # dX_c/dX_w
-        G = self._rows(np.broadcast_to(R_bc.T, B.shape)[..., None])
-        J_j[:, :, :3] = np.cross(G, V_j[:, None], axis=2)
+        B = R_j_T / s_j3                                                # dX_c/dX_w
+        G = self._rows(np.broadcast_to(np.eye(3), B.shape)[..., None])
+        J_j[:, :, :3] = np.cross(G, X_c[:, None], axis=2)
         if similarity:
             J_j[:, :, 3:6] = -G
-            J_j[:, :, 6] = -(G * V_j[:, None]).sum(axis=2)
+            J_j[:, :, 6] = -(G * X_c[:, None]).sum(axis=2)
         else:
             J_i[:, :, 3:6] = self._rows(B[..., None])
             J_j[:, :, 3:6] = -J_i[:, :, 3:6]
@@ -240,16 +235,16 @@ class _Reprojection:
         s_i4 = s_i3[..., None]
         BR_i = B @ R_i
         G = self._rows(BR_i[..., None])
-        np.multiply(-s_i4, np.cross(G, Y_i[:, None], axis=2), out=J_i[:, :, :3])
+        np.multiply(-s_i4, np.cross(G, X_i[:, None], axis=2), out=J_i[:, :, :3])
         # dX_c/dd summed as (x + z) + y, numpy.einsum's order: far points cancel
         # here, and a vision-only window's scale gauge amplifies any rounding
-        M = (s_i3 * (BR_i @ R_bc))[..., None]
+        M = (s_i3 * BR_i)[..., None]
         dX = -((M[:, :, 0] * X_i[:, None, 0] + M[:, :, 2] * X_i[:, None, 2])
                + M[:, :, 1] * X_i[:, None, 1]) / d_i[:, None]
         J_d = self._rows(dX[:, :, None])[:, :, 0]
         if similarity:
             J_i[:, :, 3:6] = s_i4 * G
-            J_i[:, :, 6] = s_i3 * (G * Y_i[:, None]).sum(axis=2)
+            J_i[:, :, 6] = s_i3 * (G * X_i[:, None]).sum(axis=2)
 
         self.residual = np.moveaxis(residual, 1, -1)                    # (E, n, 2)
         self.J_i = np.moveaxis(J_i, -1, 1)                              # (E, n, 2, k)
@@ -268,7 +263,7 @@ class _Reprojection:
         return rows
 
 
-def _reproject(edges, states_i, states_j, d_i, k: Intrinsics, T_cb: Pose | None,
+def _reproject(edges, states_i, states_j, d_i, k: Intrinsics,
                similarity: bool) -> _Reprojection:
     """Stack E edges of one pixel count with their states and run the kernel."""
     if not len(edges) == len(states_i) == len(states_j) == len(d_i):
@@ -284,37 +279,35 @@ def _reproject(edges, states_i, states_j, d_i, k: Intrinsics, T_cb: Pose | None,
 
     return _Reprojection(np.stack([e.pixels for e in edges]),
                          np.stack([e.targets for e in edges]),
-                         np.stack([e.weights for e in edges]), np.stack(d), k, T_cb,
+                         np.stack([e.weights for e in edges]), np.stack(d), k,
                          *pose_arrays(states_i), *pose_arrays(states_j), similarity)
 
 
-def vision_residual(edges, T_i, T_j, d_i, k: Intrinsics,
-                    T_cb: Pose | None = None) -> VisionResidualResult:
-    """Weighted reprojection residuals u* - proj(T_ij backproj(u_i, d_i)).
+def vision_residual(edges, T_i, T_j, d_i, k: Intrinsics) -> VisionResidualResult:
+    """Weighted reprojection residuals u* - proj(T_j^-1 T_i backproj(u_i, d_i)).
 
     edges is a sequence of E VisionEdges of one pixel count; T_i, T_j and
-    d_i give each edge its two poses and its source disparities. Rows are
-    scaled by sqrt(w) per pixel component. Points landing behind the target
-    camera are zero-weighted and counted, not raised. Translation tangents
-    are world-frame, as in Pose.retract.
+    d_i give each edge its two poses (its cameras) and its source
+    disparities. Rows are scaled by sqrt(w) per pixel component. Points
+    landing behind the target camera are zero-weighted and counted, not
+    raised. Translation tangents are world-frame, as in Pose.retract.
     """
-    c = _reproject(edges, T_i, T_j, d_i, k, T_cb, similarity=False)
+    c = _reproject(edges, T_i, T_j, d_i, k, similarity=False)
     return VisionResidualResult(c.residual, c.J_i, c.J_j, c.J_disparity,
                                 c.behind_camera, c.valid)
 
 
-def sim3_vision_residual(edges, S_i, S_j, d_i, k: Intrinsics,
-                         T_cb: Pose | None = None) -> VisionResidualResult:
+def sim3_vision_residual(edges, S_i, S_j, d_i, k: Intrinsics) -> VisionResidualResult:
     """Reprojection residuals of vision edges under similarity keyframe states.
 
-    Same measurement model and stacking as vision_residual with the action
-    s*R@x + t in place of the rigid one, so relative scale between the two
-    keyframes enters the prediction. Jacobians are over right perturbations
-    ordered (rotation, translation, log-scale), so translation tangents are
-    body-frame, as in SimTransform.retract. Rows are scaled by sqrt(w);
-    points behind the target camera are zero-weighted and counted.
+    Same measurement model, cameras and stacking as vision_residual with the
+    action s*R@x + t in place of the rigid one, so relative scale between the
+    two keyframes enters the prediction. Jacobians are over right
+    perturbations ordered (rotation, translation, log-scale), so translation
+    tangents are body-frame, as in SimTransform.retract. Rows are scaled by
+    sqrt(w); points behind the target camera are zero-weighted and counted.
     """
-    c = _reproject(edges, S_i, S_j, d_i, k, T_cb, similarity=True)
+    c = _reproject(edges, S_i, S_j, d_i, k, similarity=True)
     return VisionResidualResult(c.residual, c.J_i, c.J_j, c.J_disparity,
                                 c.behind_camera, c.valid)
 

@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .geometry import SimTransform
 from .residuals import (
     GRAVITY_TANGENT_BASIS,
     GravityModel,
@@ -49,16 +50,16 @@ RIDGE = 1e-10
 
 @dataclass
 class Keyframe:
+    """A GraphProblem node: its state (a PoseState in the window, a
+    SimTransform in the pose graph) and one disparity per pixel of the
+    vision edges it sources, which own the pixels."""
+
     kid: int
-    state: PoseState
-    pixels: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
+    state: PoseState | SimTransform
     disparities: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=float).reshape(-1, 2)
         self.disparities = np.asarray(self.disparities, dtype=float).reshape(-1)
-        if len(self.pixels) != len(self.disparities):
-            raise ValueError("one disparity per tracked pixel")
         if not np.all(np.isfinite(self.disparities) & (self.disparities > 0.0)):
             raise ValueError("disparities must be finite and positive")
 
@@ -378,17 +379,17 @@ class GraphProblem:
     """LM problem state of the window, pose-graph, inertial-only and loop
     alignment solves.
 
-    Every unknown is an immutable value on the problem (for a problem over
-    nodes, `states` and `disparities` in node order), so a trial never
-    writes the graph: retract() binds new values, snapshot() copies the
-    attributes but the system, restore() rebinds them, and commit() writes
-    the nodes once, after lm_solve. evaluate() stores (vision results per
-    pixel group, dense-row result) in self.outs; linearize() scatters them
-    into a new self.system, dropping the old system first and the results
-    after, so neither is held beside its successor. A subclass's
-    dense_rows(result) builds its rows' Jacobian and residuals on the
-    columns self.row_cols (E, k), at linearize time only, so a rejected
-    trial never pays for them.
+    A problem's nodes are Keyframes. Every unknown is an immutable value on
+    the problem (for a problem over nodes, `states` and `disparities` in
+    node order), so a trial never writes the graph: retract() binds new
+    values, snapshot() copies the attributes but the system, restore()
+    rebinds them, and commit() writes the nodes once, after lm_solve.
+    evaluate() stores (vision results per pixel group, dense-row result) in
+    self.outs; linearize() scatters them into a new self.system, dropping
+    the old system first and the results after, so neither is held beside
+    its successor. A subclass's dense_rows(result) builds its rows' Jacobian
+    and residuals on the columns self.row_cols (E, k), at linearize time
+    only, so a rejected trial never pays for them.
     """
 
     def __init__(self, nodes: list, layout: Layout):

@@ -205,8 +205,9 @@ def _hat_rows(v: np.ndarray) -> np.ndarray:
 
 
 class _Reprojection:
-    """One vision edge through backprojection, the similarity action
-    s*R@x + t of both keyframes, and the pinhole projection.
+    """One vision edge through backprojection in camera i, the similarity
+    action s*R@x + t of both keyframes, and the pinhole projection in
+    camera j. The camera frame is the body frame.
 
     Holds what the rigid and the similarity residual share: the weighted
     residual, the disparity column, and the point derivatives with respect
@@ -215,22 +216,16 @@ class _Reprojection:
     """
 
     def __init__(self, edge: VisionEdge, d_i: np.ndarray, k: Intrinsics,
-                 T_cb: Pose | None, R_i, p_i, s_i, R_j, p_j, s_j):
+                 R_i, p_i, s_i, R_j, p_j, s_j):
         d_i = np.asarray(d_i, dtype=float).reshape(-1)
         if len(d_i) != len(edge.pixels):
             raise ValueError("disparity length must match edge pixel list")
         if np.any(d_i <= 0.0):
             raise ValueError("disparities must be strictly positive")
 
-        T_bc = Pose.identity() if T_cb is None else T_cb.inverse()
-        R_bc = T_bc.rotation.matrix()
-        p_bc = T_bc.translation
-
         X_i = backproject(k, edge.pixels, d_i)        # camera i frame
-        Y_i = X_i @ R_bc.T + p_bc                     # body i frame
-        X_w = s_i * (Y_i @ R_i.T) + p_i               # world
-        V_j = ((X_w - p_j) @ R_j) / s_j               # body j frame
-        X_c = (V_j - p_bc) @ R_bc                     # camera j frame
+        X_w = s_i * (X_i @ R_i.T) + p_i               # world
+        X_c = ((X_w - p_j) @ R_j) / s_j               # camera j frame
 
         z = X_c[:, 2]
         self.valid = z > 1e-6
@@ -249,12 +244,12 @@ class _Reprojection:
         self.P[:, 1, 1] = k.fy / z_safe
         self.P[:, 1, 2] = -k.fy * X_c[:, 1] / z_safe ** 2
 
-        self.B = (R_bc.T @ R_j.T) / s_j               # dX_c/dX_w
+        self.B = R_j.T / s_j                          # dX_c/dX_w
         self.BRi = self.B @ R_i
-        self.Y_i, self.V_j, self.R_bc = Y_i, V_j, R_bc
-        self.dX_dthi = np.einsum("ab,nbc->nac", -s_i * self.BRi, _hat_rows(Y_i))
-        self.dX_dthj = np.einsum("ab,nbc->nac", R_bc.T, _hat_rows(V_j))
-        dX_dd = -np.einsum("ab,nb->na", s_i * (self.BRi @ R_bc), X_i) / d_i[:, None]
+        self.X_i, self.X_c = X_i, X_c
+        self.dX_dthi = np.einsum("ab,nbc->nac", -s_i * self.BRi, _hat_rows(X_i))
+        self.dX_dthj = _hat_rows(X_c)
+        dX_dd = -np.einsum("ab,nb->na", s_i * self.BRi, X_i) / d_i[:, None]
         self.J_disparity = self.sw * -np.einsum("nab,nb->na", self.P, dX_dd)
 
     def jacobian(self, *blocks) -> np.ndarray:
@@ -266,14 +261,14 @@ class _Reprojection:
 
 
 def vision_residual(edge: VisionEdge, T_i: Pose, T_j: Pose, d_i: np.ndarray,
-                    k: Intrinsics, T_cb: Pose | None = None) -> VisionResidualResult:
+                    k: Intrinsics) -> VisionResidualResult:
     """Weighted reprojection residual u* - proj(T_ij backproj(u_i, d_i)).
 
     Rows are scaled by sqrt(w) per pixel component. Points landing behind the
     target camera are zero-weighted and counted, not raised. Translation
     tangents are world-frame, as in Pose.retract.
     """
-    c = _Reprojection(edge, d_i, k, T_cb, T_i.rotation.matrix(), T_i.translation,
+    c = _Reprojection(edge, d_i, k, T_i.rotation.matrix(), T_i.translation,
                       1.0, T_j.rotation.matrix(), T_j.translation, 1.0)
     n = len(c.residual)
     return VisionResidualResult(
@@ -287,8 +282,7 @@ def vision_residual(edge: VisionEdge, T_i: Pose, T_j: Pose, d_i: np.ndarray,
 
 
 def sim3_vision_residual(edge: VisionEdge, S_i: SimTransform, S_j: SimTransform,
-                         d_i: np.ndarray, k: Intrinsics,
-                         T_cb: Pose | None = None) -> VisionResidualResult:
+                         d_i: np.ndarray, k: Intrinsics) -> VisionResidualResult:
     """Reprojection residual of a vision edge under similarity keyframe states.
 
     Same measurement model as the rigid vision residual with the action
@@ -299,15 +293,14 @@ def sim3_vision_residual(edge: VisionEdge, S_i: SimTransform, S_j: SimTransform,
     points behind the target camera are zero-weighted and counted.
     """
     s_i = S_i.scale
-    c = _Reprojection(edge, d_i, k, T_cb, S_i.rotation.matrix(), S_i.translation,
+    c = _Reprojection(edge, d_i, k, S_i.rotation.matrix(), S_i.translation,
                       s_i, S_j.rotation.matrix(), S_j.translation, S_j.scale)
     n = len(c.residual)
     return VisionResidualResult(
         residual=c.residual,
         J_i=c.jacobian(c.dX_dthi, np.broadcast_to(s_i * c.BRi, (n, 3, 3)),
-                       s_i * (c.Y_i @ c.BRi.T)),
-        J_j=c.jacobian(c.dX_dthj, np.broadcast_to(-c.R_bc.T, (n, 3, 3)),
-                       -(c.V_j @ c.R_bc)),
+                       s_i * (c.X_i @ c.BRi.T)),
+        J_j=c.jacobian(c.dX_dthj, np.broadcast_to(-np.eye(3), (n, 3, 3)), -c.X_c),
         J_disparity=c.J_disparity,
         behind_camera=c.behind_camera,
         valid=c.valid,

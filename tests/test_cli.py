@@ -212,15 +212,21 @@ def test_zero_window_solve_iterations_is_a_config_error(tmp_path, capsys):
 
 
 # Every float key whose range check a NaN used to pass, and the two keys
-# that were not checked at all, whose zero made the run diverge.
+# that were not checked at all, whose zero made the run diverge. An infinite
+# gravity magnitude diverged, and an infinite initializer damping or flow
+# scale ran as a valid run (every initializer step rejected; no init and
+# 3 keyframes). tracker.max_interval, tracker.cov_trace_threshold,
+# tracker.flow_threshold and the loop gates still accept inf: "never".
 NAN_PASSED = ("dataset.sigma_px", "init.damping", "loop.ang_gate_deg",
               "loop.flow_gate", "noise.gravity_magnitude",
               "tracker.cov_trace_threshold", "tracker.flow_scale",
               "tracker.flow_threshold", "tracker.max_interval")
+INF_PASSED = ("noise.gravity_magnitude", "init.damping", "tracker.flow_scale")
 
 
 @pytest.mark.parametrize("key, value", [
     *(pytest.param(key, "nan", id=f"{key}=nan") for key in NAN_PASSED),
+    *(pytest.param(key, "inf", id=f"{key}=inf") for key in INF_PASSED),
     pytest.param("noise.gravity_magnitude", "0.0",
                  id="noise.gravity_magnitude=0"),
     pytest.param("init.damping", "0.0", id="init.damping=0"),
@@ -372,4 +378,14 @@ def test_error_inside_the_pipeline_is_a_divergence(tmp_path, capsys,
     code, out = _run(tmp_path, "diverged", SHORT_RUN)
     assert code == EXIT_DIVERGED
     assert '"error": "divergence"' in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_without_vision_is_a_divergence(tmp_path, capsys):
+    # stride 959 leaves one grid pixel, with no live row in any edge: this
+    # ran as a valid run, every keyframe after the first degraded
+    code, out = _run(tmp_path, "blind", SHORT_RUN + "provider.stride = 959\n")
+    assert code == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert '"error": "divergence"' in err and "degraded" in err
     assert not out.exists()

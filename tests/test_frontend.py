@@ -361,14 +361,19 @@ class TestPipeline:
 
 
 class _FlakyProvider:
-    """Delegating provider that fails for a chosen set of frames."""
+    """Delegating provider that fails for a chosen set of frames: it raises,
+    or with dead=True gives their edges the full grid at weight zero."""
 
-    def __init__(self, inner, bad_frames):
+    def __init__(self, inner, bad_frames, dead=False):
         self.inner = inner
         self.bad = set(bad_frames)
+        self.dead = dead
 
     def edge(self, i, j):
         if i in self.bad or j in self.bad:
+            if self.dead:
+                e = self.inner.edge(i, j)
+                return VisionEdge(i, j, e.pixels, e.targets, np.zeros_like(e.weights))
             raise ValueError(f"no covisible pixels between frames {i} and {j}")
         return self.inner.edge(i, j)
 
@@ -384,23 +389,25 @@ class _FlakyProvider:
 
 class TestDegraded:
     def test_provider_failure_degrades_keyframe(self, clean_dataset):
+        # a raising provider and one whose edges are all dead alike
         ds = clean_dataset
         inner = SyntheticProvider(ds, stride=20)
         bad_frame = 7
-        provider = _FlakyProvider(inner, [bad_frame])
-        tracker = make_tracker(provider, imu_period=1.0 / ds.imu_rate)
-        for f in range(12):
-            t = ds.frame_time(f)
-            imu = [] if f == 0 else ds.imu_between(ds.frame_time(f - 1), t)
-            process_frame(tracker, f, t, imu)
-            _check_window_order(tracker)
-        assert len(tracker.degraded) == 1
-        bad_kid = tracker.degraded[0]
-        assert tracker.frame_of[bad_kid] == bad_frame
-        for e in tracker.graph.vision_edges:
-            assert bad_kid not in (e.i, e.j)
-        # later keyframes keep wiring normally
-        assert tracker.graph.keyframes[-1].kid not in tracker.degraded
+        for dead in (False, True):
+            provider = _FlakyProvider(inner, [bad_frame], dead)
+            tracker = make_tracker(provider, imu_period=1.0 / ds.imu_rate)
+            for f in range(12):
+                t = ds.frame_time(f)
+                imu = [] if f == 0 else ds.imu_between(ds.frame_time(f - 1), t)
+                process_frame(tracker, f, t, imu)
+                _check_window_order(tracker)
+            assert len(tracker.degraded) == 1
+            bad_kid = tracker.degraded[0]
+            assert tracker.frame_of[bad_kid] == bad_frame
+            for e in tracker.graph.vision_edges:
+                assert bad_kid not in (e.i, e.j)
+            # later keyframes keep wiring normally
+            assert tracker.graph.keyframes[-1].kid not in tracker.degraded
 
 
 class TestBootstrap:
@@ -413,7 +420,7 @@ class TestBootstrap:
         kf = tracker.graph.keyframes[0]
         assert np.array_equal(kf.state.pose.rotation.q,
                               Rotation.identity().q)
-        assert len(kf.pixels) == len(kf.disparities)
+        assert len(kf.disparities) == len(driver.provider.grid_pixels())
 
     def test_missing_imu_coverage_raises(self, clean_dataset):
         ds = clean_dataset

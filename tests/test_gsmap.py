@@ -79,6 +79,12 @@ class TestGaussians:
         ("opacity", 1.1, "opacity"),
         ("opacity", np.nan, "opacity"),
         ("color", [0.5, -0.2, 0.0], "color"),
+        # each of these wrote a map file that read_vgsm rejects or misreads
+        ("scales", [0.1, np.nan, 0.1], "scales"),
+        ("color", [0.5, np.nan, 0.0], "color"),
+        ("mean", [np.inf, 0.0, 1.0], "mean"),
+        ("q", [0.0, 0.0, 0.0, 0.0], "q"),
+        ("anchor", -1, "anchor"),
     ])
     def test_batch_applies_the_row_rules(self, field, value, match):
         rows = [make_gaussian(anchor=1) for _ in range(3)]

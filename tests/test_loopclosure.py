@@ -19,7 +19,6 @@ from vislam.loopclosure import (
     LoopPolicy,
     LoopWorker,
     PoseGraph,
-    PoseGraphNode,
     _PoseGraphProblem,
     align_loop_pair,
     detect_loops,
@@ -50,6 +49,7 @@ FLOW_SCALE = KeyframePolicy().flow_scale
 def summary(kid, yaw=0.0, **kw):
     pose = Pose(Rotation.exp(np.array([0.0, 0.0, yaw])), np.zeros(3))
     kw.setdefault("frame_index", kid)
+    kw.setdefault("disparities", np.zeros(0))
     return KeyframeSummary(kid=kid, pose=pose, **kw)
 
 
@@ -191,10 +191,10 @@ def chain_from(states, info=None):
 
 class TestPoseGraphValidation:
     def make_nodes(self, n):
-        return [PoseGraphNode(k, int_state([k, 0, 0])) for k in range(n)]
+        return [Keyframe(k, int_state([k, 0, 0])) for k in range(n)]
 
     def test_duplicate_kids_rejected(self):
-        nodes = self.make_nodes(2) + [PoseGraphNode(1, int_state([9, 0, 0]))]
+        nodes = self.make_nodes(2) + [Keyframe(1, int_state([9, 0, 0]))]
         with pytest.raises(ValueError, match="duplicate"):
             PoseGraph(nodes, [], [])
 
@@ -236,7 +236,6 @@ class TestPoseGraphValidation:
                        width=100, height=100)
         with pytest.raises(ValueError, match="snapshot"):
             PoseGraph(nodes, chain, [loop], intrinsics=k, min_loop_gap=5)
-        nodes[0].pixels = pix
         nodes[0].disparities = np.array([0.5])    # wrong length
         with pytest.raises(ValueError, match="align"):
             PoseGraph(nodes, chain, [loop], intrinsics=k, min_loop_gap=5)
@@ -263,8 +262,6 @@ def make_edge(rng, n=6):
 
 PINHOLE = Intrinsics(fx=320.0, fy=320.0, cx=320.0, cy=240.0,
                      width=640, height=480)
-OFFSET_EXTRINSIC = Pose(Rotation.exp(np.array([0.02, -0.03, 0.05])),
-                        np.array([0.05, -0.02, 0.01]))
 
 
 class TestSim3VisionResidual:
@@ -285,20 +282,16 @@ class TestSim3VisionResidual:
         S_i, S_j = rand_state(rng, 1.2), rand_state(rng, 0.8)
         G = SimTransform(Rotation.exp(np.array([0.3, -0.2, 0.9])),
                          np.array([2.0, -1.0, 0.5]), 1.7)
-        r0 = sim3_vision_residual([edge], [S_i], [S_j], [d], PINHOLE,
-                                  OFFSET_EXTRINSIC).residual[0]
-        r1 = sim3_vision_residual([edge], [G * S_i], [G * S_j], [d], PINHOLE,
-                                  OFFSET_EXTRINSIC).residual[0]
+        r0 = sim3_vision_residual([edge], [S_i], [S_j], [d], PINHOLE).residual[0]
+        r1 = sim3_vision_residual([edge], [G * S_i], [G * S_j], [d], PINHOLE).residual[0]
         assert np.max(np.abs(r0 - r1)) < 1e-9
 
-    @pytest.mark.parametrize("tcb", [None, OFFSET_EXTRINSIC],
-                             ids=["identity_extrinsic", "offset_extrinsic"])
-    def test_state_jacobians_match_finite_differences(self, tcb):
+    def test_state_jacobians_match_finite_differences(self):
         rng = np.random.default_rng(3)
         edge = make_edge(rng)
         d = rng.uniform(0.2, 0.9, 6)
         S_i, S_j = rand_state(rng, 1.1), rand_state(rng, 0.93)
-        out = sim3_vision_residual([edge], [S_i], [S_j], [d], PINHOLE, tcb)
+        out = sim3_vision_residual([edge], [S_i], [S_j], [d], PINHOLE)
         assert out.valid[0].all()
         h = 1e-6
         for which, J in (("i", out.J_i[0]), ("j", out.J_j[0])):
@@ -307,14 +300,14 @@ class TestSim3VisionResidual:
                 e[c] = h
                 if which == "i":
                     rp = sim3_vision_residual([edge], [S_i.retract(e)], [S_j], [d],
-                                              PINHOLE, tcb).residual[0]
+                                              PINHOLE).residual[0]
                     rm = sim3_vision_residual([edge], [S_i.retract(-e)], [S_j], [d],
-                                              PINHOLE, tcb).residual[0]
+                                              PINHOLE).residual[0]
                 else:
                     rp = sim3_vision_residual([edge], [S_i], [S_j.retract(e)], [d],
-                                              PINHOLE, tcb).residual[0]
+                                              PINHOLE).residual[0]
                     rm = sim3_vision_residual([edge], [S_i], [S_j.retract(-e)], [d],
-                                              PINHOLE, tcb).residual[0]
+                                              PINHOLE).residual[0]
                 fd = (rp - rm) / (2 * h)
                 err = np.max(np.abs(fd - J[:, :, c])) / max(1.0, np.max(np.abs(fd)))
                 assert err < 1e-4, f"J_{which} column {c}"
@@ -324,16 +317,14 @@ class TestSim3VisionResidual:
         edge = make_edge(rng)
         d = rng.uniform(0.2, 0.9, 6)
         S_i, S_j = rand_state(rng, 1.1), rand_state(rng, 0.93)
-        out = sim3_vision_residual([edge], [S_i], [S_j], [d], PINHOLE, OFFSET_EXTRINSIC)
+        out = sim3_vision_residual([edge], [S_i], [S_j], [d], PINHOLE)
         h = 1e-6
         for m in range(6):
             dp, dm = d.copy(), d.copy()
             dp[m] += h
             dm[m] -= h
-            rp = sim3_vision_residual([edge], [S_i], [S_j], [dp], PINHOLE,
-                                      OFFSET_EXTRINSIC).residual[0][m]
-            rm = sim3_vision_residual([edge], [S_i], [S_j], [dm], PINHOLE,
-                                      OFFSET_EXTRINSIC).residual[0][m]
+            rp = sim3_vision_residual([edge], [S_i], [S_j], [dp], PINHOLE).residual[0][m]
+            rm = sim3_vision_residual([edge], [S_i], [S_j], [dm], PINHOLE).residual[0][m]
             fd = (rp - rm) / (2 * h)
             assert np.max(np.abs(fd - out.J_disparity[0][m])) < 1e-4
 
@@ -345,7 +336,7 @@ class TestSim3VisionResidual:
         edge = make_edge(rng)
         d = rng.uniform(0.2, 0.9, 6)
         out = sim3_vision_residual([edge], [rand_state(rng)], [rand_state(rng)], [d],
-                                   PINHOLE, None)
+                                   PINHOLE)
         assert np.max(np.abs(out.J_j[0][:, :, 6])) < 1e-10
 
     def test_points_behind_target_camera_are_masked(self):
@@ -444,7 +435,7 @@ def translation_rmse(states, reference):
 class TestSolvePgba:
     def exact_graph(self):
         states = [int_state([k, 2.0 * k % 7, -(k % 3)]) for k in range(61)]
-        nodes = [PoseGraphNode(k, s) for k, s in enumerate(states)]
+        nodes = [Keyframe(k, s) for k, s in enumerate(states)]
         loop = LoopEdge(0, 60, RelativePoseEdge(
             0, 60, states[60] * states[0].inverse(), np.eye(7) * 1e6))
         return PoseGraph(nodes, chain_from(states), [loop])
@@ -468,14 +459,14 @@ class TestSolvePgba:
 
     def test_requires_a_loop_edge(self):
         states = [int_state([k, 0, 0]) for k in range(5)]
-        nodes = [PoseGraphNode(k, s) for k, s in enumerate(states)]
+        nodes = [Keyframe(k, s) for k, s in enumerate(states)]
         g = PoseGraph(nodes, chain_from(states), [])
         with pytest.raises(ValueError, match="no loop edges"):
             solve_pgba(g)
 
     def test_rejects_disconnected_graph(self):
-        nodes = [PoseGraphNode(0, int_state([0, 0, 0])),
-                 PoseGraphNode(60, int_state([5, 0, 0]))]
+        nodes = [Keyframe(0, int_state([0, 0, 0])),
+                 Keyframe(60, int_state([5, 0, 0]))]
         loop = LoopEdge(0, 60, unit_rel(0, 60))
         g = PoseGraph(nodes, [], [loop])
         with pytest.raises(ValueError, match="disconnected"):
@@ -483,7 +474,7 @@ class TestSolvePgba:
 
     def test_non_finite_energy_raises(self):
         states = [int_state([k, 0, 0]) for k in range(61)]
-        nodes = [PoseGraphNode(k, s) for k, s in enumerate(states)]
+        nodes = [Keyframe(k, s) for k, s in enumerate(states)]
         bad = SimTransform(Rotation.identity(),
                            np.array([np.nan, 0.0, 0.0]), 1.0)
         loop = LoopEdge(0, 60, RelativePoseEdge(0, 60, bad, np.eye(7)))
@@ -493,7 +484,7 @@ class TestSolvePgba:
 
     def test_scale_drift_closed_by_exact_loop(self):
         gt, drift = drifting_circle()
-        nodes = [PoseGraphNode(k, drift[k]) for k in range(61)]
+        nodes = [Keyframe(k, drift[k]) for k in range(61)]
         loop = LoopEdge(0, 60, RelativePoseEdge(
             0, 60, gt[60] * gt[0].inverse(), np.eye(7) * 1e6))
         g = PoseGraph(nodes, chain_from(drift), [loop])
@@ -513,7 +504,7 @@ class TestSolvePgba:
 
     def test_gauge_state_is_bit_identical(self):
         gt, drift = drifting_circle()
-        nodes = [PoseGraphNode(k, drift[k]) for k in range(61)]
+        nodes = [Keyframe(k, drift[k]) for k in range(61)]
         loop = LoopEdge(0, 60, RelativePoseEdge(
             0, 60, gt[60] * gt[0].inverse(), np.eye(7) * 1e6))
         g = PoseGraph(nodes, chain_from(drift), [loop])
@@ -540,9 +531,7 @@ class TestSolvePgba:
                          edge_raw.weights)
         d0 = 1.0 / prov.depth_hint(frames[0], grid)
         rel = align_loop_pair(vis, d0, drifted[0], drifted[5], k)
-        nodes = [PoseGraphNode(n, drifted[n],
-                               pixels=grid if n == 0 else None,
-                               disparities=d0.copy() if n == 0 else None)
+        nodes = [Keyframe(n, drifted[n], d0.copy() if n == 0 else ())
                  for n in range(6)]
         g = PoseGraph(nodes, chain_from(drifted), [LoopEdge(0, 5, rel, vis)],
                       intrinsics=k, min_loop_gap=5)
@@ -564,15 +553,13 @@ def vision_loop_graph(rng, n_nodes, sources, min_loop_gap):
                            np.array([0.05 * k, 0.0, 0.0]) + rng.normal(0, 0.01, 3),
                            1.0 + rng.normal(0, 0.01))
               for k in range(n_nodes)]
-    nodes = [PoseGraphNode(k, s) for k, s in enumerate(states)]
+    nodes = [Keyframe(k, s) for k, s in enumerate(states)]
     loops = []
     for i, (n, ends) in sources.items():
-        nodes[i].pixels = np.stack([rng.uniform(100, 540, n),
-                                    rng.uniform(80, 400, n)], axis=1)
+        pixels = np.stack([rng.uniform(100, 540, n), rng.uniform(80, 400, n)], axis=1)
         nodes[i].disparities = rng.uniform(0.2, 0.5, n)
         for j in ends:
-            vis = VisionEdge(i, j, nodes[i].pixels,
-                             nodes[i].pixels + rng.normal(0, 2.0, (n, 2)),
+            vis = VisionEdge(i, j, pixels, pixels + rng.normal(0, 2.0, (n, 2)),
                              np.full((n, 2), 1.3))
             loops.append(LoopEdge(i, j, unit_rel(i, j), vis))
     return PoseGraph(nodes, chain_from(states), loops, intrinsics=PINHOLE,
@@ -662,7 +649,7 @@ def worker_run():
     admitted = []
     for f in range(n):
         pair = worker.ingest_summary(KeyframeSummary(
-            kid=f, frame_index=f, pose=drifted[f].pose(), pixels=grid,
+            kid=f, frame_index=f, pose=drifted[f].pose(),
             disparities=1.0 / prov.depth_hint(f, grid)))
         if pair is not None:
             admitted.append(pair)
@@ -747,19 +734,11 @@ class TestLoopWorker:
         worker = LoopWorker(k, counting_edge, LoopPolicy(), FLOW_SCALE)
         for kid, frame in ((0, 0), (1, 1), (2, 2)):
             worker.ingest_summary(KeyframeSummary(
-                kid, frame, ds.frame_pose(frame), grid,
-                1.0 / prov.depth_hint(frame, grid)))
-        pair = worker.ingest_summary(KeyframeSummary(60, 3, ds.frame_pose(3), grid,
+                kid, frame, ds.frame_pose(frame), 1.0 / prov.depth_hint(frame, grid)))
+        pair = worker.ingest_summary(KeyframeSummary(60, 3, ds.frame_pose(3),
                                                      1.0 / prov.depth_hint(3, grid)))
         assert pair is not None and worker.loops_closed == 1
         assert sorted(calls) == [(0, 3), (1, 3), (2, 3)]
-
-    def test_admission_needs_source_snapshot(self, synth):
-        _, prov, _, k = synth
-        worker = LoopWorker(k, prov.edge, LoopPolicy(), FLOW_SCALE)
-        worker.ingest_summary(summary(0))       # no pixel snapshot
-        with pytest.raises(ValueError, match="snapshot"):
-            worker.ingest_summary(summary(55, frame_index=2))
 
 
 def make_static_delta(duration=0.1):
@@ -780,8 +759,7 @@ def tiny_tracker():
                     np.array([0.5 * n, 0.1, 0.0]))
         state = PoseState(pose, np.array([0.2, 0.0, 0.1]), BiasState(),
                           timestamp=1.0 + n)
-        kfs.append(Keyframe(n, state, pix.copy(),
-                            rng.uniform(0.3, 0.8, 5)))
+        kfs.append(Keyframe(n, state, rng.uniform(0.3, 0.8, 5)))
     delta = make_static_delta()
     edges = [VisionEdge(0, 1, pix, pix, np.ones((5, 2))),
              VisionEdge(1, 2, pix, pix, np.ones((5, 2)))]
@@ -879,7 +857,7 @@ class TestTrackerSeam:
         states = [s for _, s in nodes]
         loop_meas = states[2] * states[0].inverse()
         pert = loop_meas.retract(np.array([0.01, 0, 0, 0.05, 0, 0, 0.0]))
-        big_nodes = [PoseGraphNode(kid, s) for kid, s in nodes]
+        big_nodes = [Keyframe(kid, s) for kid, s in nodes]
         g = PoseGraph(big_nodes, chain,
                       [LoopEdge(0, 2, RelativePoseEdge(0, 2, pert,
                                                        np.eye(7) * 1e4))],

@@ -61,7 +61,7 @@ def _default_intrinsics():
     return Intrinsics(fx=300.0, fy=300.0, cx=319.5, cy=239.5, width=640, height=480)
 
 
-def _vision_setup(rng, n=12, t_cb=None):
+def _vision_setup(rng, n=12):
     """Pixels in frame i, true depths, exact targets in frame j."""
     k = _default_intrinsics()
     T_i = _rand_pose(rng, 0.3, 0.5)
@@ -72,11 +72,8 @@ def _vision_setup(rng, n=12, t_cb=None):
     depths = rng.uniform(2.0, 6.0, n)
     d_i = 1.0 / depths
 
-    T_bc = Pose.identity() if t_cb is None else t_cb.inverse()
-    X_i = backproject(k, pixels, d_i)
-    X_w = T_i.apply(T_bc.apply(X_i))
-    X_cj = (t_cb if t_cb is not None else Pose.identity()).apply(T_j.inverse().apply(X_w))
-    targets = project(k, X_cj)
+    X_w = T_i.apply(backproject(k, pixels, d_i))
+    targets = project(k, T_j.inverse().apply(X_w))
     return k, T_i, T_j, pixels, d_i, targets
 
 
@@ -123,27 +120,21 @@ def test_vision_behind_camera_flagged_and_zeroed():
     assert np.all(out.J_i[0] == 0.0)
 
 
-@pytest.mark.parametrize("with_extrinsic", [False, True])
-def test_vision_jacobians_match_finite_differences(with_extrinsic):
-    rng = np.random.default_rng(3 + with_extrinsic)
-    t_cb = None
-    if with_extrinsic:
-        t_cb = Pose(Rotation.exp(np.array([0.01, -0.7, 0.02])), np.array([0.05, -0.02, 0.01]))
-    k, T_i, T_j, pixels, d_i, targets = _vision_setup(rng, n=8, t_cb=t_cb)
+def test_vision_jacobians_match_finite_differences():
+    rng = np.random.default_rng(3)
+    k, T_i, T_j, pixels, d_i, targets = _vision_setup(rng, n=8)
     targets = targets + rng.standard_normal(targets.shape) * 2.0
     weights = rng.uniform(0.2, 2.0, (len(pixels), 2))
     edge = VisionEdge(0, 1, pixels, targets, weights)
 
-    out = vision_residual([edge], [T_i], [T_j], [d_i], k, T_cb=t_cb)
+    out = vision_residual([edge], [T_i], [T_j], [d_i], k)
 
     def f_i(d):
-        r = vision_residual([edge], [T_i.retract(d[:3], d[3:])], [T_j], [d_i], k,
-                            T_cb=t_cb)
+        r = vision_residual([edge], [T_i.retract(d[:3], d[3:])], [T_j], [d_i], k)
         return r.residual[0].reshape(-1)
 
     def f_j(d):
-        r = vision_residual([edge], [T_i], [T_j.retract(d[:3], d[3:])], [d_i], k,
-                            T_cb=t_cb)
+        r = vision_residual([edge], [T_i], [T_j.retract(d[:3], d[3:])], [d_i], k)
         return r.residual[0].reshape(-1)
 
     J_i_fd = _fd_columns(f_i, lambda d: d, 6)
@@ -156,7 +147,7 @@ def test_vision_jacobians_match_finite_differences(with_extrinsic):
         def f_d(eps, p=p):
             dd = d_i.copy()
             dd[p] += eps[0]
-            r = vision_residual([edge], [T_i], [T_j], [dd], k, T_cb=t_cb)
+            r = vision_residual([edge], [T_i], [T_j], [dd], k)
             return r.residual[0][p]
 
         col_fd = _fd_columns(f_d, lambda e: e, 1)[:, 0]
@@ -180,17 +171,15 @@ def test_vision_invariant_under_common_rigid_transform():
 
 
 ORACLE_RTOL = 1e-12
-OFFSET_EXTRINSIC = Pose(Rotation.exp(np.array([0.01, -0.7, 0.02])),
-                        np.array([0.05, -0.02, 0.01]))
 
 
-def _edge_stack(rng, t_cb, n_edges=4, n=10):
+def _edge_stack(rng, n_edges=4, n=10):
     """Edges of one pixel count with noisy targets and some zero weights;
     the last edge's target camera sits 4 m ahead, behind part of its points."""
     k = _default_intrinsics()
     edges, T_i, T_j, d_i = [], [], [], []
     for e in range(n_edges):
-        _, Ti, Tj, pixels, d, targets = _vision_setup(rng, n=n, t_cb=t_cb)
+        _, Ti, Tj, pixels, d, targets = _vision_setup(rng, n=n)
         if e == n_edges - 1:
             Tj = Ti.compose(Pose(Rotation.identity(), np.array([0.0, 0.0, 4.0])))
         weights = rng.uniform(0.2, 2.0, (n, 2))
@@ -208,34 +197,30 @@ def _assert_close(got, want):
     assert np.abs(got - want).max() <= ORACLE_RTOL * np.abs(want).max()
 
 
-@pytest.mark.parametrize("t_cb", [None, OFFSET_EXTRINSIC],
-                         ids=["identity_extrinsic", "offset_extrinsic"])
-def test_batched_vision_residual_matches_per_edge_oracle(t_cb):
+def test_batched_vision_residual_matches_per_edge_oracle():
     rng = np.random.default_rng(30)
-    k, edges, T_i, T_j, d_i = _edge_stack(rng, t_cb)
-    out = vision_residual(edges, T_i, T_j, d_i, k, T_cb=t_cb)
+    k, edges, T_i, T_j, d_i = _edge_stack(rng)
+    out = vision_residual(edges, T_i, T_j, d_i, k)
     assert out.behind_camera[-1] > 0 and out.valid[-1].any()
     for e, edge in enumerate(edges):
-        want = oracles.vision_residual(edge, T_i[e], T_j[e], d_i[e], k, T_cb=t_cb)
+        want = oracles.vision_residual(edge, T_i[e], T_j[e], d_i[e], k)
         for name in ("residual", "J_i", "J_j", "J_disparity"):
             _assert_close(getattr(out, name)[e], getattr(want, name))
         assert out.behind_camera[e] == want.behind_camera
         assert np.array_equal(out.valid[e], want.valid)
 
 
-@pytest.mark.parametrize("t_cb", [None, OFFSET_EXTRINSIC],
-                         ids=["identity_extrinsic", "offset_extrinsic"])
-def test_batched_sim3_vision_residual_matches_per_edge_oracle(t_cb):
+def test_batched_sim3_vision_residual_matches_per_edge_oracle():
     rng = np.random.default_rng(31)
-    k, edges, T_i, T_j, d_i = _edge_stack(rng, t_cb)
+    k, edges, T_i, T_j, d_i = _edge_stack(rng)
     S_i = [SimTransform(T.rotation, T.translation, float(np.exp(rng.uniform(-0.3, 0.3))))
            for T in T_i]
     S_j = [SimTransform(T.rotation, T.translation, float(np.exp(rng.uniform(-0.3, 0.3))))
            for T in T_j]
-    out = sim3_vision_residual(edges, S_i, S_j, d_i, k, T_cb=t_cb)
+    out = sim3_vision_residual(edges, S_i, S_j, d_i, k)
     assert out.behind_camera[-1] > 0 and out.valid[-1].any()
     for e, edge in enumerate(edges):
-        want = oracles.sim3_vision_residual(edge, S_i[e], S_j[e], d_i[e], k, T_cb=t_cb)
+        want = oracles.sim3_vision_residual(edge, S_i[e], S_j[e], d_i[e], k)
         for name in ("residual", "J_i", "J_j", "J_disparity"):
             _assert_close(getattr(out, name)[e], getattr(want, name))
         assert out.behind_camera[e] == want.behind_camera

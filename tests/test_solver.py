@@ -264,7 +264,7 @@ def _two_pixel_counts(graph, drop=3):
     """The graph with every second keyframe, and the edges it sources,
     tracking `drop` fewer pixels."""
     short = {kf.kid for n, kf in enumerate(graph.keyframes) if n % 2}
-    keyframes = [Keyframe(kf.kid, kf.state, kf.pixels[:-drop], kf.disparities[:-drop])
+    keyframes = [Keyframe(kf.kid, kf.state, kf.disparities[:-drop])
                  if kf.kid in short else kf for kf in graph.keyframes]
     edges = [VisionEdge(e.i, e.j, e.pixels[:-drop], e.targets[:-drop], e.weights[:-drop])
              if e.i in short else e for e in graph.vision_edges]
@@ -377,7 +377,7 @@ def test_keyframe_rejects_non_finite_or_non_positive_disparity(bad):
     d = kf.disparities.copy()
     d[2] = bad
     with pytest.raises(ValueError, match="finite and positive"):
-        Keyframe(kf.kid, kf.state, kf.pixels, d)
+        Keyframe(kf.kid, kf.state, d)
 
 
 class _Rosenbrock:

@@ -94,3 +94,21 @@ def test_only_graph_problem_snapshots_or_restores():
                     for f in c.body if isinstance(f, ast.FunctionDef)
                     and f.name in ("snapshot", "restore")}
     assert defined == {("solver.py", "GraphProblem")}
+
+
+# The camera is the body and an edge owns its pixels: no module names a
+# camera-body extrinsic, and no record but VisionEdge keeps a pixel copy.
+def test_one_camera_and_one_pixel_owner():
+    extrinsic = {"T_cb", "T_bc", "R_bc", "p_bc"}
+    pixel_fields = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        args = {a.arg for a in ast.walk(tree) if isinstance(a, ast.arg)}
+        assert not extrinsic & (_names(tree) | args), path.name
+        pixel_fields |= {
+            (path.name, c.name) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+            for n in ast.walk(c)
+            if isinstance(n, ast.AnnAssign) and getattr(n.target, "id", None) == "pixels"
+            or isinstance(n, ast.Attribute) and n.attr == "pixels"
+            and isinstance(n.ctx, ast.Store)}
+    assert pixel_fields == {("residuals.py", "VisionEdge")}

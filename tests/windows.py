@@ -119,6 +119,7 @@ def build_window(rng, n_kf=8, n_px=30, kf_dt=0.25, rate_hz=200.0,
                                     v, bias, ts[n + 1]))
 
     keyframes = []
+    grids = []          # each keyframe's pixels, which its edges carry
     world_points = []
     for kid, s in enumerate(states):
         # oversample, then keep pixels whose world point stays comfortably in
@@ -136,7 +137,8 @@ def build_window(rng, n_kf=8, n_px=30, kf_dt=0.25, rate_hz=200.0,
         if len(pixels) < n_px:
             raise RuntimeError("trajectory too aggressive for the scene depth range")
         est_state = PoseState(s.pose, s.velocity, bias_hat, s.timestamp)
-        keyframes.append(Keyframe(kid, est_state, pixels, d))
+        keyframes.append(Keyframe(kid, est_state, d))
+        grids.append(pixels)
         world_points.append(s.pose.apply(backproject(k, pixels, d)))
 
     vision_edges = []
@@ -147,7 +149,7 @@ def build_window(rng, n_kf=8, n_px=30, kf_dt=0.25, rate_hz=200.0,
             X_j = states[j].pose.inverse().apply(world_points[i])
             targets = project(k, X_j)
             w = np.full((n_px, 2), vision_weight)
-            vision_edges.append(VisionEdge(i, j, keyframes[i].pixels, targets, w))
+            vision_edges.append(VisionEdge(i, j, grids[i], targets, w))
 
     inertial_edges = []
     for i in range(n_kf - 1):
