@@ -43,6 +43,7 @@ PHASE_FULL = "full"
 PHASES = (PHASE_VISION, PHASE_INERTIAL, PHASE_FULL)
 
 MAX_IMU_GAP_PERIODS = 5.0
+EVICTION_SCALE_WEIGHT = 100.0    # information of a chain edge's log-scale slot
 
 
 @dataclass
@@ -136,8 +137,7 @@ class ArchivedKeyframe:
 
 
 def eviction_edge(kid_i: int, kid_j: int, state_i: PoseState,
-                  state_j: PoseState, delta: PreintegratedDelta,
-                  scale_weight: float = 100.0) -> RelativePoseEdge:
+                  state_j: PoseState, delta: PreintegratedDelta) -> RelativePoseEdge:
     """Sim(3) chain constraint left behind by an evicted keyframe.
 
     The measurement is the current relative pose at unit scale. Rotation and
@@ -152,7 +152,7 @@ def eviction_edge(kid_i: int, kid_j: int, state_i: PoseState,
         info[b, b] = map_eigenvalues(
             delta.covariance[b, b],
             lambda vals: np.clip(1.0 / np.maximum(vals, 1e-12), 1e-3, 1e8))
-    info[6, 6] = scale_weight
+    info[6, 6] = EVICTION_SCALE_WEIGHT
     return RelativePoseEdge(kid_i, kid_j, S_j * S_i.inverse(), info)
 
 

@@ -1,9 +1,9 @@
 """Anchored 3D-Gaussian scene map, stored as columns.
 
 Gaussians are spawned by unprojecting keyframe depth, each anchored to the
-keyframe that created it, and kept as one `Gaussians` batch (a column per
-field of the map file's record) with an index of store ranges per anchor.
-Loop closure warps each anchor's ranges by one batched similarity. A small
+keyframe that created it, and kept as one checked `Gaussians` batch (a
+column per field of the map file's record). Loop closure warps each run of
+one anchor in the anchor column by one batched similarity. A small
 forward splatting renderer and the color/depth/isotropy losses support
 evaluation; Gaussians are never refined by gradient descent here. The
 renderer culls as the 3DGS rasterizer does (Kerbl et al., SIGGRAPH 2023):
@@ -33,6 +33,8 @@ _GUARD = 0.15
 _TILE = 8                # side of a compositing tile, pixels
 _CHUNK = 512             # Gaussians composited at once within a tile
 
+_F32 = np.finfo(np.float32)   # the map file's float range
+
 _MAGIC = b"VGSM"
 _VERSION = 1
 _RECORD = np.dtype([
@@ -56,22 +58,12 @@ class Gaussian:
     opacity: float
     anchor: int                   # keyframe id this Gaussian came from
 
-    def __post_init__(self):
-        # a batch of one converts and checks the fields
-        one = Gaussians(self.mean, self.scales, self.orientation.q, self.color,
-                        self.opacity, self.anchor)
-        self.mean, self.scales, self.color = one.mean[0], one.scales[0], one.color[0]
-        self.opacity = float(self.opacity)
-
-    def covariance(self) -> np.ndarray:
-        R = self.orientation.matrix()
-        return R @ np.diag(self.scales ** 2) @ R.T
-
 
 class Gaussians:
     """Gaussians as columns: mean (N, 3), scales (N, 3), unit q (N, 4, w first
-    and >= 0), color (N, 3), opacity (N,) and anchor (N,). Indexing and
-    iteration make `Gaussian` rows that view the columns, one at a time."""
+    and >= 0), color (N, 3), opacity (N,) and anchor (N,), checked once when
+    built. Iteration makes `Gaussian` rows that view the columns, one at a
+    time."""
 
     def __init__(self, mean=(), scales=(), q=(), color=(), opacity=(), anchor=()):
         self.mean = np.asarray(mean, dtype=float).reshape(-1, 3)
@@ -84,17 +76,19 @@ class Gaussians:
         self.check()
 
     def check(self) -> None:
-        """Raise ValueError unless every row keeps the rules, read_vgsm's too.
-        Each is a negated comparison, so NaN fails it; a range reads min, max."""
+        """Raise ValueError unless every row keeps the rules, read_vgsm's too,
+        at the float32 that write_vgsm stores: mean, scales and q within its
+        range, scales and each q's L1 norm at least its smallest normal. Each
+        is a negated comparison, so NaN fails it; a range reads min, max."""
         if not len(self):
             return
-        if not np.isfinite(self.mean).all():
-            raise ValueError("Gaussian mean must be finite")
+        if not -_F32.max <= self.mean.min() <= self.mean.max() <= _F32.max:
+            raise ValueError("Gaussian mean must be finite in float32")
         q_l1 = np.abs(self.q) @ np.ones(4)
-        if not 0.0 < q_l1.min() <= q_l1.max() < np.inf:
-            raise ValueError("Gaussian q must be finite and non-zero")
-        if not 0.0 < self.scales.min() <= self.scales.max() < np.inf:
-            raise ValueError("Gaussian scales must be positive and finite")
+        if not _F32.tiny <= q_l1.min() <= q_l1.max() <= _F32.max:
+            raise ValueError("Gaussian q must be finite and non-zero in float32")
+        if not _F32.tiny <= self.scales.min() <= self.scales.max() <= _F32.max:
+            raise ValueError("Gaussian scales must be positive and finite in float32")
         if not 0.0 <= self.opacity.min() <= self.opacity.max() <= 1.0:
             raise ValueError("opacity must lie in [0, 1]")
         if not 0.0 <= self.color.min() <= self.color.max() <= 1.0:
@@ -108,19 +102,11 @@ class Gaussians:
     def __len__(self) -> int:
         return len(self.mean)
 
-    def __getitem__(self, i: int) -> Gaussian:
-        i = range(len(self))[i]           # IndexError past either end
-        return next(iter(Gaussians(*(c[i:i + 1] for c in self.columns()))))
-
     def __iter__(self):
-        # the batch is checked, so a row skips the Gaussian checks
         for mean, scales, q, color, opacity, anchor in zip(
                 self.mean, self.scales, self.q, self.color,
                 self.opacity.tolist(), self.anchor.tolist()):
-            row = object.__new__(Gaussian)
-            row.__dict__.update(mean=mean, scales=scales, orientation=_rotation(q),
-                                color=color, opacity=opacity, anchor=anchor)
-            yield row
+            yield Gaussian(mean, scales, _rotation(q), color, opacity, anchor)
 
 
 def _rotation(q: np.ndarray) -> Rotation:
@@ -138,49 +124,26 @@ def _canonical(q: np.ndarray) -> np.ndarray:
 
 
 class GaussianMap:
-    """One Gaussian batch plus an anchor index over contiguous store ranges."""
+    """The map's Gaussians: one checked batch, in insertion order."""
 
     def __init__(self):
         self.gaussians = Gaussians()
-        self.anchor_ranges = {}       # anchor id -> list of (start, stop)
 
     def __len__(self) -> int:
         return len(self.gaussians)
 
     def insert(self, batch: Gaussians) -> None:
-        """Append a batch; each run of one anchor in it extends that anchor's ranges.
+        """Append a batch's columns to the store's.
 
-        Only the batch is checked: the stored rows passed when they came in.
+        The batch was checked when it was built, so nothing is checked again.
         """
-        batch.check()
-        offset = len(self.gaussians)
         store = object.__new__(Gaussians)
         (store.mean, store.scales, store.q, store.color, store.opacity,
          store.anchor) = map(np.concatenate, zip(self.gaussians.columns(), batch.columns()))
         self.gaussians = store
-        a = batch.anchor
-        starts = np.flatnonzero(np.diff(a, prepend=a[:1] - 1)).tolist()
-        for lo, hi in zip(starts, starts[1:] + [len(a)]):
-            runs = self.anchor_ranges.setdefault(int(a[lo]), [])
-            lo, hi = lo + offset, hi + offset
-            if runs and runs[-1][1] == lo:
-                lo = runs.pop()[0]
-            runs.append((lo, hi))
 
     def by_anchor(self, anchor: int) -> Gaussians:
         return Gaussians(*(c[self.gaussians.anchor == anchor] for c in self.gaussians.columns()))
-
-    def check_index(self) -> None:
-        """Assert the anchor index covers every Gaussian exactly once."""
-        column = self.gaussians.anchor
-        seen = np.zeros(len(column), dtype=int)
-        for anchor, runs in self.anchor_ranges.items():
-            for start, stop in runs:
-                if np.any(column[start:stop] != anchor):
-                    raise AssertionError(f"index claims anchor {anchor} for {start}:{stop}")
-                seen[start:stop] += 1
-        if not np.all(seen == 1):
-            raise AssertionError("anchor index does not cover the store exactly once")
 
 
 def spawn_from_keyframe(color: np.ndarray, depth: np.ndarray, pose: Pose,
@@ -226,15 +189,18 @@ def apply_loop_correction(gmap: GaussianMap, correction) -> GaussianMap:
     means go through mu+ = R+(ds * R-^T (mu- - t-)) + t+, covariances become
     R+ (ds^2 R-^T Sigma R-) R+^T, which keeps the stored factored form by
     rotating the orientation with R+ R-^T and multiplying scales by ds, one
-    anchor run at a time. Color and opacity are untouched. Anchors without
-    an entry, and entries whose pose and scale did not move, are skipped so
-    those Gaussians stay bit-identical. A bad entry raises before any warp.
+    run of equal ids in the anchor column at a time (an anchor may have
+    several). Color and opacity are untouched. Anchors without an entry, and
+    entries whose pose and scale did not move, are skipped so those
+    Gaussians stay bit-identical. An entry whose scale change is not
+    positive and finite raises before any warp.
     """
-    if any(e.scale_change <= 0.0 for e in correction.entries.values()):
-        raise ValueError("loop correction scale change must be positive")
+    if not all(0.0 < e.scale_change < np.inf for e in correction.entries.values()):
+        raise ValueError("loop correction scale change must be positive and finite")
     g = gmap.gaussians
-    for anchor, runs in gmap.anchor_ranges.items():
-        entry = correction.entries.get(anchor)
+    starts = np.flatnonzero(np.diff(g.anchor, prepend=-1)).tolist()
+    for start, stop in zip(starts, starts[1:] + [len(g)]):
+        entry = correction.entries.get(int(g.anchor[start]))
         if entry is None or not entry.moved():
             continue
         ds = float(entry.scale_change)
@@ -245,12 +211,11 @@ def apply_loop_correction(gmap: GaussianMap, correction) -> GaussianMap:
         # left-multiplication matrix of delta = (w, x, y, z)
         w, x, y, z = (new.rotation * old.rotation.inverse()).q
         L_T = np.array([[w, x, y, z], [-x, w, z, -y], [-y, -z, w, x], [-z, y, -x, w]])
-        for start, stop in runs:
-            run = slice(start, stop)
-            local = ds * ((g.mean[run] - old.translation) @ R_minus)
-            g.mean[run] = local @ R_plus.T + new.translation
-            g.scales[run] *= ds
-            g.q[run] = _canonical(g.q[run] @ L_T)
+        run = slice(start, stop)
+        local = ds * ((g.mean[run] - old.translation) @ R_minus)
+        g.mean[run] = local @ R_plus.T + new.translation
+        g.scales[run] *= ds
+        g.q[run] = _canonical(g.q[run] @ L_T)
     return gmap
 
 

@@ -172,8 +172,8 @@ class CorrectionEntry:
 
     def __post_init__(self):
         self.scale_change = float(self.scale_change)
-        if not self.scale_change > 0.0:
-            raise ValueError("scale change must be positive")
+        if not 0.0 < self.scale_change < np.inf:
+            raise ValueError("scale change must be positive and finite")
 
     def moved(self) -> bool:
         """False when pose and scale came out of the solve bit-identical."""

@@ -182,9 +182,6 @@ class TrajectorySamples:
     imu_body_rates: np.ndarray
     imu_world_accels: np.ndarray
 
-    def n_frames(self) -> int:
-        return len(self.frame_times)
-
 
 def generate_trajectory(model: TrajectoryModel, frame_rate: float,
                         imu_rate: float) -> TrajectorySamples:
@@ -271,8 +268,8 @@ class SceneModel:
         self._freqs = rng.uniform(0.6, 2.2, size=(3, 3))
         self._phases = rng.uniform(0.0, 2.0 * np.pi, size=3)
 
-    def contains(self, p: np.ndarray, margin: float = 0.0) -> bool:
-        return bool(np.all(np.abs(np.asarray(p)) < self.half_extent - margin))
+    def contains(self, p: np.ndarray) -> bool:
+        return bool(np.all(np.abs(np.asarray(p)) < self.half_extent))
 
     def raycast(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         """Ray parameter of the first wall hit for rays origin + s * dirs.
@@ -398,25 +395,20 @@ def make_dataset(model: TrajectoryModel, scene: SceneModel | None = None,
 
 
 def synthesize_correspondences(dataset: SyntheticDataset, kf_i: int, kf_j: int,
-                               sigma_px: float | None = None,
-                               outlier_rate: float | None = None,
                                seed: int | None = None,
-                               stride: int = 8,
-                               full_grid: bool = False) -> VisionEdge:
+                               stride: int = 8) -> VisionEdge:
     """Correspondence edge from frame kf_i to frame kf_j.
 
-    Source pixels are a strided grid in frame i; targets are the exact
-    reprojections of the raycast surface points into frame j, plus Gaussian
-    pixel noise. A fraction of targets is redrawn uniformly in the image and
-    downweighted by 100x. Inlier weights are 1/sigma^2 (1.0 when sigma is 0).
-    Raises if no grid pixel is covisible.
-
-    With full_grid the edge keeps every grid pixel so its rows align with the
-    source keyframe's disparity list; pixels without a valid match get weight
-    zero and their own coordinates as placeholder targets.
+    Source pixels are the full strided grid in frame i, so the edge's rows
+    align with the source keyframe's disparity list. Targets are the exact
+    reprojections of the raycast surface points into frame j, plus the
+    dataset's Gaussian pixel noise; pixels without a valid match get weight
+    zero and their own coordinates as placeholder targets. A fraction
+    (the dataset's outlier rate) of live targets is redrawn uniformly in
+    the image and downweighted by 100x. Inlier weights are 1/sigma^2 (1.0
+    when sigma is 0). Raises if no grid pixel is covisible.
     """
-    sigma_px = dataset.sigma_px if sigma_px is None else sigma_px
-    outlier_rate = dataset.outlier_rate if outlier_rate is None else outlier_rate
+    sigma_px, outlier_rate = dataset.sigma_px, dataset.outlier_rate
     seed = dataset.seed if seed is None else seed
     k = dataset.intrinsics
 
@@ -434,20 +426,13 @@ def synthesize_correspondences(dataset: SyntheticDataset, kf_i: int, kf_j: int,
     with np.errstate(divide="ignore", invalid="ignore"):
         u = k.fx * pts_j[:, 0] / z + k.cx
         v = k.fy * pts_j[:, 1] / z + k.cy
-    visible = (z > 0.05) & (u >= 0.0) & (u <= k.width - 1.0) \
+    alive = (z > 0.05) & (u >= 0.0) & (u <= k.width - 1.0) \
         & (v >= 0.0) & (v <= k.height - 1.0) & np.isfinite(depths)
-    if not np.any(visible):
+    if not np.any(alive):
         raise ValueError(f"no covisible pixels between frames {kf_i} and {kf_j}")
 
-    if full_grid:
-        src = pixels
-        alive = visible
-        targets = np.where(visible[:, None], np.stack([u, v], axis=1), pixels)
-    else:
-        src = pixels[visible]
-        alive = np.ones(len(src), dtype=bool)
-        targets = np.stack([u[visible], v[visible]], axis=1)
-    n = len(src)
+    targets = np.where(alive[:, None], np.stack([u, v], axis=1), pixels)
+    n = len(pixels)
     weight_val = 1.0 / (sigma_px * sigma_px) if sigma_px > 0.0 else 1.0
     weights = np.full((n, 2), weight_val)
     weights[~alive] = 0.0
@@ -464,7 +449,7 @@ def synthesize_correspondences(dataset: SyntheticDataset, kf_i: int, kf_j: int,
                                 rng.uniform(0.0, k.height - 1.0, n_bad)], axis=1)
             targets[bad] = redrawn
             weights[bad] *= 0.01
-    return VisionEdge(i=kf_i, j=kf_j, pixels=src, targets=targets, weights=weights)
+    return VisionEdge(i=kf_i, j=kf_j, pixels=pixels, targets=targets, weights=weights)
 
 
 def edge_seed(base_seed: int, i: int, j: int) -> int:
@@ -494,7 +479,7 @@ class SyntheticProvider:
     def edge(self, i: int, j: int) -> VisionEdge:
         return synthesize_correspondences(
             self.dataset, i, j, seed=edge_seed(self.dataset.seed, i, j),
-            stride=self.stride, full_grid=True)
+            stride=self.stride)
 
     def grid_pixels(self) -> np.ndarray:
         """The tracked pixel grid every edge of this provider is built on."""

@@ -748,7 +748,8 @@ def render(gmap: ObjectMap, pose, k, background=None, min_z=1e-2, guard=0.15) ->
                 continue
             J = np.array([[k.fx / z, 0.0, -k.fx * p[0] / z ** 2],
                           [0.0, k.fy / z, -k.fy * p[1] / z ** 2]])
-            cov_cam = R_cw @ g.covariance() @ R_cw.T
+            R = g.orientation.matrix()
+            cov_cam = R_cw @ (R @ np.diag(g.scales ** 2) @ R.T) @ R_cw.T
             cov2 = J @ cov_cam @ J.T + 1e-9 * np.eye(2)
             radius = 3.0 * np.sqrt(np.linalg.eigvalsh(cov2).max()) + 1.0
             u0 = max(int(np.floor(u - radius)), 0)

@@ -112,3 +112,23 @@ def test_one_camera_and_one_pixel_owner():
             or isinstance(n, ast.Attribute) and n.attr == "pixels"
             and isinstance(n.ctx, ast.Store)}
     assert pixel_fields == {("residuals.py", "VisionEdge")}
+
+
+
+def _check_calls(node) -> int:
+    return sum(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+               and n.func.attr == "check" for n in ast.walk(node))
+
+
+# The map is its checked columns: a batch is checked once, when it is built,
+# and the anchor runs are read from the anchor column, not from an index.
+def test_one_check_per_batch_and_no_anchor_index():
+    calls = 0
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert "anchor_ranges" not in _names(tree), path.name
+        calls += _check_calls(tree)
+        if path.name == "gsmap.py":
+            init, = (f for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "Gaussians"
+                     for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "__init__")
+    assert calls == _check_calls(init) == 1
