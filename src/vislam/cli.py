@@ -213,6 +213,8 @@ def materialize(cfg: dict) -> RunPlan:
                     "run.frame_stride"):
             if cfg[key] < 1:
                 raise ConfigError(f"config key {key!r} must be >= 1")
+        if cfg["run.seed"] < 0:
+            raise ConfigError("config key 'run.seed' must be >= 0")
         align = cfg["run.align"]
         if align not in ("se3", "sim3", "none"):
             raise ConfigError(f"config key 'run.align' must be se3, sim3, "

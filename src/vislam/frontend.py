@@ -297,7 +297,6 @@ def add_keyframe(tracker: TrackerState, frame_index: int,
         graph.inertial_edges.append((graph.keyframes[-1].kid, kid, delta))
     graph.keyframes.append(Keyframe(kid, state, disparities))
     graph.vision_edges.extend(vision_edges)
-    graph.reindex()
     tracker.frame_of[kid] = frame_index
     tracker.next_kid = kid + 1
     tracker.imu_buffer = [s for s in tracker.imu_buffer
@@ -350,10 +349,8 @@ def _evict(tracker: TrackerState) -> None:
             old.state.pose,
             eviction_edge(old.kid, succ.kid, old.state, succ.state, delta)))
         evicted.add(old.kid)
-    if evicted:
-        graph.vision_edges = [e for e in graph.vision_edges
-                              if e.i not in evicted and e.j not in evicted]
-        graph.reindex()
+    graph.vision_edges = [e for e in graph.vision_edges
+                          if e.i not in evicted and e.j not in evicted]
 
 
 def estimated_trajectory(tracker: TrackerState) -> Trajectory:

@@ -207,10 +207,6 @@ class Rotation:
             w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
         ]))
 
-    def angle_to(self, other: "Rotation") -> float:
-        """Geodesic angle in radians between two rotations."""
-        return float(np.linalg.norm((self.inverse() * other).log()))
-
     def __repr__(self) -> str:
         return f"Rotation(q={self.q})"
 

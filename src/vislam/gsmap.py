@@ -142,9 +142,6 @@ class GaussianMap:
          store.anchor) = map(np.concatenate, zip(self.gaussians.columns(), batch.columns()))
         self.gaussians = store
 
-    def by_anchor(self, anchor: int) -> Gaussians:
-        return Gaussians(*(c[self.gaussians.anchor == anchor] for c in self.gaussians.columns()))
-
 
 def spawn_from_keyframe(color: np.ndarray, depth: np.ndarray, pose: Pose,
                         k: Intrinsics, stride: int, anchor: int):
@@ -193,11 +190,13 @@ def apply_loop_correction(gmap: GaussianMap, correction) -> GaussianMap:
     several). Color and opacity are untouched. Anchors without an entry, and
     entries whose pose and scale did not move, are skipped so those
     Gaussians stay bit-identical. An entry whose scale change is not
-    positive and finite raises before any warp.
+    positive and finite raises before any warp, and a warped batch that fails
+    its check raises before it replaces the store.
     """
     if not all(0.0 < e.scale_change < np.inf for e in correction.entries.values()):
         raise ValueError("loop correction scale change must be positive and finite")
     g = gmap.gaussians
+    mean, scales, q = g.mean.copy(), g.scales.copy(), g.q.copy()
     starts = np.flatnonzero(np.diff(g.anchor, prepend=-1)).tolist()
     for start, stop in zip(starts, starts[1:] + [len(g)]):
         entry = correction.entries.get(int(g.anchor[start]))
@@ -212,10 +211,11 @@ def apply_loop_correction(gmap: GaussianMap, correction) -> GaussianMap:
         w, x, y, z = (new.rotation * old.rotation.inverse()).q
         L_T = np.array([[w, x, y, z], [-x, w, z, -y], [-y, -z, w, x], [-z, y, -x, w]])
         run = slice(start, stop)
-        local = ds * ((g.mean[run] - old.translation) @ R_minus)
-        g.mean[run] = local @ R_plus.T + new.translation
-        g.scales[run] *= ds
-        g.q[run] = _canonical(g.q[run] @ L_T)
+        local = ds * ((mean[run] - old.translation) @ R_minus)
+        mean[run] = local @ R_plus.T + new.translation
+        scales[run] *= ds
+        q[run] = _canonical(q[run] @ L_T)
+    gmap.gaussians = Gaussians(mean, scales, q, g.color, g.opacity, g.anchor)
     return gmap
 
 

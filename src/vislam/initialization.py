@@ -6,8 +6,8 @@ Stage 1 solves a vision-only bundle adjustment of the accumulated window, so
 its geometry is known only up to a global similarity. Stage 2 freezes those
 poses and fits the metric unknowns: a log-scale applied to all positions,
 the 2-dof gravity orientation, one shared bias, and per-keyframe velocities.
-Stage 3 applies the stage-2 solution to the window and runs the full
-visual-inertial solve with the gravity direction left free.
+Stage 3 runs the full visual-inertial solve on the window that stage 2
+committed, with the gravity direction left free.
 """
 
 from __future__ import annotations
@@ -52,16 +52,10 @@ class InitConfig:
 
 @dataclass
 class InitResult:
-    """Metric bootstrap estimate plus per-stage diagnostics."""
+    """The stage-2 log-scale and each stage's report; the estimate is the window's."""
 
-    gravity: GravityModel
     log_scale: float
-    velocities: np.ndarray
-    bias: BiasState
     reports: dict = field(default_factory=dict)
-
-    def scale(self) -> float:
-        return float(np.exp(self.log_scale))
 
 
 def init_vision(graph: FrameGraph, cfg: InitConfig | None = None) -> SolveReport:
@@ -129,22 +123,25 @@ def _fd_velocities(graph: FrameGraph) -> np.ndarray:
 
 
 class _InertialOnly(GraphProblem):
-    """Stage-2 problem for lm_solve, vision poses fixed. It has no node and
-    so no gauge; its columns are [log-scale, gravity (2), shared bias (6),
-    velocities (3 per keyframe)], and each inertial edge is one row block on
-    15 of them. Its unknowns are the values s, gravity, bias and velocities;
-    the window is never written, and init_inertial_only returns them."""
+    """Stage-2 problem for lm_solve, vision poses fixed. Its Layout holds
+    the keyframes as nodes of no column, so no gauge; its columns are
+    [log-scale, gravity (2), shared bias (6), velocities (3 per keyframe)],
+    each inertial edge a row block on 15 of them. Its unknowns are values
+    (s, gravity, bias, velocities), which commit() writes into the window."""
 
     def __init__(self, graph: FrameGraph):
-        super().__init__([], Layout(None, 0, [], 9 + 3 * len(graph.keyframes)))
+        n = len(graph.keyframes)
+        layout = Layout([kf.kid for kf in graph.keyframes], 0, [0] * n, 9 + 3 * n,
+                        [(i, j) for i, j, _ in graph.inertial_edges])
+        super().__init__([], layout)
         self.graph = graph
         self.vision_states = [kf.state for kf in graph.keyframes]
         self.s = 0.0
         self.gravity = graph.gravity
         self.bias = graph.keyframes[0].state.bias
         self.velocities = np.stack([kf.state.velocity for kf in graph.keyframes])
-        self.ends = np.array([(graph.index_of(i), graph.index_of(j))
-                              for i, j, _ in graph.inertial_edges])
+        at = layout.index
+        self.ends = np.array([(at[i], at[j]) for i, j, _ in graph.inertial_edges])
         vel_cols = 9 + 3 * np.repeat(self.ends, 3, axis=1) + np.tile(np.arange(3), 2)
         self.row_cols = np.hstack([np.tile(np.arange(9), (len(self.ends), 1)), vel_cols])
         positions = np.stack([kf.state.pose.translation for kf in graph.keyframes])
@@ -178,10 +175,21 @@ class _InertialOnly(GraphProblem):
                               self.bias.accel_bias + dx[6:9])
         self.velocities = self.velocities + dx[9:].reshape(-1, 3)
 
+    def commit(self) -> None:
+        """Positions scale by exp(s) and disparities by exp(-s), which keeps
+        every vision residual; velocities, bias and gravity are replaced."""
+        es = float(np.exp(self.s))
+        for kf, v in zip(self.graph.keyframes, self.velocities):
+            st = kf.state
+            kf.state = replace(st, pose=Pose(st.pose.rotation, es * st.pose.translation),
+                               velocity=v, bias=self.bias)
+            kf.disparities = kf.disparities / es
+        self.graph.gravity = self.gravity
+
 
 def init_inertial_only(graph: FrameGraph,
                        cfg: InitConfig | None = None) -> InitResult:
-    """Stage 2: metric unknowns with the vision poses frozen.
+    """Stage 2: metric unknowns with the vision poses frozen, then commit().
 
     Gauss-Newton with Levenberg damping from log-scale 0 and the window's
     gravity, first bias and velocities (_InertialOnly gives the columns).
@@ -196,25 +204,8 @@ def init_inertial_only(graph: FrameGraph,
     report = lm_solve(problem, SolveOptions(
         max_iterations=cfg.max_iterations_inertial, damping=cfg.damping,
         rel_decrease_tol=1e-10, step_tol=np.finfo(float).tiny))
-    return InitResult(gravity=problem.gravity, log_scale=problem.s,
-                      velocities=problem.velocities, bias=problem.bias,
-                      reports={"inertial": report})
-
-
-def apply_initialization(graph: FrameGraph, result: InitResult) -> None:
-    """Write a stage-2 solution into the window in place.
-
-    Positions scale by exp(s) and disparities by exp(-s), which leaves every
-    vision residual unchanged; velocities, biases, and the gravity model are
-    replaced.
-    """
-    es = result.scale()
-    for k, kf in enumerate(graph.keyframes):
-        st = kf.state
-        kf.state = replace(st, pose=Pose(st.pose.rotation, es * st.pose.translation),
-                           velocity=result.velocities[k], bias=result.bias)
-        kf.disparities = kf.disparities / es
-    graph.gravity = result.gravity
+    problem.commit()
+    return InitResult(log_scale=problem.s, reports={"inertial": report})
 
 
 def init_joint(graph: FrameGraph, cfg: InitConfig | None = None) -> SolveReport:
@@ -229,7 +220,7 @@ def init_joint(graph: FrameGraph, cfg: InitConfig | None = None) -> SolveReport:
 
 def run_full_initialization(graph: FrameGraph,
                             cfg: InitConfig | None = None) -> InitResult:
-    """All three stages in sequence, mutating the window to the result."""
+    """All three stages in sequence, each writing the window as it ends."""
     cfg = cfg if cfg is not None else InitConfig()
     vision_report = init_vision(graph, cfg)
 
@@ -241,12 +232,6 @@ def run_full_initialization(graph: FrameGraph,
                                   magnitude=graph.gravity.magnitude)
 
     result = init_inertial_only(graph, cfg)
-    apply_initialization(graph, result)
-    joint_report = init_joint(graph, cfg)
-
-    result.gravity = graph.gravity
-    result.velocities = np.stack([kf.state.velocity for kf in graph.keyframes])
-    result.bias = graph.keyframes[-1].state.bias
     result.reports["vision"] = vision_report
-    result.reports["joint"] = joint_report
+    result.reports["joint"] = init_joint(graph, cfg)
     return result

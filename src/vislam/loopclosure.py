@@ -30,7 +30,6 @@ from .solver import (
     POSE_DOF,
     GraphProblem,
     Keyframe,
-    KeyframeIndex,
     Layout,
     SolveOptions,
     lm_solve,
@@ -133,8 +132,9 @@ class LoopEdge:
 
 
 @dataclass
-class PoseGraph(KeyframeIndex):
-    """Sim(3) keyframe states, the sequential chain, and the loop edge set."""
+class PoseGraph:
+    """Sim(3) keyframe states, the sequential chain, and the loop edge set,
+    built once per solve; the solve's Layout checks its ids and edge ends."""
 
     nodes: list                      # Keyframe with a SimTransform state
     chain: list                      # RelativePoseEdge over consecutive kids
@@ -144,21 +144,20 @@ class PoseGraph(KeyframeIndex):
 
     def __post_init__(self):
         self.nodes = sorted(self.nodes, key=lambda n: n.kid)
-        self._index_keyframes([n.kid for n in self.nodes],
-                              [(e.i, e.j) for e in self.chain],
-                              [(loop.i, loop.j) for loop in self.loops])
         for loop in self.loops:
             if loop.j - loop.i < self.min_loop_gap:
                 raise ValueError(f"loop edge ({loop.i},{loop.j}) violates the keyframe gap gate")
             if loop.vision is not None:
                 if self.intrinsics is None:
                     raise ValueError("vision loop edges need intrinsics")
-                if len(self.node(loop.i).disparities) != len(loop.vision.pixels):
+                source = self.node(loop.i)
+                if source is not None and len(source.disparities) != len(loop.vision.pixels):
                     raise ValueError("loop vision rows must align with the source "
                                      "disparity snapshot")
 
-    def node(self, kid: int) -> Keyframe:
-        return self.nodes[self._index[kid]]
+    def node(self, kid: int) -> Keyframe | None:
+        """The node with this id, or None, by a scan."""
+        return next((n for n in self.nodes if n.kid == kid), None)
 
 
 @dataclass
@@ -210,7 +209,7 @@ class _PairAlignment(GraphProblem):
     """
 
     def __init__(self, edge, d_i, S_i, S_j, k):
-        super().__init__([], Layout(None, 0, [], POSE_DOF))
+        super().__init__([], Layout([], 0, [], POSE_DOF))
         self.edge, self.d_i, self.S_i, self.k = edge, d_i, S_i, k
         self.S = S_j
         self.row_cols = np.arange(POSE_DOF)[None]
@@ -264,9 +263,10 @@ class _PoseGraphProblem(GraphProblem):
 
     def __init__(self, graph: PoseGraph):
         sources = {loop.vision.i for loop in graph.loops if loop.vision is not None}
-        layout = Layout(graph.index_of, SIM3_DOF,
+        layout = Layout([n.kid for n in graph.nodes], SIM3_DOF,
                         [len(n.disparities) if n.kid in sources else 0
-                         for n in graph.nodes])
+                         for n in graph.nodes], 0,
+                        [(e.i, e.j) for e in graph.chain], graph.loops)
         super().__init__(graph.nodes, layout)
         self.graph = graph
         self.groups = layout.pixel_groups([loop.vision for loop in graph.loops
@@ -279,13 +279,13 @@ class _PoseGraphProblem(GraphProblem):
 
     def evaluate(self) -> float:
         """Sum of whitened squared residuals over loop and chain edges."""
-        at, st = self.layout.index_of, self.states
-        vision = [sim3_vision_residual(edges, [st[at(e.i)] for e in edges],
-                                       [st[at(e.j)] for e in edges],
-                                       [self.disparities[at(e.i)] for e in edges],
+        at, st = self.layout.index, self.states
+        vision = [sim3_vision_residual(edges, [st[at[e.i]] for e in edges],
+                                       [st[at[e.j]] for e in edges],
+                                       [self.disparities[at[e.i]] for e in edges],
                                        self.graph.intrinsics)
                   for edges, *_ in self.groups]
-        relative = [relative_pose_residual(edge, st[at(edge.i)], st[at(edge.j)])
+        relative = [relative_pose_residual(edge, st[at[edge.i]], st[at[edge.j]])
                     for edge in self.relative]
         self.outs = (vision, relative)
         e = sum(float((out.residual ** 2).sum()) for out in vision)

@@ -11,11 +11,12 @@ it sources, so the step never forms a (pose variables x disparities) matrix
 (Triggs et al., "Bundle Adjustment - A Modern Synthesis", 2000).
 
 lm_solve is the package's one Levenberg-Marquardt loop, and every solve is a
-GraphProblem for it: each lays out its columns with a Layout and linearizes
-into NormalEquations, its vision edges one pixel-count group
-(Layout.pixel_groups) per kernel call and add_pixels, its dense rows in one
-add_rows, and steps by NormalEquations.solve. A trial moves only values
-held by the problem; commit() after lm_solve writes the nodes once.
+GraphProblem for it: each reads its graph once, building a Layout that
+checks it and lays out its columns, and linearizes into NormalEquations, its
+vision edges one pixel-count group (Layout.pixel_groups) per kernel call and
+add_pixels, its dense rows in one add_rows, and steps by
+NormalEquations.solve. A trial moves only values held by the problem;
+commit() after lm_solve writes the graph once.
 """
 
 from __future__ import annotations
@@ -64,33 +65,10 @@ class Keyframe:
             raise ValueError("disparities must be finite and positive")
 
 
-class KeyframeIndex:
-    """Keyframe id to position for a graph whose chain edges join consecutive ids.
-
-    The window graph chains its keyframes with inertial edges, the pose graph
-    with relative-pose edges; an empty chain (a vision-only window) is allowed.
-    """
-
-    def _index_keyframes(self, kids: list, chain_pairs: list,
-                         edge_pairs: list) -> None:
-        self._index = {kid: n for n, kid in enumerate(kids)}
-        if len(self._index) != len(kids):
-            raise ValueError("duplicate keyframe ids")
-        for i, j in edge_pairs:
-            if i not in self._index or j not in self._index:
-                raise ValueError(f"edge ({i},{j}) references unknown keyframe")
-        if chain_pairs and sorted(chain_pairs) != sorted(zip(kids, kids[1:])):
-            raise ValueError("chain edges must cover exactly the consecutive "
-                             "keyframe pairs, each once")
-
-    def index_of(self, kid: int) -> int:
-        return self._index[kid]
-
-
 @dataclass
-class FrameGraph(KeyframeIndex):
-    """The tracking window. The tracker edits its lists in place as
-    keyframes come and go, and must call reindex() after every edit."""
+class FrameGraph:
+    """The tracking window, which is its lists: the tracker edits them in
+    place, and each solve or score checks them when it builds its Layout."""
 
     keyframes: list            # ordered Keyframe list
     vision_edges: list         # VisionEdge, endpoints are keyframe ids
@@ -98,17 +76,9 @@ class FrameGraph(KeyframeIndex):
     gravity: GravityModel
     intrinsics: Intrinsics
 
-    def __post_init__(self):
-        self.reindex()
-
-    def reindex(self) -> None:
-        """Rebuild the keyframe index and recheck every edge against it."""
-        self._index_keyframes([kf.kid for kf in self.keyframes],
-                              [(i, j) for i, j, _ in self.inertial_edges],
-                              [(e.i, e.j) for e in self.vision_edges])
-
-    def kf(self, kid: int) -> Keyframe:
-        return self.keyframes[self._index[kid]]
+    def kf(self, kid: int) -> Keyframe | None:
+        """The keyframe with this id, or None, by a scan of the window."""
+        return next((kf for kf in self.keyframes if kf.kid == kid), None)
 
     def vision_only(self) -> FrameGraph:
         """The same keyframes and vision edges with the inertial terms left out."""
@@ -223,11 +193,23 @@ class Layout:
     """Column bookkeeping for one solve: a tangent block per node, extra
     columns after them, then one disparity per tracked pixel. The first node
     is the gauge: its block is frozen, so the free pose variables are the
-    slice after it and select views, not copies. With no node there is no
-    gauge, and every column is free."""
+    slice after it and select views, not copies. With no node, or nodes of
+    dof 0, there is no gauge, and every column is free. `index` maps node
+    ids to positions. Building it checks that the ids are unique, that both
+    ends (.i, .j) of every edge are nodes, and that a non-empty chain of
+    (i, j) pairs holds exactly the consecutive pairs, each once."""
 
-    def __init__(self, index_of, dof: int, disp_counts, n_extra: int = 0):
-        self.index_of = index_of
+    def __init__(self, kids: list, dof: int, disp_counts, n_extra: int = 0,
+                 chain=(), edges=()):
+        self.index = {kid: n for n, kid in enumerate(kids)}
+        if len(self.index) != len(kids):
+            raise ValueError("duplicate keyframe ids")
+        for e in edges:
+            if e.i not in self.index or e.j not in self.index:
+                raise ValueError(f"edge ({e.i},{e.j}) references unknown keyframe")
+        if chain and sorted(chain) != sorted(zip(kids, kids[1:])):
+            raise ValueError("chain edges must cover exactly the consecutive "
+                             "keyframe pairs, each once")
         self.dof = dof
         self.n_state = len(disp_counts) * dof
         self.n_pose_vars = self.n_state + n_extra
@@ -237,11 +219,11 @@ class Layout:
 
     def cols(self, kid: int, width: int) -> np.ndarray:
         """Columns of the first `width` tangent entries of a node."""
-        base = self.index_of(kid) * self.dof
+        base = self.index[kid] * self.dof
         return np.arange(base, base + width)
 
     def disp_slice(self, kid: int) -> slice:
-        n = self.index_of(kid)
+        n = self.index[kid]
         return slice(self.d_offsets[n], self.d_offsets[n + 1])
 
     def disp_cols(self, kid: int) -> np.ndarray:
@@ -383,7 +365,7 @@ class GraphProblem:
     the problem (for a problem over nodes, `states` and `disparities` in
     node order), so a trial never writes the graph: retract() binds new
     values, snapshot() copies the attributes but the system, restore()
-    rebinds them, and commit() writes the nodes once, after lm_solve.
+    rebinds them, and commit() writes the graph (here, its nodes) once.
     evaluate() stores (vision results per pixel group, dense-row result) in
     self.outs; linearize() scatters them into a new self.system, dropping
     the old system first and the results after, so neither is held beside
@@ -446,10 +428,11 @@ class _WindowProblem(GraphProblem):
     """
 
     def __init__(self, graph: FrameGraph, opts: SolveOptions):
-        layout = Layout(graph.index_of,
+        layout = Layout([kf.kid for kf in graph.keyframes],
                         STATE_DOF if graph.inertial_edges else POSE_DOF,
                         [len(kf.disparities) for kf in graph.keyframes],
-                        2 if opts.optimize_gravity else 0)
+                        2 if opts.optimize_gravity else 0,
+                        [(i, j) for i, j, _ in graph.inertial_edges], graph.vision_edges)
         super().__init__(graph.keyframes, layout)
         self.graph = graph
         self.gravity = graph.gravity
@@ -462,17 +445,17 @@ class _WindowProblem(GraphProblem):
 
     def evaluate(self) -> float:
         """Sum of whitened squared residuals over every edge of the graph."""
-        g, at = self.graph, self.layout.index_of
+        g, at = self.graph, self.layout.index
         st, disp = self.states, self.disparities
-        vision = [vision_residual(edges, [st[at(e.i)].pose for e in edges],
-                                  [st[at(e.j)].pose for e in edges],
-                                  [disp[at(e.i)] for e in edges], g.intrinsics)
+        vision = [vision_residual(edges, [st[at[e.i]].pose for e in edges],
+                                  [st[at[e.j]].pose for e in edges],
+                                  [disp[at[e.i]] for e in edges], g.intrinsics)
                   for edges, *_ in self.groups]
         inertial = None
         if g.inertial_edges:
             inertial = inertial_residual([d for _, _, d in g.inertial_edges],
-                                         [st[at(i)] for i, _, _ in g.inertial_edges],
-                                         [st[at(j)] for _, j, _ in g.inertial_edges],
+                                         [st[at[i]] for i, _, _ in g.inertial_edges],
+                                         [st[at[j]] for _, j, _ in g.inertial_edges],
                                          self.gravity)
         self.outs = (vision, inertial)
         e = 0.0

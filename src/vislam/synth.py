@@ -55,20 +55,6 @@ class TrajectoryModel:
             raise ValueError("tangent heading is undefined for a static trajectory")
 
 
-def builtin_models() -> dict:
-    """Named trajectory models used by presets and fixtures."""
-    return {
-        "circle": TrajectoryModel("circle", amplitude=1.5, period=24.0,
-                                  duration=30.0, yaw_policy="tangent"),
-        "figure8": TrajectoryModel("figure8", amplitude=1.6, period=45.0,
-                                   duration=60.0, yaw_policy="tangent"),
-        "spline": TrajectoryModel("spline", amplitude=1.8, period=36.0,
-                                  duration=36.0, yaw_policy="tangent"),
-        "static": TrajectoryModel("circle", amplitude=0.0, period=10.0,
-                                  duration=10.0, yaw_policy="fixed"),
-    }
-
-
 class _Kinematics:
     """Vectorized position/velocity/acceleration plus per-time orientation."""
 

@@ -403,8 +403,9 @@ def inertial_only_system(problem):
     es = float(np.exp(problem.s))
     dim = 9 + 3 * len(graph.keyframes)
     H, g = np.zeros((dim, dim)), np.zeros(dim)
+    kids = [kf.kid for kf in graph.keyframes]
     for e, (i, j, _) in enumerate(graph.inertial_edges):
-        ki, kj = graph.index_of(i), graph.index_of(j)
+        ki, kj = kids.index(i), kids.index(j)
         p_i = graph.kf(i).state.pose.translation
         p_j = graph.kf(j).state.pose.translation
         J = np.zeros((15, dim))

@@ -380,6 +380,18 @@ def test_error_inside_the_pipeline_is_a_divergence(tmp_path, capsys,
     assert not out.exists()
 
 
+# A negative seed stopped in numpy's generator with a message that did not
+# name the key, and with no IMU noise drawn it ran as a valid run.
+@pytest.mark.parametrize("imu_noise", ["true", "false"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, imu_noise):
+    code, out = _run(tmp_path, "bad", SHORT_RUN + f"dataset.imu_noise = {imu_noise}\n",
+                     seed=-1)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert '"error": "config"' in err and "run.seed" in err
+    assert not out.exists()
+
+
 def test_run_without_vision_is_a_divergence(tmp_path, capsys):
     # stride 959 leaves one grid pixel, with no live row in any edge: this
     # ran as a valid run, every keyframe after the first degraded

@@ -50,6 +50,11 @@ def make_gaussian(rng=None, anchor=0, **kw):
     return Gaussian(**defaults)
 
 
+def by_anchor(m: GaussianMap, anchor: int) -> Gaussians:
+    """The map's Gaussians of one anchor, in store order."""
+    return Gaussians(*(c[m.gaussians.anchor == anchor] for c in m.gaussians.columns()))
+
+
 def covariance(g: Gaussian) -> np.ndarray:
     R = g.orientation.matrix()
     return R @ np.diag(g.scales ** 2) @ R.T
@@ -145,9 +150,9 @@ class TestGaussianMap:
         m.insert(batch([make_gaussian(anchor=1) for _ in range(1)]))
         assert len(m) == 6
         assert m.gaussians.anchor.tolist() == [1, 1, 1, 2, 2, 1]
-        assert len(m.by_anchor(1)) == 4
-        assert len(m.by_anchor(2)) == 2
-        assert len(m.by_anchor(99)) == 0
+        assert len(by_anchor(m, 1)) == 4
+        assert len(by_anchor(m, 2)) == 2
+        assert len(by_anchor(m, 99)) == 0
 
     def test_insert_runs_no_check(self, monkeypatch):
         m = GaussianMap()
@@ -282,10 +287,10 @@ class TestLoopCorrectionUpdate:
         old = random_pose(rng)
         shift = np.array([0.3, -0.2, 0.7])
         new = Pose(Rotation(old.rotation.q.copy()), old.translation + shift)
-        covs = [covariance(g) for g in m.by_anchor(5)]
-        means = [g.mean.copy() for g in m.by_anchor(5)]
+        covs = [covariance(g) for g in by_anchor(m, 5)]
+        means = [g.mean.copy() for g in by_anchor(m, 5)]
         apply_loop_correction(m, LoopCorrection({5: entry(5, old, new, 1.0)}))
-        for g, mu, cov in zip(m.by_anchor(5), means, covs):
+        for g, mu, cov in zip(by_anchor(m, 5), means, covs):
             assert np.allclose(g.mean, mu + shift, atol=1e-12)
             assert np.allclose(covariance(g), cov, atol=1e-12)
 
@@ -297,10 +302,10 @@ class TestLoopCorrectionUpdate:
         locals_before = [(old.rotation.matrix().T @ (g.mean - old.translation),
                           old.rotation.matrix().T @ covariance(g)
                           @ old.rotation.matrix())
-                         for g in m.by_anchor(5)]
+                         for g in by_anchor(m, 5)]
         apply_loop_correction(m, LoopCorrection({5: entry(5, old, new, ds)}))
         Rn = new.rotation.matrix()
-        for g, (loc, cov_loc) in zip(m.by_anchor(5), locals_before):
+        for g, (loc, cov_loc) in zip(by_anchor(m, 5), locals_before):
             assert np.allclose(Rn.T @ (g.mean - new.translation) / ds,
                                loc, atol=1e-9)
             assert np.allclose(Rn.T @ covariance(g) @ Rn / ds ** 2,
@@ -316,7 +321,7 @@ class TestLoopCorrectionUpdate:
         apply_loop_correction(m_seq, LoopCorrection({5: entry(5, p1, p2, ds_b)}))
         apply_loop_correction(m_once,
                               LoopCorrection({5: entry(5, p0, p2, ds_a * ds_b)}))
-        for a, b in zip(m_seq.by_anchor(5), m_once.by_anchor(5)):
+        for a, b in zip(by_anchor(m_seq, 5), by_anchor(m_once, 5)):
             assert np.allclose(a.mean, b.mean, atol=1e-9)
             assert np.allclose(covariance(a), covariance(b), atol=1e-9)
 
@@ -325,14 +330,14 @@ class TestLoopCorrectionUpdate:
         rng = np.random.default_rng(6)
         colors = m.gaussians.color.copy()
         opac = [g.opacity for g in m.gaussians]
-        other = [(g.mean.copy(), g.scales.copy()) for g in m.by_anchor(9)]
+        other = [(g.mean.copy(), g.scales.copy()) for g in by_anchor(m, 9)]
         corr = LoopCorrection({5: entry(5, random_pose(rng),
                                         random_pose(rng), 1.4)})
         apply_loop_correction(m, corr)
         assert m.gaussians.color.tobytes() == colors.tobytes()
         for g, o in zip(m.gaussians, opac):
             assert g.opacity == o
-        for g, (mu, sc) in zip(m.by_anchor(9), other):
+        for g, (mu, sc) in zip(by_anchor(m, 9), other):
             assert np.array_equal(g.mean, mu)
             assert np.array_equal(g.scales, sc)
 
@@ -347,6 +352,21 @@ class TestLoopCorrectionUpdate:
             apply_loop_correction(m, SimpleNamespace(entries={5: good, 9: bad}))
         for col, old in zip(m.gaussians.columns(), before):
             assert col.tobytes() == old.tobytes()
+
+    def test_warp_out_of_the_file_range_leaves_the_map_bit_identical(self, tmp_path):
+        # a finite scale change passes the entry's guard, but 1e39 takes the
+        # means and scales out of the float32 that the map file stores
+        m = two_anchor_map()
+        before = [c.copy() for c in m.gaussians.columns()]
+        rng = np.random.default_rng(9)
+        old, new = random_pose(rng), random_pose(rng)
+        with pytest.raises(ValueError, match="float32"):
+            apply_loop_correction(m, LoopCorrection({5: entry(5, old, new, 1e39)}))
+        for col, was in zip(m.gaussians.columns(), before):
+            assert col.tobytes() == was.tobytes()
+        write_vgsm(tmp_path / "map.vgsm", m)
+        back = read_vgsm(tmp_path / "map.vgsm")
+        assert back.gaussians.anchor.tolist() == m.gaussians.anchor.tolist()
 
     def test_scale_change_must_be_positive(self):
         m = two_anchor_map()

@@ -11,14 +11,13 @@ from vislam.initialization import (
     _fd_velocities,
     _InertialOnly,
     align_gravity,
-    apply_initialization,
     init_inertial_only,
     init_joint,
     init_vision,
     run_full_initialization,
 )
 from vislam.residuals import GravityModel, PoseState
-from vislam.solver import FrameGraph, total_energy
+from vislam.solver import FrameGraph, SolveOptions, lm_solve, total_energy
 
 import oracles
 from windows import build_window, perturb_graph
@@ -163,15 +162,16 @@ class TestInertialOnly:
         graph, _ = build_window(rng, n_kf=8)
         _rescale_graph(graph, 0.5)
         result = _init_inertial_from_fd(graph)
-        assert abs(result.scale() - 2.0) < 0.02
+        assert abs(np.exp(result.log_scale) - 2.0) < 0.02
 
     def test_recovers_injected_gyro_bias(self):
         rng = np.random.default_rng(7)
         true_bias = BiasState([0.01, -0.02, 0.005], [0.03, -0.01, 0.02])
         graph, _ = build_window(rng, n_kf=8, bias=true_bias, bias_hat=BiasState())
-        result = _init_inertial_from_fd(graph)
-        err = np.linalg.norm(result.bias.gyro_bias - true_bias.gyro_bias)
-        assert err < 0.05 * np.linalg.norm(true_bias.gyro_bias)
+        _init_inertial_from_fd(graph)
+        for kf in graph.keyframes:
+            err = np.linalg.norm(kf.state.bias.gyro_bias - true_bias.gyro_bias)
+            assert err < 0.05 * np.linalg.norm(true_bias.gyro_bias)
 
     def test_metric_input_gives_zero_log_scale(self):
         rng = np.random.default_rng(8)
@@ -208,6 +208,44 @@ class TestInertialOnly:
         want = oracles.inertial_only_step(H, g, lam)
         assert np.abs(problem.step(lam) - want).max() <= 1e-9 * np.abs(want).max()
 
+    def test_commit_writes_the_solution_into_the_window_once(self):
+        rng = np.random.default_rng(15)
+        graph, _ = build_window(rng, n_kf=6)
+        _rescale_graph(graph, 0.5)
+        for kf, v in zip(graph.keyframes, _fd_velocities(graph)):
+            kf.state = replace(kf.state, velocity=v)
+        before = [(kf.state, kf.disparities) for kf in graph.keyframes]
+        gravity, vision = graph.gravity, _vision_energy(graph)
+        problem = _InertialOnly(graph)
+        lm_solve(problem, SolveOptions(max_iterations=5))
+        assert problem.s != 0.0
+        # the solve moved the problem's values only
+        assert graph.gravity is gravity
+        for kf, (state, d) in zip(graph.keyframes, before):
+            assert kf.state is state and kf.disparities is d
+        problem.commit()
+        es = float(np.exp(problem.s))
+        assert graph.gravity is problem.gravity
+        for kf, (state, d), v in zip(graph.keyframes, before, problem.velocities):
+            assert np.array_equal(kf.state.pose.translation, es * state.pose.translation)
+            assert kf.state.pose.rotation is state.pose.rotation
+            assert np.array_equal(kf.disparities, d / es)
+            assert np.array_equal(kf.state.velocity, v)
+            assert kf.state.bias is problem.bias
+        assert abs(_vision_energy(graph) - vision) <= 1e-10 * max(vision, 1.0)
+
+    def test_window_chain_is_checked_when_the_problem_is_built(self):
+        rng = np.random.default_rng(16)
+        graph, _ = build_window(rng, n_kf=5)
+        edges = graph.inertial_edges
+        graph.inertial_edges = edges[:1] + edges[2:]
+        with pytest.raises(ValueError, match="consecutive"):
+            init_inertial_only(graph)
+        i, _, delta = edges[0]
+        graph.inertial_edges = [(i, 99, delta)] + edges[1:]
+        with pytest.raises(ValueError, match="consecutive"):
+            init_inertial_only(graph)
+
     def test_too_few_keyframes_rejected(self):
         rng = np.random.default_rng(10)
         graph, _ = build_window(rng, n_kf=3)
@@ -223,8 +261,7 @@ class TestJointAndPipeline:
         rng = np.random.default_rng(11)
         graph, _ = build_window(rng, n_kf=8)
         _rescale_graph(graph, 0.6)
-        result = _init_inertial_from_fd(graph)
-        apply_initialization(graph, result)
+        _init_inertial_from_fd(graph)
         stage2_energy = total_energy(graph)
         init_joint(graph)
         assert total_energy(graph) <= stage2_energy + 1e-12
@@ -249,8 +286,8 @@ class TestJointAndPipeline:
         g_est = graph.gravity.vector()
         cosang = g_true @ g_est / (np.linalg.norm(g_true) * np.linalg.norm(g_est))
         assert np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))) < 0.5
-        assert abs(result.scale() - 2.0) < 0.02
-        err = np.linalg.norm(result.bias.gyro_bias - true_bias.gyro_bias)
+        assert abs(np.exp(result.log_scale) - 2.0) < 0.02
+        err = np.linalg.norm(graph.keyframes[-1].state.bias.gyro_bias - true_bias.gyro_bias)
         assert err < 0.05 * np.linalg.norm(true_bias.gyro_bias)
         assert set(result.reports) == {"vision", "inertial", "joint"}
 
@@ -265,4 +302,4 @@ class TestJointAndPipeline:
         g_true = GravityModel().vector()
         cosang = g_true @ g_est / (np.linalg.norm(g_true) * np.linalg.norm(g_est))
         assert np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))) < 0.5
-        assert abs(result.scale() - 2.0) < 0.02
+        assert abs(np.exp(result.log_scale) - 2.0) < 0.02

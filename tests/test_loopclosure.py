@@ -193,29 +193,42 @@ class TestPoseGraphValidation:
     def make_nodes(self, n):
         return [Keyframe(k, int_state([k, 0, 0])) for k in range(n)]
 
+    def solve(self, nodes, chain, loop=None):
+        """solve_pgba over a graph with one loop, whose Layout checks the
+        ids, the chain and the loop ends."""
+        loop = loop if loop is not None else LoopEdge(0, 9, unit_rel(0, 9))
+        return solve_pgba(PoseGraph(nodes, chain, [loop], min_loop_gap=5))
+
     def test_duplicate_kids_rejected(self):
-        nodes = self.make_nodes(2) + [Keyframe(1, int_state([9, 0, 0]))]
+        nodes = self.make_nodes(10)
+        chain = chain_from([n.state for n in nodes])
         with pytest.raises(ValueError, match="duplicate"):
-            PoseGraph(nodes, [], [])
+            self.solve(nodes + [Keyframe(1, int_state([9, 0, 0]))], chain)
 
     def test_chain_must_cover_consecutive_pairs(self):
-        nodes = self.make_nodes(3)
-        chain = [unit_rel(0, 2)]
+        nodes = self.make_nodes(10)
+        chain = chain_from([n.state for n in nodes])
         with pytest.raises(ValueError, match="consecutive"):
-            PoseGraph(nodes, chain, [])
+            self.solve(nodes, chain[:1] + [unit_rel(1, 3)] + chain[3:])
 
     def test_repeated_chain_edge_rejected(self):
-        nodes = self.make_nodes(3)
+        nodes = self.make_nodes(10)
         chain = chain_from([n.state for n in nodes])
         with pytest.raises(ValueError, match="each once"):
-            PoseGraph(nodes, chain + chain[:1], [])
+            self.solve(nodes, chain + chain[:1])
 
     def test_loop_endpoints_must_exist(self):
-        nodes = self.make_nodes(2)
+        nodes = self.make_nodes(10)
         loop = LoopEdge(0, 99, unit_rel(0, 99))
         with pytest.raises(ValueError, match="unknown"):
-            PoseGraph(nodes, chain_from([n.state for n in nodes]), [loop],
-                      min_loop_gap=5)
+            self.solve(nodes, chain_from([n.state for n in nodes]), loop)
+        # a vision loop whose source is not a node passes the snapshot rule
+        pix = np.array([[10.0, 10.0], [20.0, 20.0]])
+        vis = VisionEdge(0, 9, pix, pix, np.ones((2, 2)))
+        graph = PoseGraph(nodes[1:], chain_from([n.state for n in nodes])[1:],
+                          [LoopEdge(0, 9, unit_rel(0, 9), vis)], PINHOLE, 5)
+        with pytest.raises(ValueError, match="unknown"):
+            solve_pgba(graph)
 
     def test_loop_gap_gate_enforced(self):
         nodes = self.make_nodes(10)
@@ -242,9 +255,10 @@ class TestPoseGraphValidation:
 
     def test_lookup_by_kid(self):
         nodes = self.make_nodes(3)
-        g = PoseGraph(nodes, chain_from([n.state for n in nodes]), [])
-        assert g.node(2).kid == 2
-        assert g.index_of(0) == 0
+        g = PoseGraph(nodes[::-1], chain_from([n.state for n in nodes]), [])
+        assert [n.kid for n in g.nodes] == [0, 1, 2]
+        assert g.node(2) is nodes[2]
+        assert g.node(99) is None
 
 
 def rand_state(rng, scale=1.0):

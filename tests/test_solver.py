@@ -1,6 +1,7 @@
 """Solver contracts: energy accounting, step equivalence, recovery, gauge."""
 
 import copy
+import math
 import weakref
 from dataclasses import replace
 
@@ -25,6 +26,11 @@ from windows import ate_rmse, build_window, perturb_graph
 
 def _clone(graph):
     return copy.deepcopy(graph)
+
+
+def _angle(a, b) -> float:
+    """Geodesic angle in radians between two rotations."""
+    return float(np.linalg.norm((a.inverse() * b).log()))
 
 
 def test_total_energy_zero_at_ground_truth():
@@ -129,7 +135,7 @@ def test_schur_step_matches_dense_step(n_kf, n_px):
 
     for a, b in zip(g_schur.keyframes, g_dense.keyframes):
         assert np.abs(a.state.pose.translation - b.state.pose.translation).max() <= 1e-8
-        assert a.state.pose.rotation.angle_to(b.state.pose.rotation) <= 1e-8
+        assert _angle(a.state.pose.rotation, b.state.pose.rotation) <= 1e-8
         assert np.abs(a.state.velocity - b.state.velocity).max() <= 1e-8
         assert np.abs(a.disparities - b.disparities).max() <= 1e-8
 
@@ -230,23 +236,40 @@ def test_solver_is_deterministic():
         assert a.disparities.tobytes() == b.disparities.tobytes()
 
 
+# A window is its lists: each score or solve checks them when it is built.
 def test_inertial_edges_must_cover_consecutive_pairs():
     rng = np.random.default_rng(29)
     graph, _ = build_window(rng, n_kf=4, n_px=6)
-    bad_edges = graph.inertial_edges[:-1]
-    with pytest.raises(ValueError):
-        FrameGraph(graph.keyframes, graph.vision_edges, bad_edges,
-                   graph.gravity, graph.intrinsics)
+    graph.inertial_edges = graph.inertial_edges[:-1]
+    for call in (total_energy, solve_vi_ba):
+        with pytest.raises(ValueError):
+            call(graph)
 
 
 def test_repeated_inertial_edge_rejected():
     # scored twice if it were let through
     rng = np.random.default_rng(29)
     graph, _ = build_window(rng, n_kf=3, n_px=6)
-    repeated = graph.inertial_edges + graph.inertial_edges[:1]
-    with pytest.raises(ValueError, match="each once"):
-        FrameGraph(graph.keyframes, graph.vision_edges, repeated,
-                   graph.gravity, graph.intrinsics)
+    graph.inertial_edges = graph.inertial_edges + graph.inertial_edges[:1]
+    for call in (total_energy, solve_vi_ba):
+        with pytest.raises(ValueError, match="each once"):
+            call(graph)
+
+
+def test_window_rules_are_checked_against_the_current_lists():
+    # edited in place, as the tracker does, with nothing to rebuild
+    rng = np.random.default_rng(29)
+    graph, _ = build_window(rng, n_kf=3, n_px=6)
+    graph.keyframes.append(graph.keyframes[0])
+    with pytest.raises(ValueError, match="duplicate"):
+        total_energy(graph)
+    graph.keyframes.pop()
+    graph.vision_edges.append(VisionEdge(0, 99, np.zeros((6, 2)), np.zeros((6, 2)),
+                                         np.ones((6, 2))))
+    with pytest.raises(ValueError, match="unknown"):
+        solve_vi_ba(graph)
+    graph.vision_edges.pop()
+    assert math.isfinite(total_energy(graph))
 
 
 def test_gravity_gauge_optimization_reduces_energy():

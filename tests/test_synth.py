@@ -11,7 +11,6 @@ from vislam.synth import (
     SyntheticProvider,
     TrajectoryModel,
     TrajectorySamples,
-    builtin_models,
     default_intrinsics,
     edge_seed,
     generate_trajectory,
@@ -19,6 +18,18 @@ from vislam.synth import (
     synthesize_correspondences,
     synthesize_imu,
 )
+
+# Named trajectory models the tests synthesize from; no test edits one.
+MODELS = {
+    "circle": TrajectoryModel("circle", amplitude=1.5, period=24.0,
+                              duration=30.0, yaw_policy="tangent"),
+    "figure8": TrajectoryModel("figure8", amplitude=1.6, period=45.0,
+                               duration=60.0, yaw_policy="tangent"),
+    "spline": TrajectoryModel("spline", amplitude=1.8, period=36.0,
+                              duration=36.0, yaw_policy="tangent"),
+    "static": TrajectoryModel("circle", amplitude=0.0, period=10.0,
+                              duration=10.0, yaw_policy="fixed"),
+}
 
 
 class TestTrajectoryModel:
@@ -58,7 +69,7 @@ class TestGenerateTrajectory:
 
     @pytest.mark.parametrize("family", ["circle", "figure8", "spline"])
     def test_fd_velocity_converges_quadratically(self, family):
-        model = builtin_models()[family]
+        model = MODELS[family]
         errs = []
         for rate in (25.0, 50.0):
             traj = generate_trajectory(model, frame_rate=rate, imu_rate=200.0)
@@ -70,13 +81,13 @@ class TestGenerateTrajectory:
         assert 3.0 < ratio < 5.0
 
     def test_frame_times_are_exact_imu_times(self):
-        model = builtin_models()["figure8"]
+        model = MODELS["figure8"]
         traj = generate_trajectory(model, frame_rate=25.0, imu_rate=200.0)
         imu_set = set(traj.imu_times.tolist())
         assert all(t in imu_set for t in traj.frame_times.tolist())
 
     def test_tangent_frames_are_orthonormal_and_forward(self):
-        model = builtin_models()["figure8"]
+        model = MODELS["figure8"]
         traj = generate_trajectory(model, frame_rate=5.0, imu_rate=5.0)
         for i, pose in enumerate(traj.frame_poses):
             R = pose.rotation.matrix()
@@ -88,19 +99,19 @@ class TestGenerateTrajectory:
             assert R[2, 1] > 0.0  # image-down axis has positive world-z part
 
     def test_imu_rate_below_frame_rate_rejected(self):
-        model = builtin_models()["circle"]
+        model = MODELS["circle"]
         with pytest.raises(ValueError, match="at least"):
             generate_trajectory(model, frame_rate=25.0, imu_rate=10.0)
 
     def test_non_integer_rate_ratio_rejected(self):
-        model = builtin_models()["circle"]
+        model = MODELS["circle"]
         with pytest.raises(ValueError, match="integer multiple"):
             generate_trajectory(model, frame_rate=25.0, imu_rate=60.0)
 
 
 class TestSynthesizeImu:
     def test_stationary_measurements(self):
-        model = builtin_models()["static"]
+        model = MODELS["static"]
         traj = generate_trajectory(model, frame_rate=10.0, imu_rate=100.0)
         samples = synthesize_imu(traj, GravityModel())
         gyro = np.stack([s.gyro for s in samples])
@@ -109,7 +120,7 @@ class TestSynthesizeImu:
         assert np.max(np.abs(np.linalg.norm(accel, axis=1) - 9.81)) < 1e-12
 
     def test_bias_adds_exactly_without_noise(self):
-        model = builtin_models()["circle"]
+        model = MODELS["circle"]
         traj = generate_trajectory(model, frame_rate=10.0, imu_rate=100.0)
         bias = BiasState([0.01, -0.02, 0.005], [0.1, 0.02, -0.05])
         clean = synthesize_imu(traj, GravityModel())
@@ -119,7 +130,7 @@ class TestSynthesizeImu:
             assert np.max(np.abs(b.accel - a.accel - bias.accel_bias)) < 1e-15
 
     def test_same_seed_is_bit_identical(self):
-        model = builtin_models()["figure8"]
+        model = MODELS["figure8"]
         traj = generate_trajectory(model, frame_rate=25.0, imu_rate=100.0)
         noise = ImuNoiseModel()
         a = synthesize_imu(traj, GravityModel(), noise=noise, seed=11)
@@ -130,7 +141,7 @@ class TestSynthesizeImu:
         assert any(not np.array_equal(x.gyro, y.gyro) for x, y in zip(a, c))
 
     def test_noise_magnitude_matches_density(self):
-        model = builtin_models()["static"]
+        model = MODELS["static"]
         traj = generate_trajectory(model, frame_rate=10.0, imu_rate=200.0)
         noise = ImuNoiseModel(gyro_noise_density=1e-3, accel_noise_density=1e-2)
         samples = synthesize_imu(traj, GravityModel(), noise=noise, seed=3)
@@ -143,7 +154,7 @@ class TestSynthesizeImu:
     def test_round_trip_against_preintegration(self, name):
         """Preintegrating the synthesized stream reproduces the ground-truth
         relative motion between frames, up to the integrator's O(h^2) error."""
-        model = builtin_models()[name]
+        model = MODELS[name]
         bias = BiasState([0.002, -0.001, 0.003], [0.02, -0.01, 0.015])
         gravity = GravityModel(Rotation.exp([0.05, -0.03, 0.0]))
         ds = make_dataset(model, gravity=gravity, bias=bias, seed=0,
@@ -234,7 +245,7 @@ class TestDataset:
             make_dataset(model)
 
     def test_depths_are_bounded_by_box_geometry(self):
-        ds = make_dataset(builtin_models()["circle"])
+        ds = make_dataset(MODELS["circle"])
         rng = np.random.default_rng(2)
         pixels = np.stack([rng.uniform(0, 639, 100), rng.uniform(0, 479, 100)], axis=1)
         depths = ds.depth_at(0, pixels)
@@ -242,7 +253,7 @@ class TestDataset:
         assert np.all(depths < 2.0 * np.sqrt(3.0) * ds.scene.half_extent)
 
     def test_raster_geometry_matches_depth_query(self):
-        ds = make_dataset(builtin_models()["figure8"])
+        ds = make_dataset(MODELS["figure8"])
         color, depth = ds.raster(0, scale=5)
         assert color.shape == (96, 128, 3) and depth.shape == (96, 128)
         assert np.all(depth > 0.0)
@@ -307,7 +318,7 @@ def live(edge):
 
 class TestCorrespondences:
     def test_exact_mode_reprojects_with_zero_residual(self):
-        ds = make_dataset(builtin_models()["figure8"], sigma_px=0.0)
+        ds = make_dataset(MODELS["figure8"], sigma_px=0.0)
         edge = synthesize_correspondences(ds, 10, 14, stride=16)
         d_i = 1.0 / ds.depth_at(10, edge.pixels)
         res = vision_residual([edge], [ds.frame_pose(10)], [ds.frame_pose(14)],
@@ -317,7 +328,7 @@ class TestCorrespondences:
         assert np.max(np.abs(res.residual[0][live(edge)])) < 1e-9
 
     def test_unit_sigma_rms_is_one(self):
-        model = builtin_models()["figure8"]
+        model = MODELS["figure8"]
         exact_ds = make_dataset(model, sigma_px=0.0)
         noisy_ds = make_dataset(model, sigma_px=1.0)
         resids = []
@@ -333,7 +344,7 @@ class TestCorrespondences:
         assert 0.9 < rms < 1.1
 
     def test_outliers_are_redrawn_and_downweighted(self):
-        ds = make_dataset(builtin_models()["circle"], sigma_px=0.5, outlier_rate=0.2)
+        ds = make_dataset(MODELS["circle"], sigma_px=0.5, outlier_rate=0.2)
         edge = synthesize_correspondences(ds, 0, 3, seed=5, stride=8)
         base = 1.0 / 0.25
         weights, targets = edge.weights[live(edge)], edge.targets[live(edge)]
@@ -352,7 +363,7 @@ class TestCorrespondences:
             synthesize_correspondences(ds, 0, 1, stride=8)
 
     def test_same_seed_reproduces_edge(self):
-        ds = make_dataset(builtin_models()["spline"], sigma_px=0.8,
+        ds = make_dataset(MODELS["spline"], sigma_px=0.8,
                           outlier_rate=0.1)
         a = synthesize_correspondences(ds, 2, 6, seed=42)
         b = synthesize_correspondences(ds, 2, 6, seed=42)
@@ -361,7 +372,7 @@ class TestCorrespondences:
 
     @pytest.mark.parametrize("name", ["circle", "figure8", "spline"])
     def test_nearby_keyframes_share_at_least_100_pixels(self, name):
-        ds = make_dataset(builtin_models()[name], sigma_px=0.0)
+        ds = make_dataset(MODELS[name], sigma_px=0.0)
         fps = ds.frame_rate
         for gap_s in (0.5, 1.0, 2.0):
             step = int(gap_s * fps)
@@ -372,7 +383,7 @@ class TestCorrespondences:
 
 class TestProvider:
     def test_provider_edges_are_deterministic_per_pair(self):
-        ds = make_dataset(builtin_models()["figure8"], sigma_px=0.5, seed=3)
+        ds = make_dataset(MODELS["figure8"], sigma_px=0.5, seed=3)
         prov = SyntheticProvider(ds, stride=16)
         e1 = prov.edge(1, 4)
         e2 = prov.edge(1, 4)
@@ -382,7 +393,7 @@ class TestProvider:
                                                 e3.targets[: len(e1.targets)])
 
     def test_keyframe_image_is_deterministic(self):
-        ds = make_dataset(builtin_models()["circle"])
+        ds = make_dataset(MODELS["circle"])
         prov = SyntheticProvider(ds, raster_scale=5)
         c1, d1 = prov.keyframe_image(2)
         c2, d2 = prov.keyframe_image(2)
