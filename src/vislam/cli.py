@@ -9,7 +9,10 @@ diff-able.
 
 The policy dataclasses define their own keys: every field of ImuNoiseModel,
 KeyframePolicy, InitConfig and LoopPolicy is the key `<prefix>.<field>` of
-POLICIES, with the field's default. A field added there is a key here.
+POLICIES, with the field's default and no override. A field added there is a
+key here. A value that nothing needs to change is not a key but a module
+constant beside its one reader, such as frontend.FLOW_SCALE, the loop gates
+or the initializer's iteration budgets.
 """
 
 import argparse
@@ -22,13 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from .evaluation import Trajectory, ate_rmse, read_tum, recall_at, umeyama, write_tum
-from .frontend import (PHASE_FULL, KeyframePolicy, apply_correction,
+from .frontend import (PHASE_FULL, InitConfig, KeyframePolicy, apply_correction,
                        estimated_trajectory, make_tracker, process_frame,
                        window_snapshot)
 from .gsmap import (GaussianMap, apply_loop_correction, spawn_from_keyframe,
                     write_vgsm)
 from .imu import ImuNoiseModel
-from .initialization import InitConfig
 from .loopclosure import KeyframeSummary, LoopPolicy, LoopWorker
 from .solver import total_energy
 from .synth import (SceneModel, SyntheticDataset, SyntheticProvider,
@@ -74,9 +76,6 @@ def default_config() -> dict:
     }
     for prefix, cls in POLICIES.items():
         cfg.update({f"{prefix}.{f.name}": f.default for f in fields(cls)})
-    # the one departure from a policy default: the pipeline keyframes at 7
-    # coarse pixels of flow, not at KeyframePolicy's 2.4
-    cfg["tracker.flow_threshold"] = 7.0
     return cfg
 
 
@@ -325,8 +324,7 @@ def execute(plan: RunPlan) -> RunArtifacts:
     provider = plan.provider
     tracker = make_tracker(provider, plan.policy, plan.init_cfg, plan.noise,
                            imu_period=1.0 / ds.imu_rate)
-    worker = LoopWorker(provider.intrinsics(), provider.edge,
-                        plan.loop_policy, plan.policy.flow_scale)
+    worker = LoopWorker(provider.intrinsics(), provider.edge, plan.loop_policy)
     gmap = GaussianMap()
 
     tracking_trace = []

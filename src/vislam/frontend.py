@@ -27,7 +27,7 @@ from .imu import (
     PreintegratedDelta,
     preintegrate,
 )
-from .initialization import InitConfig, init_vision, run_full_initialization
+from .initialization import init_vision, run_full_initialization
 from .residuals import (
     GravityModel,
     PoseState,
@@ -44,37 +44,49 @@ PHASES = (PHASE_VISION, PHASE_INERTIAL, PHASE_FULL)
 
 MAX_IMU_GAP_PERIODS = 5.0
 EVICTION_SCALE_WEIGHT = 100.0    # information of a chain edge's log-scale slot
+MAX_INTERVAL = 3.0               # seconds without a keyframe
+COV_TRACE_THRESHOLD = 1e-4       # propagation fallback gate
+# image pixels per coarse-grid pixel: the 1/8-resolution flow grid of
+# DROID-SLAM (Teed & Deng, 2021)
+FLOW_SCALE = 8.0
 
 
 @dataclass
 class KeyframePolicy:
-    """Keyframe gating thresholds and window bookkeeping.
+    """Keyframe gating threshold and window bookkeeping.
 
-    Each field is the config key tracker.<field> with this default, except
-    that `vislam run` gates at flow_threshold 7.0. flow_threshold and the
-    loop gates are coarse-grid pixels: raw image-space flow is divided by
-    flow_scale before any comparison.
+    Each field is the config key tracker.<field> with this default.
+    flow_threshold and the loop gates are coarse-grid pixels: raw
+    image-space flow is divided by FLOW_SCALE before any comparison.
     """
 
-    flow_threshold: float = 2.4          # coarse-grid pixels
-    max_interval: float = 3.0            # seconds without a keyframe
-    cov_trace_threshold: float = 1e-4    # propagation fallback gate
+    flow_threshold: float = 7.0          # coarse-grid pixels
     window_size: int = 12
     covis_radius: int = 3                # nearest neighbors wired per insertion
-    flow_scale: float = 8.0
     solve_iterations: int = 4            # window solve per insertion
 
     def __post_init__(self):
-        for name in ("flow_threshold", "max_interval", "cov_trace_threshold"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.flow_scale < np.inf:
-            raise ValueError("flow_scale must be positive and finite")
+        if not self.flow_threshold > 0.0:
+            raise ValueError("flow_threshold must be positive")
         if self.window_size < 2:
             raise ValueError("window_size must be at least 2")
         for name in ("covis_radius", "solve_iterations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+
+
+@dataclass
+class InitConfig:
+    """Window sizes at which the tracker initializes: the vision-only
+    stage at n_vis_init keyframes, all three stages at n_iner_init. Each
+    field is the config key init.<field> with this default."""
+
+    n_vis_init: int = 10
+    n_iner_init: int = 20
+
+    def __post_init__(self):
+        if not 2 <= self.n_vis_init <= self.n_iner_init:
+            raise ValueError("need n_iner_init >= n_vis_init >= 2")
 
 
 def keyframe_decision(mean_flow: float, dt_since_last: float,
@@ -86,11 +98,10 @@ def keyframe_decision(mean_flow: float, dt_since_last: float,
     """
     if mean_flow < 0.0 or dt_since_last < 0.0:
         raise ValueError("flow and elapsed time must be non-negative")
-    return mean_flow > policy.flow_threshold \
-        or dt_since_last >= policy.max_interval
+    return mean_flow > policy.flow_threshold or dt_since_last >= MAX_INTERVAL
 
 
-def flow_magnitude(edge: VisionEdge, flow_scale: float) -> float:
+def flow_magnitude(edge: VisionEdge) -> float:
     """Mean correspondence displacement in coarse-grid pixels.
 
     Zero-weight rows are placeholders for pixels without a valid match and
@@ -100,17 +111,16 @@ def flow_magnitude(edge: VisionEdge, flow_scale: float) -> float:
     if not np.any(live):
         return float("inf")
     disp = edge.targets[live] - edge.pixels[live]
-    return float(np.mean(np.linalg.norm(disp, axis=1)) / flow_scale)
+    return float(np.mean(np.linalg.norm(disp, axis=1)) / FLOW_SCALE)
 
 
 def propagate_keyframe_state(prev: PoseState, delta: PreintegratedDelta,
-                             gravity: GravityModel,
-                             policy: KeyframePolicy) -> PoseState:
+                             gravity: GravityModel) -> PoseState:
     """Seed the next keyframe state from the preintegrated interval.
 
     Velocity and bias always carry over (velocity through the delta); the
     pose is propagated only while the preintegration covariance trace stays
-    below the policy threshold, otherwise the previous pose is kept and the
+    at most COV_TRACE_THRESHOLD, otherwise the previous pose is kept and the
     vision solve must pull the keyframe into place.
     """
     dt = delta.dt_total
@@ -118,7 +128,7 @@ def propagate_keyframe_state(prev: PoseState, delta: PreintegratedDelta,
     R_i = prev.pose.rotation
     velocity = prev.velocity + g * dt + R_i.apply(delta.delta_v)
     pose = prev.pose
-    if float(np.trace(delta.covariance)) <= policy.cov_trace_threshold:
+    if float(np.trace(delta.covariance)) <= COV_TRACE_THRESHOLD:
         pose = Pose(R_i * delta.delta_R,
                     prev.pose.translation + prev.velocity * dt
                     + 0.5 * dt * dt * g + R_i.apply(delta.delta_p))
@@ -224,7 +234,7 @@ def process_frame(tracker: TrackerState, frame_index: int, timestamp: float,
     last = tracker.graph.keyframes[-1]
     try:
         probe = tracker.provider.edge(tracker.frame_of[last.kid], frame_index)
-        flow = flow_magnitude(probe, tracker.policy.flow_scale)
+        flow = flow_magnitude(probe)
     except ValueError:
         flow = float("inf")
     if keyframe_decision(flow, timestamp - last.state.timestamp,
@@ -235,7 +245,7 @@ def process_frame(tracker: TrackerState, frame_index: int, timestamp: float,
 
 
 def add_keyframe(tracker: TrackerState, frame_index: int,
-                 timestamp: float) -> TrackerState:
+                 timestamp: float) -> None:
     """Insert one keyframe and run the window solve; mutates the tracker.
 
     Preintegrates the buffered IMU into an edge to the previous keyframe,
@@ -267,8 +277,7 @@ def add_keyframe(tracker: TrackerState, frame_index: int,
         delta = preintegrate(chunk, last.state.bias, tracker.noise)
         state = last.state
         if tracker.phase == PHASE_FULL:
-            state = propagate_keyframe_state(state, delta, graph.gravity,
-                                             tracker.policy)
+            state = propagate_keyframe_state(state, delta, graph.gravity)
         state = replace(state, timestamp=timestamp)
     else:
         state = PoseState(Pose.identity(), np.zeros(3), BiasState(),
@@ -304,11 +313,11 @@ def add_keyframe(tracker: TrackerState, frame_index: int,
 
     n = len(graph.keyframes)
     if tracker.phase == PHASE_VISION and n >= tracker.init_cfg.n_vis_init:
-        report = init_vision(graph, tracker.init_cfg)
+        report = init_vision(graph)
         tracker.init_reports["vision"] = _report_dict(report)
         tracker.phase = PHASE_INERTIAL
     elif tracker.phase == PHASE_INERTIAL and n >= tracker.init_cfg.n_iner_init:
-        result = run_full_initialization(graph, tracker.init_cfg)
+        result = run_full_initialization(graph)
         tracker.init_reports.update(
             {k: _report_dict(r) for k, r in result.reports.items()})
         tracker.init_reports["log_scale"] = float(result.log_scale)
@@ -318,18 +327,15 @@ def add_keyframe(tracker: TrackerState, frame_index: int,
 
     if tracker.phase == PHASE_FULL:
         _evict(tracker)
-    return tracker
 
 
-def _tracking_solve(tracker: TrackerState) -> SolveReport | None:
+def _tracking_solve(tracker: TrackerState) -> None:
     """Per-insertion window refinement; vision-only until initialized."""
     graph = tracker.graph
     if len(graph.keyframes) < 2 or not graph.vision_edges:
-        return None
+        return
     opts = SolveOptions(max_iterations=tracker.policy.solve_iterations)
-    if tracker.phase == PHASE_FULL:
-        return solve_vi_ba(graph, opts)
-    return solve_vi_ba(graph.vision_only(), opts)
+    solve_vi_ba(graph if tracker.phase == PHASE_FULL else graph.vision_only(), opts)
 
 
 def _evict(tracker: TrackerState) -> None:

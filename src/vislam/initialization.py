@@ -8,6 +8,10 @@ poses and fits the metric unknowns: a log-scale applied to all positions,
 the 2-dof gravity orientation, one shared bias, and per-keyframe velocities.
 Stage 3 runs the full visual-inertial solve on the window that stage 2
 committed, with the gravity direction left free.
+
+The stages take no config: each solves for a fixed iteration budget below
+with SolveOptions' default damping. The window sizes at which the tracker
+runs them are frontend.InitConfig.
 """
 
 from __future__ import annotations
@@ -27,27 +31,9 @@ from .residuals import (
 from .solver import (FrameGraph, GraphProblem, Layout, SolveOptions, SolveReport,
                      lm_solve, solve_vi_ba)
 
-
-@dataclass
-class InitConfig:
-    """Stage trigger counts and per-stage iteration budgets."""
-
-    n_vis_init: int = 10
-    n_iner_init: int = 20
-    max_iterations_vision: int = 30
-    max_iterations_inertial: int = 60
-    max_iterations_joint: int = 15
-    damping: float = 1e-4
-
-    def __post_init__(self):
-        if not 2 <= self.n_vis_init <= self.n_iner_init:
-            raise ValueError("need n_iner_init >= n_vis_init >= 2")
-        for name in ("max_iterations_vision", "max_iterations_inertial",
-                     "max_iterations_joint"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if not 0.0 < self.damping < np.inf:
-            raise ValueError("damping must be positive and finite")
+MAX_ITERATIONS_VISION = 30
+MAX_ITERATIONS_INERTIAL = 60
+MAX_ITERATIONS_JOINT = 15
 
 
 @dataclass
@@ -58,18 +44,16 @@ class InitResult:
     reports: dict = field(default_factory=dict)
 
 
-def init_vision(graph: FrameGraph, cfg: InitConfig | None = None) -> SolveReport:
+def init_vision(graph: FrameGraph) -> SolveReport:
     """Stage 1: vision-only bundle adjustment of the window.
 
     Solves poses and disparities with inertial terms excluded and the first
     keyframe frozen, leaving the usual global-similarity gauge freedom.
     """
-    cfg = cfg if cfg is not None else InitConfig()
     if not graph.keyframes:
         raise ValueError("cannot initialize an empty window")
-    opts = SolveOptions(max_iterations=cfg.max_iterations_vision,
-                        damping=cfg.damping)
-    return solve_vi_ba(graph.vision_only(), opts)
+    return solve_vi_ba(graph.vision_only(),
+                       SolveOptions(max_iterations=MAX_ITERATIONS_VISION))
 
 
 def align_gravity(states: list, deltas: list,
@@ -187,8 +171,7 @@ class _InertialOnly(GraphProblem):
         self.graph.gravity = self.gravity
 
 
-def init_inertial_only(graph: FrameGraph,
-                       cfg: InitConfig | None = None) -> InitResult:
+def init_inertial_only(graph: FrameGraph) -> InitResult:
     """Stage 2: metric unknowns with the vision poses frozen, then commit().
 
     Gauss-Newton with Levenberg damping from log-scale 0 and the window's
@@ -197,32 +180,27 @@ def init_inertial_only(graph: FrameGraph,
     stay fixed. The solve stops on relative decrease alone: step_tol is the
     smallest positive float, which no accepted step goes below.
     """
-    cfg = cfg if cfg is not None else InitConfig()
     if len(graph.keyframes) < 2 or not graph.inertial_edges:
         raise ValueError("need at least two keyframes with inertial edges")
     problem = _InertialOnly(graph)
     report = lm_solve(problem, SolveOptions(
-        max_iterations=cfg.max_iterations_inertial, damping=cfg.damping,
-        rel_decrease_tol=1e-10, step_tol=np.finfo(float).tiny))
+        max_iterations=MAX_ITERATIONS_INERTIAL, rel_decrease_tol=1e-10,
+        step_tol=np.finfo(float).tiny))
     problem.commit()
     return InitResult(log_scale=problem.s, reports={"inertial": report})
 
 
-def init_joint(graph: FrameGraph, cfg: InitConfig | None = None) -> SolveReport:
+def init_joint(graph: FrameGraph) -> SolveReport:
     """Stage 3: full visual-inertial solve with free gravity direction."""
-    cfg = cfg if cfg is not None else InitConfig()
     if not graph.keyframes:
         raise ValueError("cannot initialize an empty window")
-    opts = SolveOptions(max_iterations=cfg.max_iterations_joint,
-                        damping=cfg.damping, optimize_gravity=True)
-    return solve_vi_ba(graph, opts)
+    return solve_vi_ba(graph, SolveOptions(max_iterations=MAX_ITERATIONS_JOINT,
+                                           optimize_gravity=True))
 
 
-def run_full_initialization(graph: FrameGraph,
-                            cfg: InitConfig | None = None) -> InitResult:
+def run_full_initialization(graph: FrameGraph) -> InitResult:
     """All three stages in sequence, each writing the window as it ends."""
-    cfg = cfg if cfg is not None else InitConfig()
-    vision_report = init_vision(graph, cfg)
+    vision_report = init_vision(graph)
 
     # differenced velocities seed both the gravity direction and stage 2
     for kf, v in zip(graph.keyframes, _fd_velocities(graph)):
@@ -231,7 +209,7 @@ def run_full_initialization(graph: FrameGraph,
     graph.gravity = align_gravity([kf.state for kf in graph.keyframes], deltas,
                                   magnitude=graph.gravity.magnitude)
 
-    result = init_inertial_only(graph, cfg)
+    result = init_inertial_only(graph)
     result.reports["vision"] = vision_report
-    result.reports["joint"] = init_joint(graph, cfg)
+    result.reports["joint"] = init_joint(graph)
     return result

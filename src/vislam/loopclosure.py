@@ -37,30 +37,27 @@ from .solver import (
 )
 
 SIM3_DOF = 7
+FLOW_GATE = 22.0             # coarse pixels, strictly below
+ANG_GATE_DEG = 120.0         # relative orientation angle, strictly below
+ALIGN_ITERATIONS = 15        # two-view alignment, per admitted loop
 
 
 @dataclass
 class LoopPolicy:
-    """Every loop-closure setting: the candidate gates and the solve cadence.
+    """The loop-closure settings: the keyframe gap gate and the solve cadence.
 
     Each field is the config key loop.<field> with this default. A (new
-    keyframe, old keyframe) pair becomes a candidate when it passes the three
-    gates. Each admitted pair is aligned for align_iterations, and the pose
-    graph is solved for solve_iterations once solve_every admitted loops wait.
+    keyframe, old keyframe) pair becomes a candidate when it passes the gap
+    gate and the FLOW_GATE and ANG_GATE_DEG gates. The pose graph is solved
+    for solve_iterations once solve_every admitted loops wait.
     """
 
     min_gap: int = 55            # keyframes apart, at least
-    flow_gate: float = 22.0      # coarse pixels, strictly below
-    ang_gate_deg: float = 120.0  # relative orientation angle, strictly below
-    align_iterations: int = 15   # two-view alignment, per admitted loop
     solve_iterations: int = 12   # pose-graph solve
     solve_every: int = 4         # admitted loops per pose-graph solve
 
     def __post_init__(self):
-        if not (self.flow_gate > 0 and self.ang_gate_deg > 0):
-            raise ValueError("flow and orientation gates must be positive")
-        for name in ("min_gap", "align_iterations", "solve_iterations",
-                     "solve_every"):
+        for name in ("min_gap", "solve_iterations", "solve_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -85,9 +82,9 @@ def detect_loops(new_kf: KeyframeSummary, history, flow,
     """Candidate loop pairs (old kid, new kid), ordered by ascending flow.
 
     The gates run cheapest first: the keyframes are at least min_gap apart,
-    their relative orientation angle is below ang_gate_deg, and flow(old),
+    their relative orientation angle is below ANG_GATE_DEG, and flow(old),
     the provider's mean flow magnitude between old and new_kf in coarse
-    pixels (infinite when there is none), is below flow_gate. flow is asked
+    pixels (infinite when there is none), is below FLOW_GATE. flow is asked
     only for pairs that pass the first two gates.
     """
     if policy is None:
@@ -97,10 +94,10 @@ def detect_loops(new_kf: KeyframeSummary, history, flow,
         if new_kf.kid - old.kid < policy.min_gap:
             continue
         rel = old.pose.rotation.inverse() * new_kf.pose.rotation
-        if not math.degrees(np.linalg.norm(rel.log())) < policy.ang_gate_deg:
+        if not math.degrees(np.linalg.norm(rel.log())) < ANG_GATE_DEG:
             continue
         f = flow(old)
-        if not f < policy.flow_gate:
+        if not f < FLOW_GATE:
             continue
         passing.append((f, old.kid))
     passing.sort()
@@ -229,19 +226,18 @@ class _PairAlignment(GraphProblem):
 
 
 def align_loop_pair(edge: VisionEdge, d_i: np.ndarray, S_i: SimTransform,
-                    S_j: SimTransform, k: Intrinsics,
-                    iterations: int = LoopPolicy.align_iterations) -> RelativePoseEdge:
+                    S_j: SimTransform, k: Intrinsics) -> RelativePoseEdge:
     """Two-view similarity alignment of a loop pair from its correspondences.
 
     Holds S_i, the source disparities and S_j's scale fixed, refines the rest
-    of S_j by damped Gauss-Newton on the reprojection residual, and returns
-    the relative-pose measurement S_j S_i^-1 with information from the
-    Gauss-Newton Hessian at the optimum, transported to the relative-residual
-    tangent and eigenvalue clamped so whitening stays well posed (the blind
-    scale row is zero, so it sits at the clamp's floor).
+    of S_j by ALIGN_ITERATIONS of damped Gauss-Newton on the reprojection
+    residual, and returns the relative-pose measurement S_j S_i^-1 with
+    information from the Gauss-Newton Hessian at the optimum, transported to
+    the relative-residual tangent and eigenvalue clamped so whitening stays
+    well posed (the blind scale row is zero, so it sits at the clamp's floor).
     """
     problem = _PairAlignment(edge, d_i, S_i, S_j, k)
-    lm_solve(problem, SolveOptions(max_iterations=iterations, damping=1e-6,
+    lm_solve(problem, SolveOptions(max_iterations=ALIGN_ITERATIONS, damping=1e-6,
                                    step_tol=1e-12))
     problem.evaluate()
     problem.linearize()
@@ -337,12 +333,10 @@ class LoopWorker:
     wait; solve() then returns the correction for the tracker and map.
     """
 
-    def __init__(self, intrinsics: Intrinsics, edge_source, policy: LoopPolicy,
-                 flow_scale: float):
+    def __init__(self, intrinsics: Intrinsics, edge_source, policy: LoopPolicy):
         self.intrinsics = intrinsics
         self.edge_source = edge_source            # (frame_i, frame_j) -> VisionEdge
         self.policy = policy
-        self.flow_scale = flow_scale              # KeyframePolicy.flow_scale
         self.summaries = {}         # kid -> KeyframeSummary, solved disparities
         self.states = {}            # kid -> SimTransform, archived nodes only
         self.chain = []             # exported sequential edges, archived prefix
@@ -371,7 +365,7 @@ class LoopWorker:
             edges[old.kid] = self.edge_source(old.frame_index, new.frame_index)
         except ValueError:
             return math.inf
-        return flow_magnitude(edges[old.kid], self.flow_scale)
+        return flow_magnitude(edges[old.kid])
 
     def ingest_summary(self, summary: KeyframeSummary):
         """Register a new keyframe; returns the admitted loop pair, if any,
@@ -393,8 +387,7 @@ class LoopWorker:
         i, j = pair
         vision = VisionEdge(i, j, raw.pixels, raw.targets, raw.weights)
         relative = align_loop_pair(vision, self.summaries[i].disparities,
-                                   self._state_of(i), self._state_of(j), self.intrinsics,
-                                   iterations=self.policy.align_iterations)
+                                   self._state_of(i), self._state_of(j), self.intrinsics)
         self.loops.append(LoopEdge(i, j, relative, vision))
         self.waiting += 1
 

@@ -85,13 +85,6 @@ def backproject(k: Intrinsics, pixels: np.ndarray, disparity: np.ndarray) -> np.
     return np.stack([x, y, z], axis=-1)
 
 
-def project(k: Intrinsics, points: np.ndarray) -> np.ndarray:
-    points = np.atleast_2d(points)
-    z = points[:, 2]
-    return np.stack([k.fx * points[:, 0] / z + k.cx,
-                     k.fy * points[:, 1] / z + k.cy], axis=1)
-
-
 @dataclass
 class VisionEdge:
     i: int

@@ -239,18 +239,18 @@ class SceneModel:
 
     The box is convex, so any camera inside it sees exactly one wall along
     every ray and there is no occlusion to resolve. Wall color is a smooth
-    per-channel sinusoid of the hit point, deterministic in color_seed.
+    per-channel sinusoid of the hit point, drawn from a generator of seed 0,
+    so every scene has the same wall pattern.
     """
 
     half_extent: float = 5.0
-    color_seed: int = 0
     _freqs: np.ndarray = field(init=False, repr=False)
     _phases: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.half_extent < np.inf:
             raise ValueError("scene_half_extent must be positive and finite")
-        rng = np.random.default_rng(self.color_seed)
+        rng = np.random.default_rng(0)
         self._freqs = rng.uniform(0.6, 2.2, size=(3, 3))
         self._phases = rng.uniform(0.0, 2.0 * np.pi, size=3)
 

@@ -190,6 +190,14 @@ def raycast(scene, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return s_best
 
 
+def project(k: Intrinsics, points: np.ndarray) -> np.ndarray:
+    """Pinhole pixels of (N, 3) camera-frame points."""
+    points = np.atleast_2d(points)
+    z = points[:, 2]
+    return np.stack([k.fx * points[:, 0] / z + k.cx,
+                     k.fy * points[:, 1] / z + k.cy], axis=1)
+
+
 # Per-edge reprojection and pixel scatter: the library evaluates and
 # scatters a stack of edges at once, these do one edge with einsums.
 

@@ -210,17 +210,12 @@ def test_zero_window_solve_iterations_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-# Every float key whose range check a NaN used to pass, and the two keys
-# that were not checked at all, whose zero made the run diverge. An infinite
-# gravity magnitude diverged, and an infinite initializer damping or flow
-# scale ran as a valid run (every initializer step rejected; no init and
-# 3 keyframes). tracker.max_interval, tracker.cov_trace_threshold,
-# tracker.flow_threshold and the loop gates still accept inf: "never".
-NAN_PASSED = ("dataset.sigma_px", "init.damping", "loop.ang_gate_deg",
-              "loop.flow_gate", "noise.gravity_magnitude",
-              "tracker.cov_trace_threshold", "tracker.flow_scale",
-              "tracker.flow_threshold", "tracker.max_interval")
-INF_PASSED = ("noise.gravity_magnitude", "init.damping", "tracker.flow_scale")
+# Every float key whose range check a NaN used to pass, and the gravity
+# magnitude, which was not checked at all: its zero made the run diverge, and
+# so did an infinite one. tracker.flow_threshold still accepts inf: "never".
+NAN_PASSED = ("dataset.sigma_px", "noise.gravity_magnitude",
+              "tracker.flow_threshold")
+INF_PASSED = ("noise.gravity_magnitude",)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -228,7 +223,6 @@ INF_PASSED = ("noise.gravity_magnitude", "init.damping", "tracker.flow_scale")
     *(pytest.param(key, "inf", id=f"{key}=inf") for key in INF_PASSED),
     pytest.param("noise.gravity_magnitude", "0.0",
                  id="noise.gravity_magnitude=0"),
-    pytest.param("init.damping", "0.0", id="init.damping=0"),
 ])
 def test_out_of_range_float_is_a_config_error(tmp_path, capsys, key, value):
     code, out = _run(tmp_path, "bad", SHORT_RUN + f"{key} = {value}\n")
@@ -278,15 +272,8 @@ dataset.period = 30.0
 dataset.scene_half_extent = 5.0
 dataset.sigma_px = 0.5
 dataset.yaw_policy = tangent
-init.damping = 0.0001
-init.max_iterations_inertial = 60
-init.max_iterations_joint = 15
-init.max_iterations_vision = 30
 init.n_iner_init = 20
 init.n_vis_init = 10
-loop.align_iterations = 15
-loop.ang_gate_deg = 120.0
-loop.flow_gate = 22.0
 loop.min_gap = 55
 loop.solve_every = 4
 loop.solve_iterations = 12
@@ -302,11 +289,8 @@ run.align = se3
 run.frame_stride = 1
 run.out = out
 run.seed = 0
-tracker.cov_trace_threshold = 0.0001
 tracker.covis_radius = 3
-tracker.flow_scale = 8.0
 tracker.flow_threshold = 7.0
-tracker.max_interval = 3.0
 tracker.solve_iterations = 4
 tracker.window_size = 12
 """
@@ -354,16 +338,34 @@ def test_every_config_key_is_read():
     assert sorted(set(default_config()) - cfg.read) == []
 
 
+# Keys that were single-valued settings and are now module constants, each
+# with the default it had: a file that sets one ran with it before.
+CONSTANT_KEYS = {
+    "tracker.max_interval": "3.0",
+    "tracker.cov_trace_threshold": "0.0001",
+    "tracker.flow_scale": "8.0",
+    "init.max_iterations_vision": "30",
+    "init.max_iterations_inertial": "60",
+    "init.max_iterations_joint": "15",
+    "init.damping": "0.0001",
+    "loop.flow_gate": "22.0",
+    "loop.ang_gate_deg": "120.0",
+    "loop.align_iterations": "15",
+}
+
+
 @pytest.mark.parametrize("key, value", [
     pytest.param("map.lambda_c", "0.8", id="map.lambda_c"),
     pytest.param("dataset.mode", "recorded", id="dataset.mode"),
     pytest.param("dataset.dir", "out/dataset", id="dataset.dir"),
     pytest.param("run.save_dataset", "true", id="run.save_dataset"),
+    *(pytest.param(key, value, id=key) for key, value in CONSTANT_KEYS.items()),
 ])
 def test_deleted_config_key_is_a_config_error(tmp_path, capsys, key, value):
     code, out = _run(tmp_path, "bad", SHORT_RUN + f"{key} = {value}\n")
     assert code == EXIT_CONFIG
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert '"error": "config"' in err and f"unknown config key {key!r}" in err
     assert not out.exists()
 
 

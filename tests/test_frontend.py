@@ -8,6 +8,8 @@ import pytest
 from vislam.cli import _init_diagnostics
 from vislam.evaluation import Trajectory, align_umeyama, ate_rmse
 from vislam.frontend import (
+    MAX_INTERVAL,
+    InitConfig,
     KeyframePolicy,
     PHASE_FULL,
     PHASE_INERTIAL,
@@ -23,7 +25,6 @@ from vislam.frontend import (
 )
 from vislam.geometry import Pose, Rotation, SimTransform
 from vislam.imu import BiasState, ImuNoiseModel, ImuSample, preintegrate
-from vislam.initialization import InitConfig
 from vislam.residuals import (
     GravityModel,
     PoseState,
@@ -59,11 +60,16 @@ def _check_window_order(tracker):
         assert e.i not in evicted and e.j not in evicted
 
 
+# These tests keyframe at 2.4 coarse pixels of flow, below the pipeline's
+# 7.0, so that the short sequences fill the window quickly.
+POLICY = KeyframePolicy(flow_threshold=2.4)
+
+
 class _Driver:
     """Feeds dataset frames with their IMU slices into a tracker, checking
     the window's order after every frame."""
 
-    def __init__(self, ds, stride=20, policy=None, init_cfg=None):
+    def __init__(self, ds, stride=20, policy=POLICY, init_cfg=None):
         self.ds = ds
         self.provider = SyntheticProvider(ds, stride=stride)
         self.tracker = make_tracker(self.provider, policy=policy,
@@ -84,7 +90,7 @@ class _Driver:
 
 
 SMALL_INIT = InitConfig(n_vis_init=6, n_iner_init=10)
-SMALL_POLICY = KeyframePolicy(window_size=8)
+SMALL_POLICY = KeyframePolicy(flow_threshold=2.4, window_size=8)
 
 
 @pytest.fixture(scope="module")
@@ -97,19 +103,19 @@ def pipeline(clean_dataset):
 
 class TestKeyframeDecision:
     def test_flow_gate_fires(self):
-        assert keyframe_decision(3.0, 0.2, KeyframePolicy()) is True
+        assert keyframe_decision(3.0, 0.2, POLICY) is True
 
     def test_interval_gate_fires(self):
-        assert keyframe_decision(1.0, 3.5, KeyframePolicy()) is True
+        assert keyframe_decision(1.0, 3.5, POLICY) is True
 
     def test_quiet_frame_passes(self):
-        assert keyframe_decision(1.0, 0.5, KeyframePolicy()) is False
+        assert keyframe_decision(1.0, 0.5, POLICY) is False
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
-            keyframe_decision(-0.1, 0.5, KeyframePolicy())
+            keyframe_decision(-0.1, 0.5, POLICY)
         with pytest.raises(ValueError):
-            keyframe_decision(1.0, -0.5, KeyframePolicy())
+            keyframe_decision(1.0, -0.5, POLICY)
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -129,13 +135,13 @@ class TestFlowMagnitude:
             pixels=np.array([[10.0, 10.0], [20.0, 10.0], [30.0, 10.0]]),
             targets=np.array([[18.0, 10.0], [28.0, 10.0], [30.0, 10.0]]),
             weights=np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]))
-        assert flow_magnitude(edge, flow_scale=8.0) == pytest.approx(1.0)
+        assert flow_magnitude(edge) == pytest.approx(1.0)
 
     def test_all_dead_reads_infinite(self):
         edge = VisionEdge(0, 1, pixels=np.array([[10.0, 10.0]]),
                           targets=np.array([[10.0, 10.0]]),
                           weights=np.zeros((1, 2)))
-        assert flow_magnitude(edge, flow_scale=8.0) == float("inf")
+        assert flow_magnitude(edge) == float("inf")
 
 
 def _stationary_delta(duration=0.4, rate=200.0, gravity=None,
@@ -155,8 +161,7 @@ class TestPropagation:
         delta = _stationary_delta()
         assert float(np.trace(delta.covariance)) <= 1e-4
         prev = PoseState(Pose.identity(), np.zeros(3), BiasState(), 0.0)
-        out = propagate_keyframe_state(prev, delta, GravityModel(),
-                                       KeyframePolicy())
+        out = propagate_keyframe_state(prev, delta, GravityModel())
         assert np.linalg.norm(out.pose.translation) < 1e-9
         assert np.linalg.norm((prev.pose.rotation.inverse()
                                * out.pose.rotation).log()) < 1e-9
@@ -167,8 +172,7 @@ class TestPropagation:
         delta = _stationary_delta()
         v0 = np.array([0.3, -0.2, 0.1])
         prev = PoseState(Pose.identity(), v0.copy(), BiasState(), 1.0)
-        out = propagate_keyframe_state(prev, delta, GravityModel(),
-                                       KeyframePolicy())
+        out = propagate_keyframe_state(prev, delta, GravityModel())
         assert np.allclose(out.pose.translation, v0 * delta.dt_total,
                            atol=1e-12)
         assert np.allclose(out.velocity, v0, atol=1e-12)
@@ -179,8 +183,7 @@ class TestPropagation:
         bias = BiasState([0.01, 0.0, 0.0], [0.0, 0.02, 0.0])
         prev = PoseState(Pose(Rotation.identity(), np.array([1.0, 2.0, 3.0])),
                          v0.copy(), bias, 0.0)
-        out = propagate_keyframe_state(prev, delta, GravityModel(),
-                                       KeyframePolicy())
+        out = propagate_keyframe_state(prev, delta, GravityModel())
         assert np.array_equal(out.pose.rotation.q, prev.pose.rotation.q)
         assert np.array_equal(out.pose.translation, prev.pose.translation)
         # velocity still comes through the preintegrated delta
@@ -194,8 +197,7 @@ class TestPropagation:
         chunk = ds.imu_between(t0, t5)
         delta = preintegrate(chunk, BiasState(), ImuNoiseModel())
         start = PoseState(ds.frame_pose(0), ds.traj.frame_velocities[0])
-        out = propagate_keyframe_state(start, delta, ds.gravity,
-                                       KeyframePolicy())
+        out = propagate_keyframe_state(start, delta, ds.gravity)
         truth = ds.frame_pose(5)
         assert np.linalg.norm(out.pose.translation
                               - truth.translation) < 1e-5
@@ -296,8 +298,7 @@ class TestPipeline:
         traj = estimated_trajectory(tracker)
         gaps = np.diff(traj.timestamps)
         frame_period = 1.0 / pipeline.ds.frame_rate
-        assert np.all(gaps <= tracker.policy.max_interval + frame_period
-                      + 1e-9)
+        assert np.all(gaps <= MAX_INTERVAL + frame_period + 1e-9)
 
     def test_window_ate_after_polish(self, pipeline):
         tracker = pipeline.tracker
@@ -395,7 +396,7 @@ class TestDegraded:
         bad_frame = 7
         for dead in (False, True):
             provider = _FlakyProvider(inner, [bad_frame], dead)
-            tracker = make_tracker(provider, imu_period=1.0 / ds.imu_rate)
+            tracker = make_tracker(provider, POLICY, imu_period=1.0 / ds.imu_rate)
             for f in range(12):
                 t = ds.frame_time(f)
                 imu = [] if f == 0 else ds.imu_between(ds.frame_time(f - 1), t)

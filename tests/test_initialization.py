@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from vislam.evaluation import umeyama
+from vislam.frontend import InitConfig
 from vislam.geometry import Pose, Rotation
 from vislam.imu import BiasState, ImuNoiseModel, ImuSample, PreintegratedDelta, preintegrate
 from vislam.initialization import (
-    InitConfig,
     _fd_velocities,
     _InertialOnly,
     align_gravity,

@@ -6,11 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vislam.frontend import (KeyframePolicy, apply_correction, eviction_edge,
+from vislam.frontend import (InitConfig, apply_correction, eviction_edge,
                              window_snapshot)
 from vislam.geometry import Pose, Rotation, SimTransform
 from vislam.imu import BiasState, ImuNoiseModel, ImuSample, preintegrate
-from vislam.initialization import InitConfig
 from vislam.loopclosure import (
     CorrectionEntry,
     KeyframeSummary,
@@ -43,7 +42,6 @@ MODEL = TrajectoryModel(family="figure8", amplitude=1.5, period=12.0,
                         duration=12.0, yaw_policy="tangent")
 
 CHAIN_INFO = np.diag([4e4] * 3 + [1e4] * 3 + [100.0])
-FLOW_SCALE = KeyframePolicy().flow_scale
 
 
 def summary(kid, yaw=0.0, **kw):
@@ -69,13 +67,10 @@ def synth():
 class TestLoopPolicy:
     def test_defaults(self):
         p = LoopPolicy()
-        assert (p.min_gap, p.flow_gate, p.ang_gate_deg) == (55, 22.0, 120.0)
+        assert p.min_gap == 55
 
     @pytest.mark.parametrize("kw", [
-        {"min_gap": 0}, {"min_gap": -3},
-        {"flow_gate": 0.0}, {"flow_gate": -1.0},
-        {"ang_gate_deg": 0.0}, {"ang_gate_deg": -10.0},
-        {"align_iterations": 0}, {"solve_iterations": 0},
+        {"min_gap": 0}, {"min_gap": -3}, {"solve_iterations": 0},
         {"solve_every": 0}, {"solve_every": -2},
     ])
     def test_rejects_nonpositive_gates(self, kw):
@@ -658,7 +653,7 @@ def worker_run():
     chain = chain_from(drifted)
 
     worker = LoopWorker(prov.intrinsics(), prov.edge,
-                        LoopPolicy(solve_iterations=20), FLOW_SCALE)
+                        LoopPolicy(solve_iterations=20))
     window = 12
     admitted = []
     for f in range(n):
@@ -733,7 +728,7 @@ class TestLoopWorker:
 
     def test_solve_without_loops_returns_none(self, synth):
         _, prov, _, k = synth
-        worker = LoopWorker(k, prov.edge, LoopPolicy(), FLOW_SCALE)
+        worker = LoopWorker(k, prov.edge, LoopPolicy())
         assert worker.solve([], []) is None
         assert worker.pending is False
 
@@ -745,7 +740,7 @@ class TestLoopWorker:
             calls.append((fi, fj))
             return prov.edge(fi, fj)
 
-        worker = LoopWorker(k, counting_edge, LoopPolicy(), FLOW_SCALE)
+        worker = LoopWorker(k, counting_edge, LoopPolicy())
         for kid, frame in ((0, 0), (1, 1), (2, 2)):
             worker.ingest_summary(KeyframeSummary(
                 kid, frame, ds.frame_pose(frame), 1.0 / prov.depth_hint(frame, grid)))

@@ -17,7 +17,6 @@ from vislam.residuals import (
     VisionEdge,
     backproject,
     inertial_residual,
-    project,
     relative_pose_residual,
     sim3_vision_residual,
     vision_residual,
@@ -73,7 +72,7 @@ def _vision_setup(rng, n=12):
     d_i = 1.0 / depths
 
     X_w = T_i.apply(backproject(k, pixels, d_i))
-    targets = project(k, T_j.inverse().apply(X_w))
+    targets = oracles.project(k, T_j.inverse().apply(X_w))
     return k, T_i, T_j, pixels, d_i, targets
 
 
@@ -515,7 +514,7 @@ def test_whitened_norms_equal_mahalanobis_energy():
     w = rng.uniform(0.1, 3.0, (len(pixels), 2))
     edge = VisionEdge(0, 1, pixels, targets, w)
     out = vision_residual([edge], [T_i], [T_j], [d_i], k)
-    raw = targets - project(k, _camera_j_points(k, T_i, T_j, pixels, d_i))
+    raw = targets - oracles.project(k, _camera_j_points(k, T_i, T_j, pixels, d_i))
     manual = float((w * raw * raw).sum())
     assert abs(float((out.residual[0] ** 2).sum()) - manual) < 1e-10 * max(manual, 1.0)
 

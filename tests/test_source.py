@@ -1,11 +1,13 @@
 """Static checks over the package source."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import vislam
+from vislam.cli import POLICIES, default_config
 
 MODULES = sorted(Path(vislam.__file__).parent.glob("*.py"))
 
@@ -148,3 +150,25 @@ def test_no_keyframe_index_beside_a_graph_and_stage_two_commits():
                        if isinstance(c, ast.ClassDef) and c.name == "_InertialOnly"
                        for f in c.body if isinstance(f, ast.FunctionDef)}
     assert "commit" in methods
+
+
+# A policy key is its dataclass field at the field's default, with no
+# override, and a value nothing sets is a constant beside its one reader:
+# no policy field is named after a key that became a constant, and no
+# function carries the flow grid's scale as a parameter.
+CONSTANT_FIELDS = {"max_interval", "cov_trace_threshold", "flow_scale",
+                   "max_iterations_vision", "max_iterations_inertial",
+                   "max_iterations_joint", "damping", "flow_gate", "ang_gate_deg",
+                   "align_iterations"}
+
+
+def test_policy_keys_are_policy_fields_at_their_defaults():
+    policy_keys = {key: value for key, value in default_config().items()
+                   if key.split(".")[0] in POLICIES}
+    assert policy_keys == {f"{prefix}.{f.name}": f.default
+                           for prefix, cls in POLICIES.items() for f in fields(cls)}
+    assert not CONSTANT_FIELDS & {f.name for cls in POLICIES.values() for f in fields(cls)}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert "flow_scale" not in {a.arg for a in ast.walk(tree)
+                                    if isinstance(a, ast.arg)}, path.name

@@ -17,9 +17,10 @@ from vislam.residuals import (
     PoseState,
     VisionEdge,
     backproject,
-    project,
 )
 from vislam.solver import FrameGraph, Keyframe
+
+from oracles import project
 
 
 def default_intrinsics():
