@@ -24,8 +24,9 @@ from .geometry import Pose, Rotation
 from .imu import BiasState
 from .residuals import (
     GRAVITY_TANGENT_BASIS,
+    DeltaStack,
     GravityModel,
-    PoseState,
+    StateStack,
     inertial_residual,
 )
 from .solver import (FrameGraph, GraphProblem, Layout, SolveOptions, SolveReport,
@@ -119,7 +120,6 @@ class _InertialOnly(GraphProblem):
                         [(i, j) for i, j, _ in graph.inertial_edges])
         super().__init__([], layout)
         self.graph = graph
-        self.vision_states = [kf.state for kf in graph.keyframes]
         self.s = 0.0
         self.gravity = graph.gravity
         self.bias = graph.keyframes[0].state.bias
@@ -128,18 +128,19 @@ class _InertialOnly(GraphProblem):
         self.ends = np.array([(at[i], at[j]) for i, j, _ in graph.inertial_edges])
         vel_cols = 9 + 3 * np.repeat(self.ends, 3, axis=1) + np.tile(np.arange(3), 2)
         self.row_cols = np.hstack([np.tile(np.arange(9), (len(self.ends), 1)), vel_cols])
-        positions = np.stack([kf.state.pose.translation for kf in graph.keyframes])
+        self.deltas = DeltaStack.of([d for _, _, d in graph.inertial_edges])
+        self.vision_states = StateStack.of([kf.state for kf in graph.keyframes])
+        positions = self.vision_states.p
         self.p_i, self.p_j = positions[self.ends[:, 0]], positions[self.ends[:, 1]]
 
     def evaluate(self) -> float:
         """Inertial energy of the scale-adjusted states."""
         es = float(np.exp(self.s))
-        states = [PoseState(Pose(st.pose.rotation, es * st.pose.translation),
-                            v, self.bias, st.timestamp)
-                  for st, v in zip(self.vision_states, self.velocities)]
-        out = inertial_residual([d for _, _, d in self.graph.inertial_edges],
-                                [states[k] for k in self.ends[:, 0]],
-                                [states[k] for k in self.ends[:, 1]], self.gravity)
+        vis = self.vision_states
+        nodes = vis._replace(p=es * vis.p, v=self.velocities,
+                             b=np.tile(self.bias.vector(), (len(vis.p), 1)))
+        out = inertial_residual(self.deltas, nodes.take(self.ends[:, 0]),
+                                nodes.take(self.ends[:, 1]), self.gravity)
         self.outs = ([], out)
         return float((out.residual ** 2).sum())
 

@@ -19,8 +19,10 @@ import numpy as np
 from .frontend import flow_magnitude
 from .geometry import Pose, SimTransform
 from .residuals import (
+    EdgeStack,
     Intrinsics,
     RelativePoseEdge,
+    StateStack,
     VisionEdge,
     map_eigenvalues,
     relative_pose_residual,
@@ -207,13 +209,15 @@ class _PairAlignment(GraphProblem):
 
     def __init__(self, edge, d_i, S_i, S_j, k):
         super().__init__([], Layout([], 0, [], POSE_DOF))
-        self.edge, self.d_i, self.S_i, self.k = edge, d_i, S_i, k
+        self.edge, self.k = EdgeStack.of([edge]), k
+        self.d_i = np.asarray(d_i, dtype=float).reshape(1, -1)
+        self.S_i = StateStack.of([S_i])
         self.S = S_j
         self.row_cols = np.arange(POSE_DOF)[None]
 
     def evaluate(self) -> float:
-        out = sim3_vision_residual([self.edge], [self.S_i], [self.S],
-                                   [self.d_i], self.k)
+        out = sim3_vision_residual(self.edge, self.S_i, StateStack.of([self.S]),
+                                   self.d_i, self.k)
         self.outs = ([], out)
         return float((out.residual ** 2).sum())
 
@@ -276,11 +280,8 @@ class _PoseGraphProblem(GraphProblem):
     def evaluate(self) -> float:
         """Sum of whitened squared residuals over loop and chain edges."""
         at, st = self.layout.index, self.states
-        vision = [sim3_vision_residual(edges, [st[at[e.i]] for e in edges],
-                                       [st[at[e.j]] for e in edges],
-                                       [self.disparities[at[e.i]] for e in edges],
-                                       self.graph.intrinsics)
-                  for edges, *_ in self.groups]
+        vision = [sim3_vision_residual(*inputs, self.graph.intrinsics)
+                  for inputs in self.pixel_inputs(StateStack.of(st))]
         relative = [relative_pose_residual(edge, st[at[edge.i]], st[at[edge.j]])
                     for edge in self.relative]
         self.outs = (vision, relative)

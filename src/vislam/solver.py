@@ -15,8 +15,11 @@ GraphProblem for it: each reads its graph once, building a Layout that
 checks it and lays out its columns, and linearizes into NormalEquations, its
 vision edges one pixel-count group (Layout.pixel_groups) per kernel call and
 add_pixels, its dense rows in one add_rows, and steps by
-NormalEquations.solve. A trial moves only values held by the problem;
-commit() after lm_solve writes the graph once.
+NormalEquations.solve. A problem stacks its edges once when it is built
+(PixelGroup.stack, the window's DeltaStack) and its nodes' states once per
+evaluation (StateStack), taking each edge end's rows from them. A trial
+moves only values held by the problem; commit() after lm_solve writes the
+graph once.
 """
 
 from __future__ import annotations
@@ -30,9 +33,12 @@ import numpy as np
 from .geometry import SimTransform
 from .residuals import (
     GRAVITY_TANGENT_BASIS,
+    DeltaStack,
+    EdgeStack,
     GravityModel,
     Intrinsics,
     PoseState,
+    StateStack,
     inertial_residual,
     vision_residual,
 )
@@ -226,40 +232,41 @@ class Layout:
         n = self.index[kid]
         return slice(self.d_offsets[n], self.d_offsets[n + 1])
 
-    def disp_cols(self, kid: int) -> np.ndarray:
-        d = self.disp_slice(kid)
-        return np.arange(d.start, d.stop)
-
     def pixel_groups(self, edges, width: int) -> list:
         """One PixelGroup per pixel count, in order of appearance."""
         by_count = {}
         for e in edges:
             by_count.setdefault(len(e.pixels), []).append(e)
         groups = []
-        for group in by_count.values():
-            c = np.stack([np.concatenate([self.cols(e.i, width), self.cols(e.j, width)])
-                          for e in group])
+        for n, group in by_count.items():
+            ends = np.array([(self.index[e.i], self.index[e.j]) for e in group])
+            c = (ends[:, :, None] * self.dof + np.arange(width)).reshape(len(group), -1)
             rows = {}
             for r, e in enumerate(group):
                 rows.setdefault(e.i, []).append(r)
             groups.append(PixelGroup(
-                group, c, np.stack([self.disp_cols(e.i) for e in group]),
+                group, EdgeStack.of(group), ends, c,
+                self.d_offsets[ends[:, :1]] + np.arange(n),
                 [(np.array(r), c[r].ravel(), self.disp_slice(kid))
                  for kid, r in rows.items()]))
         return groups
 
 
 class PixelGroup(NamedTuple):
-    """E vision edges of n pixels each, stacked for one kernel call.
+    """E vision edges of n pixels each, stacked once for every kernel call.
 
-    c (E, 2k) holds each edge's pose columns, source end then target end,
-    and cd (E, n) its source's disparity columns. An edge covers all of its
-    source's disparities in one order, so the coupling of one source is one
-    block: sources holds, per source keyframe, its rows in the group, their
-    pose columns c[rows] flattened, and its disparity slice.
+    stack holds their pixels, targets and weights, and ends (E, 2) the
+    positions of each edge's source and target nodes. c (E, 2k) holds each
+    edge's pose columns, source end then target end, and cd (E, n) its
+    source's disparity columns. An edge covers all of its source's
+    disparities in one order, so the coupling of one source is one block:
+    sources holds, per source keyframe, its rows in the group, their pose
+    columns c[rows] flattened, and its disparity slice.
     """
 
     edges: list
+    stack: EdgeStack
+    ends: np.ndarray
     c: np.ndarray
     cd: np.ndarray
     sources: list
@@ -294,18 +301,20 @@ class NormalEquations:
         np.add.at(self.H_pp, (c[:, :, None], c[:, None, :]), J_T @ J)
         np.add.at(self.g_p, c, (J_T @ r[..., None])[..., 0])
 
-    def add_pixels(self, group: PixelGroup, Ji, Jj, Jd, r) -> None:
+    def add_pixels(self, group: PixelGroup, J, Jd, r) -> None:
         """Vision rows of a group's E edges of n pixels each, scattered at once.
 
-        Ji, Jj (E, n, 2, k) are pose blocks on the source and target
-        columns of group.c; Jd (E, n, 2) is each pixel's column on its own
+        J (E, n, 2, 2k) holds pose blocks on the columns of group.c, source
+        end then target end; Jd (E, n, 2) is each pixel's column on its own
         disparity, group.cd; r (E, n, 2) the residuals. Sums run along the
         pixel axis, the contiguous one in what the kernel returns. Shared
         columns add up.
         """
         c, cd = group.c, group.cd
-        Ji, Jj = np.moveaxis(Ji, 1, -1), np.moveaxis(Jj, 1, -1)     # (E, 2, k, n)
-        Jd, r = np.moveaxis(Jd, 1, -1), np.moveaxis(r, 1, -1)       # (E, 2, n)
+        J = np.moveaxis(J, 1, -1)                                 # (E, 2, 2k, n)
+        Jd, r = np.moveaxis(Jd, 1, -1), np.moveaxis(r, 1, -1)     # (E, 2, n)
+        k = J.shape[2] // 2
+        Ji, Jj = J[:, :, :k], J[:, :, k:]
 
         def gram(a, b):
             return (a @ b.swapaxes(2, 3)).sum(axis=1)
@@ -315,13 +324,12 @@ class NormalEquations:
                   np.block([[gram(Ji, Ji), Hij], [Hij.swapaxes(1, 2), gram(Jj, Jj)]]))
 
         npv, n_disp = self.layout.n_pose_vars, self.layout.n_disp
-        E, _, k, n = Ji.shape
-        W = np.empty((E, 2 * k, n))                 # per-pixel coupling on c
-        for end, J in ((slice(None, k), Ji), (slice(k, None), Jj)):
-            self.g_p += np.bincount(c[:, end].ravel(), (J @ r[..., None]).sum(axis=1).ravel(),
+        n = J.shape[-1]
+        for end, Je in ((slice(None, k), Ji), (slice(k, None), Jj)):
+            self.g_p += np.bincount(c[:, end].ravel(), (Je @ r[..., None]).sum(axis=1).ravel(),
                                     minlength=npv)
-            np.multiply(J[:, 0], Jd[:, 0, None], out=W[:, end])
-            W[:, end] += J[:, 1] * Jd[:, 1, None]
+        W = J[:, 0] * Jd[:, 0, None]                # per-pixel coupling on c
+        W += J[:, 1] * Jd[:, 1, None]
         for rows, cs, d in group.sources:
             self.coupling.append((cs, d, W[rows].reshape(len(cs), n)))
         self.H_dd += np.bincount(cd.ravel(), (Jd * Jd).sum(axis=1).ravel(), minlength=n_disp)
@@ -369,9 +377,11 @@ class GraphProblem:
     evaluate() stores (vision results per pixel group, dense-row result) in
     self.outs; linearize() scatters them into a new self.system, dropping
     the old system first and the results after, so neither is held beside
-    its successor. A subclass's dense_rows(result) builds its rows' Jacobian
-    and residuals on the columns self.row_cols (E, k), at linearize time
-    only, so a rejected trial never pays for them.
+    its successor. Every residual family builds its Jacobians at linearize
+    time only, so a rejected trial never pays for them: the vision and
+    inertial kernels on the first read of a result's Jacobians, and a
+    subclass's dense_rows(result), which builds its rows' Jacobian and
+    residuals on the columns self.row_cols (E, k), when linearize() calls it.
     """
 
     def __init__(self, nodes: list, layout: Layout):
@@ -383,12 +393,20 @@ class GraphProblem:
         self.outs = None
         self.system = None
 
+    def pixel_inputs(self, nodes: StateStack) -> list:
+        """Per pixel group, the vision kernel's inputs at the current
+        values, less the camera: the stacked edges, each edge's two ends
+        taken from the stacked nodes, and its source's disparities."""
+        return [(g.stack, nodes.take(g.ends[:, 0]), nodes.take(g.ends[:, 1]),
+                 np.stack([self.disparities[n] for n in g.ends[:, 0]]))
+                for g in self.groups]
+
     def linearize(self) -> None:
         self.system = None
         system = NormalEquations(self.layout)
         vision, dense = self.outs
         for group, out in zip(self.groups, vision):
-            system.add_pixels(group, out.J_i, out.J_j, out.J_disparity, out.residual)
+            system.add_pixels(group, out.J, out.J_disparity, out.residual)
         if len(self.row_cols):
             system.add_rows(self.row_cols, *self.dense_rows(dense))
         self.system, self.outs = system, None
@@ -437,6 +455,10 @@ class _WindowProblem(GraphProblem):
         self.graph = graph
         self.gravity = graph.gravity
         self.groups = layout.pixel_groups(graph.vision_edges, POSE_DOF)
+        at = layout.index
+        self.inertial_ends = np.array([(at[i], at[j]) for i, j, _ in graph.inertial_edges])
+        self.deltas = (DeltaStack.of([d for _, _, d in graph.inertial_edges])
+                       if graph.inertial_edges else None)
         # each inertial edge's state columns at both ends, then gravity's
         grav_cols = np.arange(layout.n_state, layout.n_pose_vars)
         self.row_cols = np.array([np.concatenate([layout.cols(i, layout.dof),
@@ -445,18 +467,14 @@ class _WindowProblem(GraphProblem):
 
     def evaluate(self) -> float:
         """Sum of whitened squared residuals over every edge of the graph."""
-        g, at = self.graph, self.layout.index
-        st, disp = self.states, self.disparities
-        vision = [vision_residual(edges, [st[at[e.i]].pose for e in edges],
-                                  [st[at[e.j]].pose for e in edges],
-                                  [disp[at[e.i]] for e in edges], g.intrinsics)
-                  for edges, *_ in self.groups]
+        nodes = StateStack.of(self.states) if self.states else None
+        vision = [vision_residual(*inputs, self.graph.intrinsics)
+                  for inputs in self.pixel_inputs(nodes)]
         inertial = None
-        if g.inertial_edges:
-            inertial = inertial_residual([d for _, _, d in g.inertial_edges],
-                                         [st[at[i]] for i, _, _ in g.inertial_edges],
-                                         [st[at[j]] for _, j, _ in g.inertial_edges],
-                                         self.gravity)
+        if self.deltas is not None:
+            ends = self.inertial_ends
+            inertial = inertial_residual(self.deltas, nodes.take(ends[:, 0]),
+                                         nodes.take(ends[:, 1]), self.gravity)
         self.outs = (vision, inertial)
         e = 0.0
         for out in vision if inertial is None else vision + [inertial]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from vislam.geometry import (
     SimTransform,
     hat,
     so3_exp_matrix,
+    so3_log_matrix,
     so3_right_jacobian,
     so3_right_jacobian_inv,
 )
@@ -30,13 +32,34 @@ from vislam.loopclosure import _PoseGraphProblem
 from vislam.residuals import (
     GRAVITY_TANGENT_BASIS,
     GravityModel,
-    InertialResidualResult,
     Intrinsics,
     PoseState,
     VisionEdge,
-    VisionResidualResult,
     backproject,
 )
+
+
+@dataclass
+class VisionResidualResult:
+    """A vision oracle's output, every array computed on the call: k = 6
+    pose tangents (rotation, translation), or 7 with log-scale last."""
+
+    residual: np.ndarray       # (..., n, 2) weighted
+    J_i: np.ndarray            # (..., n, 2, k) weighted
+    J_j: np.ndarray            # (..., n, 2, k)
+    J_disparity: np.ndarray    # (..., n, 2) column block per pixel
+    behind_camera: np.ndarray  # (...) pixels flagged and zero-weighted
+    valid: np.ndarray          # (..., n) bool
+
+
+@dataclass
+class InertialResidualResult:
+    """An inertial oracle's output, every array computed on the call."""
+
+    residual: np.ndarray   # (..., 15) whitened: rot, pos, vel, bias walk
+    J_i: np.ndarray        # (..., 15, 15) w.r.t. state i tangent
+    J_j: np.ndarray        # (..., 15, 15)
+    J_gravity: np.ndarray  # (..., 15, 3) w.r.t. right perturbation of R_wg
 
 
 def _quat_from_rotvec(w: np.ndarray) -> np.ndarray:
@@ -313,6 +336,193 @@ def sim3_vision_residual(edge: VisionEdge, S_i: SimTransform, S_j: SimTransform,
         behind_camera=c.behind_camera,
         valid=c.valid,
     )
+
+
+# The batched kernels as they were when every call built its Jacobians: the
+# library's lazy kernels must reproduce them bit for bit, residuals and
+# Jacobians alike. Inputs are lists, stacked here as the kernels once did.
+
+class _EagerReprojection:
+    """E vision edges of n pixels each through backprojection in camera i, the
+    similarity action s*R@x + t of both bodies, and projection in camera j.
+
+    Inputs are stacked per edge: (E, n, 2) pixels, targets and weights,
+    (E, n) disparities, (E, 3, 3) rotations, (E, 3) translations and (E,)
+    scales. Per-pixel arrays keep the pixel axis last ((E, 3, n) points,
+    (E, 2, k, n) Jacobian rows), so each product runs along the pixels; the
+    results are (E, n, 2, ...) views. Rotation and disparity columns are
+    shared; translation (and scale) columns follow Pose.retract (world
+    frame) or, with similarity, SimTransform.retract (body frame).
+    """
+
+    def __init__(self, pixels, targets, weights, d_i, k: Intrinsics,
+                 R_i, p_i, s_i, R_j, p_j, s_j, similarity: bool):
+        if not np.all(np.isfinite(d_i) & (d_i > 0.0)):
+            raise ValueError("disparities must be finite and strictly positive")
+
+        s_i3, s_j3 = s_i[:, None, None], s_j[:, None, None]
+        X_i = np.moveaxis(backproject(k, pixels, d_i), -1, 1)           # camera i
+        X_w = s_i3 * (R_i @ X_i) + p_i[:, :, None]                      # world
+        R_j_T = R_j.transpose(0, 2, 1)
+        X_c = (R_j_T @ (X_w - p_j[:, :, None])) / s_j3                  # camera j
+
+        x, y, z = X_c[:, 0], X_c[:, 1], X_c[:, 2]
+        valid = z > 1e-6
+        z_safe = np.where(valid, z, 1.0)
+        sw = np.sqrt(np.where(valid[:, None], np.moveaxis(weights, -1, 1), 0.0))
+        pred = np.stack([k.fx * x / z_safe + k.cx, k.fy * y / z_safe + k.cy], axis=1)
+        residual = sw * (np.moveaxis(targets, -1, 1) - pred)
+
+        # projection rows over X_c: u is (fx/z, 0, -fx x/z^2), v (0, fy/z, -fy y/z^2)
+        self._P = [a[:, None] for a in (k.fx / z_safe, -k.fx * x / z_safe ** 2,
+                                        k.fy / z_safe, -k.fy * y / z_safe ** 2)]
+        self._sw = -sw[:, :, None]
+        del pixels, targets, weights, X_w, x, y, z
+
+        # each row g times hat(y) is g x y; rows over the camera-j point first
+        J_i = np.empty((len(d_i), 2, 7 if similarity else 6, d_i.shape[1]))
+        J_j = np.empty_like(J_i)
+        B = R_j_T / s_j3                                                # dX_c/dX_w
+        G = self._rows(np.broadcast_to(np.eye(3), B.shape)[..., None])
+        J_j[:, :, :3] = np.cross(G, X_c[:, None], axis=2)
+        if similarity:
+            J_j[:, :, 3:6] = -G
+            J_j[:, :, 6] = -(G * X_c[:, None]).sum(axis=2)
+        else:
+            J_i[:, :, 3:6] = self._rows(B[..., None])
+            J_j[:, :, 3:6] = -J_i[:, :, 3:6]
+
+        s_i4 = s_i3[..., None]
+        BR_i = B @ R_i
+        G = self._rows(BR_i[..., None])
+        np.multiply(-s_i4, np.cross(G, X_i[:, None], axis=2), out=J_i[:, :, :3])
+        # dX_c/dd summed as (x + z) + y, numpy.einsum's order: far points cancel
+        # here, and a vision-only window's scale gauge amplifies any rounding
+        M = (s_i3 * BR_i)[..., None]
+        dX = -((M[:, :, 0] * X_i[:, None, 0] + M[:, :, 2] * X_i[:, None, 2])
+               + M[:, :, 1] * X_i[:, None, 1]) / d_i[:, None]
+        J_d = self._rows(dX[:, :, None])[:, :, 0]
+        if similarity:
+            J_i[:, :, 3:6] = s_i4 * G
+            J_i[:, :, 6] = s_i3 * (G * X_i[:, None]).sum(axis=2)
+
+        self.residual = np.moveaxis(residual, 1, -1)                    # (E, n, 2)
+        self.J_i = np.moveaxis(J_i, -1, 1)                              # (E, n, 2, k)
+        self.J_j = np.moveaxis(J_j, -1, 1)
+        self.J_disparity = np.moveaxis(J_d, 1, -1)
+        self.valid = valid
+        self.behind_camera = np.count_nonzero(~valid, axis=1)
+
+    def _rows(self, V: np.ndarray) -> np.ndarray:
+        """Weighted residual rows -sqrt(w) P V of derivatives V (E, 3, k, 1 or
+        n) of X_c, as (E, 2, k, n)."""
+        p00, p02, p11, p12 = self._P
+        rows = np.stack([p00 * V[:, 0] + p02 * V[:, 2], p11 * V[:, 1] + p12 * V[:, 2]],
+                        axis=1)
+        rows *= self._sw
+        return rows
+
+
+def eager_vision_residual(edges, states_i, states_j, d_i, k: Intrinsics,
+                          similarity: bool) -> VisionResidualResult:
+    """E vision edges of one pixel count, each with its two states (Poses, or
+    SimTransforms with similarity) and its source disparities, through
+    _EagerReprojection."""
+    def pose_arrays(states):
+        return (np.stack([s.rotation.matrix() for s in states]),
+                np.stack([s.translation for s in states]),
+                np.array([s.scale if similarity else 1.0 for s in states]))
+
+    c = _EagerReprojection(np.stack([e.pixels for e in edges]),
+                           np.stack([e.targets for e in edges]),
+                           np.stack([e.weights for e in edges]),
+                           np.stack([np.asarray(x, dtype=float).reshape(-1) for x in d_i]),
+                           k, *pose_arrays(states_i), *pose_arrays(states_j), similarity)
+    return VisionResidualResult(c.residual, c.J_i, c.J_j, c.J_disparity,
+                                c.behind_camera, c.valid)
+
+
+def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (M @ v[..., None])[..., 0]
+
+
+def eager_inertial_residual(deltas, states_i, states_j,
+                            gravity: GravityModel) -> InertialResidualResult:
+    """Whitened preintegration residuals with first-order bias correction,
+    and their Jacobians, for E deltas with their two PoseStates each."""
+    if not len(deltas) == len(states_i) == len(states_j):
+        raise ValueError("one state pair per delta")
+    dt = np.array([s_j.timestamp - s_i.timestamp for s_i, s_j in zip(states_i, states_j)])
+    span = np.array([d.dt_total for d in deltas])
+    for e in np.flatnonzero(np.abs(dt - span) > 1e-6)[:1]:
+        raise ValueError(
+            f"delta spans {span[e]:.6f}s but states are {dt[e]:.6f}s apart")
+
+    def stack(items, get):
+        return np.stack([get(x) for x in items])
+
+    R_i = stack(states_i, lambda s: s.pose.rotation.matrix())
+    R_j = stack(states_j, lambda s: s.pose.rotation.matrix())
+    R_i_T = R_i.transpose(0, 2, 1)
+    p_i = stack(states_i, lambda s: s.pose.translation)
+    p_j = stack(states_j, lambda s: s.pose.translation)
+    v_i = stack(states_i, lambda s: s.velocity)
+    v_j = stack(states_j, lambda s: s.velocity)
+    b_i = stack(states_i, lambda s: s.bias.vector())
+    b_j = stack(states_j, lambda s: s.bias.vector())
+    J_rot = stack(deltas, lambda d: d.J_rot)
+    J_pos = stack(deltas, lambda d: d.J_pos)
+    J_vel = stack(deltas, lambda d: d.J_vel)
+    g = gravity.vector()
+    db = b_i - stack(deltas, lambda d: d.bias_lin_point.vector())
+    dt3, dt = dt[:, None, None], dt[:, None]
+
+    corr_rot_tangent = _matvec(J_rot, db[:, :3])
+    C = stack(deltas, lambda d: d.delta_R.matrix()) @ so3_exp_matrix(corr_rot_tangent)
+    r_rot = so3_log_matrix(C.transpose(0, 2, 1) @ R_i_T @ R_j)
+    s_pos = p_j - p_i - v_i * dt - 0.5 * dt * dt * g
+    r_pos = _matvec(R_i_T, s_pos) - (stack(deltas, lambda d: d.delta_p) + _matvec(J_pos, db))
+    s_vel = v_j - v_i - dt * g
+    r_vel = _matvec(R_i_T, s_vel) - (stack(deltas, lambda d: d.delta_v) + _matvec(J_vel, db))
+    r_bias = b_j - b_i
+
+    Jr_inv = so3_right_jacobian_inv(r_rot)
+    Jl_inv = so3_right_jacobian_inv(-r_rot)
+
+    E = len(deltas)
+    J_i = np.zeros((E, 15, 15))
+    J_j = np.zeros((E, 15, 15))
+    J_g = np.zeros((E, 15, 3))
+    G = gravity.R_wg.matrix() @ hat(gravity.g_inertial())
+
+    # rotation rows
+    J_i[:, 0:3, 0:3] = -Jr_inv @ (R_j.transpose(0, 2, 1) @ R_i)
+    J_j[:, 0:3, 0:3] = Jr_inv
+    J_i[:, 0:3, 9:12] = -Jl_inv @ so3_right_jacobian(corr_rot_tangent) @ J_rot
+
+    # position rows
+    J_i[:, 3:6, 0:3] = hat(_matvec(R_i_T, s_pos))
+    J_i[:, 3:6, 3:6] = -R_i_T
+    J_j[:, 3:6, 3:6] = R_i_T
+    J_i[:, 3:6, 6:9] = -dt3 * R_i_T
+    J_i[:, 3:6, 9:15] = -J_pos
+    J_g[:, 3:6, :] = 0.5 * dt3 * dt3 * R_i_T @ G
+
+    # velocity rows
+    J_i[:, 6:9, 0:3] = hat(_matvec(R_i_T, s_vel))
+    J_i[:, 6:9, 6:9] = -R_i_T
+    J_j[:, 6:9, 6:9] = R_i_T
+    J_i[:, 6:9, 9:15] = -J_vel
+    J_g[:, 6:9, :] = dt3 * R_i_T @ G
+
+    # bias walk rows
+    J_i[:, 9:15, 9:15] = -np.eye(6)
+    J_j[:, 9:15, 9:15] = np.eye(6)
+
+    W = stack(deltas, lambda d: d.whitening)
+    r = np.concatenate([r_rot, r_pos, r_vel, r_bias], axis=1)
+    return InertialResidualResult(residual=_matvec(W, r), J_i=W @ J_i, J_j=W @ J_j,
+                                  J_gravity=W @ J_g)
 
 
 def add_pixels(system, H_pd, ci, cj, cd, Ji, Jj, Jd, r) -> None:

@@ -37,6 +37,7 @@ from vislam.synth import SyntheticProvider, TrajectoryModel, make_dataset
 
 import oracles
 from oracles import total_pg_energy
+from windows import stacked
 
 MODEL = TrajectoryModel(family="figure8", amplitude=1.5, period=12.0,
                         duration=12.0, yaw_policy="tangent")
@@ -279,8 +280,8 @@ class TestSim3VisionResidual:
         edge = prov.edge(0, 4)
         vis = VisionEdge(0, 1, edge.pixels, edge.targets, edge.weights)
         d = 1.0 / prov.depth_hint(0, grid)
-        out = sim3_vision_residual([vis], [SimTransform.from_pose(ds.frame_pose(0))],
-                                   [SimTransform.from_pose(ds.frame_pose(4))], [d], k)
+        out = stacked(sim3_vision_residual, [vis], [SimTransform.from_pose(ds.frame_pose(0))],
+                      [SimTransform.from_pose(ds.frame_pose(4))], [d], k)
         assert out.behind_camera[0] == 0
         assert np.max(np.abs(out.residual[0])) < 1e-9
 
@@ -291,8 +292,8 @@ class TestSim3VisionResidual:
         S_i, S_j = rand_state(rng, 1.2), rand_state(rng, 0.8)
         G = SimTransform(Rotation.exp(np.array([0.3, -0.2, 0.9])),
                          np.array([2.0, -1.0, 0.5]), 1.7)
-        r0 = sim3_vision_residual([edge], [S_i], [S_j], [d], PINHOLE).residual[0]
-        r1 = sim3_vision_residual([edge], [G * S_i], [G * S_j], [d], PINHOLE).residual[0]
+        r0 = stacked(sim3_vision_residual, [edge], [S_i], [S_j], [d], PINHOLE).residual[0]
+        r1 = stacked(sim3_vision_residual, [edge], [G * S_i], [G * S_j], [d], PINHOLE).residual[0]
         assert np.max(np.abs(r0 - r1)) < 1e-9
 
     def test_state_jacobians_match_finite_differences(self):
@@ -300,7 +301,7 @@ class TestSim3VisionResidual:
         edge = make_edge(rng)
         d = rng.uniform(0.2, 0.9, 6)
         S_i, S_j = rand_state(rng, 1.1), rand_state(rng, 0.93)
-        out = sim3_vision_residual([edge], [S_i], [S_j], [d], PINHOLE)
+        out = stacked(sim3_vision_residual, [edge], [S_i], [S_j], [d], PINHOLE)
         assert out.valid[0].all()
         h = 1e-6
         for which, J in (("i", out.J_i[0]), ("j", out.J_j[0])):
@@ -308,15 +309,15 @@ class TestSim3VisionResidual:
                 e = np.zeros(7)
                 e[c] = h
                 if which == "i":
-                    rp = sim3_vision_residual([edge], [S_i.retract(e)], [S_j], [d],
-                                              PINHOLE).residual[0]
-                    rm = sim3_vision_residual([edge], [S_i.retract(-e)], [S_j], [d],
-                                              PINHOLE).residual[0]
+                    rp = stacked(sim3_vision_residual, [edge], [S_i.retract(e)], [S_j], [d],
+                                 PINHOLE).residual[0]
+                    rm = stacked(sim3_vision_residual, [edge], [S_i.retract(-e)], [S_j], [d],
+                                 PINHOLE).residual[0]
                 else:
-                    rp = sim3_vision_residual([edge], [S_i], [S_j.retract(e)], [d],
-                                              PINHOLE).residual[0]
-                    rm = sim3_vision_residual([edge], [S_i], [S_j.retract(-e)], [d],
-                                              PINHOLE).residual[0]
+                    rp = stacked(sim3_vision_residual, [edge], [S_i], [S_j.retract(e)], [d],
+                                 PINHOLE).residual[0]
+                    rm = stacked(sim3_vision_residual, [edge], [S_i], [S_j.retract(-e)], [d],
+                                 PINHOLE).residual[0]
                 fd = (rp - rm) / (2 * h)
                 err = np.max(np.abs(fd - J[:, :, c])) / max(1.0, np.max(np.abs(fd)))
                 assert err < 1e-4, f"J_{which} column {c}"
@@ -326,14 +327,14 @@ class TestSim3VisionResidual:
         edge = make_edge(rng)
         d = rng.uniform(0.2, 0.9, 6)
         S_i, S_j = rand_state(rng, 1.1), rand_state(rng, 0.93)
-        out = sim3_vision_residual([edge], [S_i], [S_j], [d], PINHOLE)
+        out = stacked(sim3_vision_residual, [edge], [S_i], [S_j], [d], PINHOLE)
         h = 1e-6
         for m in range(6):
             dp, dm = d.copy(), d.copy()
             dp[m] += h
             dm[m] -= h
-            rp = sim3_vision_residual([edge], [S_i], [S_j], [dp], PINHOLE).residual[0][m]
-            rm = sim3_vision_residual([edge], [S_i], [S_j], [dm], PINHOLE).residual[0][m]
+            rp = stacked(sim3_vision_residual, [edge], [S_i], [S_j], [dp], PINHOLE).residual[0][m]
+            rm = stacked(sim3_vision_residual, [edge], [S_i], [S_j], [dm], PINHOLE).residual[0][m]
             fd = (rp - rm) / (2 * h)
             assert np.max(np.abs(fd - out.J_disparity[0][m])) < 1e-4
 
@@ -344,8 +345,8 @@ class TestSim3VisionResidual:
         rng = np.random.default_rng(9)
         edge = make_edge(rng)
         d = rng.uniform(0.2, 0.9, 6)
-        out = sim3_vision_residual([edge], [rand_state(rng)], [rand_state(rng)], [d],
-                                   PINHOLE)
+        out = stacked(sim3_vision_residual, [edge], [rand_state(rng)], [rand_state(rng)], [d],
+                      PINHOLE)
         assert np.max(np.abs(out.J_j[0][:, :, 6])) < 1e-10
 
     def test_points_behind_target_camera_are_masked(self):
@@ -355,7 +356,7 @@ class TestSim3VisionResidual:
         S_i = SimTransform.identity()
         S_j = SimTransform(Rotation.exp(np.array([0.0, math.pi, 0.0])),
                            np.zeros(3), 1.0)
-        out = sim3_vision_residual([edge], [S_i], [S_j], [d], PINHOLE)
+        out = stacked(sim3_vision_residual, [edge], [S_i], [S_j], [d], PINHOLE)
         assert out.behind_camera[0] == 6
         assert not out.valid[0].any()
         assert np.all(out.residual[0] == 0.0)
@@ -365,14 +366,14 @@ class TestSim3VisionResidual:
         rng = np.random.default_rng(4)
         edge = make_edge(rng)
         with pytest.raises(ValueError, match="length"):
-            sim3_vision_residual([edge], [SimTransform.identity()],
-                                 [SimTransform.identity()],
-                                 [np.ones(5)], PINHOLE)
+            stacked(sim3_vision_residual, [edge], [SimTransform.identity()],
+                    [SimTransform.identity()],
+                    [np.ones(5)], PINHOLE)
         d = np.ones(6)
         d[3] = 0.0
         with pytest.raises(ValueError, match="positive"):
-            sim3_vision_residual([edge], [SimTransform.identity()],
-                                 [SimTransform.identity()], [d], PINHOLE)
+            stacked(sim3_vision_residual, [edge], [SimTransform.identity()],
+                    [SimTransform.identity()], [d], PINHOLE)
 
 
 class TestAlignLoopPair:

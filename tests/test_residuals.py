@@ -10,7 +10,6 @@ from vislam.geometry import Pose, Rotation, SimTransform, so3_exp_matrix
 from vislam.imu import BiasState, ImuNoiseModel, ImuSample, PreintegratedDelta, preintegrate
 from vislam.residuals import (
     GravityModel,
-    InertialResidualResult,
     Intrinsics,
     PoseState,
     RelativePoseEdge,
@@ -21,6 +20,7 @@ from vislam.residuals import (
     sim3_vision_residual,
     vision_residual,
 )
+from windows import stacked
 
 FD_STEP = 1e-6
 FD_RTOL = 1e-5
@@ -80,7 +80,7 @@ def test_vision_exact_reprojection_is_zero():
     rng = np.random.default_rng(0)
     k, T_i, T_j, pixels, d_i, targets = _vision_setup(rng)
     edge = VisionEdge(0, 1, pixels, targets, np.full((len(pixels), 2), 2.0))
-    out = vision_residual([edge], [T_i], [T_j], [d_i], k)
+    out = stacked(vision_residual, [edge], [T_i], [T_j], [d_i], k)
     assert out.behind_camera[0] == 0
     assert np.abs(out.residual[0]).max() < 1e-9
 
@@ -90,7 +90,7 @@ def test_vision_zero_weights_zero_residual():
     k, T_i, T_j, pixels, d_i, _ = _vision_setup(rng)
     garbage = rng.uniform(-500, 500, (len(pixels), 2))
     edge = VisionEdge(0, 1, pixels, garbage, np.zeros((len(pixels), 2)))
-    out = vision_residual([edge], [T_i], [T_j], [d_i], k)
+    out = stacked(vision_residual, [edge], [T_i], [T_j], [d_i], k)
     assert np.all(out.residual[0] == 0.0)
 
 
@@ -101,7 +101,7 @@ def test_vision_nonpositive_disparity_rejected():
     bad = d_i.copy()
     bad[0] = 0.0
     with pytest.raises(ValueError):
-        vision_residual([edge], [T_i], [T_j], [bad], k)
+        stacked(vision_residual, [edge], [T_i], [T_j], [bad], k)
 
 
 def test_vision_behind_camera_flagged_and_zeroed():
@@ -113,7 +113,7 @@ def test_vision_behind_camera_flagged_and_zeroed():
     pixels = np.array([[320.0, 240.0], [100.0, 120.0]])
     d_i = np.array([1.0, 0.9])
     edge = VisionEdge(0, 1, pixels, pixels, np.ones((2, 2)))
-    out = vision_residual([edge], [T_i], [T_j], [d_i], k)
+    out = stacked(vision_residual, [edge], [T_i], [T_j], [d_i], k)
     assert out.behind_camera[0] == 2
     assert np.all(out.residual[0] == 0.0)
     assert np.all(out.J_i[0] == 0.0)
@@ -126,14 +126,14 @@ def test_vision_jacobians_match_finite_differences():
     weights = rng.uniform(0.2, 2.0, (len(pixels), 2))
     edge = VisionEdge(0, 1, pixels, targets, weights)
 
-    out = vision_residual([edge], [T_i], [T_j], [d_i], k)
+    out = stacked(vision_residual, [edge], [T_i], [T_j], [d_i], k)
 
     def f_i(d):
-        r = vision_residual([edge], [T_i.retract(d[:3], d[3:])], [T_j], [d_i], k)
+        r = stacked(vision_residual, [edge], [T_i.retract(d[:3], d[3:])], [T_j], [d_i], k)
         return r.residual[0].reshape(-1)
 
     def f_j(d):
-        r = vision_residual([edge], [T_i], [T_j.retract(d[:3], d[3:])], [d_i], k)
+        r = stacked(vision_residual, [edge], [T_i], [T_j.retract(d[:3], d[3:])], [d_i], k)
         return r.residual[0].reshape(-1)
 
     J_i_fd = _fd_columns(f_i, lambda d: d, 6)
@@ -146,7 +146,7 @@ def test_vision_jacobians_match_finite_differences():
         def f_d(eps, p=p):
             dd = d_i.copy()
             dd[p] += eps[0]
-            r = vision_residual([edge], [T_i], [T_j], [dd], k)
+            r = stacked(vision_residual, [edge], [T_i], [T_j], [dd], k)
             return r.residual[0][p]
 
         col_fd = _fd_columns(f_d, lambda e: e, 1)[:, 0]
@@ -160,12 +160,12 @@ def test_vision_invariant_under_common_rigid_transform():
     weights = rng.uniform(0.5, 1.5, (len(pixels), 2))
     edge = VisionEdge(0, 1, pixels, targets, weights)
 
-    base = vision_residual([edge], [T_i], [T_j], [d_i], k).residual[0]
+    base = stacked(vision_residual, [edge], [T_i], [T_j], [d_i], k).residual[0]
 
     G = _rand_pose(rng, 1.5, 4.0)
     # moving both cameras and the scene together leaves every reprojection
     # unchanged, so the regenerated correspondences coincide with the old ones
-    moved = vision_residual([edge], [G * T_i], [G * T_j], [d_i], k).residual[0]
+    moved = stacked(vision_residual, [edge], [G * T_i], [G * T_j], [d_i], k).residual[0]
     assert np.abs(moved - base).max() < 1e-9
 
 
@@ -199,7 +199,7 @@ def _assert_close(got, want):
 def test_batched_vision_residual_matches_per_edge_oracle():
     rng = np.random.default_rng(30)
     k, edges, T_i, T_j, d_i = _edge_stack(rng)
-    out = vision_residual(edges, T_i, T_j, d_i, k)
+    out = stacked(vision_residual, edges, T_i, T_j, d_i, k)
     assert out.behind_camera[-1] > 0 and out.valid[-1].any()
     for e, edge in enumerate(edges):
         want = oracles.vision_residual(edge, T_i[e], T_j[e], d_i[e], k)
@@ -216,7 +216,7 @@ def test_batched_sim3_vision_residual_matches_per_edge_oracle():
            for T in T_i]
     S_j = [SimTransform(T.rotation, T.translation, float(np.exp(rng.uniform(-0.3, 0.3))))
            for T in T_j]
-    out = sim3_vision_residual(edges, S_i, S_j, d_i, k)
+    out = stacked(sim3_vision_residual, edges, S_i, S_j, d_i, k)
     assert out.behind_camera[-1] > 0 and out.valid[-1].any()
     for e, edge in enumerate(edges):
         want = oracles.sim3_vision_residual(edge, S_i[e], S_j[e], d_i[e], k)
@@ -224,6 +224,26 @@ def test_batched_sim3_vision_residual_matches_per_edge_oracle():
             _assert_close(getattr(out, name)[e], getattr(want, name))
         assert out.behind_camera[e] == want.behind_camera
         assert np.array_equal(out.valid[e], want.valid)
+
+
+# The kernels build their Jacobians on first read, without the temporaries
+# of the eager formulas; every array must still match those bit for bit.
+@pytest.mark.parametrize("seed", [40, 41, 42])
+@pytest.mark.parametrize("similarity", [False, True], ids=["rigid", "sim3"])
+def test_vision_kernel_bit_identical_to_eager_formulas(similarity, seed):
+    rng = np.random.default_rng(seed)
+    k, edges, T_i, T_j, d_i = _edge_stack(rng, n_edges=5, n=24)
+    if similarity:
+        T_i, T_j = ([SimTransform(T.rotation, T.translation,
+                                  float(np.exp(rng.uniform(-0.3, 0.3)))) for T in Ts]
+                    for Ts in (T_i, T_j))
+    kernel = sim3_vision_residual if similarity else vision_residual
+    got = stacked(kernel, edges, T_i, T_j, d_i, k)
+    want = oracles.eager_vision_residual(edges, T_i, T_j, d_i, k, similarity)
+    assert want.behind_camera[-1] > 0 and np.any(want.residual == 0.0)
+    for name in ("residual", "valid", "behind_camera", "J_i", "J_j", "J_disparity"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert float((got.residual ** 2).sum()) == float((want.residual ** 2).sum())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -238,14 +258,14 @@ def test_vision_non_finite_disparity_rejected(kernel, bad):
     d = d_i.copy()
     d[3] = bad
     with pytest.raises(ValueError, match="finite"):
-        kernel([edge], [states[0]], [states[1]], [d], k)
+        stacked(kernel, [edge], [states[0]], [states[1]], [d], k)
 
 
 def _inertial(delta, s_i, s_j, gravity):
     """The batched inertial kernel on a stack of one edge, unstacked."""
-    out = inertial_residual([delta], [s_i], [s_j], gravity)
-    return InertialResidualResult(out.residual[0], out.J_i[0], out.J_j[0],
-                                  out.J_gravity[0])
+    out = stacked(inertial_residual, [delta], [s_i], [s_j], gravity)
+    return oracles.InertialResidualResult(out.residual[0], out.J_i[0], out.J_j[0],
+                                          out.J_gravity[0])
 
 
 def _stream(omega_fn, accel_fn, t0, t1, rate, bias=None, rng=None, noise=0.0):
@@ -425,7 +445,7 @@ def test_batched_inertial_matches_per_edge_oracle(case):
     rng = np.random.default_rng(16 if case == "narrow" else 17)
     deltas, states_i, states_j = _batched_inertial_case(rng, case)
     gravity = GravityModel(Rotation.exp(rng.standard_normal(3) * 0.2))
-    got = inertial_residual(deltas, states_i, states_j, gravity)
+    got = stacked(inertial_residual, deltas, states_i, states_j, gravity)
     assert got.residual.shape == (6, 15) and got.J_gravity.shape == (6, 15, 3)
     for e, (delta, s_i, s_j) in enumerate(zip(deltas, states_i, states_j)):
         want = oracles.inertial_residual(delta, s_i, s_j, gravity)
@@ -437,13 +457,24 @@ def test_batched_inertial_matches_per_edge_oracle(case):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), (e, name)
 
 
+@pytest.mark.parametrize("case", ["narrow", "wide"])
+def test_inertial_kernel_bit_identical_to_eager_formulas(case):
+    rng = np.random.default_rng(19 if case == "narrow" else 20)
+    deltas, states_i, states_j = _batched_inertial_case(rng, case)
+    gravity = GravityModel(Rotation.exp(rng.standard_normal(3) * 0.2))
+    got = stacked(inertial_residual, deltas, states_i, states_j, gravity)
+    want = oracles.eager_inertial_residual(deltas, states_i, states_j, gravity)
+    for name in ("residual", "J_i", "J_j", "J_gravity"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 def test_batched_inertial_names_the_mismatched_edge():
     rng = np.random.default_rng(18)
     deltas, states_i, states_j = _batched_inertial_case(rng, "narrow")
     s = states_j[4]
     states_j[4] = PoseState(s.pose, s.velocity, s.bias, timestamp=s.timestamp + 0.2)
     with pytest.raises(ValueError, match="delta spans 0.300000s but states are 0.500000s apart"):
-        inertial_residual(deltas, states_i, states_j, GravityModel())
+        stacked(inertial_residual, deltas, states_i, states_j, GravityModel())
 
 
 def test_relative_consistent_states_zero():
@@ -513,7 +544,7 @@ def test_whitened_norms_equal_mahalanobis_energy():
     targets = targets + rng.standard_normal(targets.shape)
     w = rng.uniform(0.1, 3.0, (len(pixels), 2))
     edge = VisionEdge(0, 1, pixels, targets, w)
-    out = vision_residual([edge], [T_i], [T_j], [d_i], k)
+    out = stacked(vision_residual, [edge], [T_i], [T_j], [d_i], k)
     raw = targets - oracles.project(k, _camera_j_points(k, T_i, T_j, pixels, d_i))
     manual = float((w * raw * raw).sum())
     assert abs(float((out.residual[0] ** 2).sum()) - manual) < 1e-10 * max(manual, 1.0)

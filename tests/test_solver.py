@@ -3,6 +3,7 @@
 import copy
 import math
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,13 @@ import pytest
 import oracles
 from vislam import solver
 from vislam.geometry import Pose, Rotation
-from vislam.residuals import GRAVITY_TANGENT_BASIS, GravityModel, VisionEdge
+from vislam.residuals import (
+    GRAVITY_TANGENT_BASIS,
+    GravityModel,
+    InertialResidualResult,
+    VisionEdge,
+    VisionResidualResult,
+)
 from vislam.solver import (
     POSE_DOF,
     FrameGraph,
@@ -21,7 +28,7 @@ from vislam.solver import (
     solve_vi_ba,
     total_energy,
 )
-from windows import ate_rmse, build_window, perturb_graph
+from windows import ate_rmse, build_window, perturb_graph, stacked
 
 
 def _clone(graph):
@@ -48,12 +55,12 @@ def test_total_energy_matches_manual_dense_sum():
 
     manual = 0.0
     for e in graph.vision_edges:
-        out = vision_residual([e], [graph.kf(e.i).state.pose], [graph.kf(e.j).state.pose],
-                              [graph.kf(e.i).disparities], graph.intrinsics)
+        out = stacked(vision_residual, [e], [graph.kf(e.i).state.pose], [graph.kf(e.j).state.pose],
+                      [graph.kf(e.i).disparities], graph.intrinsics)
         manual += float((out.residual[0] ** 2).sum())
     for i, j, delta in graph.inertial_edges:
-        out = inertial_residual([delta], [graph.kf(i).state], [graph.kf(j).state],
-                                graph.gravity)
+        out = stacked(inertial_residual, [delta], [graph.kf(i).state], [graph.kf(j).state],
+                      graph.gravity)
         manual += float((out.residual[0] ** 2).sum())
     got = total_energy(graph)
     assert abs(got - manual) <= 1e-10 * max(manual, 1.0)
@@ -116,8 +123,8 @@ def test_zero_weight_vision_drives_inertial_to_zero():
 
     e_iner = 0.0
     for i, j, delta in graph.inertial_edges:
-        out = inertial_residual([delta], [graph.kf(i).state], [graph.kf(j).state],
-                                graph.gravity)
+        out = stacked(inertial_residual, [delta], [graph.kf(i).state], [graph.kf(j).state],
+                      graph.gravity)
         e_iner += float((out.residual[0] ** 2).sum())
     assert e_iner <= 1e-10
 
@@ -320,7 +327,7 @@ def test_two_pixel_count_window_matches_per_edge_scatter():
                                       graph.kf(e.i).disparities, graph.intrinsics)
         want_energy += float((out.residual ** 2).sum())
         oracles.add_pixels(ref.system, H_pd, lay.cols(e.i, POSE_DOF), lay.cols(e.j, POSE_DOF),
-                           lay.disp_cols(e.i), out.J_i, out.J_j,
+                           np.r_[lay.disp_slice(e.i)], out.J_i, out.J_j,
                            out.J_disparity, out.residual)
     assert abs(energy - want_energy) <= 1e-12 * want_energy
     for name in ("H_pp", "H_dd", "g_p", "g_d"):
@@ -338,7 +345,7 @@ def test_one_pixel_count_window_is_one_kernel_call(monkeypatch):
     kernel = solver.vision_residual
 
     def counted(edges, *args, **kwargs):
-        calls.append(len(edges))
+        calls.append(len(edges.pixels))
         return kernel(edges, *args, **kwargs)
 
     monkeypatch.setattr(solver, "vision_residual", counted)
@@ -354,12 +361,65 @@ def test_one_window_is_one_inertial_call(monkeypatch):
     kernel = solver.inertial_residual
 
     def counted(deltas, *args, **kwargs):
-        calls.append(len(deltas))
+        calls.append(len(deltas.span))
         return kernel(deltas, *args, **kwargs)
 
     monkeypatch.setattr(solver, "inertial_residual", counted)
     total_energy(graph)
     assert calls == [len(graph.inertial_edges)]
+
+
+def _count_builds(monkeypatch) -> Counter:
+    """Counts of vision and inertial Jacobian builds, linearizations and
+    window evaluations from here on."""
+    counts = Counter()
+
+    def counting(owner, attr, key):
+        original = getattr(owner, attr)
+
+        def counted(self, *args):
+            counts[key] += 1
+            return original(self, *args)
+        monkeypatch.setattr(owner, attr, counted)
+
+    counting(VisionResidualResult, "_jacobians", "vision")
+    counting(InertialResidualResult, "_jacobians", "inertial")
+    counting(solver.GraphProblem, "linearize", "linearize")
+    counting(solver._WindowProblem, "evaluate", "evaluate")
+    return counts
+
+
+def test_solve_builds_jacobians_once_per_linearize(monkeypatch):
+    # one pixel group: one vision and one inertial build per linearize, and
+    # none for the final score
+    rng = np.random.default_rng(38)
+    graph, _ = build_window(rng, n_kf=5, n_px=12)
+    perturb_graph(graph, rng, rot_deg=3.0, trans_m=0.08)
+    counts = _count_builds(monkeypatch)
+    report = solve_vi_ba(graph, SolveOptions(max_iterations=6))
+    assert report.iterations > 0
+    assert counts["vision"] == counts["inertial"] == counts["linearize"] > 0
+    assert counts["evaluate"] > counts["linearize"]
+
+
+def test_rejected_trial_and_total_energy_build_no_jacobian(monkeypatch):
+    rng = np.random.default_rng(39)
+    graph, _ = build_window(rng, n_kf=4, n_px=10)
+    perturb_graph(graph, rng, rot_deg=2.0, trans_m=0.05)
+    counts = _count_builds(monkeypatch)
+    total_energy(graph)
+    assert counts["vision"] == counts["inertial"] == 0
+
+    # lm_solve's trial: snapshot, move uphill, score, restore
+    problem = solver._WindowProblem(graph, SolveOptions())
+    cost = problem.evaluate()
+    problem.linearize()
+    assert counts["vision"] == counts["inertial"] == 1
+    snap = problem.snapshot()
+    problem.retract(-problem.step(1e-4))
+    assert problem.evaluate() > cost
+    problem.restore(snap)
+    assert counts["vision"] == counts["inertial"] == 1
 
 
 def test_inertial_rows_match_per_edge_scatter():

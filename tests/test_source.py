@@ -1,6 +1,7 @@
 """Static checks over the package source."""
 
 import ast
+import importlib
 from dataclasses import fields
 from pathlib import Path
 
@@ -99,7 +100,9 @@ def test_only_graph_problem_snapshots_or_restores():
 
 
 # The camera is the body and an edge owns its pixels: no module names a
-# camera-body extrinsic, and no record but VisionEdge keeps a pixel copy.
+# camera-body extrinsic, and no record but VisionEdge keeps a pixel copy,
+# save the EdgeStack that a problem stacks from its edges once, which only
+# EdgeStack.of(edges) builds.
 def test_one_camera_and_one_pixel_owner():
     extrinsic = {"T_cb", "T_bc", "R_bc", "p_bc"}
     pixel_fields = set()
@@ -107,13 +110,15 @@ def test_one_camera_and_one_pixel_owner():
         tree = ast.parse(path.read_text(), filename=str(path))
         args = {a.arg for a in ast.walk(tree) if isinstance(a, ast.arg)}
         assert not extrinsic & (_names(tree) | args), path.name
+        assert not any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "EdgeStack"
+                       for n in ast.walk(tree)), path.name
         pixel_fields |= {
             (path.name, c.name) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
             for n in ast.walk(c)
             if isinstance(n, ast.AnnAssign) and getattr(n.target, "id", None) == "pixels"
             or isinstance(n, ast.Attribute) and n.attr == "pixels"
             and isinstance(n.ctx, ast.Store)}
-    assert pixel_fields == {("residuals.py", "VisionEdge")}
+    assert pixel_fields == {("residuals.py", "VisionEdge"), ("residuals.py", "EdgeStack")}
 
 
 def _check_calls(node) -> int:
@@ -172,3 +177,34 @@ def test_policy_keys_are_policy_fields_at_their_defaults():
         tree = ast.parse(path.read_text(), filename=str(path))
         assert "flow_scale" not in {a.arg for a in ast.walk(tree)
                                     if isinstance(a, ast.arg)}, path.name
+
+
+# The benchmark's traced runs patch the names that perfbench/spans.py lists
+# (SITES, and COUNTED), where the pipeline looks them up; tier-1 never runs
+# them, so a kernel or caller renamed here would break `--trace 1` unseen.
+# The list is read as source, without importing the benchmark.
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _span_sites() -> list:
+    """(owner, attribute) of every SITES and COUNTED entry of spans.py."""
+    sites = []
+    for node in ast.parse(SPANS.read_text(), filename=str(SPANS)).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in (
+                "SITES", "COUNTED"):
+            sites += [(ast.unparse(e.elts[0]), e.elts[1].value) for e in node.value.elts]
+    return sites
+
+
+def test_bench_span_sites_exist():
+    sites = _span_sites()
+    assert len(sites) > 20
+    missing = []
+    for owner, attr in sites:
+        package, module, *rest = owner.split(".")
+        obj = importlib.import_module(f"{package}.{module}")
+        for name in rest:
+            obj = getattr(obj, name)
+        if attr not in vars(obj):
+            missing.append(f"{owner}.{attr}")
+    assert missing == []

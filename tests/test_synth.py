@@ -18,6 +18,7 @@ from vislam.synth import (
     synthesize_correspondences,
     synthesize_imu,
 )
+from windows import stacked
 
 # Named trajectory models the tests synthesize from; no test edits one.
 MODELS = {
@@ -321,8 +322,8 @@ class TestCorrespondences:
         ds = make_dataset(MODELS["figure8"], sigma_px=0.0)
         edge = synthesize_correspondences(ds, 10, 14, stride=16)
         d_i = 1.0 / ds.depth_at(10, edge.pixels)
-        res = vision_residual([edge], [ds.frame_pose(10)], [ds.frame_pose(14)],
-                              [d_i], ds.intrinsics)
+        res = stacked(vision_residual, [edge], [ds.frame_pose(10)], [ds.frame_pose(14)],
+                      [d_i], ds.intrinsics)
         assert np.count_nonzero(live(edge)) > 100
         assert np.all(res.valid[0][live(edge)])
         assert np.max(np.abs(res.residual[0][live(edge)])) < 1e-9

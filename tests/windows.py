@@ -12,15 +12,29 @@ import numpy as np
 from vislam.geometry import Pose, Rotation, so3_exp_matrix
 from vislam.imu import BiasState, ImuNoiseModel, ImuSample, preintegrate
 from vislam.residuals import (
+    DeltaStack,
+    EdgeStack,
     GravityModel,
     Intrinsics,
     PoseState,
+    StateStack,
     VisionEdge,
     backproject,
 )
 from vislam.solver import FrameGraph, Keyframe
 
 from oracles import project
+
+
+def stacked(kernel, items, states_i, states_j, *rest):
+    """A residual kernel on lists, stacked as a problem stacks them: vision
+    edges with one state per edge end, one disparity array per edge and the
+    camera; or preintegrated deltas with one state per end and the gravity."""
+    ends = StateStack.of(states_i), StateStack.of(states_j)
+    if isinstance(items[0], VisionEdge):
+        d_i, k = rest
+        return kernel(EdgeStack.of(items), *ends, np.stack(d_i), k)
+    return kernel(DeltaStack.of(items), *ends, *rest)
 
 
 def default_intrinsics():
