@@ -1,8 +1,9 @@
 """Batch entry point: run synthetic sequences, evaluate trajectories.
 
 The `run` command drives the full pipeline (tracking frontend, staged
-initialization, loop closure, Gaussian map) over a synthetic dataset, then
-writes trajectories, the map export, and a metrics report. The `evaluate`
+initialization, loop closure, Gaussian map) over a synthetic dataset, feeding
+each frame with the IMU slice since the previous one, then writes
+trajectories, the map export, and a metrics report. The `evaluate`
 command scores a trajectory file against a ground-truth file. Everything is
 configured through a flat dotted-key config so experiment records stay
 diff-able.
@@ -11,8 +12,8 @@ The policy dataclasses define their own keys: every field of ImuNoiseModel,
 KeyframePolicy, InitConfig and LoopPolicy is the key `<prefix>.<field>` of
 POLICIES, with the field's default and no override. A field added there is a
 key here. A value that nothing needs to change is not a key but a module
-constant beside its one reader, such as frontend.FLOW_SCALE, the loop gates
-or the initializer's iteration budgets.
+constant beside its one reader, such as frontend.FLOW_SCALE,
+synth.RASTER_SCALE, the loop gates or the initializer's iteration budgets.
 """
 
 import argparse
@@ -67,7 +68,6 @@ def default_config() -> dict:
         "dataset.imu_noise": True,
         "dataset.scene_half_extent": 5.0,
         "provider.stride": 32,
-        "provider.raster_scale": 5,
         "map.stride": 4,
         "run.seed": 0,
         "run.frame_stride": 1,
@@ -208,8 +208,7 @@ def materialize(cfg: dict) -> RunPlan:
             cls(**{f.name: cfg[f"{prefix}.{f.name}"] for f in fields(cls)})
             for prefix, cls in POLICIES.items())
 
-        for key in ("provider.stride", "provider.raster_scale", "map.stride",
-                    "run.frame_stride"):
+        for key in ("provider.stride", "map.stride", "run.frame_stride"):
             if cfg[key] < 1:
                 raise ConfigError(f"config key {key!r} must be >= 1")
         if cfg["run.seed"] < 0:
@@ -233,8 +232,7 @@ def materialize(cfg: dict) -> RunPlan:
                                seed=cfg["run.seed"],
                                frame_rate=cfg["dataset.frame_rate"],
                                imu_rate=cfg["dataset.imu_rate"])
-        provider = SyntheticProvider(dataset, stride=cfg["provider.stride"],
-                                     raster_scale=cfg["provider.raster_scale"])
+        provider = SyntheticProvider(dataset, stride=cfg["provider.stride"])
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
@@ -344,7 +342,7 @@ def execute(plan: RunPlan) -> RunArtifacts:
 
     for f in range(0, ds.n_frames(), plan.frame_stride):
         t = ds.frame_time(f)
-        samples = () if prev_time is None else ds.imu_between(prev_time, t)
+        samples = None if prev_time is None else ds.imu.between(prev_time, t)
         keyframed = process_frame(tracker, f, t, samples)
         prev_time = t
 

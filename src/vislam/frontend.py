@@ -4,7 +4,10 @@ Flow-gated keyframe selection, inertial pose propagation with a covariance
 fallback, and sliding-window frame-graph upkeep. The tracker owns a
 FrameGraph and drives the staged initializer as the window fills; evicted
 keyframes leave behind a relative Sim(3) chain edge and an archived pose for
-the global pose graph.
+the global pose graph. The tracker buffers IMU as one ImuSamples record,
+checking each incoming slice once (finite, in time order, no gap over
+MAX_IMU_GAP_PERIODS sample periods), and preintegrates the keyframe interval
+sliced from it with the record's between().
 
 Correspondences come from a provider object with the interface
 edge(frame_i, frame_j) -> VisionEdge, grid_pixels(), depth_hint(frame, px),
@@ -23,7 +26,7 @@ from .geometry import Pose, SimTransform
 from .imu import (
     BiasState,
     ImuNoiseModel,
-    ImuSample,
+    ImuSamples,
     PreintegratedDelta,
     preintegrate,
 )
@@ -35,7 +38,7 @@ from .residuals import (
     VisionEdge,
     map_eigenvalues,
 )
-from .solver import FrameGraph, Keyframe, SolveOptions, SolveReport, solve_vi_ba
+from .solver import FrameGraph, Keyframe, SolveOptions, solve_vi_ba
 
 PHASE_VISION = "vision"
 PHASE_INERTIAL = "inertial"
@@ -176,29 +179,42 @@ class TrackerState:
     noise: ImuNoiseModel
     graph: FrameGraph
     phase: str = PHASE_VISION
-    imu_buffer: list = field(default_factory=list)
+    imu_buffer: ImuSamples = field(
+        default_factory=lambda: ImuSamples([], [], []))
     next_kid: int = 0
     frame_of: dict = field(default_factory=dict)      # live kid -> provider frame
     archive: list = field(default_factory=list)       # ArchivedKeyframe
     degraded: list = field(default_factory=list)      # inertial-only kids
-    init_reports: dict = field(default_factory=dict)
     imu_period: float = 0.005
 
     def __post_init__(self):
         if self.phase not in PHASES:
             raise ValueError(f"unknown phase {self.phase!r}")
 
-    def buffer_imu(self, sample: ImuSample) -> None:
-        """Append one IMU sample, rejecting disorder and coverage gaps."""
-        if self.imu_buffer:
-            gap = sample.timestamp - self.imu_buffer[-1].timestamp
-            if gap <= 0.0:
-                raise ValueError("IMU samples must arrive in time order")
-            if gap > MAX_IMU_GAP_PERIODS * self.imu_period:
-                raise ValueError(
-                    f"IMU gap of {gap:.4f}s exceeds "
-                    f"{MAX_IMU_GAP_PERIODS:g} sample periods")
-        self.imu_buffer.append(sample)
+    def buffer_imu(self, samples: ImuSamples) -> None:
+        """Append one IMU slice, checked as a whole before any of it is kept.
+
+        A first sample within 1e-12 s of the newest buffered one is the
+        boundary sample of the previous slice sent again and is dropped.
+        Raises ValueError on a non-finite value, a sample not after the one
+        before it, or a gap over MAX_IMU_GAP_PERIODS sample periods.
+        """
+        buf = self.imu_buffer
+        if len(buf) and len(samples) and abs(samples.t[0] - buf.t[-1]) <= 1e-12:
+            samples = ImuSamples(samples.t[1:], samples.gyro[1:], samples.accel[1:])
+        if not (np.all(np.isfinite(samples.t)) and np.all(np.isfinite(samples.gyro))
+                and np.all(np.isfinite(samples.accel))):
+            raise ValueError("IMU samples must be finite")
+        gaps = np.diff(np.concatenate([buf.t[-1:], samples.t]))
+        if np.any(gaps <= 0.0):
+            raise ValueError("IMU samples must arrive in time order")
+        if np.any(gaps > MAX_IMU_GAP_PERIODS * self.imu_period):
+            raise ValueError(
+                f"IMU gap of {gaps.max():.4f}s exceeds "
+                f"{MAX_IMU_GAP_PERIODS:g} sample periods")
+        self.imu_buffer = ImuSamples(np.concatenate([buf.t, samples.t]),
+                                     np.concatenate([buf.gyro, samples.gyro]),
+                                     np.concatenate([buf.accel, samples.accel]))
 
 
 def make_tracker(provider, policy: KeyframePolicy | None = None,
@@ -216,18 +232,15 @@ def make_tracker(provider, policy: KeyframePolicy | None = None,
 
 
 def process_frame(tracker: TrackerState, frame_index: int, timestamp: float,
-                  imu_samples=()) -> bool:
+                  imu_samples: ImuSamples | None = None) -> bool:
     """Feed one camera frame plus its IMU slice; True if it keyframed.
 
-    A sample within 1e-12 s of the newest buffered one is the boundary
-    sample of the previous slice sent again and is skipped, so callers can
-    pass inclusive per-frame slices; an older sample raises ValueError.
+    The slice goes through buffer_imu, which drops a first sample that
+    repeats the newest buffered one, so callers can pass inclusive
+    per-frame slices; an older sample raises ValueError.
     """
-    for s in imu_samples:
-        if tracker.imu_buffer and abs(
-                s.timestamp - tracker.imu_buffer[-1].timestamp) <= 1e-12:
-            continue
-        tracker.buffer_imu(s)
+    if imu_samples is not None:
+        tracker.buffer_imu(imu_samples)
     if not tracker.graph.keyframes:
         add_keyframe(tracker, frame_index, timestamp)
         return True
@@ -269,9 +282,7 @@ def add_keyframe(tracker: TrackerState, frame_index: int,
     delta = None
     if graph.keyframes:
         last = graph.keyframes[-1]
-        chunk = [s for s in tracker.imu_buffer
-                 if last.state.timestamp - 1e-9 <= s.timestamp
-                 <= timestamp + 1e-9]
+        chunk = tracker.imu_buffer.between(last.state.timestamp, timestamp)
         if len(chunk) < 2:
             raise ValueError("IMU buffer does not cover the keyframe interval")
         delta = preintegrate(chunk, last.state.bias, tracker.noise)
@@ -308,19 +319,14 @@ def add_keyframe(tracker: TrackerState, frame_index: int,
     graph.vision_edges.extend(vision_edges)
     tracker.frame_of[kid] = frame_index
     tracker.next_kid = kid + 1
-    tracker.imu_buffer = [s for s in tracker.imu_buffer
-                          if s.timestamp >= timestamp - 1e-9]
+    tracker.imu_buffer = tracker.imu_buffer.between(timestamp, np.inf)
 
     n = len(graph.keyframes)
     if tracker.phase == PHASE_VISION and n >= tracker.init_cfg.n_vis_init:
-        report = init_vision(graph)
-        tracker.init_reports["vision"] = _report_dict(report)
+        init_vision(graph)
         tracker.phase = PHASE_INERTIAL
     elif tracker.phase == PHASE_INERTIAL and n >= tracker.init_cfg.n_iner_init:
-        result = run_full_initialization(graph)
-        tracker.init_reports.update(
-            {k: _report_dict(r) for k, r in result.reports.items()})
-        tracker.init_reports["log_scale"] = float(result.log_scale)
+        run_full_initialization(graph)
         tracker.phase = PHASE_FULL
     else:
         _tracking_solve(tracker)
@@ -414,12 +420,3 @@ def apply_correction(tracker: TrackerState, correction) -> int:
         row.pose = entry.new_pose
         applied += 1
     return applied
-
-
-def _report_dict(report: SolveReport) -> dict:
-    return {
-        "iterations": report.iterations,
-        "initial_cost": report.initial_cost,
-        "final_cost": report.final_cost,
-        "termination": report.termination,
-    }

@@ -6,10 +6,14 @@ Real-Time Visual-Inertial Odometry", T-RO 2017). Each sample interval holds
 the average of its endpoint measurements constant (midpoint scheme); position
 and velocity accumulate with the rotation taken at the interval midpoint.
 
-preintegrate works on the whole stream as arrays: every interval's Exp and
-right Jacobian, at the full and the half step, come from one stacked
-Rodrigues call, and the velocity and position terms are prefix sums. Only the
-rotation prefix product, the gyro-bias Jacobian of the rotation and the 9x9
+An IMU stream is one ImuSamples record of columns: (n,) times and (n, 3)
+gyro and accel rows, sliced by time with between(). The record does not
+check its values; the tracker checks each slice once, at its intake.
+
+preintegrate works on the stream's columns: every interval's Exp and right
+Jacobian, at the full and the half step, come from one stacked Rodrigues
+call, and the velocity and position terms are prefix sums. Only the rotation
+prefix product, the gyro-bias Jacobian of the rotation and the 9x9
 covariance are sequential recursions, and only they run per interval.
 """
 
@@ -24,19 +28,30 @@ from scipy.linalg import block_diag, cholesky, solve_triangular
 from .geometry import Rotation, hat, readonly, so3_exp_matrix, so3_right_jacobian
 
 
-@dataclass
-class ImuSample:
-    timestamp: float
+@dataclass(frozen=True)
+class ImuSamples:
+    """An IMU stream as columns: (n,) times t, (n, 3) gyro and accel rows."""
+
+    t: np.ndarray
     gyro: np.ndarray
     accel: np.ndarray
 
     def __post_init__(self):
-        self.gyro = np.asarray(self.gyro, dtype=float).reshape(3)
-        self.accel = np.asarray(self.accel, dtype=float).reshape(3)
-        # per element in Python: a stream is built from thousands of samples
-        if not all(map(math.isfinite, [self.timestamp, *self.gyro.tolist(),
-                                       *self.accel.tolist()])):
-            raise ValueError("IMU sample must be finite")
+        t = np.asarray(self.t, dtype=float).reshape(-1)
+        object.__setattr__(self, "t", t)
+        for name in ("gyro", "accel"):
+            object.__setattr__(self, name, np.asarray(
+                getattr(self, name), dtype=float).reshape(len(t), 3))
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def between(self, t0: float, t1: float) -> ImuSamples:
+        """The samples stamped in [t0, t1], both ends widened by 1e-9 s;
+        the times must be sorted."""
+        lo = int(np.searchsorted(self.t, t0 - 1e-9, side="left"))
+        hi = int(np.searchsorted(self.t, t1 + 1e-9, side="right"))
+        return ImuSamples(self.t[lo:hi], self.gyro[lo:hi], self.accel[lo:hi])
 
 
 @dataclass(frozen=True)
@@ -104,7 +119,8 @@ def _running_sums(steps: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate([np.zeros((1,) + steps.shape[1:]), steps]), axis=0)
 
 
-def preintegrate(samples: list, bias_hat: BiasState, noise: ImuNoiseModel) -> PreintegratedDelta:
+def preintegrate(samples: ImuSamples, bias_hat: BiasState,
+                 noise: ImuNoiseModel) -> PreintegratedDelta:
     """Integrate a gravity-free body-frame delta over a sample stream.
 
     The measurement held over [t_k, t_{k+1}] is the endpoint average, giving
@@ -114,12 +130,12 @@ def preintegrate(samples: list, bias_hat: BiasState, noise: ImuNoiseModel) -> Pr
     """
     if len(samples) < 2:
         raise ValueError("need at least 2 samples to preintegrate")
-    ts = np.array([s.timestamp for s in samples], dtype=float)
+    ts = samples.t
     if np.any(np.diff(ts) <= 0.0):
         raise ValueError("sample timestamps must be strictly increasing")
 
-    gyro = np.stack([s.gyro for s in samples]) - bias_hat.gyro_bias
-    accel = np.stack([s.accel for s in samples]) - bias_hat.accel_bias
+    gyro = samples.gyro - bias_hat.gyro_bias
+    accel = samples.accel - bias_hat.accel_bias
 
     # per interval k, stacked: dt (n, 1, 1) against matrices, dt1 (n, 1)
     # against vectors

@@ -1,13 +1,14 @@
 """Synthetic trajectories, IMU streams, scenes, and pixel correspondences.
 
 Everything here is analytic and seeded so tests and end-to-end runs are
-reproducible bit for bit. A trajectory model gives closed-form position,
-velocity, acceleration, and orientation on both the frame grid and the IMU
-grid; the IMU synthesizer maps those through the measurement model (body
-rates, specific force with gravity removed in the body frame, bias, optional
-noise); the scene is the interior of a colored box that every camera ray is
-guaranteed to hit; correspondences are exact reprojections of raycast surface
-points with optional Gaussian pixel noise and uniformly redrawn outliers.
+reproducible bit for bit. A trajectory model (a circle or a figure-eight)
+gives closed-form position, velocity, acceleration, and orientation on both
+the frame grid and the IMU grid; the IMU synthesizer maps those through the
+measurement model (body rates, specific force with gravity removed in the
+body frame, bias, optional noise) into one ImuSamples record; the scene is
+the interior of a colored box that every camera ray is guaranteed to hit;
+correspondences are exact reprojections of raycast surface points with
+optional Gaussian pixel noise and uniformly redrawn outliers.
 """
 
 from __future__ import annotations
@@ -15,18 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .geometry import Pose, Rotation, quat_from_matrix
-from .imu import BiasState, ImuNoiseModel, ImuSample
+from .imu import BiasState, ImuNoiseModel, ImuSamples
 from .residuals import GravityModel, Intrinsics, VisionEdge
 
-TRAJECTORY_FAMILIES = ("circle", "figure8", "spline")
+TRAJECTORY_FAMILIES = ("circle", "figure8")
 YAW_POLICIES = ("tangent", "fixed")
 
 # z ripple as a fraction of amplitude, keeps the figure-eight out of a plane
 FIGURE8_HEIGHT_RATIO = 0.1
-SPLINE_WAYPOINTS = 8
 RATE_FD_STEP = 1e-5
 
 
@@ -60,17 +59,6 @@ class _Kinematics:
 
     def __init__(self, model: TrajectoryModel):
         self.model = model
-        if model.family == "spline":
-            theta = 2.0 * np.pi * np.arange(SPLINE_WAYPOINTS + 1) / SPLINE_WAYPOINTS
-            radius = model.amplitude * (1.0 + 0.3 * np.cos(3.0 * theta))
-            pts = np.stack([radius * np.cos(theta) - model.amplitude,
-                            radius * np.sin(theta),
-                            0.15 * model.amplitude * np.sin(2.0 * theta)], axis=1)
-            pts[-1] = pts[0]
-            knots = model.period * np.arange(SPLINE_WAYPOINTS + 1) / SPLINE_WAYPOINTS
-            self._spline = CubicSpline(knots, pts, bc_type="periodic")
-            self._dspline = self._spline.derivative()
-            self._ddspline = self._spline.derivative(2)
 
     def position(self, t):
         t = np.asarray(t, dtype=float)
@@ -79,11 +67,9 @@ class _Kinematics:
             return np.stack([A * (np.cos(w * t) - 1.0),
                              A * np.sin(w * t),
                              np.zeros_like(t)], axis=-1)
-        if self.model.family == "figure8":
-            return np.stack([A * np.sin(w * t),
-                             0.5 * A * np.sin(2.0 * w * t),
-                             FIGURE8_HEIGHT_RATIO * A * np.sin(2.0 * w * t)], axis=-1)
-        return self._spline(np.mod(t, self.model.period))
+        return np.stack([A * np.sin(w * t),
+                         0.5 * A * np.sin(2.0 * w * t),
+                         FIGURE8_HEIGHT_RATIO * A * np.sin(2.0 * w * t)], axis=-1)
 
     def velocity(self, t):
         t = np.asarray(t, dtype=float)
@@ -92,12 +78,10 @@ class _Kinematics:
             return np.stack([-A * w * np.sin(w * t),
                              A * w * np.cos(w * t),
                              np.zeros_like(t)], axis=-1)
-        if self.model.family == "figure8":
-            return np.stack([A * w * np.cos(w * t),
-                             A * w * np.cos(2.0 * w * t),
-                             2.0 * FIGURE8_HEIGHT_RATIO * A * w * np.cos(2.0 * w * t)],
-                            axis=-1)
-        return self._dspline(np.mod(t, self.model.period))
+        return np.stack([A * w * np.cos(w * t),
+                         A * w * np.cos(2.0 * w * t),
+                         2.0 * FIGURE8_HEIGHT_RATIO * A * w * np.cos(2.0 * w * t)],
+                        axis=-1)
 
     def acceleration(self, t):
         t = np.asarray(t, dtype=float)
@@ -106,12 +90,10 @@ class _Kinematics:
             return np.stack([-A * w * w * np.cos(w * t),
                              -A * w * w * np.sin(w * t),
                              np.zeros_like(t)], axis=-1)
-        if self.model.family == "figure8":
-            return np.stack([-A * w * w * np.sin(w * t),
-                             -2.0 * A * w * w * np.sin(2.0 * w * t),
-                             -4.0 * FIGURE8_HEIGHT_RATIO * A * w * w * np.sin(2.0 * w * t)],
-                            axis=-1)
-        return self._ddspline(np.mod(t, self.model.period))
+        return np.stack([-A * w * w * np.sin(w * t),
+                         -2.0 * A * w * w * np.sin(2.0 * w * t),
+                         -4.0 * FIGURE8_HEIGHT_RATIO * A * w * w * np.sin(2.0 * w * t)],
+                        axis=-1)
 
     def rotation_matrices(self, t) -> np.ndarray:
         """Camera-to-world rotations, (n, 3, 3); camera z is the direction
@@ -205,8 +187,8 @@ def generate_trajectory(model: TrajectoryModel, frame_rate: float,
 def synthesize_imu(traj: TrajectorySamples, gravity: GravityModel,
                    bias: BiasState | None = None,
                    noise: ImuNoiseModel | None = None,
-                   seed: int = 0) -> list:
-    """IMU stream for a sampled trajectory.
+                   seed: int = 0) -> ImuSamples:
+    """IMU stream for a sampled trajectory, on its IMU time grid.
 
     Gyro is the body angular rate plus bias; accel is the specific force
     R^T (a_world - g) plus bias. The bias is constant over the stream. With
@@ -229,8 +211,7 @@ def synthesize_imu(traj: TrajectorySamples, gravity: GravityModel,
         gyro = gyro + noise.gyro_noise_density * np.sqrt(rate) * rng.standard_normal((n, 3))
         accel = accel + noise.accel_noise_density * np.sqrt(rate) * rng.standard_normal((n, 3))
 
-    return [ImuSample(float(t), gyro[i], accel[i])
-            for i, t in enumerate(traj.imu_times)]
+    return ImuSamples(traj.imu_times, gyro, accel)
 
 
 @dataclass
@@ -310,7 +291,7 @@ class SyntheticDataset:
     frame_rate: float
     imu_rate: float
     traj: TrajectorySamples
-    imu: list
+    imu: ImuSamples
 
     def n_frames(self) -> int:
         return len(self.traj.frame_times)
@@ -321,13 +302,6 @@ class SyntheticDataset:
     def frame_pose(self, i: int) -> Pose:
         return self.traj.frame_poses[i]
 
-    def imu_between(self, t0: float, t1: float) -> list:
-        """IMU samples stamped in [t0, t1], both ends widened by 1e-9 s."""
-        times = self.traj.imu_times
-        lo = int(np.searchsorted(times, t0 - 1e-9, side="left"))
-        hi = int(np.searchsorted(times, t1 + 1e-9, side="right"))
-        return self.imu[lo:hi]
-
     def depth_at(self, i: int, pixels: np.ndarray) -> np.ndarray:
         """Camera depth of the scene surface behind each pixel of frame i."""
         pose = self.frame_pose(i)
@@ -335,7 +309,7 @@ class SyntheticDataset:
         dirs_world = dirs_cam @ pose.rotation.matrix().T
         return self.scene.raycast(pose.translation, dirs_world)
 
-    def raster(self, i: int, scale: int = 5):
+    def raster(self, i: int, scale: int):
         """Rendered (color, depth) images of frame i at 1/scale resolution."""
         k = self.intrinsics
         w, h = k.width // scale, k.height // scale
@@ -443,6 +417,10 @@ def edge_seed(base_seed: int, i: int, j: int) -> int:
     return (base_seed * 1000003 + 7919 * i + j) % (2 ** 31)
 
 
+# image pixels per keyframe-raster pixel
+RASTER_SCALE = 5
+
+
 class SyntheticProvider:
     """Correspondence and depth provider backed by a synthetic dataset.
 
@@ -451,16 +429,12 @@ class SyntheticProvider:
     returns (color, depth) rasters for map building.
     """
 
-    def __init__(self, dataset: SyntheticDataset, stride: int = 8,
-                 raster_scale: int = 5):
+    def __init__(self, dataset: SyntheticDataset, stride: int = 8):
         side = min(dataset.intrinsics.width, dataset.intrinsics.height)
         if not 1 <= stride < 2 * side:
             raise ValueError("stride must leave at least one grid pixel in the image")
-        if not 1 <= raster_scale <= side:
-            raise ValueError("raster_scale must leave a non-empty keyframe raster")
         self.dataset = dataset
         self.stride = stride
-        self.raster_scale = raster_scale
 
     def edge(self, i: int, j: int) -> VisionEdge:
         return synthesize_correspondences(
@@ -476,7 +450,7 @@ class SyntheticProvider:
         return self.dataset.depth_at(i, pixels)
 
     def keyframe_image(self, i: int):
-        return self.dataset.raster(i, self.raster_scale)
+        return self.dataset.raster(i, RASTER_SCALE)
 
     def intrinsics(self) -> Intrinsics:
         return self.dataset.intrinsics

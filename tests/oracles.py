@@ -27,7 +27,7 @@ from vislam.geometry import (
     so3_right_jacobian_inv,
 )
 from vislam.gsmap import _RECORD, DEPTH_SENTINEL, Gaussian, Gaussians, RenderOutput
-from vislam.imu import BiasState, ImuNoiseModel, PreintegratedDelta
+from vislam.imu import BiasState, ImuNoiseModel, ImuSamples, PreintegratedDelta
 from vislam.loopclosure import _PoseGraphProblem
 from vislam.residuals import (
     GRAVITY_TANGENT_BASIS,
@@ -645,18 +645,19 @@ def inertial_only_step(H, g, lam: float) -> np.ndarray:
 # ---------------------------------------------------------------- IMU deltas
 
 
-def preintegrate(samples: list, bias_hat: BiasState, noise: ImuNoiseModel) -> PreintegratedDelta:
+def preintegrate(samples: ImuSamples, bias_hat: BiasState,
+                 noise: ImuNoiseModel) -> PreintegratedDelta:
     """vislam.imu.preintegrate one sample interval at a time: every step
     updates the rotation, velocity, position, bias Jacobians and covariance
     in turn."""
     if len(samples) < 2:
         raise ValueError("need at least 2 samples to preintegrate")
-    ts = np.array([s.timestamp for s in samples], dtype=float)
+    ts = samples.t
     if np.any(np.diff(ts) <= 0.0):
         raise ValueError("sample timestamps must be strictly increasing")
 
-    gyro = np.stack([s.gyro for s in samples]) - bias_hat.gyro_bias
-    accel = np.stack([s.accel for s in samples]) - bias_hat.accel_bias
+    gyro = samples.gyro - bias_hat.gyro_bias
+    accel = samples.accel - bias_hat.accel_bias
 
     dR = np.eye(3)
     dv = np.zeros(3)

@@ -236,8 +236,7 @@ def test_out_of_range_float_is_a_config_error(tmp_path, capsys, key, value):
 # later, by an error that did not name the key. An infinite scene made every
 # depth infinite and ran as a valid run with no vision and an empty map; an
 # infinite pixel noise was reported as a divergence. A provider stride of 960
-# left no grid pixel (another valid-looking run with no vision), and a raster
-# scale of 481 a keyframe raster 0 pixels high (a divergence).
+# left no grid pixel (another valid-looking run with no vision).
 @pytest.mark.parametrize("key, value", [
     ("dataset.duration", "inf"),
     ("dataset.imu_rate", "inf"),
@@ -246,7 +245,6 @@ def test_out_of_range_float_is_a_config_error(tmp_path, capsys, key, value):
     ("dataset.scene_half_extent", "inf"),
     ("dataset.sigma_px", "inf"),
     ("provider.stride", "960"),
-    ("provider.raster_scale", "481"),
 ], ids=lambda v: v)
 def test_non_finite_dataset_value_is_a_config_error(tmp_path, capsys, key,
                                                     value):
@@ -283,7 +281,6 @@ noise.accel_noise_density = 0.002
 noise.gravity_magnitude = 9.81
 noise.gyro_bias_random_walk = 1e-05
 noise.gyro_noise_density = 0.00017
-provider.raster_scale = 5
 provider.stride = 32
 run.align = se3
 run.frame_stride = 1
@@ -351,6 +348,7 @@ CONSTANT_KEYS = {
     "loop.flow_gate": "22.0",
     "loop.ang_gate_deg": "120.0",
     "loop.align_iterations": "15",
+    "provider.raster_scale": "5",
 }
 
 
@@ -366,6 +364,15 @@ def test_deleted_config_key_is_a_config_error(tmp_path, capsys, key, value):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert '"error": "config"' in err and f"unknown config key {key!r}" in err
+    assert not out.exists()
+
+
+def test_removed_trajectory_family_is_a_config_error(tmp_path, capsys):
+    # the spline family is gone; circle and figure8 are the families
+    code, out = _run(tmp_path, "bad", SHORT_RUN + "dataset.family = spline\n")
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert '"error": "config"' in err and "unknown trajectory family 'spline'" in err
     assert not out.exists()
 
 

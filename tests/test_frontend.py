@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from vislam import frontend
 from vislam.cli import _init_diagnostics
 from vislam.evaluation import Trajectory, align_umeyama, ate_rmse
 from vislam.frontend import (
@@ -24,7 +25,7 @@ from vislam.frontend import (
     propagate_keyframe_state,
 )
 from vislam.geometry import Pose, Rotation, SimTransform
-from vislam.imu import BiasState, ImuNoiseModel, ImuSample, preintegrate
+from vislam.imu import BiasState, ImuNoiseModel, ImuSamples, preintegrate
 from vislam.residuals import (
     GravityModel,
     PoseState,
@@ -81,8 +82,8 @@ class _Driver:
         end = min(self.cursor + n_frames, self.ds.n_frames())
         for f in range(self.cursor, end):
             t = self.ds.frame_time(f)
-            imu = [] if f == 0 else \
-                self.ds.imu_between(self.ds.frame_time(f - 1), t)
+            imu = None if f == 0 else \
+                self.ds.imu.between(self.ds.frame_time(f - 1), t)
             process_frame(self.tracker, f, t, imu)
             _check_window_order(self.tracker)
         self.cursor = end
@@ -93,11 +94,28 @@ SMALL_INIT = InitConfig(n_vis_init=6, n_iner_init=10)
 SMALL_POLICY = KeyframePolicy(flow_threshold=2.4, window_size=8)
 
 
+def _record_calls(mp, name, calls):
+    """Patch frontend.<name>, where add_keyframe looks it up, to append each
+    call's result to calls[name]."""
+    inner = getattr(frontend, name)
+
+    def recorded(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        calls.setdefault(name, []).append(out)
+        return out
+    mp.setattr(frontend, name, recorded)
+
+
 @pytest.fixture(scope="module")
 def pipeline(clean_dataset):
-    """Tracker driven well past full initialization and several evictions."""
+    """Tracker driven well past full initialization and several evictions;
+    init_calls holds what each initializer call returned."""
     driver = _Driver(clean_dataset, policy=SMALL_POLICY, init_cfg=SMALL_INIT)
-    driver.run(110)
+    driver.init_calls = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("init_vision", "run_full_initialization"):
+            _record_calls(mp, name, driver.init_calls)
+        driver.run(110)
     return driver
 
 
@@ -149,7 +167,7 @@ def _stationary_delta(duration=0.4, rate=200.0, gravity=None,
     """Preintegrated rest interval; optionally overrides the covariance."""
     g = (gravity if gravity is not None else GravityModel()).vector()
     ts = np.arange(int(duration * rate) + 1) / rate
-    samples = [ImuSample(t, np.zeros(3), -g) for t in ts]
+    samples = ImuSamples(ts, np.zeros((len(ts), 3)), np.tile(-g, (len(ts), 1)))
     delta = preintegrate(samples, BiasState(), ImuNoiseModel())
     if sigma_cov is not None:
         delta = dataclasses.replace(delta, covariance=np.eye(15) * (sigma_cov / 15.0))
@@ -194,7 +212,7 @@ class TestPropagation:
     def test_matches_synthetic_ground_truth_segment(self, clean_dataset):
         ds = clean_dataset
         t0, t5 = ds.frame_time(0), ds.frame_time(5)
-        chunk = ds.imu_between(t0, t5)
+        chunk = ds.imu.between(t0, t5)
         delta = preintegrate(chunk, BiasState(), ImuNoiseModel())
         start = PoseState(ds.frame_pose(0), ds.traj.frame_velocities[0])
         out = propagate_keyframe_state(start, delta, ds.gravity)
@@ -207,33 +225,48 @@ class TestPropagation:
                               - ds.traj.frame_velocities[5]) < 1e-4
 
 
+def _slice(*stamps):
+    """A still IMU slice at the given times."""
+    return ImuSamples(stamps, np.zeros((len(stamps), 3)), np.zeros((len(stamps), 3)))
+
+
 class TestImuBuffer:
+    """The tracker checks each IMU slice once, at intake, and keeps none of
+    a rejected one."""
+
     def test_gap_rejected(self):
         tracker = _Driver(make_dataset(FAST_MODEL)).tracker
-        tracker.buffer_imu(ImuSample(0.0, np.zeros(3), np.zeros(3)))
+        tracker.buffer_imu(_slice(0.0))
         with pytest.raises(ValueError, match="gap"):
-            tracker.buffer_imu(ImuSample(0.05, np.zeros(3), np.zeros(3)))
+            tracker.buffer_imu(_slice(0.05))
+        # inside one slice as well as across slices
+        with pytest.raises(ValueError, match="gap"):
+            tracker.buffer_imu(_slice(0.005, 0.01, 0.06))
+        assert tracker.imu_buffer.t.tolist() == [0.0]
 
     def test_disorder_rejected(self):
         tracker = _Driver(make_dataset(FAST_MODEL)).tracker
-        tracker.buffer_imu(ImuSample(0.10, np.zeros(3), np.zeros(3)))
+        tracker.buffer_imu(_slice(0.10))
         with pytest.raises(ValueError, match="order"):
-            tracker.buffer_imu(ImuSample(0.10, np.zeros(3), np.zeros(3)))
+            tracker.buffer_imu(_slice(0.10, 0.10))
+        with pytest.raises(ValueError, match="order"):
+            tracker.buffer_imu(_slice(0.105, 0.11, 0.11))
+        assert tracker.imu_buffer.t.tolist() == [0.10]
 
     def test_process_frame_skips_boundary_duplicates(self, clean_dataset):
         driver = _Driver(clean_dataset)
         driver.run(3)
-        tracker = driver.tracker
-        stamps = [s.timestamp for s in tracker.imu_buffer]
-        assert all(b > a for a, b in zip(stamps, stamps[1:]))
+        stamps = driver.tracker.imu_buffer.t
+        assert len(stamps) > 1 and np.all(np.diff(stamps) > 0.0)
 
     def test_process_frame_rejects_an_older_sample(self, clean_dataset):
         driver = _Driver(clean_dataset)
         tracker = driver.run(3)
-        stale = ImuSample(tracker.imu_buffer[-1].timestamp - 0.0025,
-                          np.zeros(3), np.zeros(3))
+        before = tracker.imu_buffer
+        stale = _slice(tracker.imu_buffer.t[-1] - 0.0025)
         with pytest.raises(ValueError, match="order"):
-            process_frame(tracker, 3, clean_dataset.frame_time(3), [stale])
+            process_frame(tracker, 3, clean_dataset.frame_time(3), stale)
+        assert tracker.imu_buffer is before
 
 
 class TestEvictionEdge:
@@ -259,23 +292,26 @@ class TestEvictionEdge:
 
 class TestPipeline:
     def test_reaches_full_phase_with_staged_reports(self, pipeline):
-        tracker = pipeline.tracker
-        assert tracker.phase == PHASE_FULL
-        for key in ("vision", "inertial", "joint", "log_scale"):
-            assert key in tracker.init_reports
+        assert pipeline.tracker.phase == PHASE_FULL
+        calls = pipeline.init_calls
+        assert len(calls["init_vision"]) == 1
+        [result] = calls["run_full_initialization"]
+        assert sorted(result.reports) == ["inertial", "joint", "vision"]
 
-    def test_stage1_fires_exactly_once(self, clean_dataset):
+    def test_stage1_fires_exactly_once(self, clean_dataset, monkeypatch):
+        calls = {}
+        _record_calls(monkeypatch, "init_vision", calls)
         driver = _Driver(clean_dataset, policy=SMALL_POLICY,
                          init_cfg=SMALL_INIT)
         tracker = driver.tracker
         while len(tracker.graph.keyframes) < SMALL_INIT.n_vis_init:
             driver.run(1)
         assert tracker.phase == PHASE_INERTIAL
-        snapshot = dict(tracker.init_reports["vision"])
+        assert len(calls["init_vision"]) == 1
         while len(tracker.graph.keyframes) < SMALL_INIT.n_iner_init - 1:
             driver.run(1)
         assert tracker.phase == PHASE_INERTIAL
-        assert tracker.init_reports["vision"] == snapshot
+        assert len(calls["init_vision"]) == 1
 
     def test_window_holds_at_capacity(self, pipeline):
         tracker = pipeline.tracker
@@ -330,7 +366,7 @@ class TestPipeline:
                                  for kf in graph.keyframes])
         align = align_umeyama(est, gt, mode="sim3")
         assert abs(align.scale - 1.0) < 0.01
-        assert np.isfinite(tracker.init_reports["log_scale"])
+        assert np.isfinite(pipeline.init_calls["run_full_initialization"][0].log_scale)
 
     def test_estimated_trajectory_is_ordered_and_complete(self, pipeline):
         tracker = pipeline.tracker
@@ -399,7 +435,7 @@ class TestDegraded:
             tracker = make_tracker(provider, POLICY, imu_period=1.0 / ds.imu_rate)
             for f in range(12):
                 t = ds.frame_time(f)
-                imu = [] if f == 0 else ds.imu_between(ds.frame_time(f - 1), t)
+                imu = None if f == 0 else ds.imu.between(ds.frame_time(f - 1), t)
                 process_frame(tracker, f, t, imu)
                 _check_window_order(tracker)
             assert len(tracker.degraded) == 1

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from vislam.frontend import make_tracker
 from vislam.geometry import Rotation
 from vislam.imu import (
     BiasState,
     ImuNoiseModel,
-    ImuSample,
+    ImuSamples,
     preintegrate,
 )
+from vislam.synth import default_intrinsics
 
 import oracles
 from oracles import (
@@ -25,7 +28,7 @@ from oracles import (
 def _stream(omega_fn, accel_fn, t0, t1, rate):
     n = int(round((t1 - t0) * rate))
     ts = t0 + (t1 - t0) * np.arange(n + 1) / n
-    return [ImuSample(t, omega_fn(t), accel_fn(t)) for t in ts]
+    return ImuSamples(ts, [omega_fn(t) for t in ts], [accel_fn(t) for t in ts])
 
 
 def _const_stream(omega, accel, t0=0.0, t1=1.0, rate=200.0):
@@ -49,9 +52,9 @@ def test_preintegrate_constant_acceleration_exact():
 def test_preintegrate_rejects_short_and_non_monotone():
     noise = ImuNoiseModel()
     with pytest.raises(ValueError):
-        preintegrate([ImuSample(0.0, np.zeros(3), np.zeros(3))], BiasState(), noise)
+        preintegrate(ImuSamples([0.0], np.zeros((1, 3)), np.zeros((1, 3))), BiasState(), noise)
     bad = _const_stream([0, 0, 0], [0, 0, 0])
-    bad[5] = ImuSample(bad[4].timestamp, np.zeros(3), np.zeros(3))
+    bad.t[5] = bad.t[4]
     with pytest.raises(ValueError):
         preintegrate(bad, BiasState(), noise)
 
@@ -123,9 +126,9 @@ def test_covariance_against_monte_carlo():
     sa = noise.accel_noise_density / np.sqrt(dt)
     errs = []
     for _ in range(400):
-        noisy = [ImuSample(s.timestamp,
-                           s.gyro + rng.normal(0.0, sg, 3),
-                           s.accel + rng.normal(0.0, sa, 3)) for s in clean]
+        # per sample, three gyro draws then three accel draws
+        z = rng.standard_normal((len(clean), 2, 3))
+        noisy = ImuSamples(clean.t, clean.gyro + sg * z[:, 0], clean.accel + sa * z[:, 1])
         d = preintegrate(noisy, BiasState(), noise)
         errs.append(np.concatenate([
             (ref.delta_R.inverse() * d.delta_R).log(),
@@ -197,7 +200,7 @@ def _random_stream(rng, n, gyro_scale):
     ts = np.cumsum(rng.uniform(0.003, 0.007, n))
     gyro = rng.standard_normal((n, 3)) * gyro_scale
     accel = rng.standard_normal((n, 3)) + np.array([0.0, 0.0, 9.81])
-    return [ImuSample(t, w, a) for t, w, a in zip(ts, gyro, accel)]
+    return ImuSamples(ts, gyro, accel)
 
 
 ORACLE_CASES = ["random", "zero_gyro", "bias_offset", "three_samples"]
@@ -228,10 +231,14 @@ def test_preintegrate_matches_per_sample_oracle(case):
 @pytest.mark.parametrize("field,value", [("timestamp", np.nan), ("gyro", [0.0, np.inf, 0.0]),
                                          ("accel", [np.nan, 0.0, 9.81])])
 def test_imu_sample_rejects_non_finite(field, value):
-    kw = {"timestamp": 0.1, "gyro": np.zeros(3), "accel": np.array([0.0, 0.0, 9.81])}
-    kw[field] = value
+    # the tracker checks every slice at its intake and keeps none of a bad one
+    tracker = make_tracker(SimpleNamespace(intrinsics=default_intrinsics))
+    cols = {"timestamp": [0.095, 0.1], "gyro": np.zeros((2, 3)),
+            "accel": np.tile([0.0, 0.0, 9.81], (2, 1))}
+    cols[field][1] = value
     with pytest.raises(ValueError, match="finite"):
-        ImuSample(**kw)
+        tracker.buffer_imu(ImuSamples(cols["timestamp"], cols["gyro"], cols["accel"]))
+    assert len(tracker.imu_buffer) == 0
 
 
 def _whitening_inverts(delta):

@@ -6,7 +6,7 @@ import pytest
 from vislam.evaluation import umeyama
 from vislam.frontend import InitConfig
 from vislam.geometry import Pose, Rotation
-from vislam.imu import BiasState, ImuNoiseModel, ImuSample, PreintegratedDelta, preintegrate
+from vislam.imu import BiasState, ImuNoiseModel, ImuSamples, PreintegratedDelta, preintegrate
 from vislam.initialization import (
     _fd_velocities,
     _InertialOnly,
@@ -97,8 +97,8 @@ def _stationary_fixture(accel_body, n_kf=4, dt=0.25, rate=200.0):
     n_samp = int(dt * rate) + 1
     for k in range(n_kf - 1):
         ts = k * dt + np.arange(n_samp) / rate
-        samples = [ImuSample(t, np.zeros(3), np.asarray(accel_body, dtype=float))
-                   for t in ts]
+        samples = ImuSamples(ts, np.zeros((len(ts), 3)),
+                             np.tile(np.asarray(accel_body, dtype=float), (len(ts), 1)))
         deltas.append(preintegrate(samples, BiasState(), ImuNoiseModel()))
     return states, deltas
 

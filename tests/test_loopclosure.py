@@ -9,7 +9,7 @@ import pytest
 from vislam.frontend import (InitConfig, apply_correction, eviction_edge,
                              window_snapshot)
 from vislam.geometry import Pose, Rotation, SimTransform
-from vislam.imu import BiasState, ImuNoiseModel, ImuSample, preintegrate
+from vislam.imu import BiasState, ImuNoiseModel, ImuSamples, preintegrate
 from vislam.loopclosure import (
     CorrectionEntry,
     KeyframeSummary,
@@ -753,8 +753,9 @@ class TestLoopWorker:
 
 def make_static_delta(duration=0.1):
     gravity = GravityModel()
-    samples = [ImuSample(t, np.zeros(3), -gravity.vector())
-               for t in np.arange(0.0, duration + 1e-9, 0.005)]
+    ts = np.arange(0.0, duration + 1e-9, 0.005)
+    samples = ImuSamples(ts, np.zeros((len(ts), 3)),
+                         np.tile(-gravity.vector(), (len(ts), 1)))
     return preintegrate(samples, BiasState(), ImuNoiseModel())
 
 

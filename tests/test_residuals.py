@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from vislam.geometry import Pose, Rotation, SimTransform, so3_exp_matrix
-from vislam.imu import BiasState, ImuNoiseModel, ImuSample, PreintegratedDelta, preintegrate
+from vislam.imu import BiasState, ImuNoiseModel, ImuSamples, PreintegratedDelta, preintegrate
 from vislam.residuals import (
     GravityModel,
     Intrinsics,
@@ -271,7 +271,7 @@ def _inertial(delta, s_i, s_j, gravity):
 def _stream(omega_fn, accel_fn, t0, t1, rate, bias=None, rng=None, noise=0.0):
     n = int(round((t1 - t0) * rate)) + 1
     ts = t0 + np.arange(n) / rate
-    samples = []
+    gyro, accel = [], []
     for t in ts:
         w = np.asarray(omega_fn(t), dtype=float)
         a = np.asarray(accel_fn(t), dtype=float)
@@ -281,8 +281,9 @@ def _stream(omega_fn, accel_fn, t0, t1, rate, bias=None, rng=None, noise=0.0):
         if rng is not None and noise > 0.0:
             w = w + rng.standard_normal(3) * noise
             a = a + rng.standard_normal(3) * noise
-        samples.append(ImuSample(t, w, a))
-    return samples
+        gyro.append(w)
+        accel.append(a)
+    return ImuSamples(ts, gyro, accel)
 
 
 def _random_delta(rng, dt=0.3, bias=None):
@@ -307,16 +308,16 @@ def _forward_simulate(samples, bias, state_i, gravity):
     v = state_i.velocity.copy()
     g = gravity.vector()
     for k in range(len(samples) - 1):
-        dt = samples[k + 1].timestamp - samples[k].timestamp
-        w = 0.5 * (samples[k].gyro + samples[k + 1].gyro) - bias.gyro_bias
-        a = 0.5 * (samples[k].accel + samples[k + 1].accel) - bias.accel_bias
+        dt = samples.t[k + 1] - samples.t[k]
+        w = 0.5 * (samples.gyro[k] + samples.gyro[k + 1]) - bias.gyro_bias
+        a = 0.5 * (samples.accel[k] + samples.accel[k + 1]) - bias.accel_bias
         R_mid = R @ so3_exp_matrix(w * dt / 2.0)
         a_w = R_mid @ a + g
         p = p + v * dt + 0.5 * dt * dt * a_w
         v = v + dt * a_w
         R = R @ so3_exp_matrix(w * dt)
     return PoseState(Pose(Rotation.from_matrix(R), p), v, bias,
-                     state_i.timestamp + (samples[-1].timestamp - samples[0].timestamp))
+                     state_i.timestamp + (samples.t[-1] - samples.t[0]))
 
 
 def test_inertial_zero_on_forward_simulated_states():

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -208,3 +211,19 @@ def test_bench_span_sites_exist():
         if attr not in vars(obj):
             missing.append(f"{owner}.{attr}")
     assert missing == []
+
+
+# Importing the CLI loads scipy.linalg and nothing else of scipy: any other
+# scipy subpackage (scipy.interpolate pulled in seven) is set-up time that
+# every run and every benchmark operation pays. Checked in a fresh
+# interpreter, since this one has imported whatever the other tests use.
+def test_cli_import_loads_only_scipy_linalg():
+    src = str(Path(vislam.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, vislam.cli; print(sorted({n.split('.')[1] "
+             "for n in sys.modules if n.startswith('scipy.')}))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = {name for name in ast.literal_eval(out) if not name.startswith("_")}
+    assert loaded <= {"linalg", "version"}

@@ -10,7 +10,7 @@ the vision terms are zero at ground truth as well.
 import numpy as np
 
 from vislam.geometry import Pose, Rotation, so3_exp_matrix
-from vislam.imu import BiasState, ImuNoiseModel, ImuSample, preintegrate
+from vislam.imu import BiasState, ImuNoiseModel, ImuSamples, preintegrate
 from vislam.residuals import (
     DeltaStack,
     EdgeStack,
@@ -108,11 +108,8 @@ def build_window(rng, n_kf=8, n_px=30, kf_dt=0.25, rate_hz=200.0,
 
     # exact measurements of the analytic motion under this gravity model
     g = gravity.vector()
-    samples = []
-    for t in ts:
-        w = omega_fn(t) + bias.gyro_bias
-        a = R_fn(t).T @ (a_fn(t) - g) + bias.accel_bias
-        samples.append(ImuSample(t, w, a))
+    samples = ImuSamples(ts, [omega_fn(t) + bias.gyro_bias for t in ts],
+                         [R_fn(t).T @ (a_fn(t) - g) + bias.accel_bias for t in ts])
 
     # truth states come from re-integrating the sampled measurements, so the
     # preintegrated deltas are consistent with them to machine precision
@@ -122,8 +119,8 @@ def build_window(rng, n_kf=8, n_px=30, kf_dt=0.25, rate_hz=200.0,
     states = [PoseState(Pose(Rotation.from_matrix(R), p), v, bias, 0.0)]
     for n in range(n_samples - 1):
         dt = ts[n + 1] - ts[n]
-        w = 0.5 * (samples[n].gyro + samples[n + 1].gyro) - bias.gyro_bias
-        a = 0.5 * (samples[n].accel + samples[n + 1].accel) - bias.accel_bias
+        w = 0.5 * (samples.gyro[n] + samples.gyro[n + 1]) - bias.gyro_bias
+        a = 0.5 * (samples.accel[n] + samples.accel[n + 1]) - bias.accel_bias
         R_mid = R @ so3_exp_matrix(w * dt / 2.0)
         a_w = R_mid @ a + g
         p = p + v * dt + 0.5 * dt * dt * a_w
@@ -168,7 +165,7 @@ def build_window(rng, n_kf=8, n_px=30, kf_dt=0.25, rate_hz=200.0,
 
     inertial_edges = []
     for i in range(n_kf - 1):
-        chunk = samples[i * steps:(i + 1) * steps + 1]
+        chunk = samples.between(states[i].timestamp, states[i + 1].timestamp)
         inertial_edges.append((i, i + 1, preintegrate(chunk, bias_hat, noise)))
 
     graph = FrameGraph(keyframes, vision_edges, inertial_edges, gravity, k)
