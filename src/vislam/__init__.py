@@ -1,3 +1,3 @@
-"""Visual-inertial SLAM backend with Sim(3) loop closure and a Gaussian map."""
+"""Visual-inertial SLAM backend with rigid pose-graph loop closure and a Gaussian map."""
 
 __version__ = "0.1.0"

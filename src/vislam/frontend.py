@@ -3,11 +3,12 @@
 Flow-gated keyframe selection, inertial pose propagation with a covariance
 fallback, and sliding-window frame-graph upkeep. The tracker owns a
 FrameGraph and drives the staged initializer as the window fills; evicted
-keyframes leave behind a relative Sim(3) chain edge and an archived pose for
-the global pose graph. The tracker buffers IMU as one ImuSamples record,
-checking each incoming slice once (finite, in time order, no gap over
-MAX_IMU_GAP_PERIODS sample periods), and preintegrates the keyframe interval
-sliced from it with the record's between().
+keyframes leave behind a rigid relative-pose chain edge and an archived pose
+for the global pose graph, whose corrections fold back as new poses. The
+tracker buffers IMU as one ImuSamples record, checking each incoming slice
+once (finite, in time order, no gap over MAX_IMU_GAP_PERIODS sample
+periods), and preintegrates the keyframe interval sliced from it with the
+record's between().
 
 Correspondences come from a provider object with the interface
 edge(frame_i, frame_j) -> VisionEdge, grid_pixels(), depth_hint(frame, px),
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .evaluation import Trajectory
-from .geometry import Pose, SimTransform
+from .geometry import Pose
 from .imu import (
     BiasState,
     ImuNoiseModel,
@@ -46,7 +47,6 @@ PHASE_FULL = "full"
 PHASES = (PHASE_VISION, PHASE_INERTIAL, PHASE_FULL)
 
 MAX_IMU_GAP_PERIODS = 5.0
-EVICTION_SCALE_WEIGHT = 100.0    # information of a chain edge's log-scale slot
 MAX_INTERVAL = 3.0               # seconds without a keyframe
 COV_TRACE_THRESHOLD = 1e-4       # propagation fallback gate
 # image pixels per coarse-grid pixel: the 1/8-resolution flow grid of
@@ -151,22 +151,18 @@ class ArchivedKeyframe:
 
 def eviction_edge(kid_i: int, kid_j: int, state_i: PoseState,
                   state_j: PoseState, delta: PreintegratedDelta) -> RelativePoseEdge:
-    """Sim(3) chain constraint left behind by an evicted keyframe.
+    """Rigid chain constraint left behind by an evicted keyframe.
 
-    The measurement is the current relative pose at unit scale. Rotation and
-    translation information blocks come from the inverted preintegration
-    covariance (floored and capped so whitening never goes singular); the
-    scale slot gets a fixed moderate weight since no sensor measures it.
+    The measurement is the current relative pose T_i^-1 T_j. Its rotation
+    and position information blocks come from the inverted preintegration
+    covariance, floored and capped so whitening never goes singular.
     """
-    S_i = SimTransform.from_pose(state_i.pose)
-    S_j = SimTransform.from_pose(state_j.pose)
-    info = np.zeros((7, 7))
+    info = np.zeros((6, 6))
     for b in (slice(0, 3), slice(3, 6)):
         info[b, b] = map_eigenvalues(
             delta.covariance[b, b],
             lambda vals: np.clip(1.0 / np.maximum(vals, 1e-12), 1e-3, 1e8))
-    info[6, 6] = EVICTION_SCALE_WEIGHT
-    return RelativePoseEdge(kid_i, kid_j, S_j * S_i.inverse(), info)
+    return RelativePoseEdge(kid_i, kid_j, state_i.pose.inverse() * state_j.pose, info)
 
 
 @dataclass
@@ -380,41 +376,41 @@ def estimated_trajectory(tracker: TrackerState) -> Trajectory:
 def window_snapshot(tracker: TrackerState):
     """Provisional pose-graph view of the live window.
 
-    Returns (nodes, chain): nodes as (kid, SimTransform) pairs at unit
-    scale, chain as relative edges over the window's consecutive inertial
-    pairs, both built fresh from the current estimates.
+    Returns (nodes, chain): nodes as (kid, Pose) pairs, chain as relative
+    edges over the window's consecutive inertial pairs, both built fresh
+    from the current estimates.
     """
     graph = tracker.graph
-    nodes = [(kf.kid, SimTransform.from_pose(kf.state.pose))
-             for kf in graph.keyframes]
+    nodes = [(kf.kid, kf.state.pose) for kf in graph.keyframes]
     chain = [eviction_edge(i, j, graph.kf(i).state, graph.kf(j).state, delta)
              for i, j, delta in graph.inertial_edges]
     return nodes, chain
 
 
 def apply_correction(tracker: TrackerState, correction) -> int:
-    """Fold a pose-graph correction into the window and the archive.
+    """Fold a rigid pose-graph correction into the window and the archive.
 
     Every moved keyframe, live or archived, takes its entry's solved pose
-    as is. A window keyframe's world velocity also turns by the entry's
-    rotation change and scales by its scale change, and its disparities
-    are divided by the scale change so the window stays metric at unit
-    scale. Entries whose pose and scale did not move are skipped so
-    untouched keyframes stay bit-identical. Returns the number of keyframes
-    updated.
+    as is, and a window keyframe's world velocity turns by the entry's
+    rotation change. Entries whose pose did not move are skipped so
+    untouched keyframes stay bit-identical. Raises ValueError, before
+    changing anything, on an entry whose scale change is not 1. Returns the
+    number of keyframes updated.
     """
+    entries = correction.entries
+    if any(e.scale_change != 1.0 for e in entries.values()):
+        raise ValueError("a tracker correction must be rigid")
     applied = 0
     for kf in tracker.graph.keyframes:
-        entry = correction.entries.get(kf.kid)
+        entry = entries.get(kf.kid)
         if entry is None or not entry.moved():
             continue
         turn = entry.new_pose.rotation * entry.old_pose.rotation.inverse()
-        velocity = entry.scale_change * turn.apply(kf.state.velocity)
-        kf.state = replace(kf.state, pose=entry.new_pose, velocity=velocity)
-        kf.disparities = kf.disparities / entry.scale_change
+        kf.state = replace(kf.state, pose=entry.new_pose,
+                           velocity=turn.apply(kf.state.velocity))
         applied += 1
     for row in tracker.archive:
-        entry = correction.entries.get(row.kid)
+        entry = entries.get(row.kid)
         if entry is None or not entry.moved():
             continue
         row.pose = entry.new_pose

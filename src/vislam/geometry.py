@@ -6,8 +6,10 @@ Conventions used across the package:
 * SO(3) tangent vectors are rotation vectors (axis * angle),
 * pose tangents are (rotation, translation), retraction R <- R Exp(dtheta),
   p <- p + dp,
-* Sim(3) tangents are ordered (rotation, translation, log-scale) and retract
-  on the right: S <- S * Exp(xi),
+* Sim(3) tangents are ordered (rotation, translation, log-scale) and
+  perturb on the right, S <- S * (Exp(omega), v, exp(sigma)) to first
+  order; only the two-view loop alignment moves a similarity, at fixed
+  scale, while the map warp and trajectory alignment apply and compose them,
 * rotations, poses and similarities (and the states built from them) are
   immutable values whose arrays are read-only: they are shared, never
   copied, and updated by building a new value.
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 _SMALL_ANGLE = 1e-8
 
@@ -254,40 +255,6 @@ class Pose:
         return self
 
 
-def _sim3_w_matrix(omega: np.ndarray, sigma: float) -> np.ndarray:
-    """Closed-form W with W @ v the translation of exp((omega, v, sigma)).
-
-    W = int_0^1 exp(sigma u) Exp(omega u) du, evaluated with Taylor branches
-    for small angle and small log-scale.
-    """
-    theta = np.linalg.norm(omega)
-    K = hat(omega)
-    K2 = K @ K
-    s = np.exp(sigma)
-    eps = 1e-6
-    if abs(sigma) < eps:
-        C = 1.0
-        if theta < eps:
-            A = 0.5
-            B = 1.0 / 6.0
-        else:
-            t2 = theta * theta
-            A = (1.0 - np.cos(theta)) / t2
-            B = (theta - np.sin(theta)) / (t2 * theta)
-    else:
-        C = (s - 1.0) / sigma
-        if theta < eps:
-            s2 = sigma * sigma
-            A = ((sigma - 1.0) * s + 1.0) / s2
-            B = (s * (0.5 * s2 - sigma + 1.0) - 1.0) / (s2 * sigma)
-        else:
-            t2 = theta * theta
-            d = sigma * sigma + t2
-            A = (s * sigma * np.sin(theta) + theta * (1.0 - s * np.cos(theta))) / (theta * d)
-            B = (C - ((s * np.cos(theta) - 1.0) * sigma + s * np.sin(theta) * theta) / d) / t2
-    return C * np.eye(3) + A * K + B * K2
-
-
 @dataclass(frozen=True)
 class SimTransform:
     """Similarity transform x_out = scale * R @ x + t, scale > 0."""
@@ -331,61 +298,3 @@ class SimTransform:
         Rinv = self.rotation.inverse()
         inv_s = 1.0 / self.scale
         return SimTransform(Rinv, -inv_s * Rinv.apply(self.translation), inv_s)
-
-    @staticmethod
-    def exp(xi: np.ndarray) -> "SimTransform":
-        """Tangent ordered (rotation, translation, log-scale)."""
-        xi = np.asarray(xi, dtype=float).reshape(7)
-        omega, upsilon, sigma = xi[:3], xi[3:6], xi[6]
-        W = _sim3_w_matrix(omega, sigma)
-        return SimTransform(Rotation.exp(omega), W @ upsilon, np.exp(sigma))
-
-    def log(self) -> np.ndarray:
-        omega = self.rotation.log()
-        sigma = np.log(self.scale)
-        W = _sim3_w_matrix(omega, sigma)
-        upsilon = np.linalg.solve(W, self.translation)
-        return np.concatenate([omega, upsilon, [sigma]])
-
-    def retract(self, xi: np.ndarray) -> "SimTransform":
-        return self.compose(SimTransform.exp(xi))
-
-    def adjoint(self) -> np.ndarray:
-        """7x7 adjoint with tangent ordering (rotation, translation, log-scale)."""
-        R = self.rotation.matrix()
-        t = self.translation
-        A = np.zeros((7, 7))
-        A[:3, :3] = R
-        A[3:6, :3] = hat(t) @ R
-        A[3:6, 3:6] = self.scale * R
-        A[3:6, 6] = -t
-        A[6, 6] = 1.0
-        return A
-
-
-def sim3_ad(xi: np.ndarray) -> np.ndarray:
-    """Algebra adjoint ad_xi with ordering (rotation, translation, log-scale)."""
-    xi = np.asarray(xi, dtype=float).reshape(7)
-    omega, upsilon, sigma = xi[:3], xi[3:6], xi[6]
-    A = np.zeros((7, 7))
-    A[:3, :3] = hat(omega)
-    A[3:6, :3] = hat(upsilon)
-    A[3:6, 3:6] = hat(omega) + sigma * np.eye(3)
-    A[3:6, 6] = -upsilon
-    return A
-
-
-def sim3_right_jacobian_inv(xi: np.ndarray) -> np.ndarray:
-    """Exact inverse right Jacobian of Sim(3) at xi.
-
-    Uses Jr(xi) = phi(-ad_xi) with phi(A) = int_0^1 expm(A s) ds, evaluated via
-    the block-matrix exponential identity, then inverted. Exact up to expm
-    accuracy (Pade), so it is a closed-form evaluation rather than a series
-    truncation or a finite difference.
-    """
-    A = -sim3_ad(xi)
-    M = np.zeros((14, 14))
-    M[:7, :7] = A
-    M[:7, 7:] = np.eye(7)
-    phi = expm(M)[:7, 7:]
-    return np.linalg.inv(phi)

@@ -35,6 +35,12 @@ from .solver import (FrameGraph, GraphProblem, Layout, SolveOptions, SolveReport
 MAX_ITERATIONS_VISION = 30
 MAX_ITERATIONS_INERTIAL = 60
 MAX_ITERATIONS_JOINT = 15
+# Stage 2 treats the stage-1 positions as data. Their error (a few mm) is
+# ten times the preintegration's position sigma, and a fit that holds them
+# exact prefers a small scale, since shrinking the scale shrinks that error.
+# So each delta's position block gets this sigma (m) added in stage 2; the
+# recovered scale is flat from 1 mm to 3 cm.
+POSITION_SIGMA = 0.01
 
 
 @dataclass
@@ -112,7 +118,8 @@ class _InertialOnly(GraphProblem):
     the keyframes as nodes of no column, so no gauge; its columns are
     [log-scale, gravity (2), shared bias (6), velocities (3 per keyframe)],
     each inertial edge a row block on 15 of them. Its unknowns are values
-    (s, gravity, bias, velocities), which commit() writes into the window."""
+    (s, gravity, bias, velocities), which commit() writes into the window.
+    Each delta's position covariance is widened by POSITION_SIGMA^2 I."""
 
     def __init__(self, graph: FrameGraph):
         n = len(graph.keyframes)
@@ -128,7 +135,10 @@ class _InertialOnly(GraphProblem):
         self.ends = np.array([(at[i], at[j]) for i, j, _ in graph.inertial_edges])
         vel_cols = 9 + 3 * np.repeat(self.ends, 3, axis=1) + np.tile(np.arange(3), 2)
         self.row_cols = np.hstack([np.tile(np.arange(9), (len(self.ends), 1)), vel_cols])
-        self.deltas = DeltaStack.of([d for _, _, d in graph.inertial_edges])
+        widen = np.zeros((15, 15))
+        widen[3:6, 3:6] = POSITION_SIGMA ** 2 * np.eye(3)
+        self.deltas = DeltaStack.of([replace(d, covariance=d.covariance + widen)
+                                     for _, _, d in graph.inertial_edges])
         self.vision_states = StateStack.of([kf.state for kf in graph.keyframes])
         positions = self.vision_states.p
         self.p_i, self.p_j = positions[self.ends[:, 0]], positions[self.ends[:, 1]]

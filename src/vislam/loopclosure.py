@@ -1,12 +1,14 @@
-"""Loop detection and similarity pose-graph refinement.
+"""Loop detection and rigid pose-graph refinement.
 
 Loop candidates are keyframe pairs gated on keyframe-count gap, relative
-orientation and provider flow. The pose graph keeps one Sim(3) state per
-keyframe, the sequential relative-pose chain exported by the tracking
-frontend, and loop edges that carry dense pixel correspondences plus a derived
-relative-pose constraint. solve_pgba refines all states (and loop-source disparities) by
-damped Gauss-Newton with the earliest keyframe frozen as gauge, then reports
-per-keyframe pose and scale changes for trajectory and map updates.
+orientation and provider flow. The pose graph keeps one pose per keyframe,
+the sequential relative-pose chain exported by the tracking frontend, and
+loop edges that carry dense pixel correspondences, scored by the window's
+reprojection kernel. Metric scale is observable in a visual-inertial system,
+so the graph solves no scale (Qin, Li & Shen, VINS-Mono, T-RO 2018).
+solve_pgba refines all poses (and loop-source disparities) by damped
+Gauss-Newton with the earliest keyframe frozen as gauge, then reports
+per-keyframe pose changes for trajectory and map updates.
 """
 
 from __future__ import annotations
@@ -17,16 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frontend import flow_magnitude
-from .geometry import Pose, SimTransform
+from .geometry import Pose, Rotation, SimTransform
 from .residuals import (
     EdgeStack,
     Intrinsics,
     RelativePoseEdge,
+    RelativeStack,
     StateStack,
     VisionEdge,
     map_eigenvalues,
     relative_pose_residual,
     sim3_vision_residual,
+    vision_residual,
 )
 from .solver import (
     POSE_DOF,
@@ -38,7 +42,6 @@ from .solver import (
     retract_disparities,
 )
 
-SIM3_DOF = 7
 FLOW_GATE = 22.0             # coarse pixels, strictly below
 ANG_GATE_DEG = 120.0         # relative orientation angle, strictly below
 ALIGN_ITERATIONS = 15        # two-view alignment, per admitted loop
@@ -110,32 +113,31 @@ def detect_loops(new_kf: KeyframeSummary, history, flow,
 class LoopEdge:
     """One detected loop between keyframes i < j.
 
-    The relative part is the two-view alignment of the pair (measurement plus
-    information) and acts as the lightweight fallback constraint; when the
-    dense correspondence edge is attached, it supplies the solve's vision rows
-    instead and the relative part is kept as the alignment record.
+    The dense correspondence edge supplies the solve's vision rows. The
+    relative part is the two-view alignment of the pair (measurement plus
+    information), kept as the alignment record: no solve reads it.
     """
 
     i: int
     j: int
     relative: RelativePoseEdge
-    vision: VisionEdge | None = None
+    vision: VisionEdge
 
     def __post_init__(self):
         if not self.i < self.j:
             raise ValueError("loop endpoints must satisfy i < j")
         if (self.relative.i, self.relative.j) != (self.i, self.j):
             raise ValueError("relative edge endpoints must match the loop pair")
-        if self.vision is not None and (self.vision.i, self.vision.j) != (self.i, self.j):
+        if (self.vision.i, self.vision.j) != (self.i, self.j):
             raise ValueError("vision edge endpoints must match the loop pair")
 
 
 @dataclass
 class PoseGraph:
-    """Sim(3) keyframe states, the sequential chain, and the loop edge set,
-    built once per solve; the solve's Layout checks its ids and edge ends."""
+    """Keyframe poses, the sequential chain, and the loop edge set, built
+    once per solve; the solve's Layout checks its ids and edge ends."""
 
-    nodes: list                      # Keyframe with a SimTransform state
+    nodes: list                      # Keyframe with a Pose state
     chain: list                      # RelativePoseEdge over consecutive kids
     loops: list                      # LoopEdge
     intrinsics: Intrinsics | None = None
@@ -146,13 +148,12 @@ class PoseGraph:
         for loop in self.loops:
             if loop.j - loop.i < self.min_loop_gap:
                 raise ValueError(f"loop edge ({loop.i},{loop.j}) violates the keyframe gap gate")
-            if loop.vision is not None:
-                if self.intrinsics is None:
-                    raise ValueError("vision loop edges need intrinsics")
-                source = self.node(loop.i)
-                if source is not None and len(source.disparities) != len(loop.vision.pixels):
-                    raise ValueError("loop vision rows must align with the source "
-                                     "disparity snapshot")
+            if self.intrinsics is None:
+                raise ValueError("vision loop edges need intrinsics")
+            source = self.node(loop.i)
+            if source is not None and len(source.disparities) != len(loop.vision.pixels):
+                raise ValueError("loop vision rows must align with the source "
+                                 "disparity snapshot")
 
     def node(self, kid: int) -> Keyframe | None:
         """The node with this id, or None, by a scan."""
@@ -161,7 +162,8 @@ class PoseGraph:
 
 @dataclass
 class CorrectionEntry:
-    """Pose and scale change of one keyframe across a pose-graph solve."""
+    """Pose change of one keyframe across a pose-graph solve. The scale
+    change is 1 from the rigid pose graph; the map warp also takes others."""
 
     kid: int
     old_pose: Pose
@@ -193,8 +195,9 @@ class LoopCorrection:
 
 
 class _PairAlignment(GraphProblem):
-    """Two-view problem with no node: S_j's rotation and translation are its
-    six free columns, S_i and the source disparities stay fixed.
+    """Two-view problem with no node, in the similarity kernel at unit scale:
+    S_j's rotation and translation are its six free columns, S_i and the
+    source disparities stay fixed.
 
     S_j's log-scale is not a column. The kernel's camera is the body, so
     scaling S_j scales the camera-j point about the camera centre, which a
@@ -226,87 +229,91 @@ class _PairAlignment(GraphProblem):
                 out.residual.reshape(1, -1))
 
     def retract(self, dx: np.ndarray) -> None:
-        self.S = self.S.retract(np.append(dx, 0.0))
+        self.S = self.S * SimTransform(Rotation.exp(dx[:3]), dx[3:])
 
 
-def align_loop_pair(edge: VisionEdge, d_i: np.ndarray, S_i: SimTransform,
-                    S_j: SimTransform, k: Intrinsics) -> RelativePoseEdge:
-    """Two-view similarity alignment of a loop pair from its correspondences.
+def align_loop_pair(edge: VisionEdge, d_i: np.ndarray, T_i: Pose, T_j: Pose,
+                    k: Intrinsics) -> RelativePoseEdge:
+    """Two-view alignment of a loop pair from its correspondences.
 
-    Holds S_i, the source disparities and S_j's scale fixed, refines the rest
-    of S_j by ALIGN_ITERATIONS of damped Gauss-Newton on the reprojection
-    residual, and returns the relative-pose measurement S_j S_i^-1 with
-    information from the Gauss-Newton Hessian at the optimum, transported to
-    the relative-residual tangent and eigenvalue clamped so whitening stays
-    well posed (the blind scale row is zero, so it sits at the clamp's floor).
+    Holds T_i and the source disparities fixed, refines T_j by
+    ALIGN_ITERATIONS of damped Gauss-Newton on the reprojection residual,
+    and returns the relative-pose measurement T_i^-1 T_j with information
+    from the Gauss-Newton Hessian at the optimum. That Hessian is over T_j's
+    body-frame translation; the relative residual's position is in frame i,
+    R_i^T dp = dR v, so the Hessian is mapped by blockdiag(I, dR), and its
+    eigenvalues are clamped so whitening stays well posed.
     """
-    problem = _PairAlignment(edge, d_i, S_i, S_j, k)
+    problem = _PairAlignment(edge, d_i, SimTransform.from_pose(T_i),
+                             SimTransform.from_pose(T_j), k)
     lm_solve(problem, SolveOptions(max_iterations=ALIGN_ITERATIONS, damping=1e-6,
                                    step_tol=1e-12))
     problem.evaluate()
     problem.linearize()
-    H = np.zeros((SIM3_DOF, SIM3_DOF))
-    H[:POSE_DOF, :POSE_DOF] = problem.system.H_pp
-    S = problem.S
-    A_inv = np.linalg.inv(S.adjoint())
-    info = map_eigenvalues(A_inv.T @ H @ A_inv,
+    relative = T_i.inverse() * problem.S.pose()
+    A = np.eye(POSE_DOF)
+    A[3:, 3:] = relative.rotation.matrix()
+    info = map_eigenvalues(A @ problem.system.H_pp @ A.T,
                            lambda vals: np.clip(vals, 1e-3, 1e8))
-    return RelativePoseEdge(edge.i, edge.j, S * S_i.inverse(), info)
+    return RelativePoseEdge(edge.i, edge.j, relative, info)
 
 
 class _PoseGraphProblem(GraphProblem):
-    """Loop plus chain energy over a pose graph's Sim(3) states.
+    """Loop vision plus chain energy over a pose graph's poses.
 
-    Only keyframes that source a loop vision edge carry disparity variables.
-    The earliest keyframe is the gauge: its state is never retracted.
+    Each node has a pose's six columns; only keyframes that source a loop
+    vision edge carry disparity variables. The chain is one stacked
+    relative-pose call per evaluation. The earliest keyframe is the gauge:
+    its pose is never retracted.
     """
 
     def __init__(self, graph: PoseGraph):
-        sources = {loop.vision.i for loop in graph.loops if loop.vision is not None}
-        layout = Layout([n.kid for n in graph.nodes], SIM3_DOF,
+        sources = {loop.vision.i for loop in graph.loops}
+        layout = Layout([n.kid for n in graph.nodes], POSE_DOF,
                         [len(n.disparities) if n.kid in sources else 0
                          for n in graph.nodes], 0,
                         [(e.i, e.j) for e in graph.chain], graph.loops)
         super().__init__(graph.nodes, layout)
         self.graph = graph
-        self.groups = layout.pixel_groups([loop.vision for loop in graph.loops
-                                           if loop.vision is not None], SIM3_DOF)
-        self.relative = [loop.relative for loop in graph.loops
-                         if loop.vision is None] + graph.chain
-        self.row_cols = np.array([np.concatenate([layout.cols(e.i, SIM3_DOF),
-                                                  layout.cols(e.j, SIM3_DOF)])
-                                  for e in self.relative])
+        self.groups = layout.pixel_groups([loop.vision for loop in graph.loops], POSE_DOF)
+        self.chain = RelativeStack.of(graph.chain)
+        self.chain_ends = np.array([(layout.index[e.i], layout.index[e.j])
+                                    for e in graph.chain])
+        self.row_cols = (self.chain_ends[:, :, None] * POSE_DOF
+                         + np.arange(POSE_DOF)).reshape(len(graph.chain), -1)
 
     def evaluate(self) -> float:
         """Sum of whitened squared residuals over loop and chain edges."""
-        at, st = self.layout.index, self.states
-        vision = [sim3_vision_residual(*inputs, self.graph.intrinsics)
-                  for inputs in self.pixel_inputs(StateStack.of(st))]
-        relative = [relative_pose_residual(edge, st[at[edge.i]], st[at[edge.j]])
-                    for edge in self.relative]
-        self.outs = (vision, relative)
-        e = sum(float((out.residual ** 2).sum()) for out in vision)
-        return sum((float(out.residual @ out.residual) for out in relative), e)
+        nodes = StateStack.of(self.states)
+        vision = [vision_residual(*inputs, self.graph.intrinsics)
+                  for inputs in self.pixel_inputs(nodes)]
+        ends = self.chain_ends
+        chain = relative_pose_residual(self.chain, nodes.take(ends[:, 0]),
+                                       nodes.take(ends[:, 1]))
+        self.outs = (vision, chain)
+        e = 0.0
+        for out in vision + [chain]:
+            e += float((out.residual ** 2).sum())
+        return e
 
-    def dense_rows(self, relative):
-        return (np.stack([np.hstack([out.J_i, out.J_j]) for out in relative]),
-                np.stack([out.residual for out in relative]))
+    def dense_rows(self, chain):
+        return np.concatenate([chain.J_i, chain.J_j], axis=2), chain.residual
 
     def retract(self, dx: np.ndarray) -> None:
-        segs = dx[:self.layout.n_state].reshape(-1, SIM3_DOF)
-        self.states = self.states[:1] + [s.retract(seg) for s, seg in
+        segs = dx[:self.layout.n_state].reshape(-1, POSE_DOF)
+        self.states = self.states[:1] + [s.retract(seg[:3], seg[3:]) for s, seg in
                                          zip(self.states[1:], segs[1:])]
         self.disparities = retract_disparities(self.disparities, self.layout, dx)
 
 
 def solve_pgba(graph: PoseGraph, opts: SolveOptions | None = None):
-    """Minimize loop plus chain energy over the graph's Sim(3) states in place.
+    """Minimize loop plus chain energy over the graph's poses in place.
 
     Vision rows of loop edges are assembled with their source disparities as
-    variables (eliminated per pixel); every other edge contributes a whitened
-    relative-pose residual. The earliest keyframe is the gauge and is never
-    touched. Returns (SolveReport, LoopCorrection); the correction covers
-    every node with its pose change and scale ratio across the solve.
+    variables (eliminated per pixel); every chain edge contributes a
+    whitened relative-pose residual. The earliest keyframe is the gauge and
+    is never touched. Returns (SolveReport, LoopCorrection); the correction
+    covers every node with its pose change across the solve.
     """
     if not graph.loops:
         raise ValueError("pose graph has no loop edges")
@@ -316,9 +323,8 @@ def solve_pgba(graph: PoseGraph, opts: SolveOptions | None = None):
         opts = SolveOptions()
     problem = _PoseGraphProblem(graph)
     report = lm_solve(problem, opts)
-    correction = LoopCorrection({
-        n.kid: CorrectionEntry(n.kid, n.state.pose(), s.pose(), s.scale / n.state.scale)
-        for n, s in zip(graph.nodes, problem.states)})
+    correction = LoopCorrection({n.kid: CorrectionEntry(n.kid, n.state, T)
+                                 for n, T in zip(graph.nodes, problem.states)})
     problem.commit()
     return report, correction
 
@@ -339,7 +345,7 @@ class LoopWorker:
         self.edge_source = edge_source            # (frame_i, frame_j) -> VisionEdge
         self.policy = policy
         self.summaries = {}         # kid -> KeyframeSummary, solved disparities
-        self.states = {}            # kid -> SimTransform, archived nodes only
+        self.states = {}            # kid -> Pose, archived nodes only
         self.chain = []             # exported sequential edges, archived prefix
         self.loops = []
         self.waiting = 0            # loops admitted since the last solve
@@ -356,9 +362,8 @@ class LoopWorker:
         """Enough loops wait that the pose graph should be solved now."""
         return self.waiting >= self.policy.solve_every
 
-    def _state_of(self, kid: int) -> SimTransform:
-        s = self.states.get(kid)
-        return s if s is not None else SimTransform.from_pose(self.summaries[kid].pose)
+    def _state_of(self, kid: int) -> Pose:
+        return self.states.get(kid, self.summaries[kid].pose)
 
     def _flow(self, old: KeyframeSummary, new: KeyframeSummary,
               edges: dict) -> float:
@@ -394,18 +399,15 @@ class LoopWorker:
 
     def ingest_eviction(self, kid: int, pose: Pose,
                         chain_edge: RelativePoseEdge) -> None:
-        """Record a keyframe leaving the window with its exported chain edge.
-
-        The tracker's pose is correction-current (corrections fold scale into
-        its depths), so the archived node enters at unit scale.
-        """
-        self.states[kid] = SimTransform.from_pose(pose)
+        """Record a keyframe leaving the window with its exported chain edge;
+        the tracker's pose is correction-current."""
+        self.states[kid] = pose
         self.chain.append(chain_edge)
 
     def solve(self, window_nodes, window_chain):
         """Solve the pose graph with the live window appended provisionally.
 
-        window_nodes is a list of (kid, SimTransform) pairs and window_chain
+        window_nodes is a list of (kid, Pose) pairs and window_chain
         the relative edges over its consecutive pairs, both rebuilt fresh
         from the tracker's current estimates. Archived node states persist
         across calls and are updated by the solve, as are the summaries'

@@ -4,11 +4,12 @@ Vision: dense reprojection of strided pixels against refined correspondences,
 weighted per pixel, for a stack of edges of one pixel count in one pass.
 Inertial: preintegrated motion discrepancy plus a bias random-walk block,
 for a stack of preintegrated deltas in one pass, whitened by the factor each
-delta computed from its covariance when it was built. Relative pose: Sim(3)
-log of a measured relative transform against two states.
+delta computed from its covariance when it was built. Relative pose: the
+rotation log and body-frame position discrepancy of measured relative poses
+against two poses each, for a stack of edges in one pass.
 
-The vision and inertial kernels take their inputs stacked (EdgeStack or
-DeltaStack, built once per problem, and a StateStack per edge end) and
+The kernels take their inputs stacked (EdgeStack, DeltaStack or
+RelativeStack, built once per problem, and a StateStack per edge end) and
 compute the residual when called. Their Jacobians are built on the first
 read, from intermediates the call keeps and that read drops, so a score
 that is never linearized (a rejected trial, the last score of a solve, a
@@ -34,7 +35,6 @@ from .geometry import (
     SimTransform,
     hat,
     readonly,
-    sim3_right_jacobian_inv,
     so3_exp_matrix,
     so3_log_matrix,
     so3_right_jacobian,
@@ -141,25 +141,19 @@ GRAVITY_TANGENT_BASIS = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 class RelativePoseEdge:
     i: int
     j: int
-    measurement: SimTransform
-    information: np.ndarray   # 7x7 information weight
+    measurement: Pose         # T_i^-1 T_j
+    information: np.ndarray   # 6x6 information weight, positive definite
     # W with W^T W = information; relative_pose_residual whitens with it
     whitening: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.information = np.asarray(self.information, dtype=float).reshape(7, 7)
+        self.information = np.asarray(self.information, dtype=float).reshape(6, 6)
         if np.max(np.abs(self.information - self.information.T)) > 1e-9:
             raise ValueError("information must be symmetric")
-        if np.linalg.eigvalsh(self.information).min() < -1e-9:
-            raise ValueError("information must be PSD")
         try:
-            L = cholesky(self.information, lower=True)
-        except np.linalg.LinAlgError:
-            # PSD but rank-deficient information: fall back to the
-            # square root from its eigendecomposition
-            vals, vecs = np.linalg.eigh(self.information)
-            L = vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0)))
-        self.whitening = L.T
+            self.whitening = cholesky(self.information, lower=True).T
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("information must be positive definite") from exc
 
 
 def map_eigenvalues(M: np.ndarray, fn) -> np.ndarray:
@@ -272,7 +266,8 @@ class VisionResidualResult(_LazyJacobians):
     k, n) Jacobian rows), so each product runs along the pixels; the results
     are (E, n, ...) views. Rotation and disparity columns are shared;
     translation (and scale) columns follow Pose.retract (world frame) or,
-    with similarity, SimTransform.retract (body frame).
+    with similarity, the right perturbation of geometry's Sim(3) tangent
+    (body frame).
     """
 
     JACOBIANS = ("J", "J_i", "J_j", "J_disparity")
@@ -407,8 +402,8 @@ def sim3_vision_residual(edges: EdgeStack, S_i: StateStack, S_j: StateStack,
     action s*R@x + t in place of the rigid one, so relative scale between the
     two keyframes enters the prediction. Jacobians are over right
     perturbations ordered (rotation, translation, log-scale), so translation
-    tangents are body-frame, as in SimTransform.retract. Rows are scaled by
-    sqrt(w); points behind the target camera are zero-weighted and counted.
+    tangents are body-frame. Rows are scaled by sqrt(w); points behind the
+    target camera are zero-weighted and counted.
     """
     return VisionResidualResult(edges, S_i, S_j, d_i, k, similarity=True)
 
@@ -509,21 +504,62 @@ def inertial_residual(deltas: DeltaStack, states_i: StateStack, states_j: StateS
     return InertialResidualResult(deltas, states_i, states_j, gravity)
 
 
-@dataclass
-class RelativeResidualResult:
-    residual: np.ndarray  # (7,) whitened
-    J_i: np.ndarray       # (7, 7) w.r.t. right perturbation of S_i
-    J_j: np.ndarray       # (7, 7)
+class RelativeStack(NamedTuple):
+    """E relative-pose edges stacked once per problem: (E, 3, 3) measured
+    rotations, (E, 3) measured translations and (E, 6, 6) whitenings."""
+
+    R: np.ndarray
+    p: np.ndarray
+    W: np.ndarray
+
+    @classmethod
+    def of(cls, edges) -> "RelativeStack":
+        return cls(*map(np.stack, zip(*[
+            (e.measurement.rotation.matrix(), e.measurement.translation, e.whitening)
+            for e in edges])))
 
 
-def relative_pose_residual(edge: RelativePoseEdge, S_i: SimTransform,
-                           S_j: SimTransform) -> RelativeResidualResult:
-    """Whitened log(T_meas S_i S_j^-1), tangent ordering (rot, trans, log-scale)."""
-    M = edge.measurement * S_i * S_j.inverse()
-    r = M.log()
-    Jr_inv = sim3_right_jacobian_inv(r)
-    adj_j = S_j.adjoint()
-    J_i = Jr_inv @ adj_j
-    J_j = -J_i
-    W = edge.whitening
-    return RelativeResidualResult(residual=W @ r, J_i=W @ J_i, J_j=W @ J_j)
+class RelativeResidualResult(_LazyJacobians):
+    """relative_pose_residual's output for E edges:
+
+        residual   (E, 6) whitened: rotation, position
+        J_i, J_j   (E, 6, 6) w.r.t. the pose tangents, built on first read
+    """
+
+    JACOBIANS = ("J_i", "J_j")
+
+    def __init__(self, edges: RelativeStack, T_i: StateStack, T_j: StateStack):
+        if not len(edges.R) == len(T_i.R) == len(T_j.R):
+            raise ValueError("one pose pair per relative edge")
+        R_i_T = T_i.R.transpose(0, 2, 1)
+        r_rot = so3_log_matrix(edges.R.transpose(0, 2, 1) @ R_i_T @ T_j.R)
+        pos = _matvec(R_i_T, T_j.p - T_i.p)
+        r = np.concatenate([r_rot, pos - edges.p], axis=1)
+        self.residual = _matvec(edges.W, r)
+        self._kept = (edges.W, T_i.R, T_j.R, r_rot, pos)
+
+    def _jacobians(self, W, R_i, R_j, r_rot, pos):
+        # the rotation and position rows of inertial_residual's Jacobians
+        R_i_T = R_i.transpose(0, 2, 1)
+        Jr_inv = so3_right_jacobian_inv(r_rot)
+        E = len(r_rot)
+        J_i = np.zeros((E, 6, 6))
+        J_j = np.zeros((E, 6, 6))
+        J_i[:, 0:3, 0:3] = -Jr_inv @ (R_j.transpose(0, 2, 1) @ R_i)
+        J_j[:, 0:3, 0:3] = Jr_inv
+        J_i[:, 3:6, 0:3] = hat(pos)
+        J_i[:, 3:6, 3:6] = -R_i_T
+        J_j[:, 3:6, 3:6] = R_i_T
+        return W @ J_i, W @ J_j
+
+
+def relative_pose_residual(edges: RelativeStack, T_i: StateStack,
+                           T_j: StateStack) -> RelativeResidualResult:
+    """Whitened residuals of measured relative poses T_i^-1 T_j.
+
+    edges stacks E RelativePoseEdges; T_i and T_j (poses stacked) give each
+    its two poses. With dR, dp the measurement, the residual is
+    (Log(dR^T R_i^T R_j), R_i^T (p_j - p_i) - dp), whitened by the edge's
+    factor. Translation tangents are world-frame, as in Pose.retract.
+    """
+    return RelativeResidualResult(edges, T_i, T_j)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import SimTransform
+from .geometry import Pose
 from .residuals import (
     GRAVITY_TANGENT_BASIS,
     DeltaStack,
@@ -57,12 +57,12 @@ RIDGE = 1e-10
 
 @dataclass
 class Keyframe:
-    """A GraphProblem node: its state (a PoseState in the window, a
-    SimTransform in the pose graph) and one disparity per pixel of the
-    vision edges it sources, which own the pixels."""
+    """A GraphProblem node: its state (a PoseState in the window, a Pose in
+    the pose graph) and one disparity per pixel of the vision edges it
+    sources, which own the pixels."""
 
     kid: int
-    state: PoseState | SimTransform
+    state: PoseState | Pose
     disparities: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):

@@ -320,7 +320,7 @@ def sim3_vision_residual(edge: VisionEdge, S_i: SimTransform, S_j: SimTransform,
     s*R@x + t in place of the rigid one, so relative scale between the two
     keyframes enters the prediction. Jacobians are over right perturbations
     ordered (rotation, translation, log-scale), so translation tangents are
-    body-frame, as in SimTransform.retract. Rows are scaled by sqrt(w);
+    body-frame, S * (Exp(omega), v, exp(sigma)). Rows are scaled by sqrt(w);
     points behind the target camera are zero-weighted and counted.
     """
     s_i = S_i.scale
@@ -352,7 +352,8 @@ class _EagerReprojection:
     (E, 2, k, n) Jacobian rows), so each product runs along the pixels; the
     results are (E, n, 2, ...) views. Rotation and disparity columns are
     shared; translation (and scale) columns follow Pose.retract (world
-    frame) or, with similarity, SimTransform.retract (body frame).
+    frame) or, with similarity, S * (Exp(omega), v, exp(sigma)) (body
+    frame).
     """
 
     def __init__(self, pixels, targets, weights, d_i, k: Intrinsics,
@@ -525,6 +526,37 @@ def eager_inertial_residual(deltas, states_i, states_j,
                                   J_gravity=W @ J_g)
 
 
+@dataclass
+class RelativeResidualResult:
+    """A relative-pose oracle's output for one edge."""
+
+    residual: np.ndarray   # (6,) whitened: rotation, position
+    J_i: np.ndarray        # (6, 6) w.r.t. T_i's (rotation, translation) tangent
+    J_j: np.ndarray        # (6, 6)
+
+
+def relative_pose_residual(edge, T_i: Pose, T_j: Pose) -> RelativeResidualResult:
+    """One RelativePoseEdge's whitened residual and Jacobians from Rotation
+    values, one edge at a time: (Log(dR^-1 R_i^-1 R_j), R_i^-1 (p_j - p_i)
+    - dp), with the right rotation and world-frame translation tangents of
+    Pose.retract."""
+    meas = edge.measurement
+    R_i_inv = T_i.rotation.inverse()
+    r_rot = (meas.rotation.inverse() * R_i_inv * T_j.rotation).log()
+    pos = R_i_inv.apply(T_j.translation - T_i.translation)
+    Jr_inv = so3_right_jacobian_inv(r_rot)
+    Ri = T_i.rotation.matrix()
+    J_i, J_j = np.zeros((6, 6)), np.zeros((6, 6))
+    J_i[:3, :3] = -Jr_inv @ (T_j.rotation.inverse() * T_i.rotation).matrix()
+    J_j[:3, :3] = Jr_inv
+    J_i[3:, :3] = hat(pos)
+    J_i[3:, 3:] = -Ri.T
+    J_j[3:, 3:] = Ri.T
+    W = edge.whitening
+    r = np.concatenate([r_rot, pos - meas.translation])
+    return RelativeResidualResult(residual=W @ r, J_i=W @ J_i, J_j=W @ J_j)
+
+
 def add_pixels(system, H_pd, ci, cj, cd, Ji, Jj, Jd, r) -> None:
     """Vision rows (N, 2) of one edge with pose blocks (N, 2, k) and one
     disparity each, scattered into a vislam.solver.NormalEquations and, for
@@ -608,8 +640,16 @@ def solve_vi_ba_dense(graph, opts):
 
 def total_pg_energy(graph) -> float:
     """Sum of whitened squared residuals over a pose graph's chain and loop
-    edges."""
-    return _PoseGraphProblem(graph).evaluate()
+    edges, the chain scored one edge at a time."""
+    problem = _PoseGraphProblem(graph)
+    problem.evaluate()
+    vision, _ = problem.outs
+    poses = {n.kid: n.state for n in graph.nodes}
+    e = sum(float((out.residual ** 2).sum()) for out in vision)
+    for edge in graph.chain:
+        r = relative_pose_residual(edge, poses[edge.i], poses[edge.j]).residual
+        e += float(r @ r)
+    return e
 
 
 def inertial_only_system(problem):

@@ -63,7 +63,8 @@ class TestUmeyama:
         c0 = cost(S)
         for _ in range(30):
             xi = 1e-3 * rng.normal(size=7)
-            assert cost(S.retract(xi)) >= c0 - 1e-12
+            moved = S * SimTransform(Rotation.exp(xi[:3]), xi[3:6], np.exp(xi[6]))
+            assert cost(moved) >= c0 - 1e-12
 
     def test_collinear_points_rejected(self):
         src = np.outer(np.arange(5.0), [1.0, 2.0, -0.5])
@@ -91,7 +92,10 @@ class TestAlignment:
         G = SimTransform(Rotation.exp([0.2, -0.4, 0.6]), np.array([1.0, -2.0, 0.5]), 1.0)
         est = _transform_trajectory(gt, G.inverse())
         S = align_umeyama(est, gt, "se3")
-        assert np.linalg.norm((S.inverse() * G).log()) < 1e-9
+        offset = S.inverse() * G
+        assert np.linalg.norm(offset.rotation.log()) < 1e-9
+        assert np.linalg.norm(offset.translation) < 1e-9
+        assert abs(offset.scale - 1.0) < 1e-12
 
     def test_recovers_scale_factor(self):
         rng = np.random.default_rng(4)

@@ -13,8 +13,6 @@ from vislam.geometry import (
     SimTransform,
     hat,
     quat_from_matrix,
-    sim3_ad,
-    sim3_right_jacobian_inv,
     so3_right_jacobian,
     so3_right_jacobian_inv,
 )
@@ -226,79 +224,6 @@ def test_sim3_composition_law():
 def test_sim3_scale_positive_enforced():
     with pytest.raises(ValueError):
         SimTransform(Rotation.identity(), np.zeros(3), -1.0)
-
-
-def test_sim3_exp_log_round_trip():
-    rng = np.random.default_rng(9)
-    for _ in range(100):
-        xi = np.concatenate([
-            _random_omega(rng, 2.9),
-            rng.normal(size=3) * 2.0,
-            [np.log(rng.uniform(0.1, 10.0))],
-        ])
-        s = SimTransform.exp(xi)
-        assert np.allclose(s.log(), xi, atol=1e-9)
-
-
-def test_sim3_log_exp_round_trip_on_group():
-    rng = np.random.default_rng(10)
-    for _ in range(100):
-        s = SimTransform(Rotation.exp(_random_omega(rng, 2.9)), rng.normal(size=3), rng.uniform(0.1, 10.0))
-        s2 = SimTransform.exp(s.log())
-        assert np.allclose(s2.rotation.matrix(), s.rotation.matrix(), atol=1e-9)
-        assert np.allclose(s2.translation, s.translation, atol=1e-9)
-        assert abs(s2.scale - s.scale) < 1e-9
-
-
-def test_sim3_adjoint_consistency():
-    # S Exp(xi) S^-1 == Exp(Adj_S xi)
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        s = SimTransform(Rotation.exp(_random_omega(rng, 2.0)), rng.normal(size=3), rng.uniform(0.3, 3.0))
-        xi = rng.normal(size=7) * 0.3
-        lhs = s * SimTransform.exp(xi) * s.inverse()
-        rhs = SimTransform.exp(s.adjoint() @ xi)
-        assert np.allclose(lhs.rotation.matrix(), rhs.rotation.matrix(), atol=1e-8)
-        assert np.allclose(lhs.translation, rhs.translation, atol=1e-7)
-        assert abs(lhs.scale - rhs.scale) < 1e-9
-
-
-def test_sim3_ad_is_adjoint_differential():
-    # expm of ad matches Adj of exp
-    from scipy.linalg import expm
-
-    rng = np.random.default_rng(12)
-    xi = rng.normal(size=7) * 0.4
-    assert np.allclose(expm(sim3_ad(xi)), SimTransform.exp(xi).adjoint(), atol=1e-9)
-
-
-def test_sim3_right_jacobian_inv_against_fd():
-    # log(S Exp(h e_k)) - log(S) ~= Jr^{-1}(log S) h e_k
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        xi = np.concatenate([
-            _random_omega(rng, 1.5),
-            rng.normal(size=3),
-            [np.log(rng.uniform(0.5, 2.0))],
-        ])
-        s = SimTransform.exp(xi)
-        Jinv = sim3_right_jacobian_inv(xi)
-        h = 1e-6
-        J_fd = np.zeros((7, 7))
-        for k in range(7):
-            e = np.zeros(7)
-            e[k] = h
-            J_fd[:, k] = (s.retract(e).log() - s.retract(-e).log()) / (2.0 * h)
-        assert np.max(np.abs(Jinv - J_fd)) / max(np.max(np.abs(J_fd)), 1.0) < 1e-6
-
-
-def test_se3_exp_log_round_trip():
-    rng = np.random.default_rng(14)
-    for _ in range(50):
-        xi = np.concatenate([_random_omega(rng, 2.9), rng.normal(size=3)])
-        p = SimTransform.exp(np.append(xi, 0.0))
-        assert p.scale == 1.0
-        assert np.allclose(p.log(), np.append(xi, 0.0), atol=1e-9)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,5 @@
-"""Loop gating, Sim(3) reprojection, two-view alignment, pose-graph solve."""
+"""Loop gating, the alignment's Sim(3) reprojection, two-view alignment,
+rigid pose-graph solve."""
 
 import math
 import tracemalloc
@@ -30,9 +31,10 @@ from vislam.residuals import (
     PoseState,
     RelativePoseEdge,
     VisionEdge,
-    relative_pose_residual,
+    map_eigenvalues,
+    vision_residual,
 )
-from vislam.solver import FrameGraph, Keyframe, SolveOptions
+from vislam.solver import FrameGraph, Keyframe, NormalEquations, SolveOptions
 from vislam.synth import SyntheticProvider, TrajectoryModel, make_dataset
 
 import oracles
@@ -42,7 +44,7 @@ from windows import stacked
 MODEL = TrajectoryModel(family="figure8", amplitude=1.5, period=12.0,
                         duration=12.0, yaw_policy="tangent")
 
-CHAIN_INFO = np.diag([4e4] * 3 + [1e4] * 3 + [100.0])
+CHAIN_INFO = np.diag([4e4] * 3 + [1e4] * 3)
 
 
 def summary(kid, yaw=0.0, **kw):
@@ -153,47 +155,69 @@ class TestDetectLoops:
         assert asked == [0, 2]
 
 
+PINHOLE = Intrinsics(fx=320.0, fy=320.0, cx=320.0, cy=240.0,
+                     width=640, height=480)
+PIX = np.array([[300.0, 200.0], [340.0, 260.0]])
+PIX_D = np.array([0.5, 0.4])        # a loop source's disparities for PIX
+
+
 def unit_rel(i, j, meas=None, info=None):
-    meas = meas if meas is not None else SimTransform.identity()
-    info = info if info is not None else np.eye(7)
+    meas = meas if meas is not None else Pose.identity()
+    info = info if info is not None else np.eye(6)
     return RelativePoseEdge(i, j, meas, info)
+
+
+def vision_edge(i, j, targets=PIX):
+    return VisionEdge(i, j, PIX, targets, np.ones_like(PIX))
+
+
+def loop_edge(i, j, vis=None):
+    return LoopEdge(i, j, unit_rel(i, j), vision_edge(i, j) if vis is None else vis)
+
+
+def exact_loop(i, j, T_i, T_j):
+    """A loop whose targets are the kernel's own predictions at T_i, T_j and
+    the PIX_D disparities, so its rows are exactly zero there."""
+    pred = -stacked(vision_residual, [vision_edge(i, j, np.zeros_like(PIX))],
+                    [T_i], [T_j], [PIX_D], PINHOLE).residual[0]
+    return loop_edge(i, j, vision_edge(i, j, pred))
 
 
 class TestLoopEdgeValidation:
     def test_requires_increasing_endpoints(self):
         with pytest.raises(ValueError, match="i < j"):
-            LoopEdge(5, 5, unit_rel(5, 5))
+            loop_edge(5, 5)
 
     def test_relative_endpoints_must_match(self):
         with pytest.raises(ValueError, match="relative"):
-            LoopEdge(0, 60, unit_rel(0, 59))
+            LoopEdge(0, 60, unit_rel(0, 59), vision_edge(0, 60))
 
     def test_vision_endpoints_must_match(self):
-        pix = np.zeros((2, 2))
-        vis = VisionEdge(1, 60, pix, pix, np.ones((2, 2)))
         with pytest.raises(ValueError, match="vision"):
-            LoopEdge(0, 60, unit_rel(0, 60), vis)
+            loop_edge(0, 60, vision_edge(1, 60))
 
 
 def int_state(t):
-    return SimTransform(Rotation.identity(), np.array(t, dtype=float), 1.0)
+    return Pose(Rotation.identity(), np.array(t, dtype=float))
 
 
 def chain_from(states, info=None):
     info = CHAIN_INFO if info is None else info
-    return [RelativePoseEdge(k, k + 1, states[k + 1] * states[k].inverse(), info)
+    return [RelativePoseEdge(k, k + 1, states[k].inverse() * states[k + 1], info)
             for k in range(len(states) - 1)]
 
 
 class TestPoseGraphValidation:
     def make_nodes(self, n):
-        return [Keyframe(k, int_state([k, 0, 0])) for k in range(n)]
+        """n nodes one metre apart, the first a loop source of PIX_D."""
+        return [Keyframe(k, int_state([k, 0, 0]), PIX_D if k == 0 else ())
+                for k in range(n)]
 
     def solve(self, nodes, chain, loop=None):
         """solve_pgba over a graph with one loop, whose Layout checks the
         ids, the chain and the loop ends."""
-        loop = loop if loop is not None else LoopEdge(0, 9, unit_rel(0, 9))
-        return solve_pgba(PoseGraph(nodes, chain, [loop], min_loop_gap=5))
+        loop = loop if loop is not None else loop_edge(0, 9)
+        return solve_pgba(PoseGraph(nodes, chain, [loop], PINHOLE, min_loop_gap=5))
 
     def test_duplicate_kids_rejected(self):
         nodes = self.make_nodes(10)
@@ -215,34 +239,29 @@ class TestPoseGraphValidation:
 
     def test_loop_endpoints_must_exist(self):
         nodes = self.make_nodes(10)
-        loop = LoopEdge(0, 99, unit_rel(0, 99))
         with pytest.raises(ValueError, match="unknown"):
-            self.solve(nodes, chain_from([n.state for n in nodes]), loop)
-        # a vision loop whose source is not a node passes the snapshot rule
-        pix = np.array([[10.0, 10.0], [20.0, 20.0]])
-        vis = VisionEdge(0, 9, pix, pix, np.ones((2, 2)))
+            self.solve(nodes, chain_from([n.state for n in nodes]), loop_edge(0, 99))
+        # a loop whose source is not a node passes the snapshot rule
         graph = PoseGraph(nodes[1:], chain_from([n.state for n in nodes])[1:],
-                          [LoopEdge(0, 9, unit_rel(0, 9), vis)], PINHOLE, 5)
+                          [loop_edge(0, 9)], PINHOLE, 5)
         with pytest.raises(ValueError, match="unknown"):
             solve_pgba(graph)
 
     def test_loop_gap_gate_enforced(self):
         nodes = self.make_nodes(10)
-        loop = LoopEdge(0, 9, unit_rel(0, 9))
         with pytest.raises(ValueError, match="gap"):
-            PoseGraph(nodes, chain_from([n.state for n in nodes]), [loop],
-                      min_loop_gap=55)
+            PoseGraph(nodes, chain_from([n.state for n in nodes]), [loop_edge(0, 9)],
+                      PINHOLE, min_loop_gap=55)
 
     def test_vision_loop_needs_intrinsics_and_snapshot(self):
         nodes = self.make_nodes(10)
-        pix = np.array([[10.0, 10.0], [20.0, 20.0]])
-        vis = VisionEdge(0, 9, pix, pix, np.ones((2, 2)))
-        loop = LoopEdge(0, 9, unit_rel(0, 9), vis)
+        loop = loop_edge(0, 9)
         chain = chain_from([n.state for n in nodes])
         with pytest.raises(ValueError, match="intrinsics"):
             PoseGraph(nodes, chain, [loop], min_loop_gap=5)
         k = Intrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0,
                        width=100, height=100)
+        nodes[0].disparities = np.zeros(0)         # no snapshot
         with pytest.raises(ValueError, match="snapshot"):
             PoseGraph(nodes, chain, [loop], intrinsics=k, min_loop_gap=5)
         nodes[0].disparities = np.array([0.5])    # wrong length
@@ -257,6 +276,12 @@ class TestPoseGraphValidation:
         assert g.node(99) is None
 
 
+def sim_retract(S, xi):
+    """S moved by the right perturbation (Exp(omega), v, exp(sigma)) of the
+    similarity kernel's tangent xi = (omega, v, sigma)."""
+    return S * SimTransform(Rotation.exp(xi[:3]), xi[3:6], np.exp(xi[6]))
+
+
 def rand_state(rng, scale=1.0):
     return SimTransform(Rotation.exp(rng.normal(0, 0.1, 3)),
                         rng.normal(0, 0.3, 3), scale)
@@ -268,10 +293,6 @@ def make_edge(rng, n=6):
     w = np.full((n, 2), 1.7)
     w[2] = 0.4
     return VisionEdge(1, 9, pix, tgt, w)
-
-
-PINHOLE = Intrinsics(fx=320.0, fy=320.0, cx=320.0, cy=240.0,
-                     width=640, height=480)
 
 
 class TestSim3VisionResidual:
@@ -309,14 +330,14 @@ class TestSim3VisionResidual:
                 e = np.zeros(7)
                 e[c] = h
                 if which == "i":
-                    rp = stacked(sim3_vision_residual, [edge], [S_i.retract(e)], [S_j], [d],
+                    rp = stacked(sim3_vision_residual, [edge], [sim_retract(S_i, e)], [S_j], [d],
                                  PINHOLE).residual[0]
-                    rm = stacked(sim3_vision_residual, [edge], [S_i.retract(-e)], [S_j], [d],
+                    rm = stacked(sim3_vision_residual, [edge], [sim_retract(S_i, -e)], [S_j], [d],
                                  PINHOLE).residual[0]
                 else:
-                    rp = stacked(sim3_vision_residual, [edge], [S_i], [S_j.retract(e)], [d],
+                    rp = stacked(sim3_vision_residual, [edge], [S_i], [sim_retract(S_j, e)], [d],
                                  PINHOLE).residual[0]
-                    rm = stacked(sim3_vision_residual, [edge], [S_i], [S_j.retract(-e)], [d],
+                    rm = stacked(sim3_vision_residual, [edge], [S_i], [sim_retract(S_j, -e)], [d],
                                  PINHOLE).residual[0]
                 fd = (rp - rm) / (2 * h)
                 err = np.max(np.abs(fd - J[:, :, c])) / max(1.0, np.max(np.abs(fd)))
@@ -383,21 +404,19 @@ class TestAlignLoopPair:
         vis = VisionEdge(0, 6, edge_raw.pixels, edge_raw.targets,
                          edge_raw.weights)
         d = 1.0 / prov.depth_hint(0, grid)
-        S_i = SimTransform.from_pose(ds.frame_pose(0))
-        S_j_gt = SimTransform.from_pose(ds.frame_pose(6))
+        T_i = ds.frame_pose(0)
+        T_j_gt = ds.frame_pose(6)
         rng = np.random.default_rng(11)
-        pert = np.concatenate([rng.normal(0, 0.02, 3),
-                               rng.normal(0, 0.05, 3), [0.03]])
-        S_j = S_j_gt.retract(pert)
-        rel = align_loop_pair(vis, d, S_i, S_j, k)
+        T_j = T_j_gt.retract(rng.normal(0, 0.02, 3), rng.normal(0, 0.05, 3))
+        rel = align_loop_pair(vis, d, T_i, T_j, k)
         assert (rel.i, rel.j) == (0, 6)
-        # the blind scale is not a column, so S_j's scale comes back as is
-        assert rel.measurement.scale == S_j.scale * (1.0 / S_i.scale)
-        S_rec = rel.measurement * S_i
+        # a rigid measurement, T_i^-1 T_j
+        assert isinstance(rel.measurement, Pose)
+        T_rec = T_i * rel.measurement
         rot_err = np.linalg.norm(
-            (S_rec.rotation.inverse() * S_j_gt.rotation).log())
+            (T_rec.rotation.inverse() * T_j_gt.rotation).log())
         assert rot_err < 1e-9
-        assert np.linalg.norm(S_rec.translation - S_j_gt.translation) < 1e-9
+        assert np.linalg.norm(T_rec.translation - T_j_gt.translation) < 1e-9
 
     def test_information_is_clamped_and_symmetric(self, synth):
         ds, prov, grid, k = synth
@@ -405,50 +424,72 @@ class TestAlignLoopPair:
         vis = VisionEdge(0, 6, edge_raw.pixels, edge_raw.targets,
                          edge_raw.weights)
         d = 1.0 / prov.depth_hint(0, grid)
-        rel = align_loop_pair(vis, d, SimTransform.from_pose(ds.frame_pose(0)),
-                              SimTransform.from_pose(ds.frame_pose(6)), k)
+        rel = align_loop_pair(vis, d, ds.frame_pose(0), ds.frame_pose(6), k)
         info = rel.information
+        assert info.shape == (6, 6)
         assert np.array_equal(info, info.T)
         vals = np.linalg.eigvalsh(info)
         # eigendecomposition round-off scales with the largest eigenvalue
         slack = 64 * np.finfo(float).eps * vals.max()
         assert vals.min() >= 1e-3 - slack
         assert vals.max() <= 1e8 * (1 + 1e-9)
-        # the blind scale direction must sit at the floor, not at zero
-        assert vals.min() < 2e-3
+
+    def test_information_is_the_rigid_hessian_in_frame_i(self, synth):
+        # the alignment's Hessian is over T_j's body-frame translation, in
+        # the similarity kernel; the rigid kernel's is over its world-frame
+        # translation, and the relative residual reads R_i^T dp: both routes
+        # must give one information
+        ds, prov, grid, k = synth
+        edge_raw = prov.edge(0, 6)
+        vis = VisionEdge(0, 6, edge_raw.pixels, edge_raw.targets,
+                         edge_raw.weights)
+        d = 1.0 / prov.depth_hint(0, grid)
+        T_i = ds.frame_pose(0)
+        rel = align_loop_pair(vis, d, T_i, ds.frame_pose(6), k)
+        J = stacked(vision_residual, [vis], [T_i], [T_i * rel.measurement], [d],
+                    k).J_j[0].reshape(-1, 6)
+        B = np.eye(6)
+        B[3:, 3:] = T_i.rotation.matrix()
+        want = map_eigenvalues(B.T @ (J.T @ J) @ B, lambda v: np.clip(v, 1e-3, 1e8))
+        assert np.abs(rel.information - want).max() <= 1e-6 * np.abs(want).max()
 
 
-def drifting_circle(n=61, cumulative_scale=1.05):
-    """Ground truth on a wavy circle arc plus a scale-creeping odometry."""
-    ang = np.linspace(0.0, 1.5 * np.pi, n)
-    gt = []
-    for a in ang:
-        p = np.array([2 * np.cos(a), 2 * np.sin(a), 0.1 * np.sin(3 * a)])
-        gt.append(SimTransform(Rotation.exp(np.array([0, 0, a + np.pi / 2])),
-                               p, 1.0))
-    sigma = cumulative_scale ** (1.0 / (n - 1))
-    drift = [gt[0]]
-    for k in range(n - 1):
-        rel = gt[k + 1] * gt[k].inverse()
-        meas = SimTransform(Rotation(rel.rotation.q.copy()),
-                            rel.translation.copy(), sigma)
-        drift.append(meas * drift[k])
-    return gt, drift
+def drifted_vision_graph(synth):
+    """Six keyframes along the noise-free figure8 whose poses and chain
+    drift rigidly, with one dense loop from the first to the last. Returns
+    (graph, ground truth, the loop source's true disparities).
 
-
-def translation_rmse(states, reference):
-    d = np.array([s.translation for s in states]) \
-        - np.array([r.translation for r in reference])
-    return float(np.sqrt(np.mean(np.sum(d * d, axis=1))))
+    Keyframe n is turned about the first keyframe's centre by n/5 of the
+    rotation vector (0.1, -0.1, 0.3) rad, so the end keyframe is 0.14 m
+    off. The drift keeps each keyframe's distance from the first: a loop
+    whose source disparities are free sees the relative pose up to the
+    length of its baseline, which only the chain measures."""
+    ds, prov, grid, k = synth
+    frames = [0, 2, 4, 6, 8, 10]
+    gt = [ds.frame_pose(f) for f in frames]
+    p0 = gt[0].translation
+    drifted = [gt[0]]
+    for n in range(1, 6):
+        R = Rotation.exp(n / 5.0 * np.array([0.1, -0.1, 0.3]))
+        drifted.append(Pose(R, p0 - R.apply(p0)) * gt[n])
+    edge_raw = prov.edge(frames[0], frames[-1])
+    vis = VisionEdge(0, 5, edge_raw.pixels, edge_raw.targets,
+                     edge_raw.weights)
+    d0 = 1.0 / prov.depth_hint(frames[0], grid)
+    rel = align_loop_pair(vis, d0, drifted[0], drifted[5], k)
+    nodes = [Keyframe(n, drifted[n], d0.copy() if n == 0 else ())
+             for n in range(6)]
+    g = PoseGraph(nodes, chain_from(drifted), [LoopEdge(0, 5, rel, vis)],
+                  intrinsics=k, min_loop_gap=5)
+    return g, gt, d0
 
 
 class TestSolvePgba:
     def exact_graph(self):
         states = [int_state([k, 2.0 * k % 7, -(k % 3)]) for k in range(61)]
-        nodes = [Keyframe(k, s) for k, s in enumerate(states)]
-        loop = LoopEdge(0, 60, RelativePoseEdge(
-            0, 60, states[60] * states[0].inverse(), np.eye(7) * 1e6))
-        return PoseGraph(nodes, chain_from(states), [loop])
+        nodes = [Keyframe(k, s, PIX_D if k == 0 else ()) for k, s in enumerate(states)]
+        return PoseGraph(nodes, chain_from(states),
+                         [exact_loop(0, 60, states[0], states[60])], PINHOLE)
 
     def test_exactly_consistent_graph_is_untouched(self):
         g = self.exact_graph()
@@ -460,12 +501,8 @@ class TestSolvePgba:
         for node, (q, t) in zip(g.nodes, before):
             assert np.array_equal(node.state.rotation.q, q)
             assert np.array_equal(node.state.translation, t)
-            assert node.state.scale == 1.0
         for e in corr.entries.values():
-            assert e.scale_change == 1.0
-            assert np.array_equal(e.old_pose.translation,
-                                  e.new_pose.translation)
-            assert np.array_equal(e.old_pose.rotation.q, e.new_pose.rotation.q)
+            assert e.scale_change == 1.0 and not e.moved()
 
     def test_requires_a_loop_edge(self):
         states = [int_state([k, 0, 0]) for k in range(5)]
@@ -475,77 +512,31 @@ class TestSolvePgba:
             solve_pgba(g)
 
     def test_rejects_disconnected_graph(self):
-        nodes = [Keyframe(0, int_state([0, 0, 0])),
+        nodes = [Keyframe(0, int_state([0, 0, 0]), PIX_D),
                  Keyframe(60, int_state([5, 0, 0]))]
-        loop = LoopEdge(0, 60, unit_rel(0, 60))
-        g = PoseGraph(nodes, [], [loop])
+        g = PoseGraph(nodes, [], [loop_edge(0, 60)], PINHOLE)
         with pytest.raises(ValueError, match="disconnected"):
             solve_pgba(g)
 
     def test_non_finite_energy_raises(self):
-        states = [int_state([k, 0, 0]) for k in range(61)]
-        nodes = [Keyframe(k, s) for k, s in enumerate(states)]
-        bad = SimTransform(Rotation.identity(),
-                           np.array([np.nan, 0.0, 0.0]), 1.0)
-        loop = LoopEdge(0, 60, RelativePoseEdge(0, 60, bad, np.eye(7)))
-        g = PoseGraph(nodes, chain_from(states), [loop])
+        g = self.exact_graph()
+        bad = g.chain[30]
+        g.chain[30] = RelativePoseEdge(bad.i, bad.j, Pose(
+            Rotation.identity(), np.array([np.nan, 0.0, 0.0])), bad.information)
         with pytest.raises(RuntimeError, match="finite"):
             solve_pgba(g)
 
-    def test_scale_drift_closed_by_exact_loop(self):
-        gt, drift = drifting_circle()
-        nodes = [Keyframe(k, drift[k]) for k in range(61)]
-        loop = LoopEdge(0, 60, RelativePoseEdge(
-            0, 60, gt[60] * gt[0].inverse(), np.eye(7) * 1e6))
-        g = PoseGraph(nodes, chain_from(drift), [loop])
-        assert abs(drift[60].scale - 1.05) < 1e-12
-        ate_before = translation_rmse(drift, gt)
-        report, corr = solve_pgba(g, SolveOptions(max_iterations=30))
-
-        # endpoint scale ratio pulled back to 1 within 0.5%
-        assert abs(g.nodes[60].state.scale - 1.0) <= 0.005
-        # trajectory error shrinks at least fivefold
-        ate_after = translation_rmse([n.state for n in g.nodes], gt)
-        assert ate_after <= ate_before / 5.0
-        # accepted steps decrease cost monotonically
-        assert all(b < a for a, b in
-                   zip(report.cost_trajectory, report.cost_trajectory[1:]))
-        assert report.final_cost < report.initial_cost
-
-    def test_gauge_state_is_bit_identical(self):
-        gt, drift = drifting_circle()
-        nodes = [Keyframe(k, drift[k]) for k in range(61)]
-        loop = LoopEdge(0, 60, RelativePoseEdge(
-            0, 60, gt[60] * gt[0].inverse(), np.eye(7) * 1e6))
-        g = PoseGraph(nodes, chain_from(drift), [loop])
+    def test_gauge_state_is_bit_identical(self, synth):
+        g, _, _ = drifted_vision_graph(synth)
         q0 = g.nodes[0].state.rotation.q.copy()
         t0 = g.nodes[0].state.translation.copy()
-        s0 = g.nodes[0].state.scale
         solve_pgba(g)
         assert np.array_equal(g.nodes[0].state.rotation.q, q0)
         assert np.array_equal(g.nodes[0].state.translation, t0)
-        assert g.nodes[0].state.scale == s0
 
     def test_vision_loop_refines_states_and_disparities(self, synth):
-        ds, prov, grid, k = synth
-        frames = [0, 2, 4, 6, 8, 10]
-        gt = [SimTransform.from_pose(ds.frame_pose(f)) for f in frames]
-        drifted = [gt[0]]
-        for n in range(1, 6):
-            a = n / 5.0
-            D = SimTransform(Rotation.exp(a * np.array([0.0, 0.0, 0.04])),
-                             a * np.array([0.12, -0.08, 0.05]), 1.0)
-            drifted.append(D * gt[n])
-        edge_raw = prov.edge(frames[0], frames[-1])
-        vis = VisionEdge(0, 5, edge_raw.pixels, edge_raw.targets,
-                         edge_raw.weights)
-        d0 = 1.0 / prov.depth_hint(frames[0], grid)
-        rel = align_loop_pair(vis, d0, drifted[0], drifted[5], k)
-        nodes = [Keyframe(n, drifted[n], d0.copy() if n == 0 else ())
-                 for n in range(6)]
-        g = PoseGraph(nodes, chain_from(drifted), [LoopEdge(0, 5, rel, vis)],
-                      intrinsics=k, min_loop_gap=5)
-        err_before = np.linalg.norm(drifted[5].translation - gt[5].translation)
+        g, gt, d0 = drifted_vision_graph(synth)
+        err_before = np.linalg.norm(g.nodes[5].state.translation - gt[5].translation)
         report, _ = solve_pgba(g, SolveOptions(max_iterations=15))
         err_after = np.linalg.norm(g.nodes[5].state.translation
                                    - gt[5].translation)
@@ -556,12 +547,11 @@ class TestSolvePgba:
 
 
 def vision_loop_graph(rng, n_nodes, sources, min_loop_gap):
-    """A pose graph with a chain over n_nodes Sim(3) states near a line and
-    one loop vision edge per (i, j) of each source's pixel count:
-    sources maps source kid -> (pixel count, [loop ends j])."""
-    states = [SimTransform(Rotation.exp(rng.normal(0, 0.02, 3)),
-                           np.array([0.05 * k, 0.0, 0.0]) + rng.normal(0, 0.01, 3),
-                           1.0 + rng.normal(0, 0.01))
+    """A pose graph with a chain over n_nodes poses near a line and one loop
+    vision edge per (i, j) of each source's pixel count: sources maps source
+    kid -> (pixel count, [loop ends j])."""
+    states = [Pose(Rotation.exp(rng.normal(0, 0.02, 3)),
+                   np.array([0.05 * k, 0.0, 0.0]) + rng.normal(0, 0.01, 3))
               for k in range(n_nodes)]
     nodes = [Keyframe(k, s) for k, s in enumerate(states)]
     loops = []
@@ -593,36 +583,37 @@ def test_pose_graph_schur_step_matches_dense_step():
 
 
 def test_pose_graph_rows_match_per_edge_scatter():
-    # the chain's stacked relative-pose rows against a block-by-block scatter
+    # the chain's stacked relative-pose rows against the eager per-edge
+    # oracle scattered block by block
     rng = np.random.default_rng(43)
     g = vision_loop_graph(rng, 9, {1: (12, [5, 8])}, min_loop_gap=3)
     for node in g.nodes[1:]:
-        node.state = node.state.retract(rng.normal(0, 0.02, 7))
+        node.state = node.state.retract(rng.normal(0, 0.02, 3), rng.normal(0, 0.02, 3))
     problem = _PoseGraphProblem(g)
     problem.evaluate()
-    problem.linearize()
     lay = problem.layout
-    want = _PoseGraphProblem(PoseGraph(g.nodes, g.chain[:0], g.loops, intrinsics=PINHOLE,
-                                       min_loop_gap=3))
-    want.evaluate()
-    want.linearize()
+    want = NormalEquations(lay)
+    for group, out in zip(problem.groups, problem.outs[0]):
+        want.add_pixels(group, out.J, out.J_disparity, out.residual)
     for edge in g.chain:
-        out = relative_pose_residual(edge, g.node(edge.i).state, g.node(edge.j).state)
-        oracles.add_rows(want.system, [(lay.cols(edge.i, 7), out.J_i),
-                                       (lay.cols(edge.j, 7), out.J_j)], out.residual)
+        out = oracles.relative_pose_residual(edge, g.node(edge.i).state,
+                                             g.node(edge.j).state)
+        oracles.add_rows(want, [(lay.cols(edge.i, 6), out.J_i),
+                                (lay.cols(edge.j, 6), out.J_j)], out.residual)
+    problem.linearize()
     for name in ("H_pp", "g_p"):
-        got, ref = getattr(problem.system, name), getattr(want.system, name)
+        got, ref = getattr(problem.system, name), getattr(want, name)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
 
 def test_pose_graph_step_allocates_no_pose_by_disparity_matrix():
-    # 120 Sim(3) nodes and 10,000 loop-source disparities: a dense
-    # (pose vars, disparities) coupling alone would take 840 x 10,000 x 8 B
+    # 120 nodes and 10,000 loop-source disparities: a dense (pose vars,
+    # disparities) coupling alone would take 720 x 10,000 x 8 B
     rng = np.random.default_rng(42)
     g = vision_loop_graph(rng, 120, {i: (500, [i + 100]) for i in range(20)},
                           min_loop_gap=55)
     problem = _PoseGraphProblem(g)
-    assert problem.layout.n_pose_vars == 840 and problem.layout.n_disp == 10_000
+    assert problem.layout.n_pose_vars == 720 and problem.layout.n_disp == 10_000
     problem.evaluate()
     tracemalloc.start()
     try:
@@ -644,12 +635,12 @@ def worker_run():
     prov = SyntheticProvider(ds, stride=40)
     grid = prov.grid_pixels()
     n = ds.n_frames()
-    gt = [SimTransform.from_pose(ds.frame_pose(f)) for f in range(n)]
+    gt = [ds.frame_pose(f) for f in range(n)]
     drifted = []
     for f in range(n):
         a = f / (n - 1)
-        D = SimTransform(Rotation.exp(a * np.array([0.0, 0.0, 0.05])),
-                         a * np.array([0.25, -0.20, 0.10]), 1.0)
+        D = Pose(Rotation.exp(a * np.array([0.0, 0.0, 0.05])),
+                 a * np.array([0.25, -0.20, 0.10]))
         drifted.append(D * gt[f])
     chain = chain_from(drifted)
 
@@ -659,12 +650,12 @@ def worker_run():
     admitted = []
     for f in range(n):
         pair = worker.ingest_summary(KeyframeSummary(
-            kid=f, frame_index=f, pose=drifted[f].pose(),
+            kid=f, frame_index=f, pose=drifted[f],
             disparities=1.0 / prov.depth_hint(f, grid)))
         if pair is not None:
             admitted.append(pair)
         if f >= window:
-            worker.ingest_eviction(f - window, drifted[f - window].pose(),
+            worker.ingest_eviction(f - window, drifted[f - window],
                                    chain[f - window])
     window_kids = range(n - window, n)
     report, corr = worker.solve(
@@ -716,11 +707,16 @@ class TestLoopWorker:
                               gauge.new_pose.rotation.q)
         assert np.array_equal(gauge.old_pose.translation,
                               gauge.new_pose.translation)
-        assert gauge.scale_change == 1.0
+        assert all(e.scale_change == 1.0 for e in corr.entries.values())
 
     def test_archived_nodes_enter_at_unit_scale(self, worker_run):
-        worker = worker_run["worker"]
+        # an archived node is the tracker's pose, which has no scale, and the
+        # solve replaces it with the solved pose
+        worker, corr = worker_run["worker"], worker_run["correction"]
         assert len(worker.states) > 0
+        for kid, state in worker.states.items():
+            assert isinstance(state, Pose)
+            assert_same_pose(state, corr.entries[kid].new_pose)
 
     def test_duplicate_summary_rejected(self, worker_run):
         worker = worker_run["worker"]
@@ -797,16 +793,14 @@ class TestTrackerSeam:
     def test_window_snapshot_shape(self):
         tracker = tiny_tracker()
         nodes, chain = window_snapshot(tracker)
-        assert [kid for kid, _ in nodes] == [0, 1, 2]
-        assert all(isinstance(s, SimTransform) and s.scale == 1.0
-                   for _, s in nodes)
-        assert [(e.i, e.j) for e in chain] == [(0, 1), (1, 2)]
         kf = tracker.graph.keyframes
-        expect = SimTransform.from_pose(kf[1].state.pose) \
-            * SimTransform.from_pose(kf[0].state.pose).inverse()
+        assert [kid for kid, _ in nodes] == [0, 1, 2]
+        assert all(pose is k.state.pose for (_, pose), k in zip(nodes, kf))
+        assert [(e.i, e.j) for e in chain] == [(0, 1), (1, 2)]
+        expect = kf[0].state.pose.inverse() * kf[1].state.pose
         got = chain[0].measurement
         assert np.allclose(got.translation, expect.translation)
-        assert got.scale == 1.0
+        assert np.allclose(got.rotation.q, expect.rotation.q)
 
     def test_window_snapshot_does_not_alias_tracker_state(self):
         tracker = tiny_tracker()
@@ -822,41 +816,44 @@ class TestTrackerSeam:
         old_pose = kf1.state.pose
         old_vel = kf1.state.velocity.copy()
         old_disp = kf1.disparities.copy()
-        delta = SimTransform(Rotation.exp(np.array([0.0, 0.0, 0.2])),
-                             np.array([0.3, -0.1, 0.05]), 2.0)
-        warped = delta * SimTransform.from_pose(old_pose)
+        delta = Pose(Rotation.exp(np.array([0.0, 0.0, 0.2])),
+                     np.array([0.3, -0.1, 0.05]))
         arch = tracker.archive[0]
         arch_old = arch.pose
 
-        def entry_for(kid, pose):
-            new = delta * SimTransform.from_pose(pose)
-            return CorrectionEntry(kid, pose, new.pose(), new.scale)
-
         untouched = tracker.graph.keyframes[0].state.pose
         corr = LoopCorrection({
-            0: CorrectionEntry(0, untouched, untouched, 1.0),
-            1: entry_for(1, old_pose),
-            100: entry_for(100, arch_old),
+            0: CorrectionEntry(0, untouched, untouched),
+            1: CorrectionEntry(1, old_pose, delta * old_pose),
+            100: CorrectionEntry(100, arch_old, delta * arch_old),
         })
         n = apply_correction(tracker, corr)
         assert n == 2
         # keyframe 0: unchanged entry leaves the object untouched
         assert tracker.graph.keyframes[0].state.pose is untouched
         # keyframe 1: the solved pose handed over bit for bit, velocity
-        # rotated and scaled, disparities divided by the scale change
+        # rotated, disparities as they were
         assert_same_pose(kf1.state.pose, corr.entries[1].new_pose)
-        assert np.allclose(kf1.state.pose.translation, warped.translation,
+        assert np.allclose(kf1.state.velocity, delta.rotation.apply(old_vel),
                            atol=1e-12)
-        assert np.allclose(kf1.state.velocity,
-                           2.0 * delta.rotation.apply(old_vel), atol=1e-12)
-        assert np.allclose(kf1.disparities, old_disp / 2.0, atol=1e-15)
+        assert np.array_equal(kf1.disparities, old_disp)
         # keyframe 2: no entry, untouched
         assert tracker.graph.keyframes[2].state.pose.translation[0] == 1.0
         # archived pose rewarped
         assert_same_pose(arch.pose, corr.entries[100].new_pose)
-        expected = (delta * SimTransform.from_pose(arch_old)).pose()
-        assert np.allclose(arch.pose.translation, expected.translation,
-                           atol=1e-12)
+
+    def test_apply_correction_rejects_a_scale_change(self):
+        tracker = tiny_tracker()
+        kf1 = tracker.graph.keyframes[1]
+        before = kf1.state
+        moved = Pose(kf1.state.pose.rotation, kf1.state.pose.translation + 0.1)
+        corr = LoopCorrection({
+            1: CorrectionEntry(1, kf1.state.pose, moved),
+            2: CorrectionEntry(2, tracker.graph.keyframes[2].state.pose, moved, 1.5),
+        })
+        with pytest.raises(ValueError, match="rigid"):
+            apply_correction(tracker, corr)
+        assert kf1.state is before
 
     def test_apply_correction_roundtrip_with_solver_output(self):
         # push the window through a real pose-graph solve and apply the
@@ -864,17 +861,19 @@ class TestTrackerSeam:
         tracker = tiny_tracker()
         tracker.archive.clear()
         nodes, chain = window_snapshot(tracker)
-        big_nodes = []
-        states = [s for _, s in nodes]
-        loop_meas = states[2] * states[0].inverse()
-        pert = loop_meas.retract(np.array([0.01, 0, 0, 0.05, 0, 0, 0.0]))
-        big_nodes = [Keyframe(kid, s) for kid, s in nodes]
+        kf0, kf2 = tracker.graph.keyframes[0], tracker.graph.keyframes[2]
+        src = tracker.graph.vision_edges[0]
+        rng = np.random.default_rng(5)
+        vis = VisionEdge(0, 2, src.pixels, src.pixels + rng.normal(0, 3.0, src.pixels.shape),
+                         np.ones_like(src.pixels))
+        big_nodes = [Keyframe(kid, s, kf0.disparities if kid == 0 else ())
+                     for kid, s in nodes]
         g = PoseGraph(big_nodes, chain,
-                      [LoopEdge(0, 2, RelativePoseEdge(0, 2, pert,
-                                                       np.eye(7) * 1e4))],
-                      min_loop_gap=2)
+                      [LoopEdge(0, 2, unit_rel(0, 2, kf0.state.pose.inverse()
+                                               * kf2.state.pose), vis)],
+                      PINHOLE, min_loop_gap=2)
         _, corr = solve_pgba(g, SolveOptions(max_iterations=10))
+        assert any(e.moved() for e in corr.entries.values())
         apply_correction(tracker, corr)
         for node, kf in zip(g.nodes, tracker.graph.keyframes):
-            assert np.allclose(kf.state.pose.translation,
-                               node.state.pose().translation, atol=1e-9)
+            assert_same_pose(kf.state.pose, node.state)

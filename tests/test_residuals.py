@@ -34,11 +34,6 @@ def _rand_pose(rng, rot_scale=0.4, trans_scale=1.0):
     return Pose(_rand_rotation(rng, rot_scale), rng.standard_normal(3) * trans_scale)
 
 
-def _rand_sim(rng):
-    return SimTransform(_rand_rotation(rng, 0.6), rng.standard_normal(3),
-                        float(np.exp(rng.uniform(-0.5, 0.5))))
-
-
 def _fd_columns(f, retract, dim, step=FD_STEP):
     """Central-difference Jacobian of f over a retraction, one column per dof."""
     cols = []
@@ -478,63 +473,120 @@ def test_batched_inertial_names_the_mismatched_edge():
         stacked(inertial_residual, deltas, states_i, states_j, GravityModel())
 
 
+def _relative(edges, T_i, T_j):
+    return stacked(relative_pose_residual, edges, T_i, T_j)
+
+
+def _rand_info(rng):
+    A = rng.standard_normal((6, 6)) * 0.3
+    return A @ A.T + np.eye(6)
+
+
 def test_relative_consistent_states_zero():
     rng = np.random.default_rng(12)
-    S_i = _rand_sim(rng)
-    S_j = _rand_sim(rng)
-    meas = S_j * S_i.inverse()
-    edge = RelativePoseEdge(0, 1, meas, np.eye(7))
-    out = relative_pose_residual(edge, S_i, S_j)
+    T_i, T_j = _rand_pose(rng), _rand_pose(rng)
+    edge = RelativePoseEdge(0, 1, T_i.inverse() * T_j, np.eye(6))
+    out = _relative([edge], [T_i], [T_j])
+    assert out.residual.shape == (1, 6)
     assert np.abs(out.residual).max() < 1e-12
 
 
 @settings(deadline=None, max_examples=30)
-@given(sigma=st.floats(-1.0, 1.0), seed=st.integers(0, 2**31 - 1))
-def test_relative_scale_defect_hits_log_scale_entry(sigma, seed):
+@given(angle=st.floats(0.0, 3.0), seed=st.integers(0, 2**31 - 1))
+def test_relative_rotation_defect_reads_off_its_log(angle, seed):
+    # turning T_j by Exp(phi) on the right moves the rotation rows by
+    # exactly phi and leaves the position rows at zero; |phi| stays below
+    # pi, where the log returns phi itself and not its principal twin
     rng = np.random.default_rng(seed)
-    S_i = _rand_sim(rng)
-    S_j = SimTransform(_rand_rotation(rng, 0.6), np.zeros(3),
-                       float(np.exp(rng.uniform(-0.4, 0.4))))
-    meas = S_j * S_i.inverse()
-    edge = RelativePoseEdge(0, 1, meas, np.eye(7))
-    S_j_bad = SimTransform(S_j.rotation, S_j.translation, S_j.scale * np.exp(sigma))
-    out = relative_pose_residual(edge, S_i, S_j_bad)
-    assert abs(out.residual[6] - (-sigma)) < 1e-10
-    assert np.abs(out.residual[:6]).max() < 1e-10
+    T_i, T_j = _rand_pose(rng), _rand_pose(rng)
+    edge = RelativePoseEdge(0, 1, T_i.inverse() * T_j, np.eye(6))
+    axis = rng.standard_normal(3)
+    phi = angle * axis / np.linalg.norm(axis)
+    bad = Pose(T_j.rotation * Rotation.exp(phi), T_j.translation)
+    out = _relative([edge], [T_i], [bad])
+    assert np.abs(out.residual[0, :3] - phi).max() < 1e-10
+    assert np.abs(out.residual[0, 3:]).max() < 1e-10
+
+
+def test_relative_translation_defect_reads_in_frame_i():
+    # moving p_j by delta in the world moves the position rows by
+    # R_i^T delta and leaves the rotation rows at zero
+    rng = np.random.default_rng(13)
+    T_i, T_j = _rand_pose(rng), _rand_pose(rng)
+    edge = RelativePoseEdge(0, 1, T_i.inverse() * T_j, np.eye(6))
+    delta = np.array([0.3, -0.2, 0.1])
+    out = _relative([edge], [T_i], [Pose(T_j.rotation, T_j.translation + delta)])
+    assert np.abs(out.residual[0, :3]).max() < 1e-12
+    assert np.abs(out.residual[0, 3:] - T_i.rotation.inverse().apply(delta)).max() < 1e-12
 
 
 def test_relative_scale_defect_with_translation():
-    # with a nonzero target translation only the rotation block stays zero;
-    # the log-scale entry still reads off -sigma exactly
+    # the rigid residual has no scale row: a relative pose whose
+    # translation is exp(sigma) times the measured one leaves the rotation
+    # rows at zero and reads (exp(sigma) - 1) dp in the position rows
     rng = np.random.default_rng(13)
     sigma = 0.3
-    S_i = _rand_sim(rng)
-    S_j = _rand_sim(rng)
-    meas = S_j * S_i.inverse()
-    edge = RelativePoseEdge(0, 1, meas, np.eye(7))
-    S_j_bad = SimTransform(S_j.rotation, S_j.translation, S_j.scale * np.exp(sigma))
-    out = relative_pose_residual(edge, S_i, S_j_bad)
-    assert abs(out.residual[6] - (-sigma)) < 1e-12
-    assert np.abs(out.residual[:3]).max() < 1e-12
+    T_i, meas = _rand_pose(rng), _rand_pose(rng)
+    edge = RelativePoseEdge(0, 1, meas, np.eye(6))
+    T_j_bad = T_i * Pose(meas.rotation, np.exp(sigma) * meas.translation)
+    out = _relative([edge], [T_i], [T_j_bad])
+    assert np.abs(out.residual[0, :3]).max() < 1e-12
+    assert np.abs(out.residual[0, 3:] - np.expm1(sigma) * meas.translation).max() < 1e-12
 
 
 def test_relative_jacobians_match_finite_differences():
     rng = np.random.default_rng(14)
     for _ in range(4):
-        S_i, S_j, meas = _rand_sim(rng), _rand_sim(rng), _rand_sim(rng)
-        A = rng.standard_normal((7, 7)) * 0.3
-        info = A @ A.T + np.eye(7)
-        edge = RelativePoseEdge(0, 1, meas, info)
+        T_i, T_j, meas = _rand_pose(rng), _rand_pose(rng), _rand_pose(rng)
+        edge = RelativePoseEdge(0, 1, meas, _rand_info(rng))
 
-        out = relative_pose_residual(edge, S_i, S_j)
+        out = _relative([edge], [T_i], [T_j])
         J_i_fd = _fd_columns(
-            lambda d: relative_pose_residual(edge, S_i.retract(d), S_j).residual,
-            lambda d: d, 7)
+            lambda d: _relative([edge], [T_i.retract(d[:3], d[3:])], [T_j]).residual[0],
+            lambda d: d, 6)
         J_j_fd = _fd_columns(
-            lambda d: relative_pose_residual(edge, S_i, S_j.retract(d)).residual,
-            lambda d: d, 7)
-        assert _rel_err(out.J_i, J_i_fd) < FD_RTOL
-        assert _rel_err(out.J_j, J_j_fd) < FD_RTOL
+            lambda d: _relative([edge], [T_i], [T_j.retract(d[:3], d[3:])]).residual[0],
+            lambda d: d, 6)
+        assert _rel_err(out.J_i[0], J_i_fd) < FD_RTOL
+        assert _rel_err(out.J_j[0], J_j_fd) < FD_RTOL
+
+
+def test_stacked_relative_residual_matches_per_edge_oracle():
+    rng = np.random.default_rng(16)
+    T_i = [_rand_pose(rng) for _ in range(5)]
+    T_j = [_rand_pose(rng) for _ in range(5)]
+    edges = [RelativePoseEdge(e, e + 1, _rand_pose(rng), _rand_info(rng)) for e in range(5)]
+    out = _relative(edges, T_i, T_j)
+    for e, edge in enumerate(edges):
+        want = oracles.relative_pose_residual(edge, T_i[e], T_j[e])
+        for name in ("residual", "J_i", "J_j"):
+            got = getattr(out, name)[e]
+            ref = getattr(want, name)
+            assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0), name
+
+
+def test_relative_jacobians_are_built_on_first_read():
+    rng = np.random.default_rng(17)
+    T_i, T_j = _rand_pose(rng), _rand_pose(rng)
+    out = _relative([RelativePoseEdge(0, 1, _rand_pose(rng), np.eye(6))], [T_i], [T_j])
+    assert "J_i" not in vars(out) and "_kept" in vars(out)
+    J_i = out.J_i
+    assert "_kept" not in vars(out) and out.J_j.shape == J_i.shape == (1, 6, 6)
+
+
+@pytest.mark.parametrize("info", [np.diag([1.0] * 5 + [0.0]), np.diag([1.0] * 5 + [-1e-3]),
+                                  np.full((6, 6), 1.0)],
+                         ids=["singular", "indefinite", "rank_one"])
+def test_relative_information_must_be_positive_definite(info):
+    with pytest.raises(ValueError, match="positive definite"):
+        RelativePoseEdge(0, 1, Pose.identity(), info)
+
+
+def test_relative_information_must_be_symmetric():
+    info = np.eye(6)
+    info[0, 1] = 0.5
+    with pytest.raises(ValueError, match="symmetric"):
+        RelativePoseEdge(0, 1, Pose.identity(), info)
 
 
 def test_whitened_norms_equal_mahalanobis_energy():
@@ -564,14 +616,16 @@ def test_whitened_norms_equal_mahalanobis_energy():
     got = float((out_i.residual ** 2).sum())
     assert abs(got - manual) < 1e-10 * max(manual, 1.0)
 
-    # relative family: 7x7 information
-    S_i, S_j, meas = _rand_sim(rng), _rand_sim(rng), _rand_sim(rng)
-    A = rng.standard_normal((7, 7)) * 0.3
-    info = A @ A.T + np.eye(7)
+    # relative family: 6x6 information
+    T_a, T_b, meas = _rand_pose(rng), _rand_pose(rng), _rand_pose(rng)
+    info = _rand_info(rng)
     edge_r = RelativePoseEdge(0, 1, meas, info)
-    out_r = relative_pose_residual(edge_r, S_i, S_j)
-    raw7 = (meas * S_i * S_j.inverse()).log()
-    manual = float(raw7 @ info @ raw7)
+    out_r = _relative([edge_r], [T_a], [T_b])
+    offset = meas.inverse() * T_a.inverse() * T_b
+    raw6 = np.concatenate([offset.rotation.log(),
+                           T_a.rotation.inverse().apply(T_b.translation - T_a.translation)
+                           - meas.translation])
+    manual = float(raw6 @ info @ raw6)
     assert abs(float((out_r.residual ** 2).sum()) - manual) < 1e-10 * max(manual, 1.0)
 
 

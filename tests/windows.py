@@ -17,6 +17,8 @@ from vislam.residuals import (
     GravityModel,
     Intrinsics,
     PoseState,
+    RelativePoseEdge,
+    RelativeStack,
     StateStack,
     VisionEdge,
     backproject,
@@ -29,11 +31,14 @@ from oracles import project
 def stacked(kernel, items, states_i, states_j, *rest):
     """A residual kernel on lists, stacked as a problem stacks them: vision
     edges with one state per edge end, one disparity array per edge and the
-    camera; or preintegrated deltas with one state per end and the gravity."""
+    camera; relative-pose edges with one pose per end; or preintegrated
+    deltas with one state per end and the gravity."""
     ends = StateStack.of(states_i), StateStack.of(states_j)
     if isinstance(items[0], VisionEdge):
         d_i, k = rest
         return kernel(EdgeStack.of(items), *ends, np.stack(d_i), k)
+    if isinstance(items[0], RelativePoseEdge):
+        return kernel(RelativeStack.of(items), *ends)
     return kernel(DeltaStack.of(items), *ends, *rest)
 
 
