@@ -26,13 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from .evaluation import Trajectory, ate_rmse, read_tum, recall_at, umeyama, write_tum
-from .frontend import (PHASE_FULL, InitConfig, KeyframePolicy, apply_correction,
-                       estimated_trajectory, make_tracker, process_frame,
-                       window_snapshot)
+from .frontend import (PHASE_FULL, InitConfig, KeyframePolicy, KeyframeView,
+                       apply_correction, estimated_trajectory, make_tracker,
+                       process_frame)
 from .gsmap import (GaussianMap, apply_loop_correction, spawn_from_keyframe,
                     write_vgsm)
 from .imu import ImuNoiseModel
-from .loopclosure import KeyframeSummary, LoopPolicy, LoopWorker
+from .loopclosure import LoopPolicy, LoopWorker
 from .solver import total_energy
 from .synth import (SceneModel, SyntheticDataset, SyntheticProvider,
                     TrajectoryModel, make_dataset)
@@ -274,10 +274,8 @@ def _init_diagnostics(tracker, dataset) -> dict | None:
         S = umeyama(est, gt, with_scale=True)
     except ValueError:
         return None
-    # the oldest keyframe is evicted first, so an archived kid 0 is row 0
-    frame0 = tracker.archive[0].frame_index if tracker.archive \
-        else tracker.frame_of[0]
-    R0 = dataset.frame_pose(frame0).rotation
+    # the view lists keyframes in kid order, so keyframe 0 is its row 0
+    R0 = dataset.frame_pose(KeyframeView(tracker).rows()[0].frame_index).rotation
     g_true = R0.inverse().apply(dataset.gravity.vector())
     return {
         "gravity_err_deg": _gravity_error_deg(tracker.graph.gravity.vector(), g_true),
@@ -285,12 +283,12 @@ def _init_diagnostics(tracker, dataset) -> dict | None:
     }
 
 
-def _spawn_keyframe_gaussians(gmap: GaussianMap, provider, frame_index: int,
-                              pose, anchor: int, stride: int) -> None:
-    color, depth = provider.keyframe_image(frame_index)
+def _spawn_keyframe_gaussians(gmap: GaussianMap, provider, row, stride: int) -> None:
+    """Spawn a KeyframeRow's Gaussians at its pose, anchored to its kid."""
+    color, depth = provider.keyframe_image(row.frame_index)
     h, w = depth.shape
     ks = provider.intrinsics().scaled(w, h)
-    gmap.insert(spawn_from_keyframe(color, depth, pose, ks, stride, anchor)[0])
+    gmap.insert(spawn_from_keyframe(color, depth, row.pose, ks, stride, row.kid)[0])
 
 
 def _metric_block(est: Trajectory, gt: Trajectory, mode: str) -> dict:
@@ -310,9 +308,12 @@ def execute(plan: RunPlan) -> RunArtifacts:
     """Drive the pipeline over every frame and assemble the metrics.
 
     The workers run synchronously in a fixed order per frame: tracking,
-    eviction export plus Gaussian spawning, loop summary ingestion, then at
-    most one pose-graph solve, when the loop worker says one is due, whose
-    correction is folded into the tracker and the map before the next frame.
+    Gaussian spawning for the keyframes the window evicted, loop ingestion
+    of a new keyframe, then at most one pose-graph solve, when the loop
+    worker says one is due, whose correction is folded into the tracker and
+    the map before the next frame. The loop worker reads every keyframe's
+    pose, frame and chain edge from the tracker through one KeyframeView,
+    so the tracker holds the only copy and a correction lands in it once.
     Shutdown drains any pending correction before the remaining window
     keyframes are flushed into the map, so every output reflects the last
     solve. A run with no vision, every keyframe after the first degraded,
@@ -322,6 +323,7 @@ def execute(plan: RunPlan) -> RunArtifacts:
     provider = plan.provider
     tracker = make_tracker(provider, plan.policy, plan.init_cfg, plan.noise,
                            imu_period=1.0 / ds.imu_rate)
+    view = KeyframeView(tracker)
     worker = LoopWorker(provider.intrinsics(), provider.edge, plan.loop_policy)
     gmap = GaussianMap()
 
@@ -332,7 +334,7 @@ def execute(plan: RunPlan) -> RunArtifacts:
     prev_time = None
 
     def run_pose_graph_solve():
-        report, correction = worker.solve(*window_snapshot(tracker))
+        report, correction = worker.solve(view)
         apply_correction(tracker, correction)
         apply_loop_correction(gmap, correction)
         pgba_trace.append({"initial": report.initial_cost,
@@ -350,16 +352,11 @@ def execute(plan: RunPlan) -> RunArtifacts:
             init_diag = _init_diagnostics(tracker, ds)
 
         for row in tracker.archive[archive_cursor:]:
-            worker.ingest_eviction(row.kid, row.pose, row.chain_edge)
-            _spawn_keyframe_gaussians(gmap, provider, row.frame_index,
-                                      row.pose, row.kid, plan.map_stride)
+            _spawn_keyframe_gaussians(gmap, provider, row, plan.map_stride)
         archive_cursor = len(tracker.archive)
 
         if keyframed:
-            kf = tracker.graph.keyframes[-1]
-            worker.ingest_summary(KeyframeSummary(
-                kid=kf.kid, frame_index=f, pose=kf.state.pose,
-                disparities=kf.disparities.copy()))
+            worker.ingest_summary(view, tracker.graph.keyframes[-1].disparities.copy())
 
         # solve in batches so the pose graph is not re-optimized for every
         # single admitted loop while the trajectory barely moved
@@ -377,17 +374,12 @@ def execute(plan: RunPlan) -> RunArtifacts:
     # shutdown: drain, then flush the live window into the map
     if worker.pending:
         run_pose_graph_solve()
-    for kf in tracker.graph.keyframes:
-        _spawn_keyframe_gaussians(gmap, provider, tracker.frame_of[kf.kid],
-                                  kf.state.pose, kf.kid, plan.map_stride)
+    for row in view.rows()[len(tracker.archive):]:
+        _spawn_keyframe_gaussians(gmap, provider, row, plan.map_stride)
 
     est = estimated_trajectory(tracker)
-    gt_poses = []
-    for row in tracker.archive:
-        gt_poses.append(ds.frame_pose(row.frame_index))
-    for kf in tracker.graph.keyframes:
-        gt_poses.append(ds.frame_pose(tracker.frame_of[kf.kid]))
-    gt = Trajectory(est.timestamps.copy(), gt_poses)
+    gt = Trajectory(est.timestamps.copy(),
+                    [ds.frame_pose(row.frame_index) for row in view.rows()])
 
     if not all(np.all(np.isfinite(p.translation)) for p in est.poses):
         raise RuntimeError("estimated trajectory is not finite")

@@ -4,11 +4,13 @@ Flow-gated keyframe selection, inertial pose propagation with a covariance
 fallback, and sliding-window frame-graph upkeep. The tracker owns a
 FrameGraph and drives the staged initializer as the window fills; evicted
 keyframes leave behind a rigid relative-pose chain edge and an archived pose
-for the global pose graph, whose corrections fold back as new poses. The
-tracker buffers IMU as one ImuSamples record, checking each incoming slice
-once (finite, in time order, no gap over MAX_IMU_GAP_PERIODS sample
-periods), and preintegrates the keyframe interval sliced from it with the
-record's between().
+for the global pose graph. The archive and the window are the one record of
+every keyframe's pose, provider frame and chain edge: KeyframeView reads
+them for the loop worker, and its corrections fold back into them as new
+poses through apply_correction. The tracker buffers IMU as one ImuSamples
+record, checking each incoming slice once (finite, in time order, no gap
+over MAX_IMU_GAP_PERIODS sample periods), and preintegrates the keyframe
+interval sliced from it with the record's between().
 
 Correspondences come from a provider object with the interface
 edge(frame_i, frame_j) -> VisionEdge, grid_pixels(), depth_hint(frame, px),
@@ -139,13 +141,19 @@ def propagate_keyframe_state(prev: PoseState, delta: PreintegratedDelta,
 
 
 @dataclass
-class ArchivedKeyframe:
-    """Pose snapshot exported when a keyframe leaves the local window, with
-    the chain edge to the keyframe that followed it."""
+class KeyframeRow:
+    """One keyframe as the tracker holds it now: id, provider frame, time
+    and current pose."""
     kid: int
     frame_index: int
     timestamp: float
     pose: Pose
+
+
+@dataclass
+class ArchivedKeyframe(KeyframeRow):
+    """A keyframe that left the local window, with the chain edge to the
+    keyframe that followed it."""
     chain_edge: RelativePoseEdge
 
 
@@ -361,30 +369,37 @@ def _evict(tracker: TrackerState) -> None:
                           if e.i not in evicted and e.j not in evicted]
 
 
+@dataclass
+class KeyframeView:
+    """The tracker's record of every keyframe, read in kid order: the
+    archive, then the live window. It copies nothing, so each read sees the
+    current estimates, with every correction that apply_correction folded
+    in."""
+
+    tracker: TrackerState
+
+    def rows(self) -> list:
+        """The archived rows themselves, then a KeyframeRow per window
+        keyframe."""
+        t = self.tracker
+        return t.archive + [KeyframeRow(kf.kid, t.frame_of[kf.kid], kf.state.timestamp,
+                                        kf.state.pose) for kf in t.graph.keyframes]
+
+    def chain(self) -> list:
+        """Relative edges over consecutive kids: each archived row's
+        eviction edge, then the window's inertial pairs, built fresh from
+        the current estimates at each call."""
+        graph = self.tracker.graph
+        return ([a.chain_edge for a in self.tracker.archive]
+                + [eviction_edge(i, j, graph.kf(i).state, graph.kf(j).state, delta)
+                   for i, j, delta in graph.inertial_edges])
+
+
 def estimated_trajectory(tracker: TrackerState) -> Trajectory:
-    """Archived keyframe poses followed by the live window, in time order."""
-    stamps, poses = [], []
-    for a in tracker.archive:
-        stamps.append(a.timestamp)
-        poses.append(a.pose)
-    for kf in tracker.graph.keyframes:
-        stamps.append(kf.state.timestamp)
-        poses.append(kf.state.pose)
-    return Trajectory(np.asarray(stamps, dtype=float), poses)
-
-
-def window_snapshot(tracker: TrackerState):
-    """Provisional pose-graph view of the live window.
-
-    Returns (nodes, chain): nodes as (kid, Pose) pairs, chain as relative
-    edges over the window's consecutive inertial pairs, both built fresh
-    from the current estimates.
-    """
-    graph = tracker.graph
-    nodes = [(kf.kid, kf.state.pose) for kf in graph.keyframes]
-    chain = [eviction_edge(i, j, graph.kf(i).state, graph.kf(j).state, delta)
-             for i, j, delta in graph.inertial_edges]
-    return nodes, chain
+    """Every keyframe's current pose, archive then window, in time order."""
+    rows = KeyframeView(tracker).rows()
+    return Trajectory(np.asarray([r.timestamp for r in rows], dtype=float),
+                      [r.pose for r in rows])
 
 
 def apply_correction(tracker: TrackerState, correction) -> int:

@@ -1,11 +1,13 @@
 """Loop detection and rigid pose-graph refinement.
 
 Loop candidates are keyframe pairs gated on keyframe-count gap, relative
-orientation and provider flow. The pose graph keeps one pose per keyframe,
-the sequential relative-pose chain exported by the tracking frontend, and
-loop edges that carry dense pixel correspondences, scored by the window's
-reprojection kernel. Metric scale is observable in a visual-inertial system,
-so the graph solves no scale (Qin, Li & Shen, VINS-Mono, T-RO 2018).
+orientation at the current poses and provider flow. The pose graph is built
+at each solve from the tracking frontend's one record of every keyframe,
+read through a KeyframeView (current poses and the sequential relative-pose
+chain), and from loop edges that carry dense pixel correspondences, scored
+by the window's reprojection kernel. Metric scale is observable in a
+visual-inertial system, so the graph solves no scale (Qin, Li & Shen,
+VINS-Mono, T-RO 2018).
 solve_pgba refines all poses (and loop-source disparities) by damped
 Gauss-Newton with the earliest keyframe frozen as gauge, then reports
 per-keyframe pose changes for trajectory and map updates.
@@ -67,24 +69,10 @@ class LoopPolicy:
                 raise ValueError(f"{name} must be >= 1")
 
 
-@dataclass
-class KeyframeSummary:
-    """Per-keyframe message from the tracker to the loop worker.
-
-    Its snapshot is its disparities, one per grid pixel: with them the
-    keyframe can source loop vision edges, which bring their own pixels,
-    after it has left the tracking window.
-    """
-
-    kid: int
-    frame_index: int
-    pose: Pose
-    disparities: np.ndarray
-
-
-def detect_loops(new_kf: KeyframeSummary, history, flow,
-                 policy: LoopPolicy | None = None) -> list:
+def detect_loops(new_kf, history, flow, policy: LoopPolicy | None = None) -> list:
     """Candidate loop pairs (old kid, new kid), ordered by ascending flow.
+
+    new_kf and each history entry have a kid and a pose (a KeyframeRow).
 
     The gates run cheapest first: the keyframes are at least min_gap apart,
     their relative orientation angle is below ANG_GATE_DEG, and flow(old),
@@ -141,13 +129,10 @@ class PoseGraph:
     chain: list                      # RelativePoseEdge over consecutive kids
     loops: list                      # LoopEdge
     intrinsics: Intrinsics | None = None
-    min_loop_gap: int = LoopPolicy.min_gap
 
     def __post_init__(self):
         self.nodes = sorted(self.nodes, key=lambda n: n.kid)
         for loop in self.loops:
-            if loop.j - loop.i < self.min_loop_gap:
-                raise ValueError(f"loop edge ({loop.i},{loop.j}) violates the keyframe gap gate")
             if self.intrinsics is None:
                 raise ValueError("vision loop edges need intrinsics")
             source = self.node(loop.i)
@@ -332,21 +317,23 @@ def solve_pgba(graph: PoseGraph, opts: SolveOptions | None = None):
 class LoopWorker:
     """Owns loop closure: candidacy, alignment, solve cadence, pose graph.
 
-    The tracker sends a keyframe summary at every insertion and a chain edge
-    at every eviction. Each new keyframe is gated against the stored
-    summaries by detect_loops, with a pair's flow taken from edge_source (a
-    provider error reads as infinite), and the lowest-flow candidate is
-    aligned and admitted. due() turns true once policy.solve_every loops
-    wait; solve() then returns the correction for the tracker and map.
+    The tracker's KeyframeView is the one record of every keyframe's pose,
+    provider frame and chain edge, read at each ingest and each solve. The
+    worker keeps what the tracker does not: its loops, the count of loops
+    waiting for a solve, and one disparity array per keyframe, set at
+    ingest and written back by every solve. Each new keyframe is gated
+    against the older ones at their current poses by detect_loops, with a
+    pair's flow taken from edge_source (a provider error reads as
+    infinite), and the lowest-flow candidate is aligned and admitted. due()
+    turns true once policy.solve_every loops wait; solve() then returns the
+    correction for the tracker and map.
     """
 
     def __init__(self, intrinsics: Intrinsics, edge_source, policy: LoopPolicy):
         self.intrinsics = intrinsics
         self.edge_source = edge_source            # (frame_i, frame_j) -> VisionEdge
         self.policy = policy
-        self.summaries = {}         # kid -> KeyframeSummary, solved disparities
-        self.states = {}            # kid -> Pose, archived nodes only
-        self.chain = []             # exported sequential edges, archived prefix
+        self.disparities = {}       # kid -> disparities, as last solved
         self.loops = []
         self.waiting = 0            # loops admitted since the last solve
 
@@ -362,70 +349,52 @@ class LoopWorker:
         """Enough loops wait that the pose graph should be solved now."""
         return self.waiting >= self.policy.solve_every
 
-    def _state_of(self, kid: int) -> Pose:
-        return self.states.get(kid, self.summaries[kid].pose)
-
-    def _flow(self, old: KeyframeSummary, new: KeyframeSummary,
-              edges: dict) -> float:
+    def _flow(self, old, new, edges: dict) -> float:
         try:
             edges[old.kid] = self.edge_source(old.frame_index, new.frame_index)
         except ValueError:
             return math.inf
         return flow_magnitude(edges[old.kid])
 
-    def ingest_summary(self, summary: KeyframeSummary):
-        """Register a new keyframe; returns the admitted loop pair, if any,
-        admitted with the edge that its flow was measured on."""
-        if summary.kid in self.summaries:
-            raise ValueError(f"keyframe {summary.kid} was already summarized")
-        edges = {}                  # old kid -> edge_source(old, summary)
-        candidates = detect_loops(summary, self.summaries.values(),
-                                  lambda old: self._flow(old, summary, edges),
+    def ingest_summary(self, view, disparities: np.ndarray):
+        """Register the view's newest keyframe with its disparity snapshot;
+        returns the admitted loop pair, if any, admitted with the edge that
+        its flow was measured on."""
+        *history, new = view.rows()
+        if new.kid in self.disparities:
+            raise ValueError(f"keyframe {new.kid} was already summarized")
+        edges = {}                  # old kid -> edge_source(old, new)
+        candidates = detect_loops(new, history,
+                                  lambda old: self._flow(old, new, edges),
                                   self.policy)
-        self.summaries[summary.kid] = summary
+        self.disparities[new.kid] = disparities
         if not candidates:
             return None
-        pair = candidates[0]
-        self._admit(pair, edges[pair[0]])
-        return pair
-
-    def _admit(self, pair, raw):
-        i, j = pair
+        pair = i, j = candidates[0]
+        raw = edges[i]
         vision = VisionEdge(i, j, raw.pixels, raw.targets, raw.weights)
-        relative = align_loop_pair(vision, self.summaries[i].disparities,
-                                   self._state_of(i), self._state_of(j), self.intrinsics)
+        old = next(row for row in history if row.kid == i)
+        relative = align_loop_pair(vision, self.disparities[i], old.pose, new.pose,
+                                   self.intrinsics)
         self.loops.append(LoopEdge(i, j, relative, vision))
         self.waiting += 1
+        return pair
 
-    def ingest_eviction(self, kid: int, pose: Pose,
-                        chain_edge: RelativePoseEdge) -> None:
-        """Record a keyframe leaving the window with its exported chain edge;
-        the tracker's pose is correction-current."""
-        self.states[kid] = pose
-        self.chain.append(chain_edge)
+    def solve(self, view):
+        """Solve the pose graph over the view's keyframes and chain.
 
-    def solve(self, window_nodes, window_chain):
-        """Solve the pose graph with the live window appended provisionally.
-
-        window_nodes is a list of (kid, Pose) pairs and window_chain
-        the relative edges over its consecutive pairs, both rebuilt fresh
-        from the tracker's current estimates. Archived node states persist
-        across calls and are updated by the solve, as are the summaries'
-        disparities; provisional nodes are discarded afterwards. Returns
-        (report, correction) or None when the graph has no loops yet.
+        The nodes are the tracker's current poses with the worker's
+        disparities, which the solve updates; the poses are the tracker's
+        to update, from the returned correction. Returns (report,
+        correction) or None when the graph has no loops yet.
         """
         if not self.loops:
             return None
-        nodes = [Keyframe(kid, state, self.summaries[kid].disparities)
-                 for kid, state in (*self.states.items(), *window_nodes)]
-        graph = PoseGraph(nodes, self.chain + list(window_chain),
-                          list(self.loops), self.intrinsics,
-                          self.policy.min_gap)
+        nodes = [Keyframe(row.kid, row.pose, self.disparities[row.kid])
+                 for row in view.rows()]
+        graph = PoseGraph(nodes, view.chain(), list(self.loops), self.intrinsics)
         report, correction = solve_pgba(graph, SolveOptions(
             max_iterations=self.policy.solve_iterations))
-        for node in graph.nodes:
-            if node.kid in self.states:
-                self.states[node.kid] = node.state
-            self.summaries[node.kid].disparities = node.disparities
+        self.disparities.update((node.kid, node.disparities) for node in graph.nodes)
         self.waiting = 0
         return report, correction

@@ -418,17 +418,42 @@ BENCH_TRACKER = {"tracker.window_size": 8, "tracker.covis_radius": 2,
 NO_LOOPS = 100000          # loop.min_gap above any keyframe count
 
 
-def _execute(seed, **overrides):
+def _execute(seed, hint=None, **overrides):
+    """Run the figure8 preset at bench tracker sizes; hint, if given, maps
+    each true depth hint to the one the tracker gets."""
     cfg = build_config("figure8", None, {**BENCH_TRACKER, **overrides,
                                          "run.seed": seed})
-    return execute(materialize(cfg)).metrics
+    plan = materialize(cfg)
+    if hint is not None:
+        true_hint = plan.provider.depth_hint
+        plan.provider.depth_hint = lambda frame, px: hint(true_hint(frame, px))
+    return execute(plan).metrics
 
 
-def test_initializer_recovers_metric_scale():
+# depth hints the initializer must not lean on: the 1/depth disparities
+# they seed are a gauge of stage 1, and stage 2 recovers the metric scale
+DEPTH_HINTS = {"true": None, "double": lambda d: 2.0 * d,
+               "flat_3m": lambda d: np.full_like(d, 3.0)}
+
+
+@pytest.fixture(scope="module")
+def init_scale_err():
+    """init.scale_err_pct of a 10 s figure8, loops off, seed 1, per hint."""
+    return {name: _execute(1, hint, **{"dataset.duration": 10.0,
+                                       "loop.min_gap": NO_LOOPS})["init"]["scale_err_pct"]
+            for name, hint in DEPTH_HINTS.items()}
+
+
+def test_initializer_recovers_metric_scale(init_scale_err):
     # stage 2 read the scale 35.2% off here while it held the stage-1
     # positions as exact; with their sigma it reads 4.9%
-    metrics = _execute(1, **{"dataset.duration": 10.0, "loop.min_gap": NO_LOOPS})
-    assert metrics["init"]["scale_err_pct"] < 15.0
+    assert init_scale_err["true"] < 15.0
+
+
+@pytest.mark.parametrize("name", ["double", "flat_3m"])
+def test_initializer_scale_ignores_the_depth_hint(init_scale_err, name):
+    # read 4.9385% with the true hint, 4.9386% doubled and 4.9361% flat
+    assert abs(init_scale_err[name] - init_scale_err["true"]) <= 0.05
 
 
 def test_loop_closure_lowers_ate():

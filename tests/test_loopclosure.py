@@ -7,13 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vislam.frontend import (InitConfig, apply_correction, eviction_edge,
-                             window_snapshot)
+from vislam.frontend import (PHASE_FULL, ArchivedKeyframe, InitConfig,
+                             KeyframeRow, KeyframeView, TrackerState,
+                             apply_correction, eviction_edge)
 from vislam.geometry import Pose, Rotation, SimTransform
 from vislam.imu import BiasState, ImuNoiseModel, ImuSamples, preintegrate
 from vislam.loopclosure import (
     CorrectionEntry,
-    KeyframeSummary,
     LoopCorrection,
     LoopEdge,
     LoopPolicy,
@@ -47,11 +47,10 @@ MODEL = TrajectoryModel(family="figure8", amplitude=1.5, period=12.0,
 CHAIN_INFO = np.diag([4e4] * 3 + [1e4] * 3)
 
 
-def summary(kid, yaw=0.0, **kw):
-    pose = Pose(Rotation.exp(np.array([0.0, 0.0, yaw])), np.zeros(3))
-    kw.setdefault("frame_index", kid)
-    kw.setdefault("disparities", np.zeros(0))
-    return KeyframeSummary(kid=kid, pose=pose, **kw)
+def kf_row(kid, yaw=0.0):
+    """A keyframe row at the origin, turned by yaw about z."""
+    return KeyframeRow(kid, kid, 0.0, Pose(Rotation.exp(np.array([0.0, 0.0, yaw])),
+                                           np.zeros(3)))
 
 
 def flows(table):
@@ -83,42 +82,42 @@ class TestLoopPolicy:
 
 class TestDetectLoops:
     def test_small_gap_excluded_regardless_of_flow(self):
-        new = summary(10)
-        assert detect_loops(new, [summary(0)], flows({0: 0.001})) == []
+        new = kf_row(10)
+        assert detect_loops(new, [kf_row(0)], flows({0: 0.001})) == []
 
     def test_large_flow_excluded(self):
-        new = summary(100)
-        assert detect_loops(new, [summary(0)], flows({0: 30.0})) == []
+        new = kf_row(100)
+        assert detect_loops(new, [kf_row(0)], flows({0: 30.0})) == []
 
     def test_gap_100_flow_10_ang_60_accepted(self):
-        new = summary(100, yaw=math.radians(60.0))
-        assert detect_loops(new, [summary(0)], flows({0: 10.0})) == [(0, 100)]
+        new = kf_row(100, yaw=math.radians(60.0))
+        assert detect_loops(new, [kf_row(0)], flows({0: 10.0})) == [(0, 100)]
 
     def test_gap_boundary_is_inclusive(self):
-        new = summary(55)
-        assert detect_loops(new, [summary(0), summary(1)],
+        new = kf_row(55)
+        assert detect_loops(new, [kf_row(0), kf_row(1)],
                             flows({0: 1.0, 1: 1.0})) == [(0, 55)]
 
     def test_flow_gate_is_strict(self):
-        new = summary(100)
-        assert detect_loops(new, [summary(0), summary(1)],
+        new = kf_row(100)
+        assert detect_loops(new, [kf_row(0), kf_row(1)],
                             flows({0: 22.0, 1: 21.999})) == [(1, 100)]
 
     def test_orientation_gate_brackets(self):
         # the exact 120.0 boundary is not representable through the
         # quaternion round trip, so bracket it tightly from both sides
-        hist = [summary(0, yaw=math.radians(120.05)),
-                summary(1, yaw=math.radians(119.95))]
-        new = summary(100)
+        hist = [kf_row(0, yaw=math.radians(120.05)),
+                kf_row(1, yaw=math.radians(119.95))]
+        new = kf_row(100)
         assert detect_loops(new, hist, flows({0: 1.0, 1: 1.0})) == [(1, 100)]
 
     def test_missing_flow_counts_as_infinite(self):
-        new = summary(100)
-        assert detect_loops(new, [summary(0)], flows({})) == []
+        new = kf_row(100)
+        assert detect_loops(new, [kf_row(0)], flows({})) == []
 
     def test_candidates_ordered_by_ascending_flow(self):
-        hist = [summary(k) for k in range(4)]
-        new = summary(100)
+        hist = [kf_row(k) for k in range(4)]
+        new = kf_row(100)
         table = {0: 9.0, 1: 2.0, 2: 5.0, 3: 2.0}
         assert detect_loops(new, hist, flows(table)) \
             == [(1, 100), (3, 100), (2, 100), (0, 100)]
@@ -134,24 +133,24 @@ class TestDetectLoops:
             flow = 25.0
         else:
             yaw = math.radians(150.0)
-        new = summary(100, yaw=yaw)
-        assert detect_loops(new, [summary(old_kid)],
+        new = kf_row(100, yaw=yaw)
+        assert detect_loops(new, [kf_row(old_kid)],
                             flows({old_kid: flow})) == []
-        good = summary(100, yaw=math.radians(30.0))
-        assert detect_loops(good, [summary(0)], flows({0: 5.0})) == [(0, 100)]
+        good = kf_row(100, yaw=math.radians(30.0))
+        assert detect_loops(good, [kf_row(0)], flows({0: 5.0})) == [(0, 100)]
 
     def test_flow_asked_only_past_gap_and_orientation_gates(self):
         # kid 50 fails the gap gate, kid 1 the orientation gate; only
         # kids 0 and 2 may cost a provider flow
-        hist = [summary(0), summary(1, yaw=math.radians(150.0)), summary(2),
-                summary(50)]
+        hist = [kf_row(0), kf_row(1, yaw=math.radians(150.0)), kf_row(2),
+                kf_row(50)]
         asked = []
 
         def flow(old):
             asked.append(old.kid)
             return {0: 3.0, 2: 30.0}[old.kid]
 
-        assert detect_loops(summary(100), hist, flow) == [(0, 100)]
+        assert detect_loops(kf_row(100), hist, flow) == [(0, 100)]
         assert asked == [0, 2]
 
 
@@ -217,7 +216,7 @@ class TestPoseGraphValidation:
         """solve_pgba over a graph with one loop, whose Layout checks the
         ids, the chain and the loop ends."""
         loop = loop if loop is not None else loop_edge(0, 9)
-        return solve_pgba(PoseGraph(nodes, chain, [loop], PINHOLE, min_loop_gap=5))
+        return solve_pgba(PoseGraph(nodes, chain, [loop], PINHOLE))
 
     def test_duplicate_kids_rejected(self):
         nodes = self.make_nodes(10)
@@ -243,30 +242,24 @@ class TestPoseGraphValidation:
             self.solve(nodes, chain_from([n.state for n in nodes]), loop_edge(0, 99))
         # a loop whose source is not a node passes the snapshot rule
         graph = PoseGraph(nodes[1:], chain_from([n.state for n in nodes])[1:],
-                          [loop_edge(0, 9)], PINHOLE, 5)
+                          [loop_edge(0, 9)], PINHOLE)
         with pytest.raises(ValueError, match="unknown"):
             solve_pgba(graph)
-
-    def test_loop_gap_gate_enforced(self):
-        nodes = self.make_nodes(10)
-        with pytest.raises(ValueError, match="gap"):
-            PoseGraph(nodes, chain_from([n.state for n in nodes]), [loop_edge(0, 9)],
-                      PINHOLE, min_loop_gap=55)
 
     def test_vision_loop_needs_intrinsics_and_snapshot(self):
         nodes = self.make_nodes(10)
         loop = loop_edge(0, 9)
         chain = chain_from([n.state for n in nodes])
         with pytest.raises(ValueError, match="intrinsics"):
-            PoseGraph(nodes, chain, [loop], min_loop_gap=5)
+            PoseGraph(nodes, chain, [loop])
         k = Intrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0,
                        width=100, height=100)
         nodes[0].disparities = np.zeros(0)         # no snapshot
         with pytest.raises(ValueError, match="snapshot"):
-            PoseGraph(nodes, chain, [loop], intrinsics=k, min_loop_gap=5)
+            PoseGraph(nodes, chain, [loop], intrinsics=k)
         nodes[0].disparities = np.array([0.5])    # wrong length
         with pytest.raises(ValueError, match="align"):
-            PoseGraph(nodes, chain, [loop], intrinsics=k, min_loop_gap=5)
+            PoseGraph(nodes, chain, [loop], intrinsics=k)
 
     def test_lookup_by_kid(self):
         nodes = self.make_nodes(3)
@@ -480,7 +473,7 @@ def drifted_vision_graph(synth):
     nodes = [Keyframe(n, drifted[n], d0.copy() if n == 0 else ())
              for n in range(6)]
     g = PoseGraph(nodes, chain_from(drifted), [LoopEdge(0, 5, rel, vis)],
-                  intrinsics=k, min_loop_gap=5)
+                  intrinsics=k)
     return g, gt, d0
 
 
@@ -546,7 +539,7 @@ class TestSolvePgba:
         assert np.all(g.nodes[0].disparities > 0.0)
 
 
-def vision_loop_graph(rng, n_nodes, sources, min_loop_gap):
+def vision_loop_graph(rng, n_nodes, sources):
     """A pose graph with a chain over n_nodes poses near a line and one loop
     vision edge per (i, j) of each source's pixel count: sources maps source
     kid -> (pixel count, [loop ends j])."""
@@ -562,15 +555,14 @@ def vision_loop_graph(rng, n_nodes, sources, min_loop_gap):
             vis = VisionEdge(i, j, pixels, pixels + rng.normal(0, 2.0, (n, 2)),
                              np.full((n, 2), 1.3))
             loops.append(LoopEdge(i, j, unit_rel(i, j), vis))
-    return PoseGraph(nodes, chain_from(states), loops, intrinsics=PINHOLE,
-                     min_loop_gap=min_loop_gap)
+    return PoseGraph(nodes, chain_from(states), loops, intrinsics=PINHOLE)
 
 
 def test_pose_graph_schur_step_matches_dense_step():
     # node 1 sources two loops, so its Schur block holds the cross terms of
     # two edges; node 2 sources one loop of another pixel count
     rng = np.random.default_rng(41)
-    g = vision_loop_graph(rng, 9, {1: (12, [5, 8]), 2: (9, [7])}, min_loop_gap=3)
+    g = vision_loop_graph(rng, 9, {1: (12, [5, 8]), 2: (9, [7])})
     problem = _PoseGraphProblem(g)
     assert sorted((len(group.edges), len(group.edges[0].pixels))
                   for group in problem.groups) == [(1, 9), (2, 12)]
@@ -586,7 +578,7 @@ def test_pose_graph_rows_match_per_edge_scatter():
     # the chain's stacked relative-pose rows against the eager per-edge
     # oracle scattered block by block
     rng = np.random.default_rng(43)
-    g = vision_loop_graph(rng, 9, {1: (12, [5, 8])}, min_loop_gap=3)
+    g = vision_loop_graph(rng, 9, {1: (12, [5, 8])})
     for node in g.nodes[1:]:
         node.state = node.state.retract(rng.normal(0, 0.02, 3), rng.normal(0, 0.02, 3))
     problem = _PoseGraphProblem(g)
@@ -610,8 +602,7 @@ def test_pose_graph_step_allocates_no_pose_by_disparity_matrix():
     # 120 nodes and 10,000 loop-source disparities: a dense (pose vars,
     # disparities) coupling alone would take 720 x 10,000 x 8 B
     rng = np.random.default_rng(42)
-    g = vision_loop_graph(rng, 120, {i: (500, [i + 100]) for i in range(20)},
-                          min_loop_gap=55)
+    g = vision_loop_graph(rng, 120, {i: (500, [i + 100]) for i in range(20)})
     problem = _PoseGraphProblem(g)
     assert problem.layout.n_pose_vars == 720 and problem.layout.n_disp == 10_000
     problem.evaluate()
@@ -626,9 +617,32 @@ def test_pose_graph_step_allocates_no_pose_by_disparity_matrix():
     assert peak < 16e6
 
 
+def bare_tracker(k):
+    """A tracker past initialization with an empty window, built directly."""
+    graph = FrameGraph([], [], [], GravityModel(), k)
+    return TrackerState(provider=None, policy=None, init_cfg=InitConfig(),
+                        noise=ImuNoiseModel(), graph=graph, phase=PHASE_FULL)
+
+
+def push_keyframe(tracker, kid, frame, pose, chain_edge=None):
+    """Make kid, at pose, the tracker's one window keyframe. The keyframe
+    before it moves to the archive with chain_edge (a unit edge by
+    default), as the tracker's eviction does for a one-keyframe window."""
+    graph = tracker.graph
+    if graph.keyframes:
+        old = graph.keyframes.pop()
+        tracker.archive.append(ArchivedKeyframe(
+            old.kid, tracker.frame_of.pop(old.kid), old.state.timestamp,
+            old.state.pose, chain_edge or unit_rel(old.kid, kid)))
+    graph.keyframes.append(Keyframe(kid, PoseState(pose, np.zeros(3), BiasState(),
+                                                   float(frame))))
+    tracker.frame_of[kid] = frame
+
+
 @pytest.fixture(scope="module")
 def worker_run():
-    """Full worker pass over a revisiting trajectory with injected drift."""
+    """Full worker pass over a revisiting trajectory with injected drift,
+    read from a tracker's archive and window through its KeyframeView."""
     model = TrajectoryModel(family="figure8", amplitude=1.5, period=12.0,
                             duration=12.8, yaw_policy="tangent")
     ds = make_dataset(model, sigma_px=0.0, frame_rate=10.0)
@@ -644,26 +658,22 @@ def worker_run():
         drifted.append(D * gt[f])
     chain = chain_from(drifted)
 
+    tracker = bare_tracker(prov.intrinsics())
+    view = KeyframeView(tracker)
     worker = LoopWorker(prov.intrinsics(), prov.edge,
                         LoopPolicy(solve_iterations=20))
-    window = 12
-    admitted = []
+    admitted, ingested = [], {}
     for f in range(n):
-        pair = worker.ingest_summary(KeyframeSummary(
-            kid=f, frame_index=f, pose=drifted[f],
-            disparities=1.0 / prov.depth_hint(f, grid)))
+        push_keyframe(tracker, f, f, drifted[f], chain[f - 1] if f else None)
+        ingested[f] = 1.0 / prov.depth_hint(f, grid)
+        pair = worker.ingest_summary(view, ingested[f].copy())
         if pair is not None:
             admitted.append(pair)
-        if f >= window:
-            worker.ingest_eviction(f - window, drifted[f - window],
-                                   chain[f - window])
-    window_kids = range(n - window, n)
-    report, corr = worker.solve(
-        [(kid, drifted[kid]) for kid in window_kids],
-        [chain[i] for i in range(n - window, n - 1)])
+    report, corr = worker.solve(view)
     return {
-        "n": n, "gt": gt, "drifted": drifted, "worker": worker,
-        "admitted": admitted, "report": report, "correction": corr,
+        "n": n, "gt": gt, "drifted": drifted, "tracker": tracker,
+        "worker": worker, "ingested": ingested, "admitted": admitted,
+        "report": report, "correction": corr,
     }
 
 
@@ -710,23 +720,30 @@ class TestLoopWorker:
         assert all(e.scale_change == 1.0 for e in corr.entries.values())
 
     def test_archived_nodes_enter_at_unit_scale(self, worker_run):
-        # an archived node is the tracker's pose, which has no scale, and the
-        # solve replaces it with the solved pose
+        # a node is the tracker's pose, which has no scale; the solve does
+        # not write it back, since the correction is the tracker's to
+        # apply. The worker keeps only the disparities, and the solve moves
+        # those of the loop sources
         worker, corr = worker_run["worker"], worker_run["correction"]
-        assert len(worker.states) > 0
-        for kid, state in worker.states.items():
-            assert isinstance(state, Pose)
-            assert_same_pose(state, corr.entries[kid].new_pose)
+        rows = KeyframeView(worker_run["tracker"]).rows()
+        assert len(worker_run["tracker"].archive) == len(rows) - 1
+        for row in rows:
+            assert isinstance(row.pose, Pose)
+            assert row.pose is worker_run["drifted"][row.kid]
+            assert corr.entries[row.kid].old_pose is row.pose
+        moved = {kid for kid, d in worker.disparities.items()
+                 if not np.array_equal(d, worker_run["ingested"][kid])}
+        assert moved == {loop.i for loop in worker.loops}
 
     def test_duplicate_summary_rejected(self, worker_run):
         worker = worker_run["worker"]
         with pytest.raises(ValueError, match="already"):
-            worker.ingest_summary(summary(0))
+            worker.ingest_summary(KeyframeView(worker_run["tracker"]), np.ones(1))
 
     def test_solve_without_loops_returns_none(self, synth):
         _, prov, _, k = synth
         worker = LoopWorker(k, prov.edge, LoopPolicy())
-        assert worker.solve([], []) is None
+        assert worker.solve(KeyframeView(bare_tracker(k))) is None
         assert worker.pending is False
 
     def test_each_pair_is_synthesized_once_per_summary(self, synth):
@@ -737,14 +754,46 @@ class TestLoopWorker:
             calls.append((fi, fj))
             return prov.edge(fi, fj)
 
+        tracker = bare_tracker(k)
         worker = LoopWorker(k, counting_edge, LoopPolicy())
-        for kid, frame in ((0, 0), (1, 1), (2, 2)):
-            worker.ingest_summary(KeyframeSummary(
-                kid, frame, ds.frame_pose(frame), 1.0 / prov.depth_hint(frame, grid)))
-        pair = worker.ingest_summary(KeyframeSummary(60, 3, ds.frame_pose(3),
-                                                     1.0 / prov.depth_hint(3, grid)))
+        for kid, frame in ((0, 0), (1, 1), (2, 2), (60, 3)):
+            push_keyframe(tracker, kid, frame, ds.frame_pose(frame))
+            pair = worker.ingest_summary(KeyframeView(tracker),
+                                         1.0 / prov.depth_hint(frame, grid))
         assert pair is not None and worker.loops_closed == 1
         assert sorted(calls) == [(0, 3), (1, 3), (2, 3)]
+
+    @pytest.mark.parametrize("inserted_deg, corrected_deg, closes",
+                             [(0.0, 150.0, False), (150.0, 0.0, True)])
+    def test_orientation_gate_reads_the_corrected_pose(self, synth, inserted_deg,
+                                                       corrected_deg, closes):
+        # a correction turns keyframe 0 across ANG_GATE_DEG, relative to
+        # keyframe 60, from the rotation it was inserted with: the gate
+        # decides by the pose the tracker holds after the correction
+        ds, prov, grid, k = synth
+        calls = []
+
+        def counting_edge(fi, fj):
+            calls.append((fi, fj))
+            return prov.edge(fi, fj)
+
+        def turned(deg):
+            P = ds.frame_pose(0)
+            return Pose(Rotation.exp(np.array([0.0, 0.0, math.radians(deg)]))
+                        * P.rotation, P.translation)
+
+        tracker = bare_tracker(k)
+        view = KeyframeView(tracker)
+        worker = LoopWorker(k, counting_edge, LoopPolicy())
+        push_keyframe(tracker, 0, 0, turned(inserted_deg))
+        worker.ingest_summary(view, 1.0 / prov.depth_hint(0, grid))
+        inserted = tracker.graph.keyframes[0].state.pose
+        apply_correction(tracker, LoopCorrection(
+            {0: CorrectionEntry(0, inserted, turned(corrected_deg))}))
+        push_keyframe(tracker, 60, 3, ds.frame_pose(3))
+        pair = worker.ingest_summary(view, 1.0 / prov.depth_hint(3, grid))
+        assert (pair == (0, 60)) is closes
+        assert calls == ([(0, 3)] if closes else [])
 
 
 def make_static_delta(duration=0.1):
@@ -756,8 +805,8 @@ def make_static_delta(duration=0.1):
 
 
 def tiny_tracker():
-    """Three-keyframe window plus one archived pose, built directly."""
-    from vislam.frontend import ArchivedKeyframe, TrackerState, PHASE_FULL
+    """Three-keyframe window on frames 10-12 plus one archived pose, built
+    directly."""
     rng = np.random.default_rng(2)
     pix = np.stack([rng.uniform(50, 590, 5), rng.uniform(50, 430, 5)], axis=1)
     kfs = []
@@ -774,7 +823,7 @@ def tiny_tracker():
                        GravityModel(), PINHOLE)
     tracker = TrackerState(provider=None, policy=None, init_cfg=InitConfig(),
                            noise=ImuNoiseModel(), graph=graph,
-                           phase=PHASE_FULL)
+                           phase=PHASE_FULL, frame_of={0: 10, 1: 11, 2: 12})
     archived = PoseState(Pose(Rotation.identity(), np.array([9.0, 0.0, 0.0])),
                          np.zeros(3), BiasState(), timestamp=0.5)
     tracker.archive.append(ArchivedKeyframe(
@@ -790,25 +839,52 @@ def assert_same_pose(pose, want):
 
 
 class TestTrackerSeam:
-    def test_window_snapshot_shape(self):
+    def test_view_lists_archive_then_window_at_current_poses(self):
         tracker = tiny_tracker()
-        nodes, chain = window_snapshot(tracker)
+        rows = KeyframeView(tracker).rows()
         kf = tracker.graph.keyframes
-        assert [kid for kid, _ in nodes] == [0, 1, 2]
-        assert all(pose is k.state.pose for (_, pose), k in zip(nodes, kf))
-        assert [(e.i, e.j) for e in chain] == [(0, 1), (1, 2)]
+        assert [r.kid for r in rows] == [100, 0, 1, 2]
+        assert [r.frame_index for r in rows] == [0, 10, 11, 12]
+        assert rows[0] is tracker.archive[0]
+        assert all(r.pose is k.state.pose and r.timestamp == k.state.timestamp
+                   for r, k in zip(rows[1:], kf))
+
+    def test_view_chain_is_archive_edges_then_fresh_window_edges(self):
+        tracker = tiny_tracker()
+        chain = KeyframeView(tracker).chain()
+        kf = tracker.graph.keyframes
+        assert chain[0] is tracker.archive[0].chain_edge
+        assert [(e.i, e.j) for e in chain[1:]] == [(0, 1), (1, 2)]
         expect = kf[0].state.pose.inverse() * kf[1].state.pose
-        got = chain[0].measurement
+        got = chain[1].measurement
         assert np.allclose(got.translation, expect.translation)
         assert np.allclose(got.rotation.q, expect.rotation.q)
 
-    def test_window_snapshot_does_not_alias_tracker_state(self):
+    def test_view_rows_are_read_only(self):
         tracker = tiny_tracker()
-        nodes, _ = window_snapshot(tracker)
+        rows = KeyframeView(tracker).rows()
         with pytest.raises(ValueError, match="read-only"):
-            nodes[0][1].translation[:] = 99.0
+            rows[1].pose.translation[:] = 99.0
         assert np.array_equal(tracker.graph.keyframes[0].state.pose.translation,
                               [0.0, 0.1, 0.0])
+
+    def test_ingest_builds_no_chain_edge(self, monkeypatch):
+        # eviction_edge costs an eigendecomposition and a Cholesky per
+        # window pair: only a solve's chain() may build them
+        tracker = tiny_tracker()
+        built = []
+        real = eviction_edge
+
+        def counting(*args):
+            built.append(args[:2])
+            return real(*args)
+
+        monkeypatch.setattr("vislam.frontend.eviction_edge", counting)
+        worker = LoopWorker(PINHOLE, None, LoopPolicy())
+        assert worker.ingest_summary(KeyframeView(tracker), np.ones(5)) is None
+        assert built == []
+        KeyframeView(tracker).chain()
+        assert built == [(0, 1), (1, 2)]
 
     def test_apply_correction_warps_window_and_archive(self):
         tracker = tiny_tracker()
@@ -860,18 +936,18 @@ class TestTrackerSeam:
         # correction back: tracker poses must land on the solved states
         tracker = tiny_tracker()
         tracker.archive.clear()
-        nodes, chain = window_snapshot(tracker)
+        view = KeyframeView(tracker)
         kf0, kf2 = tracker.graph.keyframes[0], tracker.graph.keyframes[2]
         src = tracker.graph.vision_edges[0]
         rng = np.random.default_rng(5)
         vis = VisionEdge(0, 2, src.pixels, src.pixels + rng.normal(0, 3.0, src.pixels.shape),
                          np.ones_like(src.pixels))
-        big_nodes = [Keyframe(kid, s, kf0.disparities if kid == 0 else ())
-                     for kid, s in nodes]
-        g = PoseGraph(big_nodes, chain,
+        big_nodes = [Keyframe(r.kid, r.pose, kf0.disparities if r.kid == 0 else ())
+                     for r in view.rows()]
+        g = PoseGraph(big_nodes, view.chain(),
                       [LoopEdge(0, 2, unit_rel(0, 2, kf0.state.pose.inverse()
                                                * kf2.state.pose), vis)],
-                      PINHOLE, min_loop_gap=2)
+                      PINHOLE)
         _, corr = solve_pgba(g, SolveOptions(max_iterations=10))
         assert any(e.moved() for e in corr.entries.values())
         apply_correction(tracker, corr)

@@ -160,6 +160,23 @@ def test_no_keyframe_index_beside_a_graph_and_stage_two_commits():
     assert "commit" in methods
 
 
+# The tracker's archive and window are the one record of each keyframe's
+# pose, frame and chain edge: the loop worker takes no eviction message and
+# stores no pose, only its config, its loops, its waiting count and the
+# disparities it solves.
+def test_loop_worker_keeps_no_keyframe_record():
+    path = Path(vislam.__file__).parent / "loopclosure.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = {n.name for n in ast.walk(tree)
+               if isinstance(n, (ast.ClassDef, ast.FunctionDef))}
+    assert not {"ingest_eviction", "_state_of", "KeyframeSummary"} & defined
+    worker, = (c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "LoopWorker")
+    stored = {n.attr for n in ast.walk(worker) if isinstance(n, ast.Attribute)
+              and isinstance(n.ctx, ast.Store) and getattr(n.value, "id", None) == "self"}
+    assert stored == {"intrinsics", "edge_source", "policy", "loops", "waiting",
+                      "disparities"}
+
+
 # A policy key is its dataclass field at the field's default, with no
 # override, and a value nothing sets is a constant beside its one reader:
 # no policy field is named after a key that became a constant, and no
