@@ -116,10 +116,11 @@ def _fd_velocities(graph: FrameGraph) -> np.ndarray:
 class _InertialOnly(GraphProblem):
     """Stage-2 problem for lm_solve, vision poses fixed. Its Layout holds
     the keyframes as nodes of no column, so no gauge; its columns are
-    [log-scale, gravity (2), shared bias (6), velocities (3 per keyframe)],
-    each inertial edge a row block on 15 of them. Its unknowns are values
-    (s, gravity, bias, velocities), which commit() writes into the window.
-    Each delta's position covariance is widened by POSITION_SIGMA^2 I."""
+    [log-scale, gravity (2), shared bias (6), velocities (3 per keyframe)].
+    Its one family is dense: each inertial edge a row block on 15 columns.
+    Its unknowns are values (s, gravity, bias, velocities), which commit()
+    writes into the window. Each delta's position covariance is widened by
+    POSITION_SIGMA^2 I."""
 
     def __init__(self, graph: FrameGraph):
         n = len(graph.keyframes)
@@ -131,8 +132,7 @@ class _InertialOnly(GraphProblem):
         self.gravity = graph.gravity
         self.bias = graph.keyframes[0].state.bias
         self.velocities = np.stack([kf.state.velocity for kf in graph.keyframes])
-        at = layout.index
-        self.ends = np.array([(at[i], at[j]) for i, j, _ in graph.inertial_edges])
+        self.ends = layout.ends((i, j) for i, j, _ in graph.inertial_edges)
         vel_cols = 9 + 3 * np.repeat(self.ends, 3, axis=1) + np.tile(np.arange(3), 2)
         self.row_cols = np.hstack([np.tile(np.arange(9), (len(self.ends), 1)), vel_cols])
         widen = np.zeros((15, 15))
@@ -143,16 +143,14 @@ class _InertialOnly(GraphProblem):
         positions = self.vision_states.p
         self.p_i, self.p_j = positions[self.ends[:, 0]], positions[self.ends[:, 1]]
 
-    def evaluate(self) -> float:
-        """Inertial energy of the scale-adjusted states."""
+    def dense(self, nodes):
+        """The inertial kernel at the scale-adjusted states."""
         es = float(np.exp(self.s))
         vis = self.vision_states
-        nodes = vis._replace(p=es * vis.p, v=self.velocities,
-                             b=np.tile(self.bias.vector(), (len(vis.p), 1)))
-        out = inertial_residual(self.deltas, nodes.take(self.ends[:, 0]),
-                                nodes.take(self.ends[:, 1]), self.gravity)
-        self.outs = ([], out)
-        return float((out.residual ** 2).sum())
+        states = vis._replace(p=es * vis.p, v=self.velocities,
+                              b=np.tile(self.bias.vector(), (len(vis.p), 1)))
+        return inertial_residual(self.deltas, states.take(self.ends[:, 0]),
+                                 states.take(self.ends[:, 1]), self.gravity)
 
     def dense_rows(self, out):
         es = float(np.exp(self.s))

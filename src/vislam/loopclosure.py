@@ -32,7 +32,6 @@ from .residuals import (
     map_eigenvalues,
     relative_pose_residual,
     sim3_vision_residual,
-    vision_residual,
 )
 from .solver import (
     POSE_DOF,
@@ -203,11 +202,9 @@ class _PairAlignment(GraphProblem):
         self.S = S_j
         self.row_cols = np.arange(POSE_DOF)[None]
 
-    def evaluate(self) -> float:
-        out = sim3_vision_residual(self.edge, self.S_i, StateStack.of([self.S]),
-                                   self.d_i, self.k)
-        self.outs = ([], out)
-        return float((out.residual ** 2).sum())
+    def dense(self, nodes):
+        return sim3_vision_residual(self.edge, self.S_i, StateStack.of([self.S]),
+                                    self.d_i, self.k)
 
     def dense_rows(self, out):
         return (out.J_j[..., :POSE_DOF].reshape(1, -1, POSE_DOF),
@@ -247,9 +244,10 @@ class _PoseGraphProblem(GraphProblem):
     """Loop vision plus chain energy over a pose graph's poses.
 
     Each node has a pose's six columns; only keyframes that source a loop
-    vision edge carry disparity variables. The chain is one stacked
-    relative-pose call per evaluation. The earliest keyframe is the gauge:
-    its pose is never retracted.
+    vision edge carry disparity variables. The loop edges are the vision
+    groups, and the chain is the dense family: one stacked relative-pose
+    call per evaluation. The earliest keyframe is the gauge: its pose is
+    never retracted.
     """
 
     def __init__(self, graph: PoseGraph):
@@ -258,28 +256,17 @@ class _PoseGraphProblem(GraphProblem):
                         [len(n.disparities) if n.kid in sources else 0
                          for n in graph.nodes], 0,
                         [(e.i, e.j) for e in graph.chain], graph.loops)
-        super().__init__(graph.nodes, layout)
-        self.graph = graph
-        self.groups = layout.pixel_groups([loop.vision for loop in graph.loops], POSE_DOF)
+        super().__init__(graph.nodes, layout, [loop.vision for loop in graph.loops],
+                         graph.intrinsics)
         self.chain = RelativeStack.of(graph.chain)
-        self.chain_ends = np.array([(layout.index[e.i], layout.index[e.j])
-                                    for e in graph.chain])
+        self.chain_ends = layout.ends((e.i, e.j) for e in graph.chain)
         self.row_cols = (self.chain_ends[:, :, None] * POSE_DOF
                          + np.arange(POSE_DOF)).reshape(len(graph.chain), -1)
 
-    def evaluate(self) -> float:
-        """Sum of whitened squared residuals over loop and chain edges."""
-        nodes = StateStack.of(self.states)
-        vision = [vision_residual(*inputs, self.graph.intrinsics)
-                  for inputs in self.pixel_inputs(nodes)]
+    def dense(self, nodes: StateStack):
         ends = self.chain_ends
-        chain = relative_pose_residual(self.chain, nodes.take(ends[:, 0]),
-                                       nodes.take(ends[:, 1]))
-        self.outs = (vision, chain)
-        e = 0.0
-        for out in vision + [chain]:
-            e += float((out.residual ** 2).sum())
-        return e
+        return relative_pose_residual(self.chain, nodes.take(ends[:, 0]),
+                                      nodes.take(ends[:, 1]))
 
     def dense_rows(self, chain):
         return np.concatenate([chain.J_i, chain.J_j], axis=2), chain.residual

@@ -12,9 +12,10 @@ it sources, so the step never forms a (pose variables x disparities) matrix
 
 lm_solve is the package's one Levenberg-Marquardt loop, and every solve is a
 GraphProblem for it: each reads its graph once, building a Layout that
-checks it and lays out its columns, and linearizes into NormalEquations, its
-vision edges one pixel-count group (Layout.pixel_groups) per kernel call and
-add_pixels, its dense rows in one add_rows, and steps by
+checks it and lays out its columns. GraphProblem evaluates and linearizes
+every solve: its vision edges one pixel-count group (Layout.pixel_groups)
+per kernel call and add_pixels, and the one dense family that a subclass
+gives as dense(nodes) and dense_rows in one add_rows. It steps by
 NormalEquations.solve. A problem stacks its edges once when it is built
 (PixelGroup.stack, the window's DeltaStack) and its nodes' states once per
 evaluation (StateStack), taking each edge end's rows from them. A trial
@@ -232,6 +233,10 @@ class Layout:
         n = self.index[kid]
         return slice(self.d_offsets[n], self.d_offsets[n + 1])
 
+    def ends(self, pairs) -> np.ndarray:
+        """(E, 2) positions of the nodes of each (i, j) id pair."""
+        return np.array([(self.index[i], self.index[j]) for i, j in pairs])
+
     def pixel_groups(self, edges, width: int) -> list:
         """One PixelGroup per pixel count, in order of appearance."""
         by_count = {}
@@ -239,7 +244,7 @@ class Layout:
             by_count.setdefault(len(e.pixels), []).append(e)
         groups = []
         for n, group in by_count.items():
-            ends = np.array([(self.index[e.i], self.index[e.j]) for e in group])
+            ends = self.ends((e.i, e.j) for e in group)
             c = (ends[:, :, None] * self.dof + np.arange(width)).reshape(len(group), -1)
             rows = {}
             for r, e in enumerate(group):
@@ -374,32 +379,43 @@ class GraphProblem:
     node order), so a trial never writes the graph: retract() binds new
     values, snapshot() copies the attributes but the system, restore()
     rebinds them, and commit() writes the graph (here, its nodes) once.
-    evaluate() stores (vision results per pixel group, dense-row result) in
-    self.outs; linearize() scatters them into a new self.system, dropping
-    the old system first and the results after, so neither is held beside
-    its successor. Every residual family builds its Jacobians at linearize
-    time only, so a rejected trial never pays for them: the vision and
-    inertial kernels on the first read of a result's Jacobians, and a
-    subclass's dense_rows(result), which builds its rows' Jacobian and
-    residuals on the columns self.row_cols (E, k), when linearize() calls it.
+    A subclass states only its one dense family, its row columns and its
+    retraction. evaluate() runs the vision kernel once per pixel group and
+    the subclass's dense(nodes) (None for a family with no edge) and stores
+    (vision results per pixel group, dense result) in self.outs;
+    linearize() scatters them into a new self.system, dropping the old
+    system first and the results after, so neither is held beside its
+    successor. Every residual family builds its Jacobians at linearize
+    time only, so a rejected trial never pays for them: the kernels on the
+    first read of a result's Jacobians, and a subclass's dense_rows(result),
+    which builds its rows' Jacobian and residuals on the columns
+    self.row_cols (E, k), when linearize() calls it.
     """
 
-    def __init__(self, nodes: list, layout: Layout):
+    def __init__(self, nodes: list, layout: Layout, vision_edges=(),
+                 intrinsics: Intrinsics | None = None):
         self.nodes = nodes
         self.layout = layout
+        self.intrinsics = intrinsics
         self.states = [n.state for n in nodes]
         self.disparities = [n.disparities for n in nodes]
-        self.groups = []
+        self.groups = layout.pixel_groups(vision_edges, POSE_DOF)
         self.outs = None
         self.system = None
 
-    def pixel_inputs(self, nodes: StateStack) -> list:
-        """Per pixel group, the vision kernel's inputs at the current
-        values, less the camera: the stacked edges, each edge's two ends
-        taken from the stacked nodes, and its source's disparities."""
-        return [(g.stack, nodes.take(g.ends[:, 0]), nodes.take(g.ends[:, 1]),
-                 np.stack([self.disparities[n] for n in g.ends[:, 0]]))
-                for g in self.groups]
+    def evaluate(self) -> float:
+        """Sum of whitened squared residuals: the vision groups, then the dense family."""
+        nodes = StateStack.of(self.states) if self.states else None
+        vision = [vision_residual(g.stack, nodes.take(g.ends[:, 0]), nodes.take(g.ends[:, 1]),
+                                  np.stack([self.disparities[n] for n in g.ends[:, 0]]),
+                                  self.intrinsics)
+                  for g in self.groups]
+        dense = self.dense(nodes)
+        self.outs = (vision, dense)
+        e = 0.0
+        for out in vision if dense is None else vision + [dense]:
+            e += float((out.residual ** 2).sum())
+        return e
 
     def linearize(self) -> None:
         self.system = None
@@ -439,9 +455,11 @@ def retract_disparities(disparities: list, layout: Layout, dx: np.ndarray) -> li
 class _WindowProblem(GraphProblem):
     """Joint vision + inertial energy of a frame graph.
 
-    The earliest keyframe is the gauge: its pose, velocity and bias are held
-    fixed. A graph without inertial edges solves poses only; otherwise each
-    keyframe solves its velocity and bias as well. Every keyframe, the gauge
+    Its dense family is the inertial edges, stacked once (DeltaStack), each
+    a row block on both ends' state columns and gravity's. The earliest
+    keyframe is the gauge: its pose, velocity and bias are held fixed. A
+    graph without inertial edges solves poses only; otherwise each keyframe
+    solves its velocity and bias as well. Every keyframe, the gauge
     included, is retracted by its (zero, for the gauge) step segment.
     """
 
@@ -451,12 +469,10 @@ class _WindowProblem(GraphProblem):
                         [len(kf.disparities) for kf in graph.keyframes],
                         2 if opts.optimize_gravity else 0,
                         [(i, j) for i, j, _ in graph.inertial_edges], graph.vision_edges)
-        super().__init__(graph.keyframes, layout)
+        super().__init__(graph.keyframes, layout, graph.vision_edges, graph.intrinsics)
         self.graph = graph
         self.gravity = graph.gravity
-        self.groups = layout.pixel_groups(graph.vision_edges, POSE_DOF)
-        at = layout.index
-        self.inertial_ends = np.array([(at[i], at[j]) for i, j, _ in graph.inertial_edges])
+        self.inertial_ends = layout.ends((i, j) for i, j, _ in graph.inertial_edges)
         self.deltas = (DeltaStack.of([d for _, _, d in graph.inertial_edges])
                        if graph.inertial_edges else None)
         # each inertial edge's state columns at both ends, then gravity's
@@ -465,21 +481,13 @@ class _WindowProblem(GraphProblem):
                                                   layout.cols(j, layout.dof), grav_cols])
                                   for i, j, _ in graph.inertial_edges])
 
-    def evaluate(self) -> float:
-        """Sum of whitened squared residuals over every edge of the graph."""
-        nodes = StateStack.of(self.states) if self.states else None
-        vision = [vision_residual(*inputs, self.graph.intrinsics)
-                  for inputs in self.pixel_inputs(nodes)]
-        inertial = None
-        if self.deltas is not None:
-            ends = self.inertial_ends
-            inertial = inertial_residual(self.deltas, nodes.take(ends[:, 0]),
-                                         nodes.take(ends[:, 1]), self.gravity)
-        self.outs = (vision, inertial)
-        e = 0.0
-        for out in vision if inertial is None else vision + [inertial]:
-            e += float((out.residual ** 2).sum())
-        return e
+    def dense(self, nodes: StateStack):
+        """The inertial kernel over every inertial edge, or None without one."""
+        if self.deltas is None:
+            return None
+        ends = self.inertial_ends
+        return inertial_residual(self.deltas, nodes.take(ends[:, 0]),
+                                 nodes.take(ends[:, 1]), self.gravity)
 
     def dense_rows(self, inertial):
         lay = self.layout

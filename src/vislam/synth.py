@@ -365,8 +365,9 @@ def synthesize_correspondences(dataset: SyntheticDataset, kf_i: int, kf_j: int,
     dataset's Gaussian pixel noise; pixels without a valid match get weight
     zero and their own coordinates as placeholder targets. A fraction
     (the dataset's outlier rate) of live targets is redrawn uniformly in
-    the image and downweighted by 100x. Inlier weights are 1/sigma^2 (1.0
-    when sigma is 0). Raises if no grid pixel is covisible.
+    the image at full weight, so the edge does not say which rows are bad.
+    Live weights are 1/sigma^2 (1.0 when sigma is 0). Raises if no grid
+    pixel is covisible.
     """
     sigma_px, outlier_rate = dataset.sigma_px, dataset.outlier_rate
     seed = dataset.seed if seed is None else seed
@@ -408,7 +409,6 @@ def synthesize_correspondences(dataset: SyntheticDataset, kf_i: int, kf_j: int,
             redrawn = np.stack([rng.uniform(0.0, k.width - 1.0, n_bad),
                                 rng.uniform(0.0, k.height - 1.0, n_bad)], axis=1)
             targets[bad] = redrawn
-            weights[bad] *= 0.01
     return VisionEdge(i=kf_i, j=kf_j, pixels=pixels, targets=targets, weights=weights)
 
 

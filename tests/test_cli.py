@@ -28,6 +28,11 @@ loop.solve_every = 2
 # Measured 21.28 cm on seed 3; the bound leaves a 40% margin.
 ATE_BOUND_CM = 30.0
 GRAVITY_BOUND_DEG = 2.0
+# The short run initializes from 5 keyframes (init.n_iner_init, default
+# 20), and its scale error read 106.4% on seed 3; a 10 s figure8 at the
+# default reads under 5% (test_initializer_recovers_metric_scale). The
+# bound leaves a small margin, so a worse initializer fails here too.
+INIT_SCALE_BOUND_PCT = 115.0
 # lm_solve's terminations, besides "singular: <reason>"
 TERMINATIONS = ("converged", "max_iterations", "no_decrease_at_max_damping")
 OUTPUTS = ("metrics.json", "map.vgsm", "trajectory_est.txt", "trajectory_gt.txt")
@@ -87,6 +92,7 @@ def test_short_run_accuracy(short_run):
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["ate_rmse_cm"] < ATE_BOUND_CM
     assert metrics["init"]["gravity_err_deg"] < GRAVITY_BOUND_DEG
+    assert metrics["init"]["scale_err_pct"] < INIT_SCALE_BOUND_PCT
 
 
 def test_tracking_energy_is_traced_only_once_initialized(short_run):

@@ -77,16 +77,25 @@ def test_damped_solve_named_only_where_allowed(name):
     assert users <= PRIVATE_SOLVE[name]
 
 
-# A problem outside solver.py builds its rows and lets GraphProblem
-# linearize them into NormalEquations and step by its solve.
+# A problem outside solver.py states its dense family and its rows, and
+# lets GraphProblem evaluate them with its vision groups, linearize them
+# into NormalEquations and step by its solve.
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "solver.py"],
                          ids=lambda p: p.name)
 def test_only_solver_linearizes_or_steps(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     defined = {(c.name, f.name) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
                for f in c.body if isinstance(f, ast.FunctionDef)
-               and f.name in ("linearize", "step")}
+               and f.name in ("evaluate", "linearize", "step")}
     assert defined == set()
+
+
+# GraphProblem.evaluate is the one caller of the reprojection kernel: no
+# module but solver.py reads or imports the name that residuals.py defines.
+def test_only_solver_calls_the_vision_kernel():
+    users = {p.name for p in MODULES
+             if "vision_residual" in _names(ast.parse(p.read_text(), filename=str(p)))}
+    assert users == {"solver.py"}
 
 
 # A trial saves and restores through one snapshot: every problem keeps its

@@ -340,15 +340,20 @@ class TestCorrespondences:
         rms = float(np.sqrt(np.mean(all_res ** 2)))
         assert 0.9 < rms < 1.1
 
-    def test_outliers_are_redrawn_and_downweighted(self):
-        ds = make_dataset(MODELS["circle"], sigma_px=0.5, outlier_rate=0.2)
-        edge = synthesize_correspondences(ds, 0, 3, seed=5, stride=8)
-        base = 1.0 / 0.25
+    def test_outliers_are_redrawn_at_full_weight(self):
+        # the same seed without outliers draws the same noise, so the rows
+        # whose targets differ are the redrawn ones
+        model = MODELS["circle"]
+        clean = synthesize_correspondences(make_dataset(model, sigma_px=0.5), 0, 3,
+                                           seed=5, stride=8)
+        edge = synthesize_correspondences(
+            make_dataset(model, sigma_px=0.5, outlier_rate=0.2), 0, 3, seed=5, stride=8)
+        assert np.array_equal(live(edge), live(clean))
         weights, targets = edge.weights[live(edge)], edge.targets[live(edge)]
-        is_out = weights[:, 0] < base * 0.5
-        frac = is_out.mean()
-        assert 0.14 < frac < 0.26
-        assert np.allclose(weights[is_out], base * 0.01)
+        is_out = np.any(targets != clean.targets[live(clean)], axis=1)
+        assert 0.14 < is_out.mean() < 0.26
+        # every live row, redrawn or not, keeps the inlier weight 1/sigma^2
+        assert np.all(weights == 1.0 / 0.25)
         # redrawn uniformly in the image; noisy inliers may cross its edge
         redrawn = targets[is_out]
         assert np.all(redrawn[:, 0] >= 0.0) and np.all(redrawn[:, 0] <= 639.0)
