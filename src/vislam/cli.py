@@ -261,21 +261,21 @@ def _gravity_error_deg(g_est: np.ndarray, g_true: np.ndarray) -> float:
 
 
 def _init_diagnostics(tracker, dataset) -> dict | None:
-    """Window-vs-truth gravity and scale error at the moment of init.
+    """Estimate-vs-truth gravity and scale error at the moment of init.
 
-    The estimator frame is the body frame of keyframe 0, so true gravity is
-    rotated into it before the angle is taken.
+    Read right after the initializing insertion, the view's rows, archive
+    then window, are exactly the keyframes the initializer solved. The
+    estimator frame is the body frame of keyframe 0, the view's row 0, so
+    true gravity is rotated into it before the angle is taken.
     """
-    kfs = tracker.graph.keyframes
-    est = np.stack([kf.state.pose.translation for kf in kfs])
-    gt = np.stack([dataset.frame_pose(tracker.frame_of[kf.kid]).translation
-                   for kf in kfs])
+    rows = KeyframeView(tracker).rows()
+    est = np.stack([r.pose.translation for r in rows])
+    gt = np.stack([dataset.frame_pose(r.frame_index).translation for r in rows])
     try:
         S = umeyama(est, gt, with_scale=True)
     except ValueError:
         return None
-    # the view lists keyframes in kid order, so keyframe 0 is its row 0
-    R0 = dataset.frame_pose(KeyframeView(tracker).rows()[0].frame_index).rotation
+    R0 = dataset.frame_pose(rows[0].frame_index).rotation
     g_true = R0.inverse().apply(dataset.gravity.vector())
     return {
         "gravity_err_deg": _gravity_error_deg(tracker.graph.gravity.vector(), g_true),

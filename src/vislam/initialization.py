@@ -6,8 +6,10 @@ Stage 1 solves a vision-only bundle adjustment of the accumulated window, so
 its geometry is known only up to a global similarity. Stage 2 freezes those
 poses and fits the metric unknowns: a log-scale applied to all positions,
 the 2-dof gravity orientation, one shared bias, and per-keyframe velocities.
-Stage 3 runs the full visual-inertial solve on the window that stage 2
-committed, with the gravity direction left free.
+It starts from log-scale 0 and from the velocities and gravity of one linear
+least-squares fit of the same inertial rows (linear_alignment). Stage 3 runs
+the full visual-inertial solve on the window that stage 2 committed, with
+the gravity direction left free.
 
 The stages take no config: each solves for a fixed iteration budget below
 with SolveOptions' default damping. The window sizes at which the tracker
@@ -63,28 +65,42 @@ def init_vision(graph: FrameGraph) -> SolveReport:
                        SolveOptions(max_iterations=MAX_ITERATIONS_VISION))
 
 
-def align_gravity(states: list, deltas: list,
-                  magnitude: float = 9.81) -> GravityModel:
-    """Closed-form gravity direction from per-pair velocity changes.
+def linear_alignment(graph: FrameGraph) -> tuple:
+    """Stage 2's seed: metric velocities and gravity from one linear fit.
 
-    Each consecutive pair gives g ~ (v_j - v_i - R_i dv_ij) / dt; the mean
-    direction is mapped to a rotation with no yaw component (the geodesic
-    taking the inertial gravity axis onto the estimate).
+    np.linalg.lstsq fits each keyframe's velocity v, the gravity vector g
+    and a free scale s to each inertial edge's Delta p and Delta v rows, as
+    stage 2 scores them but unwhitened, at the bias linearization point and
+    turned into the world by the stage-1 rotation R_i (VINS-Mono's linear
+    alignment; Qin, Li & Shen, T-RO 2018), over the stage-1 positions p:
+
+        s (p_j - p_i) - dt v_i - dt^2 g / 2 = R_i Delta p
+        v_j - v_i - dt g = R_i Delta v
+
+    s is a nuisance unknown: stage 2 starts from log-scale 0. Gravity keeps
+    the window's magnitude, turned from the inertial axis onto the fitted
+    direction with no yaw component.
     """
-    if len(states) < 2 or len(deltas) != len(states) - 1:
-        raise ValueError("need one preintegrated delta per consecutive pair")
-    votes = []
-    for k, delta in enumerate(deltas):
-        s_i, s_j = states[k], states[k + 1]
-        dt = delta.dt_total
-        g_est = (s_j.velocity - s_i.velocity
-                 - s_i.pose.rotation.apply(delta.delta_v)) / dt
-        votes.append(g_est)
-    g_mean = np.mean(votes, axis=0)
-    norm = np.linalg.norm(g_mean)
+    n = len(graph.keyframes)
+    pairs = [(i, j) for i, j, _ in graph.inertial_edges]
+    i, j = Layout([kf.kid for kf in graph.keyframes], 0, [0] * n, 0, pairs).ends(pairs).T
+    nodes = StateStack.of([kf.state for kf in graph.keyframes])
+    deltas = DeltaStack.of([d for _, _, d in graph.inertial_edges])
+    dt, e = deltas.span, np.arange(len(pairs))
+    # each edge's (Delta p, Delta v) coefficients on v_0 .. v_n-1 and g, then on s
+    C = np.zeros((len(pairs), 2, n + 1))
+    C[e, 0, i], C[e, 1, i], C[e, 1, j] = -dt, -1.0, 1.0
+    C[:, :, n] = np.stack([-0.5 * dt * dt, -dt], axis=1)
+    on_s = np.stack([nodes.p[j] - nodes.p[i], np.zeros((len(pairs), 3))], axis=1)
+    A = np.concatenate([np.kron(C, np.eye(3)), on_s.reshape(-1, 6, 1)], axis=2)
+    b = nodes.R[i] @ np.stack([deltas.p, deltas.v], axis=2)
+    x = np.linalg.lstsq(A.reshape(-1, 3 * n + 4), b.transpose(0, 2, 1).ravel(),
+                        rcond=None)[0]
+    g = x[3 * n:3 * n + 3]
+    norm = np.linalg.norm(g)
     if norm < 1e-8:
         raise ValueError("gravity direction unobservable from these windows")
-    direction = g_mean / norm
+    direction = g / norm
     e3 = np.array([0.0, 0.0, 1.0])
     c = float(np.clip(direction @ e3, -1.0, 1.0))
     axis = np.cross(e3, direction)
@@ -95,22 +111,8 @@ def align_gravity(states: list, deltas: list,
         rotvec = np.zeros(3) if c > 0.0 else np.array([np.pi, 0.0, 0.0])
     else:
         rotvec = axis / s * np.arctan2(s, c)
-    return GravityModel(Rotation.exp(rotvec), magnitude)
-
-
-def _fd_velocities(graph: FrameGraph) -> np.ndarray:
-    """Central-difference velocity seeds from keyframe positions."""
-    states = [kf.state for kf in graph.keyframes]
-    n = len(states)
-    v = np.zeros((n, 3))
-    for k in range(n):
-        a = max(0, k - 1)
-        b = min(n - 1, k + 1)
-        dt = states[b].timestamp - states[a].timestamp
-        if dt <= 0.0:
-            raise ValueError("keyframe timestamps must increase")
-        v[k] = (states[b].pose.translation - states[a].pose.translation) / dt
-    return v
+    return x[:3 * n].reshape(n, 3), GravityModel(Rotation.exp(rotvec),
+                                                 graph.gravity.magnitude)
 
 
 class _InertialOnly(GraphProblem):
@@ -211,12 +213,9 @@ def run_full_initialization(graph: FrameGraph) -> InitResult:
     """All three stages in sequence, each writing the window as it ends."""
     vision_report = init_vision(graph)
 
-    # differenced velocities seed both the gravity direction and stage 2
-    for kf, v in zip(graph.keyframes, _fd_velocities(graph)):
+    velocities, graph.gravity = linear_alignment(graph)
+    for kf, v in zip(graph.keyframes, velocities):
         kf.state = replace(kf.state, velocity=v)
-    deltas = [delta for _, _, delta in graph.inertial_edges]
-    graph.gravity = align_gravity([kf.state for kf in graph.keyframes], deltas,
-                                  magnitude=graph.gravity.magnitude)
 
     result = init_inertial_only(graph)
     result.reports["vision"] = vision_report

@@ -40,7 +40,6 @@ from .solver import (
     Layout,
     SolveOptions,
     lm_solve,
-    retract_disparities,
 )
 
 FLOW_GATE = 22.0             # coarse pixels, strictly below
@@ -247,7 +246,8 @@ class _PoseGraphProblem(GraphProblem):
     vision edge carry disparity variables. The loop edges are the vision
     groups, and the chain is the dense family: one stacked relative-pose
     call per evaluation. The earliest keyframe is the gauge: its pose is
-    never retracted.
+    never moved. GraphProblem.retract moves the other poses and the
+    disparities, and the problem has no unknown beside them.
     """
 
     def __init__(self, graph: PoseGraph):
@@ -270,12 +270,6 @@ class _PoseGraphProblem(GraphProblem):
 
     def dense_rows(self, chain):
         return np.concatenate([chain.J_i, chain.J_j], axis=2), chain.residual
-
-    def retract(self, dx: np.ndarray) -> None:
-        segs = dx[:self.layout.n_state].reshape(-1, POSE_DOF)
-        self.states = self.states[:1] + [s.retract(seg[:3], seg[3:]) for s, seg in
-                                         zip(self.states[1:], segs[1:])]
-        self.disparities = retract_disparities(self.disparities, self.layout, dx)
 
 
 def solve_pgba(graph: PoseGraph, opts: SolveOptions | None = None):

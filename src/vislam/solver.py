@@ -379,17 +379,20 @@ class GraphProblem:
     node order), so a trial never writes the graph: retract() binds new
     values, snapshot() copies the attributes but the system, restore()
     rebinds them, and commit() writes the graph (here, its nodes) once.
-    A subclass states only its one dense family, its row columns and its
-    retraction. evaluate() runs the vision kernel once per pixel group and
-    the subclass's dense(nodes) (None for a family with no edge) and stores
-    (vision results per pixel group, dense result) in self.outs;
-    linearize() scatters them into a new self.system, dropping the old
-    system first and the results after, so neither is held beside its
-    successor. Every residual family builds its Jacobians at linearize
-    time only, so a rejected trial never pays for them: the kernels on the
-    first read of a result's Jacobians, and a subclass's dense_rows(result),
-    which builds its rows' Jacobian and residuals on the columns
-    self.row_cols (E, k), when linearize() calls it.
+    A subclass states only its one dense family and its row columns.
+    retract() moves every node but the gauge (the first) and the
+    disparities; the window also moves its gravity, and stage 2 and the
+    loop alignment, which have no node, move their own values. evaluate()
+    runs the vision kernel once per pixel group and the subclass's
+    dense(nodes) (None for a family with no edge) and stores (vision
+    results per pixel group, dense result) in self.outs; linearize()
+    scatters them into a new self.system, dropping the old system first
+    and the results after, so neither is held beside its successor. Every
+    residual family builds its Jacobians at linearize time only, so a
+    rejected trial never pays for them: the kernels on the first read of a
+    result's Jacobians, and a subclass's dense_rows(result), which builds
+    its rows' Jacobian and residuals on the columns self.row_cols (E, k),
+    when linearize() calls it.
     """
 
     def __init__(self, nodes: list, layout: Layout, vision_edges=(),
@@ -438,6 +441,21 @@ class GraphProblem:
     def restore(self, snap: dict) -> None:
         vars(self).update(snap)
 
+    def retract(self, dx: np.ndarray) -> None:
+        """Move every node but the gauge by its layout.dof segment of dx (a
+        PoseState's 15 entries, or the 6 of its pose or of a Pose), then each
+        node's disparities by their columns, floored."""
+        lay = self.layout
+        segs = dx[lay.dof:lay.n_state].reshape(-1, lay.dof)
+        self.states = self.states[:1] + [
+            s.retract(seg) if lay.dof == STATE_DOF
+            else s.retract(seg[:3], seg[3:]) if isinstance(s, Pose)
+            else replace(s, pose=s.pose.retract(seg[:3], seg[3:]))
+            for s, seg in zip(self.states[1:], segs)]
+        ends = lay.n_pose_vars + lay.d_offsets
+        self.disparities = [d if a == b else np.maximum(d + dx[a:b], DISPARITY_FLOOR)
+                            for d, a, b in zip(self.disparities, ends, ends[1:])]
+
     def commit(self) -> None:
         """Write the problem's values into its nodes."""
         for node, s, d in zip(self.nodes, self.states, self.disparities):
@@ -445,22 +463,15 @@ class GraphProblem:
             node.disparities = d
 
 
-def retract_disparities(disparities: list, layout: Layout, dx: np.ndarray) -> list:
-    """Each node's disparities moved by its columns of dx and floored."""
-    ends = layout.n_pose_vars + layout.d_offsets
-    return [d if a == b else np.maximum(d + dx[a:b], DISPARITY_FLOOR)
-            for d, a, b in zip(disparities, ends, ends[1:])]
-
-
 class _WindowProblem(GraphProblem):
     """Joint vision + inertial energy of a frame graph.
 
     Its dense family is the inertial edges, stacked once (DeltaStack), each
     a row block on both ends' state columns and gravity's. The earliest
-    keyframe is the gauge: its pose, velocity and bias are held fixed. A
-    graph without inertial edges solves poses only; otherwise each keyframe
-    solves its velocity and bias as well. Every keyframe, the gauge
-    included, is retracted by its (zero, for the gauge) step segment.
+    keyframe is the gauge: GraphProblem.retract leaves its pose, velocity
+    and bias as they are. A graph without inertial edges solves poses only;
+    otherwise each keyframe solves its velocity and bias as well. retract()
+    adds the gravity direction, when it is free.
     """
 
     def __init__(self, graph: FrameGraph, opts: SolveOptions):
@@ -491,21 +502,14 @@ class _WindowProblem(GraphProblem):
 
     def dense_rows(self, inertial):
         lay = self.layout
-        J = [inertial.J_i[:, :, :lay.dof], inertial.J_j[:, :, :lay.dof]]
+        J = [inertial.J_i, inertial.J_j]
         if lay.n_pose_vars > lay.n_state:
             J.append(inertial.J_gravity @ GRAVITY_TANGENT_BASIS)
         return np.concatenate(J, axis=2), inertial.residual
 
     def retract(self, dx: np.ndarray) -> None:
-        lay = self.layout
-        segs = dx[:lay.n_state].reshape(-1, lay.dof)
-        if lay.dof == STATE_DOF:
-            self.states = [s.retract(seg) for s, seg in zip(self.states, segs)]
-        else:
-            self.states = [replace(s, pose=s.pose.retract(seg[0:3], seg[3:6]))
-                           for s, seg in zip(self.states, segs)]
-        self.disparities = retract_disparities(self.disparities, lay, dx)
-        dg = dx[lay.n_state:lay.n_pose_vars]
+        super().retract(dx)
+        dg = dx[self.layout.n_state:self.layout.n_pose_vars]
         if len(dg):
             self.gravity = self.gravity.retract(GRAVITY_TANGENT_BASIS @ dg)
 

@@ -7,11 +7,12 @@ import pytest
 
 from vislam import frontend
 from vislam.cli import _init_diagnostics
-from vislam.evaluation import Trajectory, align_umeyama, ate_rmse
+from vislam.evaluation import Trajectory, align_umeyama, ate_rmse, umeyama
 from vislam.frontend import (
     MAX_INTERVAL,
     InitConfig,
     KeyframePolicy,
+    KeyframeView,
     PHASE_FULL,
     PHASE_INERTIAL,
     PHASE_VISION,
@@ -397,6 +398,12 @@ class TestPipeline:
         assert 0 not in pipeline.tracker.frame_of
         diag = _init_diagnostics(pipeline.tracker, pipeline.ds)
         assert diag["gravity_err_deg"] < 1.0
+        # the scale is scored over every keyframe, archived ones included
+        rows = KeyframeView(pipeline.tracker).rows()
+        S = umeyama(np.stack([r.pose.translation for r in rows]),
+                    np.stack([pipeline.ds.frame_pose(r.frame_index).translation
+                              for r in rows]), with_scale=True)
+        assert diag["scale_err_pct"] == abs(S.scale - 1.0) * 100.0
 
 
 class _FlakyProvider:

@@ -6,21 +6,20 @@ import pytest
 from vislam.evaluation import umeyama
 from vislam.frontend import InitConfig
 from vislam.geometry import Pose, Rotation
-from vislam.imu import BiasState, ImuNoiseModel, ImuSamples, PreintegratedDelta, preintegrate
+from vislam.imu import BiasState, ImuNoiseModel, ImuSamples, preintegrate
 from vislam.initialization import (
-    _fd_velocities,
     _InertialOnly,
-    align_gravity,
     init_inertial_only,
     init_joint,
     init_vision,
+    linear_alignment,
     run_full_initialization,
 )
 from vislam.residuals import GravityModel, PoseState
-from vislam.solver import FrameGraph, SolveOptions, lm_solve, total_energy
+from vislam.solver import FrameGraph, Keyframe, SolveOptions, lm_solve, total_energy
 
 import oracles
-from windows import build_window, perturb_graph
+from windows import build_window, default_intrinsics, perturb_graph
 
 
 def _vision_energy(graph):
@@ -36,11 +35,17 @@ def _rescale_graph(graph, k):
         kf.disparities = kf.disparities / k
 
 
-def _init_inertial_from_fd(graph):
-    """Stage 2 from the central-difference velocities that
-    run_full_initialization writes into the window before it."""
-    for kf, v in zip(graph.keyframes, _fd_velocities(graph)):
+def _seed(graph):
+    """Write linear_alignment's velocities and gravity into the window, as
+    run_full_initialization does before stage 2."""
+    velocities, graph.gravity = linear_alignment(graph)
+    for kf, v in zip(graph.keyframes, velocities):
         kf.state = replace(kf.state, velocity=v)
+
+
+def _init_inertial_from_seed(graph):
+    """Stage 2 from run_full_initialization's seed."""
+    _seed(graph)
     return init_inertial_only(graph)
 
 
@@ -86,37 +91,38 @@ class TestInitVision:
         assert abs(after - before) <= 1e-10 * max(before, 1.0)
 
 
-def _stationary_fixture(accel_body, n_kf=4, dt=0.25, rate=200.0):
-    """Keyframe states at rest plus deltas preintegrated from constant
-    measurements."""
-    states = []
-    deltas = []
-    for k in range(n_kf):
-        states.append(PoseState(Pose(Rotation.identity(), np.zeros(3)),
-                                np.zeros(3), BiasState(), k * dt))
+def _stationary_window(accel_body, n_kf=4, dt=0.25, rate=200.0):
+    """A window of keyframes at rest at the origin, with no vision edge,
+    whose deltas are preintegrated from constant measurements."""
+    keyframes = [Keyframe(k, PoseState(Pose(Rotation.identity(), np.zeros(3)),
+                                       np.zeros(3), BiasState(), k * dt))
+                 for k in range(n_kf)]
     n_samp = int(dt * rate) + 1
+    edges = []
     for k in range(n_kf - 1):
         ts = k * dt + np.arange(n_samp) / rate
         samples = ImuSamples(ts, np.zeros((len(ts), 3)),
                              np.tile(np.asarray(accel_body, dtype=float), (len(ts), 1)))
-        deltas.append(preintegrate(samples, BiasState(), ImuNoiseModel()))
-    return states, deltas
+        edges.append((k, k + 1, preintegrate(samples, BiasState(), ImuNoiseModel())))
+    return FrameGraph(keyframes, [], edges, GravityModel(), default_intrinsics())
 
 
 class TestAlignGravity:
+    """The gravity, and the velocities, that linear_alignment fits."""
+
     def test_stationary_level_rig_gives_identity(self):
-        states, deltas = _stationary_fixture([0.0, 0.0, -9.81])
-        g = align_gravity(states, deltas)
+        velocities, g = linear_alignment(_stationary_window([0.0, 0.0, -9.81]))
         assert np.linalg.norm(g.R_wg.log()) < 1e-6
         assert g.magnitude == 9.81
+        assert np.abs(velocities).max() < 1e-9
 
     def test_pitched_rig_direction_recovered(self):
         rng = np.random.default_rng(3)
         tilt = Rotation.exp([np.deg2rad(10.0), 0.0, 0.0])
         gravity = GravityModel(tilt)
-        graph, truth = build_window(rng, n_kf=6, gravity=gravity)
-        deltas = [d for _, _, d in graph.inertial_edges]
-        est = align_gravity(truth, deltas)
+        graph, _ = build_window(rng, n_kf=6, gravity=gravity)
+        graph.gravity = GravityModel()
+        _, est = linear_alignment(graph)
         g_true = gravity.vector()
         g_est = est.vector()
         cosang = g_true @ g_est / (np.linalg.norm(g_true) * np.linalg.norm(g_est))
@@ -125,15 +131,15 @@ class TestAlignGravity:
     def test_estimate_has_no_yaw_component(self):
         rng = np.random.default_rng(4)
         gravity = GravityModel(Rotation.exp([0.15, -0.1, 0.0]))
-        graph, truth = build_window(rng, n_kf=5, gravity=gravity)
-        deltas = [d for _, _, d in graph.inertial_edges]
-        est = align_gravity(truth, deltas)
+        graph, _ = build_window(rng, n_kf=5, gravity=gravity)
+        _, est = linear_alignment(graph)
         assert abs(est.R_wg.log()[2]) < 1e-12
 
     def test_energy_invariant_under_yaw_about_gravity(self):
         rng = np.random.default_rng(5)
         graph, _ = build_window(rng, n_kf=5)
         base = total_energy(graph)
+        v_base, g_base = linear_alignment(graph)
         yaw = Rotation.exp([0.0, 0.0, 0.8])
         for kf in graph.keyframes:
             st = kf.state
@@ -143,17 +149,31 @@ class TestAlignGravity:
                                  st.timestamp)
         rotated = total_energy(graph)
         assert abs(rotated - base) <= 1e-10 * max(base, 1.0)
+        # the fit turns with the window: the same gravity, yawed velocities
+        v_yawed, g_yawed = linear_alignment(graph)
+        assert np.abs(g_yawed.vector() - g_base.vector()).max() < 1e-9
+        assert np.abs(v_yawed - yaw.apply(v_base)).max() < 1e-9
 
     def test_unobservable_direction_rejected(self):
-        states = [PoseState(Pose(Rotation.identity(), np.zeros(3)), np.zeros(3),
-                            BiasState(), 0.25 * k) for k in range(3)]
-        null_delta = PreintegratedDelta(
-            dt_total=0.25, delta_R=Rotation.identity(), delta_p=np.zeros(3),
-            delta_v=np.zeros(3), J_rot=np.eye(3), J_pos=np.zeros((3, 6)),
-            J_vel=np.zeros((3, 6)), covariance=np.eye(15),
-            bias_lin_point=BiasState())
+        graph = _stationary_window([0.0, 0.0, 0.0], n_kf=3)
         with pytest.raises(ValueError, match="unobservable"):
-            align_gravity(states, [null_delta, null_delta])
+            linear_alignment(graph)
+
+    @pytest.mark.parametrize("k", [0.37, 2.5])
+    def test_scaled_window_gives_metric_velocities_and_gravity(self, k):
+        # noise-free stage-1 positions off by a known factor: the free
+        # scale takes the factor, and velocities and gravity come out metric
+        rng = np.random.default_rng(17)
+        gravity = GravityModel(Rotation.exp([0.12, -0.07, 0.0]))
+        graph, truth = build_window(rng, n_kf=6, gravity=gravity)
+        graph.gravity = GravityModel()
+        for kf in graph.keyframes:
+            st = kf.state
+            kf.state = replace(st, pose=Pose(st.pose.rotation, k * st.pose.translation),
+                               velocity=np.zeros(3))
+        velocities, est = linear_alignment(graph)
+        assert np.abs(velocities - np.stack([t.velocity for t in truth])).max() < 1e-9
+        assert np.abs(est.vector() - gravity.vector()).max() / 9.81 < 1e-9
 
 
 class TestInertialOnly:
@@ -161,14 +181,14 @@ class TestInertialOnly:
         rng = np.random.default_rng(6)
         graph, _ = build_window(rng, n_kf=8)
         _rescale_graph(graph, 0.5)
-        result = _init_inertial_from_fd(graph)
+        result = _init_inertial_from_seed(graph)
         assert abs(np.exp(result.log_scale) - 2.0) < 0.02
 
     def test_recovers_injected_gyro_bias(self):
         rng = np.random.default_rng(7)
         true_bias = BiasState([0.01, -0.02, 0.005], [0.03, -0.01, 0.02])
         graph, _ = build_window(rng, n_kf=8, bias=true_bias, bias_hat=BiasState())
-        _init_inertial_from_fd(graph)
+        _init_inertial_from_seed(graph)
         for kf in graph.keyframes:
             err = np.linalg.norm(kf.state.bias.gyro_bias - true_bias.gyro_bias)
             assert err < 0.05 * np.linalg.norm(true_bias.gyro_bias)
@@ -176,7 +196,7 @@ class TestInertialOnly:
     def test_metric_input_gives_zero_log_scale(self):
         rng = np.random.default_rng(8)
         graph, _ = build_window(rng, n_kf=8)
-        result = _init_inertial_from_fd(graph)
+        result = _init_inertial_from_seed(graph)
         assert abs(result.log_scale) < 1e-4
 
     def test_scale_equivariance(self):
@@ -186,8 +206,8 @@ class TestInertialOnly:
         graph_b, _ = build_window(rng, n_kf=6)
         k = 1.7
         _rescale_graph(graph_b, k)
-        s_a = _init_inertial_from_fd(graph_a).log_scale
-        s_b = _init_inertial_from_fd(graph_b).log_scale
+        s_a = _init_inertial_from_seed(graph_a).log_scale
+        s_b = _init_inertial_from_seed(graph_b).log_scale
         assert abs((s_b - s_a) - (-np.log(k))) < 1e-6
 
     @pytest.mark.parametrize("lam", [1e-4, 1.0, 1e4])
@@ -212,8 +232,7 @@ class TestInertialOnly:
         rng = np.random.default_rng(15)
         graph, _ = build_window(rng, n_kf=6)
         _rescale_graph(graph, 0.5)
-        for kf, v in zip(graph.keyframes, _fd_velocities(graph)):
-            kf.state = replace(kf.state, velocity=v)
+        _seed(graph)
         before = [(kf.state, kf.disparities) for kf in graph.keyframes]
         gravity, vision = graph.gravity, _vision_energy(graph)
         problem = _InertialOnly(graph)
@@ -261,7 +280,7 @@ class TestJointAndPipeline:
         rng = np.random.default_rng(11)
         graph, _ = build_window(rng, n_kf=8)
         _rescale_graph(graph, 0.6)
-        _init_inertial_from_fd(graph)
+        _init_inertial_from_seed(graph)
         stage2_energy = total_energy(graph)
         init_joint(graph)
         assert total_energy(graph) <= stage2_energy + 1e-12

@@ -164,6 +164,25 @@ def test_frozen_blocks_bit_identical():
     assert after.bias.vector().tobytes() == b0
 
 
+@pytest.mark.parametrize("inertial", [True, False])
+def test_gauge_rotation_is_never_renormalized(inertial):
+    # a gauge rotation whose quaternion changes bits under q * Exp(0): a
+    # retraction that moved the gauge by its zero segment would change it
+    rng = np.random.default_rng(28)
+    graph, _ = build_window(rng, n_kf=5, n_px=12)
+    perturb_graph(graph, rng)
+    gauge = graph.kf(0)
+    for _ in range(1000):
+        R = gauge.state.pose.rotation * Rotation.exp(rng.normal(0.0, 1e-3, 3))
+        if (R * Rotation.exp(np.zeros(3))).q.tobytes() != R.q.tobytes():
+            break
+    else:
+        pytest.fail("no rotation that renormalization changes")
+    gauge.state = replace(gauge.state, pose=Pose(R, gauge.state.pose.translation))
+    solve_vi_ba(graph if inertial else graph.vision_only(), SolveOptions(max_iterations=5))
+    assert gauge.state.pose.rotation.q.tobytes() == R.q.tobytes()
+
+
 def _value_bytes(gravity, states, disparities):
     """Every solved array of a window, as bytes."""
     out = [gravity.R_wg.q.tobytes()]

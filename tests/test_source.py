@@ -169,6 +169,21 @@ def test_no_keyframe_index_beside_a_graph_and_stage_two_commits():
     assert "commit" in methods
 
 
+# Stage 2 has one seed, linear_alignment's least-squares fit, and a node
+# moves in one place: GraphProblem.retract, which leaves the gauge as it is.
+def test_one_stage_two_seed_and_one_node_retraction():
+    root = Path(vislam.__file__).parent
+    tree = ast.parse((root / "initialization.py").read_text())
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert "linear_alignment" in defined
+    assert not {"align_gravity", "_fd_velocities"} & defined
+    tree = ast.parse((root / "loopclosure.py").read_text())
+    methods = {f.name for c in tree.body
+               if isinstance(c, ast.ClassDef) and c.name == "_PoseGraphProblem"
+               for f in c.body if isinstance(f, ast.FunctionDef)}
+    assert "dense" in methods and "retract" not in methods
+
+
 # The tracker's archive and window are the one record of each keyframe's
 # pose, frame and chain edge: the loop worker takes no eviction message and
 # stores no pose, only its config, its loops, its waiting count and the
